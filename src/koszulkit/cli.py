@@ -82,25 +82,6 @@ def _decode_object(pres, ids) -> AddObject:
     return AddObject(tuple(ids))
 
 
-def _decode_blocks(pres, source, target, entries):
-    blocks = [[None] * len(source) for _ in range(len(target))]
-    acc = {}
-    for entry in entries:
-        r, c = int(entry["row"]), int(entry["col"])
-        if not (0 <= r < len(target) and 0 <= c < len(source)):
-            raise InputError(f"block position ({r},{c}) out of range")
-        labels = pres.hom_labels(source[c], target[r])
-        if entry["label"] not in labels:
-            raise InputError(f"label {entry['label']!r} not in Hom({source[c]},{target[r]})")
-        key = (r, c)
-        vec = acc.setdefault(key, [pres.field.zero] * len(labels))
-        idx = labels.index(entry["label"])
-        vec[idx] = pres.field.add(vec[idx], pres.field.parse(str(entry["coeff"])))
-    for (r, c), vec in acc.items():
-        blocks[r][c] = tuple(vec)
-    return AddMorphism.from_blocks(pres, source, target, blocks)
-
-
 def decode_complex(pres, data) -> Complex:
     try:
         terms = {int(k): _decode_object(pres, v) for k, v in data.get("terms", {}).items()}
@@ -109,7 +90,7 @@ def decode_complex(pres, data) -> Complex:
             i = int(k)
             if i not in terms or (i + 1) not in terms:
                 raise InputError(f"differential at {i} without both terms")
-            diffs[i] = _decode_blocks(pres, terms[i], terms[i + 1], entries)
+            diffs[i] = AddMorphism.from_entries(pres, terms[i], terms[i + 1], entries)
         return Complex(pres, terms, diffs)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"malformed complex: {exc}") from exc
@@ -117,19 +98,7 @@ def decode_complex(pres, data) -> Complex:
 
 def encode_complex(x: Complex) -> dict:
     terms = {str(i): list(t.summands) for i, t in sorted(x.terms.items())}
-    diffs = {}
-    for i, d in sorted(x.diffs.items()):
-        entries = []
-        for r, row in enumerate(d.blocks):
-            for c, blk in enumerate(row):
-                if blk is None:
-                    continue
-                labels = x.pres.hom_labels(d.source[c], d.target[r])
-                for coeff, lab in zip(blk, labels):
-                    if coeff:
-                        entries.append({"row": r, "col": c, "label": lab,
-                                        "coeff": x.pres.field.format(coeff)})
-        diffs[str(i)] = entries
+    diffs = {str(i): d.to_entries() for i, d in sorted(x.diffs.items())}
     return {"terms": terms, "diff": diffs}
 
 
@@ -139,7 +108,7 @@ def decode_chain_map(pres, data) -> ChainMap:
     comps = {}
     for k, entries in data.get("components", {}).items():
         i = int(k)
-        comps[i] = _decode_blocks(pres, src.term(i), tgt.term(i), entries)
+        comps[i] = AddMorphism.from_entries(pres, src.term(i), tgt.term(i), entries)
     try:
         return ChainMap(src, tgt, comps)
     except Exception as exc:
@@ -539,7 +508,6 @@ def build_parser():
         p.set_defaults(func=func)
         for spec in specs:
             p.add_argument(*spec[0], **spec[1])
-        return p
 
     add("validate", cmd_validate, (("presentation",), {}))
     add("hom", cmd_hom, (("presentation",), {}),
@@ -549,8 +517,7 @@ def build_parser():
     add("cone", cmd_cone, (("presentation",), {}), (("map",), {}))
     add("minimize", cmd_minimize, (("presentation",), {}), (("complex",), {}))
     add("truncate", cmd_truncate, (("presentation",), {}), (("complex",), {}))
-    heart = add("heart", cmd_heart, (("presentation",), {}))
-    heart.add_argument("--simples", action="store_true", default=True)
+    add("heart", cmd_heart, (("presentation",), {}))
     add("weights", cmd_weights, (("presentation",), {}), (("complex",), {}))
     add("mixed-check", cmd_mixed_check, (("presentation",), {}))
     add("koszul-check", cmd_koszul_check, (("presentation",), {}))

@@ -30,6 +30,9 @@ from .orlov import (
     ZERO_OBJECT,
     hom_basis,
     hom_dim_add,
+    identity_label,
+    invert_endomorphism,
+    spans,
 )
 
 
@@ -127,86 +130,30 @@ def support(x: Complex) -> frozenset:
     return x.support()
 
 
+def _stack(a: Complex, b: Complex):
+    """Terms of a + b with, per degree, the positions of a's and b's summands."""
+    terms = {i: a.term(i).concat(b.term(i)) for i in set(a.terms) | set(b.terms)}
+    apos, bpos = {}, {}
+    for i in terms:
+        apos[i], bpos[i] = spans(a.term(i), b.term(i))
+    return terms, apos, bpos
+
+
 def direct_sum(x: Complex, y: Complex):
     """x + y with the four canonical chain maps (ix, iy, px, py)."""
     pres = x.pres
-    terms, diffs = {}, {}
-    for i in set(x.terms) | set(y.terms):
-        terms[i] = x.term(i).concat(y.term(i))
-    for i in sorted(terms):
-        if i + 1 not in terms:
-            continue
-        xs, ys = x.term(i), y.term(i)
-        xt, yt = x.term(i + 1), y.term(i + 1)
-        dx, dy = x.d(i), y.d(i)
-        blocks = []
-        for r in range(len(xt) + len(yt)):
-            row = []
-            for c in range(len(xs) + len(ys)):
-                if r < len(xt) and c < len(xs):
-                    row.append(dx.blocks[r][c])
-                elif r >= len(xt) and c >= len(xs):
-                    row.append(dy.blocks[r - len(xt)][c - len(xs)])
-                else:
-                    row.append(None)
-            blocks.append(tuple(row))
-        m = AddMorphism(pres, terms[i], terms[i + 1], tuple(blocks))
-        if not m.is_zero():
-            diffs[i] = m
+    terms, xp, yp = _stack(x, y)
+    diffs = {i: AddMorphism.assemble(pres, terms[i], terms[i + 1], [
+        (xp[i + 1], xp[i], x.d(i)), (yp[i + 1], yp[i], y.d(i))])
+        for i in sorted(terms) if i + 1 in terms}
     z = Complex(pres, terms, diffs, check=False)
-    ix = {i: _inclusion(pres, x.term(i), z.term(i), 0) for i in x.terms}
-    iy = {i: _inclusion(pres, y.term(i), z.term(i), len(x.term(i))) for i in y.terms}
-    px = {i: _projection(pres, z.term(i), x.term(i), 0) for i in x.terms}
-    py = {i: _projection(pres, z.term(i), y.term(i), len(x.term(i))) for i in y.terms}
+    ix = {i: AddMorphism.inclusion(pres, x.term(i), terms[i], xp[i]) for i in x.terms}
+    iy = {i: AddMorphism.inclusion(pres, y.term(i), terms[i], yp[i]) for i in y.terms}
+    px = {i: AddMorphism.projection(pres, terms[i], x.term(i), xp[i]) for i in x.terms}
+    py = {i: AddMorphism.projection(pres, terms[i], y.term(i), yp[i]) for i in y.terms}
     return (z,
             ChainMap(x, z, ix, check=False), ChainMap(y, z, iy, check=False),
             ChainMap(z, x, px, check=False), ChainMap(z, y, py, check=False))
-
-
-def _inclusion(pres, sub: AddObject, whole: AddObject, offset: int) -> AddMorphism:
-    blocks = []
-    for i in range(len(whole)):
-        row = []
-        for j in range(len(sub)):
-            if i == offset + j:
-                row.append(_unit_coords(pres, sub[j]))
-            else:
-                row.append(None)
-        blocks.append(tuple(row))
-    return AddMorphism(pres, sub, whole, tuple(blocks))
-
-
-def _projection(pres, whole: AddObject, quot: AddObject, offset: int) -> AddMorphism:
-    blocks = []
-    for i in range(len(quot)):
-        row = []
-        for j in range(len(whole)):
-            if j == offset + i:
-                row.append(_unit_coords(pres, quot[i]))
-            else:
-                row.append(None)
-        blocks.append(tuple(row))
-    return AddMorphism(pres, whole, quot, tuple(blocks))
-
-
-def _unit_coords(pres, s):
-    from .orlov import identity_label
-
-    labels = pres.hom_labels(s, s)
-    unit = identity_label(s)
-    return tuple(pres.field.one if lab == unit else pres.field.zero for lab in labels)
-
-
-def select_summands(pres, x: AddObject, positions) -> AddObject:
-    return AddObject(tuple(x[p] for p in positions))
-
-
-def restrict_blocks(m: AddMorphism, row_positions, col_positions) -> AddMorphism:
-    src = select_summands(m.pres, m.source, col_positions)
-    tgt = select_summands(m.pres, m.target, row_positions)
-    blocks = tuple(
-        tuple(m.blocks[r][c] for c in col_positions) for r in row_positions)
-    return AddMorphism(m.pres, src, tgt, blocks)
 
 
 # ---------------------------------------------------------------- chain maps
@@ -420,9 +367,9 @@ class HomSpace:
                 col += 1
         self._delta = delta
 
-        nullity = self._chain_kernel.cols
+        self.nullity = self._chain_kernel.cols
         self._delta_rank = delta.rank()
-        self.dimension = nullity - self._delta_rank
+        self.dimension = self.nullity - self._delta_rank
 
         self._basis_vectors = []
         if self.dimension:
@@ -432,6 +379,26 @@ class HomSpace:
                 if p >= delta.cols:
                     self._basis_vectors.append(self._chain_kernel.col(p - delta.cols))
         self.basis = [self._vector_to_map(v) for v in self._basis_vectors]
+
+    # ---------------------------------------------------------- chain maps
+
+    def cycles(self) -> list:
+        """Basis of the space of chain maps x -> y[k], before the quotient."""
+        return [self._vector_to_map(self._chain_kernel.col(j)) for j in range(self.nullity)]
+
+    def cycle(self, coeffs) -> ChainMap:
+        """The chain map with coordinates ``coeffs`` in :meth:`cycles`."""
+        fld = self.x.pres.field
+        vec = [fld.zero] * self.total
+        for j, c in enumerate(coeffs):
+            if c:
+                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, self._chain_kernel.col(j))]
+        return self._vector_to_map(vec)
+
+    def rank_mod_homotopy(self, maps) -> int:
+        """Dimension of the span of the classes of the chain maps ``maps``."""
+        cols = [self.map_to_vector(f) for f in maps]
+        return _joint_system([self], cols).rank() - self._delta_rank
 
     # ------------------------------------------------------------ plumbing
 
@@ -475,15 +442,36 @@ class HomSpace:
 
     def express(self, f: ChainMap):
         """Coordinates of the class of f in ``basis``, or None if outside."""
-        fld = self.x.pres.field
-        if not self._basis_vectors:
-            return [] if self.null_homotopy(f) is not None else None
-        bmat = Matrix(fld, self.total, len(self._basis_vectors),
-                      [[v[r] for v in self._basis_vectors] for r in range(self.total)])
-        sol = bmat.hstack(self._delta).solve(self.map_to_vector(f))
-        if sol is None:
-            return None
-        return sol[:len(self._basis_vectors)]
+        return solve_mod_homotopy([self], self._basis_vectors, self.map_to_vector(f))
+
+
+def _joint_system(spaces, columns) -> Matrix:
+    """[columns | delta_1 (+) delta_2 (+) ...] over the stacked coordinates of
+    ``spaces``: the given chain-map columns first, then the null-homotopy
+    columns of each space, in space order."""
+    fld = spaces[0].x.pres.field
+    z = fld.zero
+    h_total = sum(sp.h_total for sp in spaces)
+    data = []
+    left = 0
+    for sp in spaces:
+        pad_l, pad_r = [z] * left, [z] * (h_total - left - sp.h_total)
+        for r in range(sp.total):
+            row = len(data)
+            data.append([col[row] for col in columns] + pad_l + sp._delta.data[r] + pad_r)
+        left += sp.h_total
+    return Matrix(fld, len(data), len(columns) + h_total, data)
+
+
+def solve_mod_homotopy(spaces, columns, rhs):
+    """Coefficients c with sum c_j columns[j] = rhs modulo null-homotopies in
+    every space, or None.
+
+    ``columns`` and ``rhs`` are vectors in the stacked coordinates of
+    ``spaces``; free unknowns are set to 0, so the answer is deterministic.
+    """
+    sol = _joint_system(spaces, columns).solve(rhs)
+    return None if sol is None else sol[:len(columns)]
 
 
 def hom_space(x: Complex, y: Complex, k: int = 0) -> HomSpace:
@@ -557,35 +545,12 @@ def _invert_hom_class(f: HomClass):
     sp_back = HomSpace(y, x, 0)
     sp_yy = HomSpace(y, y, 0)
     sp_xx = HomSpace(x, x, 0)
-    fld = x.pres.field
-    # unknowns: g (chain maps y->x), h1 (homotopies on y), h2 (on x)
-    cols = []
-    nb = sp_back._chain_kernel.cols
-    for cidx in range(nb):
-        g = sp_back._vector_to_map(sp_back._chain_kernel.col(cidx))
-        top = sp_yy.map_to_vector(f.rep.compose(g))
-        bot = sp_xx.map_to_vector(g.compose(f.rep))
-        cols.append(top + bot)
-    for cidx in range(sp_yy._delta.cols):
-        top = [sp_yy._delta.data[r][cidx] for r in range(sp_yy.total)]
-        cols.append([fld.neg(v) for v in top] + [fld.zero] * sp_xx.total)
-    for cidx in range(sp_xx._delta.cols):
-        bot = [sp_xx._delta.data[r][cidx] for r in range(sp_xx.total)]
-        cols.append([fld.zero] * sp_yy.total + [fld.neg(v) for v in bot])
-    nrows = sp_yy.total + sp_xx.total
-    mat = Matrix(fld, nrows, len(cols),
-                 [[cols[c][r] for c in range(len(cols))] for r in range(nrows)])
+    # unknowns: g (chain maps y -> x), then homotopies on y and on x
+    cols = [sp_yy.map_to_vector(f.rep.compose(g)) + sp_xx.map_to_vector(g.compose(f.rep))
+            for g in sp_back.cycles()]
     rhs = sp_yy.map_to_vector(ChainMap.identity(y)) + sp_xx.map_to_vector(ChainMap.identity(x))
-    sol = mat.solve(rhs)
-    if sol is None:
-        return None
-    gvec = [fld.zero] * sp_back.total
-    for cidx in range(nb):
-        c = sol[cidx]
-        if c:
-            col = sp_back._chain_kernel.col(cidx)
-            gvec = [fld.add(a, fld.mul(c, b)) for a, b in zip(gvec, col)]
-    return HomClass(sp_back._vector_to_map(gvec))
+    coeffs = solve_mod_homotopy([sp_yy, sp_xx], cols, rhs)
+    return None if coeffs is None else HomClass(sp_back.cycle(coeffs))
 
 
 # ------------------------------------------------------------------- cones
@@ -595,39 +560,16 @@ def cone(f: ChainMap):
     """The cone Z with its canonical maps (Z, inc: Y->Z, proj: Z->X[1])."""
     x, y = f.source, f.target
     pres = x.pres
-    fld = pres.field
-    xs = x.shift(1)
-    terms, diffs = {}, {}
-    for i in set(xs.terms) | set(y.terms):
-        terms[i] = xs.term(i).concat(y.term(i))
-    for i in sorted(terms):
-        if i + 1 not in terms:
-            continue
-        a, b = xs.term(i), y.term(i)
-        at, bt = xs.term(i + 1), y.term(i + 1)
-        dxs = xs.d(i)            # already carries the shift sign: -d_X
-        dy = y.d(i)
-        fcomp = f.component(i + 1)
-        blocks = []
-        for r in range(len(at) + len(bt)):
-            row = []
-            for c in range(len(a) + len(b)):
-                if r < len(at) and c < len(a):
-                    row.append(dxs.blocks[r][c])
-                elif r >= len(at) and c < len(a):
-                    row.append(fcomp.blocks[r - len(at)][c])
-                elif r >= len(at) and c >= len(a):
-                    row.append(dy.blocks[r - len(at)][c - len(a)])
-                else:
-                    row.append(None)
-            blocks.append(tuple(row))
-        m = AddMorphism(pres, terms[i], terms[i + 1], tuple(blocks))
-        if not m.is_zero():
-            diffs[i] = m
+    xs = x.shift(1)              # its differential carries the shift sign: -d_X
+    terms, ap, bp = _stack(xs, y)
+    diffs = {i: AddMorphism.assemble(pres, terms[i], terms[i + 1], [
+        (ap[i + 1], ap[i], xs.d(i)), (bp[i + 1], ap[i], f.component(i + 1)),
+        (bp[i + 1], bp[i], y.d(i))])
+        for i in sorted(terms) if i + 1 in terms}
     z = Complex(pres, terms, diffs, check=False)
-    inc = ChainMap(y, z, {i: _inclusion(pres, y.term(i), z.term(i), len(xs.term(i)))
+    inc = ChainMap(y, z, {i: AddMorphism.inclusion(pres, y.term(i), terms[i], bp[i])
                           for i in y.terms}, check=False)
-    proj = ChainMap(z, xs, {i: _projection(pres, z.term(i), xs.term(i), 0)
+    proj = ChainMap(z, xs, {i: AddMorphism.projection(pres, terms[i], xs.term(i), ap[i])
                             for i in xs.terms}, check=False)
     return z, inc, proj
 
@@ -734,26 +676,26 @@ class Triangle:
             qsel = sel_quot.get(i, ())
             if sorted(tuple(ssel) + tuple(qsel)) != list(range(len(m.term(i)))):
                 raise TriangleError(f"split selections do not partition degree {i}")
-            sub_terms[i] = select_summands(pres, m.term(i), ssel)
-            quot_terms[i] = select_summands(pres, m.term(i), qsel)
+            sub_terms[i] = m.term(i).select(ssel)
+            quot_terms[i] = m.term(i).select(qsel)
         sub_diffs, quot_diffs, conn = {}, {}, {}
         for i, d in m.diffs.items():
             s0, s1 = sel_sub.get(i, ()), sel_sub.get(i + 1, ())
             q0, q1 = sel_quot.get(i, ()), sel_quot.get(i + 1, ())
-            if not restrict_blocks(d, q1, s0).is_zero():
+            if not d.restrict_blocks(q1, s0).is_zero():
                 raise TriangleError(f"differential maps the subcomplex outside itself at {i}")
-            sub_diffs[i] = restrict_blocks(d, s1, s0)
-            quot_diffs[i] = restrict_blocks(d, q1, q0)
-            t = restrict_blocks(d, s1, q0)
+            sub_diffs[i] = d.restrict_blocks(s1, s0)
+            quot_diffs[i] = d.restrict_blocks(q1, q0)
+            t = d.restrict_blocks(s1, q0)
             if not t.is_zero():
                 conn[i] = t
         a_cx = Complex(pres, sub_terms, sub_diffs, check=False)
         b_cx = Complex(pres, quot_terms, quot_diffs, check=False)
         incl = ChainMap(a_cx, m, {
-            i: _selection_inclusion(pres, a_cx.term(i), m.term(i), sel_sub.get(i, ()))
+            i: AddMorphism.inclusion(pres, a_cx.term(i), m.term(i), sel_sub.get(i, ()))
             for i in a_cx.terms}, check=False)
         proj = ChainMap(m, b_cx, {
-            i: _selection_projection(pres, m.term(i), b_cx.term(i), sel_quot.get(i, ()))
+            i: AddMorphism.projection(pres, m.term(i), b_cx.term(i), sel_quot.get(i, ()))
             for i in b_cx.terms}, check=False)
         a1 = a_cx.shift(1)
         e = ChainMap(b_cx, a1, {
@@ -841,17 +783,17 @@ class Triangle:
         pres = m.pres
         # the stored maps must be the canonical selection maps
         for i in self.X.terms:
-            if self.f.component(i) != _selection_inclusion(
+            if self.f.component(i) != AddMorphism.inclusion(
                     pres, self.X.term(i), m.term(i), w.sel_sub.get(i, ())):
                 issues.append(f"split witness: inclusion differs at {i}")
         for i in self.Z.terms:
-            if self.g.component(i) != _selection_projection(
+            if self.g.component(i) != AddMorphism.projection(
                     pres, m.term(i), self.Z.term(i), w.sel_quot.get(i, ())):
                 issues.append(f"split witness: projection differs at {i}")
         for i, d in m.diffs.items():
-            if not restrict_blocks(d, w.sel_quot.get(i + 1, ()), w.sel_sub.get(i, ())).is_zero():
+            if not d.restrict_blocks(w.sel_quot.get(i + 1, ()), w.sel_sub.get(i, ())).is_zero():
                 issues.append(f"split witness: subcomplex not preserved at {i}")
-            expected = restrict_blocks(d, w.sel_sub.get(i + 1, ()), w.sel_quot.get(i, ())).scale(-1)
+            expected = d.restrict_blocks(w.sel_sub.get(i + 1, ()), w.sel_quot.get(i, ())).scale(-1)
             got = self.h.component(i)
             if got.blocks != expected.blocks:
                 issues.append(f"split witness: connecting map differs at {i}")
@@ -863,53 +805,31 @@ class Triangle:
         c_cx, inc_m, proj_a1 = cone(self.f)
         na = {k: len(a_cx.term(k + 1)) for k in c_cx.terms}
 
-        def c_split(k):
-            return list(range(na[k])), list(range(na[k], len(c_cx.term(k))))
+        def in_c(sel, k):
+            """Positions in C^k of the M^k summands at ``sel``."""
+            return [na[k] + p for p in sel.get(k, ())]
 
-        phi_comps, psi_comps, hh_comps, h3_comps = {}, {}, {}, {}
-        for k in c_cx.terms:
-            # phi: C -> B kills A[1] and projects M onto the quotient part
-            bk = b_cx.term(k)
-            blocks = []
-            for r, brow in enumerate(w.sel_quot.get(k, ())):
-                row = [None] * na[k]
-                for c in range(len(m.term(k))):
-                    row.append(_unit_coords(pres, bk[r]) if c == brow else None)
-                blocks.append(tuple(row))
-            phi_comps[k] = AddMorphism(pres, c_cx.term(k), bk, tuple(blocks))
-        for k in b_cx.terms:
-            # psi: B -> C is (e, inclusion)
-            ek = self.h.component(k)
-            jb = _selection_inclusion(pres, b_cx.term(k), m.term(k), w.sel_quot.get(k, ()))
-            blocks = []
-            for r in range(na[k]):
-                blocks.append(tuple(ek.blocks[r]))
-            for r in range(len(m.term(k))):
-                blocks.append(tuple(jb.blocks[r]))
-            psi_comps[k] = AddMorphism(pres, b_cx.term(k), c_cx.term(k), tuple(blocks))
-        for k in c_cx.terms:
-            # H: C^k -> C^{k-1}: A-part of M into the A[1]-slot
-            if k - 1 not in c_cx.terms:
-                continue
-            src, tgt = c_cx.term(k), c_cx.term(k - 1)
-            asel = w.sel_sub.get(k, ())
-            blocks = [[None] * len(src) for _ in range(len(tgt))]
-            for out_pos, m_pos in enumerate(asel):
-                blocks[out_pos][na[k] + m_pos] = _unit_coords(pres, src[na[k] + m_pos])
-            hh_comps[k] = AddMorphism(pres, src, tgt,
-                                      tuple(tuple(rw) for rw in blocks))
+        # phi: C -> B kills A[1] and projects M onto the quotient part
+        phi_comps = {k: AddMorphism.projection(pres, c_cx.term(k), b_cx.term(k),
+                                               in_c(w.sel_quot, k))
+                     for k in c_cx.terms}
+        # psi: B -> C is (e, inclusion)
+        psi_comps = {}
+        for k, bk in b_cx.terms.items():
+            psi_comps[k] = AddMorphism.assemble(pres, bk, c_cx.term(k), [
+                (range(na[k]), range(len(bk)), self.h.component(k)),
+                (in_c(w.sel_quot, k), range(len(bk)), AddMorphism.identity(pres, bk))])
+        # h3: C^k -> A[1]^{k-1} = A^k picks the A-part of M; H puts it into
+        # the A[1]-slot of C^{k-1}
         a1 = a_cx.shift(1)
+        hh_comps, h3_comps = {}, {}
         for k in c_cx.terms:
-            # h3: C^k -> A[1]^{k-1} = A^k picks the A-part of M
             if k - 1 not in a1.terms:
                 continue
-            src = c_cx.term(k)
-            tgt = a1.term(k - 1)
-            asel = w.sel_sub.get(k, ())
-            blocks = [[None] * len(src) for _ in range(len(tgt))]
-            for out_pos, m_pos in enumerate(asel):
-                blocks[out_pos][na[k] + m_pos] = _unit_coords(pres, src[na[k] + m_pos])
-            h3_comps[k] = AddMorphism(pres, src, tgt, tuple(tuple(rw) for rw in blocks))
+            h3_comps[k] = AddMorphism.projection(pres, c_cx.term(k), a1.term(k - 1),
+                                                 in_c(w.sel_sub, k))
+            hh_comps[k] = AddMorphism.assemble(pres, c_cx.term(k), c_cx.term(k - 1), [
+                (range(len(a1.term(k - 1))), range(len(c_cx.term(k))), h3_comps[k])])
 
         phi = ChainMap(c_cx, b_cx, phi_comps, check=False)
         psi = ChainMap(b_cx, c_cx, psi_comps, check=False)
@@ -928,20 +848,6 @@ class Triangle:
         if proj_a1.sub(self.h.compose(phi)) != h3.boundary():
             issues.append("split witness: third-map comparison homotopy fails")
         return issues
-
-
-def _selection_inclusion(pres, sub: AddObject, whole: AddObject, positions) -> AddMorphism:
-    blocks = [[None] * len(sub) for _ in range(len(whole))]
-    for j, p in enumerate(positions):
-        blocks[p][j] = _unit_coords(pres, sub[j])
-    return AddMorphism(pres, sub, whole, tuple(tuple(r) for r in blocks))
-
-
-def _selection_projection(pres, whole: AddObject, quot: AddObject, positions) -> AddMorphism:
-    blocks = [[None] * len(whole) for _ in range(len(quot))]
-    for i, p in enumerate(positions):
-        blocks[i][p] = _unit_coords(pres, quot[i])
-    return AddMorphism(pres, whole, quot, tuple(tuple(r) for r in blocks))
 
 
 def _square_witness(tail: ChainMap, iso: ChainIso):
@@ -978,28 +884,28 @@ def minimal_model(x: Complex):
         phi_inv = fld.inv(phi)
         cols_keep = [j for j in range(len(src)) if j != c]
         rows_keep = [j for j in range(len(tgt)) if j != r]
-        beta = restrict_blocks(d, [r], cols_keep)        # A' -> B
-        gamma = restrict_blocks(d, rows_keep, [c])       # A -> B'
-        delta_blk = restrict_blocks(d, rows_keep, cols_keep)
+        beta = d.restrict_blocks([r], cols_keep)        # A' -> B
+        gamma = d.restrict_blocks(rows_keep, [c])       # A -> B'
+        delta_blk = d.restrict_blocks(rows_keep, cols_keep)
         corr = gamma.compose(beta).scale(fld.neg(phi_inv))
         new_d_i = delta_blk.add(corr)
 
         new_terms = dict(cur.terms)
-        new_terms[i] = select_summands(pres, src, cols_keep)
-        new_terms[i + 1] = select_summands(pres, tgt, rows_keep)
+        new_terms[i] = src.select(cols_keep)
+        new_terms[i + 1] = tgt.select(rows_keep)
         new_diffs = dict(cur.diffs)
         if new_d_i.is_zero():
             new_diffs.pop(i, None)
         else:
             new_diffs[i] = new_d_i
         if i - 1 in cur.diffs:
-            nd = restrict_blocks(cur.d(i - 1), cols_keep, range(len(cur.term(i - 1))))
+            nd = cur.d(i - 1).restrict_blocks(cols_keep, range(len(cur.term(i - 1))))
             if nd.is_zero():
                 new_diffs.pop(i - 1, None)
             else:
                 new_diffs[i - 1] = nd
         if i + 1 in cur.diffs:
-            nd = restrict_blocks(cur.d(i + 1), range(len(cur.term(i + 2))), rows_keep)
+            nd = cur.d(i + 1).restrict_blocks(range(len(cur.term(i + 2))), rows_keep)
             if nd.is_zero():
                 new_diffs.pop(i + 1, None)
             else:
@@ -1007,16 +913,17 @@ def minimal_model(x: Complex):
         nxt = Complex(pres, new_terms, new_diffs, check=False)
 
         # projection pi: cur -> nxt and inclusion io: nxt -> cur
+        src2, tgt2 = nxt.term(i), nxt.term(i + 1)
         pi_comps = {k: AddMorphism.identity(pres, t) for k, t in nxt.terms.items()}
-        pi_comps[i] = _selection_projection(pres, src, nxt.term(i), cols_keep)
-        pi_i1 = _selection_projection(pres, tgt, nxt.term(i + 1), rows_keep)
-        corr_m = gamma.scale(fld.neg(phi_inv))           # -gamma phi^-1 : B -> B'
-        pi_comps[i + 1] = pi_i1.add(_embed_single_cols(pres, tgt, nxt.term(i + 1), [r], corr_m))
+        pi_comps[i] = AddMorphism.projection(pres, src, src2, cols_keep)
+        pi_comps[i + 1] = AddMorphism.assemble(pres, tgt, tgt2, [
+            (range(len(tgt2)), rows_keep, AddMorphism.identity(pres, tgt2)),
+            (range(len(tgt2)), [r], gamma.scale(fld.neg(phi_inv)))])    # -gamma phi^-1 : B -> B'
         io_comps = {k: AddMorphism.identity(pres, t) for k, t in nxt.terms.items()}
-        io_i = _selection_inclusion(pres, nxt.term(i), src, cols_keep)
-        corr_i = beta.scale(fld.neg(phi_inv))            # -phi^-1 beta : A' -> A
-        io_comps[i] = io_i.add(_embed_single_rows(pres, nxt.term(i), src, [c], corr_i))
-        io_comps[i + 1] = _selection_inclusion(pres, nxt.term(i + 1), tgt, rows_keep)
+        io_comps[i] = AddMorphism.assemble(pres, src2, src, [
+            (cols_keep, range(len(src2)), AddMorphism.identity(pres, src2)),
+            ([c], range(len(src2)), beta.scale(fld.neg(phi_inv)))])     # -phi^-1 beta : A' -> A
+        io_comps[i + 1] = AddMorphism.inclusion(pres, tgt2, tgt, rows_keep)
         pi = ChainMap(cur, nxt, pi_comps, check=False)
         io = ChainMap(nxt, cur, io_comps, check=False)
 
@@ -1034,8 +941,6 @@ def minimal_model(x: Complex):
 
 
 def _unit_index(pres, s):
-    from .orlov import identity_label
-
     return pres.hom_labels(s, s).index(identity_label(s))
 
 
@@ -1050,24 +955,6 @@ def _find_pivot(x: Complex):
                 if d.source[c] == d.target[r] and blk[_unit_index(pres, d.source[c])]:
                     return (i, r, c)
     return None
-
-
-def _embed_single_cols(pres, big_src: AddObject, tgt: AddObject, src_positions, small: AddMorphism):
-    """Morphism big_src -> tgt that is ``small`` on the listed source columns."""
-    blocks = [[None] * len(big_src) for _ in range(len(tgt))]
-    for jj, p in enumerate(src_positions):
-        for rr in range(len(tgt)):
-            blocks[rr][p] = small.blocks[rr][jj]
-    return AddMorphism(pres, big_src, tgt, tuple(tuple(r) for r in blocks))
-
-
-def _embed_single_rows(pres, src: AddObject, big_tgt: AddObject, tgt_positions, small: AddMorphism):
-    """Morphism src -> big_tgt that is ``small`` into the listed target rows."""
-    blocks = [[None] * len(src) for _ in range(len(big_tgt))]
-    for ii, p in enumerate(tgt_positions):
-        for cc in range(len(src)):
-            blocks[p][cc] = small.blocks[ii][cc]
-    return AddMorphism(pres, src, big_tgt, tuple(tuple(r) for r in blocks))
 
 
 # ------------------------------------------------- homogeneous cokernels
@@ -1106,43 +993,31 @@ def homogeneous_cokernel(f: AddMorphism) -> HomogeneousCokernel:
         basis_bs, dim_bs = hom_basis(pres, b, AddObject((s,)))
         if dim_bs == 0:
             continue
-        basis_as, dim_as = hom_basis(pres, f.source, AddObject((s,)))
-        cols = []
-        for g in basis_bs:
-            comp = g.compose(f)
-            cols.append(comp.to_vector())
-        pairing = Matrix(fld, dim_as, dim_bs,
-                         [[cols[c][r] for c in range(dim_bs)] for r in range(dim_as)])
+        dim_as = hom_dim_add(pres, f.source, AddObject((s,)))
+        pairing = Matrix.from_columns(fld, dim_as, [g.compose(f).to_vector() for g in basis_bs])
         ker = pairing.kernel_basis() if dim_as else Matrix.identity(fld, dim_bs)
         kvecs = [ker.col(j) for j in range(ker.cols)]
         # complete the kernel rows to a basis of Hom(B, S)
-        kmat = Matrix(fld, dim_bs, len(kvecs), [[v[r] for v in kvecs] for r in range(dim_bs)])
-        full = kmat.hstack(Matrix.identity(fld, dim_bs))
+        full = Matrix.from_columns(fld, dim_bs, kvecs).hstack(Matrix.identity(fld, dim_bs))
         _, pivots, _ = full.rref()
         extra = [p - len(kvecs) for p in pivots if p >= len(kvecs)]
         for v in kvecs:
-            q_rows.append((s, v, basis_bs))
+            q_rows.append((s, v))
             q_ids.append(s)
         for e in extra:
-            v = [fld.one if r == e else fld.zero for r in range(dim_bs)]
-            perp_rows.append((s, v, basis_bs))
+            perp_rows.append((s, [fld.one if r == e else fld.zero for r in range(dim_bs)]))
             perp_ids.append(s)
 
     quotient = AddObject(tuple(q_ids))
     perp = AddObject(tuple(perp_ids))
 
-    def assemble(rows, tgt):
-        blocks = []
-        for (s, vec, basis_bs) in rows:
-            m = AddMorphism.zero(pres, b, AddObject((s,)))
-            for cf, bas in zip(vec, basis_bs):
-                if cf:
-                    m = m.add(bas.scale(cf))
-            blocks.append(m.blocks[0])
-        return AddMorphism(pres, b, tgt, tuple(blocks))
+    def stack(rows, tgt):
+        """B -> tgt whose row r is the map B -> S with coordinates rows[r]."""
+        return AddMorphism(pres, b, tgt, tuple(
+            AddMorphism.from_vector(pres, b, AddObject((s,)), vec).blocks[0] for s, vec in rows))
 
-    q = assemble(q_rows, quotient)
-    stacked = assemble(perp_rows + q_rows, perp.concat(quotient))
+    q = stack(q_rows, quotient)
+    stacked = stack(perp_rows + q_rows, perp.concat(quotient))
     u_inv = stacked                                     # B -> Q_perp + Q
     u = _invert_iso(u_inv)
     return HomogeneousCokernel(quotient, q, u, u_inv, perp)
@@ -1150,21 +1025,11 @@ def homogeneous_cokernel(f: AddMorphism) -> HomogeneousCokernel:
 
 def _invert_iso(m: AddMorphism) -> AddMorphism:
     """Inverse of an iso between same-length homogeneous objects by rows."""
-    from .orlov import invert_endomorphism
-
     pres = m.pres
     if sorted(m.source.summands) != sorted(m.target.summands):
         raise ComplexError("cannot invert: summand multisets differ")
-    perm = _match_permutation(m.source, m.target)
-    # write m = e o p where p permutes source into target order
-    pm = AddMorphism(pres, m.source, m.target, tuple(
-        tuple(_unit_coords(pres, m.source[j]) if perm[j] == i else None
-              for j in range(len(m.source)))
-        for i in range(len(m.target))))
-    pinv = AddMorphism(pres, m.target, m.source, tuple(
-        tuple(_unit_coords(pres, m.target[j]) if perm[i] == j else None
-              for j in range(len(m.target)))
-        for i in range(len(m.source))))
+    # m = e o p where p permutes source into target order; pinv undoes p
+    pinv = AddMorphism.projection(pres, m.target, m.source, _match_permutation(m.source, m.target))
     endo = m.compose(pinv)
     endo_inv = invert_endomorphism(endo)
     if endo_inv is None:
@@ -1177,13 +1042,14 @@ def _invert_iso(m: AddMorphism) -> AddMorphism:
 
 
 def _match_permutation(src: AddObject, tgt: AddObject):
+    """perm[j]: the position in tgt of source summand j."""
     used = [False] * len(tgt)
-    perm = {}
-    for j, s in enumerate(src):
+    perm = []
+    for s in src:
         for i, t in enumerate(tgt):
             if not used[i] and s == t:
                 used[i] = True
-                perm[j] = i
+                perm.append(i)
                 break
     return perm
 
@@ -1191,19 +1057,12 @@ def _match_permutation(src: AddObject, tgt: AddObject):
 def coker_idempotent(f: AddMorphism) -> AddMorphism:
     """Idempotent theta on the homogeneous target with g theta = g iff g f = 0."""
     hc = homogeneous_cokernel(f)
-    pres = f.pres
-    inc_q = _inclusion(pres, hc.quotient, hc.perp.concat(hc.quotient), len(hc.perp))
+    inc_q = AddMorphism.inclusion(f.pres, hc.quotient, hc.perp.concat(hc.quotient),
+                                  spans(hc.perp, hc.quotient)[1])
     return hc.u.compose(inc_q).compose(hc.q)
 
 
 # ------------------------------------------------------------ top extraction
-
-
-LEX = "lexicographic order on (homological degree, generator degree)"
-
-
-def lex_max(points):
-    return max(points)
 
 
 @dataclass
@@ -1222,15 +1081,8 @@ def _reorder_maps(x: Complex, cone_cx: Complex, sel_quot, sel_sub):
     fwd_comps, bwd_comps = {}, {}
     for k in x.terms:
         order = list(sel_quot.get(k, ())) + list(sel_sub.get(k, ()))
-        src = cone_cx.term(k)
-        tgt = x.term(k)
-        fwd = [[None] * len(src) for _ in range(len(tgt))]
-        bwd = [[None] * len(tgt) for _ in range(len(src))]
-        for slot, xpos in enumerate(order):
-            fwd[xpos][slot] = _unit_coords(pres, src[slot])
-            bwd[slot][xpos] = _unit_coords(pres, src[slot])
-        fwd_comps[k] = AddMorphism(pres, src, tgt, tuple(tuple(r) for r in fwd))
-        bwd_comps[k] = AddMorphism(pres, tgt, src, tuple(tuple(r) for r in bwd))
+        fwd_comps[k] = AddMorphism.inclusion(pres, cone_cx.term(k), x.term(k), order)
+        bwd_comps[k] = AddMorphism.projection(pres, x.term(k), cone_cx.term(k), order)
     return (ChainMap(cone_cx, x, fwd_comps, check=False),
             ChainMap(x, cone_cx, bwd_comps, check=False))
 
@@ -1253,7 +1105,7 @@ def top_extraction(x: Complex, sigma=None) -> TopExtraction:
         cone_cx, _, _ = cone(delta)
         fwd, bwd = _reorder_maps(x, cone_cx, sel_quot, sel_sub)
         return TopExtraction(tri.X, tri.Z, delta, tri, fwd, bwd)
-    i, j = lex_max(sigma)
+    i, j = max(sigma)            # lexicographic: (homological degree, generator degree)
     if x.term(i + 1) != ZERO_OBJECT:
         raise ComplexError("support exceeds the top stratum of the region")
     top_pos = tuple(p for p, s in enumerate(x.term(i)) if pres.degree[s] == j)
@@ -1264,7 +1116,7 @@ def top_extraction(x: Complex, sigma=None) -> TopExtraction:
     p_cx, y_cx = tri.X, tri.Z
     delta_comps = {}
     if i - 1 in x.diffs:
-        blk = restrict_blocks(x.d(i - 1), top_pos, sel_quot[i - 1])
+        blk = x.d(i - 1).restrict_blocks(top_pos, sel_quot[i - 1])
         if not blk.is_zero():
             ys = y_cx.shift(-1)
             delta_comps[i] = AddMorphism(pres, ys.term(i), p_cx.term(i), blk.blocks)
@@ -1288,33 +1140,19 @@ def complete_square(f: ChainMap, i2: ChainMap, p: ChainMap, q: ChainMap, h: Homo
         h = is_null_homotopic(diff)
         if h is None:
             raise FillError("square does not commute up to homotopy")
-    zf, inc_f, proj_f = cone(f)
-    zi, inc_i, proj_i = cone(i2)
+    zf, _, _ = cone(f)
+    zi, _, _ = cone(i2)
     pres = f.source.pres
     p1 = p.shift(1)
     comps = {}
     for k in zf.terms:
-        src = zf.term(k)
-        tgt = zi.term(k)
-        nsa = len(f.source.shift(1).term(k))
-        nta = len(i2.source.shift(1).term(k))
-        blocks = [[None] * len(src) for _ in range(len(tgt))]
-        pm = p1.component(k)
-        hm = h.component(k + 1)   # X^{k+1} -> Y'^{k}
-        qm = q.component(k)
-        for r in range(len(tgt)):
-            for c in range(len(src)):
-                if r < nta and c < nsa:
-                    blocks[r][c] = pm.blocks[r][c]
-                elif r >= nta and c < nsa:
-                    blocks[r][c] = hm.blocks[r - nta][c]
-                elif r >= nta and c >= nsa:
-                    blocks[r][c] = qm.blocks[r - nta][c - nsa]
-        m = AddMorphism(pres, src, tgt, tuple(tuple(rw) for rw in blocks))
-        if not m.is_zero():
-            comps[k] = m
-    r = ChainMap(zf, zi, comps)
-    return r, h
+        xs, ys = spans(f.source.term(k + 1), f.target.term(k))      # cone(f)^k
+        xt, yt = spans(i2.source.term(k + 1), i2.target.term(k))    # cone(i2)^k
+        comps[k] = AddMorphism.assemble(pres, zf.term(k), zi.term(k), [
+            (xt, xs, p1.component(k)),
+            (yt, xs, h.component(k + 1)),       # X^{k+1} -> Y'^{k}
+            (yt, ys, q.component(k))])
+    return ChainMap(zf, zi, comps), h
 
 
 # --------------------------------------------------------------- unique fill
@@ -1335,59 +1173,22 @@ def unique_fill(t1: Triangle, t2: Triangle, p: HomClass, r: HomClass) -> FillRep
     exactly when that dimension is 0.
     """
     x, x2 = t1.Y, t2.Y
-    f1, g1 = t1.f, t1.g
-    f2, g2 = t2.f, t2.g
-    pres = x.pres
-    fld = pres.field
+    f1 = t1.f.rep if isinstance(t1.f, HomClass) else t1.f
+    g2 = t2.g.rep if isinstance(t2.g, HomClass) else t2.g
     sp_q = HomSpace(x, x2, 0)
     sp_pf = HomSpace(t1.X, x2, 0)      # P -> X'
     sp_gy = HomSpace(x, t2.Z, 0)       # X -> Y'
-
-    cols = []
-    nq = sp_q._chain_kernel.cols
-    for cidx in range(nq):
-        qc = sp_q._vector_to_map(sp_q._chain_kernel.col(cidx))
-        top = sp_pf.map_to_vector(qc.compose(f1.rep if isinstance(f1, HomClass) else f1))
-        bot = sp_gy.map_to_vector((g2.rep if isinstance(g2, HomClass) else g2).compose(qc))
-        cols.append(top + bot)
-    for cidx in range(sp_pf._delta.cols):
-        top = [fld.neg(sp_pf._delta.data[rr][cidx]) for rr in range(sp_pf.total)]
-        cols.append(top + [fld.zero] * sp_gy.total)
-    for cidx in range(sp_gy._delta.cols):
-        bot = [fld.neg(sp_gy._delta.data[rr][cidx]) for rr in range(sp_gy.total)]
-        cols.append([fld.zero] * sp_pf.total + bot)
-    nrows = sp_pf.total + sp_gy.total
-    mat = Matrix(fld, nrows, len(cols),
-                 [[cols[c][rr] for c in range(len(cols))] for rr in range(nrows)])
-    rhs = sp_pf.map_to_vector(f2.compose(p.rep)) + sp_gy.map_to_vector(r.rep.compose(g1))
+    # unknowns: q (chain maps x -> x2), then the homotopies of both squares
+    mat = _joint_system([sp_pf, sp_gy], [
+        sp_pf.map_to_vector(qc.compose(f1)) + sp_gy.map_to_vector(g2.compose(qc))
+        for qc in sp_q.cycles()])
+    rhs = sp_pf.map_to_vector(t2.f.compose(p.rep)) + sp_gy.map_to_vector(r.rep.compose(t1.g))
 
     # homogeneous solution space, projected to q modulo null-homotopies
+    nq = sp_q.nullity
     kern = mat.kernel_basis()
-    qpart_cols = []
-    for jj in range(kern.cols):
-        col = kern.col(jj)
-        gvec = [fld.zero] * sp_q.total
-        for cidx in range(nq):
-            cval = col[cidx]
-            if cval:
-                base = sp_q._chain_kernel.col(cidx)
-                gvec = [fld.add(a, fld.mul(cval, b)) for a, b in zip(gvec, base)]
-        qpart_cols.append(gvec)
-    if qpart_cols:
-        qmat = Matrix(fld, sp_q.total, len(qpart_cols),
-                      [[v[rr] for v in qpart_cols] for rr in range(sp_q.total)])
-        joint = sp_q._delta.hstack(qmat)
-        hdim = joint.rank() - sp_q._delta_rank
-    else:
-        hdim = 0
+    hdim = sp_q.rank_mod_homotopy([sp_q.cycle(kern.col(j)[:nq]) for j in range(kern.cols)])
 
     sol = mat.solve(rhs)
-    if sol is None:
-        return FillReport(None, hdim, hdim == 0)
-    gvec = [fld.zero] * sp_q.total
-    for cidx in range(nq):
-        cval = sol[cidx]
-        if cval:
-            base = sp_q._chain_kernel.col(cidx)
-            gvec = [fld.add(a, fld.mul(cval, b)) for a, b in zip(gvec, base)]
-    return FillReport(HomClass(sp_q._vector_to_map(gvec)), hdim, hdim == 0)
+    q = None if sol is None else HomClass(sp_q.cycle(sol[:nq]))
+    return FillReport(q, hdim, hdim == 0)

@@ -14,7 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix
-from .orlov import AddMorphism, AddObject, ZERO_OBJECT, hom_basis, hom_dim_add, split_idempotent
+from .orlov import (
+    AddMorphism,
+    AddObject,
+    ZERO_OBJECT,
+    hom_basis,
+    hom_dim_add,
+    spans,
+    split_idempotent,
+)
 
 
 class FilteredError(Exception):
@@ -281,14 +289,10 @@ class FilteredHomSpace:
         vec = []
         for i in range(self.window[0], self.window[1] + 1):
             vec.extend(f.component(i).to_vector())
-        cols = []
-        for j in range(self.dimension):
-            cols.append(self._kernel.col(j))
-        if not cols:
+        if not self.dimension:
             return [] if all(not v for v in vec) else None
-        m = Matrix(pres.field, len(vec), len(cols),
-                   [[cols[c][r] for c in range(len(cols))] for r in range(len(vec))])
-        return m.solve(vec)
+        cols = [self._kernel.col(j) for j in range(self.dimension)]
+        return Matrix.from_columns(pres.field, len(vec), cols).solve(vec)
 
 
 def filt_hom_space(x: FilteredObject, y: FilteredObject) -> FilteredHomSpace:
@@ -318,11 +322,7 @@ def filt_hom_report(x: FilteredObject, y: FilteredObject) -> dict:
         if coords is None:
             raise FilteredError("composition escaped the hom space")
         cols.append(coords)
-    rank_a = 0
-    if cols:
-        mat = Matrix(fld, sp_b.dimension, len(cols),
-                     [[cols[c][r] for c in range(len(cols))] for r in range(sp_b.dimension)])
-        rank_a = mat.rank()
+    rank_a = Matrix.from_columns(fld, sp_b.dimension, cols).rank() if cols else 0
 
     sy = s_shift(y)
     sp_c = filt_hom_space(sy, x)
@@ -334,11 +334,7 @@ def filt_hom_report(x: FilteredObject, y: FilteredObject) -> dict:
         if coords is None:
             raise FilteredError("composition escaped the hom space")
         cols2.append(coords)
-    rank_c = 0
-    if cols2:
-        mat2 = Matrix(fld, sp_b.dimension, len(cols2),
-                      [[cols2[c][r] for c in range(len(cols2))] for r in range(sp_b.dimension)])
-        rank_c = mat2.rank()
+    rank_c = Matrix.from_columns(fld, sp_b.dimension, cols2).rank() if cols2 else 0
 
     ok = (forward == 0
           and sp_a.dimension == sp_b.dimension == sp_c.dimension
@@ -379,20 +375,10 @@ def filtered_direct_sum(a: FilteredObject, b: FilteredObject) -> FilteredObject:
 
 
 def _block_diag(pres, m1: AddMorphism, m2: AddMorphism) -> AddMorphism:
-    src = m1.source.concat(m2.source)
-    tgt = m1.target.concat(m2.target)
-    blocks = []
-    for r in range(len(tgt)):
-        row = []
-        for c in range(len(src)):
-            if r < len(m1.target) and c < len(m1.source):
-                row.append(m1.blocks[r][c])
-            elif r >= len(m1.target) and c >= len(m1.source):
-                row.append(m2.blocks[r - len(m1.target)][c - len(m1.source)])
-            else:
-                row.append(None)
-        blocks.append(tuple(row))
-    return AddMorphism(pres, src, tgt, tuple(blocks))
+    rows = spans(m1.target, m2.target)
+    cols = spans(m1.source, m2.source)
+    return AddMorphism.assemble(pres, m1.source.concat(m2.source), m1.target.concat(m2.target),
+                                [(rows[0], cols[0], m1), (rows[1], cols[1], m2)])
 
 
 def split_decompose(x: FilteredObject) -> FilteredSplit:
@@ -405,7 +391,6 @@ def split_decompose(x: FilteredObject) -> FilteredSplit:
     a_terms, b_terms = {}, {}
     phi_cols = {}              # i -> (phi_i : A_i + B_i -> X_i, psi_i)
     top = max(x.hi, 1)
-    a_const = x.term(1)
     for i in range(top, 0, -1):
         a_terms[i] = x.term(i)
         b_terms[i] = ZERO_OBJECT
@@ -420,11 +405,16 @@ def split_decompose(x: FilteredObject) -> FilteredSplit:
         y_i, p_i, inc_i = split_idempotent(ident.sub(ebar))
         a_terms[i] = a_terms[i + 1]
         b_terms[i] = b_terms[i + 1].concat(y_i)
-        # phi_i columns: e phi_{i+1} on A_{i+1} + B_{i+1}, then inc on Y_i
-        upper = e.compose(phi_next)
-        phi_i = _concat_cols(pres, upper, inc_i, x.term(i))
+        # phi_i columns: e phi_{i+1} on A_{i+1} + B_{i+1}, then inc on Y_i;
         # psi_i rows: psi_{i+1} r on top, p_i below
-        psi_i = _concat_rows(pres, psi_next.compose(r), p_i, x.term(i))
+        upper = e.compose(phi_next)
+        lower = psi_next.compose(r)
+        every = range(len(x.term(i)))
+        old, new = spans(upper.source, y_i)
+        phi_i = AddMorphism.assemble(pres, upper.source.concat(y_i), x.term(i),
+                                     [(every, old, upper), (every, new, inc_i)])
+        psi_i = AddMorphism.assemble(pres, x.term(i), lower.target.concat(y_i),
+                                     [(old, every, lower), (new, every, p_i)])
         if psi_i.compose(phi_i) != AddMorphism.identity(pres, phi_i.source):
             raise FilteredError("split decomposition lost exactness (psi phi)")
         if phi_i.compose(psi_i) != ident:
@@ -441,19 +431,14 @@ def split_decompose(x: FilteredObject) -> FilteredSplit:
     b_incl, b_retr = {}, {}
     for i in range(n_low + 1, 1):
         small, big = b_terms[i], b_terms[i - 1]
-        b_incl[i] = _coordinate_inclusion(pres, small, big)
-        b_retr[i] = _coordinate_projection(pres, big, small)
+        b_incl[i] = AddMorphism.inclusion(pres, small, big, range(len(small)))
+        b_retr[i] = AddMorphism.projection(pres, big, small, range(len(small)))
     below = FilteredObject(pres, n_low, 0, {i: b_terms[i] for i in range(n_low, 1)},
                            b_incl, b_retr)
 
     total = filtered_direct_sum(above, below)
-    phi_comps, psi_comps = {}, {}
-    for i in range(n_low, top + 1):
-        if i >= 1:
-            phi_comps[i], psi_comps[i] = phi_cols[i]
-        else:
-            phi_i, psi_i = phi_cols[i]
-            phi_comps[i], psi_comps[i] = phi_i, psi_i
+    phi_comps = {i: phi_cols[i][0] for i in range(n_low, top + 1)}
+    psi_comps = {i: phi_cols[i][1] for i in range(n_low, top + 1)}
     phi = FilteredMorphism(total, x, phi_comps)
     psi = FilteredMorphism(x, total, psi_comps)
     # eqn shape: the inclusions become diagonal through the identification
@@ -462,34 +447,6 @@ def split_decompose(x: FilteredObject) -> FilteredSplit:
         if lhs != total.incl_map(i):
             raise FilteredError(f"decomposed inclusion is not diagonal at {i}")
     return FilteredSplit(above, below, phi, psi)
-
-
-def _concat_cols(pres, m1: AddMorphism, m2: AddMorphism, tgt: AddObject) -> AddMorphism:
-    src = m1.source.concat(m2.source)
-    blocks = []
-    for r in range(len(tgt)):
-        row = list(m1.blocks[r]) + list(m2.blocks[r])
-        blocks.append(tuple(row))
-    return AddMorphism(pres, src, tgt, tuple(blocks))
-
-
-def _concat_rows(pres, m1: AddMorphism, m2: AddMorphism, src: AddObject) -> AddMorphism:
-    tgt = m1.target.concat(m2.target)
-    blocks = [m1.blocks[r] for r in range(len(m1.target))]
-    blocks += [m2.blocks[r] for r in range(len(m2.target))]
-    return AddMorphism(pres, src, tgt, tuple(blocks))
-
-
-def _coordinate_inclusion(pres, small: AddObject, big: AddObject) -> AddMorphism:
-    from .complexes import _selection_inclusion
-
-    return _selection_inclusion(pres, small, big, tuple(range(len(small))))
-
-
-def _coordinate_projection(pres, big: AddObject, small: AddObject) -> AddMorphism:
-    from .complexes import _selection_projection
-
-    return _selection_projection(pres, big, small, tuple(range(len(small))))
 
 
 # --------------------------------------------------------- filtered complexes
@@ -570,22 +527,16 @@ def filt_triangle(fx: FilteredComplex) -> FilteredTriangle:
     for k, dmat in fx.diffs.items():
         conj = splits[k + 1].psi.compose(dmat).compose(splits[k].phi)
         conj_diffs[k] = conj
-        a_comp, b_comp, t_comp, z_comp = {}, {}, {}, {}
+        a_comp, b_comp, t_comp = {}, {}, {}
         for i in range(conj.lo, conj.hi + 1):
             comp = conj.component(i)
-            na_src = len(splits[k].above.term(i))
-            na_tgt = len(splits[k + 1].above.term(i))
-            from .complexes import restrict_blocks
-
-            rows_a = list(range(na_tgt))
-            rows_b = list(range(na_tgt, len(comp.target)))
-            cols_a = list(range(na_src))
-            cols_b = list(range(na_src, len(comp.source)))
-            if not restrict_blocks(comp, rows_b, cols_a).is_zero():
+            rows_a, rows_b = spans(splits[k + 1].above.term(i), splits[k + 1].below.term(i))
+            cols_a, cols_b = spans(splits[k].above.term(i), splits[k].below.term(i))
+            if not comp.restrict_blocks(rows_b, cols_a).is_zero():
                 raise FilteredError(f"forbidden lower-left block at k={k}, i={i}")
-            a_comp[i] = restrict_blocks(comp, rows_a, cols_a)
-            b_comp[i] = restrict_blocks(comp, rows_b, cols_b)
-            t_comp[i] = restrict_blocks(comp, rows_a, cols_b)
+            a_comp[i] = comp.restrict_blocks(rows_a, cols_a)
+            b_comp[i] = comp.restrict_blocks(rows_b, cols_b)
+            t_comp[i] = comp.restrict_blocks(rows_a, cols_b)
         a_diffs[k] = FilteredMorphism(splits[k].above, splits[k + 1].above, a_comp)
         b_diffs[k] = FilteredMorphism(splits[k].below, splits[k + 1].below, b_comp)
         tmor = FilteredMorphism(splits[k].below, splits[k + 1].above, t_comp, check=False)
@@ -597,22 +548,15 @@ def filt_triangle(fx: FilteredComplex) -> FilteredTriangle:
     incl = {}
     proj = {}
     for k, s in splits.items():
-        na = None
         comps_i = {}
         comps_p = {}
         for i in range(s.phi.lo, s.phi.hi + 1):
-            a_t = s.above.term(i)
+            a_t, b_t = s.above.term(i), s.below.term(i)
             tot = conj_terms[k].term(i)
-            comps_i[i] = _coordinate_inclusion(pres, a_t, tot)
-            b_t = s.below.term(i)
-            comps_p[i] = _selection_projection_cols(pres, tot, b_t, len(a_t))
+            a_pos, b_pos = spans(a_t, b_t)
+            comps_i[i] = AddMorphism.inclusion(pres, a_t, tot, a_pos)
+            comps_p[i] = AddMorphism.projection(pres, tot, b_t, b_pos)
         incl[k] = s.phi.compose(FilteredMorphism(s.above, conj_terms[k], comps_i, check=False))
         proj[k] = FilteredMorphism(conj_terms[k], s.below, comps_p, check=False).compose(s.psi)
     return FilteredTriangle(above, fx, below, incl, proj, delta, conjugated)
 
-
-def _selection_projection_cols(pres, big: AddObject, small: AddObject, offset: int):
-    from .complexes import _selection_projection
-
-    return _selection_projection(pres, big, small,
-                                 tuple(range(offset, offset + len(small))))

@@ -19,7 +19,14 @@ from .complexes import (
     top_extraction,
     _invert_iso,
 )
-from .orlov import AddMorphism, AddObject, OrlovPresentation, identity_label
+from .orlov import (
+    AddMorphism,
+    AddObject,
+    MalformedPresentation,
+    OrlovPresentation,
+    identity_label,
+    spans,
+)
 from .randgen import conjugate_complex, rng_for
 
 
@@ -76,42 +83,16 @@ class HomogeneousFunctor:
             if lab not in source.label_pair:
                 raise FunctorError(f"unknown source label {lab!r}")
             s, t = source.label_pair[lab]
-            fs, ft = obj_map[s], obj_map[t]
-            blocks = [[None] * len(fs) for _ in range(len(ft))]
-            acc = {}
-            for entry in entries:
-                r = int(entry.get("row", 0))
-                c = int(entry.get("col", 0))
-                labels = target.hom_labels(fs[c], ft[r])
-                if entry["label"] not in labels:
-                    raise FunctorError(
-                        f"label {entry['label']!r} not in Hom({fs[c]},{ft[r]})")
-                vec = acc.setdefault((r, c), [target.field.zero] * len(labels))
-                idx = labels.index(entry["label"])
-                vec[idx] = target.field.add(vec[idx],
-                                            target.field.parse(str(entry["coeff"])))
-            for (r, c), vec in acc.items():
-                blocks[r][c] = tuple(vec)
-            hom_map[lab] = AddMorphism.from_blocks(target, fs, ft, blocks)
+            try:
+                hom_map[lab] = AddMorphism.from_entries(target, obj_map[s], obj_map[t], entries)
+            except MalformedPresentation as exc:
+                raise FunctorError(f"image of {lab}: {exc}") from exc
         return cls(source, target, obj_map, hom_map)
 
     def to_data(self) -> dict:
         on_objects = {iid: list(self.obj_map[iid].summands) for iid in self.source.ids}
-        on_hom = {}
-        for lab, m in sorted(self.hom_map.items()):
-            if lab.startswith("1@"):
-                continue
-            entries = []
-            for r, row in enumerate(m.blocks):
-                for c, blk in enumerate(row):
-                    if blk is None:
-                        continue
-                    labels = self.target.hom_labels(m.source[c], m.target[r])
-                    for coeff, tlab in zip(blk, labels):
-                        if coeff:
-                            entries.append({"row": r, "col": c, "label": tlab,
-                                            "coeff": self.target.field.format(coeff)})
-            on_hom[lab] = entries
+        on_hom = {lab: m.to_entries() for lab, m in sorted(self.hom_map.items())
+                  if not lab.startswith("1@")}
         return {"on_objects": on_objects, "on_hom": on_hom}
 
     def validate(self):
@@ -163,42 +144,28 @@ class HomogeneousFunctor:
         return AddObject(out)
 
     def _slices(self, x: AddObject):
-        slices = []
-        pos = 0
-        for s in x:
-            w = len(self.obj_map[s])
-            slices.append((pos, w))
-            pos += w
-        return slices
+        """Positions of the image of each summand of x inside F(x)."""
+        return spans(*(self.obj_map[s] for s in x))
 
     def on_morphism(self, m: AddMorphism) -> AddMorphism:
-        src, tgt = self.source, self.target
-        fx, fy = self.on_object(m.source), self.on_object(m.target)
         rows = self._slices(m.target)
         cols = self._slices(m.source)
-        blocks = [[None] * len(fx) for _ in range(len(fy))]
-        for i in range(len(m.target)):
-            for j in range(len(m.source)):
-                coords = m.blocks[i][j]
+        pieces = []
+        for i, row in enumerate(m.blocks):
+            for j, coords in enumerate(row):
                 if coords is None:
                     continue
-                labels = src.hom_labels(m.source[j], m.target[i])
+                labels = self.source.hom_labels(m.source[j], m.target[i])
                 piece = None
                 for c, lab in zip(coords, labels):
                     if not c:
                         continue
                     term = self.hom_map[lab].scale(c)
                     piece = term if piece is None else piece.add(term)
-                if piece is None:
-                    continue
-                r0, _ = rows[i]
-                c0, _ = cols[j]
-                for rr in range(len(piece.target)):
-                    for cc in range(len(piece.source)):
-                        blk = piece.blocks[rr][cc]
-                        if blk is not None:
-                            blocks[r0 + rr][c0 + cc] = blk
-        return AddMorphism(tgt, fx, fy, tuple(tuple(r) for r in blocks))
+                if piece is not None:
+                    pieces.append((rows[i], cols[j], piece))
+        return AddMorphism.assemble(self.target, self.on_object(m.source),
+                                    self.on_object(m.target), pieces)
 
     def on_complex(self, x: Complex) -> Complex:
         terms = {i: self.on_object(t) for i, t in x.terms.items()}
@@ -250,21 +217,10 @@ class NatTrans:
         return problems
 
     def on_object(self, x: AddObject) -> AddMorphism:
-        fx = self.F.on_object(x)
-        gx = self.G.on_object(x)
         rows = self.G._slices(x)
         cols = self.F._slices(x)
-        blocks = [[None] * len(fx) for _ in range(len(gx))]
-        for k, s in enumerate(x):
-            comp = self.components[s]
-            r0, _ = rows[k]
-            c0, _ = cols[k]
-            for rr in range(len(comp.target)):
-                for cc in range(len(comp.source)):
-                    blk = comp.blocks[rr][cc]
-                    if blk is not None:
-                        blocks[r0 + rr][c0 + cc] = blk
-        return AddMorphism(self.F.target, fx, gx, tuple(tuple(r) for r in blocks))
+        return AddMorphism.assemble(self.F.target, self.F.on_object(x), self.G.on_object(x), [
+            (rows[k], cols[k], self.components[s]) for k, s in enumerate(x)])
 
     def is_iso(self) -> bool:
         for iid in self.F.source.ids:

@@ -26,7 +26,7 @@ from .complexes import (
     hom_space,
 )
 from .linalg import Matrix
-from .orlov import AddMorphism
+from .orlov import AddMorphism, spans
 
 
 class InfExtError(Exception):
@@ -265,10 +265,6 @@ def _inf_express(sp0: HomSpace, sp1: HomSpace, m: InfMorphism):
     return list(c0) + list(c1)
 
 
-def _apply_inf(m: InfMorphism, phi: InfMorphism) -> InfMorphism:
-    return inf_compose(m, phi)
-
-
 def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
     """Exactness of both Hom long sequences against a test object.
 
@@ -299,8 +295,7 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
                 if vec is None:
                     raise InfExtError("image escapes the target basis")
                 cols.append(vec)
-            mats.append(Matrix(fld, tdim, len(cols),
-                               [[cols[c][r] for c in range(len(cols))] for r in range(tdim)]))
+            mats.append(Matrix.from_columns(fld, tdim, cols))
         local = []
         for idx in range(1, len(nodes) - 1):
             incoming, outgoing = mats[idx - 1], mats[idx]
@@ -373,21 +368,11 @@ def complete_inf_square(p: InfMorphism, q: InfMorphism,
     pres = f0.source.pres
     zi_m1 = zi.shift(-1)
     for k in zim.terms:
-        na = len(i0m.source.shift(1).term(k))
-        t = zim.term(k)
-        blocks = []
-        for r in range(len(t)):
-            row = []
-            for c in range(len(t)):
-                if r == c:
-                    coords = AddMorphism.identity(pres, t).blocks[r][c]
-                    if r < na:
-                        coords = tuple(pres.field.neg(v) for v in coords)
-                    row.append(coords)
-                else:
-                    row.append(None)
-            blocks.append(tuple(row))
-        sign_comps[k] = AddMorphism(pres, t, zi_m1.term(k), tuple(blocks))
+        a, b = i0m.source.term(k + 1), i0m.target.term(k)     # cone(i0[-1])^k = A + B
+        apos, bpos = spans(a, b)
+        sign_comps[k] = AddMorphism.assemble(pres, zim.term(k), zi_m1.term(k), [
+            (apos, apos, AddMorphism.identity(pres, a).scale(-1)),
+            (bpos, bpos, AddMorphism.identity(pres, b))])
     sigma = ChainMap(zim, zi_m1, sign_comps)
     rprime = HomClass(sigma.compose(rprime_raw))
     r = InfMorphism(HomClass(r0), rprime)

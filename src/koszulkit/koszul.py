@@ -20,10 +20,11 @@ from .complexes import (
     Triangle,
     direct_sum,
     hom_space,
+    solve_mod_homotopy,
     _invert_iso,
 )
 from .linalg import Matrix
-from .orlov import AddMorphism, OrlovPresentation, hom_basis, validate_presentation
+from .orlov import AddMorphism, OrlovPresentation, hom_basis, spans, validate_presentation
 from .randgen import rand_heart_complex, rng_for
 from .tstructure import (
     HeartObject,
@@ -42,16 +43,8 @@ DEFAULT_WINDOW = (-8, 8)
 
 def express_in(space: HomSpace, reps, f: ChainMap):
     """Coordinates of the class of f against chosen representatives."""
-    fld = space.x.pres.field
-    if not reps:
-        return [] if (f.is_zero() or space.null_homotopy(f) is not None) else None
-    cols = [space.map_to_vector(r) for r in reps]
-    bmat = Matrix(fld, space.total, len(cols),
-                  [[cols[c][r] for c in range(len(cols))] for r in range(space.total)])
-    sol = bmat.hstack(space._delta).solve(space.map_to_vector(f))
-    if sol is None:
-        return None
-    return sol[:len(reps)]
+    return solve_mod_homotopy([space], [space.map_to_vector(r) for r in reps],
+                              space.map_to_vector(f))
 
 
 # ------------------------------------------------------------------ tables
@@ -206,13 +199,7 @@ def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> d
                     tensor = table.yoneda(s, t, u, i - 1, 1)
                     for row in tensor:
                         vectors.extend(row)
-                if vectors:
-                    mat = Matrix(fld, dim, len(vectors),
-                                 [[vectors[c][r] for c in range(len(vectors))]
-                                  for r in range(dim)])
-                    spanned = mat.rank()
-                else:
-                    spanned = 0
+                spanned = Matrix.from_columns(fld, dim, vectors).rank() if vectors else 0
                 if spanned < dim:
                     failures.append({"source": s, "target": u, "shift": i,
                                      "dim": dim, "spanned": spanned})
@@ -403,23 +390,17 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
         if sorted(ak.summands + bk.summands) != sorted(ek.summands):
             raise KoszulError(f"terms at degree {k} are not extension-compatible")
         pk = proj.component(k)
-        basis, dim = hom_basis(pres, bk, ek)
-        target_dim = len(AddMorphism.identity(pres, bk).to_vector())
+        basis, _ = hom_basis(pres, bk, ek)
+        unit = AddMorphism.identity(pres, bk).to_vector()
         cols = [pk.compose(cand).to_vector() for cand in basis]
-        mat = Matrix(pres.field, target_dim, dim,
-                     [[cols[c][r] for c in range(dim)] for r in range(target_dim)])
-        sol = mat.solve(AddMorphism.identity(pres, bk).to_vector())
+        sol = Matrix.from_columns(pres.field, len(unit), cols).solve(unit)
         if sol is None:
             raise KoszulError(f"projection admits no section at degree {k}")
-        section = AddMorphism.zero(pres, bk, ek)
-        for c, cand in zip(sol, basis):
-            if c:
-                section = section.add(cand.scale(c))
-        ik = incl.component(k)
-        blocks = tuple(
-            tuple((ik.blocks[r] + section.blocks[r])[c] for c in range(len(ak) + len(bk)))
-            for r in range(len(ek)))
-        w_comps[k] = AddMorphism(pres, ak.concat(bk), ek, blocks)
+        section = AddMorphism.from_vector(pres, bk, ek, sol)
+        every = range(len(ek))
+        apos, bpos = spans(ak, bk)
+        w_comps[k] = AddMorphism.assemble(pres, ak.concat(bk), ek, [
+            (every, apos, incl.component(k)), (every, bpos, section)])
 
     w_inv = {k: _invert_iso(w) for k, w in w_comps.items()}
     terms = {k: a_cx.term(k).concat(b_cx.term(k)) for k in e_cx.terms}
@@ -495,38 +476,23 @@ def injective_detect(pres: OrlovPresentation, window=DEFAULT_WINDOW,
 def _universal_extension(pres, j_cx: Complex, ext_reps) -> Complex:
     """Extension of the sum of sources by j realizing every listed class."""
     u_cx = Complex.zero(pres)
-    shifted = []
-    for m_id, rep in ext_reps:
-        src = rep.source
-        u_cx, *_ = direct_sum(u_cx, src)
-        shifted.append(rep)
-    terms = {}
-    for k in set(u_cx.terms) | set(j_cx.terms):
-        terms[k] = u_cx.term(k).concat(j_cx.term(k))
+    for _, rep in ext_reps:
+        u_cx, *_ = direct_sum(u_cx, rep.source)
+    terms = {k: u_cx.term(k).concat(j_cx.term(k)) for k in set(u_cx.terms) | set(j_cx.terms)}
     diffs = {}
     for k in sorted(terms):
         if k + 1 not in terms:
             continue
-        usrc, jsrc = u_cx.term(k), j_cx.term(k)
-        utgt, jtgt = u_cx.term(k + 1), j_cx.term(k + 1)
-        blocks = [[None] * (len(usrc) + len(jsrc)) for _ in range(len(utgt) + len(jtgt))]
-        dj = j_cx.d(k)
-        for r in range(len(jtgt)):
-            for c in range(len(jsrc)):
-                blocks[len(utgt) + r][len(usrc) + c] = dj.blocks[r][c]
+        jrows = spans(u_cx.term(k + 1), j_cx.term(k + 1))[1]
+        # the sources are single simples, so the u-part has no differential
+        pieces = [(jrows, spans(u_cx.term(k), j_cx.term(k))[1], j_cx.d(k))]
         offset = 0
-        for m_id, rep in ext_reps:
-            src = rep.source
-            width = len(src.term(k))
-            comp = rep.component(k)     # src^k -> j[1]^k = j^{k+1}
-            for r in range(len(jtgt)):
-                for c in range(width):
-                    blocks[len(utgt) + r][offset + c] = comp.blocks[r][c]
+        for _, rep in ext_reps:
+            width = len(rep.source.term(k))
+            # src^k -> j[1]^k = j^{k+1}
+            pieces.append((jrows, range(offset, offset + width), rep.component(k)))
             offset += width
-        m = AddMorphism(pres, terms[k], terms[k + 1],
-                        tuple(tuple(rw) for rw in blocks))
-        if not m.is_zero():
-            diffs[k] = m
+        diffs[k] = AddMorphism.assemble(pres, terms[k], terms[k + 1], pieces)
     return Complex(pres, terms, diffs)
 
 

@@ -78,6 +78,8 @@ class Field:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/")
+            if not int(den):
+                raise LinalgError(f"zero denominator in scalar {text!r}")
             return self.of(Fraction(int(num), int(den)))
         return self.of(int(text))
 
@@ -150,8 +152,10 @@ class Matrix:
     def column(field: Field, entries) -> "Matrix":
         return Matrix(field, len(entries), 1, [[field.of(x)] for x in entries])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
+    @staticmethod
+    def from_columns(field: Field, rows: int, columns) -> "Matrix":
+        """Matrix whose j-th column is ``columns[j]``, a list of ``rows`` scalars."""
+        return Matrix(field, rows, len(columns), [[col[r] for col in columns] for r in range(rows)])
 
     def __eq__(self, other):
         return (
@@ -296,14 +300,3 @@ class Matrix:
             x[pc] = R.data[r][self.cols]
         return x
 
-
-def rref(m: Matrix):
-    return m.rref()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def solve(a: Matrix, b):
-    return a.solve(b)

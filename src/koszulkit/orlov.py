@@ -12,7 +12,6 @@ reduction (:func:`split_idempotent`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .linalg import Field, Matrix
@@ -176,12 +175,6 @@ class OrlovPresentation:
             data.get("compose", []), name=name,
         )
 
-    @classmethod
-    def from_file(cls, path) -> "OrlovPresentation":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls.from_data(data, name=str(path))
-
 
 # ------------------------------------------------------------------ objects
 
@@ -208,12 +201,11 @@ class AddObject:
     def degrees(self, pres: OrlovPresentation):
         return tuple(pres.degree[s] for s in self.summands)
 
-    def is_homogeneous(self, pres: OrlovPresentation):
-        degs = set(self.degrees(pres))
-        return len(degs) <= 1
-
     def concat(self, other: "AddObject") -> "AddObject":
         return AddObject(self.summands + other.summands)
+
+    def select(self, positions) -> "AddObject":
+        return AddObject(tuple(self.summands[p] for p in positions))
 
     def multiset(self):
         out = {}
@@ -230,6 +222,15 @@ ZERO_OBJECT = AddObject(())
 
 def obj(*ids) -> AddObject:
     return AddObject(tuple(ids))
+
+
+def spans(*parts):
+    """Position ranges of the parts of the concatenation of ``parts``."""
+    out, pos = [], 0
+    for part in parts:
+        out.append(range(pos, pos + len(part)))
+        pos += len(part)
+    return out
 
 
 class AddMorphism:
@@ -301,10 +302,80 @@ class AddMorphism:
             norm.append(tuple(row))
         return AddMorphism(pres, source, target, tuple(norm))
 
-    # ------------------------------------------------------------- algebra
+    # ---------------------------------------------------------- block grids
 
-    def block(self, i, j):
-        return self.blocks[i][j]
+    @staticmethod
+    def assemble(pres, source: AddObject, target: AddObject, pieces) -> "AddMorphism":
+        """Block grid source -> target from ``(rows, cols, m)`` pieces.
+
+        Block (a, b) of each ``m`` lands at (rows[a], cols[b]); every block
+        that no piece covers is zero.  :meth:`restrict_blocks` inverts it.
+        """
+        grid = [[None] * len(source) for _ in target]
+        for rows, cols, m in pieces:
+            for r, mrow in zip(rows, m.blocks):
+                line = grid[r]
+                for c, b in zip(cols, mrow):
+                    if b is not None:
+                        line[c] = b
+        return AddMorphism(pres, source, target, tuple(map(tuple, grid)))
+
+    @staticmethod
+    def inclusion(pres, sub: AddObject, whole: AddObject, positions) -> "AddMorphism":
+        """Unit map sending summand j of ``sub`` to summand positions[j] of ``whole``."""
+        return AddMorphism.assemble(pres, sub, whole, [
+            (positions, range(len(sub)), AddMorphism.identity(pres, sub))])
+
+    @staticmethod
+    def projection(pres, whole: AddObject, quot: AddObject, positions) -> "AddMorphism":
+        """Unit map reading summand i of ``quot`` off summand positions[i] of ``whole``."""
+        return AddMorphism.assemble(pres, whole, quot, [
+            (range(len(quot)), positions, AddMorphism.identity(pres, quot))])
+
+    def restrict_blocks(self, rows, cols) -> "AddMorphism":
+        """The sub-grid on the listed target rows and source columns."""
+        return AddMorphism(self.pres, self.source.select(cols), self.target.select(rows),
+                           tuple(tuple(self.blocks[r][c] for c in cols) for r in rows))
+
+    # ----------------------------------------------------------- JSON codec
+
+    @staticmethod
+    def from_entries(pres, source: AddObject, target: AddObject, entries) -> "AddMorphism":
+        """Decode block entries ``{"row", "col", "label", "coeff"}``.
+
+        ``row`` and ``col`` default to 0; entries for the same coordinate add up.
+        """
+        fld = pres.field
+        acc = {}
+        for entry in entries:
+            r, c = int(entry.get("row", 0)), int(entry.get("col", 0))
+            if not (0 <= r < len(target) and 0 <= c < len(source)):
+                raise MalformedPresentation(f"block position ({r},{c}) out of range")
+            labels = pres.hom_labels(source[c], target[r])
+            if entry["label"] not in labels:
+                raise MalformedPresentation(
+                    f"label {entry['label']!r} not in Hom({source[c]},{target[r]})")
+            vec = acc.setdefault((r, c), [fld.zero] * len(labels))
+            idx = labels.index(entry["label"])
+            vec[idx] = fld.add(vec[idx], fld.parse(str(entry["coeff"])))
+        blocks = [[None] * len(source) for _ in target]
+        for (r, c), vec in acc.items():
+            blocks[r][c] = vec
+        return AddMorphism.from_blocks(pres, source, target, blocks)
+
+    def to_entries(self) -> list:
+        """Encode the nonzero coordinates as block entries, in grid order."""
+        pres = self.pres
+        out = []
+        for r, row in enumerate(self.blocks):
+            for c, blk in enumerate(row):
+                if blk is not None:
+                    labels = pres.hom_labels(self.source[c], self.target[r])
+                    out.extend({"row": r, "col": c, "label": lab, "coeff": pres.field.format(x)}
+                               for x, lab in zip(blk, labels) if x)
+        return out
+
+    # ------------------------------------------------------------- algebra
 
     def is_zero(self) -> bool:
         return all(b is None for row in self.blocks for b in row)
@@ -669,15 +740,9 @@ def split_idempotent(e: AddMorphism):
     e1 = u.compose(e).compose(uinv)
 
     keep = sorted(keep)
-    z = AddObject(tuple(x[i] for i in keep))
+    z = x.select(keep)
     # standard projector onto the kept positions
-    eblocks = [[None] * len(x) for _ in range(len(x))]
-    for i in keep:
-        s = x[i]
-        unit_idx = pres.hom_labels(s, s).index(identity_label(s))
-        eblocks[i][i] = tuple(
-            fld.one if k == unit_idx else fld.zero for k in range(pres.hom_dim(s, s)))
-    std = AddMorphism(pres, x, x, tuple(tuple(r) for r in eblocks))
+    std = AddMorphism.assemble(pres, x, x, [(keep, keep, AddMorphism.identity(pres, z))])
 
     g = std.compose(e1).add(ident.sub(std).compose(ident.sub(e1)))
     ginv = invert_endomorphism(g)
@@ -686,10 +751,8 @@ def split_idempotent(e: AddMorphism):
     v = g.compose(u)
     vinv = uinv.compose(ginv)
 
-    proj_rows = tuple(tuple(v.blocks[i][j] for j in range(len(x))) for i in keep)
-    p = AddMorphism(pres, x, z, proj_rows)
-    inc_rows = tuple(tuple(vinv.blocks[i][j] for j in keep) for i in range(len(x)))
-    i_m = AddMorphism(pres, z, x, inc_rows)
+    p = v.restrict_blocks(keep, range(len(x)))
+    i_m = vinv.restrict_blocks(range(len(x)), keep)
 
     if i_m.compose(p) != e or p.compose(i_m) != AddMorphism.identity(pres, z):
         raise CompositionError("idempotent splitting failed verification")

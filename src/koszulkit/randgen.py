@@ -82,10 +82,8 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
         else:
             # rows: coordinates of (candidate o prev) in Hom(term(i-1), y)
             pm = prev[1]
-            rows_dim = hom_dim_add(pres, pm.source, y)
-            cols = [b.compose(pm).to_vector() for b in basis]
-            mat = Matrix(fld, rows_dim, dim,
-                         [[cols[c][r] for c in range(dim)] for r in range(rows_dim)])
+            mat = Matrix.from_columns(fld, hom_dim_add(pres, pm.source, y),
+                                      [b.compose(pm).to_vector() for b in basis])
             vec = rand_kernel_element(mat, rng, fld)
         m = AddMorphism.zero(pres, x, y)
         for c, b in zip(vec, basis):
@@ -127,15 +125,7 @@ def rand_heart_complex(pres, rng, max_summands=3, width=None, missing_weights=()
 def rand_chain_map(x: Complex, y: Complex, rng, shift=0):
     """Random element of the chain-map space (not reduced mod homotopy)."""
     sp = HomSpace(x, y, shift)
-    fld = x.pres.field
-    ker = sp._chain_kernel
-    vec = [fld.zero] * sp.total
-    for j in range(ker.cols):
-        c = rand_scalar(fld, rng)
-        if c:
-            col = ker.col(j)
-            vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, col)]
-    return sp._vector_to_map(vec)
+    return sp.cycle([rand_scalar(x.pres.field, rng) for _ in range(sp.nullity)])
 
 
 def rand_automorphism(pres, x: AddObject, rng):
@@ -172,7 +162,6 @@ def conjugate_complex(x: Complex, rng):
 
 def rand_filtered(pres, rng, depth=3, max_extra=2):
     """Random filtered object: iterated split inclusions with conjugation."""
-    from .complexes import _selection_inclusion, _selection_projection
     from .filtered import FilteredObject
 
     lo = -rng.randint(0, 2)
@@ -186,8 +175,8 @@ def rand_filtered(pres, rng, depth=3, max_extra=2):
                                 for _ in range(rng.randint(0, max_extra))))
         bigger = cur.concat(extra)
         u, uinv = rand_automorphism(pres, bigger, rng)
-        incl[i] = u.compose(_selection_inclusion(pres, cur, bigger, range(len(cur))))
-        retr[i] = _selection_projection(pres, bigger, cur, range(len(cur))).compose(uinv)
+        incl[i] = u.compose(AddMorphism.inclusion(pres, cur, bigger, range(len(cur))))
+        retr[i] = AddMorphism.projection(pres, bigger, cur, range(len(cur))).compose(uinv)
         terms[i - 1] = bigger
         cur = bigger
     return FilteredObject(pres, lo, hi, terms, incl, retr)

@@ -59,6 +59,17 @@ def test_malformed_complex_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+def test_zero_denominator_in_complex_exits_two(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "terms": {"-1": ["b"], "0": ["a"]},
+        "diff": {"-1": [{"row": 0, "col": 0, "label": "alpha", "coeff": "1/0"}]},
+    }), encoding="utf-8")
+    code, report = run_json("truncate", "FIX_A2", str(bad))
+    assert code == 2
+    assert "zero denominator" in report["error"]
+
+
 def test_truncate_command(tmp_path):
     cx = tmp_path / "cx.json"
     cx.write_text(json.dumps({

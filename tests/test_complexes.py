@@ -15,6 +15,7 @@ from koszulkit.complexes import (
     homogeneous_cokernel,
     is_null_homotopic,
     minimal_model,
+    solve_mod_homotopy,
     top_extraction,
     unique_fill,
 )
@@ -194,6 +195,25 @@ def test_minimal_model_krull_schmidt_randomized(a3):
         assert sorted(m1.terms) == sorted(m2.terms)
         for i in m1.terms:
             assert m1.term(i).same_up_to_permutation(m2.term(i))
+
+
+def test_solve_mod_homotopy_inverts_minimal_model_iso(a3):
+    rng = rng_for(17, "joint")
+    for _ in range(6):
+        x = rand_complex(a3, rng)
+        m, iso = minimal_model(x)
+        sp_back, sp_mm, sp_xx = hom_space(m, x), hom_space(m, m), hom_space(x, x)
+        rhs = sp_mm.map_to_vector(ChainMap.identity(m)) + sp_xx.map_to_vector(ChainMap.identity(x))
+
+        def columns(f):
+            return [sp_mm.map_to_vector(f.compose(g)) + sp_xx.map_to_vector(g.compose(f))
+                    for g in sp_back.cycles()]
+
+        g = sp_back.cycle(solve_mod_homotopy([sp_mm, sp_xx], columns(iso.fwd), rhs))
+        assert g == HomClass(iso.fwd).inverse().rep
+        assert HomClass(g) == HomClass(iso.bwd)
+        if not m.is_zero:
+            assert solve_mod_homotopy([sp_mm, sp_xx], columns(ChainMap.zero(x, m)), rhs) is None
 
 
 def test_hom_space_homotopy_invariance_randomized(a2, a3):

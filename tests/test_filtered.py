@@ -90,10 +90,8 @@ def test_split_decompose_pure_above(a2):
 def test_split_decompose_mixed_example(a2):
     # X_1 = a included into X_0 = a + b
     terms = {1: obj("a"), 0: obj("a", "b")}
-    from koszulkit.complexes import _selection_inclusion, _selection_projection
-
-    incl = {1: _selection_inclusion(a2, obj("a"), obj("a", "b"), (0,))}
-    retr = {1: _selection_projection(a2, obj("a", "b"), obj("a"), (0,))}
+    incl = {1: AddMorphism.inclusion(a2, obj("a"), obj("a", "b"), (0,))}
+    retr = {1: AddMorphism.projection(a2, obj("a", "b"), obj("a"), (0,))}
     x = FilteredObject(a2, 0, 1, terms, incl, retr)
     sp = split_decompose(x)
     assert sp.above.term(1) == obj("a") and sp.above.is_ge(1)

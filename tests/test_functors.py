@@ -197,6 +197,13 @@ def test_functor_json_round_trip(a2):
     assert again.hom_map["alpha"] == doubled.hom_map["alpha"]
 
 
+def test_functor_data_rejects_block_out_of_range(a2):
+    data = scaling_functor(a2, 2).to_data()
+    data["on_hom"]["alpha"][0]["row"] = 3
+    with pytest.raises(FunctorError, match="out of range"):
+        HomogeneousFunctor.from_data(a2, a2, data)
+
+
 def test_probe_randomized_a3(a3):
     f = HomogeneousFunctor.identity(a3)
     theta = NatTrans(f, f, {iid: AddMorphism.identity(a3, obj(iid)).scale(3)

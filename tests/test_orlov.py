@@ -199,6 +199,23 @@ def test_vector_round_trip(a3):
     assert AddMorphism.from_vector(a3, x, y, vec) == m
 
 
+@pytest.mark.parametrize("positions", [(0, 1, 2), (2, 0, 3), (3, 1, 0)])
+def test_block_grid_primitives_invert(a3, positions):
+    whole = obj("a", "b", "c", "b")
+    sub = whole.select(positions)
+    rest = [p for p in range(len(whole)) if p not in positions]
+    inc = AddMorphism.inclusion(a3, sub, whole, positions)
+    assert AddMorphism.projection(a3, whole, sub, positions).compose(inc) == \
+        AddMorphism.identity(a3, sub)
+    rng = random.Random(5)
+    src = obj("c", "b")
+    pieces = [(positions, range(2), rand_morphism(a3, src, sub, rng)),
+              (rest, range(2), rand_morphism(a3, src, whole.select(rest), rng))]
+    grid = AddMorphism.assemble(a3, src, whole, pieces)
+    for rows, cols, piece in pieces:
+        assert grid.restrict_blocks(rows, cols) == piece
+
+
 # -------------------------------------------------------- idempotents
 
 def test_split_identity_idempotent(a2):
