@@ -40,6 +40,7 @@ from .linalg import LinalgError
 from .orlov import AddMorphism, AddObject, MalformedPresentation, OrlovPresentation, obj, validate_presentation
 from .randgen import rand_complex, rng_for
 from .tstructure import (
+    HeartAssertionError,
     aisle_membership,
     composition_factors,
     heart_object,
@@ -82,7 +83,17 @@ def _decode_object(pres, ids) -> AddObject:
     return AddObject(tuple(ids))
 
 
+def _require(data, what, *keys):
+    """Reject a JSON value that is not an object carrying ``keys``."""
+    if not isinstance(data, dict):
+        raise InputError(f"malformed {what}: expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"malformed {what}: missing {key!r}")
+
+
 def decode_complex(pres, data) -> Complex:
+    _require(data, "complex")
     try:
         terms = {int(k): _decode_object(pres, v) for k, v in data.get("terms", {}).items()}
         diffs = {}
@@ -103,6 +114,7 @@ def encode_complex(x: Complex) -> dict:
 
 
 def decode_chain_map(pres, data) -> ChainMap:
+    _require(data, "chain map", "source", "target")
     src = decode_complex(pres, data["source"])
     tgt = decode_complex(pres, data["target"])
     comps = {}
@@ -116,6 +128,7 @@ def decode_chain_map(pres, data) -> ChainMap:
 
 
 def decode_inf_morphism(pres, data) -> InfMorphism:
+    _require(data, "infinitesimal morphism", "f0")
     f0 = decode_chain_map(pres, data["f0"])
     if "finf" in data and data["finf"].get("components"):
         finf = decode_chain_map(pres, data["finf"])
@@ -294,7 +307,10 @@ def cmd_heart(args, window, seed):
 def cmd_weights(args, window, seed):
     pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
-    h = heart_object(x)
+    try:
+        h = heart_object(x)
+    except HeartAssertionError as exc:
+        raise InputError(f"complex is not in the heart: {exc}") from exc
     wf = weight_filtration(h)
     payload = {
         "weights": {str(k): list(piece.normal_form.term(-k).summands)
@@ -352,6 +368,9 @@ def cmd_double_dual(args, window, seed):
 def cmd_infext(args, window, seed):
     pres, digest = load_presentation(args.presentation)
     sub = args.infext_command
+    arity = {"compose": 2, "invert": 1, "square": 4, "les": 2}[sub]
+    if len(args.files) < arity:
+        raise InputError(f"infext {sub} needs {arity} files, got {len(args.files)}")
     if sub == "compose":
         g = decode_inf_morphism(pres, load_json(args.files[0]))
         f = decode_inf_morphism(pres, load_json(args.files[1]))
@@ -378,7 +397,6 @@ def cmd_infext(args, window, seed):
         tri = iota_triangle(Triangle.from_cone(f.f0.rep))
         rep = inf_les_check(a, tri, window=(max(window[0], -3), min(window[1], 3)))
         return rep, digest, rep["ok"]
-    raise InputError(f"unknown infext subcommand {sub!r}")
 
 
 def cmd_filtered_demo(args, window, seed):

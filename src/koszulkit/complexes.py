@@ -27,12 +27,13 @@ from .linalg import Matrix
 from .orlov import (
     AddMorphism,
     AddObject,
+    Coords,
     ZERO_OBJECT,
     hom_basis,
     hom_dim_add,
-    identity_label,
     invert_endomorphism,
     spans,
+    unit_index,
 )
 
 
@@ -296,76 +297,22 @@ class HomSpace:
         self.x = x
         self.y = y
         self.k = k
-        self.ys = y.shift(k)
+        self.ys = ys = y.shift(k)
         pres = x.pres
-        fld = pres.field
 
-        self.unknown_degs = [
-            i for i in sorted(set(x.terms) & set(self.ys.terms))
-            if hom_dim_add(pres, x.term(i), self.ys.term(i)) > 0
-        ]
-        self.offsets = {}
-        pos = 0
-        for i in self.unknown_degs:
-            self.offsets[i] = pos
-            pos += hom_dim_add(pres, x.term(i), self.ys.term(i))
-        self.total = pos
-
-        cons_degs = [
-            i for i in sorted(x.terms)
-            if (i + 1) in self.ys.terms and hom_dim_add(pres, x.term(i), self.ys.term(i + 1)) > 0
-        ]
-        crow = {}
-        rpos = 0
-        for i in cons_degs:
-            crow[i] = rpos
-            rpos += hom_dim_add(pres, x.term(i), self.ys.term(i + 1))
-        cons = Matrix.zeros(fld, rpos, self.total)
-        col = 0
-        for i in self.unknown_degs:
-            basis, _ = hom_basis(pres, x.term(i), self.ys.term(i))
-            for b in basis:
-                if i in crow:
-                    vec = self.ys.d(i).compose(b).to_vector()
-                    for r, v in enumerate(vec):
-                        if v:
-                            cons.data[crow[i] + r][col] = v
-                if (i - 1) in crow:
-                    vec = b.compose(x.d(i - 1)).to_vector()
-                    for r, v in enumerate(vec):
-                        if v:
-                            cons.data[crow[i - 1] + r][col] = fld.neg(v)
-                col += 1
-        self._chain_kernel = cons.kernel_basis()
-
-        # homotopy unknowns h^i: X^i -> Y[k]^{i-1}
-        self.h_degs = [
-            i for i in sorted(x.terms)
-            if (i - 1) in self.ys.terms and hom_dim_add(pres, x.term(i), self.ys.term(i - 1)) > 0
-        ]
-        self.h_offsets = {}
-        pos = 0
-        for i in self.h_degs:
-            self.h_offsets[i] = pos
-            pos += hom_dim_add(pres, x.term(i), self.ys.term(i - 1))
-        self.h_total = pos
-        delta = Matrix.zeros(fld, self.total, self.h_total)
-        col = 0
-        for i in self.h_degs:
-            basis, _ = hom_basis(pres, x.term(i), self.ys.term(i - 1))
-            for b in basis:
-                if i in self.offsets:
-                    vec = self.ys.d(i - 1).compose(b).to_vector()
-                    for r, v in enumerate(vec):
-                        if v:
-                            delta.data[self.offsets[i] + r][col] = v
-                if (i - 1) in self.offsets:
-                    vec = b.compose(x.d(i - 1)).to_vector()
-                    for r, v in enumerate(vec):
-                        if v:
-                            delta.data[self.offsets[i - 1] + r][col] = v
-                col += 1
-        self._delta = delta
+        # chain maps X^i -> Y[k]^i, homotopies X^i -> Y[k]^{i-1} and
+        # chain-condition rows X^i -> Y[k]^{i+1}
+        xt, yt = x.terms.items(), ys.terms
+        self.maps = Coords(pres, {i: (t, yt[i]) for i, t in xt if i in yt})
+        self.homotopies = Coords(pres, {i: (t, yt[i - 1]) for i, t in xt if i - 1 in yt})
+        chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
+        self.total, self.h_total = self.maps.total, self.homotopies.total
+        self._chain_kernel = self.maps.matrix(chain_rows, [
+            (0, 1, lambda i, b: ys.d(i).compose(b)),
+            (-1, -1, lambda i, b: b.compose(x.d(i - 1)))]).kernel_basis()
+        self._delta = delta = self.homotopies.matrix(self.maps, [
+            (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
+            (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
 
         self.nullity = self._chain_kernel.cols
         self._delta_rank = delta.rank()
@@ -403,35 +350,15 @@ class HomSpace:
     # ------------------------------------------------------------ plumbing
 
     def _vector_to_map(self, vec) -> ChainMap:
-        comps = {}
-        for i in self.unknown_degs:
-            off = self.offsets[i]
-            dim = hom_dim_add(self.x.pres, self.x.term(i), self.ys.term(i))
-            comps[i] = AddMorphism.from_vector(
-                self.x.pres, self.x.term(i), self.ys.term(i), vec[off:off + dim])
-        return ChainMap(self.x, self.ys, comps, check=False)
+        return ChainMap(self.x, self.ys, self.maps.from_vector(vec), check=False)
 
     def map_to_vector(self, f: ChainMap):
-        fld = self.x.pres.field
-        vec = [fld.zero] * self.total
-        for i, m in f.comps.items():
-            if i not in self.offsets:
-                if not m.is_zero():
-                    raise ComplexError("map has a component outside the hom window")
-                continue
-            off = self.offsets[i]
-            for r, v in enumerate(m.to_vector()):
-                vec[off + r] = v
-        return vec
+        if any(i not in self.maps.slices and not m.is_zero() for i, m in f.comps.items()):
+            raise ComplexError("map has a component outside the hom window")
+        return self.maps.to_vector(f.comps.get)
 
     def _vector_to_homotopy(self, vec) -> Homotopy:
-        comps = {}
-        for i in self.h_degs:
-            off = self.h_offsets[i]
-            dim = hom_dim_add(self.x.pres, self.x.term(i), self.ys.term(i - 1))
-            comps[i] = AddMorphism.from_vector(
-                self.x.pres, self.x.term(i), self.ys.term(i - 1), vec[off:off + dim])
-        return Homotopy(self.x, self.ys, comps)
+        return Homotopy(self.x, self.ys, self.homotopies.from_vector(vec))
 
     def null_homotopy(self, f: ChainMap):
         """A homotopy h with f = delta(h), or None."""
@@ -880,7 +807,7 @@ def minimal_model(x: Complex):
         i, r, c = pivot
         d = cur.d(i)
         src, tgt = cur.term(i), cur.term(i + 1)
-        phi = d.blocks[r][c][_unit_index(pres, src[c])]
+        phi = d.blocks[r][c][unit_index(pres, src[c])]
         phi_inv = fld.inv(phi)
         cols_keep = [j for j in range(len(src)) if j != c]
         rows_keep = [j for j in range(len(tgt)) if j != r]
@@ -929,7 +856,7 @@ def minimal_model(x: Complex):
 
         hstep = Homotopy(cur, cur, {
             i + 1: AddMorphism.single(pres, tgt, src, c, r,
-                                      tuple(phi_inv if k == _unit_index(pres, src[c]) else fld.zero
+                                      tuple(phi_inv if k == unit_index(pres, src[c]) else fld.zero
                                             for k in range(pres.hom_dim(tgt[r], src[c]))))
         })
         hom = hom.add(hstep.conjugate(fwd, bwd))
@@ -940,10 +867,6 @@ def minimal_model(x: Complex):
     return cur, ChainIso(fwd, bwd, h_src=hom if hom.comps else None, h_tgt=None)
 
 
-def _unit_index(pres, s):
-    return pres.hom_labels(s, s).index(identity_label(s))
-
-
 def _find_pivot(x: Complex):
     pres = x.pres
     for i in sorted(x.diffs):
@@ -952,7 +875,7 @@ def _find_pivot(x: Complex):
             for c, blk in enumerate(row):
                 if blk is None:
                     continue
-                if d.source[c] == d.target[r] and blk[_unit_index(pres, d.source[c])]:
+                if d.source[c] == d.target[r] and blk[unit_index(pres, d.source[c])]:
                     return (i, r, c)
     return None
 

@@ -17,9 +17,8 @@ from .linalg import Matrix
 from .orlov import (
     AddMorphism,
     AddObject,
+    Coords,
     ZERO_OBJECT,
-    hom_basis,
-    hom_dim_add,
     spans,
     split_idempotent,
 )
@@ -237,62 +236,23 @@ class FilteredHomSpace:
         self.x = x
         self.y = y
         pres = x.pres
-        fld = pres.field
-        lo = min(x.lo, y.lo)
-        hi = max(x.hi, y.hi)
-        self.window = (lo, hi)
-        degs = list(range(lo, hi + 1))
-        self.offsets = {}
-        pos = 0
-        for i in degs:
-            self.offsets[i] = pos
-            pos += hom_dim_add(pres, x.term(i), y.term(i))
-        total = pos
-        rows = 0
-        rowoff = {}
-        for i in range(lo + 1, hi + 1):
-            rowoff[i] = rows
-            rows += hom_dim_add(pres, x.term(i), y.term(i - 1))
-        mat = Matrix.zeros(fld, rows, total)
-        col = 0
-        for i in degs:
-            basis, _ = hom_basis(pres, x.term(i), y.term(i))
-            for b in basis:
-                if i + 1 in rowoff:
-                    vec = b.compose(x.incl_map(i + 1)).to_vector()
-                    for r, v in enumerate(vec):
-                        if v:
-                            mat.data[rowoff[i + 1] + r][col] = v
-                if i in rowoff:
-                    vec = y.incl_map(i).compose(b).to_vector()
-                    for r, v in enumerate(vec):
-                        if v:
-                            mat.data[rowoff[i] + r][col] = fld.sub(mat.data[rowoff[i] + r][col], v)
-                col += 1
-        self._kernel = mat.kernel_basis()
+        lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
+        self.maps = Coords(pres, {i: (x.term(i), y.term(i)) for i in range(lo, hi + 1)})
+        # f_{i-1} e_i = e_i f_i in Hom(X_i, Y_{i-1})
+        rows = Coords(pres, {i: (x.term(i), y.term(i - 1)) for i in range(lo + 1, hi + 1)})
+        self._kernel = self.maps.matrix(rows, [
+            (1, 1, lambda i, b: b.compose(x.incl_map(i + 1))),
+            (0, -1, lambda i, b: y.incl_map(i).compose(b))]).kernel_basis()
         self.dimension = self._kernel.cols
-        self.basis = [self._vec_to_morphism(self._kernel.col(j))
-                      for j in range(self.dimension)]
-
-    def _vec_to_morphism(self, vec) -> FilteredMorphism:
-        pres = self.x.pres
-        comps = {}
-        for i in range(self.window[0], self.window[1] + 1):
-            off = self.offsets[i]
-            dim = hom_dim_add(pres, self.x.term(i), self.y.term(i))
-            comps[i] = AddMorphism.from_vector(pres, self.x.term(i), self.y.term(i),
-                                               vec[off:off + dim])
-        return FilteredMorphism(self.x, self.y, comps, check=False)
+        self.basis = [FilteredMorphism(x, y, self.maps.from_vector(self._kernel.col(j)),
+                                       check=False) for j in range(self.dimension)]
 
     def coordinates(self, f: FilteredMorphism):
-        pres = self.x.pres
-        vec = []
-        for i in range(self.window[0], self.window[1] + 1):
-            vec.extend(f.component(i).to_vector())
+        vec = self.maps.to_vector(f.component)
         if not self.dimension:
             return [] if all(not v for v in vec) else None
         cols = [self._kernel.col(j) for j in range(self.dimension)]
-        return Matrix.from_columns(pres.field, len(vec), cols).solve(vec)
+        return Matrix.from_columns(self.x.pres.field, len(vec), cols).solve(vec)
 
 
 def filt_hom_space(x: FilteredObject, y: FilteredObject) -> FilteredHomSpace:

@@ -38,12 +38,14 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Arithmetic context: characteristic 0 means Q, a prime p means F_p."""
 
-    __slots__ = ("char",)
+    __slots__ = ("char", "zero", "one")
 
     def __init__(self, characteristic: int = 0):
         if characteristic != 0 and not _is_prime(characteristic):
             raise LinalgError(f"characteristic must be 0 or prime, got {characteristic}")
         self.char = characteristic
+        self.zero = Fraction(0) if characteristic == 0 else 0
+        self.one = Fraction(1) if characteristic == 0 else 1
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -53,14 +55,6 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.char})"
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
 
     def of(self, value):
         """Coerce an int, Fraction or scalar string into a canonical element."""
@@ -262,6 +256,16 @@ class Matrix:
 
     def rank(self) -> int:
         return self.rref()[2]
+
+    def inverse(self):
+        """The inverse of a square matrix, or None if it is singular."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("inverse: matrix is not square")
+        n = self.rows
+        R, pivots, _ = self.hstack(Matrix.identity(self.field, n)).rref()
+        if pivots[:n] != tuple(range(n)):
+            return None
+        return Matrix(self.field, n, n, [row[n:] for row in R.data])
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form a basis of the right kernel."""

@@ -33,6 +33,16 @@ def identity_label(indec_id: str) -> str:
     return f"1@{indec_id}"
 
 
+def _fields(entry, kind, *keys):
+    """The values of the required ``keys`` of one presentation entry."""
+    if not isinstance(entry, dict):
+        raise MalformedPresentation(f"{kind} entry {entry!r} is not an object")
+    for key in keys:
+        if key not in entry:
+            raise MalformedPresentation(f"{kind} entry {entry!r} is missing {key!r}")
+    return [entry[key] for key in keys]
+
+
 class OrlovPresentation:
     """Resolved presentation; immutable after construction.
 
@@ -49,17 +59,22 @@ class OrlovPresentation:
         self.ids = []
         self.degree = {}
         for entry in indecomposables:
-            iid, deg = entry["id"], entry["degree"]
+            iid, deg = _fields(entry, "indecomposable", "id", "degree")
             if iid in self.degree:
                 raise MalformedPresentation(f"duplicate indecomposable id {iid!r}")
+            if type(deg) is not int:
+                raise MalformedPresentation(f"degree of {iid!r} is not an integer: {deg!r}")
             self.ids.append(iid)
-            self.degree[iid] = int(deg)
+            self.degree[iid] = deg
         self.ids = tuple(self.ids)
 
         self.pairs = {}
         self.label_pair = {}
         for entry in hom:
-            src, tgt, basis = entry["src"], entry["tgt"], tuple(entry["basis"])
+            src, tgt, basis = _fields(entry, "hom", "src", "tgt", "basis")
+            if not isinstance(basis, list):
+                raise MalformedPresentation(f"basis of ({src},{tgt}) is not a list: {basis!r}")
+            basis = tuple(basis)
             if src not in self.degree or tgt not in self.degree:
                 raise MalformedPresentation(f"hom space references unknown object ({src},{tgt})")
             if (src, tgt) in self.pairs:
@@ -83,15 +98,16 @@ class OrlovPresentation:
 
         self.comp = {}
         for entry in compose:
-            g, f = entry["left"], entry["right"]
+            g, f, terms = _fields(entry, "compose", "left", "right", "result")
             if g not in self.label_pair or f not in self.label_pair:
                 raise MalformedPresentation(f"compose entry uses unknown label ({g},{f})")
             (fs, ft), (gs, gt) = self.label_pair[f], self.label_pair[g]
             if ft != gs:
                 raise MalformedPresentation(f"compose entry ({g},{f}) is not composable")
             result = {}
-            for term in entry["result"]:
-                lab, coeff = term["label"], self.field.parse(str(term["coeff"]))
+            for term in terms:
+                lab, coeff = _fields(term, "compose result", "label", "coeff")
+                coeff = self.field.parse(str(coeff))
                 if lab not in self.label_pair:
                     raise MalformedPresentation(f"compose result uses unknown label {lab!r}")
                 if self.label_pair[lab] != (fs, gt):
@@ -167,6 +183,8 @@ class OrlovPresentation:
 
     @classmethod
     def from_data(cls, data: dict, name="anonymous") -> "OrlovPresentation":
+        if not isinstance(data, dict):
+            raise MalformedPresentation("presentation is not a JSON object")
         for key in ("characteristic", "indecomposables", "hom"):
             if key not in data:
                 raise MalformedPresentation(f"missing top-level key {key!r}")
@@ -498,6 +516,70 @@ def compose(g: AddMorphism, f: AddMorphism) -> AddMorphism:
     return g.compose(f)
 
 
+class Coords:
+    """Flat coordinates of a degree-indexed family of morphisms.
+
+    ``objs`` maps each degree i to the (source, target) of the morphism at
+    i.  The vector lists the degrees in ascending order, each in
+    :func:`hom_basis` order; a degree whose Hom space is zero gets no slice.
+    """
+
+    __slots__ = ("pres", "objs", "slices", "total")
+
+    def __init__(self, pres, objs):
+        self.pres = pres
+        self.objs = {}
+        self.slices = {}
+        pos = 0
+        for i in sorted(objs):
+            x, y = objs[i]
+            dim = hom_dim_add(pres, x, y)
+            if dim:
+                self.objs[i] = (x, y)
+                self.slices[i] = slice(pos, pos + dim)
+                pos += dim
+        self.total = pos
+
+    def to_vector(self, component):
+        """Coordinates of the family; ``component(i)`` is its morphism at
+        degree i, or None for zero.  Degrees without a slice are not read."""
+        vec = [self.pres.field.zero] * self.total
+        for i, s in self.slices.items():
+            m = component(i)
+            if m is not None:
+                vec[s] = m.to_vector()
+        return vec
+
+    def from_vector(self, vec) -> dict:
+        """The family with coordinates ``vec``, one morphism per slice."""
+        return {i: AddMorphism.from_vector(self.pres, x, y, vec[self.slices[i]])
+                for i, (x, y) in self.objs.items()}
+
+    def matrix(self, rows: "Coords", terms) -> Matrix:
+        """Matrix of a linear map from these coordinates to ``rows``.
+
+        Each ``(step, sign, apply)`` of ``terms`` sends the basis element b
+        at degree i to ``sign * apply(i, b)`` at row degree i + step, and
+        calls ``apply`` only when that row degree has a slice.  The steps of
+        ``terms`` are distinct.
+        """
+        fld = self.pres.field
+        mat = Matrix.zeros(fld, rows.total, self.total)
+        col = 0
+        for i, (x, y) in self.objs.items():
+            basis, _ = hom_basis(self.pres, x, y)
+            for b in basis:
+                for step, sign, apply in terms:
+                    s = rows.slices.get(i + step)
+                    if s is None:
+                        continue
+                    for r, v in enumerate(apply(i, b).to_vector(), s.start):
+                        if v:
+                            mat.data[r][col] = v if sign > 0 else fld.neg(v)
+                col += 1
+        return mat
+
+
 # ----------------------------------------------------------------- validate
 
 
@@ -629,6 +711,42 @@ def radical_part(m: AddMorphism) -> AddMorphism:
     return m.sub(isotypic_part(m))
 
 
+def isotypic_classes(x: AddObject) -> dict:
+    """Positions of each indecomposable among the summands of x."""
+    out = {}
+    for i, s in enumerate(x):
+        out.setdefault(s, []).append(i)
+    return out
+
+
+def unit_index(pres, s) -> int:
+    """Position of the identity label in the basis of End(s)."""
+    return pres.hom_labels(s, s).index(identity_label(s))
+
+
+def scalar_matrix(m: AddMorphism, s, pos) -> Matrix:
+    """Unit coordinates of the blocks of m between the positions ``pos``,
+    which all hold the indecomposable s."""
+    fld, u = m.pres.field, unit_index(m.pres, s)
+    return Matrix(fld, len(pos), len(pos), [
+        [fld.zero if m.blocks[i][j] is None else m.blocks[i][j][u] for j in pos] for i in pos])
+
+
+def scalar_grid(pres, x: AddObject, mats) -> AddMorphism:
+    """Endomorphism of x with ``mats[s]`` times the unit between the
+    summands of each class s (see :func:`isotypic_classes`), zero elsewhere."""
+    fld = pres.field
+    classes = isotypic_classes(x)
+    grid = [[None] * len(x) for _ in x]
+    for s, mat in mats.items():
+        u, dim = unit_index(pres, s), pres.hom_dim(s, s)
+        for i, row in zip(classes[s], mat.data):
+            for j, c in zip(classes[s], row):
+                if c:
+                    grid[i][j] = tuple(c if k == u else fld.zero for k in range(dim))
+    return AddMorphism(pres, x, x, tuple(map(tuple, grid)))
+
+
 def invert_endomorphism(m: AddMorphism):
     """Inverse of an endomorphism of an additive-closure object, or None.
 
@@ -639,34 +757,13 @@ def invert_endomorphism(m: AddMorphism):
     if m.source != m.target:
         raise CompositionError("invert: not an endomorphism")
     pres, x = m.pres, m.source
-    fld = pres.field
-    d = isotypic_part(m)
     # invert the isotypic diagonal classwise (blocks are scalars on the unit)
-    positions = {}
-    for i, s in enumerate(x):
-        positions.setdefault(s, []).append(i)
-    dinv = AddMorphism.zero(pres, x, x)
-    inv_blocks = [list(row) for row in dinv.blocks]
-    for s, pos in positions.items():
-        unit_idx = pres.hom_labels(s, s).index(identity_label(s))
-        mat = Matrix.from_rows(fld, [
-            [(d.blocks[i][j][unit_idx] if d.blocks[i][j] is not None else fld.zero)
-             for j in pos] for i in pos
-        ])
-        if mat.rank() != len(pos):
+    inverses = {}
+    for s, pos in isotypic_classes(x).items():
+        inverses[s] = scalar_matrix(m, s, pos).inverse()
+        if inverses[s] is None:
             return None
-        aug = mat.hstack(Matrix.identity(fld, len(pos)))
-        r, _, _ = aug.rref()
-        inv = [row[len(pos):] for row in r.data]
-        basis_len = pres.hom_dim(s, s)
-        for a, i in enumerate(pos):
-            for b, j in enumerate(pos):
-                c = inv[a][b]
-                if c:
-                    coords = tuple(
-                        c if k == unit_idx else fld.zero for k in range(basis_len))
-                    inv_blocks[i][j] = coords
-    dinv = AddMorphism(pres, x, x, tuple(tuple(r) for r in inv_blocks))
+    dinv = scalar_grid(pres, x, inverses)
     n = radical_part(m)
     # (D + N)^-1 = D^-1 (1 + N D^-1)^-1; N D^-1 is nilpotent
     z = n.compose(dinv).scale(-1)
@@ -701,41 +798,20 @@ def split_idempotent(e: AddMorphism):
     fld = pres.field
     ident = AddMorphism.identity(pres, x)
 
-    positions = {}
-    for i, s in enumerate(x):
-        positions.setdefault(s, []).append(i)
-
     # diagonalize the isotypic part classwise: P^-1 d P = [[1,0],[0,0]]
-    d = isotypic_part(e)
-    conj_blocks = [[None] * len(x) for _ in range(len(x))]
+    conj = {}
     keep = []
-    for s, pos in sorted(positions.items()):
-        unit_idx = pres.hom_labels(s, s).index(identity_label(s))
-        rows = [
-            [(d.blocks[i][j][unit_idx] if d.blocks[i][j] is not None else fld.zero)
-             for j in pos] for i in pos
-        ]
-        mat = Matrix.from_rows(fld, rows)
-        n = len(pos)
+    for s, pos in isotypic_classes(x).items():
+        mat = scalar_matrix(e, s, pos)
         # image basis: pivot columns of e; kernel basis completes it
         _, pivots, rank = mat.rref()
-        img = [[mat.data[i][j] for j in pivots] for i in range(n)]
+        img = [[row[j] for j in pivots] for row in mat.data]
         ker = mat.kernel_basis()
-        pmat = Matrix(fld, n, rank, img).hstack(ker) if rank else ker
-        if pmat.cols != n or pmat.rank() != n:
+        conj[s] = Matrix(fld, len(pos), rank, img).hstack(ker).inverse()
+        if conj[s] is None:
             raise CompositionError("idempotent diagonal did not diagonalize")
-        aug = pmat.hstack(Matrix.identity(fld, n))
-        r, _, _ = aug.rref()
-        pinv = [row[n:] for row in r.data]
         keep.extend(pos[:rank])
-        basis_len = pres.hom_dim(s, s)
-        for a, i in enumerate(pos):
-            for b, j in enumerate(pos):
-                c = pinv[a][b]
-                if c:
-                    conj_blocks[i][j] = tuple(
-                        c if k == unit_idx else fld.zero for k in range(basis_len))
-    u = AddMorphism(pres, x, x, tuple(tuple(r) for r in conj_blocks))
+    u = scalar_grid(pres, x, conj)
     uinv = invert_endomorphism(u)
     e1 = u.compose(e).compose(uinv)
 

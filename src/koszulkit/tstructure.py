@@ -29,7 +29,7 @@ from .complexes import (
     is_null_homotopic,
     minimal_model,
 )
-from .orlov import AddMorphism, AddObject, identity_label
+from .orlov import AddMorphism, AddObject, invert_endomorphism, unit_index
 
 
 class TStructureError(Exception):
@@ -256,31 +256,24 @@ def cone_through_simple(f: HomClass, check_upper=True) -> SimpleConeResult:
 
     comp = fr.component(slot)
     tgt = mx.term(slot)
+    unit = unit_index(pres, s)
     lam = []
     for pos, t in enumerate(tgt):
-        if t == s and comp.blocks[pos][0] is not None:
-            unit = pres.hom_labels(s, s).index(identity_label(s))
-            lam.append((pos, comp.blocks[pos][0][unit]))
-        elif comp.blocks[pos][0] is not None:
+        blk = comp.blocks[pos][0]
+        if blk is not None and t != s:
             raise TStructureError("component hits a forbidden summand")
-    lam = [(pos, v) for pos, v in lam if v]
+        if blk is not None and blk[unit]:
+            lam.append(pos)
     if not lam:
         raise TStructureError("morphism class is zero on the isotypic part")
-    pivot, pval = lam[-1]
+    pivot = lam[-1]
 
     # automorphism U of the slot term with U o component = pivot inclusion:
     # U = P^{-1} where P is the identity with the pivot column replaced by
-    # the component vector
-    fld = pres.field
-    u_fwd = AddMorphism.identity(pres, tgt)
-    rows = [list(r) for r in u_fwd.blocks]
-    for pos, v in lam:
-        coords = tuple(v if k == pres.hom_labels(s, s).index(identity_label(s))
-                       else fld.zero for k in range(pres.hom_dim(s, s)))
-        rows[pos][pivot] = coords
-    p_mat = AddMorphism(pres, tgt, tgt, tuple(tuple(r) for r in rows))
-    from .orlov import invert_endomorphism
-
+    # the component vector (its blocks are scalars, as End(s) is)
+    n = range(len(tgt))
+    p_mat = AddMorphism.assemble(pres, tgt, tgt, [
+        (n, n, AddMorphism.identity(pres, tgt)), (lam, [pivot], comp.restrict_blocks(lam, [0]))])
     u = invert_endomorphism(p_mat)
     uinv = p_mat
 

@@ -47,16 +47,89 @@ def test_hom_command_dimension():
     assert report["payload"] == {"dim": 1}
 
 
-def test_unknown_input_exits_two():
-    proc = run_cli("validate", "/nonexistent/file.json")
-    assert proc.returncode == 2
+A2_DATA = {
+    "characteristic": 0,
+    "indecomposables": [{"id": "a", "degree": 0}, {"id": "b", "degree": 1}],
+    "hom": [{"src": "b", "tgt": "a", "basis": ["alpha"]}],
+}
 
 
-def test_malformed_complex_exits_two(tmp_path):
+def _a2_with(section, key, value):
+    """FIX_A2 data with ``key`` of the first ``section`` entry set to value
+    (or removed, for None)."""
+    data = json.loads(json.dumps(A2_DATA))
+    entry = data[section][0]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    None,                                           # no such file
+    _a2_with("indecomposables", "degree", "x"),
+    _a2_with("indecomposables", "degree", 1.5),
+    _a2_with("indecomposables", "degree", True),
+    _a2_with("indecomposables", "id", None),
+    _a2_with("indecomposables", "degree", None),
+    _a2_with("hom", "src", None),
+    _a2_with("hom", "tgt", None),
+    _a2_with("hom", "basis", None),
+    _a2_with("hom", "basis", "gz"),
+], ids=["missing-file", "degree-str", "degree-float", "degree-bool", "no-id", "no-degree",
+        "no-src", "no-tgt", "no-basis", "basis-str"])
+def test_unknown_input_exits_two(tmp_path, data):
+    path = tmp_path / "p.json"
+    if data is None:
+        path = "/nonexistent/file.json"
+    else:
+        path.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_json("validate", str(path))
+    assert code == 2
+    assert report["error"]
+
+
+MAP_A2 = {"source": {"terms": {"0": ["b"]}}, "target": {"terms": {"0": ["a"]}},
+          "components": {"0": [{"label": "alpha", "coeff": "1"}]}}
+
+
+@pytest.mark.parametrize("command,data", [
+    ("minimize", {"terms": {"0": ["nope"]}}),
+    ("minimize", [{"terms": {"0": ["a"]}}]),
+    ("cone", {"target": MAP_A2["target"], "components": MAP_A2["components"]}),
+    ("cone", {"source": MAP_A2["source"], "components": MAP_A2["components"]}),
+    ("cone", "map"),
+    ("infext invert", {"finf": MAP_A2}),
+    ("infext invert", [MAP_A2]),
+], ids=["unknown-id", "complex-list", "map-no-source", "map-no-target", "map-str",
+        "inf-no-f0", "inf-list"])
+def test_malformed_complex_exits_two(tmp_path, command, data):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"terms": {"0": ["nope"]}}), encoding="utf-8")
-    proc = run_cli("minimize", "FIX_A2", str(bad))
-    assert proc.returncode == 2
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_json(*command.split(), "FIX_A2", str(bad))
+    assert code == 2
+    assert report["error"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["infext", "compose", "FIX_A2", "FILE"], "needs 2 files"),
+    (["infext", "invert", "FIX_A2"], "needs 1 files"),
+    (["infext", "square", "FIX_A2", "FILE", "FILE", "FILE"], "needs 4 files"),
+    (["infext", "les", "FIX_A2"], "needs 2 files"),
+    (["weights", "FIX_A2", "FILE"], "offending points [(0, 1)]"),
+], ids=["compose", "invert", "square", "les", "weights-off-heart"])
+def test_arity_and_heart_input_exit_two(tmp_path, argv, needle):
+    # FILE is an identity map of a in degree 0, and b placed in degree 0 for
+    # weights, which lies off the antidiagonal at (0, 1)
+    path = tmp_path / "in.json"
+    one = {"terms": {"0": ["a"]}}
+    path.write_text(json.dumps({"terms": {"0": ["b"]}} if argv[0] == "weights" else
+                               {"f0": {"source": one, "target": one, "components": {
+                                   "0": [{"label": "1@a", "coeff": "1"}]}}}), encoding="utf-8")
+    code, report = run_json(*[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert needle in report["error"]
 
 
 def test_zero_denominator_in_complex_exits_two(tmp_path):

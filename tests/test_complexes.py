@@ -134,6 +134,20 @@ def test_hom_space_cone_to_point_vanishes(a2):
     assert hom_space(cone_alpha(a2), single(a2, "a"), 0).dimension == 0
 
 
+def test_map_to_vector_round_trip_and_window(a3):
+    x = Complex(a3, {-1: obj("c"), 0: obj("b", "a")},
+                {-1: AddMorphism.from_blocks(a3, obj("c"), obj("b", "a"), [[(1,)], [None]])})
+    sp = hom_space(x, x, 0)
+    assert list(sp.maps.slices) == [-1, 0]
+    for f in sp.cycles():
+        vec = sp.map_to_vector(f)
+        assert ChainMap(x, x, sp.maps.from_vector(vec)) == f
+    # the identity of a + a[-1] has a component in degree 1, outside Hom(a, a)
+    z = Complex(a3, {0: obj("a"), 1: obj("a")}, {})
+    with pytest.raises(ComplexError):
+        hom_space(single(a3, "a"), single(a3, "a")).map_to_vector(ChainMap.identity(z))
+
+
 def test_null_homotopy_of_zero_map(a2):
     x = cone_alpha(a2)
     h = is_null_homotopic(ChainMap.zero(x, x))

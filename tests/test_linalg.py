@@ -88,6 +88,30 @@ def test_rref_f2_rank_matches_determinant_oracle():
     assert m.rank() == 2
 
 
+def test_inverse_matches_determinant_oracle():
+    rng = random.Random(23)
+    for field in (QQ, F5, Field(10007)):
+        singular = invertible = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = rand_matrix(field, n, n, rng, span=2)
+            if rng.random() < 0.3:
+                m.data[-1] = [field.add(a, b) for a, b in zip(m.data[0], m.data[-1])]
+                m.data[0] = m.data[-1][:]
+            inv = m.inverse()
+            if not cofactor_det(m.data, field):
+                assert inv is None
+                singular += 1
+            else:
+                assert m.mul(inv) == Matrix.identity(field, n)
+                assert inv.mul(m) == Matrix.identity(field, n)
+                invertible += 1
+        assert singular and invertible
+    assert Matrix.zeros(QQ, 3, 3).inverse() is None
+    with pytest.raises(LinalgError):
+        Matrix.zeros(QQ, 2, 3).inverse()
+
+
 def test_rref_is_idempotent_randomized():
     rng = random.Random(11)
     for field in (QQ, F5):

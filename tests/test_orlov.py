@@ -8,13 +8,18 @@ from koszulkit.orlov import (
     AddMorphism,
     AddObject,
     CompositionError,
+    Coords,
     MalformedPresentation,
     OrlovPresentation,
     ZERO_OBJECT,
     compose,
     hom_basis,
     invert_endomorphism,
+    isotypic_classes,
+    isotypic_part,
     obj,
+    scalar_grid,
+    scalar_matrix,
     split_idempotent,
     validate_presentation,
 )
@@ -197,6 +202,33 @@ def test_vector_round_trip(a3):
     m = rand_morphism(a3, x, y, rng)
     vec = m.to_vector()
     assert AddMorphism.from_vector(a3, x, y, vec) == m
+
+
+def test_coords_round_trip(a3):
+    rng = random.Random(17)
+    objs = {2: (obj("a"), obj("c")), -1: (obj("c", "b"), obj("b", "a")), 0: (obj("b"), obj("a")),
+            5: (obj("c", "c"), obj("a", "b"))}
+    coords = Coords(a3, objs)
+    # zero-dimensional degrees get no slice; the rest are ascending and contiguous
+    assert list(coords.slices) == [-1, 0, 5]
+    assert coords.total == 4 + 1 + 4
+    family = {i: rand_morphism(a3, x, y, rng) for i, (x, y) in objs.items()}
+    vec = coords.to_vector(family.get)
+    assert vec == family[-1].to_vector() + family[0].to_vector() + family[5].to_vector()
+    back = coords.from_vector(vec)
+    assert back == {i: family[i] for i in (-1, 0, 5)}
+    assert coords.to_vector(back.get) == vec
+
+
+def test_scalar_grid_of_scalar_matrices_is_isotypic_part(a3):
+    rng = random.Random(4)
+    x = obj("b", "a", "b", "c", "a", "b")
+    for _ in range(5):
+        m = rand_morphism(a3, x, x, rng)
+        classes = isotypic_classes(x)
+        assert classes == {"b": [0, 2, 5], "a": [1, 4], "c": [3]}
+        mats = {s: scalar_matrix(m, s, pos) for s, pos in classes.items()}
+        assert scalar_grid(a3, x, mats) == isotypic_part(m)
 
 
 @pytest.mark.parametrize("positions", [(0, 1, 2), (2, 0, 3), (3, 1, 0)])
