@@ -92,12 +92,21 @@ def _require(data, what, *keys):
             raise InputError(f"malformed {what}: missing {key!r}")
 
 
+def _section(data, what, key) -> dict:
+    """``data[key]``, or {} when absent; it must be a JSON object."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"malformed {what}: {key!r} is not a JSON object")
+    return value
+
+
 def decode_complex(pres, data) -> Complex:
     _require(data, "complex")
+    terms_data, diff_data = _section(data, "complex", "terms"), _section(data, "complex", "diff")
     try:
-        terms = {int(k): _decode_object(pres, v) for k, v in data.get("terms", {}).items()}
+        terms = {int(k): _decode_object(pres, v) for k, v in terms_data.items()}
         diffs = {}
-        for k, entries in data.get("diff", {}).items():
+        for k, entries in diff_data.items():
             i = int(k)
             if i not in terms or (i + 1) not in terms:
                 raise InputError(f"differential at {i} without both terms")
@@ -118,9 +127,12 @@ def decode_chain_map(pres, data) -> ChainMap:
     src = decode_complex(pres, data["source"])
     tgt = decode_complex(pres, data["target"])
     comps = {}
-    for k, entries in data.get("components", {}).items():
-        i = int(k)
-        comps[i] = AddMorphism.from_entries(pres, src.term(i), tgt.term(i), entries)
+    try:
+        for k, entries in _section(data, "chain map", "components").items():
+            i = int(k)
+            comps[i] = AddMorphism.from_entries(pres, src.term(i), tgt.term(i), entries)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed chain map: {exc}") from exc
     try:
         return ChainMap(src, tgt, comps)
     except Exception as exc:
@@ -130,7 +142,7 @@ def decode_chain_map(pres, data) -> ChainMap:
 def decode_inf_morphism(pres, data) -> InfMorphism:
     _require(data, "infinitesimal morphism", "f0")
     f0 = decode_chain_map(pres, data["f0"])
-    if "finf" in data and data["finf"].get("components"):
+    if _section(data, "infinitesimal morphism", "finf").get("components"):
         finf = decode_chain_map(pres, data["finf"])
     else:
         finf = ChainMap.zero(f0.source, f0.target.shift(-1))

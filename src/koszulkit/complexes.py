@@ -307,6 +307,12 @@ class HomSpace:
         self.homotopies = Coords(pres, {i: (t, yt[i - 1]) for i, t in xt if i - 1 in yt})
         chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
         self.total, self.h_total = self.maps.total, self.homotopies.total
+        if not self.total:      # no chain-map unknowns: the space is 0
+            self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
+            self._delta = Matrix.zeros(pres.field, 0, self.h_total)
+            self.nullity = self._delta_rank = self.dimension = 0
+            self._basis_vectors, self.basis = [], []
+            return
         self._chain_kernel = self.maps.matrix(chain_rows, [
             (0, 1, lambda i, b: ys.d(i).compose(b)),
             (-1, -1, lambda i, b: b.compose(x.d(i - 1)))]).kernel_basis()
@@ -399,6 +405,15 @@ def solve_mod_homotopy(spaces, columns, rhs):
     """
     sol = _joint_system(spaces, columns).solve(rhs)
     return None if sol is None else sol[:len(columns)]
+
+
+def supports_meet(x: Complex, y: Complex, k: int = 0) -> bool:
+    """Whether some degree i carries both a term x^i and a term y^{i+k}.
+
+    When it does not, Hom(x, y[k]) has no chain-map unknowns, so its
+    dimension is 0 without building the :class:`HomSpace`.
+    """
+    return any(i + k in y.terms for i in x.terms)
 
 
 def hom_space(x: Complex, y: Complex, k: int = 0) -> HomSpace:

@@ -21,6 +21,7 @@ from .complexes import (
     direct_sum,
     hom_space,
     solve_mod_homotopy,
+    supports_meet,
     _invert_iso,
 )
 from .linalg import Matrix
@@ -29,6 +30,7 @@ from .randgen import rand_heart_complex, rng_for
 from .tstructure import (
     HeartObject,
     heart_object,
+    heart_simples,
     simple_object,
     weight_filtration,
 )
@@ -52,10 +54,15 @@ def express_in(space: HomSpace, reps, f: ChainMap):
 
 @dataclass
 class ExtTable:
+    """Hom spaces between shifted heart simples, built on first use."""
+
     pres: OrlovPresentation
     window: tuple
-    simples: dict                 # id -> HeartObject
+    simples: dict = field(init=False)            # id -> HeartObject
     spaces: dict = field(default_factory=dict)   # (s, t, i) -> HomSpace
+
+    def __post_init__(self):
+        self.simples = dict(zip(self.pres.ids, heart_simples(self.pres)))
 
     def space(self, s, t, i) -> HomSpace:
         key = (s, t, i)
@@ -65,6 +72,8 @@ class ExtTable:
         return self.spaces[key]
 
     def dim(self, s, t, i) -> int:
+        if not supports_meet(self.simples[s].normal_form, self.simples[t].normal_form, i):
+            return 0
         return self.space(s, t, i).dimension
 
     def basis(self, s, t, i):
@@ -97,8 +106,7 @@ class ExtTable:
 
 
 def ext_table(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> ExtTable:
-    simples = {iid: simple_object(pres, iid) for iid in pres.ids}
-    table = ExtTable(pres, tuple(window), simples)
+    table = ExtTable(pres, tuple(window))
     for s in pres.ids:
         for t in pres.ids:
             for i in range(window[0], window[1] + 1):
@@ -106,18 +114,29 @@ def ext_table(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> ExtTable:
     return table
 
 
+def _table_for(pres: OrlovPresentation, window, table) -> ExtTable:
+    """``table`` if it is the Ext table of pres over window; a new one if None."""
+    if table is None:
+        return ext_table(pres, window)
+    if table.pres is not pres or table.window != tuple(window):
+        raise KoszulError(f"Ext table of {table.pres.name} over {list(table.window)} "
+                          f"does not match {pres.name} over {list(window)}")
+    return table
+
+
 # ---------------------------------------------------------------- koszulity
 
 
 def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
-                    samples=12) -> dict:
+                    samples=12, table=None) -> dict:
     """Weight-diagonal vanishing plus the randomized two-sided checks.
 
     Verifies that Ext^i(S, T) vanishes unless wt T = wt S - i, that
     weight-separated objects have no Homs in either direction, and that a
-    heart object missing an interior weight splits at that weight.
+    heart object missing an interior weight splits at that weight.  A
+    ``table`` of pres over window is read instead of building one.
     """
-    table = ext_table(pres, window)
+    table = _table_for(pres, window, table)
     violations = []
     for s in pres.ids:
         for t in pres.ids:
@@ -174,14 +193,16 @@ def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
     }
 
 
-def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> dict:
+def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW,
+                            table=None) -> dict:
     """Degree-one generation of the windowed Yoneda algebra.
 
     Necessary condition only: every Ext^i (i >= 2) between simples must be
     spanned by products Ext^1 o Ext^{i-1}.  A failure carries the witness
-    cell and the spanned dimension.
+    cell and the spanned dimension.  A ``table`` of pres over window is
+    read instead of building one.
     """
-    table = ext_table(pres, window)
+    table = _table_for(pres, window, table)
     fld = pres.field
     failures = []
     checked = 0
@@ -497,16 +518,18 @@ def _universal_extension(pres, j_cx: Complex, ext_reps) -> Complex:
 
 
 def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW,
-                length_bound=6) -> DualPresentation:
+                length_bound=6, table=None) -> DualPresentation:
     """The generator category of detected injectives, as a presentation.
 
-    Gated on the koszulity check and the degree-one-generation surrogate.
+    Gated on the koszulity check and the degree-one-generation surrogate,
+    which read one Ext table (``table``, or a new one).
     """
     if not validate_presentation(pres).ok:
         raise KoszulError("input presentation fails validation")
-    if not koszulity_check(pres, window).get("ok"):
+    table = _table_for(pres, window, table)
+    if not koszulity_check(pres, window, table=table).get("ok"):
         raise KoszulError("koszulity check failed; dual not computed")
-    if not koszulescence_surrogate(pres, window).get("ok"):
+    if not koszulescence_surrogate(pres, window, table=table).get("ok"):
         raise KoszulError("degree-one-generation surrogate failed; dual not computed")
     report = injective_detect(pres, window, length_bound, assume_koszul=True)
     if not report["complete"]:
@@ -521,15 +544,14 @@ def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW,
     return dual
 
 
-def ext1_matrix(pres: OrlovPresentation) -> dict:
-    out = {}
-    for s in pres.ids:
-        for t in pres.ids:
-            d = hom_space(simple_object(pres, s).normal_form,
-                          simple_object(pres, t).normal_form, 1).dimension
-            if d:
-                out[(s, t)] = d
-    return out
+def ext1_matrix(pres: OrlovPresentation, table=None) -> dict:
+    """Nonzero dimensions of Ext^1 between simples, read off ``table`` (an
+    Ext table of pres over any window) when given."""
+    if table is None:
+        table = ExtTable(pres, (1, 1))
+    elif table.pres is not pres:
+        raise KoszulError(f"Ext table of {table.pres.name} does not match {pres.name}")
+    return {(s, t): d for s in pres.ids for t in pres.ids if (d := table.dim(s, t, 1))}
 
 
 def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW,
@@ -537,9 +559,10 @@ def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW,
     """Match the first-extension matrix of the dual heart against the
     original through some bijection of simples; the matching found is
     reported, not asserted as a canonical direction."""
-    dual = koszul_dual(pres, window, length_bound)
+    table = ext_table(pres, window)
+    dual = koszul_dual(pres, window, length_bound, table=table)
     d = dual.presentation
-    m1 = ext1_matrix(pres)
+    m1 = ext1_matrix(pres, table)
     m2 = ext1_matrix(d)
 
     def matches(assign, transpose):

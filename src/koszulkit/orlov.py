@@ -53,6 +53,8 @@ class OrlovPresentation:
 
     def __init__(self, characteristic, indecomposables, hom, compose, name="anonymous"):
         self.name = name
+        if type(characteristic) is not int:
+            raise MalformedPresentation(f"characteristic is not an integer: {characteristic!r}")
         self.field = Field(characteristic)
         self.characteristic = characteristic
 
@@ -107,7 +109,10 @@ class OrlovPresentation:
             result = {}
             for term in terms:
                 lab, coeff = _fields(term, "compose result", "label", "coeff")
-                coeff = self.field.parse(str(coeff))
+                try:
+                    coeff = self.field.parse(str(coeff))
+                except ValueError as exc:
+                    raise MalformedPresentation(f"compose coefficient {coeff!r} is not a scalar") from exc
                 if lab not in self.label_pair:
                     raise MalformedPresentation(f"compose result uses unknown label {lab!r}")
                 if self.label_pair[lab] != (fs, gt):
@@ -720,8 +725,18 @@ def isotypic_classes(x: AddObject) -> dict:
 
 
 def unit_index(pres, s) -> int:
-    """Position of the identity label in the basis of End(s)."""
-    return pres.hom_labels(s, s).index(identity_label(s))
+    """Position of the identity label in the basis of End(s).
+
+    Every caller treats a block between copies of s as a scalar times the
+    unit, which is exact only when End(s) is one-dimensional; any other
+    End(s) is refused here, naming s.
+    """
+    labels = pres.hom_labels(s, s)
+    if len(labels) != 1:
+        raise MalformedPresentation(
+            f"End({s}) has dimension {len(labels)}; blocks between copies of {s} "
+            "must be scalars")
+    return labels.index(identity_label(s))
 
 
 def scalar_matrix(m: AddMorphism, s, pos) -> Matrix:

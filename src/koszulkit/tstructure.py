@@ -28,6 +28,7 @@ from .complexes import (
     hom_space,
     is_null_homotopic,
     minimal_model,
+    supports_meet,
 )
 from .orlov import AddMorphism, AddObject, invert_endomorphism, unit_index
 
@@ -340,6 +341,8 @@ def mixed_vanishing_report(pres, window=(-8, 8)) -> dict:
     for s_obj, s_id in zip(simples, pres.ids):
         for t_obj, t_id in zip(simples, pres.ids):
             for k in range(window[0], window[1] + 1):
+                if not supports_meet(s_obj.normal_form, t_obj.normal_form, k):
+                    continue
                 dim = hom_space(s_obj.normal_form, t_obj.normal_form, k).dimension
                 if dim:
                     allowed = pres.degree[t_id] == pres.degree[s_id] - k

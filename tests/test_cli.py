@@ -77,8 +77,11 @@ def _a2_with(section, key, value):
     _a2_with("hom", "tgt", None),
     _a2_with("hom", "basis", None),
     _a2_with("hom", "basis", "gz"),
+    {**A2_DATA, "characteristic": "x"},
+    {**A2_DATA, "compose": [{"left": "1@a", "right": "alpha",
+                             "result": [{"label": "alpha", "coeff": "x"}]}]},
 ], ids=["missing-file", "degree-str", "degree-float", "degree-bool", "no-id", "no-degree",
-        "no-src", "no-tgt", "no-basis", "basis-str"])
+        "no-src", "no-tgt", "no-basis", "basis-str", "characteristic-str", "coeff-str"])
 def test_unknown_input_exits_two(tmp_path, data):
     path = tmp_path / "p.json"
     if data is None:
@@ -102,8 +105,15 @@ MAP_A2 = {"source": {"terms": {"0": ["b"]}}, "target": {"terms": {"0": ["a"]}},
     ("cone", "map"),
     ("infext invert", {"finf": MAP_A2}),
     ("infext invert", [MAP_A2]),
+    ("minimize", {"terms": [["a"]]}),
+    ("minimize", {"terms": {"0": ["a"]}, "diff": []}),
+    ("cone", {**MAP_A2, "components": [[]]}),
+    ("cone", {**MAP_A2, "components": {"x": []}}),
+    ("cone", {**MAP_A2, "components": {"0": [{"coeff": "1"}]}}),
+    ("infext invert", {"f0": MAP_A2, "finf": [MAP_A2]}),
 ], ids=["unknown-id", "complex-list", "map-no-source", "map-no-target", "map-str",
-        "inf-no-f0", "inf-list"])
+        "inf-no-f0", "inf-list", "terms-list", "diff-list", "components-list",
+        "component-degree-str", "component-no-label", "finf-list"])
 def test_malformed_complex_exits_two(tmp_path, command, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
@@ -130,6 +140,28 @@ def test_arity_and_heart_input_exit_two(tmp_path, argv, needle):
     code, report = run_json(*[str(path) if a == "FILE" else a for a in argv])
     assert code == 2
     assert needle in report["error"]
+
+
+# End(a) = <1@a, n> with n o n = 0, and the complex a --(1 + n)--> a
+END_N_DATA = {
+    "characteristic": 0,
+    "indecomposables": [{"id": "a", "degree": 0}],
+    "hom": [{"src": "a", "tgt": "a", "basis": ["1@a", "n"]}],
+    "compose": [{"left": "n", "right": "n", "result": []}],
+}
+ONE_PLUS_N = {"terms": {"-1": ["a"], "0": ["a"]},
+              "diff": {"-1": [{"label": "1@a", "coeff": "1"}, {"label": "n", "coeff": "1"}]}}
+
+
+@pytest.mark.parametrize("command", ["minimize", "truncate"])
+def test_non_scalar_end_exits_two(tmp_path, command):
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps(END_N_DATA), encoding="utf-8")
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(ONE_PLUS_N), encoding="utf-8")
+    code, report = run_json(command, str(pres), str(cx))
+    assert code == 2
+    assert "End(a) has dimension 2" in report["error"]
 
 
 def test_zero_denominator_in_complex_exits_two(tmp_path):

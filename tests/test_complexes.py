@@ -16,12 +16,14 @@ from koszulkit.complexes import (
     is_null_homotopic,
     minimal_model,
     solve_mod_homotopy,
+    supports_meet,
     top_extraction,
     unique_fill,
 )
 from koszulkit.fixtures import load_fixture
-from koszulkit.orlov import AddMorphism, obj
+from koszulkit.orlov import AddMorphism, OrlovPresentation, obj
 from koszulkit.randgen import conjugate_complex, rand_chain_map, rand_complex, rng_for
+from oracle_hom import brute_force_hom_dim
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,42 @@ def test_map_to_vector_round_trip_and_window(a3):
     z = Complex(a3, {0: obj("a"), 1: obj("a")}, {})
     with pytest.raises(ComplexError):
         hom_space(single(a3, "a"), single(a3, "a")).map_to_vector(ChainMap.identity(z))
+
+
+def path_category(n, characteristic):
+    """A_n: v_i of degree i, Hom(v_j, v_i) = <h{j}_{i}> for j > i, and
+    every composite h_{j,i} o h_{k,j} = h_{k,i}."""
+    return OrlovPresentation.from_data({
+        "characteristic": characteristic,
+        "indecomposables": [{"id": f"v{i}", "degree": i} for i in range(n)],
+        "hom": [{"src": f"v{j}", "tgt": f"v{i}", "basis": [f"h{j}_{i}"]}
+                for j in range(n) for i in range(j)],
+        "compose": [{"left": f"h{j}_{i}", "right": f"h{k}_{j}",
+                     "result": [{"label": f"h{k}_{i}", "coeff": "1"}]}
+                    for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)],
+    }, name=f"A{n}/F{characteristic}")
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007"])
+def test_disjoint_supports_give_zero_hom(name):
+    pres = load_fixture(name) if name.startswith("FIX") else path_category(5, 10007)
+    rng = rng_for(17, "supports-meet", name)
+    xs = [rand_complex(pres, rng, amplitude=3, max_summands=2) for _ in range(6)]
+    skipped = 0
+    for x in xs:
+        for y in xs:
+            for k in range(-8, 9):
+                if supports_meet(x, y, k):
+                    continue
+                skipped += 1
+                assert hom_space(x, y, k).dimension == 0
+                assert brute_force_hom_dim(x, y, k) == 0
+    assert skipped > 6 * 6 * 17 // 2
+    # the predicate reads degrees only: a shared degree is reported even
+    # where every Hom between the terms is 0
+    c, a = single(pres, pres.ids[-1]), single(pres, pres.ids[0])
+    assert supports_meet(a, c, 0) and hom_space(a, c, 0).dimension == 0
+    assert not supports_meet(a, c, 1)
 
 
 def test_null_homotopy_of_zero_map(a2):

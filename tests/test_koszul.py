@@ -120,6 +120,42 @@ def test_ext1_against_extension_enumeration_oracle(a2):
         assert t.dim("b", "a", 1) == 1
 
 
+def test_ext_table_skips_cells_without_chain_maps(a3):
+    t = ext_table(a3, WINDOW)
+    # a simple sits in one degree, so only the shift deg s - deg t is built
+    assert sorted(t.spaces) == sorted((s, u, a3.degree[s] - a3.degree[u])
+                                      for s in a3.ids for u in a3.ids)
+    assert t.dim("c", "a", 1) == 0 and ("c", "a", 1) not in t.spaces
+    # the on-demand space of a skipped cell agrees
+    assert t.space("c", "a", 1).dimension == 0
+
+
+@pytest.mark.parametrize("command", [koszul_dual, double_dual_check])
+def test_one_ext_table_per_command(a3, monkeypatch, command):
+    from koszulkit import koszul
+
+    calls, build = [], koszul.ext_table
+    monkeypatch.setattr(koszul, "ext_table",
+                        lambda pres, window: calls.append(pres) or build(pres, window))
+    command(a3, WINDOW)
+    assert [p for p in calls if p is a3] == [a3]
+
+
+def test_passed_table_is_read_and_checked(a2, a3):
+    t = ext_table(a3, WINDOW)
+    assert koszulity_check(a3, WINDOW, table=t) == koszulity_check(a3, WINDOW)
+    assert koszulescence_surrogate(a3, WINDOW, table=t) == koszulescence_surrogate(a3, WINDOW)
+    assert ext1_matrix(a3, t) == ext1_matrix(a3)
+    with pytest.raises(KoszulError, match="does not match"):
+        koszulity_check(a3, (-4, 4), table=t)
+    with pytest.raises(KoszulError, match="does not match"):
+        koszulescence_surrogate(a2, WINDOW, table=t)
+    with pytest.raises(KoszulError, match="does not match"):
+        koszul_dual(a3, (-5, 6), table=t)
+    with pytest.raises(KoszulError, match="does not match"):
+        ext1_matrix(a2, t)
+
+
 # ---------------------------------------------------------------- koszulity
 
 def test_koszulity_check_passes_fixtures(pt, a2, a3):

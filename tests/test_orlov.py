@@ -121,6 +121,29 @@ def test_end_not_scalar_finding():
     assert any(f.kind == "end_not_scalar" and f.witness == ("a",) for f in report.findings)
 
 
+def test_scalar_grid_refuses_non_scalar_end():
+    # End(a) = <1, n> with n o n = 0: 1 + n is invertible, with inverse 1 - n,
+    # but its unit coordinates alone say 1; the helpers refuse End(a)
+    pres = OrlovPresentation.from_data({
+        "characteristic": 0,
+        "indecomposables": [{"id": "a", "degree": 0}, {"id": "b", "degree": 1}],
+        "hom": [{"src": "a", "tgt": "a", "basis": ["1@a", "n"]},
+                {"src": "b", "tgt": "a", "basis": ["alpha"]}],
+        "compose": [{"left": "n", "right": "n", "result": []}],
+    })
+    one = pres.field.one
+    x = obj("a")
+    one_plus_n = AddMorphism(pres, x, x, (((one, one),),))
+    for call in (lambda: invert_endomorphism(one_plus_n),
+                 lambda: split_idempotent(AddMorphism.identity(pres, x)),
+                 lambda: scalar_matrix(one_plus_n, "a", [0])):
+        with pytest.raises(MalformedPresentation, match=r"End\(a\) has dimension 2"):
+            call()
+    # a class whose End is the scalars is unaffected
+    y = obj("b")
+    assert invert_endomorphism(AddMorphism.identity(pres, y)) == AddMorphism.identity(pres, y)
+
+
 # -------------------------------------------------------------- composition
 
 def test_compose_unit_law(a2):
