@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .complexes import ChainMap, Complex, HomClass, Triangle, cone, minimal_model
+from .complexes import ChainMap, Complex, ComplexError, HomClass, Triangle, cone, minimal_model
 from .fixtures import FIXTURE_NAMES, fixture_path, load_fixture
 from .filtered import filt_hom_report, filt_triangle, s_shift, split_decompose
 from .infext import (
@@ -112,7 +112,7 @@ def decode_complex(pres, data) -> Complex:
                 raise InputError(f"differential at {i} without both terms")
             diffs[i] = AddMorphism.from_entries(pres, terms[i], terms[i + 1], entries)
         return Complex(pres, terms, diffs)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ComplexError) as exc:
         raise InputError(f"malformed complex: {exc}") from exc
 
 
@@ -211,16 +211,19 @@ def golden_compare(report: dict, golden_path: str, regen: bool, oracle="unspecif
     payload = canonical_bytes(report)
     if regen:
         directory = os.path.dirname(os.path.abspath(golden_path)) or "."
-        os.makedirs(directory, exist_ok=True)
         wrapped = canonical_bytes({"derived_by": oracle, "report": report})
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".golden-")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(wrapped)
-            os.replace(tmp, golden_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".golden-")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(wrapped)
+                os.replace(tmp, golden_path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError as exc:
+            raise InputError(f"cannot write golden file: {exc}") from exc
         return {"regenerated": True, "path": golden_path, "derived_by": oracle}
     try:
         with open(golden_path, "rb") as fh:
@@ -530,7 +533,7 @@ def build_parser():
     common.add_argument("--regen-golden", action="store_true")
     common.add_argument("--golden-oracle", default="unspecified",
                         help="oracle name recorded when regenerating a golden")
-    parser = argparse.ArgumentParser(prog="koszulkit", parents=[common])
+    parser = argparse.ArgumentParser(prog="koszulkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, *specs):
@@ -605,30 +608,26 @@ def main(argv=None) -> int:
     try:
         window = parse_window(args.window)
         payload, digest, ok = args.func(args, window, args.seed)
-    except InputError as exc:
+        report = {
+            "command": args.command,
+            "engine_version": __version__,
+            "fixture_sha256": digest,
+            "window": list(window),
+            "seed": args.seed,
+            "payload": payload,
+        }
+        exit_code = 0 if ok else 1
+        if args.golden or args.regen_golden:
+            if not args.golden:
+                raise InputError("--regen-golden requires --golden")
+            result = golden_compare(report, args.golden, args.regen_golden,
+                                    oracle=args.golden_oracle)
+            report["golden"] = result
+            if not args.regen_golden and not result.get("match"):
+                exit_code = 1
+    except (InputError, MalformedPresentation, LinalgError, KoszulError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
-    except (MalformedPresentation, LinalgError, KoszulError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
-    report = {
-        "command": args.command,
-        "engine_version": __version__,
-        "fixture_sha256": digest,
-        "window": list(window),
-        "seed": args.seed,
-        "payload": payload,
-    }
-    exit_code = 0 if ok else 1
-    if args.golden or args.regen_golden:
-        if not args.golden:
-            print(json.dumps({"error": "--regen-golden requires --golden"}, sort_keys=True))
-            return 2
-        result = golden_compare(report, args.golden, args.regen_golden,
-                                oracle=args.golden_oracle)
-        report["golden"] = result
-        if not args.regen_golden and not result.get("match"):
-            exit_code = 1
     if args.pretty:
         sys.stdout.write(render_pretty(report))
     else:

@@ -31,6 +31,7 @@ from .orlov import (
     ZERO_OBJECT,
     hom_basis,
     hom_dim_add,
+    identity_label,
     invert_endomorphism,
     spans,
     unit_index,
@@ -871,8 +872,7 @@ def minimal_model(x: Complex):
 
         hstep = Homotopy(cur, cur, {
             i + 1: AddMorphism.single(pres, tgt, src, c, r,
-                                      tuple(phi_inv if k == unit_index(pres, src[c]) else fld.zero
-                                            for k in range(pres.hom_dim(tgt[r], src[c]))))
+                                      pres.coords(identity_label(src[c]), phi_inv))
         })
         hom = hom.add(hstep.conjugate(fwd, bwd))
         fwd = pi.compose(fwd)

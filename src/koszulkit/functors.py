@@ -63,9 +63,8 @@ class HomogeneousFunctor:
         obj_map = {iid: AddObject((iid,)) for iid in pres.ids}
         hom_map = {}
         for lab, (s, t) in pres.label_pair.items():
-            basis = pres.hom_labels(s, t)
-            coords = tuple(pres.field.one if b == lab else pres.field.zero for b in basis)
-            hom_map[lab] = AddMorphism.single(pres, AddObject((s,)), AddObject((t,)), 0, 0, coords)
+            hom_map[lab] = AddMorphism.single(pres, AddObject((s,)), AddObject((t,)), 0, 0,
+                                              pres.coords(lab))
         return HomogeneousFunctor(pres, pres, obj_map, hom_map)
 
     @classmethod

@@ -250,16 +250,15 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
     indecs = [{"id": nid, "degree": objects[nid][1]} for nid in ids]
     hom_entries = []
     reps = {}
+    spaces = {}
     for src in ids:
         for tgt in ids:
-            nf_s = objects[src][0]
-            nf_t = objects[tgt][0]
-            sp = hom_space(nf_s, nf_t, 0)
+            sp = spaces[(src, tgt)] = hom_space(objects[src][0], objects[tgt][0], 0)
             if src == tgt:
                 if sp.dimension != 1:
                     raise KoszulError(
                         f"End({src}) has dimension {sp.dimension}; not an Orlov object")
-                reps[(src, tgt)] = [ChainMap.identity(nf_s)]
+                reps[(src, tgt)] = [ChainMap.identity(objects[src][0])]
                 hom_entries.append({"src": src, "tgt": tgt, "basis": [f"1@{src}"]})
             elif sp.dimension:
                 reps[(src, tgt)] = list(sp.basis)
@@ -278,14 +277,11 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
             if not reps[(src, mid)]:
                 continue
             for tgt in ids:
-                if not reps[(mid, tgt)]:
-                    continue
-                sp_out = hom_space(objects[src][0], objects[tgt][0], 0)
+                if not reps[(mid, tgt)] or mid in (src, tgt):
+                    continue     # unit laws are implicit
                 for gi, g in enumerate(reps[(mid, tgt)]):
                     for fi, f in enumerate(reps[(src, mid)]):
-                        if mid in (src, tgt):
-                            continue     # unit laws are implicit
-                        coords = express_in(sp_out, reps[(src, tgt)], g.compose(f))
+                        coords = express_in(spaces[(src, tgt)], reps[(src, tgt)], g.compose(f))
                         if coords is None:
                             raise KoszulError("composite escapes the computed hom basis")
                         result = [
@@ -470,9 +466,9 @@ def injective_detect(pres: OrlovPresentation, window=DEFAULT_WINDOW,
         for _ in range(64):
             ext_reps = []
             for m_id in pres.ids:
-                sp = hom_space(simples[m_id].normal_form, current, 1)
-                for rep in sp.basis:
-                    ext_reps.append((m_id, rep))
+                simple = simples[m_id].normal_form
+                if supports_meet(simple, current, 1):
+                    ext_reps.extend((m_id, rep) for rep in hom_space(simple, current, 1).basis)
             if not ext_reps:
                 complete = True
                 break

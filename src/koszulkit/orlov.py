@@ -97,6 +97,11 @@ class OrlovPresentation:
         self.label_index = {
             lab: i for basis in self.pairs.values() for i, lab in enumerate(basis)
         }
+        # the coordinate tuple of each label in the basis of its Hom space
+        self.unit_coords = {
+            lab: tuple(self.field.one if b == lab else self.field.zero for b in basis)
+            for basis in self.pairs.values() for lab in basis
+        }
 
         self.comp = {}
         for entry in compose:
@@ -136,6 +141,13 @@ class OrlovPresentation:
 
     def hom_dim(self, src: str, tgt: str) -> int:
         return len(self.hom_labels(src, tgt))
+
+    def coords(self, label: str, c=None) -> tuple:
+        """Coordinates of c times ``label`` in its Hom basis; c = None means 1."""
+        unit = self.unit_coords[label]
+        if c is None:
+            return unit
+        return tuple(c if u else self.field.zero for u in unit)
 
     def compose_labels(self, g: str, f: str) -> dict:
         return self.comp.get((g, f), {})
@@ -281,19 +293,10 @@ class AddMorphism:
 
     @staticmethod
     def identity(pres, x: AddObject) -> "AddMorphism":
-        blocks = []
-        for i, ti in enumerate(x):
-            row = []
-            for j, sj in enumerate(x):
-                if i == j:
-                    basis = pres.hom_labels(sj, ti)
-                    unit = identity_label(sj)
-                    row.append(tuple(
-                        pres.field.one if lab == unit else pres.field.zero for lab in basis))
-                else:
-                    row.append(None)
-            blocks.append(tuple(row))
-        return AddMorphism(pres, x, x, tuple(blocks))
+        n = len(x)
+        return AddMorphism(pres, x, x, tuple(
+            tuple(pres.coords(identity_label(s)) if j == i else None for j in range(n))
+            for i, s in enumerate(x)))
 
     @staticmethod
     def single(pres, source: AddObject, target: AddObject, i, j, coords) -> "AddMorphism":
@@ -509,11 +512,8 @@ def hom_basis(pres, x: AddObject, y: AddObject):
     basis = []
     for i, ti in enumerate(y):
         for j, sj in enumerate(x):
-            labels = pres.hom_labels(sj, ti)
-            for k in range(len(labels)):
-                coords = tuple(
-                    pres.field.one if m == k else pres.field.zero for m in range(len(labels)))
-                basis.append(AddMorphism.single(pres, x, y, i, j, coords))
+            for lab in pres.hom_labels(sj, ti):
+                basis.append(AddMorphism.single(pres, x, y, i, j, pres.coords(lab)))
     return basis, len(basis)
 
 
@@ -645,46 +645,23 @@ def validate_presentation(source) -> ValidationReport:
     for lab in labels:
         by_source.setdefault(pres.label_pair[lab][0], []).append(lab)
 
-    def as_coords(lab):
-        src, tgt = pres.label_pair[lab]
-        basis = pres.hom_labels(src, tgt)
-        return tuple(fld.one if b == lab else fld.zero for b in basis)
+    def combine(terms):
+        """Sum of c (g o f) over ``(c, g, f)`` in terms, as {label: nonzero coefficient}."""
+        out = {}
+        for c, g, f in terms:
+            for rl, rc in pres.compose_labels(g, f).items():
+                out[rl] = fld.add(out.get(rl, fld.zero), fld.mul(c, rc))
+        return {lab: v for lab, v in out.items() if v}
 
-    def comp2(g, f):
-        src = pres.label_pair[f][0]
-        tgt = pres.label_pair[g][1]
-        out = {lab: fld.zero for lab in pres.hom_labels(src, tgt)}
-        for rl, rc in pres.compose_labels(g, f).items():
-            out[rl] = fld.add(out[rl], rc)
-        return out
-
-    def comp_lin(g, fdict, src):
-        tgt = pres.label_pair[g][1]
-        out = {lab: fld.zero for lab in pres.hom_labels(src, tgt)}
-        for fl, fc in fdict.items():
-            if not fc:
-                continue
-            for rl, rc in pres.compose_labels(g, fl).items():
-                out[rl] = fld.add(out[rl], fld.mul(fc, rc))
-        return out
-
-    def comp_lin_right(gdict, f, tgt):
-        src = pres.label_pair[f][0]
-        out = {lab: fld.zero for lab in pres.hom_labels(src, tgt)}
-        for gl, gc in gdict.items():
-            if not gc:
-                continue
-            for rl, rc in pres.compose_labels(gl, f).items():
-                out[rl] = fld.add(out[rl], fld.mul(gc, rc))
-        return out
-
+    # h o g for every label h composable after g
+    after = {g: [(h, combine([(fld.one, h, g)]))
+                 for h in by_source.get(pres.label_pair[g][1], ())] for g in labels}
     for f in labels:
-        fs, ft = pres.label_pair[f]
-        for g in by_source.get(ft, ()):
-            gs, gt = pres.label_pair[g]
-            for h in by_source.get(gt, ()):
-                left = comp_lin(h, comp2(g, f), fs)       # h o (g o f)
-                right = comp_lin_right(comp2(h, g), f, pres.label_pair[h][1])
+        for g in by_source.get(pres.label_pair[f][1], ()):
+            gf = combine([(fld.one, g, f)])
+            for h, hg in after[g]:
+                left = combine((c, h, lab) for lab, c in gf.items())      # h o (g o f)
+                right = combine((c, lab, f) for lab, c in hg.items())     # (h o g) o f
                 if left != right:
                     findings.append(Finding(
                         "associativity", (h, g, f),
@@ -692,9 +669,9 @@ def validate_presentation(source) -> ValidationReport:
 
     for lab in labels:
         src, tgt = pres.label_pair[lab]
-        if comp2(identity_label(tgt), lab) != dict(zip(pres.hom_labels(src, tgt), as_coords(lab))):
+        if combine([(fld.one, identity_label(tgt), lab)]) != {lab: fld.one}:
             findings.append(Finding("unit_law", (lab,), "left unit law fails"))
-        if comp2(lab, identity_label(src)) != dict(zip(pres.hom_labels(src, tgt), as_coords(lab))):
+        if combine([(fld.one, lab, identity_label(src))]) != {lab: fld.one}:
             findings.append(Finding("unit_law", (lab,), "right unit law fails"))
 
     return ValidationReport(findings)
@@ -750,15 +727,15 @@ def scalar_matrix(m: AddMorphism, s, pos) -> Matrix:
 def scalar_grid(pres, x: AddObject, mats) -> AddMorphism:
     """Endomorphism of x with ``mats[s]`` times the unit between the
     summands of each class s (see :func:`isotypic_classes`), zero elsewhere."""
-    fld = pres.field
     classes = isotypic_classes(x)
     grid = [[None] * len(x) for _ in x]
     for s, mat in mats.items():
-        u, dim = unit_index(pres, s), pres.hom_dim(s, s)
+        unit_index(pres, s)     # refuses an End(s) that is not the scalars
+        unit = identity_label(s)
         for i, row in zip(classes[s], mat.data):
             for j, c in zip(classes[s], row):
                 if c:
-                    grid[i][j] = tuple(c if k == u else fld.zero for k in range(dim))
+                    grid[i][j] = pres.coords(unit, c)
     return AddMorphism(pres, x, x, tuple(map(tuple, grid)))
 
 

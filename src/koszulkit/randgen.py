@@ -31,13 +31,8 @@ def rand_object(pres, rng, max_summands=3, allow_empty=True, degrees=None):
 
 
 def rand_add_morphism(pres, x, y, rng):
-    basis, _ = hom_basis(pres, x, y)
-    out = AddMorphism.zero(pres, x, y)
-    for b in basis:
-        c = rand_scalar(pres.field, rng)
-        if c:
-            out = out.add(b.scale(c))
-    return out
+    vec = [rand_scalar(pres.field, rng) for _ in range(hom_dim_add(pres, x, y))]
+    return AddMorphism.from_vector(pres, x, y, vec)
 
 
 def rand_kernel_element(mat: Matrix, rng, field):
@@ -85,10 +80,7 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
             mat = Matrix.from_columns(fld, hom_dim_add(pres, pm.source, y),
                                       [b.compose(pm).to_vector() for b in basis])
             vec = rand_kernel_element(mat, rng, fld)
-        m = AddMorphism.zero(pres, x, y)
-        for c, b in zip(vec, basis):
-            if c:
-                m = m.add(b.scale(c))
+        m = AddMorphism.from_vector(pres, x, y, vec)
         if m.is_zero():
             prev = None
         else:

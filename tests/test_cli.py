@@ -95,29 +95,38 @@ def test_unknown_input_exits_two(tmp_path, data):
 
 MAP_A2 = {"source": {"terms": {"0": ["b"]}}, "target": {"terms": {"0": ["a"]}},
           "components": {"0": [{"label": "alpha", "coeff": "1"}]}}
+# c -> b -> a in FIX_A3 with differentials beta, then alpha: d o d = gamma != 0
+DD_NONZERO_A3 = {"terms": {"0": ["c"], "1": ["b"], "2": ["a"]},
+                 "diff": {"0": [{"label": "beta", "coeff": "1"}],
+                          "1": [{"label": "alpha", "coeff": "1"}]}}
 
 
 @pytest.mark.parametrize("command,data", [
-    ("minimize", {"terms": {"0": ["nope"]}}),
-    ("minimize", [{"terms": {"0": ["a"]}}]),
-    ("cone", {"target": MAP_A2["target"], "components": MAP_A2["components"]}),
-    ("cone", {"source": MAP_A2["source"], "components": MAP_A2["components"]}),
-    ("cone", "map"),
-    ("infext invert", {"finf": MAP_A2}),
-    ("infext invert", [MAP_A2]),
-    ("minimize", {"terms": [["a"]]}),
-    ("minimize", {"terms": {"0": ["a"]}, "diff": []}),
-    ("cone", {**MAP_A2, "components": [[]]}),
-    ("cone", {**MAP_A2, "components": {"x": []}}),
-    ("cone", {**MAP_A2, "components": {"0": [{"coeff": "1"}]}}),
-    ("infext invert", {"f0": MAP_A2, "finf": [MAP_A2]}),
+    ("minimize FIX_A2", {"terms": {"0": ["nope"]}}),
+    ("minimize FIX_A2", [{"terms": {"0": ["a"]}}]),
+    ("cone FIX_A2", {"target": MAP_A2["target"], "components": MAP_A2["components"]}),
+    ("cone FIX_A2", {"source": MAP_A2["source"], "components": MAP_A2["components"]}),
+    ("cone FIX_A2", "map"),
+    ("infext invert FIX_A2", {"finf": MAP_A2}),
+    ("infext invert FIX_A2", [MAP_A2]),
+    ("minimize FIX_A2", {"terms": [["a"]]}),
+    ("minimize FIX_A2", {"terms": {"0": ["a"]}, "diff": []}),
+    ("cone FIX_A2", {**MAP_A2, "components": [[]]}),
+    ("cone FIX_A2", {**MAP_A2, "components": {"x": []}}),
+    ("cone FIX_A2", {**MAP_A2, "components": {"0": [{"coeff": "1"}]}}),
+    ("infext invert FIX_A2", {"f0": MAP_A2, "finf": [MAP_A2]}),
+    ("minimize FIX_A3", DD_NONZERO_A3),
+    ("truncate FIX_A3", DD_NONZERO_A3),
+    ("weights FIX_A3", DD_NONZERO_A3),
+    ("cone FIX_A3", {"source": DD_NONZERO_A3, "target": {"terms": {}}}),
 ], ids=["unknown-id", "complex-list", "map-no-source", "map-no-target", "map-str",
         "inf-no-f0", "inf-list", "terms-list", "diff-list", "components-list",
-        "component-degree-str", "component-no-label", "finf-list"])
+        "component-degree-str", "component-no-label", "finf-list", "dd-nonzero-minimize",
+        "dd-nonzero-truncate", "dd-nonzero-weights", "dd-nonzero-cone"])
 def test_malformed_complex_exits_two(tmp_path, command, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
-    code, report = run_json(*command.split(), "FIX_A2", str(bad))
+    code, report = run_json(*command.split(), str(bad))
     assert code == 2
     assert report["error"]
 
@@ -294,6 +303,29 @@ def test_golden_regen_compare_and_drift(tmp_path):
     assert not report["golden"]["match"]
     assert "dim" in report["golden"]["first_difference"] or \
         "payload" in report["golden"]["first_difference"]
+
+
+@pytest.mark.parametrize("regen", [False, True], ids=["read", "regen"])
+def test_unusable_golden_file_exits_two(tmp_path, regen):
+    # reading a missing file, or writing below a path that is a plain file
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    golden = tmp_path / "plain" / "g.json" if regen else tmp_path / "missing.json"
+    code, report = run_json("heart", "FIX_A2", "--golden", str(golden),
+                            *(["--regen-golden"] if regen else []))
+    assert code == 2
+    assert f"cannot {'write' if regen else 'read'} golden file" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--golden", "g.json", "mixed-check", "FIX_A2"],
+    ["--window", "-5..5", "mixed-check", "FIX_A2"],
+    ["--seed", "3", "filtered-demo", "FIX_A2"],
+], ids=["golden", "window", "seed"])
+def test_shared_flag_before_subcommand_exits_two(argv):
+    # shared flags belong to the subcommand; before it they were silently dropped
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
 
 
 def test_committed_goldens_match():

@@ -105,6 +105,36 @@ def test_planted_non_associative_constant_reports_triple():
                for f in report.findings)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_law_finding(side):
+    # the constructor fills in the unit laws, so corrupt one after construction
+    pres = load_fixture("FIX_A2")
+    key = ("1@a", "alpha") if side == "left" else ("alpha", "1@b")
+    pres.comp[key] = {"alpha": pres.field.of(2)}
+    report = validate_presentation(pres)
+    assert [(f.witness, f.detail) for f in report.findings if f.kind == "unit_law"] == [
+        (("alpha",), f"{side} unit law fails")]
+
+
+def test_coords_unit_and_scaled_tuples():
+    pres = OrlovPresentation.from_data({
+        "characteristic": 0,
+        "indecomposables": [{"id": "a", "degree": 0}, {"id": "b", "degree": 1}],
+        "hom": [{"src": "b", "tgt": "a", "basis": ["x", "y", "z"]}],
+    })
+    zero, one, three = pres.field.zero, pres.field.one, pres.field.of(3)
+    assert pres.coords("1@a") == (one,)
+    assert pres.coords("1@b", three) == (three,)
+    for k, lab in enumerate(("x", "y", "z")):
+        unit = tuple(one if m == k else zero for m in range(3))
+        assert pres.coords(lab) == unit
+        assert pres.coords(lab) is pres.coords(lab)     # built once, at construction
+        assert pres.coords(lab, three) == tuple(three * u for u in unit)
+        assert pres.coords(lab, zero) == (zero,) * 3
+        assert AddMorphism.single(pres, obj("b"), obj("a"), 0, 0, pres.coords(lab)) == \
+            hom_basis(pres, obj("b"), obj("a"))[0][k]
+
+
 def test_malformed_shape_reported_distinctly():
     report = validate_presentation({"characteristic": 0})
     assert [f.kind for f in report.findings] == ["malformed"]
