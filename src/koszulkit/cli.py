@@ -2,8 +2,11 @@
 
 Every command prints one deterministic JSON report (sorted keys, canonical
 scalar strings) that embeds the engine version, the hash of the input
-presentation and the window/seed parameters.  Exit codes: 0 pass, 1 check
-failure or golden mismatch, 2 input error.
+presentation and the window/seed parameters, or one JSON error object.
+Exit codes: 0 the report was produced and its checks pass; 1 the report was
+produced and a check in it failed (or the golden file differs); 2 the input
+or a precondition of the command was refused (a ``KoszulkitError``); 3 any
+other exception, an internal error, which is a bug.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 from . import __version__
-from .complexes import ChainMap, Complex, ComplexError, HomClass, Triangle, cone, minimal_model
+from .complexes import ChainMap, Complex, HomClass, Triangle, cone, hom_space, minimal_model
 from .fixtures import FIXTURE_NAMES, fixture_path, load_fixture
 from .filtered import filt_hom_report, filt_triangle, s_shift, split_decompose
 from .infext import (
@@ -29,18 +33,23 @@ from .infext import (
     iota_triangle,
 )
 from .koszul import (
-    KoszulError,
     double_dual_check,
     koszul_dual,
     koszulescence_surrogate,
     koszulity_check,
     roundtrip_check,
 )
-from .linalg import LinalgError
-from .orlov import AddMorphism, AddObject, MalformedPresentation, OrlovPresentation, obj, validate_presentation
-from .randgen import rand_complex, rng_for
+from .linalg import KoszulkitError
+from .orlov import (
+    AddMorphism,
+    InputError,
+    OrlovPresentation,
+    decode_object,
+    fields,
+    validate_presentation,
+)
+from .randgen import rand_complex, rand_filtered, rand_filtered_complex, rng_for
 from .tstructure import (
-    HeartAssertionError,
     aisle_membership,
     composition_factors,
     heart_object,
@@ -51,69 +60,38 @@ from .tstructure import (
 )
 
 
-class InputError(Exception):
-    pass
-
-
 # ----------------------------------------------------------------- file io
 
 
+def read_json(path, what):
+    """The text of the file ``path`` and its parsed JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return text, json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def load_json(path):
+    return read_json(path, path)[1]
+
+
 def load_presentation(path):
-    try:
-        if path in FIXTURE_NAMES:
-            text = fixture_path(path).read_text(encoding="utf-8")
-        else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read presentation: {exc}") from exc
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    try:
-        pres = OrlovPresentation.from_data(data, name=str(path))
-    except MalformedPresentation as exc:
-        raise InputError(f"malformed presentation: {exc}") from exc
-    return pres, digest
-
-
-def _decode_object(pres, ids) -> AddObject:
-    for iid in ids:
-        if iid not in pres.degree:
-            raise InputError(f"unknown indecomposable {iid!r}")
-    return AddObject(tuple(ids))
-
-
-def _require(data, what, *keys):
-    """Reject a JSON value that is not an object carrying ``keys``."""
-    if not isinstance(data, dict):
-        raise InputError(f"malformed {what}: expected a JSON object")
-    for key in keys:
-        if key not in data:
-            raise InputError(f"malformed {what}: missing {key!r}")
-
-
-def _section(data, what, key) -> dict:
-    """``data[key]``, or {} when absent; it must be a JSON object."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise InputError(f"malformed {what}: {key!r} is not a JSON object")
-    return value
+    text, data = read_json(fixture_path(path) if path in FIXTURE_NAMES else path, "presentation")
+    pres = OrlovPresentation.from_data(data, name=str(path))
+    return pres, hashlib.sha256(text.encode()).hexdigest()
 
 
 def decode_complex(pres, data) -> Complex:
-    _require(data, "complex")
-    terms_data, diff_data = _section(data, "complex", "terms"), _section(data, "complex", "diff")
-    try:
-        terms = {int(k): _decode_object(pres, v) for k, v in terms_data.items()}
-        diffs = {}
-        for k, entries in diff_data.items():
-            i = int(k)
-            if i not in terms or (i + 1) not in terms:
-                raise InputError(f"differential at {i} without both terms")
-            diffs[i] = AddMorphism.from_entries(pres, terms[i], terms[i + 1], entries)
-        return Complex(pres, terms, diffs)
-    except (KeyError, ValueError, TypeError, ComplexError) as exc:
-        raise InputError(f"malformed complex: {exc}") from exc
+    terms, diff = fields(data, "complex", terms=({int: [str]}, {}), diff=({int: list}, {}))
+    terms = {i: decode_object(pres, ids) for i, ids in terms.items()}
+    diffs = {}
+    for i, entries in diff.items():
+        if i not in terms or (i + 1) not in terms:
+            raise InputError(f"differential at {i} without both terms")
+        diffs[i] = AddMorphism.from_entries(pres, terms[i], terms[i + 1], entries)
+    return Complex(pres, terms, diffs)
 
 
 def encode_complex(x: Complex) -> dict:
@@ -123,41 +101,20 @@ def encode_complex(x: Complex) -> dict:
 
 
 def decode_chain_map(pres, data) -> ChainMap:
-    _require(data, "chain map", "source", "target")
-    src = decode_complex(pres, data["source"])
-    tgt = decode_complex(pres, data["target"])
-    comps = {}
-    try:
-        for k, entries in _section(data, "chain map", "components").items():
-            i = int(k)
-            comps[i] = AddMorphism.from_entries(pres, src.term(i), tgt.term(i), entries)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed chain map: {exc}") from exc
-    try:
-        return ChainMap(src, tgt, comps)
-    except Exception as exc:
-        raise InputError(f"not a chain map: {exc}") from exc
+    src, tgt, comps = fields(data, "chain map", source=dict, target=dict,
+                             components=({int: list}, {}))
+    src, tgt = decode_complex(pres, src), decode_complex(pres, tgt)
+    return ChainMap(src, tgt, {
+        i: AddMorphism.from_entries(pres, src.term(i), tgt.term(i), entries)
+        for i, entries in comps.items()})
 
 
 def decode_inf_morphism(pres, data) -> InfMorphism:
-    _require(data, "infinitesimal morphism", "f0")
-    f0 = decode_chain_map(pres, data["f0"])
-    if _section(data, "infinitesimal morphism", "finf").get("components"):
-        finf = decode_chain_map(pres, data["finf"])
-    else:
-        finf = ChainMap.zero(f0.source, f0.target.shift(-1))
-    try:
-        return InfMorphism(HomClass(f0), HomClass(finf))
-    except Exception as exc:
-        raise InputError(f"malformed infinitesimal morphism: {exc}") from exc
-
-
-def load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    f0, finf = fields(data, "infinitesimal morphism", f0=dict, finf=(dict, {}))
+    f0 = HomClass(decode_chain_map(pres, f0))
+    if not fields(finf, "finf", components=({int: list}, {}))[0]:
+        return InfMorphism.iota(f0)
+    return InfMorphism(f0, HomClass(decode_chain_map(pres, finf)))
 
 
 def ascii_complex(x: Complex) -> str:
@@ -225,20 +182,12 @@ def golden_compare(report: dict, golden_path: str, regen: bool, oracle="unspecif
         except OSError as exc:
             raise InputError(f"cannot write golden file: {exc}") from exc
         return {"regenerated": True, "path": golden_path, "derived_by": oracle}
-    try:
-        with open(golden_path, "rb") as fh:
-            stored = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read golden file: {exc}") from exc
-    try:
-        stored_obj = json.loads(stored.decode())
-        stored_report = stored_obj.get("report", stored_obj)
-    except Exception:
-        return {"match": False, "first_difference": "stored golden is not valid JSON"}
-    if canonical_bytes(stored_report) == payload:
-        return {"match": True, "derived_by": stored_obj.get("derived_by")}
+    stored, derived_by = fields(read_json(golden_path, "golden file")[1], "golden file",
+                                report=dict, derived_by=(str, None))
+    if canonical_bytes(stored) == payload:
+        return {"match": True, "derived_by": derived_by}
     return {"match": False,
-            "first_difference": first_difference(stored_report, report)}
+            "first_difference": first_difference(stored, report)}
 
 
 def parse_window(text):
@@ -263,10 +212,8 @@ def cmd_validate(args, window, seed):
 
 def cmd_hom(args, window, seed):
     pres, digest = load_presentation(args.presentation)
-    from .complexes import hom_space
-
-    src = Complex.single(pres, _decode_object(pres, [args.source]), 0)
-    tgt = Complex.single(pres, _decode_object(pres, [args.target]), 0)
+    src = Complex.single(pres, decode_object(pres, [args.source]), 0)
+    tgt = Complex.single(pres, decode_object(pres, [args.target]), 0)
     sp = hom_space(src, tgt, args.shift)
     return {"dim": sp.dimension}, digest, True
 
@@ -322,10 +269,7 @@ def cmd_heart(args, window, seed):
 def cmd_weights(args, window, seed):
     pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
-    try:
-        h = heart_object(x)
-    except HeartAssertionError as exc:
-        raise InputError(f"complex is not in the heart: {exc}") from exc
+    h = heart_object(x)
     wf = weight_filtration(h)
     payload = {
         "weights": {str(k): list(piece.normal_form.term(-k).summands)
@@ -386,32 +330,25 @@ def cmd_infext(args, window, seed):
     arity = {"compose": 2, "invert": 1, "square": 4, "les": 2}[sub]
     if len(args.files) < arity:
         raise InputError(f"infext {sub} needs {arity} files, got {len(args.files)}")
+    data = [load_json(path) for path in args.files[:arity]]
+    if sub == "les":
+        f = decode_inf_morphism(pres, data[0])
+        tri = iota_triangle(Triangle.from_cone(f.f0.rep))
+        rep = inf_les_check(decode_complex(pres, data[1]), tri,
+                            window=(max(window[0], -3), min(window[1], 3)))
+        return rep, digest, rep["ok"]
+    maps = [decode_inf_morphism(pres, d) for d in data]
     if sub == "compose":
-        g = decode_inf_morphism(pres, load_json(args.files[0]))
-        f = decode_inf_morphism(pres, load_json(args.files[1]))
-        h = inf_compose(g, f)
+        h = inf_compose(*maps)
         payload = {"f0_zero": h.f0.is_zero(), "finf_zero": h.finf.is_zero(),
                    "infinitesimal": h.is_infinitesimal}
         return payload, digest, True
     if sub == "invert":
-        f = decode_inf_morphism(pres, load_json(args.files[0]))
-        g = inf_invert(f)
-        payload = {"invertible": g is not None}
-        return payload, digest, True
-    if sub == "square":
-        f = decode_inf_morphism(pres, load_json(args.files[0]))
-        i2 = decode_inf_morphism(pres, load_json(args.files[1]))
-        p = decode_inf_morphism(pres, load_json(args.files[2]))
-        q = decode_inf_morphism(pres, load_json(args.files[3]))
-        rep = complete_inf_square(p, q, f, i2)
-        payload = {"squares_ok": rep["squares_ok"], "r_invertible": rep["r_invertible"]}
-        return payload, digest, rep["squares_ok"]
-    if sub == "les":
-        f = decode_inf_morphism(pres, load_json(args.files[0]))
-        a = decode_complex(pres, load_json(args.files[1]))
-        tri = iota_triangle(Triangle.from_cone(f.f0.rep))
-        rep = inf_les_check(a, tri, window=(max(window[0], -3), min(window[1], 3)))
-        return rep, digest, rep["ok"]
+        return {"invertible": inf_invert(maps[0]) is not None}, digest, True
+    f, i2, p, q = maps
+    rep = complete_inf_square(p, q, f, i2)
+    payload = {"squares_ok": rep["squares_ok"], "r_invertible": rep["r_invertible"]}
+    return payload, digest, rep["squares_ok"]
 
 
 def cmd_filtered_demo(args, window, seed):
@@ -419,7 +356,6 @@ def cmd_filtered_demo(args, window, seed):
     pres, digest = load_presentation(args.presentation)
     rng = rng_for(seed, "filtered-demo", pres.name)
     from .filtered import FilteredMorphism, alpha, s_shift_morphism
-    from .randgen import rand_filtered, rand_filtered_complex
 
     splits = hom_reports = triangles = alpha_checks = shift_checks = 0
     failures = []
@@ -507,7 +443,6 @@ def cmd_selftest(args, window, seed):
     record("infext:adjunctions", adj_ok)
 
     from .filtered import FilteredMorphism
-    from .randgen import rand_filtered
 
     filt_ok = True
     for _ in range(3):
@@ -625,13 +560,14 @@ def main(argv=None) -> int:
             report["golden"] = result
             if not args.regen_golden and not result.get("match"):
                 exit_code = 1
-    except (InputError, MalformedPresentation, LinalgError, KoszulError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
-    if args.pretty:
-        sys.stdout.write(render_pretty(report))
-    else:
-        sys.stdout.write(canonical_bytes(report).decode())
+        out = render_pretty(report) if args.pretty else canonical_bytes(report).decode()
+    except KoszulkitError as exc:
+        out, exit_code = json.dumps({"error": str(exc)}) + "\n", 2
+    except Exception as exc:
+        traceback.print_exc()
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        out, exit_code = json.dumps({"error": error}) + "\n", 3
+    sys.stdout.write(out)
     return exit_code
 
 

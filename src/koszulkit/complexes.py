@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
+from .linalg import KoszulkitError, Matrix
 from .orlov import (
     AddMorphism,
     AddObject,
@@ -38,15 +38,15 @@ from .orlov import (
 )
 
 
-class ComplexError(Exception):
+class ComplexError(KoszulkitError):
     pass
 
 
-class TriangleError(Exception):
+class TriangleError(KoszulkitError):
     pass
 
 
-class FillError(Exception):
+class FillError(KoszulkitError):
     pass
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
+from .linalg import KoszulkitError, Matrix
 from .orlov import (
     AddMorphism,
     AddObject,
@@ -24,7 +24,7 @@ from .orlov import (
 )
 
 
-class FilteredError(Exception):
+class FilteredError(KoszulkitError):
     pass
 
 

@@ -14,23 +14,27 @@ from __future__ import annotations
 from .complexes import (
     ChainMap,
     Complex,
+    ComplexError,
     HomClass,
     complete_square,
     top_extraction,
     _invert_iso,
 )
+from .linalg import KoszulkitError
 from .orlov import (
     AddMorphism,
     AddObject,
-    MalformedPresentation,
+    InputError,
     OrlovPresentation,
+    decode_object,
+    fields,
     identity_label,
     spans,
 )
 from .randgen import conjugate_complex, rng_for
 
 
-class FunctorError(Exception):
+class FunctorError(KoszulkitError):
     pass
 
 
@@ -75,17 +79,19 @@ class HomogeneousFunctor:
         Each on_hom entry is {"label", "coeff"} with optional "row"/"col"
         block coordinates (defaulting to 0) inside the image objects.
         """
-        obj_map = {iid: AddObject(tuple(v))
-                   for iid, v in data.get("on_objects", {}).items()}
-        hom_map = {}
-        for lab, entries in data.get("on_hom", {}).items():
-            if lab not in source.label_pair:
-                raise FunctorError(f"unknown source label {lab!r}")
-            s, t = source.label_pair[lab]
-            try:
+        try:
+            on_objects, on_hom = fields(data, "functor data", on_objects=dict,
+                                        on_hom=({str: list}, {}))
+            images = fields(on_objects, "on_objects", **{iid: [str] for iid in source.ids})
+            obj_map = {iid: decode_object(target, ids) for iid, ids in zip(source.ids, images)}
+            hom_map = {}
+            for lab, entries in on_hom.items():
+                if lab not in source.label_pair:
+                    raise FunctorError(f"unknown source label {lab!r}")
+                s, t = source.label_pair[lab]
                 hom_map[lab] = AddMorphism.from_entries(target, obj_map[s], obj_map[t], entries)
-            except MalformedPresentation as exc:
-                raise FunctorError(f"image of {lab}: {exc}") from exc
+        except InputError as exc:
+            raise FunctorError(f"functor data: {exc}") from exc
         return cls(source, target, obj_map, hom_map)
 
     def to_data(self) -> dict:
@@ -228,7 +234,7 @@ class NatTrans:
                 return False
             try:
                 _invert_iso(comp)
-            except Exception:
+            except ComplexError:
                 return False
         return True
 

@@ -25,11 +25,11 @@ from .complexes import (
     direct_sum,
     hom_space,
 )
-from .linalg import Matrix
+from .linalg import KoszulkitError, Matrix
 from .orlov import AddMorphism, spans
 
 
-class InfExtError(Exception):
+class InfExtError(KoszulkitError):
     pass
 
 

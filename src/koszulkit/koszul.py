@@ -24,7 +24,7 @@ from .complexes import (
     supports_meet,
     _invert_iso,
 )
-from .linalg import Matrix
+from .linalg import KoszulkitError, Matrix
 from .orlov import AddMorphism, OrlovPresentation, hom_basis, spans, validate_presentation
 from .randgen import rand_heart_complex, rng_for
 from .tstructure import (
@@ -36,7 +36,7 @@ from .tstructure import (
 )
 
 
-class KoszulError(Exception):
+class KoszulError(KoszulkitError):
     pass
 
 

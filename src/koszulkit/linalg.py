@@ -12,7 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class LinalgError(Exception):
+class KoszulkitError(Exception):
+    """Root of every error the package raises on purpose: an input, or a
+    precondition of a computation, was refused.  Any other exception is a bug."""
+
+
+class LinalgError(KoszulkitError):
     pass
 
 

@@ -13,16 +13,20 @@ reduction (:func:`split_idempotent`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from reprlib import repr as brief
 
-from .linalg import Field, Matrix
+from .linalg import Field, KoszulkitError, LinalgError, Matrix
 
 
-class PresentationError(Exception):
+class PresentationError(KoszulkitError):
     pass
 
 
-class MalformedPresentation(PresentationError):
-    pass
+class InputError(PresentationError):
+    """A JSON input, or a file or option that names one, is refused."""
+
+
+MalformedPresentation = InputError
 
 
 class CompositionError(PresentationError):
@@ -33,14 +37,73 @@ def identity_label(indec_id: str) -> str:
     return f"1@{indec_id}"
 
 
-def _fields(entry, kind, *keys):
-    """The values of the required ``keys`` of one presentation entry."""
-    if not isinstance(entry, dict):
-        raise MalformedPresentation(f"{kind} entry {entry!r} is not an object")
-    for key in keys:
-        if key not in entry:
-            raise MalformedPresentation(f"{kind} entry {entry!r} is missing {key!r}")
-    return [entry[key] for key in keys]
+# ----------------------------------------------------------- JSON reader
+
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _read(value, kind, what):
+    """``value`` checked against ``kind`` (see :func:`fields`) and decoded."""
+    if type(kind) is Field:
+        try:
+            if type(value) is int or type(value) is str:
+                return kind.parse(str(value))
+        except (ValueError, LinalgError) as exc:
+            raise InputError(f"{what} is not a scalar: {brief(value)} ({exc})") from exc
+        raise InputError(f"{what} is not a scalar (a string or an integer): {brief(value)}")
+    shape = type(kind) if type(kind) in (list, dict) else kind
+    if type(value) is not shape:
+        raise InputError(f"{what} is not {_KINDS[shape]}: {brief(value)}")
+    if shape is kind:
+        return value
+    if shape is list:
+        item = kind[0]
+        return [v if type(v) is item else _read(v, item, f"{what} item") for v in value]
+    (key_kind, value_kind), = kind.items()
+    out = {}
+    for key, v in value.items():
+        if key_kind is int:
+            try:
+                key = int(key)
+            except ValueError:
+                raise InputError(f"{what} key {key!r} is not an integer") from None
+            if key in out:
+                raise InputError(f"{what} has two keys for {key}")
+        out[key] = _read(v, value_kind, f"{what} at {key!r}")
+    return out
+
+
+def fields(entry, what, /, **spec):
+    """The values of the keys of the JSON object ``entry``, in ``spec`` order.
+
+    Each keyword names a key and its kind: ``int`` (not a boolean), ``str``,
+    ``list`` or ``dict``; ``[kind]``, a list of that kind; ``{int: kind}`` or
+    ``{str: kind}``, an object with integer or any keys; or a ``Field``, a
+    scalar string or integer that it parses.  ``(kind, default)`` makes the
+    key optional.  Anything else raises :class:`InputError` naming ``what``.
+    """
+    if type(entry) is not dict:
+        raise InputError(f"{what} is not an object: {brief(entry)}")
+    out = []
+    for key, kind in spec.items():
+        if type(kind) is tuple:
+            kind, default = kind
+            if key not in entry:
+                out.append(default)
+                continue
+        elif key not in entry:
+            raise InputError(f"{what} is missing {key!r}: {brief(entry)}")
+        value = entry[key]
+        out.append(value if type(value) is kind else _read(value, kind, f"{what} {key!r}"))
+    return out
+
+
+def decode_object(pres, ids) -> "AddObject":
+    """The additive-closure object with summands ``ids``, which ``pres`` must know."""
+    for iid in ids:
+        if iid not in pres.degree:
+            raise InputError(f"unknown indecomposable {iid!r}")
+    return AddObject(tuple(ids))
 
 
 class OrlovPresentation:
@@ -53,19 +116,15 @@ class OrlovPresentation:
 
     def __init__(self, characteristic, indecomposables, hom, compose, name="anonymous"):
         self.name = name
-        if type(characteristic) is not int:
-            raise MalformedPresentation(f"characteristic is not an integer: {characteristic!r}")
         self.field = Field(characteristic)
         self.characteristic = characteristic
 
         self.ids = []
         self.degree = {}
         for entry in indecomposables:
-            iid, deg = _fields(entry, "indecomposable", "id", "degree")
+            iid, deg = fields(entry, "indecomposable", id=str, degree=int)
             if iid in self.degree:
-                raise MalformedPresentation(f"duplicate indecomposable id {iid!r}")
-            if type(deg) is not int:
-                raise MalformedPresentation(f"degree of {iid!r} is not an integer: {deg!r}")
+                raise InputError(f"duplicate indecomposable id {iid!r}")
             self.ids.append(iid)
             self.degree[iid] = deg
         self.ids = tuple(self.ids)
@@ -73,27 +132,26 @@ class OrlovPresentation:
         self.pairs = {}
         self.label_pair = {}
         for entry in hom:
-            src, tgt, basis = _fields(entry, "hom", "src", "tgt", "basis")
-            if not isinstance(basis, list):
-                raise MalformedPresentation(f"basis of ({src},{tgt}) is not a list: {basis!r}")
-            basis = tuple(basis)
+            src, tgt, basis = fields(entry, "hom entry", src=str, tgt=str, basis=[str])
             if src not in self.degree or tgt not in self.degree:
-                raise MalformedPresentation(f"hom space references unknown object ({src},{tgt})")
+                raise InputError(f"hom space references unknown object ({src},{tgt})")
             if (src, tgt) in self.pairs:
-                raise MalformedPresentation(f"duplicate hom entry for ({src},{tgt})")
-            self.pairs[(src, tgt)] = basis
+                raise InputError(f"duplicate hom entry for ({src},{tgt})")
+            self.pairs[(src, tgt)] = tuple(basis)
             for lab in basis:
                 if lab in self.label_pair:
-                    raise MalformedPresentation(f"duplicate basis label {lab!r}")
+                    raise InputError(f"duplicate basis label {lab!r}")
                 self.label_pair[lab] = (src, tgt)
         # every End space carries the implicit identity basis label
         for iid in self.ids:
             unit = identity_label(iid)
             if (iid, iid) not in self.pairs:
+                if unit in self.label_pair:
+                    raise InputError(f"identity label {unit!r} is used outside End({iid})")
                 self.pairs[(iid, iid)] = (unit,)
                 self.label_pair[unit] = (iid, iid)
             elif unit not in self.pairs[(iid, iid)]:
-                raise MalformedPresentation(f"End({iid}) is missing its identity label {unit!r}")
+                raise InputError(f"End({iid}) is missing its identity label {unit!r}")
         self.label_index = {
             lab: i for basis in self.pairs.values() for i, lab in enumerate(basis)
         }
@@ -105,33 +163,28 @@ class OrlovPresentation:
 
         self.comp = {}
         for entry in compose:
-            g, f, terms = _fields(entry, "compose", "left", "right", "result")
+            g, f, terms = fields(entry, "compose entry", left=str, right=str, result=list)
             if g not in self.label_pair or f not in self.label_pair:
-                raise MalformedPresentation(f"compose entry uses unknown label ({g},{f})")
+                raise InputError(f"compose entry uses unknown label ({g},{f})")
             (fs, ft), (gs, gt) = self.label_pair[f], self.label_pair[g]
             if ft != gs:
-                raise MalformedPresentation(f"compose entry ({g},{f}) is not composable")
+                raise InputError(f"compose entry ({g},{f}) is not composable")
             result = {}
             for term in terms:
-                lab, coeff = _fields(term, "compose result", "label", "coeff")
-                try:
-                    coeff = self.field.parse(str(coeff))
-                except ValueError as exc:
-                    raise MalformedPresentation(f"compose coefficient {coeff!r} is not a scalar") from exc
+                lab, coeff = fields(term, "compose result", label=str, coeff=self.field)
                 if lab not in self.label_pair:
-                    raise MalformedPresentation(f"compose result uses unknown label {lab!r}")
+                    raise InputError(f"compose result uses unknown label {lab!r}")
                 if self.label_pair[lab] != (fs, gt):
-                    raise MalformedPresentation(
-                        f"compose result {lab!r} lands in the wrong hom space")
+                    raise InputError(f"compose result {lab!r} lands in the wrong hom space")
                 result[lab] = coeff
             key = (g, f)
             if key in self.comp:
-                raise MalformedPresentation(f"duplicate compose entry {key}")
+                raise InputError(f"duplicate compose entry {key}")
             self.comp[key] = result
         for lab, (src, tgt) in self.label_pair.items():
             for key in ((identity_label(tgt), lab), (lab, identity_label(src))):
                 if key in self.comp and self.comp[key] != {lab: self.field.one}:
-                    raise MalformedPresentation(f"compose entry {key} contradicts the unit law")
+                    raise InputError(f"compose entry {key} contradicts the unit law")
                 self.comp[key] = {lab: self.field.one}
 
     # -------------------------------------------------------------- lookups
@@ -200,15 +253,8 @@ class OrlovPresentation:
 
     @classmethod
     def from_data(cls, data: dict, name="anonymous") -> "OrlovPresentation":
-        if not isinstance(data, dict):
-            raise MalformedPresentation("presentation is not a JSON object")
-        for key in ("characteristic", "indecomposables", "hom"):
-            if key not in data:
-                raise MalformedPresentation(f"missing top-level key {key!r}")
-        return cls(
-            data["characteristic"], data["indecomposables"], data["hom"],
-            data.get("compose", []), name=name,
-        )
+        return cls(*fields(data, "presentation", characteristic=int, indecomposables=list,
+                           hom=list, compose=(list, [])), name=name)
 
 
 # ------------------------------------------------------------------ objects
@@ -320,7 +366,7 @@ class AddMorphism:
                     b = tuple(b)
                     dim = pres.hom_dim(source[j], target[i])
                     if len(b) != dim:
-                        raise MalformedPresentation(
+                        raise InputError(
                             f"block ({i},{j}) has {len(b)} coords, expected {dim}")
                     if not any(b):
                         b = None
@@ -374,16 +420,16 @@ class AddMorphism:
         fld = pres.field
         acc = {}
         for entry in entries:
-            r, c = int(entry.get("row", 0)), int(entry.get("col", 0))
+            r, c, lab, coeff = fields(entry, "block entry", row=(int, 0), col=(int, 0),
+                                      label=str, coeff=fld)
             if not (0 <= r < len(target) and 0 <= c < len(source)):
-                raise MalformedPresentation(f"block position ({r},{c}) out of range")
+                raise InputError(f"block position ({r},{c}) out of range")
             labels = pres.hom_labels(source[c], target[r])
-            if entry["label"] not in labels:
-                raise MalformedPresentation(
-                    f"label {entry['label']!r} not in Hom({source[c]},{target[r]})")
+            if lab not in labels:
+                raise InputError(f"label {lab!r} not in Hom({source[c]},{target[r]})")
             vec = acc.setdefault((r, c), [fld.zero] * len(labels))
-            idx = labels.index(entry["label"])
-            vec[idx] = fld.add(vec[idx], fld.parse(str(entry["coeff"])))
+            idx = labels.index(lab)
+            vec[idx] = fld.add(vec[idx], coeff)
         blocks = [[None] * len(source) for _ in target]
         for (r, c), vec in acc.items():
             blocks[r][c] = vec
@@ -623,7 +669,7 @@ def validate_presentation(source) -> ValidationReport:
     else:
         try:
             pres = OrlovPresentation.from_data(source)
-        except MalformedPresentation as exc:
+        except InputError as exc:
             return ValidationReport([Finding("malformed", (), str(exc))])
 
     fld = pres.field
@@ -641,9 +687,6 @@ def validate_presentation(source) -> ValidationReport:
                 f"deg {tgt} = {pres.degree[tgt]}"))
 
     labels = sorted(pres.label_pair)
-    by_source = {}
-    for lab in labels:
-        by_source.setdefault(pres.label_pair[lab][0], []).append(lab)
 
     def combine(terms):
         """Sum of c (g o f) over ``(c, g, f)`` in terms, as {label: nonzero coefficient}."""
@@ -653,10 +696,24 @@ def validate_presentation(source) -> ValidationReport:
                 out[rl] = fld.add(out.get(rl, fld.zero), fld.mul(c, rc))
         return {lab: v for lab, v in out.items() if v}
 
+    unit_findings = []
+    for lab in labels:
+        src, tgt = pres.label_pair[lab]
+        if combine([(fld.one, identity_label(tgt), lab)]) != {lab: fld.one}:
+            unit_findings.append(Finding("unit_law", (lab,), "left unit law fails"))
+        if combine([(fld.one, lab, identity_label(src))]) != {lab: fld.one}:
+            unit_findings.append(Finding("unit_law", (lab,), "right unit law fails"))
+
+    # where the unit laws hold, every triple through an identity is associative
+    units = set() if unit_findings else {identity_label(iid) for iid in pres.ids}
+    triple_labels = [lab for lab in labels if lab not in units]
+    by_source = {}
+    for lab in triple_labels:
+        by_source.setdefault(pres.label_pair[lab][0], []).append(lab)
     # h o g for every label h composable after g
     after = {g: [(h, combine([(fld.one, h, g)]))
-                 for h in by_source.get(pres.label_pair[g][1], ())] for g in labels}
-    for f in labels:
+                 for h in by_source.get(pres.label_pair[g][1], ())] for g in triple_labels}
+    for f in triple_labels:
         for g in by_source.get(pres.label_pair[f][1], ()):
             gf = combine([(fld.one, g, f)])
             for h, hg in after[g]:
@@ -667,14 +724,7 @@ def validate_presentation(source) -> ValidationReport:
                         "associativity", (h, g, f),
                         "h o (g o f) != (h o g) o f on basis triple"))
 
-    for lab in labels:
-        src, tgt = pres.label_pair[lab]
-        if combine([(fld.one, identity_label(tgt), lab)]) != {lab: fld.one}:
-            findings.append(Finding("unit_law", (lab,), "left unit law fails"))
-        if combine([(fld.one, lab, identity_label(src))]) != {lab: fld.one}:
-            findings.append(Finding("unit_law", (lab,), "right unit law fails"))
-
-    return ValidationReport(findings)
+    return ValidationReport(findings + unit_findings)
 
 
 # --------------------------------------------------------------- idempotents
@@ -710,7 +760,7 @@ def unit_index(pres, s) -> int:
     """
     labels = pres.hom_labels(s, s)
     if len(labels) != 1:
-        raise MalformedPresentation(
+        raise InputError(
             f"End({s}) has dimension {len(labels)}; blocks between copies of {s} "
             "must be scalars")
     return labels.index(identity_label(s))

@@ -30,16 +30,17 @@ from .complexes import (
     minimal_model,
     supports_meet,
 )
+from .linalg import KoszulkitError
 from .orlov import AddMorphism, AddObject, invert_endomorphism, unit_index
 
 
-class TStructureError(Exception):
+class TStructureError(KoszulkitError):
     pass
 
 
 class HeartAssertionError(TStructureError):
-    """Raised with a certificate when a claimed heart object fails to
-    normalize onto the antidiagonal; this would falsify the engine."""
+    """Raised with a certificate when a complex claimed to lie in the heart
+    does not normalize onto the antidiagonal."""
 
 
 def in_lower(point) -> bool:
@@ -157,7 +158,8 @@ def heart_object(x: Complex) -> HeartObject:
     bad = [p for p in m.support() if not on_antidiagonal(p)]
     if bad:
         raise HeartAssertionError(
-            f"minimal model is not antidiagonal; offending points {sorted(bad)}")
+            "complex is not in the heart: minimal model is not antidiagonal; "
+            f"offending points {sorted(bad)}")
     return HeartObject(m, origin=x, origin_iso=iso)
 
 

@@ -1,9 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from koszulkit import cli
+from koszulkit.fixtures import fixture_text
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -80,8 +89,19 @@ def _a2_with(section, key, value):
     {**A2_DATA, "characteristic": "x"},
     {**A2_DATA, "compose": [{"left": "1@a", "right": "alpha",
                              "result": [{"label": "alpha", "coeff": "x"}]}]},
+    {**A2_DATA, "indecomposables": True},
+    {**A2_DATA, "hom": 2.5},
+    {**A2_DATA, "compose": 7},
+    {**A2_DATA, "compose": [{"left": "1@a", "right": "alpha", "result": True}]},
+    _a2_with("indecomposables", "id", ["a"]),
+    _a2_with("hom", "src", {"id": "b"}),
+    _a2_with("hom", "basis", [["alpha"]]),
+    {**A2_DATA, "compose": [{"left": ["1@a"], "right": "alpha", "result": []}]},
+    {**A2_DATA, "hom": [{"src": "b", "tgt": "a", "basis": ["1@a"]}]},
 ], ids=["missing-file", "degree-str", "degree-float", "degree-bool", "no-id", "no-degree",
-        "no-src", "no-tgt", "no-basis", "basis-str", "characteristic-str", "coeff-str"])
+        "no-src", "no-tgt", "no-basis", "basis-str", "characteristic-str", "coeff-str",
+        "indecomposables-bool", "hom-float", "compose-int", "result-bool", "id-list",
+        "src-object", "label-list", "left-list", "unit-label-outside-end"])
 def test_unknown_input_exits_two(tmp_path, data):
     path = tmp_path / "p.json"
     if data is None:
@@ -99,6 +119,9 @@ MAP_A2 = {"source": {"terms": {"0": ["b"]}}, "target": {"terms": {"0": ["a"]}},
 DD_NONZERO_A3 = {"terms": {"0": ["c"], "1": ["b"], "2": ["a"]},
                  "diff": {"0": [{"label": "beta", "coeff": "1"}],
                           "1": [{"label": "alpha", "coeff": "1"}]}}
+B_TO_A = {"terms": {"-1": ["b"], "0": ["a"]}}
+# alpha: b -> a as an infinitesimal morphism; it does not compose with itself
+INF_ALPHA = {"f0": MAP_A2}
 
 
 @pytest.mark.parametrize("command,data", [
@@ -119,14 +142,24 @@ DD_NONZERO_A3 = {"terms": {"0": ["c"], "1": ["b"], "2": ["a"]},
     ("truncate FIX_A3", DD_NONZERO_A3),
     ("weights FIX_A3", DD_NONZERO_A3),
     ("cone FIX_A3", {"source": DD_NONZERO_A3, "target": {"terms": {}}}),
+    ("minimize FIX_A2", {**B_TO_A, "diff": {"-1": [["alpha"]]}}),
+    ("minimize FIX_A2", {"terms": {"0": "ba"}}),
+    ("minimize FIX_A2", {**B_TO_A, "diff": {"-1": [{"row": 0.9, "label": "alpha", "coeff": "1"}]}}),
+    ("infext compose FIX_A2 FILE", INF_ALPHA),
+    ("infext square FIX_A2 FILE FILE FILE", INF_ALPHA),
+    ("infext invert FIX_A2", {"f0": MAP_A2, "finf": {"components": []}}),
 ], ids=["unknown-id", "complex-list", "map-no-source", "map-no-target", "map-str",
         "inf-no-f0", "inf-list", "terms-list", "diff-list", "components-list",
         "component-degree-str", "component-no-label", "finf-list", "dd-nonzero-minimize",
-        "dd-nonzero-truncate", "dd-nonzero-weights", "dd-nonzero-cone"])
+        "dd-nonzero-truncate", "dd-nonzero-weights", "dd-nonzero-cone", "diff-entry-list",
+        "term-str", "row-float", "compose-not-composable", "square-not-composable",
+        "finf-components-list"])
 def test_malformed_complex_exits_two(tmp_path, command, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
-    code, report = run_json(*command.split(), str(bad))
+    # FILE in the command is the same input once more
+    argv = [str(bad) if a == "FILE" else a for a in command.split()]
+    code, report = run_json(*argv, str(bad))
     assert code == 2
     assert report["error"]
 
@@ -326,6 +359,87 @@ def test_shared_flag_before_subcommand_exits_two(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(pres):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "heart_simples", broken)
+    assert cli.main(["heart", "FIX_A2"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": "internal error: RuntimeError: boom"}
+
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert "cannot read presentation" in json.loads(capsys.readouterr().out)["error"]
+
+
+# ----------------------------------------------------------------- fuzzing
+
+FUZZ_INPUTS = {
+    "PRES": json.loads(fixture_text("FIX_A3")),
+    "CX": {**B_TO_A, "diff": {"-1": [{"row": 0, "col": 0, "label": "alpha", "coeff": "1"}]}},
+    "MAP": MAP_A2,
+    "INF": {"f0": MAP_A2, "finf": {"components": {}}},
+}
+ID_A = {"f0": {"source": {"terms": {"0": ["a"]}}, "target": {"terms": {"0": ["a"]}},
+               "components": {"0": [{"row": 0, "col": 0, "label": "1@a", "coeff": "1"}]}}}
+FUZZ_COMMANDS = [["validate", "PRES"], ["minimize", "PRES", "CX"], ["truncate", "PRES", "CX"],
+                 ["weights", "PRES", "CX"], ["cone", "PRES", "MAP"],
+                 ["infext", "compose", "PRES", "ID", "INF"]]
+MUTATIONS = [("set", v) for v in (True, 2.5, 7, "x", [], {})] + [("delete", None), ("wrap", None)]
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the root () included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, path, how, value):
+    """A copy of doc with the value at ``path`` set to value, deleted, or wrapped in a list."""
+    if not path:
+        return {} if how == "delete" else [doc] if how == "wrap" else value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if how == "delete":
+        del parent[last]
+    else:
+        parent[last] = [parent[last]] if how == "wrap" else value
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_mutated_inputs_get_a_defined_outcome(data):
+    # FIX_A3, a two-term complex, a chain map and an infinitesimal morphism,
+    # one of them mutated once or twice, through in-process cli.main
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    name = data.draw(st.sampled_from([a for a in argv if a in FUZZ_INPUTS]))
+    doc = FUZZ_INPUTS[name]
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutated(doc, path, *data.draw(st.sampled_from(MUTATIONS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for key, value in {**FUZZ_INPUTS, "ID": ID_A, name: doc}.items():
+            files[key] = os.path.join(tmp, f"{key}.json")
+            with open(files[key], "w", encoding="utf-8") as fh:
+                json.dump(value, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([files.get(a, a) for a in argv])
+    assert code in (0, 1, 2), out.getvalue()
+    assert isinstance(json.loads(out.getvalue()), dict)
 
 
 def test_committed_goldens_match():

@@ -204,6 +204,18 @@ def test_functor_data_rejects_block_out_of_range(a2):
         HomogeneousFunctor.from_data(a2, a2, data)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda data: data["on_objects"].pop("b"),
+    lambda data: data["on_hom"]["alpha"].append([]),
+    lambda data: data["on_objects"].update(b="b"),
+], ids=["missing-id", "entry-list", "image-str"])
+def test_functor_data_refuses_malformed_input(a2, edit):
+    data = scaling_functor(a2, 2).to_data()
+    edit(data)
+    with pytest.raises(FunctorError):
+        HomogeneousFunctor.from_data(a2, a2, data)
+
+
 def test_probe_randomized_a3(a3):
     f = HomogeneousFunctor.identity(a3)
     theta = NatTrans(f, f, {iid: AddMorphism.identity(a3, obj(iid)).scale(3)

@@ -67,6 +67,30 @@ def test_fix_bad_reports_degree_violation_with_witness():
     assert ("hom_degree_violation", ("a", "b")) in kinds
 
 
+# a <-f- b <-g- c <-h- d with f o (g o h) = 2 (f o g) o h
+CHAIN_DEFECT = {
+    "characteristic": 0,
+    "indecomposables": [
+        {"id": "a", "degree": 0}, {"id": "b", "degree": 1},
+        {"id": "c", "degree": 2}, {"id": "d", "degree": 3},
+    ],
+    "hom": [
+        {"src": "b", "tgt": "a", "basis": ["f"]},
+        {"src": "c", "tgt": "b", "basis": ["g"]},
+        {"src": "d", "tgt": "c", "basis": ["h"]},
+        {"src": "c", "tgt": "a", "basis": ["gf"]},
+        {"src": "d", "tgt": "b", "basis": ["hg"]},
+        {"src": "d", "tgt": "a", "basis": ["hgf"]},
+    ],
+    "compose": [
+        {"left": "f", "right": "g", "result": [{"label": "gf", "coeff": "1"}]},
+        {"left": "g", "right": "h", "result": [{"label": "hg", "coeff": "1"}]},
+        {"left": "gf", "right": "h", "result": [{"label": "hgf", "coeff": "1"}]},
+        {"left": "f", "right": "hg", "result": [{"label": "hgf", "coeff": "2"}]},
+    ],
+}
+
+
 def test_planted_non_associative_constant_reports_triple():
     from koszulkit.fixtures import fixture_text
 
@@ -79,28 +103,7 @@ def test_planted_non_associative_constant_reports_triple():
         # contradicting a unit law is caught at resolution time
         OrlovPresentation.from_data(data)
     # a genuine associativity defect needs a longer composable chain
-    data2 = {
-        "characteristic": 0,
-        "indecomposables": [
-            {"id": "a", "degree": 0}, {"id": "b", "degree": 1},
-            {"id": "c", "degree": 2}, {"id": "d", "degree": 3},
-        ],
-        "hom": [
-            {"src": "b", "tgt": "a", "basis": ["f"]},
-            {"src": "c", "tgt": "b", "basis": ["g"]},
-            {"src": "d", "tgt": "c", "basis": ["h"]},
-            {"src": "c", "tgt": "a", "basis": ["gf"]},
-            {"src": "d", "tgt": "b", "basis": ["hg"]},
-            {"src": "d", "tgt": "a", "basis": ["hgf"]},
-        ],
-        "compose": [
-            {"left": "f", "right": "g", "result": [{"label": "gf", "coeff": "1"}]},
-            {"left": "g", "right": "h", "result": [{"label": "hg", "coeff": "1"}]},
-            {"left": "gf", "right": "h", "result": [{"label": "hgf", "coeff": "1"}]},
-            {"left": "f", "right": "hg", "result": [{"label": "hgf", "coeff": "2"}]},
-        ],
-    }
-    report = validate_presentation(data2)
+    report = validate_presentation(CHAIN_DEFECT)
     assert any(f.kind == "associativity" and f.witness == ("f", "g", "h")
                for f in report.findings)
 
@@ -114,6 +117,22 @@ def test_unit_law_finding(side):
     report = validate_presentation(pres)
     assert [(f.witness, f.detail) for f in report.findings if f.kind == "unit_law"] == [
         (("alpha",), f"{side} unit law fails")]
+
+
+def test_validation_findings_keep_order_and_text():
+    # triples through an identity are skipped only while the unit laws hold;
+    # either way the findings are those of checking every triple
+    pres = OrlovPresentation.from_data(CHAIN_DEFECT)
+    detail = "h o (g o f) != (h o g) o f on basis triple"
+    assert validate_presentation(pres).to_data()["findings"] == [
+        {"kind": "associativity", "witness": ["f", "g", "h"], "detail": detail}]
+    pres.comp[("1@a", "gf")] = {"gf": pres.field.of(3)}
+    assert [(f.kind, f.witness, f.detail) for f in validate_presentation(pres).findings] == [
+        ("associativity", ("1@a", "f", "g"), detail),
+        ("associativity", ("1@a", "1@a", "gf"), detail),
+        ("associativity", ("f", "g", "h"), detail),
+        ("associativity", ("1@a", "gf", "h"), detail),
+        ("unit_law", ("gf",), "left unit law fails")]
 
 
 def test_coords_unit_and_scaled_tuples():
