@@ -280,25 +280,25 @@ def cmd_weights(args, window, seed):
     return payload, digest, True
 
 
-def cmd_mixed_check(args, window, seed):
-    pres, digest = load_presentation(args.presentation)
-    rep = mixed_vanishing_report(pres, window)
-    return rep, digest, rep["vanishing_ok"]
+def gated(check, ok="ok"):
+    """The command printing the report ``check(pres, window, seed)``, which
+    passes when its key ``ok`` is true, gated on validation: an invalid
+    presentation gives ``{"gate": <validation report>, "ok": false}``."""
+    def command(args, window, seed):
+        pres, digest = load_presentation(args.presentation)
+        vr = validate_presentation(pres)
+        if not vr.ok:
+            return {"gate": vr.to_data(), "ok": False}, digest, False
+        report = check(pres, window, seed)
+        return report, digest, report[ok]
+    return command
 
 
-def cmd_koszul_check(args, window, seed):
-    pres, digest = load_presentation(args.presentation)
-    vr = validate_presentation(pres)
-    if not vr.ok:
-        return {"gate": vr.to_data(), "ok": False}, digest, False
-    rep = koszulity_check(pres, window, seed=seed)
-    return rep, digest, rep["ok"]
-
-
-def cmd_surrogate(args, window, seed):
-    pres, digest = load_presentation(args.presentation)
-    rep = koszulescence_surrogate(pres, window)
-    return rep, digest, rep["ok"]
+cmd_mixed_check = gated(lambda pres, window, seed: mixed_vanishing_report(pres, window),
+                        ok="vanishing_ok")
+cmd_koszul_check = gated(lambda pres, window, seed: koszulity_check(pres, window, seed=seed))
+cmd_surrogate = gated(lambda pres, window, seed: koszulescence_surrogate(pres, window))
+cmd_roundtrip = gated(lambda pres, window, seed: roundtrip_check(pres, window))
 
 
 def cmd_dual(args, window, seed):
@@ -310,12 +310,6 @@ def cmd_dual(args, window, seed):
         "normal_forms": {nid: encode_complex(cx) for nid, cx in dual.objects.items()},
     }
     return payload, digest, True
-
-
-def cmd_roundtrip(args, window, seed):
-    pres, digest = load_presentation(args.presentation)
-    rep = roundtrip_check(pres, window)
-    return rep, digest, rep["ok"]
 
 
 def cmd_double_dual(args, window, seed):

@@ -321,17 +321,14 @@ class HomSpace:
             (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
             (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
 
+        # the rref of a column prefix is the prefix of the rref: pivots below
+        # delta.cols count its rank, those past it pick a basis of the quotient
+        _, pivots, _ = delta.hstack(self._chain_kernel).rref()
         self.nullity = self._chain_kernel.cols
-        self._delta_rank = delta.rank()
+        self._delta_rank = sum(p < delta.cols for p in pivots)
         self.dimension = self.nullity - self._delta_rank
-
-        self._basis_vectors = []
-        if self.dimension:
-            stacked = delta.hstack(self._chain_kernel)
-            _, pivots, _ = stacked.rref()
-            for p in pivots:
-                if p >= delta.cols:
-                    self._basis_vectors.append(self._chain_kernel.col(p - delta.cols))
+        self._basis_vectors = [self._chain_kernel.col(p - delta.cols)
+                               for p in pivots if p >= delta.cols]
         self.basis = [self._vector_to_map(v) for v in self._basis_vectors]
 
     # ---------------------------------------------------------- chain maps

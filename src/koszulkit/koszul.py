@@ -31,6 +31,7 @@ from .tstructure import (
     HeartObject,
     heart_object,
     heart_simples,
+    simple_ext_cells,
     simple_object,
     weight_filtration,
 )
@@ -59,10 +60,12 @@ class ExtTable:
     pres: OrlovPresentation
     window: tuple
     simples: dict = field(init=False)            # id -> HeartObject
+    cells: set = field(init=False)               # every (s, t, i) that can be nonzero
     spaces: dict = field(default_factory=dict)   # (s, t, i) -> HomSpace
 
     def __post_init__(self):
         self.simples = dict(zip(self.pres.ids, heart_simples(self.pres)))
+        self.cells = set(simple_ext_cells(self.pres))
 
     def space(self, s, t, i) -> HomSpace:
         key = (s, t, i)
@@ -72,7 +75,7 @@ class ExtTable:
         return self.spaces[key]
 
     def dim(self, s, t, i) -> int:
-        if not supports_meet(self.simples[s].normal_form, self.simples[t].normal_form, i):
+        if (s, t, i) not in self.cells:
             return 0
         return self.space(s, t, i).dimension
 
@@ -94,23 +97,11 @@ class ExtTable:
             out.append(row)
         return out
 
-    def to_data(self):
-        entries = []
-        for s in self.pres.ids:
-            for t in self.pres.ids:
-                for i in range(self.window[0], self.window[1] + 1):
-                    d = self.dim(s, t, i)
-                    if d:
-                        entries.append({"source": s, "target": t, "shift": i, "dim": d})
-        return {"window": list(self.window), "entries": entries}
-
 
 def ext_table(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> ExtTable:
     table = ExtTable(pres, tuple(window))
-    for s in pres.ids:
-        for t in pres.ids:
-            for i in range(window[0], window[1] + 1):
-                table.dim(s, t, i)
+    for cell in simple_ext_cells(pres, window):
+        table.space(*cell)
     return table
 
 
@@ -134,16 +125,14 @@ def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
     Verifies that Ext^i(S, T) vanishes unless wt T = wt S - i, that
     weight-separated objects have no Homs in either direction, and that a
     heart object missing an interior weight splits at that weight.  A
-    ``table`` of pres over window is read instead of building one.
+    ``table`` of pres over window is read instead of building one.  Only
+    the cells of :func:`simple_ext_cells` can be nonzero, and they lie on
+    the weight diagonal, so ``diagonal_violations`` is empty by construction.
     """
     table = _table_for(pres, window, table)
-    violations = []
-    for s in pres.ids:
-        for t in pres.ids:
-            for i in range(window[0], window[1] + 1):
-                d = table.dim(s, t, i)
-                if d and pres.degree[t] != pres.degree[s] - i:
-                    violations.append({"source": s, "target": t, "shift": i, "dim": d})
+    violations = [{"source": s, "target": t, "shift": i, "dim": d}
+                  for s, t, i in simple_ext_cells(pres, window)
+                  if (d := table.dim(s, t, i)) and pres.degree[t] != pres.degree[s] - i]
 
     rng = rng_for(seed, "koszulity", pres.name)
     degs = sorted({pres.degree[i] for i in pres.ids})
@@ -206,24 +195,22 @@ def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW,
     fld = pres.field
     failures = []
     checked = 0
-    for s in pres.ids:
-        for u in pres.ids:
-            for i in range(2, window[1] + 1):
-                dim = table.dim(s, u, i)
-                if dim == 0:
-                    continue
-                checked += 1
-                vectors = []
-                for t in pres.ids:
-                    if table.dim(s, t, i - 1) == 0 or table.dim(t, u, 1) == 0:
-                        continue
-                    tensor = table.yoneda(s, t, u, i - 1, 1)
-                    for row in tensor:
-                        vectors.extend(row)
-                spanned = Matrix.from_columns(fld, dim, vectors).rank() if vectors else 0
-                if spanned < dim:
-                    failures.append({"source": s, "target": u, "shift": i,
-                                     "dim": dim, "spanned": spanned})
+    for s, u, i in simple_ext_cells(pres, (2, window[1])):
+        dim = table.dim(s, u, i)
+        if dim == 0:
+            continue
+        checked += 1
+        vectors = []
+        for t in pres.ids:
+            if table.dim(s, t, i - 1) == 0 or table.dim(t, u, 1) == 0:
+                continue
+            tensor = table.yoneda(s, t, u, i - 1, 1)
+            for row in tensor:
+                vectors.extend(row)
+        spanned = Matrix.from_columns(fld, dim, vectors).rank() if vectors else 0
+        if spanned < dim:
+            failures.append({"source": s, "target": u, "shift": i,
+                             "dim": dim, "spanned": spanned})
     return {"window": list(window), "cells_checked": checked,
             "failures": failures, "ok": not failures,
             "note": "necessary condition only: degree-one generation inside the window"}
@@ -547,7 +534,7 @@ def ext1_matrix(pres: OrlovPresentation, table=None) -> dict:
         table = ExtTable(pres, (1, 1))
     elif table.pres is not pres:
         raise KoszulError(f"Ext table of {table.pres.name} does not match {pres.name}")
-    return {(s, t): d for s in pres.ids for t in pres.ids if (d := table.dim(s, t, 1))}
+    return {(s, t): d for s, t, i in simple_ext_cells(pres, (1, 1)) if (d := table.dim(s, t, i))}
 
 
 def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW,

@@ -18,18 +18,30 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "koszulkit.cli", *argv],
+    """The ``python -m koszulkit.cli`` entry point, in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "koszulkit.cli", *argv],
                           capture_output=True, text=True)
-    return proc
 
 
-def run_json(*argv):
-    proc = run_cli(*argv)
+def run_main(*argv):
+    """``cli.main`` in-process, returned as a finished process: stdout and
+    stderr are captured, and an argparse usage error gives its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_json(*argv, run=run_main):
+    proc = run(*argv)
     return proc.returncode, json.loads(proc.stdout)
 
 
 def test_selftest_passes():
-    code, report = run_json("selftest", "--window", "-5..5")
+    code, report = run_json("selftest", "--window", "-5..5", run=run_cli)
     assert code == 0
     assert report["payload"]["ok"]
     assert report["engine_version"]
@@ -37,7 +49,7 @@ def test_selftest_passes():
 
 
 def test_validate_fix_bad_exits_one_with_witness():
-    code, report = run_json("validate", "FIX_BAD")
+    code, report = run_json("validate", "FIX_BAD", run=run_cli)
     assert code == 1
     findings = report["payload"]["findings"]
     assert {"kind": "hom_degree_violation", "witness": ["a", "b"]} == {
@@ -270,6 +282,7 @@ def test_heart_command():
 
 
 def test_determinism_two_runs_identical_bytes():
+    # two processes, so two string-hash seeds
     p1 = run_cli("mixed-check", "FIX_A3", "--window", "-5..5")
     p2 = run_cli("mixed-check", "FIX_A3", "--window", "-5..5")
     assert p1.stdout == p2.stdout and p1.returncode == 0
@@ -356,9 +369,28 @@ def test_unusable_golden_file_exits_two(tmp_path, regen):
 ], ids=["golden", "window", "seed"])
 def test_shared_flag_before_subcommand_exits_two(argv):
     # shared flags belong to the subcommand; before it they were silently dropped
-    proc = run_cli(*argv)
+    proc = run_main(*argv)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+
+
+def test_entry_point_refuses_bad_input(tmp_path):
+    # the process exit code, not only the value cli.main returns
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**A2_DATA, "indecomposables": True}), encoding="utf-8")
+    code, report = run_json("validate", str(path), run=run_cli)
+    assert code == 2 and report["error"]
+    proc = run_cli("--window", "-5..5", "mixed-check", "FIX_A2")
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["mixed-check", "koszul-check", "surrogate", "roundtrip"])
+def test_report_commands_gate_on_validation(command):
+    # FIX_BAD has Hom(a, b) != 0 with deg a < deg b
+    code, report = run_json(command, "FIX_BAD")
+    assert code == 1
+    assert report["payload"] == {"gate": run_json("validate", "FIX_BAD")[1]["payload"], "ok": False}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
@@ -447,14 +479,14 @@ def test_committed_goldens_match():
         pytest.skip("no goldens committed")
     manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
     for entry in manifest:
-        proc = run_cli(*entry["argv"], "--golden", str(GOLDEN_DIR / entry["file"]))
+        proc = run_main(*entry["argv"], "--golden", str(GOLDEN_DIR / entry["file"]))
         assert proc.returncode == entry.get("expect_code", 0), proc.stdout
         report = json.loads(proc.stdout)
         assert report["golden"]["match"], (entry, report["golden"])
 
 
 def test_pretty_mode_renders_text():
-    proc = run_cli("heart", "FIX_A2", "--pretty")
+    proc = run_main("heart", "FIX_A2", "--pretty")
     assert proc.returncode == 0
     assert "simples" in proc.stdout
     assert not proc.stdout.lstrip().startswith("{")

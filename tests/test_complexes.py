@@ -20,9 +20,11 @@ from koszulkit.complexes import (
     top_extraction,
     unique_fill,
 )
-from koszulkit.fixtures import load_fixture
+from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
+from koszulkit.koszul import koszulity_check
 from koszulkit.orlov import AddMorphism, OrlovPresentation, obj
 from koszulkit.randgen import conjugate_complex, rand_chain_map, rand_complex, rng_for
+from koszulkit.tstructure import heart_simples, simple_ext_cells
 from oracle_hom import brute_force_hom_dim
 
 
@@ -150,18 +152,21 @@ def test_map_to_vector_round_trip_and_window(a3):
         hom_space(single(a3, "a"), single(a3, "a")).map_to_vector(ChainMap.identity(z))
 
 
-def path_category(n, characteristic):
+def path_category(n, characteristic, killed=False):
     """A_n: v_i of degree i, Hom(v_j, v_i) = <h{j}_{i}> for j > i, and
-    every composite h_{j,i} o h_{k,j} = h_{k,i}."""
+    every composite h_{j,i} o h_{k,j} = h_{k,i}; with ``killed``, the
+    composites landing in the longest arrow h_{n-1,0} are 0 instead."""
+    def result(i, k):
+        return [] if killed and (i, k) == (0, n - 1) else [{"label": f"h{k}_{i}", "coeff": "1"}]
+
     return OrlovPresentation.from_data({
         "characteristic": characteristic,
         "indecomposables": [{"id": f"v{i}", "degree": i} for i in range(n)],
         "hom": [{"src": f"v{j}", "tgt": f"v{i}", "basis": [f"h{j}_{i}"]}
                 for j in range(n) for i in range(j)],
-        "compose": [{"left": f"h{j}_{i}", "right": f"h{k}_{j}",
-                     "result": [{"label": f"h{k}_{i}", "coeff": "1"}]}
+        "compose": [{"left": f"h{j}_{i}", "right": f"h{k}_{j}", "result": result(i, k)}
                     for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)],
-    }, name=f"A{n}/F{characteristic}")
+    }, name=f"A{n}{'-killed' if killed else ''}/F{characteristic}")
 
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007"])
@@ -184,6 +189,25 @@ def test_disjoint_supports_give_zero_hom(name):
     c, a = single(pres, pres.ids[-1]), single(pres, pres.ids[0])
     assert supports_meet(a, c, 0) and hom_space(a, c, 0).dimension == 0
     assert not supports_meet(a, c, 1)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *(
+    f"A{n}{kill}/F{p}" for n in range(3, 10) for kill in ("", "-killed") for p in (0, 10007))])
+def test_ext_between_simples_lives_on_its_one_cell(name):
+    # the full window is swept here so that the Ext code can visit only
+    # the one shift per pair of simples that simple_ext_cells names
+    if name.startswith("FIX"):
+        pres = load_fixture(name)
+    else:
+        n, _, p = name[1:].partition("/F")
+        pres = path_category(int(n.removesuffix("-killed")), int(p), n.endswith("-killed"))
+    window = (-8, 8)
+    simples = dict(zip(pres.ids, heart_simples(pres)))
+    nonzero = {(s, t, k) for s in pres.ids for t in pres.ids
+               for k in range(window[0], window[1] + 1)
+               if hom_space(simples[s].normal_form, simples[t].normal_form, k).dimension}
+    assert {(s, s, 0) for s in pres.ids} <= nonzero <= set(simple_ext_cells(pres, window))
+    assert koszulity_check(pres, window)["diagonal_violations"] == []
 
 
 def test_null_homotopy_of_zero_map(a2):
@@ -279,7 +303,9 @@ def test_hom_space_homotopy_invariance_randomized(a2, a3):
             mx, _ = minimal_model(x)
             my, _ = minimal_model(y)
             k = rng.randint(-2, 2)
-            assert hom_space(x, y, k).dimension == hom_space(mx, my, k).dimension
+            sp = hom_space(x, y, k)
+            assert sp.dimension == hom_space(mx, my, k).dimension
+            assert sp._delta_rank == sp._delta.rank()
 
 
 # ------------------------------------------------- homogeneous cokernels
