@@ -308,28 +308,26 @@ class HomSpace:
         self.homotopies = Coords(pres, {i: (t, yt[i - 1]) for i, t in xt if i - 1 in yt})
         chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
         self.total, self.h_total = self.maps.total, self.homotopies.total
-        if not self.total:      # no chain-map unknowns: the space is 0
+        if self.total:
+            self._chain_kernel = self.maps.matrix(chain_rows, [
+                (0, 1, lambda i, b: ys.d(i).compose(b)),
+                (-1, -1, lambda i, b: b.compose(x.d(i - 1)))]).kernel_basis()
+            self._delta = self.homotopies.matrix(self.maps, [
+                (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
+                (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
+        else:                   # no chain-map unknowns: the space is 0
             self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
             self._delta = Matrix.zeros(pres.field, 0, self.h_total)
-            self.nullity = self._delta_rank = self.dimension = 0
-            self._basis_vectors, self.basis = [], []
-            return
-        self._chain_kernel = self.maps.matrix(chain_rows, [
-            (0, 1, lambda i, b: ys.d(i).compose(b)),
-            (-1, -1, lambda i, b: b.compose(x.d(i - 1)))]).kernel_basis()
-        self._delta = delta = self.homotopies.matrix(self.maps, [
-            (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
-            (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
+        delta = self._delta
 
         # the rref of a column prefix is the prefix of the rref: pivots below
         # delta.cols count its rank, those past it pick a basis of the quotient
-        _, pivots, _ = delta.hstack(self._chain_kernel).rref()
+        self._echelon, pivots, _ = delta.hstack(self._chain_kernel).rref()
         self.nullity = self._chain_kernel.cols
         self._delta_rank = sum(p < delta.cols for p in pivots)
         self.dimension = self.nullity - self._delta_rank
-        self._basis_vectors = [self._chain_kernel.col(p - delta.cols)
-                               for p in pivots if p >= delta.cols]
-        self.basis = [self._vector_to_map(v) for v in self._basis_vectors]
+        self.basis = [self._vector_to_map(self._chain_kernel.col(p - delta.cols))
+                      for p in pivots if p >= delta.cols]
 
     # ---------------------------------------------------------- chain maps
 
@@ -348,8 +346,8 @@ class HomSpace:
 
     def rank_mod_homotopy(self, maps) -> int:
         """Dimension of the span of the classes of the chain maps ``maps``."""
-        cols = [self.map_to_vector(f) for f in maps]
-        return _joint_system([self], cols).rank() - self._delta_rank
+        cols = [self._mod_homotopy(self.map_to_vector(f)) for f in maps]
+        return Matrix.from_columns(self.x.pres.field, self.total - self._delta_rank, cols).rank()
 
     # ------------------------------------------------------------ plumbing
 
@@ -364,16 +362,26 @@ class HomSpace:
     def _vector_to_homotopy(self, vec) -> Homotopy:
         return Homotopy(self.x, self.ys, self.homotopies.from_vector(vec))
 
+    def _mod_homotopy(self, vec) -> list:
+        """``vec`` reduced against the echelon form of [delta | chain_kernel]
+        with the null-homotopy part dropped: its coordinates in ``basis``,
+        then entries that are all 0 exactly when ``vec`` is a chain map."""
+        return self._echelon.reduce(vec)[self._delta_rank:]
+
     def null_homotopy(self, f: ChainMap):
         """A homotopy h with f = delta(h), or None."""
-        sol = self._delta.solve(self.map_to_vector(f))
-        if sol is None:
+        y = self._echelon.reduce(self.map_to_vector(f))
+        if any(y[self._delta_rank:]):
             return None
-        return self._vector_to_homotopy(sol)
+        h = [self.x.pres.field.zero] * self.h_total
+        for r, p in enumerate(self._echelon.pivots[:self._delta_rank]):
+            h[p] = y[r]
+        return self._vector_to_homotopy(h)
 
     def express(self, f: ChainMap):
         """Coordinates of the class of f in ``basis``, or None if outside."""
-        return solve_mod_homotopy([self], self._basis_vectors, self.map_to_vector(f))
+        y = self._mod_homotopy(self.map_to_vector(f))
+        return None if any(y[self.dimension:]) else y[:self.dimension]
 
 
 def _joint_system(spaces, columns) -> Matrix:
@@ -400,7 +408,14 @@ def solve_mod_homotopy(spaces, columns, rhs):
 
     ``columns`` and ``rhs`` are vectors in the stacked coordinates of
     ``spaces``; free unknowns are set to 0, so the answer is deterministic.
+    When the classes of ``columns`` are independent, c is unique.  With one
+    space the system is reduced against its stored echelon form, and a
+    column whose class lies in the span of the earlier ones gets 0.
     """
+    if len(spaces) == 1:
+        sp = spaces[0]
+        return Matrix.from_columns(sp.x.pres.field, sp.total - sp._delta_rank,
+                                   [sp._mod_homotopy(c) for c in columns]).solve(sp._mod_homotopy(rhs))
     sol = _joint_system(spaces, columns).solve(rhs)
     return None if sol is None else sol[:len(columns)]
 

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field.
 
 Scalars are plain ``fractions.Fraction`` values in characteristic 0 and
 canonical residues (ints in ``[0, p)``) in characteristic ``p``.  Both are
 already in canonical form after every arithmetic operation, so equality of
-values is equality of scalars.  Matrices are small and dense; everything is
-immutable after construction and all operations return fresh objects.
+values is equality of scalars.  Matrices are stored dense, as row-major
+lists; the constraint matrices of Hom spaces are mostly zeros, so the one
+elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Everything
+is immutable after construction and all operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -113,6 +115,34 @@ class Field:
 
 
 QQ = Field(0)
+
+
+def _subtract(row, a, src, p):
+    """row -= a * src over Q, on dicts of nonzero entries."""
+    for j, x in src:
+        v = row.get(j)
+        if v is None:
+            row[j] = -(a * x)
+        else:
+            v -= a * x
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def _subtract_mod(row, a, src, p):
+    """row -= a * src over F_p, on dicts of nonzero entries."""
+    for j, x in src:
+        v = row.get(j)
+        if v is None:
+            row[j] = -a * x % p
+        else:
+            v = (v - a * x) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
 
 
 class Matrix:
@@ -233,31 +263,81 @@ class Matrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def rref(self):
-        """Reduced row echelon form; returns (R, pivot columns, rank)."""
+        """Reduced row echelon form; returns (R, pivot columns, rank).
+
+        R is an :class:`Echelon`: it also keeps the row operations that
+        produced it, so a right-hand side reduces against it without a
+        second elimination.
+
+        Sparse Gauss elimination on rows held as dicts of their nonzero
+        entries, then back substitution.  In each column the pivot row is the
+        candidate with the fewest nonzeros, after Markowitz (1957), to limit
+        fill-in; the RREF is unique, so R and the pivots do not depend on it.
+        """
         f = self.field
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    factor = m[i][c]
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
+        nrows, ncols = self.rows, self.cols
+        if not nrows or not ncols:
+            return Echelon(f, nrows, ncols, [[] for _ in range(nrows)], (), [], list(range(nrows))), (), 0
+        p = f.char
+        subtract = _subtract_mod if p else _subtract
+        rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        waiting = {}        # leading column -> rows still without a pivot
+        for i, row in enumerate(rows):
+            if row:
+                waiting.setdefault(min(row), []).append(i)
+        # A pivot row is kept without its pivot entry, which is 1.  Each op
+        # (i, s, [(k, a), ...]) scales row i by s (None: by 1), then
+        # subtracts a times row i from row k for each (k, a).
+        ops, order, pivots = [], [], []
+        while waiting:
+            c = min(waiting)
+            cands = waiting.pop(c)
+            i = cands[0] if len(cands) == 1 else min(cands, key=lambda k: len(rows[k]))
+            prow = rows[i]
+            s = prow.pop(c)
+            if s == 1:
+                s = None
+            else:
+                s = f.inv(s)
+                for j, x in prow.items():
+                    prow[j] = x * s % p if p else x * s
+            src = prow.items()
+            elim = []
+            for k in cands:
+                if k != i:
+                    row = rows[k]
+                    a = row.pop(c)
+                    subtract(row, a, src, p)
+                    elim.append((k, a))
+                    if row:
+                        waiting.setdefault(min(row), []).append(k)
+            ops.append((i, s, elim))
+            order.append(i)
             pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(f, self.rows, self.cols, m), tuple(pivots), r
+        for n in range(len(order) - 1, 0, -1):
+            c, src = pivots[n], rows[order[n]].items()
+            elim = []
+            for k in order[:n]:
+                row = rows[k]
+                if c in row:
+                    a = row.pop(c)
+                    subtract(row, a, src, p)
+                    elim.append((k, a))
+            if elim:
+                ops.append((order[n], None, elim))
+        zero, one = f.zero, f.one
+        data = []
+        for i, c in zip(order, pivots):
+            out = [zero] * ncols
+            for j, x in rows[i].items():
+                out[j] = x
+            out[c] = one
+            data.append(out)
+        if len(order) < nrows:
+            data += [[zero] * ncols for _ in range(nrows - len(order))]
+            taken = set(order)
+            order += [i for i in range(nrows) if i not in taken]
+        return Echelon(f, nrows, ncols, data, tuple(pivots), ops, order), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -300,12 +380,43 @@ class Matrix:
             bent = [f.of(x) for x in b]
         if len(bent) != self.rows:
             raise DimensionMismatch("solve: length of b != rows")
-        aug = Matrix(f, self.rows, self.cols + 1, [row[:] + [bv] for row, bv in zip(self.data, bent)])
-        R, pivots, rank = aug.rref()
-        if self.cols in pivots:
+        R, pivots, rank = self.rref()
+        y = R.reduce(bent)
+        if any(y[rank:]):
             return None
         x = [f.zero] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
+            x[pc] = y[r]
         return x
 
+
+class Echelon(Matrix):
+    """The reduced row echelon form R = E·A of a matrix A, as returned by
+    :meth:`Matrix.rref`.  It keeps E as the row operations that produced R,
+    so :meth:`reduce` applies E to a vector in time linear in their number."""
+
+    __slots__ = ("pivots", "_ops", "_order")
+
+    def __init__(self, field: Field, rows: int, cols: int, data, pivots, ops, order):
+        self.field, self.rows, self.cols, self.data = field, rows, cols, data
+        self.pivots = pivots
+        self._ops = ops
+        self._order = order
+
+    def reduce(self, b) -> list:
+        """E·b for a list b of scalars.  Its first ``rank`` entries are the
+        coefficients that write b in the pivot columns of A; b lies in the
+        column space of A exactly when the remaining entries are 0."""
+        if len(b) != self.rows:
+            raise DimensionMismatch("reduce: length of b != rows")
+        p = self.field.char
+        y = list(b)
+        for i, s, elim in self._ops:
+            v = y[i]
+            if not v:
+                continue
+            if s is not None:
+                v = y[i] = v * s % p if p else v * s
+            for k, a in elim:
+                y[k] = (y[k] - a * v) % p if p else y[k] - a * v
+        return [y[i] for i in self._order]

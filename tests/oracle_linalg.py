@@ -38,7 +38,7 @@ def bareiss_rank(rows):
     m = []
     for row in rows:
         fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
         m.append([int(f * mult) for f in fracs])
     nrows, ncols = len(m), len(m[0])
     rank = 0

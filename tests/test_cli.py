@@ -394,10 +394,10 @@ def test_report_commands_gate_on_validation(command):
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
-    def broken(pres):
+    def broken(path):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "heart_simples", broken)
+    monkeypatch.setattr(cli, "load_presentation", broken)
     assert cli.main(["heart", "FIX_A2"]) == 3
     assert json.loads(capsys.readouterr().out) == {"error": "internal error: RuntimeError: boom"}
 

@@ -7,6 +7,7 @@ from koszulkit.complexes import (
     FillError,
     HomClass,
     Triangle,
+    _joint_system,
     coker_idempotent,
     complete_square,
     cone,
@@ -22,6 +23,7 @@ from koszulkit.complexes import (
 )
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check
+from koszulkit.linalg import Matrix
 from koszulkit.orlov import AddMorphism, OrlovPresentation, obj
 from koszulkit.randgen import conjugate_complex, rand_chain_map, rand_complex, rng_for
 from koszulkit.tstructure import heart_simples, simple_ext_cells
@@ -306,6 +308,77 @@ def test_hom_space_homotopy_invariance_randomized(a2, a3):
             sp = hom_space(x, y, k)
             assert sp.dimension == hom_space(mx, my, k).dimension
             assert sp._delta_rank == sp._delta.rank()
+
+
+def hom_space_sweep(name, trials):
+    """Seeded (space, chain maps, other maps) triples; the other maps are
+    null-homotopic, or arbitrary vectors that are mostly not chain maps."""
+    pres = load_fixture(name) if name.startswith("FIX") else path_category(5, 10007, killed=True)
+    fld = pres.field
+    rng = rng_for(29, "one-factorization", name)
+    for _ in range(trials):
+        x, y = rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3)
+        sp = hom_space(x, y, rng.randint(-1, 1))
+        cycles = [rand_chain_map(x, y, rng, sp.k) for _ in range(2)]
+        boundaries = [sp._vector_to_homotopy([fld.of(rng.randint(-2, 2)) for _ in range(sp.h_total)])
+                      .boundary() for _ in range(2)]
+        vectors = [sp._vector_to_map([fld.of(rng.randint(-2, 2)) for _ in range(sp.total)])
+                   for _ in range(2)]
+        yield sp, cycles, boundaries + vectors
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007"])
+def test_hom_space_queries_match_the_joint_system(name):
+    nones = {"express": 0, "null_homotopy": 0}
+    for sp, cycles, others in hom_space_sweep(name, 40):
+        fld = sp.x.pres.field
+        for f in cycles + others:
+            v = sp.map_to_vector(f)
+            joint = _joint_system([sp], [sp.map_to_vector(b) for b in sp.basis]).solve(v)
+            coords = sp.express(f)
+            assert coords == (None if joint is None else joint[:sp.dimension])
+            nones["express"] += coords is None
+            h_joint = _joint_system([sp], []).solve(v)
+            h = sp.null_homotopy(f)
+            assert (h is None) == (h_joint is None)
+            if h is not None:
+                assert sp.homotopies.to_vector(h.comps.get) == h_joint
+                assert h.boundary() == f
+            nones["null_homotopy"] += h is None
+        for maps in (cycles, others, cycles + others):
+            cols = [sp.map_to_vector(f) for f in maps]
+            assert sp.rank_mod_homotopy(maps) == _joint_system([sp], cols).rank() - sp._delta.rank()
+        # independent classes: the reduced solve agrees with the joint one
+        reps = [b.scale(fld.of(2)) for b in reversed(sp.basis)]
+        cols = [sp.map_to_vector(r) for r in reps]
+        for f in cycles + others:
+            joint = _joint_system([sp], cols).solve(sp.map_to_vector(f))
+            assert solve_mod_homotopy([sp], cols, sp.map_to_vector(f)) == \
+                (None if joint is None else joint[:len(cols)])
+    assert nones["express"] and nones["null_homotopy"]
+
+
+def test_hom_space_queries_run_no_joint_elimination(monkeypatch):
+    shapes = []
+    rref = Matrix.rref
+
+    def counting(self):
+        shapes.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    queried = 0
+    for sp, cycles, others in hom_space_sweep("FIX_A3", 25):
+        shapes.clear()
+        for f in cycles + others:
+            sp.express(f)
+            sp.null_homotopy(f)
+        assert shapes == []
+        # a rank needs one elimination, of the maps' reduced coordinates only
+        sp.rank_mod_homotopy(cycles + others)
+        assert shapes == [(sp.total - sp._delta_rank, len(cycles + others))]
+        queried += sp.dimension > 0
+    assert queried
 
 
 # ------------------------------------------------- homogeneous cokernels

@@ -131,6 +131,69 @@ def test_rank_equals_transpose_rank_randomized():
             assert m.rank() == oracle_rank(m.data, field)
 
 
+def sparse_matrix(field, rows, cols, density, rng):
+    """Random matrix whose entries are nonzero with probability ``density``."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if field.char:
+            return rng.randrange(1, field.char)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    return Matrix.from_rows(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def is_rref(r, pivots, rank):
+    """Nonzero rows first, each led by a 1 strictly right of the one above,
+    and every pivot column zero outside its pivot row."""
+    if len(pivots) != rank or any(r.data[i] != [r.field.zero] * r.cols for i in range(rank, r.rows)):
+        return False
+    for i, pc in enumerate(pivots):
+        row = r.data[i]
+        if any(row[:pc]) or row[pc] != r.field.one or (i and pivots[i - 1] >= pc):
+            return False
+        if any(r.data[k][pc] for k in range(r.rows) if k != i):
+            return False
+    return True
+
+
+def kernel_shapes(field, rng):
+    yield Matrix.zeros(field, 0, 4)
+    yield Matrix.zeros(field, 4, 0)
+    yield Matrix.zeros(field, 3, 5)
+    yield Matrix.identity(field, 4)
+    for density in (0.1, 0.6):
+        for _ in range(25):
+            yield sparse_matrix(field, rng.randint(1, 12), rng.randint(1, 14), density, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(10007)], ids=["Q", "F10007"])
+def test_sparse_kernel_matches_oracles(field):
+    rng = random.Random(field.char + 31)
+    for m in kernel_shapes(field, rng):
+        r, pivots, rank = m.rref()
+        assert (r.rows, r.cols) == (m.rows, m.cols)
+        assert is_rref(r, pivots, rank)
+        assert rank == oracle_rank(m.data, field)
+        # the rows of R lie in the row space of A
+        assert oracle_rank(m.data + r.data, field) == rank
+        with pytest.raises(LinalgError):
+            r.reduce([field.zero] * (m.rows + 1))
+        k = m.kernel_basis()
+        assert k.cols == m.cols - rank
+        assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], field)
+        for _ in range(3):
+            if rng.random() < 0.5:     # b in the column space of A
+                x0 = [field.of(rng.randint(-3, 3)) for _ in range(m.cols)]
+                b = m.mul(Matrix.column(field, x0)).col(0)
+            else:
+                b = [field.of(rng.randint(-3, 3)) for _ in range(m.rows)]
+            solvable = oracle_rank([row + [bv] for row, bv in zip(m.data, b)], field) == rank
+            x = m.solve(b)
+            assert (x is not None) == solvable
+            if x is not None:      # [A | -b] kills [x | 1]
+                assert check_kernel([row + [field.neg(bv)] for row, bv in zip(m.data, b)], [x + [field.one]], field)
+
+
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_of_zero_matrix():
