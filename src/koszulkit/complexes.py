@@ -310,11 +310,11 @@ class HomSpace:
         self.total, self.h_total = self.maps.total, self.homotopies.total
         if self.total:
             self._chain_kernel = self.maps.matrix(chain_rows, [
-                (0, 1, lambda i, b: ys.d(i).compose(b)),
-                (-1, -1, lambda i, b: b.compose(x.d(i - 1)))]).kernel_basis()
+                (0, 1, "left", ys.d),
+                (-1, -1, "right", lambda i: x.d(i - 1))]).kernel_basis()
             self._delta = self.homotopies.matrix(self.maps, [
-                (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
-                (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
+                (0, 1, "left", lambda i: ys.d(i - 1)),
+                (-1, 1, "right", lambda i: x.d(i - 1))])
         else:                   # no chain-map unknowns: the space is 0
             self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
             self._delta = Matrix.zeros(pres.field, 0, self.h_total)
@@ -1136,9 +1136,10 @@ def unique_fill(t1: Triangle, t2: Triangle, p: HomClass, r: HomClass) -> FillRep
 
     # homogeneous solution space, projected to q modulo null-homotopies
     nq = sp_q.nullity
-    kern = mat.kernel_basis()
+    echelon = mat.rref()[0]
+    kern = echelon.kernel_basis()
     hdim = sp_q.rank_mod_homotopy([sp_q.cycle(kern.col(j)[:nq]) for j in range(kern.cols)])
 
-    sol = mat.solve(rhs)
+    sol = echelon.solution(rhs)
     q = None if sol is None else HomClass(sp_q.cycle(sol[:nq]))
     return FillReport(q, hdim, hdim == 0)

@@ -241,8 +241,8 @@ class FilteredHomSpace:
         # f_{i-1} e_i = e_i f_i in Hom(X_i, Y_{i-1})
         rows = Coords(pres, {i: (x.term(i), y.term(i - 1)) for i in range(lo + 1, hi + 1)})
         self._kernel = self.maps.matrix(rows, [
-            (1, 1, lambda i, b: b.compose(x.incl_map(i + 1))),
-            (0, -1, lambda i, b: y.incl_map(i).compose(b))]).kernel_basis()
+            (1, 1, "right", lambda i: x.incl_map(i + 1)),
+            (0, -1, "left", y.incl_map)]).kernel_basis()
         self.dimension = self._kernel.cols
         self.basis = [FilteredMorphism(x, y, self.maps.from_vector(self._kernel.col(j)),
                                        check=False) for j in range(self.dimension)]

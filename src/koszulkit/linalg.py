@@ -354,17 +354,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form a basis of the right kernel."""
-        f = self.field
-        R, pivots, rank = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = Matrix.zeros(f, self.cols, len(free))
-        for k, fc in enumerate(free):
-            basis.data[fc][k] = f.one
-            for r, pc in enumerate(pivots):
-                v = R.data[r][fc]
-                if v:
-                    basis.data[pc][k] = f.neg(v)
-        return basis
+        return self.rref()[0].kernel_basis()
 
     def solve(self, b):
         """One exact solution x of self @ x = b, or None if inconsistent.
@@ -380,14 +370,7 @@ class Matrix:
             bent = [f.of(x) for x in b]
         if len(bent) != self.rows:
             raise DimensionMismatch("solve: length of b != rows")
-        R, pivots, rank = self.rref()
-        y = R.reduce(bent)
-        if any(y[rank:]):
-            return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = y[r]
-        return x
+        return self.rref()[0].solution(bent)
 
 
 class Echelon(Matrix):
@@ -420,3 +403,28 @@ class Echelon(Matrix):
             for k, a in elim:
                 y[k] = (y[k] - a * v) % p if p else y[k] - a * v
         return [y[i] for i in self._order]
+
+    def kernel_basis(self) -> Matrix:
+        """Columns forming a basis of the right kernel of A, which is that of R."""
+        f = self.field
+        free = [c for c in range(self.cols) if c not in self.pivots]
+        basis = Matrix.zeros(f, self.cols, len(free))
+        for k, fc in enumerate(free):
+            basis.data[fc][k] = f.one
+            for r, pc in enumerate(self.pivots):
+                v = self.data[r][fc]
+                if v:
+                    basis.data[pc][k] = f.neg(v)
+        return basis
+
+    def solution(self, b) -> list | None:
+        """One exact solution x of A x = b for a list b of scalars, or None
+        if there is none; free variables are set to 0."""
+        y = self.reduce(b)
+        rank = len(self.pivots)
+        if any(y[rank:]):
+            return None
+        x = [self.field.zero] * self.cols
+        for r, pc in enumerate(self.pivots):
+            x[pc] = y[r]
+        return x

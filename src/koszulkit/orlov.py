@@ -112,6 +112,8 @@ class OrlovPresentation:
     ``hom`` maps (src, tgt) pairs to ordered basis label tuples, ``comp``
     maps (later label, earlier label) to {result label: coefficient}.
     Unit compositions are filled in automatically; missing entries mean 0.
+    Composition reads ``comp`` through tables compiled on first use
+    (:meth:`table`); validation reads ``comp`` itself.
     """
 
     def __init__(self, characteristic, indecomposables, hom, compose, name="anonymous"):
@@ -186,6 +188,7 @@ class OrlovPresentation:
                 if key in self.comp and self.comp[key] != {lab: self.field.one}:
                     raise InputError(f"compose entry {key} contradicts the unit law")
                 self.comp[key] = {lab: self.field.one}
+        self._tables = {}
 
     # -------------------------------------------------------------- lookups
 
@@ -205,26 +208,41 @@ class OrlovPresentation:
     def compose_labels(self, g: str, f: str) -> dict:
         return self.comp.get((g, f), {})
 
+    def table(self, src, mid, tgt) -> tuple:
+        """The nonzero structure constants of Hom(mid, tgt) x Hom(src, mid) ->
+        Hom(src, tgt), as ``(g index, f index, ((result index, c), ...))``
+        over basis positions; compiled from ``comp`` on first use."""
+        key = (src, mid, tgt)
+        tab = self._tables.get(key)
+        if tab is None:
+            index, flabels = self.label_index, self.hom_labels(src, mid)
+            tab = self._tables[key] = tuple(
+                (gi, fi, res)
+                for gi, gl in enumerate(self.hom_labels(mid, tgt))
+                for fi, fl in enumerate(flabels)
+                for res in [tuple((index[rl], c) for rl, c in self.compose_labels(gl, fl).items()
+                                  if c)]
+                if res)
+        return tab
+
     def compose_coords(self, src, mid, tgt, gcoords, fcoords):
-        """Coordinates of (g o f) given coordinates in the two hom bases."""
-        glabels = self.hom_labels(mid, tgt)
-        flabels = self.hom_labels(src, mid)
-        out_labels = self.hom_labels(src, tgt)
-        out = {lab: self.field.zero for lab in out_labels}
-        fld = self.field
-        any_nonzero = False
-        for gc, gl in zip(gcoords, glabels):
-            if not gc:
-                continue
-            for fc, fl in zip(fcoords, flabels):
-                if not fc:
-                    continue
-                for rl, rc in self.compose_labels(gl, fl).items():
-                    out[rl] = fld.add(out[rl], fld.mul(fld.mul(gc, fc), rc))
-                    any_nonzero = True
-        if not any_nonzero:
+        """Coordinates of (g o f) given coordinates in the two hom bases, or
+        None when g o f is 0."""
+        out = None
+        for gi, fi, res in self.table(src, mid, tgt):
+            gc = gcoords[gi]
+            if gc:
+                fc = fcoords[fi]
+                if fc:
+                    if out is None:
+                        out = [self.field.zero] * self.hom_dim(src, tgt)
+                    gf = gc * fc
+                    for ri, c in res:
+                        out[ri] += gf * c
+        if out is None:
             return None
-        vec = tuple(out[lab] for lab in out_labels)
+        p = self.characteristic
+        vec = tuple(v % p for v in out) if p else tuple(out)
         return vec if any(vec) else None
 
     def to_data(self) -> dict:
@@ -498,28 +516,33 @@ class AddMorphism:
         if other.target != self.source:
             raise CompositionError("compose: object mismatch")
         pres = self.pres
-        fld = pres.field
-        src, mid, tgt = other.source, self.source, self.target
+        p = pres.characteristic
+        src, mid, fblocks = other.source.summands, self.source.summands, other.blocks
         blocks = []
-        for i in range(len(tgt)):
+        for ti, grow in zip(self.target.summands, self.blocks):
+            gs = [(k, mk, g) for k, (mk, g) in enumerate(zip(mid, grow)) if g is not None]
+            if not gs:
+                blocks.append((None,) * len(src))
+                continue
             row = []
-            for j in range(len(src)):
-                acc = None
-                for k in range(len(mid)):
-                    g = self.blocks[i][k]
-                    f = other.blocks[k][j]
-                    if g is None or f is None:
-                        continue
-                    term = pres.compose_coords(src[j], mid[k], tgt[i], g, f)
-                    if term is None:
-                        continue
-                    acc = term if acc is None else tuple(
-                        fld.add(x, y) for x, y in zip(acc, term))
-                if acc is not None and not any(acc):
-                    acc = None
+            for j, sj in enumerate(src):
+                acc, many = None, False
+                for k, mk, g in gs:
+                    f = fblocks[k][j]
+                    if f is not None:
+                        term = pres.compose_coords(sj, mk, ti, g, f)
+                        if term is not None:
+                            if acc is None:
+                                acc = term
+                            else:
+                                acc, many = [x + y for x, y in zip(acc, term)], True
+                if many:
+                    acc = tuple(x % p for x in acc) if p else tuple(acc)
+                    if not any(acc):
+                        acc = None
                 row.append(acc)
             blocks.append(tuple(row))
-        return AddMorphism(pres, src, tgt, tuple(blocks))
+        return AddMorphism(pres, other.source, self.target, tuple(blocks))
 
     # ------------------------------------------------------- flat vectors
 
@@ -609,26 +632,70 @@ class Coords:
     def matrix(self, rows: "Coords", terms) -> Matrix:
         """Matrix of a linear map from these coordinates to ``rows``.
 
-        Each ``(step, sign, apply)`` of ``terms`` sends the basis element b
-        at degree i to ``sign * apply(i, b)`` at row degree i + step, and
-        calls ``apply`` only when that row degree has a slice.  The steps of
-        ``terms`` are distinct.
+        Each ``(step, sign, side, fixed)`` of ``terms`` sends the morphism b
+        at degree i to ``sign * fixed(i) o b`` (side ``"left"``) or to
+        ``sign * b o fixed(i)`` (side ``"right"``) at row degree i + step, and
+        calls ``fixed`` only when that row degree has a slice.  The steps of
+        ``terms`` are distinct.  Entries are summed block by block from the
+        structure-constant tables (:meth:`OrlovPresentation.table`).
         """
-        fld = self.pres.field
-        mat = Matrix.zeros(fld, rows.total, self.total)
-        col = 0
+        pres = self.pres
+        p = pres.characteristic
+        data = [[pres.field.zero] * self.total for _ in range(rows.total)]
+
+        def put(r0, col, v, res):
+            for ri, c in res:
+                row = data[r0 + ri]
+                x, vc = row[col], v * c
+                row[col] = (x + vc) % p if p else (x + vc if x else vc)
+
         for i, (x, y) in self.objs.items():
-            basis, _ = hom_basis(self.pres, x, y)
-            for b in basis:
-                for step, sign, apply in terms:
-                    s = rows.slices.get(i + step)
-                    if s is None:
-                        continue
-                    for r, v in enumerate(apply(i, b).to_vector(), s.start):
-                        if v:
-                            mat.data[r][col] = v if sign > 0 else fld.neg(v)
-                col += 1
-        return mat
+            cols = _block_offsets(pres, x, y, self.slices[i].start)
+            for step, sign, side, fixed in terms:
+                s = rows.slices.get(i + step)
+                if s is None:
+                    continue
+                d = fixed(i).blocks
+                xr, yr = rows.objs[i + step]
+                offs = _block_offsets(pres, xr, yr, s.start)
+                if side == "left":      # block (a, j) of d o b is d[a][t] o b[t][j]
+                    for a, ta in enumerate(yr):
+                        for t, ti in enumerate(y):
+                            g = d[a][t]
+                            if g is not None:
+                                if sign < 0:
+                                    g = [-v for v in g]
+                                for j, sj in enumerate(x):
+                                    c0, r0 = cols[t][j], offs[a][j]
+                                    for gi, fi, res in pres.table(sj, ti, ta):
+                                        if g[gi]:
+                                            put(r0, c0 + fi, g[gi], res)
+                else:                   # block (t, k) of b o d is b[t][j] o d[j][k]
+                    for j, sj in enumerate(x):
+                        for k, sk in enumerate(xr):
+                            f = d[j][k]
+                            if f is not None:
+                                if sign < 0:
+                                    f = [-v for v in f]
+                                for t, ti in enumerate(y):
+                                    c0, r0 = cols[t][j], offs[t][k]
+                                    for gi, fi, res in pres.table(sk, sj, ti):
+                                        if f[fi]:
+                                            put(r0, c0 + gi, f[fi], res)
+        return Matrix(pres.field, rows.total, self.total, data)
+
+
+def _block_offsets(pres, x: AddObject, y: AddObject, start=0):
+    """``offsets[i][j]``: where block (target i, source j) of Hom_add(x, y)
+    starts in :func:`hom_basis` order, counting from ``start``."""
+    out = []
+    for ti in y:
+        row = []
+        for sj in x:
+            row.append(start)
+            start += pres.hom_dim(sj, ti)
+        out.append(row)
+    return out
 
 
 # ----------------------------------------------------------------- validate
@@ -846,9 +913,9 @@ def split_idempotent(e: AddMorphism):
     for s, pos in isotypic_classes(x).items():
         mat = scalar_matrix(e, s, pos)
         # image basis: pivot columns of e; kernel basis completes it
-        _, pivots, rank = mat.rref()
+        echelon, pivots, rank = mat.rref()
         img = [[row[j] for j in pivots] for row in mat.data]
-        ker = mat.kernel_basis()
+        ker = echelon.kernel_basis()
         conj[s] = Matrix(fld, len(pos), rank, img).hstack(ker).inverse()
         if conj[s] is None:
             raise CompositionError("idempotent diagonal did not diagonalize")

@@ -1,5 +1,6 @@
 import pytest
 
+from koszulkit import complexes
 from koszulkit.complexes import (
     ChainMap,
     Complex,
@@ -24,8 +25,15 @@ from koszulkit.complexes import (
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check
 from koszulkit.linalg import Matrix
-from koszulkit.orlov import AddMorphism, OrlovPresentation, obj
-from koszulkit.randgen import conjugate_complex, rand_chain_map, rand_complex, rng_for
+from koszulkit.filtered import FilteredHomSpace
+from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, obj
+from koszulkit.randgen import (
+    conjugate_complex,
+    rand_chain_map,
+    rand_complex,
+    rand_filtered,
+    rng_for,
+)
 from koszulkit.tstructure import heart_simples, simple_ext_cells
 from oracle_hom import brute_force_hom_dim
 
@@ -532,6 +540,32 @@ def test_unique_fill_detects_violated_hypotheses(a2):
     assert rep2.unique
 
 
+def test_unique_fill_eliminates_its_joint_system_once(a2, monkeypatch):
+    # the kernel and the particular fill come from one echelon form of mat
+    joint, calls = [], []
+    build, rref = complexes._joint_system, Matrix.rref
+
+    def recording(spaces, columns):
+        joint.append(build(spaces, columns))
+        return joint[-1]
+
+    def counting(self):
+        calls.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(complexes, "_joint_system", recording)
+    monkeypatch.setattr(Matrix, "rref", counting)
+    x = Complex(a2, {0: obj("a", "b")}, {})
+    bad = Triangle.from_termwise_split(x, {0: (0,)}, {0: (1,)})
+    te = top_extraction(cone_alpha(a2))
+    reports = [
+        unique_fill(bad, bad, HomClass.zero(bad.X, bad.X), HomClass.zero(bad.Z, bad.Z)),
+        unique_fill(te.triangle, te.triangle, HomClass.identity(te.P), HomClass.identity(te.Y))]
+    assert [r.homogeneous_dimension for r in reports] == [1, 0] and reports[1].q is not None
+    assert len(joint) == 2
+    assert [sum(m is mat for m in calls) for mat in joint] == [1, 1]
+
+
 # --------------------------------------------------------- square completion
 
 def test_complete_square_identity(a2):
@@ -634,3 +668,69 @@ def test_triangle_rotation_long_exactness(a2):
             sz = hom_space(a_obj, tri.Z, k).dimension
             total += (-1) ** k * (sx - sy + sz)
         assert total == 0
+
+
+# ------------------------------------------------------ constraint matrices
+
+def per_basis_matrix(cols, rows, terms):
+    """The constraint matrix built one basis element at a time: each
+    :func:`hom_basis` element b at degree i goes through ``sign * apply(i, b)``
+    and lands, flattened by ``to_vector``, at row degree i + step."""
+    fld = cols.pres.field
+    mat = Matrix.zeros(fld, rows.total, cols.total)
+    col = 0
+    for i, (x, y) in cols.objs.items():
+        for b in hom_basis(cols.pres, x, y)[0]:
+            for step, sign, apply in terms:
+                s = rows.slices.get(i + step)
+                if s is not None:
+                    for r, v in enumerate(apply(i, b).to_vector(), s.start):
+                        if v:
+                            mat.data[r][col] = v if sign > 0 else fld.neg(v)
+            col += 1
+    return mat
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0"])
+def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch):
+    if name.startswith("FIX"):
+        pres = load_fixture(name)
+    else:
+        pres = path_category(int(name[1]), int(name.rsplit("F", 1)[1]), killed="killed" in name)
+    rng = rng_for(31, "constraint-matrices", name)
+    built = []
+    matrix = Coords.matrix
+
+    def recording(self, rows, terms):
+        built.append((self, rows, matrix(self, rows, terms)))
+        return built[-1][2]
+
+    monkeypatch.setattr(Coords, "matrix", recording)
+    compared = 0
+    for _ in range(60):
+        x, y = (conjugate_complex(rand_complex(pres, rng, amplitude=3), rng)[0] for _ in "xy")
+        k = rng.randint(-1, 1)
+        built.clear()
+        sp = hom_space(x, y, k)
+        ys = sp.ys
+        if not sp.total:
+            assert built == []
+            continue
+        (maps, chain_rows, chain), (homotopies, delta_rows, delta) = built
+        assert chain == per_basis_matrix(maps, chain_rows, [
+            (0, 1, lambda i, b: ys.d(i).compose(b)),
+            (-1, -1, lambda i, b: b.compose(x.d(i - 1)))])
+        assert delta == sp._delta == per_basis_matrix(homotopies, delta_rows, [
+            (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
+            (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
+        compared += bool(chain.rows and chain.cols) + bool(delta.rows and delta.cols)
+    for _ in range(20):
+        fx, fy = rand_filtered(pres, rng), rand_filtered(pres, rng)
+        built.clear()
+        FilteredHomSpace(fx, fy)
+        (maps, rows, kernel), = built
+        assert kernel == per_basis_matrix(maps, rows, [
+            (1, 1, lambda i, b: b.compose(fx.incl_map(i + 1))),
+            (0, -1, lambda i, b: fy.incl_map(i).compose(b))])
+        compared += bool(kernel.rows and kernel.cols)
+    assert compared >= 30

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from koszulkit.fixtures import load_fixture
+from koszulkit import orlov
+from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
+from koszulkit.linalg import Matrix
 from koszulkit.orlov import (
     AddMorphism,
     AddObject,
@@ -353,6 +355,33 @@ def test_split_conjugated_rank_one_projector(a2):
         assert compose(p, i) == AddMorphism.identity(a2, z)
 
 
+def test_split_idempotent_eliminates_each_class_matrix_once(a2, monkeypatch):
+    # the image (pivot columns) and the kernel come from one echelon form
+    scalar, calls = [], []
+    build, rref = orlov.scalar_matrix, Matrix.rref
+
+    def recording(m, s, pos):
+        scalar.append(build(m, s, pos))
+        return scalar[-1]
+
+    def counting(self):
+        calls.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(orlov, "scalar_matrix", recording)
+    monkeypatch.setattr(Matrix, "rref", counting)
+    x = obj("a", "a", "b")
+    u = AddMorphism.identity(a2, x).add(AddMorphism.single(a2, x, x, 0, 1, (1,)))
+    e0 = AddMorphism.assemble(a2, x, x, [((0, 2), (0, 2), AddMorphism.identity(a2, obj("a", "b")))])
+    e = compose(compose(u, e0), invert_endomorphism(u))
+    scalar.clear()
+    calls.clear()
+    z, p, i = split_idempotent(e)
+    assert z == obj("a", "b")
+    eliminated = [sum(c is m for c in calls) for m in scalar]
+    assert max(eliminated) == 1 and eliminated.count(1) == len(isotypic_classes(x))
+
+
 def test_split_rejects_non_idempotent(a2):
     x = obj("a", "b")
     bad = AddMorphism.identity(a2, x).scale(2)
@@ -392,3 +421,53 @@ def test_mixed_characteristic_is_a_hard_error():
     m5 = Matrix.identity(p5.field, 2)
     with pytest.raises(FieldMismatch):
         m0.mul(m5)
+
+
+# ------------------------------------------------------ compiled composition
+
+def presentations_for_tables():
+    from test_complexes import path_category
+
+    yield from (load_fixture(name) for name in FIXTURE_NAMES)
+    for n in range(3, 8):
+        for killed in (False, True):
+            yield path_category(n, 0, killed)
+
+
+def brute_force_compose(pres, src, mid, tgt, gcoords, fcoords):
+    """g o f summed over every pair of basis labels through ``compose_labels``."""
+    fld = pres.field
+    out = {lab: fld.zero for lab in pres.hom_labels(src, tgt)}
+    for gc, gl in zip(gcoords, pres.hom_labels(mid, tgt)):
+        for fc, fl in zip(fcoords, pres.hom_labels(src, mid)):
+            for rl, rc in pres.compose_labels(gl, fl).items():
+                out[rl] = fld.add(out[rl], fld.mul(fld.mul(gc, fc), rc))
+    vec = tuple(out.values())
+    return vec if any(vec) else None
+
+
+@pytest.mark.parametrize("pres", presentations_for_tables(), ids=lambda p: p.name)
+def test_compiled_tables_match_the_structure_constants(pres):
+    fld = pres.field
+    pairs = 0
+    for g, (mid, tgt) in pres.label_pair.items():
+        for f, (src, fmid) in pres.label_pair.items():
+            if fmid != mid:
+                continue
+            expect = pres.compose_labels(g, f)
+            vec = tuple(expect.get(lab, fld.zero) for lab in pres.hom_labels(src, tgt))
+            assert pres.compose_coords(src, mid, tgt, pres.coords(g), pres.coords(f)) == \
+                (vec if any(vec) else None)
+            pairs += 1
+    assert pairs >= len(pres.label_pair)
+    rng = random.Random(f"tables {pres.name}")
+    for src in pres.ids:
+        for mid in pres.ids:
+            for tgt in pres.ids:
+                dims = pres.hom_dim(mid, tgt), pres.hom_dim(src, mid)
+                if not all(dims):
+                    continue
+                for _ in range(3):
+                    g, f = ([fld.of(rng.randint(-3, 3)) for _ in range(n)] for n in dims)
+                    assert pres.compose_coords(src, mid, tgt, g, f) == \
+                        brute_force_compose(pres, src, mid, tgt, g, f)
