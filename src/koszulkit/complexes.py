@@ -29,7 +29,6 @@ from .orlov import (
     AddObject,
     Coords,
     ZERO_OBJECT,
-    hom_basis,
     hom_dim_add,
     identity_label,
     invert_endomorphism,
@@ -940,12 +939,13 @@ def homogeneous_cokernel(f: AddMorphism) -> HomogeneousCokernel:
     q_rows, perp_rows = [], []
     q_ids, perp_ids = [], []
     for s in order:
-        basis_bs, dim_bs = hom_basis(pres, b, AddObject((s,)))
+        cs = AddObject((s,))
+        bs = Coords(pres, {0: (b, cs)})
+        dim_bs = bs.total
         if dim_bs == 0:
             continue
-        dim_as = hom_dim_add(pres, f.source, AddObject((s,)))
-        pairing = Matrix.from_columns(fld, dim_as, [g.compose(f).to_vector() for g in basis_bs])
-        ker = pairing.kernel_basis() if dim_as else Matrix.identity(fld, dim_bs)
+        pairing = bs.matrix(Coords(pres, {0: (f.source, cs)}), [(0, 1, "right", lambda i: f)])
+        ker = pairing.kernel_basis()
         kvecs = [ker.col(j) for j in range(ker.cols)]
         # complete the kernel rows to a basis of Hom(B, S)
         full = Matrix.from_columns(fld, dim_bs, kvecs).hstack(Matrix.identity(fld, dim_bs))

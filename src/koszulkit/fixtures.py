@@ -19,7 +19,7 @@ VALID_FIXTURES = ("FIX_PT", "FIX_A2", "FIX_A3")
 def fixture_path(name: str):
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}")
-    return resources.files("koszulkit") / "fixtures" / f"{name}.json"
+    return resources.files("koszulkit").joinpath("fixtures", f"{name}.json")
 
 
 def fixture_text(name: str) -> str:

@@ -25,7 +25,7 @@ from .complexes import (
     _invert_iso,
 )
 from .linalg import KoszulkitError, Matrix
-from .orlov import AddMorphism, OrlovPresentation, hom_basis, spans, validate_presentation
+from .orlov import AddMorphism, Coords, OrlovPresentation, spans, validate_presentation
 from .randgen import rand_heart_complex, rng_for
 from .tstructure import (
     HeartObject,
@@ -394,10 +394,10 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
         if sorted(ak.summands + bk.summands) != sorted(ek.summands):
             raise KoszulError(f"terms at degree {k} are not extension-compatible")
         pk = proj.component(k)
-        basis, _ = hom_basis(pres, bk, ek)
         unit = AddMorphism.identity(pres, bk).to_vector()
-        cols = [pk.compose(cand).to_vector() for cand in basis]
-        sol = Matrix.from_columns(pres.field, len(unit), cols).solve(unit)
+        mat = Coords(pres, {0: (bk, ek)}).matrix(
+            Coords(pres, {0: (bk, bk)}), [(0, 1, "left", lambda i: pk)])
+        sol = mat.solve(unit)
         if sol is None:
             raise KoszulError(f"projection admits no section at degree {k}")
         section = AddMorphism.from_vector(pres, bk, ek, sol)

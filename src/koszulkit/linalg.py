@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals or a prime field.
 
-Scalars are plain ``fractions.Fraction`` values in characteristic 0 and
-canonical residues (ints in ``[0, p)``) in characteristic ``p``.  Both are
-already in canonical form after every arithmetic operation, so equality of
-values is equality of scalars.  Matrices are stored dense, as row-major
+In characteristic 0 a scalar is a Python ``int`` when its value is
+integral and a ``fractions.Fraction`` otherwise; in characteristic ``p`` it
+is a canonical residue (an int in ``[0, p)``).  Over Q, sums and products of
+ints stay ints and mixed int/``Fraction`` arithmetic stays exact, but it may
+leave an integral ``Fraction``: an integral ``Fraction`` compares and hashes
+equal to its ``int``, and :meth:`Field.format` writes both alike, so equality
+of scalars means equality of values.  Matrices are stored dense, as row-major
 lists; the constraint matrices of Hom spaces are mostly zeros, so the one
 elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Everything
 is immutable after construction and all operations return fresh objects.
@@ -42,8 +45,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x: Fraction):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Field:
-    """Arithmetic context: characteristic 0 means Q, a prime p means F_p."""
+    """Arithmetic context: characteristic 0 means Q, a prime p means F_p.
+
+    Over Q, :meth:`of`, :meth:`parse` and :meth:`inv` return an ``int`` when
+    the value is integral and a reduced ``Fraction`` otherwise; ``zero`` and
+    ``one`` are the ints 0 and 1.  Scalars are compared by value.
+    """
 
     __slots__ = ("char", "zero", "one")
 
@@ -51,8 +64,8 @@ class Field:
         if characteristic != 0 and not _is_prime(characteristic):
             raise LinalgError(f"characteristic must be 0 or prime, got {characteristic}")
         self.char = characteristic
-        self.zero = Fraction(0) if characteristic == 0 else 0
-        self.one = Fraction(1) if characteristic == 0 else 1
+        self.zero = 0
+        self.one = 1
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -68,7 +81,9 @@ class Field:
         if isinstance(value, str):
             return self.parse(value)
         if self.char == 0:
-            return Fraction(value)
+            if type(value) is int:
+                return value
+            return _rational(Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator % self.char == 0:
                 raise LinalgError(f"denominator not invertible mod {self.char}")
@@ -108,7 +123,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.char == 0 else pow(a, -1, self.char)
+        return _rational(1 / Fraction(a)) if self.char == 0 else pow(a, -1, self.char)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

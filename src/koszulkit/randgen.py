@@ -12,7 +12,7 @@ import random
 
 from .complexes import ChainMap, Complex, HomSpace
 from .linalg import Matrix
-from .orlov import AddMorphism, AddObject, hom_basis, hom_dim_add, invert_endomorphism
+from .orlov import AddMorphism, AddObject, Coords, hom_dim_add, invert_endomorphism
 
 
 def rand_scalar(field, rng, small=True):
@@ -68,7 +68,7 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
             prev = None
             continue
         x, y = terms[i], terms[i + 1]
-        basis, dim = hom_basis(pres, x, y)
+        dim = hom_dim_add(pres, x, y)
         if dim == 0:
             prev = None
             continue
@@ -77,8 +77,8 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
         else:
             # rows: coordinates of (candidate o prev) in Hom(term(i-1), y)
             pm = prev[1]
-            mat = Matrix.from_columns(fld, hom_dim_add(pres, pm.source, y),
-                                      [b.compose(pm).to_vector() for b in basis])
+            mat = Coords(pres, {0: (x, y)}).matrix(
+                Coords(pres, {0: (pm.source, y)}), [(0, 1, "right", lambda i: pm)])
             vec = rand_kernel_element(mat, rng, fld)
         m = AddMorphism.from_vector(pres, x, y, vec)
         if m.is_zero():

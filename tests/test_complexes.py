@@ -23,15 +23,16 @@ from koszulkit.complexes import (
     unique_fill,
 )
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
-from koszulkit.koszul import koszulity_check
+from koszulkit.koszul import koszulity_check, q_ses_triangle
 from koszulkit.linalg import Matrix
 from koszulkit.filtered import FilteredHomSpace
-from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, obj
+from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, hom_dim_add, obj
 from koszulkit.randgen import (
     conjugate_complex,
     rand_chain_map,
     rand_complex,
     rand_filtered,
+    rand_heart_complex,
     rng_for,
 )
 from koszulkit.tstructure import heart_simples, simple_ext_cells
@@ -734,3 +735,59 @@ def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch)
             (0, -1, lambda i, b: fy.incl_map(i).compose(b))])
         compared += bool(kernel.rows and kernel.cols)
     assert compared >= 30
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0"])
+def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch):
+    """The matrices of composition with one fixed morphism, built by
+    ``Coords.matrix`` in ``rand_complex`` (b o d^{i-1}), ``q_ses_triangle``
+    (p_k o b) and ``homogeneous_cokernel`` (g o f), equal the per-basis
+    construction entry for entry."""
+    if name.startswith("FIX"):
+        pres = load_fixture(name)
+    else:
+        pres = path_category(int(name[1]), int(name.rsplit("F", 1)[1]), killed="killed" in name)
+    rng = rng_for(37, "composition-matrices", name)
+    built = []
+    matrix = Coords.matrix
+
+    def recording(self, rows, terms):
+        built.append(matrix(self, rows, terms))
+        return built[-1]
+
+    def one(x, y):
+        return Coords(pres, {0: (x, y)})
+
+    monkeypatch.setattr(Coords, "matrix", recording)
+    compared = 0
+    for _ in range(40):
+        built.clear()
+        c = rand_complex(pres, rng, amplitude=4)
+        t = c.terms
+        degs = [i for i in sorted(t) if i - 1 in c.diffs and i + 1 in t
+                and hom_dim_add(pres, t[i], t[i + 1])]
+        assert built == [per_basis_matrix(one(t[i], t[i + 1]), one(t[i - 1], t[i + 1]), [
+            (0, 1, lambda _, b, d=c.diffs[i - 1]: b.compose(d))]) for i in degs]
+        compared += len(degs)
+
+        sub, quot = (rand_heart_complex(pres, rng, max_summands=2) for _ in "ab")
+        e, ia, _, _, pb = direct_sum(sub, quot)
+        e, fwd, bwd = conjugate_complex(e, rng)
+        incl, proj = fwd.compose(ia), pb.compose(bwd)
+        built.clear()
+        q_ses_triangle(incl, proj)
+        assert built == [per_basis_matrix(one(quot.term(k), e.term(k)), one(quot.term(k), quot.term(k)), [
+            (0, 1, lambda _, b, p=proj.component(k): p.compose(b))]) for k in e.terms]
+        compared += len(e.terms)
+        if not e.terms:
+            continue
+
+        k = rng.choice(sorted(e.terms))
+        f = e.d(k - 1)
+        built.clear()
+        homogeneous_cokernel(f)
+        tgt = sorted(set(f.target.summands))
+        assert built == [per_basis_matrix(one(f.target, obj(s)), one(f.source, obj(s)), [
+            (0, 1, lambda _, g: g.compose(f))]) for s in tgt]
+        compared += len(tgt)
+    assert compared >= 60

@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import koszulkit
 from koszulkit.linalg import Field, LinalgError, Matrix, QQ
 
 from oracle_linalg import cofactor_det, check_kernel, oracle_rank
@@ -63,6 +66,19 @@ def test_scalar_string_round_trip_prime_field():
     for v in range(5):
         assert F5.parse(F5.format(v)) == v
     assert F5.parse("7/2") == F5.of(Fraction(7, 2))
+
+
+def test_integral_rationals_are_ints():
+    for x in (QQ.of("6/3"), QQ.of(Fraction(4, 2)), QQ.of(7), QQ.parse(" -4 "),
+              QQ.inv(QQ.of(-1)), QQ.inv(Fraction(1, 3)), QQ.zero, QQ.one):
+        assert type(x) is int
+    assert QQ.of(7) == 7 and QQ.inv(Fraction(1, 3)) == 3
+    for x in (QQ.of("2/4"), QQ.of(Fraction(-1, 3)), QQ.inv(3)):
+        assert type(x) is Fraction
+    assert QQ.of("2/4") == Fraction(1, 2)
+    assert QQ.format(2) == QQ.format(Fraction(4, 2)) == "2"
+    assert QQ.format(Fraction(1, 3)) == "1/3"
+    assert (F5.zero, F5.one, F5.inv(4)) == (0, 1, 4)
 
 
 # ---------------------------------------------------------------- rref
@@ -194,6 +210,78 @@ def test_sparse_kernel_matches_oracles(field):
                 assert check_kernel([row + [field.neg(bv)] for row, bv in zip(m.data, b)], [x + [field.one]], field)
 
 
+def mixed_matrix(rows, cols, rng):
+    """A Q matrix whose entries are ints, integral Fractions and proper
+    Fractions, stored as drawn (not through ``Field.of``)."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.4:
+            return 0
+        if kind < 0.7:
+            return rng.randint(-4, 4)
+        if kind < 0.85:
+            return Fraction(rng.randint(-4, 4) * 3, 3)
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+    return Matrix(QQ, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def test_mixed_int_and_fraction_entries_match_the_oracles():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(60):
+        m = mixed_matrix(rng.randint(1, 7), rng.randint(1, 8), rng)
+        as_fractions = Matrix(QQ, m.rows, m.cols, [[Fraction(x) for x in row] for row in m.data])
+        r, pivots, rank = m.rref()
+        assert (r, pivots, rank) == as_fractions.rref()
+        assert is_rref(r, pivots, rank)
+        assert rank == oracle_rank(m.data, QQ)
+        assert oracle_rank(m.data + r.data, QQ) == rank
+        k = m.kernel_basis()
+        assert k == as_fractions.kernel_basis()
+        assert k.cols == m.cols - rank
+        assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], QQ)
+        for _ in range(3):
+            b = [rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+                 for _ in range(m.rows)]
+            x = m.solve(b)
+            assert x == as_fractions.solve(b)
+            solvable = oracle_rank([row + [bv] for row, bv in zip(m.data, b)], QQ) == rank
+            assert (x is not None) == solvable
+            if x is not None:
+                assert check_kernel([row + [-bv] for row, bv in zip(m.data, b)], [x + [1]], QQ)
+                checked += 1
+    assert checked >= 30
+
+
+def incidence_matrix(nodes, arcs, rng):
+    """Node-arc incidence matrix of a random directed graph: totally
+    unimodular, so every pivot of any elimination of it is +1 or -1."""
+    data = [[0] * arcs for _ in range(nodes)]
+    for a in range(arcs):
+        tail, head = rng.sample(range(nodes), 2)
+        data[tail][a], data[head][a] = 1, -1
+    return Matrix.from_rows(QQ, data)
+
+
+def test_unimodular_elimination_stays_in_ints():
+    rng = random.Random(43)
+    pivots_seen = 0
+    for _ in range(30):
+        m = incidence_matrix(rng.randint(2, 7), rng.randint(1, 9), rng)
+        m = m.hstack(Matrix.identity(QQ, m.rows))
+        r, pivots, _ = m.rref()
+        pivots_seen += len(pivots)
+        assert all(type(x) is int for row in r.data for x in row)
+        for _, s, elim in r._ops:
+            assert s is None or type(s) is int
+            assert all(type(a) is int for _, a in elim)
+        y = r.reduce([rng.randint(-3, 3) for _ in range(m.rows)])
+        assert all(type(v) is int for v in y)
+        k = m.kernel_basis()
+        assert all(type(x) is int for row in k.data for x in row)
+    assert pivots_seen >= 60
+
+
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_of_zero_matrix():
@@ -260,3 +348,25 @@ def test_solvability_iff_augmented_rank_matches():
                 assert res.col(0) == b
             else:
                 assert x is None
+
+
+# ---------------------------------------------------------------- source
+
+def true_divisions(node, scope=""):
+    """(line, qualified scope) of every ``/`` or ``/=`` under ``node``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        yield node.lineno, scope
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    for child in ast.iter_child_nodes(node):
+        yield from true_divisions(child, scope)
+
+
+def test_no_true_division_outside_field_inv():
+    """Over Q an integral scalar is an int, and ``a / b`` on two ints is a
+    float: the one true division in the package is the one in ``Field.inv``."""
+    found = [(f"{path.name}:{line}", scope or "<module>")
+             for path in sorted(Path(koszulkit.__file__).parent.glob("*.py"))
+             for line, scope in true_divisions(ast.parse(path.read_text(encoding="utf-8")))]
+    # the scan also sees the one division it allows
+    assert [scope for _, scope in found] == ["Field.inv"], found
