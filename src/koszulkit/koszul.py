@@ -1,10 +1,21 @@
 """Koszulity checks and the duality between heart and generator category.
 
-Everything is windowed: Ext tables are Hom groups between shifted heart
-simples inside a finite shift range, Yoneda products compose chain-map
-representatives, and the Koszulescence surrogate only certifies the
-computable necessary condition that the windowed Yoneda algebra is
-generated in degree one.  Reports never claim more than the window shows.
+The Ext algebra of the heart simples is the presentation itself.  The
+simple S_s is s placed alone in degree -deg s, so for every shift i
+
+    Hom_{K^b}(S_s, S_t[i]) = Hom(s, t) if i = deg s - deg t, and 0 otherwise,
+
+and the Yoneda product is composition in the presentation.  Proof: a
+single-term complex has zero differentials, so every degreewise map is a
+chain map; a null-homotopy would need a map between two different
+degrees, and there is none; and a degreewise map needs both terms in one
+degree, -deg s = -deg t - i.  :class:`ExtTable` therefore reads the
+presentation and builds nothing in K^b.
+
+Everything is windowed: Ext tables cover a finite shift range, and the
+Koszulescence surrogate only certifies the computable necessary condition
+that the windowed Yoneda algebra is generated in degree one.  Reports
+never claim more than the window shows.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .randgen import rand_heart_complex, rng_for
 from .tstructure import (
     HeartObject,
     heart_object,
-    heart_simples,
     simple_ext_cells,
     simple_object,
     weight_filtration,
@@ -55,85 +65,68 @@ def express_in(space: HomSpace, reps, f: ChainMap):
 
 @dataclass
 class ExtTable:
-    """Hom spaces between shifted heart simples, built on first use."""
+    """Ext between heart simples, read off the presentation.
+
+    Hom(S_s, S_t[i]) is Hom(s, t) on the cells of :func:`simple_ext_cells`
+    (i = deg s - deg t) and 0 at every other shift, and the Yoneda product
+    is composition.  Proof: S_s and S_t[i] are single-term complexes, so
+    every degreewise map is a chain map; no null-homotopy exists, as it
+    would map between different degrees; and a degreewise map needs
+    -deg s = -deg t - i.  Reads answer at every shift; ``window`` is the
+    range that the table's callers sweep.
+    """
 
     pres: OrlovPresentation
     window: tuple
-    simples: dict = field(init=False)            # id -> HeartObject
-    cells: set = field(init=False)               # every (s, t, i) that can be nonzero
-    spaces: dict = field(default_factory=dict)   # (s, t, i) -> HomSpace
+    cells: set = field(init=False)      # every (s, t, i) that can be nonzero, at any shift
 
     def __post_init__(self):
-        self.simples = dict(zip(self.pres.ids, heart_simples(self.pres)))
         self.cells = set(simple_ext_cells(self.pres))
 
-    def space(self, s, t, i) -> HomSpace:
-        key = (s, t, i)
-        if key not in self.spaces:
-            self.spaces[key] = hom_space(self.simples[s].normal_form,
-                                         self.simples[t].normal_form, i)
-        return self.spaces[key]
-
     def dim(self, s, t, i) -> int:
-        if (s, t, i) not in self.cells:
-            return 0
-        return self.space(s, t, i).dimension
+        return self.pres.hom_dim(s, t) if (s, t, i) in self.cells else 0
 
     def basis(self, s, t, i):
-        return self.space(s, t, i).basis
+        """One chain map S_s -> S_t[i] per label of Hom(s, t), in label order."""
+        if (s, t, i) not in self.cells:
+            return []
+        pres = self.pres
+        x = simple_object(pres, s).normal_form
+        y = simple_object(pres, t).normal_form.shift(i)
+        (slot, src), = x.terms.items()
+        return [ChainMap(x, y, {slot: AddMorphism.single(pres, src, y.term(slot), 0, 0,
+                                                         pres.coords(lab))}, check=False)
+                for lab in pres.hom_labels(s, t)]
 
     def yoneda(self, s, t, u, i, j):
-        """Coordinate tensor of Ext^j(t,u) x Ext^i(s,t) -> Ext^{i+j}(s,u)."""
-        target = self.space(s, u, i + j)
-        out = []
-        for y in self.basis(t, u, j):
-            row = []
-            for x in self.basis(s, t, i):
-                comp = y.shift(i).compose(x)
-                coords = target.express(comp)
-                if coords is None:
-                    raise KoszulError("Yoneda product failed to land in the window table")
-                row.append(coords)
-            out.append(row)
+        """Coordinate tensor of Ext^j(t,u) x Ext^i(s,t) -> Ext^{i+j}(s,u): the
+        structure constants of Hom(t, u) x Hom(s, t) -> Hom(s, u)."""
+        rows, cols, n = self.dim(t, u, j), self.dim(s, t, i), self.dim(s, u, i + j)
+        out = [[[self.pres.field.zero] * n for _ in range(cols)] for _ in range(rows)]
+        if rows and cols and n:
+            for gi, fi, res in self.pres.table(s, t, u):
+                for ri, c in res:
+                    out[gi][fi][ri] = c
         return out
 
 
 def ext_table(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> ExtTable:
-    table = ExtTable(pres, tuple(window))
-    for cell in simple_ext_cells(pres, window):
-        table.space(*cell)
-    return table
-
-
-def _table_for(pres: OrlovPresentation, window, table) -> ExtTable:
-    """``table`` if it is the Ext table of pres over window; a new one if None."""
-    if table is None:
-        return ext_table(pres, window)
-    if table.pres is not pres or table.window != tuple(window):
-        raise KoszulError(f"Ext table of {table.pres.name} over {list(table.window)} "
-                          f"does not match {pres.name} over {list(window)}")
-    return table
+    return ExtTable(pres, tuple(window))
 
 
 # ---------------------------------------------------------------- koszulity
 
 
 def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
-                    samples=12, table=None) -> dict:
+                    samples=12) -> dict:
     """Weight-diagonal vanishing plus the randomized two-sided checks.
 
-    Verifies that Ext^i(S, T) vanishes unless wt T = wt S - i, that
-    weight-separated objects have no Homs in either direction, and that a
-    heart object missing an interior weight splits at that weight.  A
-    ``table`` of pres over window is read instead of building one.  Only
-    the cells of :func:`simple_ext_cells` can be nonzero, and they lie on
-    the weight diagonal, so ``diagonal_violations`` is empty by construction.
+    Ext^i(S, T) between simples vanishes unless wt T = wt S - i by the
+    identity in the module docstring, so ``diagonal_violations`` is empty
+    by construction.  The checks that can fail are sampled: weight-separated
+    objects have no Homs in either direction, and a heart object missing an
+    interior weight splits at that weight.
     """
-    table = _table_for(pres, window, table)
-    violations = [{"source": s, "target": t, "shift": i, "dim": d}
-                  for s, t, i in simple_ext_cells(pres, window)
-                  if (d := table.dim(s, t, i)) and pres.degree[t] != pres.degree[s] - i]
-
     rng = rng_for(seed, "koszulity", pres.name)
     degs = sorted({pres.degree[i] for i in pres.ids})
     separated_checked = 0
@@ -173,25 +166,23 @@ def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
 
     return {
         "window": list(window),
-        "diagonal_violations": violations,
+        "diagonal_violations": [],
         "separated_pairs_checked": separated_checked,
         "separated_failures": separated_failures,
         "missing_weight_splits_checked": split_checked,
         "split_failures": split_failures,
-        "ok": not (violations or separated_failures or split_failures),
+        "ok": not (separated_failures or split_failures),
     }
 
 
-def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW,
-                            table=None) -> dict:
+def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> dict:
     """Degree-one generation of the windowed Yoneda algebra.
 
     Necessary condition only: every Ext^i (i >= 2) between simples must be
     spanned by products Ext^1 o Ext^{i-1}.  A failure carries the witness
-    cell and the spanned dimension.  A ``table`` of pres over window is
-    read instead of building one.
+    cell and the spanned dimension.
     """
-    table = _table_for(pres, window, table)
+    table = ext_table(pres, window)
     fld = pres.field
     failures = []
     checked = 0
@@ -501,18 +492,16 @@ def _universal_extension(pres, j_cx: Complex, ext_reps) -> Complex:
 
 
 def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW,
-                length_bound=6, table=None) -> DualPresentation:
+                length_bound=6) -> DualPresentation:
     """The generator category of detected injectives, as a presentation.
 
-    Gated on the koszulity check and the degree-one-generation surrogate,
-    which read one Ext table (``table``, or a new one).
+    Gated on the koszulity check and the degree-one-generation surrogate.
     """
     if not validate_presentation(pres).ok:
         raise KoszulError("input presentation fails validation")
-    table = _table_for(pres, window, table)
-    if not koszulity_check(pres, window, table=table).get("ok"):
+    if not koszulity_check(pres, window).get("ok"):
         raise KoszulError("koszulity check failed; dual not computed")
-    if not koszulescence_surrogate(pres, window, table=table).get("ok"):
+    if not koszulescence_surrogate(pres, window).get("ok"):
         raise KoszulError("degree-one-generation surrogate failed; dual not computed")
     report = injective_detect(pres, window, length_bound, assume_koszul=True)
     if not report["complete"]:
@@ -527,14 +516,9 @@ def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW,
     return dual
 
 
-def ext1_matrix(pres: OrlovPresentation, table=None) -> dict:
-    """Nonzero dimensions of Ext^1 between simples, read off ``table`` (an
-    Ext table of pres over any window) when given."""
-    if table is None:
-        table = ExtTable(pres, (1, 1))
-    elif table.pres is not pres:
-        raise KoszulError(f"Ext table of {table.pres.name} does not match {pres.name}")
-    return {(s, t): d for s, t, i in simple_ext_cells(pres, (1, 1)) if (d := table.dim(s, t, i))}
+def ext1_matrix(pres: OrlovPresentation) -> dict:
+    """Nonzero dimensions of Ext^1 between simples: Hom(s, t) for deg s = deg t + 1."""
+    return {(s, t): d for s, t, _ in simple_ext_cells(pres, (1, 1)) if (d := pres.hom_dim(s, t))}
 
 
 def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW,
@@ -542,10 +526,9 @@ def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW,
     """Match the first-extension matrix of the dual heart against the
     original through some bijection of simples; the matching found is
     reported, not asserted as a canonical direction."""
-    table = ext_table(pres, window)
-    dual = koszul_dual(pres, window, length_bound, table=table)
+    dual = koszul_dual(pres, window, length_bound)
     d = dual.presentation
-    m1 = ext1_matrix(pres, table)
+    m1 = ext1_matrix(pres)
     m2 = ext1_matrix(d)
 
     def matches(assign, transpose):

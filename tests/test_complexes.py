@@ -26,7 +26,7 @@ from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check, q_ses_triangle
 from koszulkit.linalg import Matrix
 from koszulkit.filtered import FilteredHomSpace
-from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, hom_dim_add, obj
+from koszulkit.orlov import AddMorphism, Coords, hom_basis, hom_dim_add, obj
 from koszulkit.randgen import (
     conjugate_complex,
     rand_chain_map,
@@ -35,8 +35,10 @@ from koszulkit.randgen import (
     rand_heart_complex,
     rng_for,
 )
-from koszulkit.tstructure import heart_simples, simple_ext_cells
+from koszulkit.tstructure import simple_ext_cells
+from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
+from presentations import PATH_NAMES, QUIVER_NAMES, path_category, presentation
 
 
 @pytest.fixture(scope="module")
@@ -163,23 +165,6 @@ def test_map_to_vector_round_trip_and_window(a3):
         hom_space(single(a3, "a"), single(a3, "a")).map_to_vector(ChainMap.identity(z))
 
 
-def path_category(n, characteristic, killed=False):
-    """A_n: v_i of degree i, Hom(v_j, v_i) = <h{j}_{i}> for j > i, and
-    every composite h_{j,i} o h_{k,j} = h_{k,i}; with ``killed``, the
-    composites landing in the longest arrow h_{n-1,0} are 0 instead."""
-    def result(i, k):
-        return [] if killed and (i, k) == (0, n - 1) else [{"label": f"h{k}_{i}", "coeff": "1"}]
-
-    return OrlovPresentation.from_data({
-        "characteristic": characteristic,
-        "indecomposables": [{"id": f"v{i}", "degree": i} for i in range(n)],
-        "hom": [{"src": f"v{j}", "tgt": f"v{i}", "basis": [f"h{j}_{i}"]}
-                for j in range(n) for i in range(j)],
-        "compose": [{"left": f"h{j}_{i}", "right": f"h{k}_{j}", "result": result(i, k)}
-                    for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)],
-    }, name=f"A{n}{'-killed' if killed else ''}/F{characteristic}")
-
-
 @pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007"])
 def test_disjoint_supports_give_zero_hom(name):
     pres = load_fixture(name) if name.startswith("FIX") else path_category(5, 10007)
@@ -202,21 +187,13 @@ def test_disjoint_supports_give_zero_hom(name):
     assert not supports_meet(a, c, 1)
 
 
-@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *(
-    f"A{n}{kill}/F{p}" for n in range(3, 10) for kill in ("", "-killed") for p in (0, 10007))])
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *PATH_NAMES, *QUIVER_NAMES])
 def test_ext_between_simples_lives_on_its_one_cell(name):
     # the full window is swept here so that the Ext code can visit only
     # the one shift per pair of simples that simple_ext_cells names
-    if name.startswith("FIX"):
-        pres = load_fixture(name)
-    else:
-        n, _, p = name[1:].partition("/F")
-        pres = path_category(int(n.removesuffix("-killed")), int(p), n.endswith("-killed"))
+    pres = presentation(name)
     window = (-8, 8)
-    simples = dict(zip(pres.ids, heart_simples(pres)))
-    nonzero = {(s, t, k) for s in pres.ids for t in pres.ids
-               for k in range(window[0], window[1] + 1)
-               if hom_space(simples[s].normal_form, simples[t].normal_form, k).dimension}
+    nonzero = {cell for cell, sp in kb_ext_spaces(pres, window).items() if sp.dimension}
     assert {(s, s, 0) for s in pres.ids} <= nonzero <= set(simple_ext_cells(pres, window))
     assert koszulity_check(pres, window)["diagonal_violations"] == []
 
@@ -694,10 +671,7 @@ def per_basis_matrix(cols, rows, terms):
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0"])
 def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch):
-    if name.startswith("FIX"):
-        pres = load_fixture(name)
-    else:
-        pres = path_category(int(name[1]), int(name.rsplit("F", 1)[1]), killed="killed" in name)
+    pres = presentation(name)
     rng = rng_for(31, "constraint-matrices", name)
     built = []
     matrix = Coords.matrix
@@ -743,10 +717,7 @@ def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch
     ``Coords.matrix`` in ``rand_complex`` (b o d^{i-1}), ``q_ses_triangle``
     (p_k o b) and ``homogeneous_cokernel`` (g o f), equal the per-basis
     construction entry for entry."""
-    if name.startswith("FIX"):
-        pres = load_fixture(name)
-    else:
-        pres = path_category(int(name[1]), int(name.rsplit("F", 1)[1]), killed="killed" in name)
+    pres = presentation(name)
     rng = rng_for(37, "composition-matrices", name)
     built = []
     matrix = Coords.matrix

@@ -1,9 +1,19 @@
 import json
+from itertools import product
 
 import pytest
 
-from koszulkit.complexes import ChainMap, Complex, HomClass, cone, hom_space, minimal_model
-from koszulkit.fixtures import fixture_text, load_fixture
+from koszulkit.complexes import (
+    ChainMap,
+    Complex,
+    HomClass,
+    HomSpace,
+    cone,
+    hom_space,
+    minimal_model,
+    supports_meet,
+)
+from koszulkit.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from koszulkit.koszul import (
     KoszulError,
     double_dual_check,
@@ -19,8 +29,15 @@ from koszulkit.koszul import (
     roundtrip_check,
 )
 from koszulkit.orlov import AddMorphism, OrlovPresentation, obj, validate_presentation
-from koszulkit.tstructure import heart_object, simple_ext_cells, simple_object
+from koszulkit.tstructure import (
+    heart_object,
+    mixed_vanishing_report,
+    simple_ext_cells,
+    simple_object,
+)
 from koszulkit.randgen import rand_heart_complex, rng_for
+from oracle_ext import kb_ext_spaces, kb_yoneda
+from presentations import PATH_NAMES, QUIVER_NAMES, layered_quiver, presentation
 
 
 @pytest.fixture(scope="module")
@@ -124,38 +141,77 @@ def test_ext1_against_extension_enumeration_oracle(a2):
 
 def test_ext_table_skips_cells_without_chain_maps(a3):
     t = ext_table(a3, WINDOW)
-    # a simple sits in one degree, so only the shift deg s - deg t is built
-    assert sorted(t.spaces) == sorted((s, u, a3.degree[s] - a3.degree[u])
-                                      for s in a3.ids for u in a3.ids)
-    assert t.dim("c", "a", 1) == 0 and ("c", "a", 1) not in t.spaces
-    # the on-demand space of a skipped cell agrees
-    assert t.space("c", "a", 1).dimension == 0
+    simples = {s: simple_object(a3, s).normal_form for s in a3.ids}
+    # a simple sits in one degree, so only the shift deg s - deg t has chain maps
+    with_chain_maps = {(s, u, i) for s in a3.ids for u in a3.ids
+                       for i in range(WINDOW[0], WINDOW[1] + 1)
+                       if supports_meet(simples[s], simples[u], i)}
+    assert sorted(with_chain_maps) == sorted(t.cells) == sorted(
+        (s, u, a3.degree[s] - a3.degree[u]) for s in a3.ids for u in a3.ids)
+    assert t.dim("c", "a", 1) == 0 and ("c", "a", 1) not in t.cells
+    # the K^b space of a skipped cell agrees
+    assert kb_ext_spaces(a3, (1, 1))[("c", "a", 1)].dimension == 0
 
 
-@pytest.mark.parametrize("command", [koszul_dual, double_dual_check])
-def test_one_ext_table_per_command(a3, monkeypatch, command):
-    from koszulkit import koszul
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *PATH_NAMES, *QUIVER_NAMES])
+def test_ext_table_matches_the_kb_oracle(name):
+    """Every dim, basis and Yoneda tensor of the table read off the
+    presentation equals the one built in K^b, at every shift in the window."""
+    pres = presentation(name)
+    window = (-8, 8)
+    table = ext_table(pres, window)
+    spaces = kb_ext_spaces(pres, window)
+    for (s, t, i), sp in spaces.items():
+        assert table.dim(s, t, i) == sp.dimension, (s, t, i)
+        assert table.basis(s, t, i) == sp.basis, (s, t, i)
+    shifts = range(window[0], window[1] + 1)
+    nonzero = 0
+    for s, t, u in product(pres.ids, repeat=3):
+        for i, j in product(shifts, repeat=2):
+            if i + j in shifts:
+                tensor = table.yoneda(s, t, u, i, j)
+                assert tensor == kb_yoneda(spaces, s, t, u, i, j), (s, t, u, i, j)
+                nonzero += any(any(c) for row in tensor for c in row)
+    assert nonzero >= len(pres.ids)        # at least the products with identities
 
-    calls, build = [], koszul.ext_table
-    monkeypatch.setattr(koszul, "ext_table",
-                        lambda pres, window: calls.append(pres) or build(pres, window))
-    command(a3, WINDOW)
-    assert [p for p in calls if p is a3] == [a3]
+
+def test_layered_quivers_have_homs_of_dimension_two():
+    draws = [layered_quiver(seed, p) for seed in range(20) for p in (0, 10007)]
+    assert all(validate_presentation(pres).ok for pres in draws)
+    wide = [pres for pres in draws
+            if any(pres.hom_dim(s, t) >= 2 for s in pres.ids for t in pres.ids if s != t)]
+    assert len(wide) > len(draws) // 2
+    # the rescaled bases give structure constants other than 1
+    assert any(c not in (0, 1) for pres in draws for res in pres.comp.values()
+               for c in res.values())
 
 
-def test_passed_table_is_read_and_checked(a2, a3):
-    t = ext_table(a3, WINDOW)
-    assert koszulity_check(a3, WINDOW, table=t) == koszulity_check(a3, WINDOW)
-    assert koszulescence_surrogate(a3, WINDOW, table=t) == koszulescence_surrogate(a3, WINDOW)
-    assert ext1_matrix(a3, t) == ext1_matrix(a3)
-    with pytest.raises(KoszulError, match="does not match"):
-        koszulity_check(a3, (-4, 4), table=t)
-    with pytest.raises(KoszulError, match="does not match"):
-        koszulescence_surrogate(a2, WINDOW, table=t)
-    with pytest.raises(KoszulError, match="does not match"):
-        koszul_dual(a3, (-5, 6), table=t)
-    with pytest.raises(KoszulError, match="does not match"):
-        ext1_matrix(a2, t)
+@pytest.mark.parametrize("name", ["FIX_A3", "A6/F0"])
+def test_ext_reads_build_no_hom_space(name, monkeypatch):
+    pres = presentation(name)
+    built = []
+    init = HomSpace.__init__
+    monkeypatch.setattr(HomSpace, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    table = ext_table(pres, WINDOW)
+    shifts = range(WINDOW[0], WINDOW[1] + 1)
+
+    def every_read():
+        for s, t, u in product(pres.ids, repeat=3):
+            for i, j in product(shifts, repeat=2):
+                table.dim(s, t, i), table.basis(s, t, i), table.yoneda(s, t, u, i, j)
+
+    for what, call in [("ext_table", lambda: ext_table(pres, WINDOW)),
+                       ("dim/basis/yoneda", every_read),
+                       ("koszulescence_surrogate", lambda: koszulescence_surrogate(pres, WINDOW)),
+                       ("mixed_vanishing_report", lambda: mixed_vanishing_report(pres, WINDOW)),
+                       ("ext1_matrix", lambda: ext1_matrix(pres)),
+                       ("koszulity_check", lambda: koszulity_check(pres, WINDOW, samples=0))]:
+        call()
+        assert built == [], what
+    hom_space(simple_object(pres, pres.ids[0]).normal_form,
+              simple_object(pres, pres.ids[0]).normal_form, 0)
+    assert len(built) == 1                 # the patch counts a real build
 
 
 # ---------------------------------------------------------------- koszulity
@@ -191,6 +247,8 @@ def test_surrogate_passes_a3(a3):
     rep = koszulescence_surrogate(a3, WINDOW)
     assert rep["ok"]
     assert rep["cells_checked"] == 1
+    # the window bounds the cells checked, not the Ext^1 factors read
+    assert koszulescence_surrogate(a3, (2, 5)) == {**rep, "window": [2, 5]}
 
 
 def test_surrogate_fails_planted_zero_composite(zc):

@@ -426,7 +426,7 @@ def test_mixed_characteristic_is_a_hard_error():
 # ------------------------------------------------------ compiled composition
 
 def presentations_for_tables():
-    from test_complexes import path_category
+    from presentations import path_category
 
     yield from (load_fixture(name) for name in FIXTURE_NAMES)
     for n in range(3, 8):
