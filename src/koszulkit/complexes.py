@@ -29,7 +29,6 @@ from .orlov import (
     AddObject,
     Coords,
     ZERO_OBJECT,
-    hom_dim_add,
     identity_label,
     invert_endomorphism,
     spans,
@@ -936,6 +935,7 @@ def homogeneous_cokernel(f: AddMorphism) -> HomogeneousCokernel:
                                    AddMorphism.zero(pres, b, ZERO_OBJECT), ZERO_OBJECT)
 
     order = sorted(set(b.summands))
+    # q_rows[r] (perp_rows[r]) is the block row of a map B -> S: row r of q (of the complement)
     q_rows, perp_rows = [], []
     q_ids, perp_ids = [], []
     for s in order:
@@ -952,22 +952,17 @@ def homogeneous_cokernel(f: AddMorphism) -> HomogeneousCokernel:
         _, pivots, _ = full.rref()
         extra = [p - len(kvecs) for p in pivots if p >= len(kvecs)]
         for v in kvecs:
-            q_rows.append((s, v))
+            q_rows.append(bs.from_vector(v)[0].blocks[0])
             q_ids.append(s)
         for e in extra:
-            perp_rows.append((s, [fld.one if r == e else fld.zero for r in range(dim_bs)]))
+            unit = [fld.one if r == e else fld.zero for r in range(dim_bs)]
+            perp_rows.append(bs.from_vector(unit)[0].blocks[0])
             perp_ids.append(s)
 
     quotient = AddObject(tuple(q_ids))
     perp = AddObject(tuple(perp_ids))
-
-    def stack(rows, tgt):
-        """B -> tgt whose row r is the map B -> S with coordinates rows[r]."""
-        return AddMorphism(pres, b, tgt, tuple(
-            AddMorphism.from_vector(pres, b, AddObject((s,)), vec).blocks[0] for s, vec in rows))
-
-    q = stack(q_rows, quotient)
-    stacked = stack(perp_rows + q_rows, perp.concat(quotient))
+    q = AddMorphism(pres, b, quotient, tuple(q_rows))
+    stacked = AddMorphism(pres, b, perp.concat(quotient), tuple(perp_rows + q_rows))
     u_inv = stacked                                     # B -> Q_perp + Q
     u = _invert_iso(u_inv)
     return HomogeneousCokernel(quotient, q, u, u_inv, perp)

@@ -119,34 +119,29 @@ def ext_table(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> ExtTable:
 
 def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
                     samples=12) -> dict:
-    """Weight-diagonal vanishing plus the randomized two-sided checks.
+    """Weight-diagonal vanishing plus the randomized missing-weight check.
 
     Ext^i(S, T) between simples vanishes unless wt T = wt S - i by the
     identity in the module docstring, so ``diagonal_violations`` is empty
-    by construction.  The checks that can fail are sampled: weight-separated
-    objects have no Homs in either direction, and a heart object missing an
-    interior weight splits at that weight.
+    by construction.  So is ``separated_failures``: a heart object has its
+    weight-w term in degree -w, and ``shift(k)`` moves it to -w - k.  A low
+    sample (weights <= cut, shifted by k) then lives in degrees >= -cut - k,
+    and a high one (weights >= cut + 1, shifted by kp >= k) in degrees
+    <= -cut - 1 - k, so no degree holds terms of both and neither Hom
+    space has a chain-map unknown.  The pairs are still drawn and counted
+    in ``separated_pairs_checked``.  The check that can fail is sampled: a
+    heart object missing an interior weight splits at that weight.
     """
     rng = rng_for(seed, "koszulity", pres.name)
     degs = sorted({pres.degree[i] for i in pres.ids})
     separated_checked = 0
-    separated_failures = []
-    if len(degs) > 1:
-        for _ in range(samples):
-            cut = rng.choice(degs[:-1])
-            low = rand_heart_complex(pres, rng, max_weight=cut)
-            high = rand_heart_complex(pres, rng, min_weight=cut + 1)
-            if low.is_zero or high.is_zero:
-                continue
-            # a shift [k] raises all weights by k, so k <= kp keeps the
-            # separation: weights(x) <= cut + k < cut + 1 + kp <= weights(y)
-            k = rng.randint(0, 2)
-            kp = k + rng.randint(0, 2)
-            x = low.shift(k)
-            y = high.shift(kp)
+    for _ in range(samples if len(degs) > 1 else 0):
+        cut = rng.choice(degs[:-1])
+        low = rand_heart_complex(pres, rng, max_weight=cut)
+        high = rand_heart_complex(pres, rng, min_weight=cut + 1)
+        if not (low.is_zero or high.is_zero):
+            rng.randint(0, 2), rng.randint(0, 2)    # the shifts k, kp - k: keeps the stream
             separated_checked += 1
-            if hom_space(x, y, 0).dimension or hom_space(y, x, 0).dimension:
-                separated_failures.append({"cut": cut, "shifts": [k, kp]})
 
     split_checked = 0
     split_failures = []
@@ -168,10 +163,10 @@ def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
         "window": list(window),
         "diagonal_violations": [],
         "separated_pairs_checked": separated_checked,
-        "separated_failures": separated_failures,
+        "separated_failures": [],
         "missing_weight_splits_checked": split_checked,
         "split_failures": split_failures,
-        "ok": not (separated_failures or split_failures),
+        "ok": not split_failures,
     }
 
 
@@ -385,13 +380,12 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
         if sorted(ak.summands + bk.summands) != sorted(ek.summands):
             raise KoszulError(f"terms at degree {k} are not extension-compatible")
         pk = proj.component(k)
-        unit = AddMorphism.identity(pres, bk).to_vector()
-        mat = Coords(pres, {0: (bk, ek)}).matrix(
-            Coords(pres, {0: (bk, bk)}), [(0, 1, "left", lambda i: pk)])
-        sol = mat.solve(unit)
+        sections, ends = Coords(pres, {0: (bk, ek)}), Coords(pres, {0: (bk, bk)})
+        sol = sections.matrix(ends, [(0, 1, "left", lambda i: pk)]).solve(
+            ends.to_vector({0: AddMorphism.identity(pres, bk)}.get))
         if sol is None:
             raise KoszulError(f"projection admits no section at degree {k}")
-        section = AddMorphism.from_vector(pres, bk, ek, sol)
+        section = sections.from_vector(sol).get(0) or AddMorphism.zero(pres, bk, ek)
         every = range(len(ek))
         apos, bpos = spans(ak, bk)
         w_comps[k] = AddMorphism.assemble(pres, ak.concat(bk), ek, [

@@ -548,42 +548,56 @@ class AddMorphism:
 
     def to_vector(self):
         """Flatten to the coordinate order of :func:`hom_basis`."""
-        pres = self.pres
-        out = []
-        for i, ti in enumerate(self.target):
-            for j, sj in enumerate(self.source):
-                dim = pres.hom_dim(sj, ti)
-                b = self.blocks[i][j]
-                out.extend(b if b is not None else (pres.field.zero,) * dim)
-        return out
+        starts = block_starts(self.pres, self.source, self.target)
+        vec = [self.pres.field.zero] * starts[-1]
+        _put_blocks(vec, starts, self.blocks)
+        return vec
 
     @staticmethod
     def from_vector(pres, source: AddObject, target: AddObject, vec) -> "AddMorphism":
-        pos = 0
-        blocks = []
-        for ti in target:
-            row = []
-            for sj in source:
-                dim = pres.hom_dim(sj, ti)
-                coords = tuple(vec[pos:pos + dim])
-                pos += dim
-                row.append(coords if any(coords) else None)
-            blocks.append(tuple(row))
-        return AddMorphism(pres, source, target, tuple(blocks))
+        blocks = _cut_blocks(vec, block_starts(pres, source, target), source, target)
+        return AddMorphism(pres, source, target, blocks)
+
+
+def block_starts(pres, x: AddObject, y: AddObject, start=0) -> list:
+    """The layout of Hom_add(x, y) in :func:`hom_basis` order, counted from
+    ``start``: block (target i, source j) begins at ``starts[i * len(x) + j]``
+    and ends where the next begins; the last entry is ``start`` plus the
+    dimension."""
+    starts = [start]
+    for ti in y:
+        for sj in x:
+            start += pres.hom_dim(sj, ti)
+            starts.append(start)
+    return starts
+
+
+def _put_blocks(vec, starts, blocks):
+    """Write the nonzero blocks of a grid into ``vec`` at their ``starts``."""
+    for s, b in zip(starts, (b for row in blocks for b in row)):
+        if b is not None:
+            vec[s:s + len(b)] = b
+
+
+def _cut_blocks(vec, starts, x: AddObject, y: AddObject):
+    """The block grid of a morphism x -> y that ``vec`` holds at ``starts``."""
+    cut = [tuple(vec[a:b]) for a, b in zip(starts, starts[1:])]
+    cut = [c if any(c) else None for c in cut]
+    n = len(x)
+    return tuple(tuple(cut[i * n:i * n + n]) for i in range(len(y)))
 
 
 def hom_dim_add(pres, x: AddObject, y: AddObject) -> int:
-    return sum(pres.hom_dim(sj, ti) for ti in y for sj in x)
+    return block_starts(pres, x, y)[-1]
 
 
 def hom_basis(pres, x: AddObject, y: AddObject):
-    """Elementary single-block basis of Hom_add(x, y), with its dimension."""
-    basis = []
-    for i, ti in enumerate(y):
-        for j, sj in enumerate(x):
-            for lab in pres.hom_labels(sj, ti):
-                basis.append(AddMorphism.single(pres, x, y, i, j, pres.coords(lab)))
-    return basis, len(basis)
+    """Elementary single-block basis of Hom_add(x, y), with its dimension:
+    element k has the unit vector at k as its :meth:`AddMorphism.to_vector`."""
+    fld, starts = pres.field, block_starts(pres, x, y)
+    dim = starts[-1]
+    units = ([fld.one if r == k else fld.zero for r in range(dim)] for k in range(dim))
+    return [AddMorphism(pres, x, y, _cut_blocks(u, starts, x, y)) for u in units], dim
 
 
 def compose(g: AddMorphism, f: AddMorphism) -> AddMorphism:
@@ -596,37 +610,41 @@ class Coords:
     ``objs`` maps each degree i to the (source, target) of the morphism at
     i.  The vector lists the degrees in ascending order, each in
     :func:`hom_basis` order; a degree whose Hom space is zero gets no slice.
+    The layout of each degree (:func:`block_starts`, counted from the start
+    of its slice) is computed once, here, and every method reads it.
     """
 
-    __slots__ = ("pres", "objs", "slices", "total")
+    __slots__ = ("pres", "objs", "slices", "starts", "total")
 
     def __init__(self, pres, objs):
         self.pres = pres
         self.objs = {}
         self.slices = {}
+        self.starts = {}
         pos = 0
         for i in sorted(objs):
             x, y = objs[i]
-            dim = hom_dim_add(pres, x, y)
-            if dim:
+            starts = block_starts(pres, x, y, pos)
+            if starts[-1] > pos:
                 self.objs[i] = (x, y)
-                self.slices[i] = slice(pos, pos + dim)
-                pos += dim
+                self.slices[i] = slice(pos, starts[-1])
+                self.starts[i] = starts
+                pos = starts[-1]
         self.total = pos
 
     def to_vector(self, component):
         """Coordinates of the family; ``component(i)`` is its morphism at
         degree i, or None for zero.  Degrees without a slice are not read."""
         vec = [self.pres.field.zero] * self.total
-        for i, s in self.slices.items():
+        for i, starts in self.starts.items():
             m = component(i)
             if m is not None:
-                vec[s] = m.to_vector()
+                _put_blocks(vec, starts, m.blocks)
         return vec
 
     def from_vector(self, vec) -> dict:
         """The family with coordinates ``vec``, one morphism per slice."""
-        return {i: AddMorphism.from_vector(self.pres, x, y, vec[self.slices[i]])
+        return {i: AddMorphism(self.pres, x, y, _cut_blocks(vec, self.starts[i], x, y))
                 for i, (x, y) in self.objs.items()}
 
     def matrix(self, rows: "Coords", terms) -> Matrix:
@@ -650,14 +668,14 @@ class Coords:
                 row[col] = (x + vc) % p if p else (x + vc if x else vc)
 
         for i, (x, y) in self.objs.items():
-            cols = _block_offsets(pres, x, y, self.slices[i].start)
+            cols, n = self.starts[i], len(x)
             for step, sign, side, fixed in terms:
-                s = rows.slices.get(i + step)
-                if s is None:
+                offs = rows.starts.get(i + step)
+                if offs is None:
                     continue
                 d = fixed(i).blocks
                 xr, yr = rows.objs[i + step]
-                offs = _block_offsets(pres, xr, yr, s.start)
+                nr = len(xr)
                 if side == "left":      # block (a, j) of d o b is d[a][t] o b[t][j]
                     for a, ta in enumerate(yr):
                         for t, ti in enumerate(y):
@@ -666,7 +684,7 @@ class Coords:
                                 if sign < 0:
                                     g = [-v for v in g]
                                 for j, sj in enumerate(x):
-                                    c0, r0 = cols[t][j], offs[a][j]
+                                    c0, r0 = cols[t * n + j], offs[a * nr + j]
                                     for gi, fi, res in pres.table(sj, ti, ta):
                                         if g[gi]:
                                             put(r0, c0 + fi, g[gi], res)
@@ -678,24 +696,11 @@ class Coords:
                                 if sign < 0:
                                     f = [-v for v in f]
                                 for t, ti in enumerate(y):
-                                    c0, r0 = cols[t][j], offs[t][k]
+                                    c0, r0 = cols[t * n + j], offs[t * nr + k]
                                     for gi, fi, res in pres.table(sk, sj, ti):
                                         if f[fi]:
                                             put(r0, c0 + gi, f[fi], res)
         return Matrix(pres.field, rows.total, self.total, data)
-
-
-def _block_offsets(pres, x: AddObject, y: AddObject, start=0):
-    """``offsets[i][j]``: where block (target i, source j) of Hom_add(x, y)
-    starts in :func:`hom_basis` order, counting from ``start``."""
-    out = []
-    for ti in y:
-        row = []
-        for sj in x:
-            row.append(start)
-            start += pres.hom_dim(sj, ti)
-        out.append(row)
-    return out
 
 
 # ----------------------------------------------------------------- validate

@@ -12,7 +12,7 @@ import random
 
 from .complexes import ChainMap, Complex, HomSpace
 from .linalg import Matrix
-from .orlov import AddMorphism, AddObject, Coords, hom_dim_add, invert_endomorphism
+from .orlov import AddMorphism, AddObject, Coords, invert_endomorphism
 
 
 def rand_scalar(field, rng, small=True):
@@ -31,8 +31,9 @@ def rand_object(pres, rng, max_summands=3, allow_empty=True, degrees=None):
 
 
 def rand_add_morphism(pres, x, y, rng):
-    vec = [rand_scalar(pres.field, rng) for _ in range(hom_dim_add(pres, x, y))]
-    return AddMorphism.from_vector(pres, x, y, vec)
+    coords = Coords(pres, {0: (x, y)})
+    vec = [rand_scalar(pres.field, rng) for _ in range(coords.total)]
+    return coords.from_vector(vec).get(0) or AddMorphism.zero(pres, x, y)
 
 
 def rand_kernel_element(mat: Matrix, rng, field):
@@ -67,20 +68,19 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
         if i + 1 not in terms:
             prev = None
             continue
-        x, y = terms[i], terms[i + 1]
-        dim = hom_dim_add(pres, x, y)
-        if dim == 0:
+        y = terms[i + 1]
+        coords = Coords(pres, {0: (terms[i], y)})
+        if not coords.total:
             prev = None
             continue
         if prev is None:
-            vec = [rand_scalar(fld, rng) for _ in range(dim)]
+            vec = [rand_scalar(fld, rng) for _ in range(coords.total)]
         else:
             # rows: coordinates of (candidate o prev) in Hom(term(i-1), y)
             pm = prev[1]
-            mat = Coords(pres, {0: (x, y)}).matrix(
-                Coords(pres, {0: (pm.source, y)}), [(0, 1, "right", lambda i: pm)])
+            mat = coords.matrix(Coords(pres, {0: (pm.source, y)}), [(0, 1, "right", lambda i: pm)])
             vec = rand_kernel_element(mat, rng, fld)
-        m = AddMorphism.from_vector(pres, x, y, vec)
+        m = coords.from_vector(vec)[0]
         if m.is_zero():
             prev = None
         else:

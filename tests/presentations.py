@@ -14,6 +14,9 @@ from koszulkit.orlov import OrlovPresentation
 PATH_NAMES = [f"A{n}{kill}/F{p}" for n in range(3, 10) for kill in ("", "-killed")
               for p in (0, 10007)]
 QUIVER_NAMES = [f"quiver{seed}/F{(0, 10007)[seed % 2]}" for seed in range(8)]
+# quivers with Hom spaces of dimension 2 to 4, where a block's start in a
+# flat coordinate vector is not its index
+WIDE_BLOCK_NAMES = ["quiver0/F0", "quiver3/F10007"]
 
 
 def path_category(n, characteristic, killed=False):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from koszulkit import complexes
@@ -26,7 +28,7 @@ from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check, q_ses_triangle
 from koszulkit.linalg import Matrix
 from koszulkit.filtered import FilteredHomSpace
-from koszulkit.orlov import AddMorphism, Coords, hom_basis, hom_dim_add, obj
+from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, hom_dim_add, obj
 from koszulkit.randgen import (
     conjugate_complex,
     rand_chain_map,
@@ -38,7 +40,7 @@ from koszulkit.randgen import (
 from koszulkit.tstructure import simple_ext_cells
 from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
-from presentations import PATH_NAMES, QUIVER_NAMES, path_category, presentation
+from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, path_category, presentation
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +650,34 @@ def test_triangle_rotation_long_exactness(a2):
         assert total == 0
 
 
+def test_one_layout_walk_per_coords_degree(monkeypatch):
+    """A Hom build, its basis and an ``express`` walk each (source, target)
+    pair of the three ``Coords`` (chain maps, homotopies, chain-condition
+    rows) once: at most one ``hom_dim`` call per block of each degree."""
+    pres = path_category(10, 0)
+    rng = rng_for(41, "layout-walks")
+    while True:
+        x, y = (conjugate_complex(rand_complex(pres, rng, amplitude=4, max_summands=4), rng)[0]
+                for _ in "xy")
+        k = rng.randint(-1, 1)
+        if hom_space(x, y, k).dimension >= 2:
+            break
+    ys = y.shift(k)
+    degrees = [(t, ys.terms[i + step]) for step in (0, -1, 1)
+               for i, t in x.terms.items() if i + step in ys.terms]
+    once = Counter((s, t) for a, b in degrees for t in b for s in a)
+    calls = Counter()
+    hom_dim = OrlovPresentation.hom_dim
+    monkeypatch.setattr(OrlovPresentation, "hom_dim",
+                        lambda self, s, t: calls.update([(s, t)]) or hom_dim(self, s, t))
+    sp = hom_space(x, y, k)
+    total = ChainMap.zero(x, ys)
+    for b in sp.basis:
+        total = total.add(b)
+    assert sp.express(total) == [1] * sp.dimension
+    assert calls and not calls - once
+
+
 # ------------------------------------------------------ constraint matrices
 
 def per_basis_matrix(cols, rows, terms):
@@ -669,7 +699,7 @@ def per_basis_matrix(cols, rows, terms):
     return mat
 
 
-@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0"])
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
 def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch):
     pres = presentation(name)
     rng = rng_for(31, "constraint-matrices", name)
@@ -682,7 +712,7 @@ def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch)
 
     monkeypatch.setattr(Coords, "matrix", recording)
     compared = 0
-    for _ in range(60):
+    for _ in range(80):
         x, y = (conjugate_complex(rand_complex(pres, rng, amplitude=3), rng)[0] for _ in "xy")
         k = rng.randint(-1, 1)
         built.clear()
@@ -711,7 +741,7 @@ def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch)
     assert compared >= 30
 
 
-@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0"])
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
 def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch):
     """The matrices of composition with one fixed morphism, built by
     ``Coords.matrix`` in ``rand_complex`` (b o d^{i-1}), ``q_ses_triangle``

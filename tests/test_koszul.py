@@ -13,7 +13,7 @@ from koszulkit.complexes import (
     minimal_model,
     supports_meet,
 )
-from koszulkit.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from koszulkit.fixtures import FIXTURE_NAMES, VALID_FIXTURES, fixture_text, load_fixture
 from koszulkit.koszul import (
     KoszulError,
     double_dual_check,
@@ -206,7 +206,8 @@ def test_ext_reads_build_no_hom_space(name, monkeypatch):
                        ("koszulescence_surrogate", lambda: koszulescence_surrogate(pres, WINDOW)),
                        ("mixed_vanishing_report", lambda: mixed_vanishing_report(pres, WINDOW)),
                        ("ext1_matrix", lambda: ext1_matrix(pres)),
-                       ("koszulity_check", lambda: koszulity_check(pres, WINDOW, samples=0))]:
+                       ("koszulity_check", lambda: koszulity_check(pres, WINDOW, samples=0)),
+                       ("koszulity_check sampled", lambda: koszulity_check(pres, WINDOW))]:
         call()
         assert built == [], what
     hom_space(simple_object(pres, pres.ids[0]).normal_form,
@@ -220,6 +221,27 @@ def test_koszulity_check_passes_fixtures(pt, a2, a3):
     for pres in (pt, a2, a3):
         rep = koszulity_check(pres, WINDOW, seed=5)
         assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("name", [*VALID_FIXTURES, *PATH_NAMES, *QUIVER_NAMES])
+def test_weight_separated_samples_share_no_degree(name):
+    """The proof behind the constant ``separated_failures``: a low heart
+    object (weights <= cut) shifted by k and a high one (weights >= cut + 1)
+    shifted by kp >= k never have terms in one degree, in either order."""
+    pres = presentation(name)
+    rng = rng_for(3, "separated", name)
+    degs = sorted({pres.degree[i] for i in pres.ids})
+    drawn = 0
+    for _ in range(12 if len(degs) > 1 else 0):
+        cut = rng.choice(degs[:-1])
+        low = rand_heart_complex(pres, rng, max_weight=cut)
+        high = rand_heart_complex(pres, rng, min_weight=cut + 1)
+        drawn += not (low.is_zero or high.is_zero)
+        for k in range(3):
+            for kp in range(k, k + 3):
+                x, y = low.shift(k), high.shift(kp)
+                assert not supports_meet(x, y) and not supports_meet(y, x), (cut, k, kp)
+    assert drawn or len(degs) == 1
 
 
 def test_koszulity_diagonal_position_a3(a3):

@@ -25,6 +25,7 @@ from koszulkit.orlov import (
     split_idempotent,
     validate_presentation,
 )
+from presentations import WIDE_BLOCK_NAMES, presentation
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +292,45 @@ def test_coords_round_trip(a3):
     assert vec == family[-1].to_vector() + family[0].to_vector() + family[5].to_vector()
     back = coords.from_vector(vec)
     assert back == {i: family[i] for i in (-1, 0, 5)}
+    assert coords.to_vector(back.get) == vec
+
+
+@pytest.mark.parametrize("name", WIDE_BLOCK_NAMES)
+def test_vector_round_trip_on_wide_blocks(name):
+    pres = presentation(name)
+    rng = random.Random(9)
+    x, y = obj(*reversed(pres.ids)), obj(*pres.ids, pres.ids[0])
+    basis, dim = hom_basis(pres, x, y)
+    # hom_basis order: target summand, then source summand, then label
+    blocks = [(i, j, k) for i, t in enumerate(y) for j, s in enumerate(x)
+              for k in range(pres.hom_dim(s, t))]
+    assert max(pres.hom_dim(s, t) for s in x for t in y) >= 2
+    assert len(blocks) == dim
+    for n, (b, (i, j, k)) in enumerate(zip(basis, blocks)):
+        assert b.to_vector() == [int(r == n) for r in range(dim)]
+        nonzero = [(r, c) for r, row in enumerate(b.blocks) for c, v in enumerate(row) if v]
+        assert nonzero == [(i, j)]
+        assert b.blocks[i][j] == pres.coords(pres.hom_labels(x[j], y[i])[k])
+        assert AddMorphism.from_vector(pres, x, y, b.to_vector()) == b
+    for _ in range(5):
+        m = rand_morphism(pres, x, y, rng)
+        assert AddMorphism.from_vector(pres, x, y, m.to_vector()) == m
+
+
+@pytest.mark.parametrize("name", WIDE_BLOCK_NAMES)
+def test_coords_round_trip_on_wide_blocks(name):
+    pres = presentation(name)
+    rng = random.Random(17)
+    ids = pres.ids
+    objs = {3: (obj(*ids), obj(*reversed(ids))), -2: (obj(ids[-1]), obj(ids[0])),
+            0: (obj(*ids[1:]), obj(*ids[:-1])), 1: (ZERO_OBJECT, obj(*ids))}
+    coords = Coords(pres, objs)
+    assert list(coords.slices) == [i for i in sorted(objs) if hom_basis(pres, *objs[i])[1]]
+    family = {i: rand_morphism(pres, x, y, rng) for i, (x, y) in objs.items()}
+    vec = coords.to_vector(family.get)
+    assert vec == [v for i in coords.slices for v in family[i].to_vector()]
+    back = coords.from_vector(vec)
+    assert back == {i: family[i] for i in coords.slices}
     assert coords.to_vector(back.get) == vec
 
 
