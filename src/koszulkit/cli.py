@@ -7,6 +7,19 @@ Exit codes: 0 the report was produced and its checks pass; 1 the report was
 produced and a check in it failed (or the golden file differs); 2 the input
 or a precondition of the command was refused (a ``KoszulkitError``); 3 any
 other exception, an internal error, which is a bug.
+
+Start-up: the module imports only what every command uses (``linalg``,
+``orlov`` and ``fixtures``), and each command imports the engine layers it
+runs at the top of its handler, so a process loads no layer it does not run:
+
+- ``validate``, ``heart``: nothing more
+- ``hom``, ``cone``, ``minimize``: ``complexes``
+- ``truncate``, ``weights``, ``mixed-check``: ``tstructure`` (and ``complexes``)
+- ``koszul-check``, ``surrogate``, ``roundtrip``, ``dual``, ``double-dual``:
+  ``koszul`` (and ``complexes``, ``tstructure``, ``randgen``)
+- ``infext``: ``infext`` (and ``complexes``)
+- ``filtered-demo``: ``filtered`` and ``randgen`` (and ``complexes``)
+- ``selftest``: all of these
 """
 
 from __future__ import annotations
@@ -16,29 +29,9 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
-import traceback
 
 from . import __version__
-from .complexes import ChainMap, Complex, HomClass, Triangle, cone, hom_space, minimal_model
 from .fixtures import FIXTURE_NAMES, fixture_path, load_fixture
-from .filtered import filt_hom_report, filt_triangle, s_shift, split_decompose
-from .infext import (
-    InfMorphism,
-    adjunction_data,
-    complete_inf_square,
-    inf_compose,
-    inf_invert,
-    inf_les_check,
-    iota_triangle,
-)
-from .koszul import (
-    double_dual_check,
-    koszul_dual,
-    koszulescence_surrogate,
-    koszulity_check,
-    roundtrip_check,
-)
 from .linalg import KoszulkitError
 from .orlov import (
     AddMorphism,
@@ -47,15 +40,6 @@ from .orlov import (
     decode_object,
     fields,
     validate_presentation,
-)
-from .randgen import rand_complex, rand_filtered, rand_filtered_complex, rng_for
-from .tstructure import (
-    aisle_membership,
-    composition_factors,
-    heart_object,
-    mixed_vanishing_report,
-    truncate,
-    weight_filtration,
 )
 
 
@@ -83,6 +67,8 @@ def load_presentation(path):
 
 
 def decode_complex(pres, data) -> Complex:
+    from .complexes import Complex
+
     terms, diff = fields(data, "complex", terms=({int: [str]}, {}), diff=({int: list}, {}))
     terms = {i: decode_object(pres, ids) for i, ids in terms.items()}
     diffs = {}
@@ -100,6 +86,8 @@ def encode_complex(x: Complex) -> dict:
 
 
 def decode_chain_map(pres, data) -> ChainMap:
+    from .complexes import ChainMap
+
     src, tgt, comps = fields(data, "chain map", source=dict, target=dict,
                              components=({int: list}, {}))
     src, tgt = decode_complex(pres, src), decode_complex(pres, tgt)
@@ -109,6 +97,9 @@ def decode_chain_map(pres, data) -> ChainMap:
 
 
 def decode_inf_morphism(pres, data) -> InfMorphism:
+    from .complexes import HomClass
+    from .infext import InfMorphism
+
     f0, finf = fields(data, "infinitesimal morphism", f0=dict, finf=(dict, {}))
     f0 = HomClass(decode_chain_map(pres, f0))
     if not fields(finf, "finf", components=({int: list}, {}))[0]:
@@ -166,6 +157,8 @@ def golden_compare(report: dict, golden_path: str, regen: bool, oracle="unspecif
     """
     payload = canonical_bytes(report)
     if regen:
+        import tempfile
+
         directory = os.path.dirname(os.path.abspath(golden_path)) or "."
         wrapped = canonical_bytes({"derived_by": oracle, "report": report})
         try:
@@ -210,6 +203,8 @@ def cmd_validate(args, window, seed):
 
 
 def cmd_hom(args, window, seed):
+    from .complexes import Complex, hom_space
+
     pres, digest = load_presentation(args.presentation)
     src = Complex.single(pres, decode_object(pres, [args.source]), 0)
     tgt = Complex.single(pres, decode_object(pres, [args.target]), 0)
@@ -218,6 +213,8 @@ def cmd_hom(args, window, seed):
 
 
 def cmd_cone(args, window, seed):
+    from .complexes import cone
+
     pres, digest = load_presentation(args.presentation)
     f = decode_chain_map(pres, load_json(args.map))
     z, _, _ = cone(f)
@@ -227,6 +224,8 @@ def cmd_cone(args, window, seed):
 
 
 def cmd_minimize(args, window, seed):
+    from .complexes import minimal_model
+
     pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
     m, iso = minimal_model(x)
@@ -237,6 +236,8 @@ def cmd_minimize(args, window, seed):
 
 
 def cmd_truncate(args, window, seed):
+    from .tstructure import aisle_membership, truncate
+
     pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
     tr = truncate(x)
@@ -264,6 +265,8 @@ def cmd_heart(args, window, seed):
 
 
 def cmd_weights(args, window, seed):
+    from .tstructure import composition_factors, heart_object, weight_filtration
+
     pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
     h = heart_object(x)
@@ -291,14 +294,39 @@ def gated(check, ok="ok"):
     return command
 
 
-cmd_mixed_check = gated(lambda pres, window, seed: mixed_vanishing_report(pres, window),
-                        ok="vanishing_ok")
-cmd_koszul_check = gated(lambda pres, window, seed: koszulity_check(pres, window, seed=seed))
-cmd_surrogate = gated(lambda pres, window, seed: koszulescence_surrogate(pres, window))
-cmd_roundtrip = gated(lambda pres, window, seed: roundtrip_check(pres, window))
+def mixed_check(pres, window, seed):
+    from .tstructure import mixed_vanishing_report
+
+    return mixed_vanishing_report(pres, window)
+
+
+def koszul_check(pres, window, seed):
+    from .koszul import koszulity_check
+
+    return koszulity_check(pres, window, seed=seed)
+
+
+def surrogate(pres, window, seed):
+    from .koszul import koszulescence_surrogate
+
+    return koszulescence_surrogate(pres, window)
+
+
+def roundtrip(pres, window, seed):
+    from .koszul import roundtrip_check
+
+    return roundtrip_check(pres, window)
+
+
+cmd_mixed_check = gated(mixed_check, ok="vanishing_ok")
+cmd_koszul_check = gated(koszul_check)
+cmd_surrogate = gated(surrogate)
+cmd_roundtrip = gated(roundtrip)
 
 
 def cmd_dual(args, window, seed):
+    from .koszul import koszul_dual
+
     pres, digest = load_presentation(args.presentation)
     dual = koszul_dual(pres, window, length_bound=args.length_bound)
     payload = {
@@ -310,12 +338,17 @@ def cmd_dual(args, window, seed):
 
 
 def cmd_double_dual(args, window, seed):
+    from .koszul import double_dual_check
+
     pres, digest = load_presentation(args.presentation)
     rep = double_dual_check(pres, window, length_bound=args.length_bound)
     return rep, digest, rep["ok"]
 
 
 def cmd_infext(args, window, seed):
+    from .complexes import Triangle
+    from .infext import complete_inf_square, inf_compose, inf_invert, inf_les_check, iota_triangle
+
     pres, digest = load_presentation(args.presentation)
     sub = args.infext_command
     arity = {"compose": 2, "invert": 1, "square": 4, "les": 2}[sub]
@@ -344,9 +377,19 @@ def cmd_infext(args, window, seed):
 
 def cmd_filtered_demo(args, window, seed):
     """Run the filtered-category axiom suite on generated objects."""
+    from .filtered import (
+        FilteredMorphism,
+        alpha,
+        filt_hom_report,
+        filt_triangle,
+        s_shift,
+        s_shift_morphism,
+        split_decompose,
+    )
+    from .randgen import rand_filtered, rand_filtered_complex, rng_for
+
     pres, digest = load_presentation(args.presentation)
     rng = rng_for(seed, "filtered-demo", pres.name)
-    from .filtered import FilteredMorphism, alpha, s_shift_morphism
 
     splits = hom_reports = triangles = alpha_checks = shift_checks = 0
     failures = []
@@ -385,6 +428,12 @@ def cmd_filtered_demo(args, window, seed):
 
 
 def cmd_selftest(args, window, seed):
+    from .filtered import FilteredMorphism, split_decompose
+    from .infext import adjunction_data
+    from .koszul import double_dual_check, koszulescence_surrogate, koszulity_check, roundtrip_check
+    from .randgen import rand_complex, rand_filtered, rng_for
+    from .tstructure import aisle_membership, mixed_vanishing_report, truncate
+
     checks = []
 
     def record(name, ok, **extra):
@@ -432,8 +481,6 @@ def cmd_selftest(args, window, seed):
         x = rand_complex(a2, rng, amplitude=2)
         adj_ok = adj_ok and adjunction_data(x)["ok"]
     record("infext:adjunctions", adj_ok)
-
-    from .filtered import FilteredMorphism
 
     filt_ok = True
     for _ in range(3):
@@ -555,6 +602,8 @@ def main(argv=None) -> int:
     except KoszulkitError as exc:
         out, exit_code = json.dumps({"error": str(exc)}) + "\n", 2
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         error = f"internal error: {type(exc).__name__}: {exc}"
         out, exit_code = json.dumps({"error": error}) + "\n", 3

@@ -173,15 +173,15 @@ def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
 def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> dict:
     """Degree-one generation of the windowed Yoneda algebra.
 
-    Necessary condition only: every Ext^i (i >= 2) between simples must be
-    spanned by products Ext^1 o Ext^{i-1}.  A failure carries the witness
-    cell and the spanned dimension.
+    Necessary condition only: every Ext^i between simples, for i >= 2 in
+    the window, must be spanned by products Ext^1 o Ext^{i-1}.  A failure
+    carries the witness cell and the spanned dimension.
     """
     table = ext_table(pres, window)
     fld = pres.field
     failures = []
     checked = 0
-    for s, u, i in simple_ext_cells(pres, (2, window[1])):
+    for s, u, i in simple_ext_cells(pres, (max(2, window[0]), window[1])):
         dim = table.dim(s, u, i)
         if dim == 0:
             continue

@@ -12,7 +12,6 @@ reduction (:func:`split_idempotent`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from reprlib import repr as brief
 
 from .linalg import Field, KoszulkitError, LinalgError, Matrix
@@ -278,11 +277,34 @@ class OrlovPresentation:
 # ------------------------------------------------------------------ objects
 
 
-@dataclass(frozen=True)
 class AddObject:
-    """Formal direct sum: an ordered tuple of indecomposable ids."""
+    """Formal direct sum: an ordered tuple of indecomposable ids.  Immutable,
+    hashable, and equal to another ``AddObject`` with the same summands."""
 
-    summands: tuple
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple):
+        object.__setattr__(self, "summands", summands)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self):
+        return hash((self.summands,))
+
+    def __repr__(self):
+        return f"AddObject(summands={self.summands!r})"
+
+    def __reduce__(self):
+        return AddObject, (self.summands,)
 
     def __len__(self):
         return len(self.summands)
@@ -706,19 +728,31 @@ class Coords:
 # ----------------------------------------------------------------- validate
 
 
-@dataclass
 class Finding:
-    kind: str
-    witness: tuple
-    detail: str
+    """One finding: its kind, the ids or labels witnessing it, and a message."""
+
+    def __init__(self, kind: str, witness: tuple, detail: str):
+        self.kind, self.witness, self.detail = kind, witness, detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.witness, self.detail) == (other.kind, other.witness, other.detail)
 
     def to_data(self):
         return {"kind": self.kind, "witness": list(self.witness), "detail": self.detail}
 
 
-@dataclass
 class ValidationReport:
-    findings: list
+    """The findings of :func:`validate_presentation`; it passes when there are none."""
+
+    def __init__(self, findings: list):
+        self.findings = findings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.findings == other.findings
 
     @property
     def ok(self):

@@ -490,3 +490,87 @@ def test_pretty_mode_renders_text():
     assert proc.returncode == 0
     assert "simples" in proc.stdout
     assert not proc.stdout.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("argv,cells,code", [
+    (["surrogate", "FIX_A3", "--window", "3..8"], 0, 0),
+    (["surrogate", "FIX_ZC", "--window", "3..5"], 0, 0),
+    (["surrogate", "FIX_ZC", "--window", "2..5"], 1, 1),
+], ids=["a3-above-ext2", "zc-above-ext2", "zc-from-ext2"])
+def test_surrogate_checks_only_cells_inside_its_window(argv, cells, code):
+    # the one Ext^2 cell of FIX_A3 and FIX_ZC is (c, a, 2)
+    got, report = run_json(*argv)
+    assert got == code
+    assert report["payload"]["cells_checked"] == cells
+
+
+# ----------------------------------------------------------- fresh processes
+
+# each subcommand once, in a process that has loaded nothing, with the exit
+# code it documents; a name in FILES stands for a file holding its document
+FILES = {**FUZZ_INPUTS, "ID": ID_A}
+FRESH_COMMANDS = [
+    (["validate", "FIX_PT"], 0),
+    (["hom", "FIX_A2", "--from", "b", "--to", "a"], 0),
+    (["cone", "FIX_A2", "MAP"], 0),
+    (["minimize", "FIX_A2", "CX"], 0),
+    (["truncate", "FIX_A2", "CX"], 0),
+    (["heart", "FIX_A3"], 0),
+    (["weights", "FIX_A2", "CX"], 0),
+    (["mixed-check", "FIX_A2"], 0),
+    (["koszul-check", "FIX_A3"], 0),
+    (["surrogate", "FIX_ZC"], 1),
+    (["dual", "FIX_A2", "--window", "-5..5"], 0),
+    (["roundtrip", "FIX_A2", "--window", "-5..5"], 0),
+    (["double-dual", "FIX_A2", "--window", "-5..5"], 0),
+    (["infext", "square", "FIX_A2", "ID", "ID", "ID", "ID"], 0),
+    (["filtered-demo", "FIX_A2", "--seed", "3"], 0),
+    (["selftest", "--window", "-3..3"], 0),
+]
+
+
+def test_fresh_commands_cover_every_subcommand():
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if a.dest == "command")
+    assert [argv[0] for argv, _ in FRESH_COMMANDS] == list(sub.choices)
+
+
+@pytest.mark.parametrize("argv,code", FRESH_COMMANDS, ids=[a[0] for a, _ in FRESH_COMMANDS])
+def test_every_subcommand_runs_in_a_fresh_process(tmp_path, argv, code):
+    for name, doc in FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli(*[str(tmp_path / f"{a}.json") if a in FILES else a for a in argv])
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["command"] == argv[0]
+
+
+IMPORT_PROBE = """
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
+from koszulkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code,
+                  "koszulkit": sorted(m for m in sys.modules if m.split(".")[0] == "koszulkit"),
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "bare_dataclasses": "dataclasses" in bare}))
+"""
+CORE = ["koszulkit", "koszulkit.cli", "koszulkit.fixtures", "koszulkit.linalg", "koszulkit.orlov"]
+
+
+@pytest.mark.parametrize("argv,engine", [
+    (["validate", "FIX_PT"], CORE),
+    (["hom", "FIX_A2", "--from", "b", "--to", "a"], sorted(CORE + ["koszulkit.complexes"])),
+], ids=["validate", "hom"])
+def test_a_command_loads_only_the_layers_it_runs(argv, engine):
+    # validate runs no dataclass: orlov, fixtures and linalg define none
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["code"] == 0
+    assert seen["koszulkit"] == engine
+    if engine == CORE:
+        assert not seen["dataclasses"] or seen["bare_dataclasses"]

@@ -162,6 +162,27 @@ def test_malformed_shape_reported_distinctly():
     assert [f.kind for f in report.findings] == ["malformed"]
 
 
+def test_add_object_is_an_immutable_value():
+    x = obj("a", "b")
+    assert x == AddObject(("a", "b")) and x != obj("b", "a") and x != ("a", "b")
+    assert hash(x) == hash(obj("a", "b")) and len({x, obj("a", "b")}) == 1
+    assert repr(x) == "AddObject(summands=('a', 'b'))"
+    for mutate in (lambda: setattr(x, "summands", ()), lambda: delattr(x, "summands"),
+                   lambda: setattr(x, "extra", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert x.summands == ("a", "b")
+
+
+def test_findings_and_reports_compare_by_value():
+    report = validate_presentation(load_fixture("FIX_BAD"))
+    again = validate_presentation(load_fixture("FIX_BAD"))
+    assert report == again and report is not again and not report.ok
+    assert report.findings[0] == again.findings[0]
+    assert report.findings[0] != orlov.Finding("malformed", (), "")
+    assert report.to_data() == {"ok": False, "findings": [f.to_data() for f in report.findings]}
+
+
 def test_end_not_scalar_finding():
     data = {
         "characteristic": 0,
