@@ -170,11 +170,9 @@ class ChainMap:
             for i, m in self.comps.items():
                 if m.source != source.term(i) or m.target != target.term(i):
                     raise ComplexError(f"component {i} has wrong endpoints")
-            for i in set(self.comps) | set(source.diffs):
-                lhs = target.d(i).compose(self.component(i))
-                rhs = self.component(i + 1).compose(source.d(i))
-                if lhs != rhs:
-                    raise ComplexError(f"not a chain map at degree {i}")
+            i = self._non_chain_degree()
+            if i is not None:
+                raise ComplexError(f"not a chain map at degree {i}")
 
     @staticmethod
     def zero(source: Complex, target: Complex) -> "ChainMap":
@@ -226,11 +224,15 @@ class ChainMap:
                         {i - n: m for i, m in self.comps.items()}, check=False)
 
     def verify(self) -> bool:
+        return self._non_chain_degree() is None
+
+    def _non_chain_degree(self):
+        """The first degree i with d o f^i != f^{i+1} o d, or None."""
         for i in set(self.comps) | set(self.source.diffs):
             if self.target.d(i).compose(self.component(i)) != \
                     self.component(i + 1).compose(self.source.d(i)):
-                return False
-        return True
+                return i
+        return None
 
 
 class Homotopy:
@@ -344,8 +346,7 @@ class HomSpace:
 
     def rank_mod_homotopy(self, maps) -> int:
         """Dimension of the span of the classes of the chain maps ``maps``."""
-        cols = [self._mod_homotopy(self.map_to_vector(f)) for f in maps]
-        return Matrix.from_columns(self.x.pres.field, self.total - self._delta_rank, cols).rank()
+        return _reduced_matrix([self], [self.map_to_vector(f) for f in maps]).rank()
 
     # ------------------------------------------------------------ plumbing
 
@@ -382,22 +383,24 @@ class HomSpace:
         return None if any(y[self.dimension:]) else y[:self.dimension]
 
 
-def _joint_system(spaces, columns) -> Matrix:
-    """[columns | delta_1 (+) delta_2 (+) ...] over the stacked coordinates of
-    ``spaces``: the given chain-map columns first, then the null-homotopy
-    columns of each space, in space order."""
-    fld = spaces[0].x.pres.field
-    z = fld.zero
-    h_total = sum(sp.h_total for sp in spaces)
-    data = []
-    left = 0
+def _mod_homotopies(spaces, vec) -> list:
+    """``vec``, in the stacked coordinates of ``spaces``, reduced block by
+    block by :meth:`HomSpace._mod_homotopy`.  The reduction is linear, and a
+    block reduces to 0 exactly when it is a null-homotopic chain map."""
+    out, start = [], 0
     for sp in spaces:
-        pad_l, pad_r = [z] * left, [z] * (h_total - left - sp.h_total)
-        for r in range(sp.total):
-            row = len(data)
-            data.append([col[row] for col in columns] + pad_l + sp._delta.data[r] + pad_r)
-        left += sp.h_total
-    return Matrix(fld, len(data), len(columns) + h_total, data)
+        out += sp._mod_homotopy(vec[start:start + sp.total])
+        start += sp.total
+    return out
+
+
+def _reduced_matrix(spaces, columns) -> Matrix:
+    """The matrix whose j-th column is ``columns[j]`` reduced by
+    :func:`_mod_homotopies`: one row per entry past the null-homotopy rank
+    of each space, and no homotopy unknowns."""
+    rows = sum(sp.total - sp._delta_rank for sp in spaces)
+    return Matrix.from_columns(spaces[0].x.pres.field, rows,
+                               [_mod_homotopies(spaces, c) for c in columns])
 
 
 def solve_mod_homotopy(spaces, columns, rhs):
@@ -405,17 +408,14 @@ def solve_mod_homotopy(spaces, columns, rhs):
     every space, or None.
 
     ``columns`` and ``rhs`` are vectors in the stacked coordinates of
-    ``spaces``; free unknowns are set to 0, so the answer is deterministic.
-    When the classes of ``columns`` are independent, c is unique.  With one
-    space the system is reduced against its stored echelon form, and a
-    column whose class lies in the span of the earlier ones gets 0.
+    ``spaces``.  Each block is reduced against its space's stored echelon
+    form of [delta | chain kernel], which sends im delta to 0, so the system
+    is the stack of the reduced blocks and eliminates no delta again.  Free
+    unknowns are set to 0, so the answer is deterministic: when the classes
+    of ``columns`` are independent, c is unique, and otherwise a column whose
+    class lies in the span of the earlier ones gets 0.
     """
-    if len(spaces) == 1:
-        sp = spaces[0]
-        return Matrix.from_columns(sp.x.pres.field, sp.total - sp._delta_rank,
-                                   [sp._mod_homotopy(c) for c in columns]).solve(sp._mod_homotopy(rhs))
-    sol = _joint_system(spaces, columns).solve(rhs)
-    return None if sol is None else sol[:len(columns)]
+    return _reduced_matrix(spaces, columns).solve(_mod_homotopies(spaces, rhs))
 
 
 def supports_meet(x: Complex, y: Complex, k: int = 0) -> bool:
@@ -467,8 +467,7 @@ class HomClass:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        return self.rep.sub(other.rep).is_zero() or \
-            is_null_homotopic(self.rep.sub(other.rep)) is not None
+        return self.sub(other).is_zero()
 
     def __repr__(self):
         return f"HomClass({self.rep!r})"
@@ -489,21 +488,15 @@ class HomClass:
         return HomClass(self.rep.shift(n))
 
     def inverse(self):
-        """Two-sided inverse in K^b, or None: a joint linear solve."""
-        return _invert_hom_class(self)
-
-
-def _invert_hom_class(f: HomClass):
-    x, y = f.source, f.target
-    sp_back = HomSpace(y, x, 0)
-    sp_yy = HomSpace(y, y, 0)
-    sp_xx = HomSpace(x, x, 0)
-    # unknowns: g (chain maps y -> x), then homotopies on y and on x
-    cols = [sp_yy.map_to_vector(f.rep.compose(g)) + sp_xx.map_to_vector(g.compose(f.rep))
-            for g in sp_back.cycles()]
-    rhs = sp_yy.map_to_vector(ChainMap.identity(y)) + sp_xx.map_to_vector(ChainMap.identity(x))
-    coeffs = solve_mod_homotopy([sp_yy, sp_xx], cols, rhs)
-    return None if coeffs is None else HomClass(sp_back.cycle(coeffs))
+        """Two-sided inverse in K^b, or None: one solve for g: y -> x with
+        f o g = 1 in Hom(y, y) and g o f = 1 in Hom(x, x)."""
+        x, y = self.source, self.target
+        sp_back, sp_yy, sp_xx = HomSpace(y, x, 0), HomSpace(y, y, 0), HomSpace(x, x, 0)
+        cols = [sp_yy.map_to_vector(self.rep.compose(g)) + sp_xx.map_to_vector(g.compose(self.rep))
+                for g in sp_back.cycles()]
+        rhs = sp_yy.map_to_vector(ChainMap.identity(y)) + sp_xx.map_to_vector(ChainMap.identity(x))
+        coeffs = solve_mod_homotopy([sp_yy, sp_xx], cols, rhs)
+        return None if coeffs is None else HomClass(sp_back.cycle(coeffs))
 
 
 # ------------------------------------------------------------------- cones
@@ -1123,18 +1116,18 @@ def unique_fill(t1: Triangle, t2: Triangle, p: HomClass, r: HomClass) -> FillRep
     sp_q = HomSpace(x, x2, 0)
     sp_pf = HomSpace(t1.X, x2, 0)      # P -> X'
     sp_gy = HomSpace(x, t2.Z, 0)       # X -> Y'
-    # unknowns: q (chain maps x -> x2), then the homotopies of both squares
-    mat = _joint_system([sp_pf, sp_gy], [
+    spaces = [sp_pf, sp_gy]
+    # unknowns: the coordinates of q in sp_q.cycles(); both squares commute
+    # up to homotopy exactly when their reduced blocks agree
+    echelon = _reduced_matrix(spaces, [
         sp_pf.map_to_vector(qc.compose(f1)) + sp_gy.map_to_vector(g2.compose(qc))
-        for qc in sp_q.cycles()])
+        for qc in sp_q.cycles()]).rref()[0]
     rhs = sp_pf.map_to_vector(t2.f.compose(p.rep)) + sp_gy.map_to_vector(r.rep.compose(t1.g))
 
-    # homogeneous solution space, projected to q modulo null-homotopies
-    nq = sp_q.nullity
-    echelon = mat.rref()[0]
+    # homogeneous fills, modulo null-homotopies
     kern = echelon.kernel_basis()
-    hdim = sp_q.rank_mod_homotopy([sp_q.cycle(kern.col(j)[:nq]) for j in range(kern.cols)])
+    hdim = sp_q.rank_mod_homotopy([sp_q.cycle(kern.col(j)) for j in range(kern.cols)])
 
-    sol = echelon.solution(rhs)
-    q = None if sol is None else HomClass(sp_q.cycle(sol[:nq]))
+    sol = echelon.solution(_mod_homotopies(spaces, rhs))
+    q = None if sol is None else HomClass(sp_q.cycle(sol))
     return FillReport(q, hdim, hdim == 0)

@@ -8,7 +8,7 @@ composite of the two short arrows, so its Yoneda algebra is not generated
 in degree one.
 """
 
-from importlib import resources
+import os
 
 from .orlov import OrlovPresentation
 
@@ -19,11 +19,12 @@ VALID_FIXTURES = ("FIX_PT", "FIX_A2", "FIX_A3")
 def fixture_path(name: str):
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}")
-    return resources.files("koszulkit").joinpath("fixtures", f"{name}.json")
+    return os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
 
 
 def fixture_text(name: str) -> str:
-    return fixture_path(name).read_text(encoding="utf-8")
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_fixture(name: str) -> OrlovPresentation:

@@ -250,13 +250,6 @@ def iota_triangle(base: Triangle) -> InfTriangle:
 # ---------------------------------------------------- long exact sequences
 
 
-def _inf_basis(a: Complex, w: Complex, k: int):
-    """Basis data of Hom_inf(A, W[k]): genuine then infinitesimal parts."""
-    sp0 = hom_space(a, w, k)
-    sp1 = hom_space(a, w, k - 1)
-    return sp0, sp1
-
-
 def _inf_express(sp0: HomSpace, sp1: HomSpace, m: InfMorphism):
     c0 = sp0.express(m.f0.rep)
     c1 = sp1.express(m.finf.rep)
@@ -314,7 +307,8 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
     apply = []
     for k in range(window[0], window[1] + 1):
         for w, mor in ((tri.X, tri.m1), (tri.Y, tri.m2), (tri.Z, tri.m3)):
-            sp0, sp1 = _inf_basis(a, w, k)
+            sp0 = hom_space(a, w, k)            # genuine part
+            sp1 = hom_space(a, w, k - 1)        # infinitesimal part
             nodes.append(((sp0, sp1), sp0.dimension + sp1.dimension))
             shifted = mor.shift(k)
             apply.append(lambda el, m=shifted: inf_compose(m, el))

@@ -27,7 +27,6 @@ from .complexes import (
     ChainMap,
     Complex,
     HomClass,
-    HomSpace,
     Triangle,
     direct_sum,
     hom_space,
@@ -37,7 +36,6 @@ from .complexes import (
 )
 from .linalg import KoszulkitError, Matrix
 from .orlov import AddMorphism, Coords, OrlovPresentation, spans, validate_presentation
-from .randgen import rand_heart_complex, rng_for
 from .tstructure import (
     HeartObject,
     heart_object,
@@ -52,12 +50,6 @@ class KoszulError(KoszulkitError):
 
 
 DEFAULT_WINDOW = (-8, 8)
-
-
-def express_in(space: HomSpace, reps, f: ChainMap):
-    """Coordinates of the class of f against chosen representatives."""
-    return solve_mod_homotopy([space], [space.map_to_vector(r) for r in reps],
-                              space.map_to_vector(f))
 
 
 # ------------------------------------------------------------------ tables
@@ -132,6 +124,8 @@ def koszulity_check(pres: OrlovPresentation, window=DEFAULT_WINDOW, seed=0,
     in ``separated_pairs_checked``.  The check that can fail is sampled: a
     heart object missing an interior weight splits at that weight.
     """
+    from .randgen import rand_heart_complex, rng_for
+
     rng = rng_for(seed, "koszulity", pres.name)
     degs = sorted({pres.degree[i] for i in pres.ids})
     separated_checked = 0
@@ -252,9 +246,11 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
             for tgt in ids:
                 if not reps[(mid, tgt)] or mid in (src, tgt):
                     continue     # unit laws are implicit
+                sp = spaces[(src, tgt)]
+                cols = [sp.map_to_vector(r) for r in reps[(src, tgt)]]
                 for gi, g in enumerate(reps[(mid, tgt)]):
                     for fi, f in enumerate(reps[(src, mid)]):
-                        coords = express_in(spaces[(src, tgt)], reps[(src, tgt)], g.compose(f))
+                        coords = solve_mod_homotopy([sp], cols, sp.map_to_vector(g.compose(f)))
                         if coords is None:
                             raise KoszulError("composite escapes the computed hom basis")
                         result = [

@@ -554,8 +554,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code,
                   "koszulkit": sorted(m for m in sys.modules if m.split(".")[0] == "koszulkit"),
-                  "dataclasses": "dataclasses" in sys.modules,
-                  "bare_dataclasses": "dataclasses" in bare}))
+                  "loaded": sorted(m for m in ("dataclasses", "importlib.resources")
+                                   if m in sys.modules and m not in bare)}))
 """
 CORE = ["koszulkit", "koszulkit.cli", "koszulkit.fixtures", "koszulkit.linalg", "koszulkit.orlov"]
 
@@ -563,14 +563,18 @@ CORE = ["koszulkit", "koszulkit.cli", "koszulkit.fixtures", "koszulkit.linalg", 
 @pytest.mark.parametrize("argv,engine", [
     (["validate", "FIX_PT"], CORE),
     (["hom", "FIX_A2", "--from", "b", "--to", "a"], sorted(CORE + ["koszulkit.complexes"])),
-], ids=["validate", "hom"])
+    (["surrogate", "FIX_A3"], sorted(CORE + ["koszulkit.complexes", "koszulkit.koszul",
+                                             "koszulkit.tstructure"])),
+], ids=["validate", "hom", "surrogate"])
 def test_a_command_loads_only_the_layers_it_runs(argv, engine):
-    # validate runs no dataclass: orlov, fixtures and linalg define none
+    # validate runs no dataclass: orlov, fixtures and linalg define none;
+    # the fixtures are files next to the package, read without importlib.resources
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["code"] == 0
     assert seen["koszulkit"] == engine
+    assert "importlib.resources" not in seen["loaded"]
     if engine == CORE:
-        assert not seen["dataclasses"] or seen["bare_dataclasses"]
+        assert "dataclasses" not in seen["loaded"]

@@ -2,15 +2,14 @@ from collections import Counter
 
 import pytest
 
-from koszulkit import complexes
 from koszulkit.complexes import (
     ChainMap,
     Complex,
     ComplexError,
     FillError,
     HomClass,
+    HomSpace,
     Triangle,
-    _joint_system,
     coker_idempotent,
     complete_square,
     cone,
@@ -79,6 +78,17 @@ def test_d_squared_enforced(a2):
     with pytest.raises(ComplexError):
         Complex(a2, {0: x, 1: x, 2: x},
                 {0: AddMorphism.identity(a2, x), 1: AddMorphism.identity(a2, x)})
+
+
+def test_chain_condition_names_its_failing_degree(a2):
+    # id_b from b to (b -> a): d o f^0 = alpha, f^1 o d = 0
+    alpha = alpha_map(a2).comps[0]
+    x, y = single(a2, "b"), Complex(a2, {0: obj("b"), 1: obj("a")}, {0: alpha})
+    comps = {0: AddMorphism.identity(a2, obj("b"))}
+    with pytest.raises(ComplexError, match="^not a chain map at degree 0$"):
+        ChainMap(x, y, comps)
+    assert not ChainMap(x, y, comps, check=False).verify()
+    assert ChainMap(y, y, {0: comps[0], 1: AddMorphism.identity(a2, obj("a"))}).verify()
 
 
 def test_shift_zero_identity(a2):
@@ -298,6 +308,25 @@ def test_hom_space_homotopy_invariance_randomized(a2, a3):
             assert sp._delta_rank == sp._delta.rank()
 
 
+def _joint_system(spaces, columns) -> Matrix:
+    """Reference for the solves modulo null-homotopy: [columns | delta_1 (+)
+    delta_2 (+) ...] over the stacked coordinates of ``spaces``, the given
+    columns first, then the null-homotopy columns of each space, in space
+    order.  It eliminates every delta again, which the engine never does."""
+    fld = spaces[0].x.pres.field
+    z = fld.zero
+    h_total = sum(sp.h_total for sp in spaces)
+    data = []
+    left = 0
+    for sp in spaces:
+        pad_l, pad_r = [z] * left, [z] * (h_total - left - sp.h_total)
+        for r in range(sp.total):
+            row = len(data)
+            data.append([col[row] for col in columns] + pad_l + sp._delta.data[r] + pad_r)
+        left += sp.h_total
+    return Matrix(fld, len(data), len(columns) + h_total, data)
+
+
 def hom_space_sweep(name, trials):
     """Seeded (space, chain maps, other maps) triples; the other maps are
     null-homotopic, or arbitrary vectors that are mostly not chain maps."""
@@ -344,6 +373,69 @@ def test_hom_space_queries_match_the_joint_system(name):
             assert solve_mod_homotopy([sp], cols, sp.map_to_vector(f)) == \
                 (None if joint is None else joint[:len(cols)])
     assert nones["express"] and nones["null_homotopy"]
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007"])
+def test_multi_space_solve_matches_the_joint_system(name):
+    """Two-space systems: the minimal-model iso inversions, and stacked
+    chain maps or arbitrary vectors against solvable and random right-hand
+    sides.  The stacked reduced solve fails exactly when the reference does,
+    and otherwise leaves a null-homotopic residual in each space."""
+    pres = load_fixture(name) if name.startswith("FIX") else path_category(5, 10007, killed=True)
+    fld = pres.field
+    rng = rng_for(31, "multi-space", name)
+    outcomes = Counter()
+
+    def check(spaces, columns, rhs):
+        sol = solve_mod_homotopy(spaces, columns, rhs)
+        assert (sol is None) == (_joint_system(spaces, columns).solve(rhs) is None)
+        outcomes[sol is None] += 1
+        if sol is None:
+            return
+        residual = [fld.neg(b) for b in rhs]
+        for c, col in zip(sol, columns):
+            residual = [fld.add(a, fld.mul(c, b)) for a, b in zip(residual, col)]
+        start = 0
+        for sp in spaces:
+            f = sp._vector_to_map(residual[start:start + sp.total])
+            h = sp.null_homotopy(f)
+            assert h is not None and h.boundary() == f
+            start += sp.total
+
+    for _ in range(6):
+        x = rand_complex(pres, rng)
+        m, iso = minimal_model(x)
+        sp_back, sp_mm, sp_xx = hom_space(m, x), hom_space(m, m), hom_space(x, x)
+        rhs = sp_mm.map_to_vector(ChainMap.identity(m)) + sp_xx.map_to_vector(ChainMap.identity(x))
+        for f in (iso.fwd, ChainMap.zero(x, m), rand_chain_map(x, m, rng)):
+            check([sp_mm, sp_xx], [sp_mm.map_to_vector(f.compose(g)) + sp_xx.map_to_vector(g.compose(f))
+                                   for g in sp_back.cycles()], rhs)
+    for _ in range(30):
+        spaces = [hom_space(rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3),
+                            rng.randint(-1, 1)) for _ in range(2)]
+
+        def stacked(kind):
+            blocks = []
+            for sp in spaces:
+                if kind == "cycle":
+                    f = rand_chain_map(sp.x, sp.y, rng, sp.k)
+                elif kind == "boundary":
+                    f = sp._vector_to_homotopy([fld.of(rng.randint(-2, 2)) for _ in range(sp.h_total)]) \
+                        .boundary()
+                else:
+                    f = sp._vector_to_map([fld.of(rng.randint(-2, 2)) for _ in range(sp.total)])
+                blocks += sp.map_to_vector(f)
+            return blocks
+
+        for kind in ("cycle", "vector"):
+            columns = [stacked(kind) for _ in range(rng.randint(1, 3))]
+            coeffs = [fld.of(rng.randint(-2, 2)) for _ in columns]
+            solvable = stacked("boundary")
+            for c, col in zip(coeffs, columns):
+                solvable = [fld.add(a, fld.mul(c, b)) for a, b in zip(solvable, col)]
+            check(spaces, columns, solvable)
+            check(spaces, columns, stacked(kind))
+    assert outcomes[True] and outcomes[False]
 
 
 def test_hom_space_queries_run_no_joint_elimination(monkeypatch):
@@ -520,30 +612,52 @@ def test_unique_fill_detects_violated_hypotheses(a2):
     assert rep2.unique
 
 
-def test_unique_fill_eliminates_its_joint_system_once(a2, monkeypatch):
-    # the kernel and the particular fill come from one echelon form of mat
-    joint, calls = [], []
-    build, rref = complexes._joint_system, Matrix.rref
+def test_unique_fill_eliminates_its_joint_system_once(a2, a3, monkeypatch):
+    # the kernel and the particular fill come from one echelon form of the
+    # stacked reduced system: a row per entry past each space's delta rank,
+    # a column per chain map of the q space, and no homotopy unknowns
+    shapes, inside = [], []
+    init, rank, rref = HomSpace.__init__, HomSpace.rank_mod_homotopy, Matrix.rref
 
-    def recording(spaces, columns):
-        joint.append(build(spaces, columns))
-        return joint[-1]
+    def entered(method):
+        def run(*args):
+            inside.append(method)
+            try:
+                return method(*args)
+            finally:
+                inside.pop()
+        return run
 
-    def counting(self):
-        calls.append(self)
+    def recording(self):
+        if not inside:
+            shapes.append((self.rows, self.cols))
         return rref(self)
 
-    monkeypatch.setattr(complexes, "_joint_system", recording)
-    monkeypatch.setattr(Matrix, "rref", counting)
     x = Complex(a2, {0: obj("a", "b")}, {})
     bad = Triangle.from_termwise_split(x, {0: (0,)}, {0: (1,)})
     te = top_extraction(cone_alpha(a2))
-    reports = [
-        unique_fill(bad, bad, HomClass.zero(bad.X, bad.X), HomClass.zero(bad.Z, bad.Z)),
-        unique_fill(te.triangle, te.triangle, HomClass.identity(te.P), HomClass.identity(te.Y))]
-    assert [r.homogeneous_dimension for r in reports] == [1, 0] and reports[1].q is not None
-    assert len(joint) == 2
-    assert [sum(m is mat for m in calls) for mat in joint] == [1, 1]
+    cases = [(bad, HomClass.zero(bad.X, bad.X), HomClass.zero(bad.Z, bad.Z)),
+             (te.triangle, HomClass.identity(te.P), HomClass.identity(te.Y))]
+    rng = rng_for(5, "fillshape")       # the sixth draw has null-homotopies
+    for _ in range(6):
+        xm, _ = minimal_model(rand_complex(a3, rng))
+        if not xm.is_zero:
+            te = top_extraction(xm)
+            cases.append((te.triangle, HomClass.identity(te.P), HomClass.identity(te.Y)))
+    squares = [(HomSpace(t.X, t.Y), HomSpace(t.Y, t.Z)) for t, _, _ in cases]
+    assert any(sp._delta_rank for pair in squares for sp in pair)
+    expected = [(sum(sp.total - sp._delta_rank for sp in pair), HomSpace(t.Y, t.Y).nullity)
+                for pair, (t, _, _) in zip(squares, cases)]
+    monkeypatch.setattr(HomSpace, "__init__", entered(init))
+    monkeypatch.setattr(HomSpace, "rank_mod_homotopy", entered(rank))
+    monkeypatch.setattr(Matrix, "rref", recording)
+    reports = []
+    for want, (t, p, r) in zip(expected, cases):
+        shapes.clear()
+        reports.append(unique_fill(t, t, p, r))
+        assert shapes == [want]
+    assert [r.homogeneous_dimension for r in reports[:2]] == [1, 0] and reports[1].q is not None
+    assert all(r.q is not None for r in reports[2:])
 
 
 # --------------------------------------------------------- square completion
