@@ -139,14 +139,21 @@ def _stack(a: Complex, b: Complex):
     return terms, apos, bpos
 
 
-def direct_sum(x: Complex, y: Complex):
-    """x + y with the four canonical chain maps (ix, iy, px, py)."""
+def _sum_complex(x: Complex, y: Complex):
+    """x + y with, per degree, the positions of x's and y's summands."""
     pres = x.pres
     terms, xp, yp = _stack(x, y)
     diffs = {i: AddMorphism.assemble(pres, terms[i], terms[i + 1], [
         (xp[i + 1], xp[i], x.d(i)), (yp[i + 1], yp[i], y.d(i))])
         for i in sorted(terms) if i + 1 in terms}
-    z = Complex(pres, terms, diffs, check=False)
+    return Complex(pres, terms, diffs, check=False), xp, yp
+
+
+def direct_sum(x: Complex, y: Complex):
+    """x + y with the four canonical chain maps (ix, iy, px, py)."""
+    pres = x.pres
+    z, xp, yp = _sum_complex(x, y)
+    terms = z.terms
     ix = {i: AddMorphism.inclusion(pres, x.term(i), terms[i], xp[i]) for i in x.terms}
     iy = {i: AddMorphism.inclusion(pres, y.term(i), terms[i], yp[i]) for i in y.terms}
     px = {i: AddMorphism.projection(pres, terms[i], x.term(i), xp[i]) for i in x.terms}
@@ -227,10 +234,20 @@ class ChainMap:
         return self._non_chain_degree() is None
 
     def _non_chain_degree(self):
-        """The first degree i with d o f^i != f^{i+1} o d, or None."""
-        for i in set(self.comps) | set(self.source.diffs):
-            if self.target.d(i).compose(self.component(i)) != \
-                    self.component(i + 1).compose(self.source.d(i)):
+        """The first degree i with d o f^i != f^{i+1} o d, or None.  A missing
+        differential or component is zero, so its products are not formed."""
+        comps, dx, dy = self.comps, self.source.diffs, self.target.diffs
+        for i in set(comps) | set(dx):
+            f0, f1, d0, d1 = comps.get(i), comps.get(i + 1), dx.get(i), dy.get(i)
+            lhs = None if f0 is None or d1 is None else d1.compose(f0)
+            rhs = None if f1 is None or d0 is None else f1.compose(d0)
+            if lhs is None:
+                if rhs is not None and not rhs.is_zero():
+                    return i
+            elif rhs is None:
+                if not lhs.is_zero():
+                    return i
+            elif lhs != rhs:
                 return i
         return None
 

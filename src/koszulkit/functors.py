@@ -243,10 +243,15 @@ class NatTrans:
                         {iid: _invert_iso(c) for iid, c in self.components.items()})
 
 
+def _both(theta: NatTrans, method: str, x):
+    """(F.method(x), G.method(x)), applying F once when G is F."""
+    fx = getattr(theta.F, method)(x)
+    return fx, fx if theta.G is theta.F else getattr(theta.G, method)(x)
+
+
 def extend_nat_trans(theta: NatTrans, x: Complex) -> HomClass:
     """Termwise extension to a complex; a chain map by naturality."""
-    fx = theta.F.on_complex(x)
-    gx = theta.G.on_complex(x)
+    fx, gx = _both(theta, "on_complex", x)
     comps = {i: theta.on_object(t) for i, t in x.terms.items()}
     return HomClass(ChainMap(fx, gx, comps))
 
@@ -256,23 +261,21 @@ def extend_nat_trans(theta: NatTrans, x: Complex) -> HomClass:
 
 def _theta_via_extraction(theta: NatTrans, x: Complex) -> ChainMap:
     """Rebuild theta_x through the top-stratum triangle, recursively."""
-    F, G = theta.F, theta.G
+    F = theta.F
     if x.is_zero:
-        return ChainMap.zero(F.on_complex(x), G.on_complex(x))
+        return ChainMap.zero(*_both(theta, "on_complex", x))
     lines = {i for (i, _) in x.support()}
     if len(lines) <= 1:
-        return ChainMap(F.on_complex(x), G.on_complex(x),
+        return ChainMap(*_both(theta, "on_complex", x),
                         {i: theta.on_object(t) for i, t in x.terms.items()})
     te = top_extraction(x)
     theta_p = _theta_via_extraction(theta, te.P)
     theta_y = _theta_via_extraction(theta, te.Y)
-    f_delta = F.on_chain_map(te.delta)
-    g_delta = G.on_chain_map(te.delta)
+    f_delta, g_delta = _both(theta, "on_chain_map", te.delta)
     r, _ = complete_square(f_delta, g_delta, theta_y.shift(-1), theta_p)
     # F literally commutes with cones of termwise functors, so r is a map
     # F(cone(delta)) -> G(cone(delta)); transport along the reordering
-    rho_f = F.on_chain_map(te.reorder)
-    rho_g = G.on_chain_map(te.reorder)
+    rho_f, rho_g = _both(theta, "on_chain_map", te.reorder)
     rho_f_inv = F.on_chain_map(te.reorder_inv)
     return rho_g.compose(r).compose(rho_f_inv)
 
@@ -283,7 +286,10 @@ def nat_trans_uniqueness_probe(theta: NatTrans, x: Complex, orders=20, seed=0) -
     Rebuilds theta_x through extraction triangles over ``orders`` random
     re-presentations of x (termwise automorphism conjugates) and compares
     every result, and the direct termwise extension, as homotopy classes.
+    ``orders`` must be at least 1.
     """
+    if orders < 1:
+        raise FunctorError(f"orders must be at least 1, got {orders}")
     direct = extend_nat_trans(theta, x)
     rng = rng_for(seed, "probe")
     disagreements = 0

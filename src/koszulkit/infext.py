@@ -20,6 +20,7 @@ from .complexes import (
     HomClass,
     HomSpace,
     Triangle,
+    _sum_complex,
     complete_square,
     cone,
     direct_sum,
@@ -138,13 +139,22 @@ def rho(x: Complex):
 
 
 def rho_map(f: InfMorphism) -> HomClass:
-    """The matrix [[f0, 0], [f', f0[-1]]] : rho(X) -> rho(Y)."""
-    rx, ix1, ix2, px1, px2 = rho(f.source)
-    ry, iy1, iy2, py1, py2 = rho(f.target)
-    m = iy1.compose(f.f0.rep).compose(px1)
-    m = m.add(iy2.compose(f.finf.rep).compose(px1))
-    m = m.add(iy2.compose(f.f0.rep.shift(-1)).compose(px2))
-    return HomClass(m)
+    """The matrix [[f0, 0], [f', f0[-1]]] : rho(X) -> rho(Y), assembled
+    block by block in each degree i from f0^i, f'^i and f0^{i-1}."""
+    x, y = f.source, f.target
+    rx, x1, x2 = _sum_complex(x, x.shift(-1))
+    ry, y1, y2 = _sum_complex(y, y.shift(-1))
+    f0, finf = f.f0.rep.comps, f.finf.rep.comps
+    pres = x.pres
+    comps = {}
+    for i, t in rx.terms.items():
+        if i in ry.terms:
+            pieces = [(rows, cols, m) for rows, cols, m in (
+                (y1[i], x1[i], f0.get(i)), (y2[i], x1[i], finf.get(i)),
+                (y2[i], x2[i], f0.get(i - 1))) if m is not None]
+            if pieces:
+                comps[i] = AddMorphism.assemble(pres, t, ry.terms[i], pieces)
+    return HomClass(ChainMap(rx, ry, comps, check=False))
 
 
 def rho_functoriality_check(pairs) -> dict:

@@ -161,6 +161,8 @@ class OrlovPresentation:
             lab: tuple(self.field.one if b == lab else self.field.zero for b in basis)
             for basis in self.pairs.values() for lab in basis
         }
+        # the coordinates of the identity of each indecomposable
+        self.unit = {iid: self.unit_coords[identity_label(iid)] for iid in self.ids}
 
         self.comp = {}
         for entry in compose:
@@ -379,10 +381,7 @@ class AddMorphism:
 
     @staticmethod
     def identity(pres, x: AddObject) -> "AddMorphism":
-        n = len(x)
-        return AddMorphism(pres, x, x, tuple(
-            tuple(pres.coords(identity_label(s)) if j == i else None for j in range(n))
-            for i, s in enumerate(x)))
+        return AddMorphism.inclusion(pres, x, x, range(len(x)))
 
     @staticmethod
     def single(pres, source: AddObject, target: AddObject, i, j, coords) -> "AddMorphism":
@@ -435,14 +434,19 @@ class AddMorphism:
     @staticmethod
     def inclusion(pres, sub: AddObject, whole: AddObject, positions) -> "AddMorphism":
         """Unit map sending summand j of ``sub`` to summand positions[j] of ``whole``."""
-        return AddMorphism.assemble(pres, sub, whole, [
-            (positions, range(len(sub)), AddMorphism.identity(pres, sub))])
+        grid = [[None] * len(sub) for _ in whole]
+        for j, (r, s) in enumerate(zip(positions, sub.summands)):
+            grid[r][j] = pres.unit[s]
+        return AddMorphism(pres, sub, whole, tuple(map(tuple, grid)))
 
     @staticmethod
     def projection(pres, whole: AddObject, quot: AddObject, positions) -> "AddMorphism":
         """Unit map reading summand i of ``quot`` off summand positions[i] of ``whole``."""
-        return AddMorphism.assemble(pres, whole, quot, [
-            (range(len(quot)), positions, AddMorphism.identity(pres, quot))])
+        unit = pres.unit
+        grid = [[None] * len(whole) for _ in quot]
+        for line, c, s in zip(grid, positions, quot.summands):
+            line[c] = unit[s]
+        return AddMorphism(pres, whole, quot, tuple(map(tuple, grid)))
 
     def restrict_blocks(self, rows, cols) -> "AddMorphism":
         """The sub-grid on the listed target rows and source columns."""
@@ -524,6 +528,8 @@ class AddMorphism:
         c = fld.of(c)
         if not c:
             return AddMorphism.zero(self.pres, self.source, self.target)
+        if c == fld.one:
+            return self
         blocks = tuple(
             tuple(None if b is None else tuple(fld.mul(c, x) for x in b) for b in row)
             for row in self.blocks
@@ -539,30 +545,32 @@ class AddMorphism:
             raise CompositionError("compose: object mismatch")
         pres = self.pres
         p = pres.characteristic
-        src, mid, fblocks = other.source.summands, self.source.summands, other.blocks
+        src, mid = other.source.summands, self.source.summands
+        # the nonzero blocks of each row of ``other``, with their columns
+        frows = [[(j, src[j], f) for j, f in enumerate(row) if f is not None]
+                 for row in other.blocks]
+        zero_row = (None,) * len(src)
         blocks = []
         for ti, grow in zip(self.target.summands, self.blocks):
-            gs = [(k, mk, g) for k, (mk, g) in enumerate(zip(mid, grow)) if g is not None]
-            if not gs:
-                blocks.append((None,) * len(src))
+            row = None
+            for k, g in enumerate(grow):
+                if g is None or not frows[k]:
+                    continue
+                mk = mid[k]
+                for j, sj, f in frows[k]:
+                    term = pres.compose_coords(sj, mk, ti, g, f)
+                    if term is not None:
+                        if row is None:
+                            row = [None] * len(src)
+                        acc = row[j]
+                        row[j] = term if acc is None else [x + y for x, y in zip(acc, term)]
+            if row is None:
+                blocks.append(zero_row)
                 continue
-            row = []
-            for j, sj in enumerate(src):
-                acc, many = None, False
-                for k, mk, g in gs:
-                    f = fblocks[k][j]
-                    if f is not None:
-                        term = pres.compose_coords(sj, mk, ti, g, f)
-                        if term is not None:
-                            if acc is None:
-                                acc = term
-                            else:
-                                acc, many = [x + y for x, y in zip(acc, term)], True
-                if many:
+            for j, acc in enumerate(row):
+                if type(acc) is list:       # a sum of several terms: reduce it
                     acc = tuple(x % p for x in acc) if p else tuple(acc)
-                    if not any(acc):
-                        acc = None
-                row.append(acc)
+                    row[j] = acc if any(acc) else None
             blocks.append(tuple(row))
         return AddMorphism(pres, other.source, self.target, tuple(blocks))
 

@@ -30,6 +30,7 @@ from koszulkit.filtered import FilteredHomSpace
 from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, hom_dim_add, obj
 from koszulkit.randgen import (
     conjugate_complex,
+    rand_add_morphism,
     rand_chain_map,
     rand_complex,
     rand_filtered,
@@ -89,6 +90,65 @@ def test_chain_condition_names_its_failing_degree(a2):
         ChainMap(x, y, comps)
     assert not ChainMap(x, y, comps, check=False).verify()
     assert ChainMap(y, y, {0: comps[0], 1: AddMorphism.identity(a2, obj("a"))}).verify()
+
+
+def dense_non_chain_degree(f: ChainMap):
+    """The chain condition with every factor formed, a zero morphism standing
+    for each missing differential or component."""
+    for i in set(f.comps) | set(f.source.diffs):
+        if f.target.d(i).compose(f.component(i)) != f.component(i + 1).compose(f.source.d(i)):
+            return i
+    return None
+
+
+def chain_condition_families(pres, rng, trials):
+    """Seeded (kind, source, target, components) from a random chain map and
+    a random re-presentation x -> x2: the chain maps, each perturbed in one or
+    two degrees, with either side's differentials dropped, and with a
+    component dropped, also from an arbitrary family."""
+    for _ in range(trials):
+        x, y = (rand_complex(pres, rng, amplitude=4) for _ in "xy")
+        x2, fwd, _ = conjugate_complex(x, rng)
+        for f in (rand_chain_map(x, y, rng), fwd):
+            src, tgt = f.source, f.target
+            yield "chain", src, tgt, f.comps
+            window = [i for i in sorted(src.terms) if i in tgt.terms]
+            if window:
+                comps = dict(f.comps)
+                for i in rng.sample(window, min(len(window), rng.randint(1, 2))):
+                    comps[i] = f.component(i).add(
+                        rand_add_morphism(pres, src.term(i), tgt.term(i), rng))
+                yield "perturbed", src, tgt, comps
+            yield "bare target", src, Complex(pres, tgt.terms, {}), f.comps
+            yield "bare source", Complex(pres, src.terms, {}), tgt, f.comps
+            arbitrary = {i: rand_add_morphism(pres, src.term(i), tgt.term(i), rng)
+                         for i in window}
+            for comps in (f.comps, arbitrary):
+                if comps:
+                    drop = rng.choice(sorted(comps))
+                    yield "dropped", src, tgt, {i: m for i, m in comps.items() if i != drop}
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
+def test_chain_condition_matches_the_dense_check(name):
+    pres = presentation(name)
+    rng = rng_for(47, "chain-condition", name)
+    outcomes = Counter()
+    for kind, x, y, comps in chain_condition_families(pres, rng, 30):
+        f = ChainMap(x, y, comps, check=False)
+        want = dense_non_chain_degree(f)
+        assert f._non_chain_degree() == want
+        assert f.verify() == (want is None)
+        if want is None:
+            assert ChainMap(x, y, comps) == f
+        else:
+            with pytest.raises(ComplexError) as err:
+                ChainMap(x, y, comps)
+            assert str(err.value) == f"not a chain map at degree {want}"
+        outcomes[kind, want is None] += 1
+    assert outcomes["chain", True] == 60 and not outcomes["chain", False]
+    for kind in ("perturbed", "bare target", "bare source", "dropped"):
+        assert outcomes[kind, False] >= 10, outcomes
 
 
 def test_shift_zero_identity(a2):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from koszulkit.complexes import ChainMap, Complex, HomClass, cone, hom_space, minimal_model
+from koszulkit import functors
+from koszulkit.complexes import ChainMap, Complex, HomClass, cone, direct_sum, hom_space, minimal_model
 from koszulkit.fixtures import load_fixture
 from koszulkit.functors import (
     FunctorError,
@@ -166,18 +169,85 @@ def test_probe_single_term(a2):
     assert rep["ok"]
 
 
-def test_probe_cone_plus_shifted_point(a2):
-    from koszulkit.complexes import direct_sum
+def probe_case(pres, same):
+    """theta: F => F (3 times the identity functor's identity) or theta:
+    F => G (the scaling functor to the identity), and cone(alpha) + a[2]."""
+    if same:
+        f = g = HomogeneousFunctor.identity(pres)
+        comps = {iid: AddMorphism.identity(pres, obj(iid)).scale(3) for iid in pres.ids}
+    else:
+        f, g = scaling_functor(pres, 2), HomogeneousFunctor.identity(pres)
+        comps = {"a": AddMorphism.identity(pres, obj("a")),
+                 "b": AddMorphism.identity(pres, obj("b")).scale(2)}
+    x, *_ = direct_sum(cone_alpha(pres), Complex.single(pres, obj("a"), -2))
+    return NatTrans(f, g, comps), x
 
-    f = scaling_functor(a2, 2)
-    g = HomogeneousFunctor.identity(a2)
-    theta = NatTrans(f, g, {
-        "a": AddMorphism.identity(a2, obj("a")),
-        "b": AddMorphism.identity(a2, obj("b")).scale(2),
-    })
-    x, *_ = direct_sum(cone_alpha(a2), Complex.single(a2, obj("a"), -2))
+
+def test_probe_cone_plus_shifted_point(a2):
+    theta, x = probe_case(a2, same=False)
     rep = nat_trans_uniqueness_probe(theta, x, orders=8, seed=2)
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("orders", [0, -2])
+def test_probe_refuses_fewer_than_one_order(a2, orders):
+    theta, x = probe_case(a2, same=True)
+    with pytest.raises(FunctorError, match=f"^orders must be at least 1, got {orders}$"):
+        nat_trans_uniqueness_probe(theta, x, orders=orders)
+    assert nat_trans_uniqueness_probe(theta, x, orders=1)["orders"] == 1
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["F=>F", "F=>G"])
+def test_probe_disagrees_with_a_wrong_route(a2, monkeypatch, same):
+    """Negative control: a route that doubles theta disagrees on every
+    order, also when F and G are one functor and share their images."""
+    theta, x = probe_case(a2, same)
+    assert nat_trans_uniqueness_probe(theta, x, orders=5, seed=4)["ok"]
+    route, depth = functors._theta_via_extraction, []
+
+    def doubled(th, c):         # the recursion goes through this name too
+        depth.append(c)
+        try:
+            out = route(th, c)
+        finally:
+            depth.pop()
+        return out if depth else out.scale(2)
+
+    monkeypatch.setattr(functors, "_theta_via_extraction", doubled)
+    rep = nat_trans_uniqueness_probe(theta, x, orders=5, seed=4)
+    assert rep == {"orders": 5, "disagreements": 5, "ok": False}
+
+
+def test_extraction_route_applies_a_shared_functor_once(a2, a3, monkeypatch):
+    """Per extraction node, theta: F => F applies F to three chain maps
+    (delta, the reordering and its inverse), and theta: F => G to five."""
+    counts = Counter()
+    on_chain_map, extraction = HomogeneousFunctor.on_chain_map, functors.top_extraction
+
+    def counting(self, f):
+        counts["maps"] += 1
+        return on_chain_map(self, f)
+
+    def extracting(x):
+        counts["nodes"] += 1
+        return extraction(x)
+
+    monkeypatch.setattr(HomogeneousFunctor, "on_chain_map", counting)
+    monkeypatch.setattr(functors, "top_extraction", extracting)
+    rng = rng_for(53, "shared functor")
+    ident = HomogeneousFunctor.identity(a3)
+    theta3 = NatTrans(ident, ident, {iid: AddMorphism.identity(a3, obj(iid)).scale(3)
+                                     for iid in a3.ids})
+    cases = [(*probe_case(a2, True), 3), (*probe_case(a2, False), 5)]
+    cases += [(theta3, rand_complex(a3, rng, amplitude=4), 3) for _ in range(6)]
+    nodes = 0
+    for theta, x, per_node in cases:
+        counts.clear()
+        got = functors._theta_via_extraction(theta, x)
+        assert HomClass(got) == functors.extend_nat_trans(theta, x)
+        assert counts["maps"] == per_node * counts["nodes"]
+        nodes += counts["nodes"]
+    assert nodes >= 10
 
 
 def test_functor_json_round_trip(a2):

@@ -9,7 +9,7 @@ from koszulkit.complexes import (
     direct_sum,
     hom_space,
 )
-from koszulkit.fixtures import load_fixture
+from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.functors import HomogeneousFunctor
 from koszulkit.infext import (
     InfExtError,
@@ -28,6 +28,7 @@ from koszulkit.infext import (
 )
 from koszulkit.orlov import AddMorphism, obj
 from koszulkit.randgen import rand_chain_map, rand_complex, rng_for
+from presentations import PATH_NAMES, WIDE_BLOCK_NAMES, presentation
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +199,33 @@ def test_rho_functoriality_randomized(a2):
         pairs.append((rand_inf(y, z, rng), rand_inf(x, y, rng)))
     rep = rho_functoriality_check(pairs)
     assert rep["ok"], rep
+
+
+def rho_map_reference(f: InfMorphism) -> HomClass:
+    """rho_map through rho's canonical maps: i1 f0 p1 + i2 f' p1 + i2 f0[-1] p2."""
+    rx, ix1, ix2, px1, px2 = rho(f.source)
+    ry, iy1, iy2, py1, py2 = rho(f.target)
+    m = iy1.compose(f.f0.rep).compose(px1)
+    m = m.add(iy2.compose(f.finf.rep).compose(px1))
+    m = m.add(iy2.compose(f.f0.rep.shift(-1)).compose(px2))
+    return HomClass(m)
+
+
+@pytest.mark.parametrize("name", [*(n for n in FIXTURE_NAMES if n != "FIX_BAD"),
+                                  *PATH_NAMES, *WIDE_BLOCK_NAMES])
+def test_rho_map_matches_the_canonical_maps(name):
+    pres = presentation(name)
+    rng = rng_for(43, "rho-map", name)
+    nonzero = 0
+    for _ in range(12):
+        x, y = (rand_complex(pres, rng, amplitude=3) for _ in "xy")
+        for m in (rand_inf(x, y, rng), InfMorphism.identity(x), InfMorphism.zero(x, y),
+                  InfMorphism.upsilon(HomClass(rand_chain_map(x, y.shift(-1), rng)))):
+            got = rho_map(m).rep
+            assert got == rho_map_reference(m).rep
+            assert got.source == rho(m.source)[0] and got.target == rho(m.target)[0]
+            nonzero += not got.is_zero()
+    assert nonzero >= 6
 
 
 # ------------------------------------------------------------- adjunctions

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,16 +17,19 @@ from koszulkit.orlov import (
     ZERO_OBJECT,
     compose,
     hom_basis,
+    identity_label,
     invert_endomorphism,
     isotypic_classes,
     isotypic_part,
     obj,
     scalar_grid,
     scalar_matrix,
+    spans,
     split_idempotent,
     validate_presentation,
 )
-from presentations import WIDE_BLOCK_NAMES, presentation
+from koszulkit.randgen import rand_add_morphism, rand_object
+from presentations import PATH_NAMES, WIDE_BLOCK_NAMES, presentation
 
 
 @pytest.fixture(scope="module")
@@ -532,3 +536,104 @@ def test_compiled_tables_match_the_structure_constants(pres):
                     g, f = ([fld.of(rng.randint(-3, 3)) for _ in range(n)] for n in dims)
                     assert pres.compose_coords(src, mid, tgt, g, f) == \
                         brute_force_compose(pres, src, mid, tgt, g, f)
+
+
+# ------------------------------------------------ structural morphisms
+
+def identity_reference(pres, x):
+    """The identity of x with one ``identity_label`` lookup per summand."""
+    return AddMorphism(pres, x, x, tuple(
+        tuple(pres.coords(identity_label(s)) if j == i else None for j in range(len(x)))
+        for i, s in enumerate(x)))
+
+
+def inclusion_reference(pres, sub, whole, positions):
+    return AddMorphism.assemble(pres, sub, whole, [
+        (positions, range(len(sub)), identity_reference(pres, sub))])
+
+
+def projection_reference(pres, whole, quot, positions):
+    return AddMorphism.assemble(pres, whole, quot, [
+        (range(len(quot)), positions, identity_reference(pres, quot))])
+
+
+def dense_compose(g, f):
+    """g o f visiting every (row of g, column of f) pair of blocks."""
+    pres = g.pres
+    p = pres.characteristic
+    blocks = []
+    for ti, grow in zip(g.target, g.blocks):
+        row = []
+        for j, sj in enumerate(f.source):
+            acc, many = None, False
+            for k, (mk, gb) in enumerate(zip(g.source, grow)):
+                fb = f.blocks[k][j]
+                if gb is not None and fb is not None:
+                    term = pres.compose_coords(sj, mk, ti, gb, fb)
+                    if term is not None:
+                        acc, many = (term, False) if acc is None else \
+                            ([x + y for x, y in zip(acc, term)], True)
+            if many:
+                acc = tuple(x % p for x in acc) if p else tuple(acc)
+                acc = acc if any(acc) else None
+            row.append(acc)
+        blocks.append(tuple(row))
+    return AddMorphism(pres, f.source, g.target, tuple(blocks))
+
+
+def sparse_morphism(pres, x, y, rng):
+    """A random morphism x -> y with about half of its blocks zero."""
+    m = rand_add_morphism(pres, x, y, rng)
+    return AddMorphism.from_blocks(pres, x, y, [
+        [b if rng.random() < 0.5 else None for b in row] for row in m.blocks])
+
+
+STRUCTURE_NAMES = [*FIXTURE_NAMES, *PATH_NAMES, *WIDE_BLOCK_NAMES]
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_unit_maps_match_the_assembled_identity(name):
+    pres = presentation(name)
+    rng = random.Random(f"unit maps {name}")
+    for _ in range(25):
+        sub, rest = rand_object(pres, rng, 4), rand_object(pres, rng, 3)
+        slots = list(range(len(sub) + len(rest)))
+        rng.shuffle(slots)
+        positions = slots[:len(sub)]
+        summands = list(rest) + list(sub)
+        for p, s in zip(positions, sub):
+            summands[p] = s
+        for p, s in zip(sorted(slots[len(sub):]), rest):
+            summands[p] = s
+        whole = AddObject(tuple(summands))
+        assert AddMorphism.identity(pres, sub) == identity_reference(pres, sub)
+        assert AddMorphism.identity(pres, whole) == identity_reference(pres, whole)
+        inc = AddMorphism.inclusion(pres, sub, whole, positions)
+        proj = AddMorphism.projection(pres, whole, sub, positions)
+        assert inc == inclusion_reference(pres, sub, whole, positions)
+        assert proj == projection_reference(pres, whole, sub, positions)
+        assert proj.compose(inc) == AddMorphism.identity(pres, sub)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_sparse_compose_matches_the_dense_product(name):
+    pres = presentation(name)
+    fld = pres.field
+    rng = random.Random(f"compose {name}")
+    zeros = 0
+    for _ in range(25):
+        x, y, z = (rand_object(pres, rng, 4) for _ in "xyz")
+        f, g = sparse_morphism(pres, x, y, rng), sparse_morphism(pres, y, z, rng)
+        assert g.compose(f) == dense_compose(g, f)
+        zeros += g.compose(f).is_zero()
+        # two nonzero terms that cancel in every block: (u, -u) o (v; v) = 0
+        u, v = sparse_morphism(pres, y, z, rng), sparse_morphism(pres, x, y, rng)
+        gu = AddMorphism.assemble(pres, y.concat(y), z, [
+            (range(len(z)), spans(y, y)[0], u), (range(len(z)), spans(y, y)[1], u.scale(-1))])
+        fv = AddMorphism.assemble(pres, x, y.concat(y), [
+            (spans(y, y)[0], range(len(x)), v), (spans(y, y)[1], range(len(x)), v)])
+        assert gu.compose(fv) == dense_compose(gu, fv) == AddMorphism.zero(pres, x, z)
+        for c in (1, Fraction(1), fld.one):
+            assert g.scale(c) is g
+        assert g.scale(2) == g.add(g) and g.scale(0) == AddMorphism.zero(pres, y, z)
+    assert 0 < zeros < 25
