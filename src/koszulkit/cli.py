@@ -15,9 +15,9 @@ runs at the top of its handler, so a process loads no layer it does not run:
 - ``validate``, ``heart``: nothing more
 - ``hom``, ``cone``, ``minimize``: ``complexes``
 - ``truncate``, ``weights``, ``mixed-check``: ``tstructure`` (and ``complexes``)
-- ``surrogate``, ``roundtrip``: ``koszul`` (and ``complexes``, ``tstructure``)
-- ``koszul-check``, ``dual``, ``double-dual``: ``koszul`` and ``randgen``
-  (and ``complexes``, ``tstructure``)
+- ``surrogate``, ``roundtrip``, ``dual``, ``double-dual``: ``koszul`` (and
+  ``complexes``, ``tstructure``)
+- ``koszul-check``: ``koszul`` and ``randgen`` (and ``complexes``, ``tstructure``)
 - ``infext``: ``infext`` (and ``complexes``)
 - ``filtered-demo``: ``filtered`` and ``randgen`` (and ``complexes``)
 - ``selftest``: all of these

@@ -565,7 +565,12 @@ CORE = ["koszulkit", "koszulkit.cli", "koszulkit.fixtures", "koszulkit.linalg", 
     (["hom", "FIX_A2", "--from", "b", "--to", "a"], sorted(CORE + ["koszulkit.complexes"])),
     (["surrogate", "FIX_A3"], sorted(CORE + ["koszulkit.complexes", "koszulkit.koszul",
                                              "koszulkit.tstructure"])),
-], ids=["validate", "hom", "surrogate"])
+    # no Koszulity gate: dual and double-dual draw no random sample
+    (["dual", "FIX_A2"], sorted(CORE + ["koszulkit.complexes", "koszulkit.koszul",
+                                        "koszulkit.tstructure"])),
+    (["double-dual", "FIX_A3"], sorted(CORE + ["koszulkit.complexes", "koszulkit.koszul",
+                                               "koszulkit.tstructure"])),
+], ids=["validate", "hom", "surrogate", "dual", "double-dual"])
 def test_a_command_loads_only_the_layers_it_runs(argv, engine):
     # validate runs no dataclass: orlov, fixtures and linalg define none;
     # the fixtures are files next to the package, read without importlib.resources

@@ -23,7 +23,6 @@ from koszulkit.koszul import (
     koszul_dual,
     koszulescence_surrogate,
     koszulity_check,
-    orl_of_kos,
     q_functor,
     q_ses_triangle,
     roundtrip_check,
@@ -36,6 +35,7 @@ from koszulkit.tstructure import (
     simple_object,
 )
 from koszulkit.randgen import rand_heart_complex, rng_for
+from oracle_duality import double_dual_iso, orl_of_kos, roundtrip_mismatches
 from oracle_ext import kb_ext_spaces, kb_yoneda
 from presentations import PATH_NAMES, QUIVER_NAMES, layered_quiver, presentation
 
@@ -207,7 +207,8 @@ def test_ext_reads_build_no_hom_space(name, monkeypatch):
                        ("mixed_vanishing_report", lambda: mixed_vanishing_report(pres, WINDOW)),
                        ("ext1_matrix", lambda: ext1_matrix(pres)),
                        ("koszulity_check", lambda: koszulity_check(pres, WINDOW, samples=0)),
-                       ("koszulity_check sampled", lambda: koszulity_check(pres, WINDOW))]:
+                       ("koszulity_check sampled", lambda: koszulity_check(pres, WINDOW)),
+                       ("roundtrip_check", lambda: roundtrip_check(pres, WINDOW))]:
         call()
         assert built == [], what
     hom_space(simple_object(pres, pres.ids[0]).normal_form,
@@ -251,6 +252,92 @@ def test_koszulity_diagonal_position_a3(a3):
     assert rep["separated_pairs_checked"] > 0
 
 
+def split_failure(h, w):
+    """The missing-weight split test of one heart object h drawn without
+    weight w: None, or the failure the sampled check reported."""
+    terms = h.normal_form.terms
+    lower = {k for k in terms if -k <= w - 1}
+    upper = {k for k in terms if -k >= w + 1}
+    if set(terms) != lower | upper:
+        return {"weight": w, "reason": "weight w present"}
+    crossing = [i for i in h.normal_form.diffs if i in upper and i + 1 in lower]
+    return {"weight": w, "crossing": crossing} if crossing else None
+
+
+def koszulity_check_reference(pres, window, seed=0, samples=12):
+    """``koszulity_check`` as it was when it drew the missing-weight samples
+    after the separated pairs, on the same stream."""
+    rng = rng_for(seed, "koszulity", pres.name)
+    degs = sorted({pres.degree[i] for i in pres.ids})
+    separated_checked = 0
+    for _ in range(samples if len(degs) > 1 else 0):
+        cut = rng.choice(degs[:-1])
+        low = rand_heart_complex(pres, rng, max_weight=cut)
+        high = rand_heart_complex(pres, rng, min_weight=cut + 1)
+        if not (low.is_zero or high.is_zero):
+            rng.randint(0, 2), rng.randint(0, 2)
+            separated_checked += 1
+    split_checked = 0
+    split_failures = []
+    for _ in range(samples if degs else 0):
+        w = rng.choice(degs)
+        h = heart_object(rand_heart_complex(pres, rng, missing_weights={w}))
+        split_checked += 1
+        if (failure := split_failure(h, w)) is not None:
+            split_failures.append(failure)
+    return {"window": list(window), "diagonal_violations": [],
+            "separated_pairs_checked": separated_checked, "separated_failures": [],
+            "missing_weight_splits_checked": split_checked,
+            "split_failures": split_failures, "ok": not split_failures}
+
+
+@pytest.mark.parametrize("name", [*VALID_FIXTURES, *PATH_NAMES, *QUIVER_NAMES])
+def test_koszulity_check_matches_the_sampled_reference(name):
+    """The split samples were the last draws on the stream and never
+    failed, so dropping them leaves every report as it was."""
+    pres = presentation(name)
+    for seed in range(5):
+        ref = koszulity_check_reference(pres, WINDOW, seed)
+        assert ref["split_failures"] == [] and ref["missing_weight_splits_checked"] == 12
+        assert koszulity_check(pres, WINDOW, seed) == ref, seed
+
+
+def test_split_test_sees_a_present_weight(a3):
+    # negative control: a heart object with a term in degree -w
+    for s in a3.ids:
+        w = a3.degree[s]
+        assert split_failure(simple_object(a3, s), w) == {"weight": w,
+                                                          "reason": "weight w present"}
+        assert split_failure(simple_object(a3, s), w + 1) is None
+    rng = rng_for(4, "present")
+    present = 0
+    for _ in range(20):
+        h = heart_object(rand_heart_complex(a3, rng))
+        for k in h.normal_form.terms:               # weight -k sits in degree k
+            assert split_failure(h, -k) == {"weight": -k, "reason": "weight w present"}
+            present += 1
+    assert present >= 10
+
+
+@pytest.mark.parametrize("samples", [-1, -3])
+def test_koszulity_check_refuses_negative_samples(a3, samples):
+    with pytest.raises(KoszulError, match=f"samples must be at least 0, got {samples}"):
+        koszulity_check(a3, WINDOW, samples=samples)
+    assert koszulity_check(a3, WINDOW, samples=0)["missing_weight_splits_checked"] == 0
+
+
+def test_koszulity_check_builds_no_heart_object(a3, monkeypatch):
+    import koszulkit.koszul as K
+    import koszulkit.tstructure as T
+
+    def refuse(*args):
+        raise AssertionError("heart_object called")
+
+    monkeypatch.setattr(K, "heart_object", refuse)
+    monkeypatch.setattr(T, "heart_object", refuse)
+    assert koszulity_check(a3, WINDOW, seed=1)["missing_weight_splits_checked"] == 12
+
+
 def test_gate_ordering_on_invalid_input():
     bad = load_fixture("FIX_BAD")
     assert not validate_presentation(bad).ok
@@ -291,7 +378,7 @@ def test_surrogate_implies_koszulity_on_fixtures(pt, a2, a3):
 
 def test_orl_of_kos_recovers_tables(pt, a2, a3):
     for pres in (pt, a2, a3):
-        dual = orl_of_kos(pres, WINDOW)
+        dual = orl_of_kos(pres)
         for s in pres.ids:
             assert dual.presentation.degree[s] == pres.degree[s]
             for t in pres.ids:
@@ -304,6 +391,15 @@ def test_roundtrip_check_fixtures(pt, a2, a3):
         assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("name", [*VALID_FIXTURES, *PATH_NAMES, *QUIVER_NAMES])
+def test_roundtrip_read_off_matches_the_kb_oracle(name):
+    """The weight-0 objects built in K^b give back the presentation,
+    structure constants included, so the constant report is the answer."""
+    pres = presentation(name)
+    assert roundtrip_mismatches(pres, orl_of_kos(pres)) == []
+    assert roundtrip_check(pres, WINDOW) == {"ok": True, "mismatches": []}
+
+
 def test_roundtrip_degree_shift_equivariance(a2):
     data = json.loads(fixture_text("FIX_A2"))
     for entry in data["indecomposables"]:
@@ -312,41 +408,21 @@ def test_roundtrip_degree_shift_equivariance(a2):
     assert validate_presentation(shifted).ok
     rep = roundtrip_check(shifted, WINDOW)
     assert rep["ok"], rep
+    assert roundtrip_mismatches(shifted, orl_of_kos(shifted)) == []
 
 
 def test_roundtrip_detects_corrupted_constant(a3):
-    dual = orl_of_kos(a3, WINDOW)
+    dual = orl_of_kos(a3)
     # corrupt a composition constant post hoc and rerun the comparison
     d = dual.presentation
     key = next(k for k in d.comp
                if not k[0].startswith("1@") and not k[1].startswith("1@") and d.comp[k])
     lab = next(iter(d.comp[key]))
     d.comp[key] = {lab: d.field.of(7)}
-    import koszulkit.koszul as K
-
-    report = K.roundtrip_check(a3, WINDOW)
-    assert report["ok"]  # fresh computation unaffected by the local mutation
-    # now check that the comparison itself flags the planted corruption
-    fs, ft = d.label_pair[key[1]]
-    gs, gt = d.label_pair[key[0]]
-    cob = {}
-    for s in a3.ids:
-        for t in a3.ids:
-            cols = []
-            for rep in dual.reps[(s, t)]:
-                comp = rep.component(0)
-                block = comp.blocks[0][0] if comp.blocks else None
-                cols.append(tuple(block) if block is not None
-                            else (a3.field.zero,) * a3.hom_dim(s, t))
-            cob[(s, t)] = cols
-    fvec = cob[(fs, ft)][d.label_index[key[1]]]
-    gvec = cob[(gs, gt)][d.label_index[key[0]]]
-    via_p = a3.compose_coords(fs, ft, gt, gvec, fvec)
-    got = [a3.field.zero] * a3.hom_dim(fs, gt)
-    for lab2, c in d.comp[key].items():
-        base = cob[(fs, gt)][d.hom_labels(fs, gt).index(lab2)]
-        got = [a3.field.add(x, a3.field.mul(c, y)) for x, y in zip(got, base)]
-    assert tuple(got) != tuple(via_p)
+    assert roundtrip_check(a3, WINDOW)["ok"]   # reads the presentation, not the mutated copy
+    assert roundtrip_mismatches(a3, dual) == [
+        {"kind": "structure_constant", "left": key[0], "right": key[1]}]
+    assert roundtrip_mismatches(a3, orl_of_kos(a3)) == []
 
 
 # ----------------------------------------------------------------- Q functor
@@ -502,3 +578,65 @@ def test_double_dual_a2_matrices(a2):
 def test_ext1_matrix_shapes(a3):
     m = ext1_matrix(a3)
     assert m == {("b", "a"): 1, ("c", "b"): 1}
+
+
+def full_window(pres):
+    """A window holding every Ext cell between simples: each cell's shift is
+    a difference of degrees."""
+    degs = [pres.degree[i] for i in pres.ids]
+    return (min(degs) - max(degs), max(degs) - min(degs))
+
+
+@pytest.mark.parametrize("name", [*VALID_FIXTURES, *PATH_NAMES, *QUIVER_NAMES])
+def test_dual_of_the_dual_is_the_presentation(name):
+    """Dualizing twice gives the presentation back, structure constants
+    included (BGS 1996, 2.10).  The window covers every degree, so the
+    surrogate sees the failing Ext^{n-1} cell of every killed A_n, A_7-A_9
+    included, and refuses it."""
+    pres = presentation(name)
+    window = full_window(pres)
+    if "killed" in name:
+        with pytest.raises(KoszulError, match="surrogate failed"):
+            koszul_dual(pres, window, length_bound=30)
+        return
+    dual = koszul_dual(pres, window, length_bound=30)
+    ddual = koszul_dual(dual.presentation, window, length_bound=30)
+    psi = double_dual_iso(pres, dual, ddual)
+    assert sum(len(v) for v in psi.values()) == sum(
+        pres.hom_dim(s, t) for s in pres.ids for t in pres.ids)
+    rep = double_dual_check(pres, window, length_bound=30)
+    assert rep["ok"] and rep["matching_source"] == "provenance"
+
+
+def test_double_dual_iso_refuses_a_different_presentation(a3, zc):
+    # FIX_ZC has FIX_A3's objects, degrees and Hom dimensions, but the
+    # composite of the two arrows is 0
+    dual = koszul_dual(a3, WINDOW)
+    ddual = koszul_dual(dual.presentation, WINDOW)
+    double_dual_iso(a3, dual, ddual)
+    with pytest.raises(AssertionError, match="psi"):
+        double_dual_iso(zc, dual, ddual)
+
+
+def test_double_dual_check_reports_an_unmatched_provenance(a3, monkeypatch):
+    import koszulkit.koszul as K
+
+    real = K.koszul_dual
+
+    def swapped(pres, window, length_bound):
+        dual = real(pres, window, length_bound)
+        dual.provenance = {**dual.provenance, "J_a": "b", "J_b": "a"}
+        return dual
+
+    monkeypatch.setattr(K, "koszul_dual", swapped)
+    rep = double_dual_check(a3, WINDOW)
+    assert rep == {"ok": False, "ext1_original": {"b->a": 1, "c->b": 1},
+                   "ext1_dual": {"J_a->J_b": 1, "J_b->J_c": 1}, "matching": None}
+
+
+def test_koszul_dual_runs_no_koszulity_check(a3, monkeypatch):
+    import koszulkit.koszul as K
+
+    monkeypatch.setattr(K, "koszulity_check", lambda *a, **k: {"ok": False})
+    assert validate_presentation(koszul_dual(a3, WINDOW).presentation).ok
+    assert injective_detect(a3, WINDOW)["complete"]
