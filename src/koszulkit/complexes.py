@@ -1028,18 +1028,20 @@ class TopExtraction:
     triangle: Triangle       # P -> X -> Y -> P[1]
     reorder: ChainMap        # cone(delta) -> X, a permutation of summands
     reorder_inv: ChainMap
+    order: dict              # degree k -> the position in X^k of each summand of cone(delta)^k
 
 
 def _reorder_maps(x: Complex, cone_cx: Complex, sel_quot, sel_sub):
-    """Permutation isos cone(delta) <-> x: quotient slots first, then top."""
+    """Permutation isos cone(delta) <-> x, quotient slots first, then top,
+    with the summand order they realize."""
     pres = x.pres
-    fwd_comps, bwd_comps = {}, {}
-    for k in x.terms:
-        order = list(sel_quot.get(k, ())) + list(sel_sub.get(k, ()))
-        fwd_comps[k] = AddMorphism.inclusion(pres, cone_cx.term(k), x.term(k), order)
-        bwd_comps[k] = AddMorphism.projection(pres, x.term(k), cone_cx.term(k), order)
+    order = {k: tuple(sel_quot.get(k, ())) + tuple(sel_sub.get(k, ())) for k in x.terms}
+    fwd_comps = {k: AddMorphism.inclusion(pres, cone_cx.term(k), x.term(k), o)
+                 for k, o in order.items()}
+    bwd_comps = {k: AddMorphism.projection(pres, x.term(k), cone_cx.term(k), o)
+                 for k, o in order.items()}
     return (ChainMap(cone_cx, x, fwd_comps, check=False),
-            ChainMap(x, cone_cx, bwd_comps, check=False))
+            ChainMap(x, cone_cx, bwd_comps, check=False), order)
 
 
 def top_extraction(x: Complex, sigma=None) -> TopExtraction:
@@ -1058,8 +1060,8 @@ def top_extraction(x: Complex, sigma=None) -> TopExtraction:
         tri = Triangle.from_termwise_split(x, sel_sub, sel_quot)
         delta = ChainMap.zero(tri.Z.shift(-1), tri.X)
         cone_cx, _, _ = cone(delta)
-        fwd, bwd = _reorder_maps(x, cone_cx, sel_quot, sel_sub)
-        return TopExtraction(tri.X, tri.Z, delta, tri, fwd, bwd)
+        return TopExtraction(tri.X, tri.Z, delta, tri,
+                             *_reorder_maps(x, cone_cx, sel_quot, sel_sub))
     i, j = max(sigma)            # lexicographic: (homological degree, generator degree)
     if x.term(i + 1) != ZERO_OBJECT:
         raise ComplexError("support exceeds the top stratum of the region")
@@ -1077,8 +1079,7 @@ def top_extraction(x: Complex, sigma=None) -> TopExtraction:
             delta_comps[i] = AddMorphism(pres, ys.term(i), p_cx.term(i), blk.blocks)
     delta = ChainMap(y_cx.shift(-1), p_cx, delta_comps, check=False)
     cone_cx, _, _ = cone(delta)
-    fwd, bwd = _reorder_maps(x, cone_cx, sel_quot, sel_sub)
-    return TopExtraction(p_cx, y_cx, delta, tri, fwd, bwd)
+    return TopExtraction(p_cx, y_cx, delta, tri, *_reorder_maps(x, cone_cx, sel_quot, sel_sub))
 
 
 # -------------------------------------------------------- square completion
@@ -1088,11 +1089,14 @@ def complete_square(f: ChainMap, i2: ChainMap, p: ChainMap, q: ChainMap, h: Homo
     """Cone functoriality: r = [[p[1], 0], [h, q]]: cone(f) -> cone(i2).
 
     Requires q o f homotopic to i2 o p; the homotopy is solved if absent.
-    Returns (r, homotopy used).
+    Returns (r, homotopy used).  A square that commutes on the nose takes
+    h = 0 without building a Hom space.  That is the solve's answer too: the
+    zero difference is the zero vector, it reduces to zero, and the homotopy
+    read off a zero reduction is zero.
     """
     if h is None:
         diff = q.compose(f).sub(i2.compose(p))
-        h = is_null_homotopic(diff)
+        h = Homotopy.zero(diff.source, diff.target) if diff.is_zero() else is_null_homotopic(diff)
         if h is None:
             raise FillError("square does not commute up to homotopy")
     zf, _, _ = cone(f)

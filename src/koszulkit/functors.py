@@ -7,6 +7,14 @@ the image slices).  A natural transformation between two such functors
 extends to every complex by block-diagonal components; the uniqueness
 probe rebuilds the extension through top-stratum extraction triangles on
 randomized presentations of the same object and compares homotopy classes.
+
+The rebuild does each node's work once.  It maps every complex once per
+functor and hands the images it already holds to
+:meth:`HomogeneousFunctor.on_chain_map`.  It carries the completed square
+back along the summand reordering by re-indexing blocks, which is exact
+because functors send units to identities.  By naturality its squares
+commute on the nose, so :func:`complete_square` takes the zero homotopy,
+which is the answer the Hom-space solve gives for a zero difference.
 """
 
 from __future__ import annotations
@@ -177,8 +185,13 @@ class HomogeneousFunctor:
         diffs = {i: self.on_morphism(d) for i, d in x.diffs.items()}
         return Complex(self.target, terms, diffs)
 
-    def on_chain_map(self, f: ChainMap) -> ChainMap:
-        return ChainMap(self.on_complex(f.source), self.on_complex(f.target),
+    def on_chain_map(self, f: ChainMap, source: Complex | None = None,
+                     target: Complex | None = None) -> ChainMap:
+        """F(f); ``source`` and ``target``, when given, are F(f.source) and
+        F(f.target) as the caller already holds them, and are not mapped again.
+        The chain-map check still runs against them."""
+        return ChainMap(self.on_complex(f.source) if source is None else source,
+                        self.on_complex(f.target) if target is None else target,
                         {i: self.on_morphism(m) for i, m in f.comps.items()})
 
 
@@ -243,15 +256,15 @@ class NatTrans:
                         {iid: _invert_iso(c) for iid, c in self.components.items()})
 
 
-def _both(theta: NatTrans, method: str, x):
-    """(F.method(x), G.method(x)), applying F once when G is F."""
-    fx = getattr(theta.F, method)(x)
-    return fx, fx if theta.G is theta.F else getattr(theta.G, method)(x)
+def _both(theta: NatTrans, x: Complex):
+    """(F(x), G(x)), applying F once when G is F."""
+    fx = theta.F.on_complex(x)
+    return fx, fx if theta.G is theta.F else theta.G.on_complex(x)
 
 
 def extend_nat_trans(theta: NatTrans, x: Complex) -> HomClass:
     """Termwise extension to a complex; a chain map by naturality."""
-    fx, gx = _both(theta, "on_complex", x)
+    fx, gx = _both(theta, x)
     comps = {i: theta.on_object(t) for i, t in x.terms.items()}
     return HomClass(ChainMap(fx, gx, comps))
 
@@ -260,24 +273,50 @@ def extend_nat_trans(theta: NatTrans, x: Complex) -> HomClass:
 
 
 def _theta_via_extraction(theta: NatTrans, x: Complex) -> ChainMap:
-    """Rebuild theta_x through the top-stratum triangle, recursively."""
-    F = theta.F
+    """Rebuild theta_x through the top-stratum triangle, recursively.
+
+    Each call maps x once through F, and once through G when G is not F.
+    F(delta) and G(delta) take their endpoints from the recursion's
+    results: theta_P runs F(P) -> G(P), and theta_Y[-1] runs
+    F(Y)[-1] = F(Y[-1]) -> G(Y)[-1], since F is additive.  Completing the
+    square gives r: cone(F(delta)) -> cone(G(delta)), and F literally
+    commutes with cones, so r maps F(cone(delta)) -> G(cone(delta));
+    :func:`_transport` carries it back to x.
+    """
+    F, G = theta.F, theta.G
+    fx, gx = _both(theta, x)
     if x.is_zero:
-        return ChainMap.zero(*_both(theta, "on_complex", x))
-    lines = {i for (i, _) in x.support()}
-    if len(lines) <= 1:
-        return ChainMap(*_both(theta, "on_complex", x),
-                        {i: theta.on_object(t) for i, t in x.terms.items()})
+        return ChainMap.zero(fx, gx)
+    if len({i for (i, _) in x.support()}) <= 1:
+        return ChainMap(fx, gx, {i: theta.on_object(t) for i, t in x.terms.items()})
     te = top_extraction(x)
     theta_p = _theta_via_extraction(theta, te.P)
-    theta_y = _theta_via_extraction(theta, te.Y)
-    f_delta, g_delta = _both(theta, "on_chain_map", te.delta)
-    r, _ = complete_square(f_delta, g_delta, theta_y.shift(-1), theta_p)
-    # F literally commutes with cones of termwise functors, so r is a map
-    # F(cone(delta)) -> G(cone(delta)); transport along the reordering
-    rho_f, rho_g = _both(theta, "on_chain_map", te.reorder)
-    rho_f_inv = F.on_chain_map(te.reorder_inv)
-    return rho_g.compose(r).compose(rho_f_inv)
+    theta_ys = _theta_via_extraction(theta, te.Y).shift(-1)
+    f_delta = F.on_chain_map(te.delta, theta_ys.source, theta_p.source)
+    g_delta = f_delta if G is F else G.on_chain_map(te.delta, theta_ys.target, theta_p.target)
+    r, _ = complete_square(f_delta, g_delta, theta_ys, theta_p)
+    return _transport(theta, x, te.order, r, fx, gx)
+
+
+def _transport(theta: NatTrans, x: Complex, order, r: ChainMap, fx: Complex,
+               gx: Complex) -> ChainMap:
+    """G(reorder) o r o F(reorder^-1): F(x) -> G(x), by re-indexing r's blocks.
+
+    The reordering cone(delta) -> x sends summand j of cone(delta)^k to
+    summand ``order[k][j]`` of x^k by a unit, and F and G send each unit to
+    an identity (:meth:`HomogeneousFunctor.validate` checks F(1_s) = 1_F(s)).
+    So the composite is r^k with its rows placed at the G-slices and its
+    columns at the F-slices of x^k, both listed in that order: exactly,
+    with no functor applied and no composition formed.
+    """
+    F, G = theta.F, theta.G
+    comps = {}
+    for k, m in r.comps.items():
+        term, pos = x.terms[k], order[k]
+        rows, cols = G._slices(term), F._slices(term)
+        comps[k] = AddMorphism.assemble(F.target, fx.terms[k], gx.terms[k], [
+            ([p for j in pos for p in rows[j]], [p for j in pos for p in cols[j]], m)])
+    return ChainMap(fx, gx, comps, check=False)
 
 
 def nat_trans_uniqueness_probe(theta: NatTrans, x: Complex, orders=20, seed=0) -> dict:
@@ -302,7 +341,8 @@ def nat_trans_uniqueness_probe(theta: NatTrans, x: Complex, orders=20, seed=0) -
     for _ in range(orders - 1):
         x2, fwd, bwd = conjugate_complex(x, rng)
         routed = _theta_via_extraction(theta, x2)
-        pulled = G.on_chain_map(bwd).compose(routed).compose(F.on_chain_map(fwd))
+        pulled = G.on_chain_map(bwd, routed.target, direct.target).compose(routed).compose(
+            F.on_chain_map(fwd, direct.source, routed.source))
         runs += 1
         if HomClass(pulled) != direct:
             disagreements += 1

@@ -213,7 +213,10 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
     """Read off a finite presentation from Hom spaces between complexes.
 
     ``objects`` maps new ids to (Complex, degree, provenance id); End
-    spaces must be one-dimensional and use the identity as basis.
+    spaces must be one-dimensional and use the identity as basis.  A pair
+    whose supports do not meet (:func:`supports_meet`) has no chain-map
+    unknowns, so its Hom is 0 with no space built, and so is every
+    composite landing in it.
     """
     ids = list(objects)
     indecs = [{"id": nid, "degree": objects[nid][1]} for nid in ids]
@@ -222,6 +225,9 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
     spaces = {}
     for src in ids:
         for tgt in ids:
+            if src != tgt and not supports_meet(objects[src][0], objects[tgt][0], 0):
+                reps[(src, tgt)] = []
+                continue
             sp = spaces[(src, tgt)] = hom_space(objects[src][0], objects[tgt][0], 0)
             if src == tgt:
                 if sp.dimension != 1:
@@ -246,8 +252,8 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
             if not reps[(src, mid)]:
                 continue
             for tgt in ids:
-                if not reps[(mid, tgt)] or mid in (src, tgt):
-                    continue     # unit laws are implicit
+                if not reps[(mid, tgt)] or mid in (src, tgt) or (src, tgt) not in spaces:
+                    continue     # unit laws are implicit; a composite in a 0 cell is 0
                 sp = spaces[(src, tgt)]
                 cols = [sp.map_to_vector(r) for r in reps[(src, tgt)]]
                 for gi, g in enumerate(reps[(mid, tgt)]):

@@ -394,7 +394,7 @@ def hom_space_sweep(name, trials):
     fld = pres.field
     rng = rng_for(29, "one-factorization", name)
     for _ in range(trials):
-        x, y = rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3)
+        x, y = rand_complex(pres, rng, amplitude=4), rand_complex(pres, rng, amplitude=4)
         sp = hom_space(x, y, rng.randint(-1, 1))
         cycles = [rand_chain_map(x, y, rng, sp.k) for _ in range(2)]
         boundaries = [sp._vector_to_homotopy([fld.of(rng.randint(-2, 2)) for _ in range(sp.h_total)])
@@ -777,6 +777,58 @@ def test_complete_square_rejects_non_commuting(a2):
     with pytest.raises(FillError):
         complete_square(f, f, ChainMap.identity(f.source),
                         ChainMap.zero(f.target, f.target))
+
+
+def complete_square_reference(f, i2, p, q):
+    """The square completed with the homotopy the Hom-space solve gives,
+    whether the difference q o f - i2 o p is zero or not."""
+    return complete_square(f, i2, p, q, is_null_homotopic(q.compose(f).sub(i2.compose(p))))
+
+
+def square_cases(name):
+    """Squares q o f = i2 o p with i2 = f over seeded complexes: on the nose
+    (p and q the same scalar), and, over the identity of z = cone(1_y), up
+    to a random boundary added to q."""
+    pres = presentation(name)
+    fld, rng = pres.field, rng_for(67, "square", name)
+    out = []
+    for _ in range(4):
+        x, y = rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3)
+        c = fld.of(rng.randint(-3, 3))
+        out.append((rand_chain_map(x, y, rng), ChainMap.identity(x).scale(c),
+                    ChainMap.identity(y).scale(c)))
+        z, _, _ = cone(ChainMap.identity(y))
+        sp, q = hom_space(z, z, 0), ChainMap.identity(z).scale(c)
+        h = sp._vector_to_homotopy([fld.of(rng.choice((1, 2, -1, -3)))
+                                    for _ in range(sp.h_total)])
+        out.append((ChainMap.identity(z), q, q.add(h.boundary())))
+    return out
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", *QUIVER_NAMES])
+def test_complete_square_takes_the_zero_homotopy_the_solve_gives(monkeypatch, name):
+    """Reference: on a zero difference, complete_square builds no Hom space
+    and returns the (r, h) of the solve; a nonzero difference still goes
+    through the solve."""
+    init, builds = HomSpace.__init__, Counter()
+
+    def counting(self, *args):
+        builds["spaces"] += 1
+        init(self, *args)
+
+    seen = Counter()
+    for f, p, q in square_cases(name):
+        zero = q.compose(f).sub(f.compose(p)).is_zero()
+        ref_r, ref_h = complete_square_reference(f, f, p, q)
+        builds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(HomSpace, "__init__", counting)
+            r, h = complete_square(f, f, p, q)
+        assert r == ref_r
+        assert (h.source, h.target, h.comps) == (ref_h.source, ref_h.target, ref_h.comps)
+        assert builds["spaces"] == (0 if zero else 1)
+        seen[zero] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
 
 
 # ------------------------------------------------------- triangle invariants

@@ -1,9 +1,21 @@
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from koszulkit import functors
-from koszulkit.complexes import ChainMap, Complex, HomClass, cone, direct_sum, hom_space, minimal_model
+from koszulkit.complexes import (
+    ChainMap,
+    Complex,
+    ComplexError,
+    HomClass,
+    cone,
+    direct_sum,
+    hom_space,
+    minimal_model,
+    top_extraction,
+)
 from koszulkit.fixtures import load_fixture
 from koszulkit.functors import (
     FunctorError,
@@ -15,6 +27,7 @@ from koszulkit.functors import (
 )
 from koszulkit.orlov import AddMorphism, obj
 from koszulkit.randgen import rand_chain_map, rand_complex, rng_for
+from presentations import QUIVER_NAMES, presentation
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +41,21 @@ def a3():
 
 
 def scaling_functor(pres, c=2):
-    """Identity on objects, alpha -> c * alpha."""
+    """Identity on objects, h -> c^(deg s - deg t) h for h: s -> t; on A2,
+    alpha -> c * alpha."""
     base = HomogeneousFunctor.identity(pres)
-    hom_map = dict(base.hom_map)
-    hom_map["alpha"] = hom_map["alpha"].scale(c)
+    hom_map = {lab: base.hom_map[lab].scale(pres.field.of(Fraction(c) ** (
+        pres.degree[s] - pres.degree[t]))) for lab, (s, t) in pres.label_pair.items()}
     return HomogeneousFunctor(pres, pres, base.obj_map, hom_map)
+
+
+def doubling_functor(pres):
+    """s -> s + s and h -> diag(h, h): every image slice is two summands wide."""
+    obj_map = {iid: obj(iid, iid) for iid in pres.ids}
+    hom_map = {lab: AddMorphism.from_blocks(pres, obj(s, s), obj(t, t), [
+        [pres.coords(lab), None], [None, pres.coords(lab)]])
+        for lab, (s, t) in pres.label_pair.items()}
+    return HomogeneousFunctor(pres, pres, obj_map, hom_map)
 
 
 def alpha_map(pres):
@@ -219,35 +242,232 @@ def test_probe_disagrees_with_a_wrong_route(a2, monkeypatch, same):
 
 
 def test_extraction_route_applies_a_shared_functor_once(a2, a3, monkeypatch):
-    """Per extraction node, theta: F => F applies F to three chain maps
-    (delta, the reordering and its inverse), and theta: F => G to five."""
+    """Per extraction node, theta: F => F applies F to one chain map (delta)
+    and theta: F => G applies F and G to it.  Each call of the route maps
+    its complex once per functor, and nothing else: the endpoints of delta
+    are the images the recursion returns."""
     counts = Counter()
-    on_chain_map, extraction = HomogeneousFunctor.on_chain_map, functors.top_extraction
+    on_chain_map, on_complex = HomogeneousFunctor.on_chain_map, HomogeneousFunctor.on_complex
+    extraction, route = functors.top_extraction, functors._theta_via_extraction
 
-    def counting(self, f):
+    def counting(self, f, source=None, target=None):
         counts["maps"] += 1
-        return on_chain_map(self, f)
+        return on_chain_map(self, f, source, target)
+
+    def counting_complexes(self, x):
+        counts["complexes"] += 1
+        return on_complex(self, x)
 
     def extracting(x):
         counts["nodes"] += 1
         return extraction(x)
 
+    def routing(th, x):         # the recursion goes through this name too
+        counts["calls"] += 1
+        return route(th, x)
+
     monkeypatch.setattr(HomogeneousFunctor, "on_chain_map", counting)
+    monkeypatch.setattr(HomogeneousFunctor, "on_complex", counting_complexes)
     monkeypatch.setattr(functors, "top_extraction", extracting)
+    monkeypatch.setattr(functors, "_theta_via_extraction", routing)
     rng = rng_for(53, "shared functor")
     ident = HomogeneousFunctor.identity(a3)
     theta3 = NatTrans(ident, ident, {iid: AddMorphism.identity(a3, obj(iid)).scale(3)
                                      for iid in a3.ids})
-    cases = [(*probe_case(a2, True), 3), (*probe_case(a2, False), 5)]
-    cases += [(theta3, rand_complex(a3, rng, amplitude=4), 3) for _ in range(6)]
+    cases = [(*probe_case(a2, True), 1), (*probe_case(a2, False), 2)]
+    cases += [(theta3, rand_complex(a3, rng, amplitude=4), 1) for _ in range(6)]
     nodes = 0
     for theta, x, per_node in cases:
         counts.clear()
         got = functors._theta_via_extraction(theta, x)
-        assert HomClass(got) == functors.extend_nat_trans(theta, x)
         assert counts["maps"] == per_node * counts["nodes"]
+        assert counts["complexes"] == per_node * counts["calls"]
+        assert HomClass(got) == functors.extend_nat_trans(theta, x)
         nodes += counts["nodes"]
     assert nodes >= 10
+
+
+# ----------------------------------------- extraction route: references
+
+ROUTE_NAMES = ["FIX_A2", "FIX_A3", *QUIVER_NAMES]
+
+
+def route_thetas(pres):
+    """theta: F => F, F => G (the scaling functor to the identity), D => D
+    and Id => D for the doubling functor D.  D's components are not
+    multiples of the identity on its two-summand slices."""
+    ident, doubled = HomogeneousFunctor.identity(pres), doubling_functor(pres)
+
+    def grid(s, source, target, entries):
+        return AddMorphism.assemble(pres, source, target, [
+            ([r], [c], AddMorphism.identity(pres, obj(s)).scale(v)) for r, c, v in entries])
+
+    return {
+        "F=>F": NatTrans(ident, ident, {s: grid(s, obj(s), obj(s), [(0, 0, 3)])
+                                        for s in pres.ids}),
+        "F=>G": NatTrans(scaling_functor(pres, 2), ident, {
+            s: grid(s, obj(s), obj(s), [(0, 0, Fraction(2) ** pres.degree[s])])
+            for s in pres.ids}),
+        "D=>D": NatTrans(doubled, doubled, {
+            s: grid(s, obj(s, s), obj(s, s), [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
+            for s in pres.ids}),
+        "Id=>D": NatTrans(ident, doubled, {
+            s: grid(s, obj(s), obj(s, s), [(0, 0, 1), (1, 0, 2)]) for s in pres.ids}),
+    }
+
+
+def route_inputs(name):
+    """Seeded complexes over ``name``; on A2 also cone(alpha) + a[2] and
+    cone(alpha) + cone(alpha), whose terms repeat a summand."""
+    pres = presentation(name)
+    rng = rng_for(61, "route", name)
+    xs = [rand_complex(pres, rng, amplitude=4) for _ in range(4)]
+    if name == "FIX_A2":
+        xs += [probe_case(pres, True)[1], direct_sum(cone_alpha(pres), cone_alpha(pres))[0]]
+    return pres, xs
+
+
+def extraction_nodes(monkeypatch, theta, x):
+    """theta_x by the extraction route, and per extraction node its complex,
+    its result, the arguments (f, i2, p, q) of its square and the square's r."""
+    route, square = functors._theta_via_extraction, functors.complete_square
+    squares, nodes = [], []
+
+    def recording_square(*args):
+        out = square(*args)
+        squares.append((args, out[0]))
+        return out
+
+    def recording_route(th, c):
+        before = len(squares)
+        out = route(th, c)
+        if len(squares) > before:   # a leaf completes no square; a node's own comes last
+            nodes.append((c, out, *squares[-1]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(functors, "complete_square", recording_square)
+        m.setattr(functors, "_theta_via_extraction", recording_route)
+        return functors._theta_via_extraction(theta, x), nodes
+
+
+@pytest.mark.parametrize("name", ROUTE_NAMES)
+def test_extraction_nodes_reuse_the_images_on_complex_gives(monkeypatch, name):
+    """Reference: at every extraction node, F(delta) and G(delta) run
+    between on_complex of delta's endpoints and equal on_chain_map(delta),
+    and theta_x runs from on_complex of x under F to its image under G."""
+    pres, xs = route_inputs(name)
+    nodes = 0
+    for theta in route_thetas(pres).values():
+        F, G = theta.F, theta.G
+        for x in xs:
+            got, recorded = extraction_nodes(monkeypatch, theta, x)
+            assert HomClass(got) == extend_nat_trans(theta, x)
+            for c, out, (f, i2, _, _), _ in recorded:
+                delta = top_extraction(c).delta
+                for functor, image in ((F, f), (G, i2)):
+                    assert image.source == functor.on_complex(delta.source)
+                    assert image.target == functor.on_complex(delta.target)
+                    assert image == functor.on_chain_map(delta)
+                assert (out.source, out.target) == (F.on_complex(c), G.on_complex(c))
+            nodes += len(recorded)
+    assert nodes >= 8
+
+
+@pytest.mark.parametrize("name", ROUTE_NAMES)
+def test_reindexed_theta_is_the_transport_along_the_reordering(monkeypatch, name):
+    """Reference: theta_x, read off r by re-indexing, is the composite
+    G(reorder) o r o F(reorder^-1) that the route used to form."""
+    pres, xs = route_inputs(name)
+    nodes = 0
+    for theta in route_thetas(pres).values():
+        for x in xs:
+            for c, out, _, r in extraction_nodes(monkeypatch, theta, x)[1]:
+                te = top_extraction(c)
+                rho_g, rho_f_inv = (theta.G.on_chain_map(te.reorder),
+                                    theta.F.on_chain_map(te.reorder_inv))
+                assert out == rho_g.compose(r).compose(rho_f_inv)
+                nodes += 1
+    assert nodes >= 8
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "quiver0/F0", "quiver3/F10007"])
+def test_probe_hands_on_chain_map_the_images_of_its_endpoints(monkeypatch, name):
+    """Every chain map the probe maps, delta and the conjugations fwd and
+    bwd, comes with endpoints equal to on_complex of its own endpoints."""
+    on_chain_map, given = HomogeneousFunctor.on_chain_map, Counter()
+
+    def checking(self, f, source=None, target=None):
+        assert source is not None and target is not None
+        assert (source, target) == (self.on_complex(f.source), self.on_complex(f.target))
+        given[f.source == f.target] += 1
+        return on_chain_map(self, f, source, target)
+
+    monkeypatch.setattr(HomogeneousFunctor, "on_chain_map", checking)
+    pres, xs = route_inputs(name)
+    for theta in route_thetas(pres).values():
+        for x in xs:
+            assert nat_trans_uniqueness_probe(theta, x, orders=3, seed=5)["ok"]
+    assert given[True] > 0 and given[False] > 0
+
+
+def swapping_f_slices(theta):
+    """theta with F's slices of the first two equal summands of each term
+    swapped, as :func:`functors._transport` reads them."""
+    def slices(term):
+        out = list(theta.F._slices(term))
+        pairs = [(i, j) for j in range(len(term)) for i in range(j) if term[i] == term[j]]
+        if pairs:
+            i, j = pairs[0]
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    return SimpleNamespace(F=SimpleNamespace(_slices=slices, target=theta.F.target), G=theta.G)
+
+
+def test_probe_disagrees_with_a_transport_that_swaps_two_f_slices(a2, monkeypatch):
+    """Negative control: re-indexing with two F-slices swapped disagrees."""
+    x, *_ = direct_sum(cone_alpha(a2), cone_alpha(a2))
+    transport = functors._transport
+    for theta in route_thetas(a2).values():
+        assert nat_trans_uniqueness_probe(theta, x, orders=4, seed=3)["ok"]
+        with monkeypatch.context() as m:
+            m.setattr(functors, "_transport",
+                      lambda th, *args: transport(swapping_f_slices(th), *args))
+            rep = nat_trans_uniqueness_probe(theta, x, orders=4, seed=3)
+        assert rep["disagreements"] > 0, rep
+
+
+@pytest.mark.parametrize("name", ROUTE_NAMES)
+def test_a_wrong_image_is_refused(monkeypatch, name):
+    """Negative control: F is handed G's images of a chain map's endpoints.
+    Wherever that changes an image, the chain-map check refuses the map or
+    the probe disagrees."""
+    on_chain_map, changed, refused = HomogeneousFunctor.on_chain_map, [], 0
+    pres, xs = route_inputs(name)
+    for label, theta in route_thetas(pres).items():
+        if theta.F is theta.G:
+            continue
+
+        def wrong(self, f, source=None, target=None):
+            if self is theta.F:
+                images = theta.G.on_complex(f.source), theta.G.on_complex(f.target)
+                changed.append(images != (source, target))
+                source, target = images
+            return on_chain_map(self, f, source, target)
+
+        for x in xs:
+            changed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(HomogeneousFunctor, "on_chain_map", wrong)
+                try:
+                    rep = nat_trans_uniqueness_probe(theta, x, orders=3, seed=6)
+                except ComplexError:
+                    assert any(changed), (label, x)
+                    refused += 1
+                    continue
+            assert not any(changed) or rep["disagreements"] > 0, (label, x)
+    assert refused > 0
 
 
 def test_functor_json_round_trip(a2):

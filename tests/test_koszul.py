@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -640,3 +641,32 @@ def test_koszul_dual_runs_no_koszulity_check(a3, monkeypatch):
     monkeypatch.setattr(K, "koszulity_check", lambda *a, **k: {"ok": False})
     assert validate_presentation(koszul_dual(a3, WINDOW).presentation).ok
     assert injective_detect(a3, WINDOW)["complete"]
+
+
+@pytest.mark.parametrize("name, builds", [("FIX_A3", 7), ("A5/F0", 13), ("A5/F10007", 13)])
+def test_dual_read_off_builds_hom_spaces_where_supports_meet(monkeypatch, name, builds):
+    """The read-off builds no Hom space between injectives whose supports
+    do not meet: 7 of FIX_A3's 9 cells and 13 of A5's 25.  The read-off
+    that builds every cell gives the same presentation and representatives."""
+    import koszulkit.koszul as K
+
+    pres = presentation(name)
+    dual = koszul_dual(pres, WINDOW)
+    objects = {nid: (x, dual.presentation.degree[nid], dual.provenance[nid])
+               for nid, x in dual.objects.items()}
+    real, count = K.hom_space, Counter()
+
+    def counting(*args):
+        count["spaces"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(K, "hom_space", counting)
+    got = K._presentation_from_heart_objects(pres, objects, "read-off")
+    assert count["spaces"] == builds == sum(
+        supports_meet(x, y) for x, *_ in objects.values() for y, *_ in objects.values())
+    count.clear()
+    monkeypatch.setattr(K, "supports_meet", lambda *args: True)
+    every = K._presentation_from_heart_objects(pres, objects, "read-off")
+    assert count["spaces"] == len(objects) ** 2
+    assert got.presentation.to_data() == every.presentation.to_data()
+    assert got.reps == every.reps
