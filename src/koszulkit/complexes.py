@@ -22,6 +22,7 @@ along witnessed homotopy equivalences).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import KoszulkitError, Matrix
 from .orlov import (
@@ -1022,26 +1023,32 @@ def coker_idempotent(f: AddMorphism) -> AddMorphism:
 
 @dataclass
 class TopExtraction:
+    """The extraction triangle P -> X -> Y -> P[1] of X, with X = cone(delta)
+    up to the summand reordering ``order``; the reordering chain maps are
+    built from ``order`` on first read."""
+
     P: Complex
     Y: Complex
     delta: ChainMap          # Y[-1] -> P, cone(delta) = X up to reordering
     triangle: Triangle       # P -> X -> Y -> P[1]
-    reorder: ChainMap        # cone(delta) -> X, a permutation of summands
-    reorder_inv: ChainMap
     order: dict              # degree k -> the position in X^k of each summand of cone(delta)^k
 
+    @cached_property
+    def reorder(self) -> ChainMap:
+        """cone(delta) -> X, a permutation of summands: the quotient slots
+        first, then the top."""
+        cone_cx, x = cone(self.delta)[0], self.triangle.Y
+        return ChainMap(cone_cx, x, {
+            k: AddMorphism.inclusion(x.pres, cone_cx.term(k), x.term(k), o)
+            for k, o in self.order.items()}, check=False)
 
-def _reorder_maps(x: Complex, cone_cx: Complex, sel_quot, sel_sub):
-    """Permutation isos cone(delta) <-> x, quotient slots first, then top,
-    with the summand order they realize."""
-    pres = x.pres
-    order = {k: tuple(sel_quot.get(k, ())) + tuple(sel_sub.get(k, ())) for k in x.terms}
-    fwd_comps = {k: AddMorphism.inclusion(pres, cone_cx.term(k), x.term(k), o)
-                 for k, o in order.items()}
-    bwd_comps = {k: AddMorphism.projection(pres, x.term(k), cone_cx.term(k), o)
-                 for k, o in order.items()}
-    return (ChainMap(cone_cx, x, fwd_comps, check=False),
-            ChainMap(x, cone_cx, bwd_comps, check=False), order)
+    @cached_property
+    def reorder_inv(self) -> ChainMap:
+        """X -> cone(delta), the inverse permutation."""
+        cone_cx, x = self.reorder.source, self.reorder.target
+        return ChainMap(x, cone_cx, {
+            k: AddMorphism.projection(x.pres, x.term(k), cone_cx.term(k), o)
+            for k, o in self.order.items()}, check=False)
 
 
 def top_extraction(x: Complex, sigma=None) -> TopExtraction:
@@ -1059,9 +1066,7 @@ def top_extraction(x: Complex, sigma=None) -> TopExtraction:
         sel_quot = {i: tuple(range(len(x.term(i)))) for i in x.terms}
         tri = Triangle.from_termwise_split(x, sel_sub, sel_quot)
         delta = ChainMap.zero(tri.Z.shift(-1), tri.X)
-        cone_cx, _, _ = cone(delta)
-        return TopExtraction(tri.X, tri.Z, delta, tri,
-                             *_reorder_maps(x, cone_cx, sel_quot, sel_sub))
+        return TopExtraction(tri.X, tri.Z, delta, tri, _order(x, sel_quot, sel_sub))
     i, j = max(sigma)            # lexicographic: (homological degree, generator degree)
     if x.term(i + 1) != ZERO_OBJECT:
         raise ComplexError("support exceeds the top stratum of the region")
@@ -1078,8 +1083,13 @@ def top_extraction(x: Complex, sigma=None) -> TopExtraction:
             ys = y_cx.shift(-1)
             delta_comps[i] = AddMorphism(pres, ys.term(i), p_cx.term(i), blk.blocks)
     delta = ChainMap(y_cx.shift(-1), p_cx, delta_comps, check=False)
-    cone_cx, _, _ = cone(delta)
-    return TopExtraction(p_cx, y_cx, delta, tri, *_reorder_maps(x, cone_cx, sel_quot, sel_sub))
+    return TopExtraction(p_cx, y_cx, delta, tri, _order(x, sel_quot, sel_sub))
+
+
+def _order(x: Complex, sel_quot, sel_sub) -> dict:
+    """The position in x^k of each summand of cone(delta)^k: quotient slots
+    first, then top."""
+    return {k: tuple(sel_quot.get(k, ())) + tuple(sel_sub.get(k, ())) for k in x.terms}
 
 
 # -------------------------------------------------------- square completion

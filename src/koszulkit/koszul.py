@@ -376,8 +376,11 @@ def injective_detect(pres: OrlovPresentation, window=DEFAULT_WINDOW,
     in the latter case the result is reported incomplete rather than fatal.
     The search relies on the weight-diagonal vanishing, which holds on
     every validated presentation (see :func:`koszulity_check`); it is not
-    windowed.
+    windowed.  Every injective hull has length at least 1, so
+    ``length_bound`` must be at least 1.
     """
+    if length_bound < 1:
+        raise KoszulError(f"length bound must be at least 1, got {length_bound}")
     simples = {iid: simple_object(pres, iid) for iid in pres.ids}
     found = []
     incomplete = []

@@ -111,8 +111,12 @@ class OrlovPresentation:
     ``hom`` maps (src, tgt) pairs to ordered basis label tuples, ``comp``
     maps (later label, earlier label) to {result label: coefficient}.
     Unit compositions are filled in automatically; missing entries mean 0.
-    Composition reads ``comp`` through tables compiled on first use
-    (:meth:`table`); validation reads ``comp`` itself.
+    Composition reads ``comp`` through one kernel per (src, mid, tgt),
+    compiled on first use and kept in ``_tables``: the dimension of
+    Hom(src, tgt), the table of nonzero structure constants (:meth:`table`),
+    and the one constant when all three spaces are one-dimensional, which
+    :meth:`compose_coords` multiplies directly.  Validation reads ``comp``
+    itself.
     """
 
     def __init__(self, characteristic, indecomposables, hom, compose, name="anonymous"):
@@ -209,40 +213,66 @@ class OrlovPresentation:
     def compose_labels(self, g: str, f: str) -> dict:
         return self.comp.get((g, f), {})
 
+    def _kernel(self, src, mid, tgt) -> tuple:
+        """Compile the kernel of Hom(mid, tgt) x Hom(src, mid) -> Hom(src, tgt)
+        from ``comp``, cache it in ``_tables`` and return it: ``(dim
+        Hom(src, tgt), table, scalar)``.
+
+        ``table`` lists the nonzero structure constants as ``(g index,
+        f index, ((result index, c), ...))`` over basis positions.
+        ``scalar`` is the constant c of the one entry when all three spaces
+        are one-dimensional and the table is not empty, and None otherwise.
+        """
+        glabels, flabels = self.hom_labels(mid, tgt), self.hom_labels(src, mid)
+        tab = tuple(
+            (gi, fi, res)
+            for gi, gl in enumerate(glabels)
+            for fi, fl in enumerate(flabels)
+            for res in [tuple((self.label_index[rl], c)
+                              for rl, c in self.compose_labels(gl, fl).items() if c)]
+            if res)
+        dim = self.hom_dim(src, tgt)
+        one = dim == len(glabels) == len(flabels) == len(tab) == 1
+        kern = self._tables[(src, mid, tgt)] = (dim, tab, tab[0][2][0][1] if one else None)
+        return kern
+
     def table(self, src, mid, tgt) -> tuple:
         """The nonzero structure constants of Hom(mid, tgt) x Hom(src, mid) ->
         Hom(src, tgt), as ``(g index, f index, ((result index, c), ...))``
         over basis positions; compiled from ``comp`` on first use."""
-        key = (src, mid, tgt)
-        tab = self._tables.get(key)
-        if tab is None:
-            index, flabels = self.label_index, self.hom_labels(src, mid)
-            tab = self._tables[key] = tuple(
-                (gi, fi, res)
-                for gi, gl in enumerate(self.hom_labels(mid, tgt))
-                for fi, fl in enumerate(flabels)
-                for res in [tuple((index[rl], c) for rl, c in self.compose_labels(gl, fl).items()
-                                  if c)]
-                if res)
-        return tab
+        return (self._tables.get((src, mid, tgt)) or self._kernel(src, mid, tgt))[1]
 
     def compose_coords(self, src, mid, tgt, gcoords, fcoords):
         """Coordinates of (g o f) given coordinates in the two hom bases, or
-        None when g o f is 0."""
+        None when g o f is 0.
+
+        Runs the compiled kernel of the triple (:meth:`_kernel`).  When the
+        three spaces are one-dimensional with structure constant c, g o f is
+        g0 f0 c times the one basis vector: the general loop would add that
+        single product to a zero and reduce it, so reducing it directly gives
+        the same residue over F_p and the same int or ``Fraction`` over Q.
+        Otherwise the loop sums every nonzero g_i f_j c over the table.
+        """
+        dim, tab, c = self._tables.get((src, mid, tgt)) or self._kernel(src, mid, tgt)
+        p = self.characteristic
+        if c is not None:
+            v = gcoords[0] * fcoords[0] * c
+            if p:
+                v %= p
+            return (v,) if v else None
         out = None
-        for gi, fi, res in self.table(src, mid, tgt):
+        for gi, fi, res in tab:
             gc = gcoords[gi]
             if gc:
                 fc = fcoords[fi]
                 if fc:
                     if out is None:
-                        out = [self.field.zero] * self.hom_dim(src, tgt)
+                        out = [self.field.zero] * dim
                     gf = gc * fc
-                    for ri, c in res:
-                        out[ri] += gf * c
+                    for ri, rc in res:
+                        out[ri] += gf * rc
         if out is None:
             return None
-        p = self.characteristic
         vec = tuple(v % p for v in out) if p else tuple(out)
         return vec if any(vec) else None
 
@@ -376,12 +406,12 @@ class AddMorphism:
 
     @staticmethod
     def zero(pres, source: AddObject, target: AddObject) -> "AddMorphism":
-        blocks = tuple(tuple(None for _ in source) for _ in target)
-        return AddMorphism(pres, source, target, blocks)
+        row = (None,) * len(source.summands)
+        return AddMorphism(pres, source, target, (row,) * len(target.summands))
 
     @staticmethod
     def identity(pres, x: AddObject) -> "AddMorphism":
-        return AddMorphism.inclusion(pres, x, x, range(len(x)))
+        return AddMorphism.inclusion(pres, x, x, range(len(x.summands)))
 
     @staticmethod
     def single(pres, source: AddObject, target: AddObject, i, j, coords) -> "AddMorphism":
@@ -422,7 +452,8 @@ class AddMorphism:
         Block (a, b) of each ``m`` lands at (rows[a], cols[b]); every block
         that no piece covers is zero.  :meth:`restrict_blocks` inverts it.
         """
-        grid = [[None] * len(source) for _ in target]
+        n = len(source.summands)
+        grid = [[None] * n for _ in target.summands]
         for rows, cols, m in pieces:
             for r, mrow in zip(rows, m.blocks):
                 line = grid[r]
@@ -434,7 +465,8 @@ class AddMorphism:
     @staticmethod
     def inclusion(pres, sub: AddObject, whole: AddObject, positions) -> "AddMorphism":
         """Unit map sending summand j of ``sub`` to summand positions[j] of ``whole``."""
-        grid = [[None] * len(sub) for _ in whole]
+        n = len(sub.summands)
+        grid = [[None] * n for _ in whole.summands]
         for j, (r, s) in enumerate(zip(positions, sub.summands)):
             grid[r][j] = pres.unit[s]
         return AddMorphism(pres, sub, whole, tuple(map(tuple, grid)))
@@ -443,7 +475,8 @@ class AddMorphism:
     def projection(pres, whole: AddObject, quot: AddObject, positions) -> "AddMorphism":
         """Unit map reading summand i of ``quot`` off summand positions[i] of ``whole``."""
         unit = pres.unit
-        grid = [[None] * len(whole) for _ in quot]
+        n = len(whole.summands)
+        grid = [[None] * n for _ in quot.summands]
         for line, c, s in zip(grid, positions, quot.summands):
             line[c] = unit[s]
         return AddMorphism(pres, whole, quot, tuple(map(tuple, grid)))
@@ -494,7 +527,11 @@ class AddMorphism:
     # ------------------------------------------------------------- algebra
 
     def is_zero(self) -> bool:
-        return all(b is None for row in self.blocks for b in row)
+        n = len(self.source.summands)
+        for row in self.blocks:
+            if row.count(None) != n:
+                return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, AddMorphism):
@@ -508,7 +545,7 @@ class AddMorphism:
     def add(self, other: "AddMorphism") -> "AddMorphism":
         if self.source != other.source or self.target != other.target:
             raise CompositionError("add: object mismatch")
-        fld = self.pres.field
+        p = self.pres.characteristic
         blocks = []
         for ra, rb in zip(self.blocks, other.blocks):
             row = []
@@ -518,7 +555,8 @@ class AddMorphism:
                 elif b is None:
                     row.append(a)
                 else:
-                    s = tuple(fld.add(x, y) for x, y in zip(a, b))
+                    s = tuple([(x + y) % p for x, y in zip(a, b)] if p else
+                              [x + y for x, y in zip(a, b)])
                     row.append(s if any(s) else None)
             blocks.append(tuple(row))
         return AddMorphism(self.pres, self.source, self.target, tuple(blocks))
@@ -530,21 +568,27 @@ class AddMorphism:
             return AddMorphism.zero(self.pres, self.source, self.target)
         if c == fld.one:
             return self
-        blocks = tuple(
-            tuple(None if b is None else tuple(fld.mul(c, x) for x in b) for b in row)
-            for row in self.blocks
-        )
+        p = fld.char
+        blocks = tuple([
+            tuple([None if b is None else tuple([c * x % p for x in b] if p else [c * x for x in b])
+                   for b in row])
+            for row in self.blocks])
         return AddMorphism(self.pres, self.source, self.target, blocks)
 
     def sub(self, other: "AddMorphism") -> "AddMorphism":
         return self.add(other.scale(-1))
 
     def compose(self, other: "AddMorphism") -> "AddMorphism":
-        """self o other (apply ``other`` first)."""
+        """self o other (apply ``other`` first).
+
+        Calls :meth:`OrlovPresentation.compose_coords` once per pair of
+        nonzero blocks, and reduces a block only where two terms were summed.
+        """
         if other.target != self.source:
             raise CompositionError("compose: object mismatch")
         pres = self.pres
         p = pres.characteristic
+        kernel = pres.compose_coords    # looked up on the class, once per call
         src, mid = other.source.summands, self.source.summands
         # the nonzero blocks of each row of ``other``, with their columns
         frows = [[(j, src[j], f) for j, f in enumerate(row) if f is not None]
@@ -552,25 +596,30 @@ class AddMorphism:
         zero_row = (None,) * len(src)
         blocks = []
         for ti, grow in zip(self.target.summands, self.blocks):
-            row = None
+            row, summed = None, False
             for k, g in enumerate(grow):
                 if g is None or not frows[k]:
                     continue
                 mk = mid[k]
                 for j, sj, f in frows[k]:
-                    term = pres.compose_coords(sj, mk, ti, g, f)
+                    term = kernel(sj, mk, ti, g, f)
                     if term is not None:
                         if row is None:
                             row = [None] * len(src)
                         acc = row[j]
-                        row[j] = term if acc is None else [x + y for x, y in zip(acc, term)]
+                        if acc is None:
+                            row[j] = term
+                        else:
+                            row[j] = [x + y for x, y in zip(acc, term)]
+                            summed = True
             if row is None:
                 blocks.append(zero_row)
                 continue
-            for j, acc in enumerate(row):
-                if type(acc) is list:       # a sum of several terms: reduce it
-                    acc = tuple(x % p for x in acc) if p else tuple(acc)
-                    row[j] = acc if any(acc) else None
+            if summed:
+                for j, acc in enumerate(row):
+                    if type(acc) is list:       # a sum of several terms: reduce it
+                        acc = tuple(x % p for x in acc) if p else tuple(acc)
+                        row[j] = acc if any(acc) else None
             blocks.append(tuple(row))
         return AddMorphism(pres, other.source, self.target, tuple(blocks))
 

@@ -196,6 +196,17 @@ def test_arity_and_heart_input_exit_two(tmp_path, argv, needle):
     assert needle in report["error"]
 
 
+@pytest.mark.parametrize("command", ["dual", "double-dual"])
+@pytest.mark.parametrize("fixture", ["FIX_PT", "FIX_A3"])
+@pytest.mark.parametrize("bound", [0, -1])
+def test_length_bound_below_one_exits_two(command, fixture, bound):
+    # every injective hull has length at least 1; FIX_PT used to pass and
+    # FIX_A3 to report an incomplete search
+    code, report = run_json(command, fixture, "--length-bound", str(bound))
+    assert code == 2
+    assert report["error"] == f"length bound must be at least 1, got {bound}"
+
+
 # End(a) = <1@a, n> with n o n = 0, and the complex a --(1 + n)--> a
 END_N_DATA = {
     "characteristic": 0,

@@ -636,6 +636,46 @@ def test_top_extraction_rejects_support_violation(a2):
         top_extraction(x, sigma={(0, 0)})
 
 
+def reorder_maps_reference(x, te):
+    """The reordering chain maps as top_extraction used to build them, from
+    cone(delta) on every call."""
+    pres, (cone_cx, _, _) = x.pres, cone(te.delta)
+    fwd = {k: AddMorphism.inclusion(pres, cone_cx.term(k), x.term(k), o)
+           for k, o in te.order.items()}
+    bwd = {k: AddMorphism.projection(pres, x.term(k), cone_cx.term(k), o)
+           for k, o in te.order.items()}
+    return ChainMap(cone_cx, x, fwd, check=False), ChainMap(x, cone_cx, bwd, check=False)
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", *QUIVER_NAMES])
+def test_top_extraction_builds_the_reordering_on_first_read(monkeypatch, name):
+    import koszulkit.complexes as C
+
+    pres = presentation(name)
+    rng = rng_for(7, "extraction", name)
+    cones = []
+
+    def counting(f):
+        cones.append(f)
+        return cone(f)
+
+    monkeypatch.setattr(C, "cone", counting)
+    extracted = 0
+    for x in [Complex.zero(pres), *(rand_complex(pres, rng, amplitude=3) for _ in range(8))]:
+        for sigma in (None, x.support() | {(9, 9)}):
+            cones.clear()
+            te = top_extraction(x, sigma)
+            assert cones == []                     # no cone(delta) until a read
+            assert (te.reorder, te.reorder_inv) == reorder_maps_reference(x, te)
+            assert cones == [te.delta]             # built once, on the first read
+            assert te.reorder is te.reorder and te.reorder_inv is te.reorder_inv
+            assert te.reorder.verify() and te.reorder_inv.verify()
+            assert te.reorder.compose(te.reorder_inv) == ChainMap.identity(x)
+            assert cones == [te.delta]
+            extracted += not te.Y.is_zero
+    assert extracted > 0
+
+
 # ------------------------------------------------------------- unique fill
 
 def test_unique_fill_identity(a2):

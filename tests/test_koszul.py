@@ -525,6 +525,16 @@ def test_injective_detect_reports_exhausted_bound(a2):
     assert rep["incomplete_seeds"] == ["a"]
 
 
+@pytest.mark.parametrize("bound", [0, -1, -6])
+def test_injective_detect_refuses_a_length_bound_below_one(pt, a3, bound):
+    for pres in (pt, a3):
+        with pytest.raises(KoszulError, match=f"^length bound must be at least 1, got {bound}$"):
+            injective_detect(pres, WINDOW, length_bound=bound)
+        with pytest.raises(KoszulError, match="^length bound must be at least 1"):
+            koszul_dual(pres, WINDOW, length_bound=bound)
+    assert injective_detect(pt, WINDOW, length_bound=1)["complete"]
+
+
 # ------------------------------------------------------------- koszul dual
 
 def test_koszul_dual_pt_is_self_dual(pt):

@@ -29,7 +29,7 @@ from koszulkit.orlov import (
     validate_presentation,
 )
 from koszulkit.randgen import rand_add_morphism, rand_object
-from presentations import PATH_NAMES, WIDE_BLOCK_NAMES, presentation
+from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, presentation
 
 
 @pytest.fixture(scope="module")
@@ -557,9 +557,11 @@ def projection_reference(pres, whole, quot, positions):
         (range(len(quot)), positions, identity_reference(pres, quot))])
 
 
-def dense_compose(g, f):
-    """g o f visiting every (row of g, column of f) pair of blocks."""
+def dense_compose(g, f, kernel=None):
+    """g o f visiting every (row of g, column of f) pair of blocks, with
+    ``kernel`` (default ``pres.compose_coords``) for each pair."""
     pres = g.pres
+    kernel = kernel or pres.compose_coords
     p = pres.characteristic
     blocks = []
     for ti, grow in zip(g.target, g.blocks):
@@ -569,7 +571,7 @@ def dense_compose(g, f):
             for k, (mk, gb) in enumerate(zip(g.source, grow)):
                 fb = f.blocks[k][j]
                 if gb is not None and fb is not None:
-                    term = pres.compose_coords(sj, mk, ti, gb, fb)
+                    term = kernel(sj, mk, ti, gb, fb)
                     if term is not None:
                         acc, many = (term, False) if acc is None else \
                             ([x + y for x, y in zip(acc, term)], True)
@@ -637,3 +639,204 @@ def test_sparse_compose_matches_the_dense_product(name):
             assert g.scale(c) is g
         assert g.scale(2) == g.add(g) and g.scale(0) == AddMorphism.zero(pres, y, z)
     assert 0 < zeros < 25
+
+
+# ------------------------------------------------- composition kernels
+# The kernel of a triple takes a scalar path when its three Hom spaces are
+# one-dimensional; block sums reduce inline.  The references below are the
+# table loop and the per-coordinate ``Field`` calls they replaced.
+
+NAMED = [*FIXTURE_NAMES, *PATH_NAMES, *QUIVER_NAMES]
+
+
+def compose_coords_reference(pres, src, mid, tgt, gcoords, fcoords):
+    """g o f by the table loop, for every triple, or None when it is 0."""
+    out = None
+    for gi, fi, res in pres.table(src, mid, tgt):
+        gc = gcoords[gi]
+        if gc:
+            fc = fcoords[fi]
+            if fc:
+                if out is None:
+                    out = [pres.field.zero] * pres.hom_dim(src, tgt)
+                gf = gc * fc
+                for ri, c in res:
+                    out[ri] += gf * c
+    if out is None:
+        return None
+    p = pres.characteristic
+    vec = tuple(v % p for v in out) if p else tuple(out)
+    return vec if any(vec) else None
+
+
+def add_reference(a, b):
+    fld = a.pres.field
+    blocks = []
+    for ra, rb in zip(a.blocks, b.blocks):
+        row = []
+        for x, y in zip(ra, rb):
+            if x is None or y is None:
+                row.append(y if x is None else x)
+            else:
+                s = tuple(fld.add(u, v) for u, v in zip(x, y))
+                row.append(s if any(s) else None)
+        blocks.append(tuple(row))
+    return AddMorphism(a.pres, a.source, a.target, tuple(blocks))
+
+
+def scale_reference(m, c):
+    fld = m.pres.field
+    c = fld.of(c)
+    if not c:
+        return AddMorphism.zero(m.pres, m.source, m.target)
+    if c == fld.one:
+        return m
+    return AddMorphism(m.pres, m.source, m.target, tuple(
+        tuple(None if b is None else tuple(fld.mul(c, x) for x in b) for b in row)
+        for row in m.blocks))
+
+
+def is_zero_reference(m):
+    return all(b is None for row in m.blocks for b in row)
+
+
+def unreduced_kernel(pres, src, mid, tgt, gcoords, fcoords):
+    """A kernel that forgets the reduction mod p: the negative control."""
+    dim, tab, c = pres._kernel(src, mid, tgt)
+    if c is not None:
+        v = gcoords[0] * fcoords[0] * c
+        return (v,) if v else None
+    out = [0] * dim
+    for gi, fi, res in tab:
+        for ri, rc in res:
+            out[ri] += gcoords[gi] * fcoords[fi] * rc
+    return tuple(out) if any(out) else None
+
+
+def typed(vec):
+    """A coordinate vector with the type of each entry, so that 2 and
+    Fraction(2) differ."""
+    return None if vec is None else tuple((type(x), x) for x in vec)
+
+
+def typed_blocks(m):
+    return tuple(tuple(typed(b) for b in row) for row in m.blocks)
+
+
+def coordinate(fld, rng):
+    """0, a small rational over Q, or a residue near 0 or near p."""
+    p = fld.char
+    if p:
+        return rng.choice((0, 1, 2, p - 1, p - 2, p // 2, rng.randrange(p)))
+    return fld.of(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 7))))
+
+
+def block_morphism(pres, x, y, rng):
+    """x -> y with about a third of its blocks zero and coordinates from
+    :func:`coordinate`."""
+    return AddMorphism.from_blocks(pres, x, y, [
+        [None if rng.random() < 1 / 3 else
+         [coordinate(pres.field, rng) for _ in range(pres.hom_dim(sj, ti))] for sj in x]
+        for ti in y])
+
+
+def kernel_mismatches(pres, kernel, rounds=4):
+    """The triples and seeded inputs on which ``kernel`` differs from the
+    table loop in value, in None or in the type of an entry, and the number
+    of products compared."""
+    rng = random.Random(f"kernel {pres.name}")
+    bad, compared = [], 0
+    for src in pres.ids:
+        for mid in pres.ids:
+            for tgt in pres.ids:
+                dims = pres.hom_dim(mid, tgt), pres.hom_dim(src, mid)
+                if not all(dims):
+                    continue
+                for _ in range(rounds):
+                    g, f = ([coordinate(pres.field, rng) for _ in range(n)] for n in dims)
+                    got = kernel(pres, src, mid, tgt, tuple(g), tuple(f))
+                    want = compose_coords_reference(pres, src, mid, tgt, g, f)
+                    compared += 1
+                    if typed(got) != typed(want):
+                        bad.append((src, mid, tgt, g, f, got, want))
+    return bad, compared
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_kernels_match_the_table_loop(name):
+    pres = presentation(name)
+    bad, compared = kernel_mismatches(pres, OrlovPresentation.compose_coords)
+    assert bad == [] and compared > 0
+    scalar = general = 0
+    for (src, mid, tgt), (dim, tab, c) in pres._tables.items():
+        assert dim == pres.hom_dim(src, tgt) and tab is pres.table(src, mid, tgt)
+        one_dim = (pres.hom_dim(mid, tgt), pres.hom_dim(src, mid), dim) == (1, 1, 1)
+        if one_dim and len(tab) == 1:
+            assert c == tab[0][2][0][1] and c
+            scalar += 1
+        else:
+            assert c is None
+            general += 1
+    assert scalar > 0
+    # a killed A_n has empty tables; the wide quivers have Hom spaces of
+    # dimension 2-4, which take the general path
+    if name in WIDE_BLOCK_NAMES:
+        assert any(len(tab) > 1 for _, tab, _ in pres._tables.values())
+        assert general > 0
+    if "killed" in name or name == "FIX_ZC":
+        assert any(tab == () for _, tab, _ in pres._tables.values())
+
+
+@pytest.mark.parametrize("name", [n for n in NAMED if n.endswith("/F10007")])
+def test_a_kernel_without_the_reduction_mod_p_is_caught(name):
+    pres = presentation(name)
+    bad, compared = kernel_mismatches(pres, unreduced_kernel)
+    assert 0 < len(bad) <= compared
+    assert any(max(got) >= pres.characteristic for *_, got, _ in bad if got is not None)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_block_arithmetic_matches_the_field_calls(name):
+    pres = presentation(name)
+    fld = pres.field
+    rng = random.Random(f"block arithmetic {name}")
+    scalars = [0, 1, -1, 2, Fraction(1, 2) if not fld.char else fld.char - 1]
+    for _ in range(12):
+        x, y, z = (rand_object(pres, rng, 4) for _ in "xyz")
+        f, f2 = block_morphism(pres, x, y, rng), block_morphism(pres, x, y, rng)
+        g = block_morphism(pres, y, z, rng)
+        for a, b in ((f, f2), (f, f.scale(-1)), (f, AddMorphism.zero(pres, x, y))):
+            assert typed_blocks(a.add(b)) == typed_blocks(add_reference(a, b))
+            assert a.add(b).is_zero() == is_zero_reference(a.add(b))
+        for c in scalars + [coordinate(fld, rng)]:
+            assert typed_blocks(f.scale(c)) == typed_blocks(scale_reference(f, c))
+        assert typed_blocks(f.sub(f2)) == typed_blocks(add_reference(f, scale_reference(f2, -1)))
+        for m in (f, g, AddMorphism.zero(pres, x, y), f.sub(f), g.compose(f)):
+            assert m.is_zero() == is_zero_reference(m)
+        reference = dense_compose(g, f, lambda *a: compose_coords_reference(pres, *a))
+        assert typed_blocks(g.compose(f)) == typed_blocks(reference)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_compose_calls_the_class_kernel_once_per_pair_of_nonzero_blocks(monkeypatch, name):
+    # perfbench/layers.py counts compose_coords calls by wrapping the class
+    # attribute; compose must find the wrapper and call it once per pair
+    pres = presentation(name)
+    rng = random.Random(f"kernel calls {name}")
+    kernel, calls = OrlovPresentation.compose_coords, []
+
+    def counting(self, *args):
+        calls.append(args[:3])
+        return kernel(self, *args)
+
+    monkeypatch.setattr(OrlovPresentation, "compose_coords", counting)
+    for _ in range(12):
+        x, y, z = (rand_object(pres, rng, 4) for _ in "xyz")
+        f, g = block_morphism(pres, x, y, rng), block_morphism(pres, y, z, rng)
+        calls.clear()
+        gf = g.compose(f)
+        pairs = [(f.source[j], y[k], z[i])
+                 for i in range(len(z)) for k in range(len(y)) for j in range(len(x))
+                 if g.blocks[i][k] is not None and f.blocks[k][j] is not None]
+        assert sorted(calls) == sorted(pairs)
+        assert gf == dense_compose(g, f, kernel.__get__(pres))
