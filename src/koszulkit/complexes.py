@@ -22,7 +22,6 @@ along witnessed homotopy equivalences).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .linalg import KoszulkitError, Matrix
 from .orlov import (
@@ -330,13 +329,12 @@ class HomSpace:
             self._chain_kernel = self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
                 (-1, -1, "right", lambda i: x.d(i - 1))]).kernel_basis()
-            self._delta = self.homotopies.matrix(self.maps, [
+            delta = self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
                 (-1, 1, "right", lambda i: x.d(i - 1))])
         else:                   # no chain-map unknowns: the space is 0
             self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
-            self._delta = Matrix.zeros(pres.field, 0, self.h_total)
-        delta = self._delta
+            delta = Matrix.zeros(pres.field, 0, self.h_total)
 
         # the rref of a column prefix is the prefix of the rref: pivots below
         # delta.cols count its rank, those past it pick a basis of the quotient
@@ -1016,80 +1014,6 @@ def coker_idempotent(f: AddMorphism) -> AddMorphism:
     inc_q = AddMorphism.inclusion(f.pres, hc.quotient, hc.perp.concat(hc.quotient),
                                   spans(hc.perp, hc.quotient)[1])
     return hc.u.compose(inc_q).compose(hc.q)
-
-
-# ------------------------------------------------------------ top extraction
-
-
-@dataclass
-class TopExtraction:
-    """The extraction triangle P -> X -> Y -> P[1] of X, with X = cone(delta)
-    up to the summand reordering ``order``; the reordering chain maps are
-    built from ``order`` on first read."""
-
-    P: Complex
-    Y: Complex
-    delta: ChainMap          # Y[-1] -> P, cone(delta) = X up to reordering
-    triangle: Triangle       # P -> X -> Y -> P[1]
-    order: dict              # degree k -> the position in X^k of each summand of cone(delta)^k
-
-    @cached_property
-    def reorder(self) -> ChainMap:
-        """cone(delta) -> X, a permutation of summands: the quotient slots
-        first, then the top."""
-        cone_cx, x = cone(self.delta)[0], self.triangle.Y
-        return ChainMap(cone_cx, x, {
-            k: AddMorphism.inclusion(x.pres, cone_cx.term(k), x.term(k), o)
-            for k, o in self.order.items()}, check=False)
-
-    @cached_property
-    def reorder_inv(self) -> ChainMap:
-        """X -> cone(delta), the inverse permutation."""
-        cone_cx, x = self.reorder.source, self.reorder.target
-        return ChainMap(x, cone_cx, {
-            k: AddMorphism.projection(x.pres, x.term(k), cone_cx.term(k), o)
-            for k, o in self.order.items()}, check=False)
-
-
-def top_extraction(x: Complex, sigma=None) -> TopExtraction:
-    """Split off the lex-largest support stratum as a one-term complex."""
-    pres = x.pres
-    supp = x.support()
-    if sigma is not None:
-        sigma = frozenset(sigma)
-        if not supp <= sigma:
-            raise ComplexError("support is not contained in the given region")
-    else:
-        sigma = supp
-    if not sigma or not supp:
-        sel_sub = {i: () for i in x.terms}
-        sel_quot = {i: tuple(range(len(x.term(i)))) for i in x.terms}
-        tri = Triangle.from_termwise_split(x, sel_sub, sel_quot)
-        delta = ChainMap.zero(tri.Z.shift(-1), tri.X)
-        return TopExtraction(tri.X, tri.Z, delta, tri, _order(x, sel_quot, sel_sub))
-    i, j = max(sigma)            # lexicographic: (homological degree, generator degree)
-    if x.term(i + 1) != ZERO_OBJECT:
-        raise ComplexError("support exceeds the top stratum of the region")
-    top_pos = tuple(p for p, s in enumerate(x.term(i)) if pres.degree[s] == j)
-    sel_sub = {k: (top_pos if k == i else ()) for k in x.terms}
-    sel_quot = {k: tuple(p for p in range(len(x.term(k))) if k != i or p not in top_pos)
-                for k in x.terms}
-    tri = Triangle.from_termwise_split(x, sel_sub, sel_quot)
-    p_cx, y_cx = tri.X, tri.Z
-    delta_comps = {}
-    if i - 1 in x.diffs:
-        blk = x.d(i - 1).restrict_blocks(top_pos, sel_quot[i - 1])
-        if not blk.is_zero():
-            ys = y_cx.shift(-1)
-            delta_comps[i] = AddMorphism(pres, ys.term(i), p_cx.term(i), blk.blocks)
-    delta = ChainMap(y_cx.shift(-1), p_cx, delta_comps, check=False)
-    return TopExtraction(p_cx, y_cx, delta, tri, _order(x, sel_quot, sel_sub))
-
-
-def _order(x: Complex, sel_quot, sel_sub) -> dict:
-    """The position in x^k of each summand of cone(delta)^k: quotient slots
-    first, then top."""
-    return {k: tuple(sel_quot.get(k, ())) + tuple(sel_sub.get(k, ())) for k in x.terms}
 
 
 # -------------------------------------------------------- square completion

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from koszulkit import functors
+from koszulkit import functors, randgen
 from koszulkit.complexes import (
     ChainMap,
     Complex,
@@ -14,7 +14,6 @@ from koszulkit.complexes import (
     direct_sum,
     hom_space,
     minimal_model,
-    top_extraction,
 )
 from koszulkit.fixtures import load_fixture
 from koszulkit.functors import (
@@ -28,6 +27,7 @@ from koszulkit.functors import (
 from koszulkit.orlov import AddMorphism, obj
 from koszulkit.randgen import rand_chain_map, rand_complex, rng_for
 from presentations import QUIVER_NAMES, presentation
+import probe_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +225,8 @@ def test_probe_disagrees_with_a_wrong_route(a2, monkeypatch, same):
     """Negative control: a route that doubles theta disagrees on every
     order, also when F and G are one functor and share their images."""
     theta, x = probe_case(a2, same)
-    assert nat_trans_uniqueness_probe(theta, x, orders=5, seed=4)["ok"]
-    route, depth = functors._theta_via_extraction, []
+    assert ref.nat_trans_uniqueness_probe(theta, x, orders=5, seed=4)["ok"]
+    route, depth = ref._theta_via_extraction, []
 
     def doubled(th, c):         # the recursion goes through this name too
         depth.append(c)
@@ -236,8 +236,8 @@ def test_probe_disagrees_with_a_wrong_route(a2, monkeypatch, same):
             depth.pop()
         return out if depth else out.scale(2)
 
-    monkeypatch.setattr(functors, "_theta_via_extraction", doubled)
-    rep = nat_trans_uniqueness_probe(theta, x, orders=5, seed=4)
+    monkeypatch.setattr(ref, "_theta_via_extraction", doubled)
+    rep = ref.nat_trans_uniqueness_probe(theta, x, orders=5, seed=4)
     assert rep == {"orders": 5, "disagreements": 5, "ok": False}
 
 
@@ -248,7 +248,7 @@ def test_extraction_route_applies_a_shared_functor_once(a2, a3, monkeypatch):
     are the images the recursion returns."""
     counts = Counter()
     on_chain_map, on_complex = HomogeneousFunctor.on_chain_map, HomogeneousFunctor.on_complex
-    extraction, route = functors.top_extraction, functors._theta_via_extraction
+    extraction, route = ref.top_extraction, ref._theta_via_extraction
 
     def counting(self, f, source=None, target=None):
         counts["maps"] += 1
@@ -268,8 +268,8 @@ def test_extraction_route_applies_a_shared_functor_once(a2, a3, monkeypatch):
 
     monkeypatch.setattr(HomogeneousFunctor, "on_chain_map", counting)
     monkeypatch.setattr(HomogeneousFunctor, "on_complex", counting_complexes)
-    monkeypatch.setattr(functors, "top_extraction", extracting)
-    monkeypatch.setattr(functors, "_theta_via_extraction", routing)
+    monkeypatch.setattr(ref, "top_extraction", extracting)
+    monkeypatch.setattr(ref, "_theta_via_extraction", routing)
     rng = rng_for(53, "shared functor")
     ident = HomogeneousFunctor.identity(a3)
     theta3 = NatTrans(ident, ident, {iid: AddMorphism.identity(a3, obj(iid)).scale(3)
@@ -279,7 +279,7 @@ def test_extraction_route_applies_a_shared_functor_once(a2, a3, monkeypatch):
     nodes = 0
     for theta, x, per_node in cases:
         counts.clear()
-        got = functors._theta_via_extraction(theta, x)
+        got = ref._theta_via_extraction(theta, x)
         assert counts["maps"] == per_node * counts["nodes"]
         assert counts["complexes"] == per_node * counts["calls"]
         assert HomClass(got) == functors.extend_nat_trans(theta, x)
@@ -330,7 +330,7 @@ def route_inputs(name):
 def extraction_nodes(monkeypatch, theta, x):
     """theta_x by the extraction route, and per extraction node its complex,
     its result, the arguments (f, i2, p, q) of its square and the square's r."""
-    route, square = functors._theta_via_extraction, functors.complete_square
+    route, square = ref._theta_via_extraction, ref.complete_square
     squares, nodes = [], []
 
     def recording_square(*args):
@@ -346,9 +346,9 @@ def extraction_nodes(monkeypatch, theta, x):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(functors, "complete_square", recording_square)
-        m.setattr(functors, "_theta_via_extraction", recording_route)
-        return functors._theta_via_extraction(theta, x), nodes
+        m.setattr(ref, "complete_square", recording_square)
+        m.setattr(ref, "_theta_via_extraction", recording_route)
+        return ref._theta_via_extraction(theta, x), nodes
 
 
 @pytest.mark.parametrize("name", ROUTE_NAMES)
@@ -364,7 +364,7 @@ def test_extraction_nodes_reuse_the_images_on_complex_gives(monkeypatch, name):
             got, recorded = extraction_nodes(monkeypatch, theta, x)
             assert HomClass(got) == extend_nat_trans(theta, x)
             for c, out, (f, i2, _, _), _ in recorded:
-                delta = top_extraction(c).delta
+                delta = ref.top_extraction(c).delta
                 for functor, image in ((F, f), (G, i2)):
                     assert image.source == functor.on_complex(delta.source)
                     assert image.target == functor.on_complex(delta.target)
@@ -383,7 +383,7 @@ def test_reindexed_theta_is_the_transport_along_the_reordering(monkeypatch, name
     for theta in route_thetas(pres).values():
         for x in xs:
             for c, out, _, r in extraction_nodes(monkeypatch, theta, x)[1]:
-                te = top_extraction(c)
+                te = ref.top_extraction(c)
                 rho_g, rho_f_inv = (theta.G.on_chain_map(te.reorder),
                                     theta.F.on_chain_map(te.reorder_inv))
                 assert out == rho_g.compose(r).compose(rho_f_inv)
@@ -407,13 +407,13 @@ def test_probe_hands_on_chain_map_the_images_of_its_endpoints(monkeypatch, name)
     pres, xs = route_inputs(name)
     for theta in route_thetas(pres).values():
         for x in xs:
-            assert nat_trans_uniqueness_probe(theta, x, orders=3, seed=5)["ok"]
+            assert ref.nat_trans_uniqueness_probe(theta, x, orders=3, seed=5)["ok"]
     assert given[True] > 0 and given[False] > 0
 
 
 def swapping_f_slices(theta):
     """theta with F's slices of the first two equal summands of each term
-    swapped, as :func:`functors._transport` reads them."""
+    swapped, as :func:`probe_reference._transport` reads them."""
     def slices(term):
         out = list(theta.F._slices(term))
         pairs = [(i, j) for j in range(len(term)) for i in range(j) if term[i] == term[j]]
@@ -428,13 +428,13 @@ def swapping_f_slices(theta):
 def test_probe_disagrees_with_a_transport_that_swaps_two_f_slices(a2, monkeypatch):
     """Negative control: re-indexing with two F-slices swapped disagrees."""
     x, *_ = direct_sum(cone_alpha(a2), cone_alpha(a2))
-    transport = functors._transport
+    transport = ref._transport
     for theta in route_thetas(a2).values():
-        assert nat_trans_uniqueness_probe(theta, x, orders=4, seed=3)["ok"]
+        assert ref.nat_trans_uniqueness_probe(theta, x, orders=4, seed=3)["ok"]
         with monkeypatch.context() as m:
-            m.setattr(functors, "_transport",
+            m.setattr(ref, "_transport",
                       lambda th, *args: transport(swapping_f_slices(th), *args))
-            rep = nat_trans_uniqueness_probe(theta, x, orders=4, seed=3)
+            rep = ref.nat_trans_uniqueness_probe(theta, x, orders=4, seed=3)
         assert rep["disagreements"] > 0, rep
 
 
@@ -461,13 +461,105 @@ def test_a_wrong_image_is_refused(monkeypatch, name):
             with monkeypatch.context() as m:
                 m.setattr(HomogeneousFunctor, "on_chain_map", wrong)
                 try:
-                    rep = nat_trans_uniqueness_probe(theta, x, orders=3, seed=6)
+                    rep = ref.nat_trans_uniqueness_probe(theta, x, orders=3, seed=6)
                 except ComplexError:
                     assert any(changed), (label, x)
                     refused += 1
                     continue
             assert not any(changed) or rep["disagreements"] > 0, (label, x)
     assert refused > 0
+
+
+# ------------------------------------ the probe against its reference
+
+def functor_suite_cases():
+    """The two theta of acceptance criterion 10 with its probe inputs:
+    twice the identity of the identity functor on each fixture, and the
+    scaling functor to the identity on FIX_A2."""
+    seed = 20240809
+    for name in ("FIX_PT", "FIX_A2", "FIX_A3"):
+        pres = load_fixture(name)
+        ident = HomogeneousFunctor.identity(pres)
+        theta = NatTrans(ident, ident, {
+            iid: AddMorphism.identity(pres, obj(iid)).scale(2) for iid in pres.ids})
+        rng = rng_for(seed, "functor", name)
+        for _ in range(4):          # three extension inputs, then the probe's
+            x = rand_complex(pres, rng, amplitude=3)
+        yield theta, x
+    a2 = load_fixture("FIX_A2")
+    theta2 = NatTrans(scaling_functor(a2, 2), HomogeneousFunctor.identity(a2), {
+        "a": AddMorphism.identity(a2, obj("a")),
+        "b": AddMorphism.identity(a2, obj("b")).scale(2)})
+    yield theta2, rand_complex(a2, rng_for(seed, "functor-a2"), amplitude=3)
+
+
+def probe_report_cases(name):
+    if name == "functor suite":
+        return list(functor_suite_cases())
+    pres, xs = route_inputs(name)
+    return [(theta, x) for theta in route_thetas(pres).values() for x in xs]
+
+
+@pytest.mark.parametrize("name", [*ROUTE_NAMES, "functor suite"])
+def test_probe_is_the_reference_report(name):
+    """The probe's constant report is the report of the rebuild it replaced."""
+    cases = probe_report_cases(name)
+    for theta, x in cases:
+        for orders in (1, 3):
+            for seed in (0, 5):
+                want = ref.nat_trans_uniqueness_probe(theta, x, orders=orders, seed=seed)
+                assert nat_trans_uniqueness_probe(theta, x, orders=orders, seed=seed) == want
+                assert want == {"orders": orders, "disagreements": 0, "ok": True}
+    assert len(cases) >= 4
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "quiver0/F0"])
+def test_probe_maps_no_chain_map_and_draws_no_conjugate(monkeypatch, name):
+    """The probe builds the direct extension alone: it applies no functor to
+    a chain map and re-presents no complex."""
+    calls = Counter()
+    on_chain_map, conjugate = HomogeneousFunctor.on_chain_map, randgen.conjugate_complex
+
+    def mapping(self, f, source=None, target=None):
+        calls["on_chain_map"] += 1
+        return on_chain_map(self, f, source, target)
+
+    def conjugating(x, rng):
+        calls["conjugate_complex"] += 1
+        return conjugate(x, rng)
+
+    monkeypatch.setattr(HomogeneousFunctor, "on_chain_map", mapping)
+    monkeypatch.setattr(randgen, "conjugate_complex", conjugating)
+    monkeypatch.setattr(functors, "conjugate_complex", conjugating, raising=False)
+    monkeypatch.setattr(ref, "conjugate_complex", conjugating)
+    pres, xs = route_inputs(name)
+    thetas = route_thetas(pres).values()
+    for theta in thetas:
+        for x in xs:
+            assert nat_trans_uniqueness_probe(theta, x, orders=3, seed=5)["ok"]
+    assert calls == Counter()
+    for theta in thetas:                        # the counters see the rebuild's calls
+        assert ref.nat_trans_uniqueness_probe(theta, xs[0], orders=3, seed=5)["ok"]
+    assert calls["on_chain_map"] > 0 and calls["conjugate_complex"] > 0
+
+
+def test_probe_refuses_what_the_reference_refuses(a2, a3):
+    """Bad input is refused by the direct extension, before any route: a
+    complex over another presentation, and a transformation that is not
+    natural, built with its check off, whose termwise extension is no chain
+    map."""
+    ident = HomogeneousFunctor.identity(a2)
+    theta = NatTrans(ident, ident, {s: AddMorphism.identity(a2, obj(s)).scale(3)
+                                    for s in a2.ids})
+    unnatural = NatTrans(ident, scaling_functor(a2, 2), {
+        s: AddMorphism.identity(a2, obj(s)) for s in a2.ids}, check=False)
+    assert unnatural.validate() == ["naturality fails on alpha"]
+    cases = [(theta, Complex.single(a3, obj("c"), 0), KeyError),
+             (unnatural, cone_alpha(a2), ComplexError)]
+    for th, x, error in cases:
+        for probe in (ref.nat_trans_uniqueness_probe, nat_trans_uniqueness_probe):
+            with pytest.raises(error):
+                probe(th, x, orders=3, seed=1)
 
 
 def test_functor_json_round_trip(a2):

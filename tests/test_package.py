@@ -1,4 +1,7 @@
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,14 @@ def test_submodules_still_import_by_name():
     from koszulkit import koszul, tstructure
 
     assert koszul.__name__ == "koszulkit.koszul" and tstructure.__name__ == "koszulkit.tstructure"
+
+
+def test_functors_does_not_load_randgen():
+    """The uniqueness probe draws nothing, so the functor layer loads no
+    random generator."""
+    proc = subprocess.run([sys.executable, "-c", "import json, sys, koszulkit.functors; "
+                           "print(json.dumps(sorted(m for m in sys.modules if 'koszulkit' in m)))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "koszulkit.functors" in loaded and "koszulkit.randgen" not in loaded
