@@ -483,7 +483,10 @@ class HomClass:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        return self.sub(other).is_zero()
+        # equal representatives are one class.  Comparing them first is the
+        # zero test of the difference: ChainMap drops zero components and
+        # every block is None or a nonzero reduced tuple
+        return self.rep.comps == other.rep.comps or self.sub(other).is_zero()
 
     def __repr__(self):
         return f"HomClass({self.rep!r})"
@@ -565,14 +568,20 @@ class ChainIso:
         return ChainIso(self.bwd, self.fwd, self.h_tgt, self.h_src)
 
     def verify(self) -> bool:
-        src, tgt = self.fwd.source, self.fwd.target
         if not (self.fwd.verify() and self.bwd.verify()):
             return False
-        lhs = ChainMap.identity(src).sub(self.bwd.compose(self.fwd))
-        ok1 = lhs.is_zero() if self.h_src is None else lhs == self.h_src.boundary()
-        rhs = ChainMap.identity(tgt).sub(self.fwd.compose(self.bwd))
-        ok2 = rhs.is_zero() if self.h_tgt is None else rhs == self.h_tgt.boundary()
-        return ok1 and ok2
+        return (self._side_ok(self.fwd, self.bwd, self.h_src)
+                and self._side_ok(self.bwd, self.fwd, self.h_tgt))
+
+    @staticmethod
+    def _side_ok(first: ChainMap, then: ChainMap, h: Homotopy | None) -> bool:
+        """id - then o first = delta(h); without h, then o first = id
+        compared component by component."""
+        back = then.compose(first)
+        ident = ChainMap.identity(first.source)
+        if h is None:
+            return back.comps == ident.comps
+        return ident.sub(back) == h.boundary()
 
 
 @dataclass
@@ -827,13 +836,19 @@ def minimal_model(x: Complex):
 
     The iso satisfies fwd o bwd = id exactly on the minimal side and
     id - bwd o fwd = delta(h) with the accumulated homotopy on the source.
+    A step that cancels a block of d^i changes the complex in degrees i and
+    i + 1 alone; its projection and inclusion are identities in every other
+    degree, and its homotopy lives in degree i + 1, so ``fwd``, ``bwd`` and
+    the homotopy are updated in those degrees only.
     """
     pres = x.pres
     fld = pres.field
     cur = x
-    fwd = ChainMap.identity(x)
-    bwd = ChainMap.identity(x)
-    hom = Homotopy.zero(x, x)
+    # fwd: x -> cur and bwd: cur -> x, one component per degree of x, and
+    # the components x^k -> x^(k-1) of the homotopy
+    fwd = {k: AddMorphism.identity(pres, t) for k, t in x.terms.items()}
+    bwd = dict(fwd)
+    hom = {}
 
     while True:
         pivot = _find_pivot(cur)
@@ -874,31 +889,30 @@ def minimal_model(x: Complex):
                 new_diffs[i + 1] = nd
         nxt = Complex(pres, new_terms, new_diffs, check=False)
 
-        # projection pi: cur -> nxt and inclusion io: nxt -> cur
+        # projection pi: cur -> nxt and inclusion io: nxt -> cur in degrees
+        # i and i + 1; both are identities in every other degree
         src2, tgt2 = nxt.term(i), nxt.term(i + 1)
-        pi_comps = {k: AddMorphism.identity(pres, t) for k, t in nxt.terms.items()}
-        pi_comps[i] = AddMorphism.projection(pres, src, src2, cols_keep)
-        pi_comps[i + 1] = AddMorphism.assemble(pres, tgt, tgt2, [
-            (range(len(tgt2)), rows_keep, AddMorphism.identity(pres, tgt2)),
-            (range(len(tgt2)), [r], gamma.scale(fld.neg(phi_inv)))])    # -gamma phi^-1 : B -> B'
-        io_comps = {k: AddMorphism.identity(pres, t) for k, t in nxt.terms.items()}
-        io_comps[i] = AddMorphism.assemble(pres, src2, src, [
-            (cols_keep, range(len(src2)), AddMorphism.identity(pres, src2)),
-            ([c], range(len(src2)), beta.scale(fld.neg(phi_inv)))])     # -phi^-1 beta : A' -> A
-        io_comps[i + 1] = AddMorphism.inclusion(pres, tgt2, tgt, rows_keep)
-        pi = ChainMap(cur, nxt, pi_comps, check=False)
-        io = ChainMap(nxt, cur, io_comps, check=False)
+        pi = {i: AddMorphism.projection(pres, src, src2, cols_keep),
+              i + 1: AddMorphism.assemble(pres, tgt, tgt2, [
+                  (range(len(tgt2)), rows_keep, AddMorphism.identity(pres, tgt2)),
+                  (range(len(tgt2)), [r], gamma.scale(fld.neg(phi_inv)))])}  # -gamma phi^-1 : B -> B'
+        io = {i: AddMorphism.assemble(pres, src2, src, [
+                  (cols_keep, range(len(src2)), AddMorphism.identity(pres, src2)),
+                  ([c], range(len(src2)), beta.scale(fld.neg(phi_inv)))]),    # -phi^-1 beta : A' -> A
+              i + 1: AddMorphism.inclusion(pres, tgt2, tgt, rows_keep)}
 
-        hstep = Homotopy(cur, cur, {
-            i + 1: AddMorphism.single(pres, tgt, src, c, r,
-                                      pres.coords(identity_label(src[c]), phi_inv))
-        })
-        hom = hom.add(hstep.conjugate(fwd, bwd))
-        fwd = pi.compose(fwd)
-        bwd = bwd.compose(io)
+        # the step's homotopy phi^-1 : B -> A in degree i + 1, conjugated to x
+        h = AddMorphism.single(pres, tgt, src, c, r, pres.coords(identity_label(src[c]), phi_inv))
+        h = bwd[i].compose(h).compose(fwd[i + 1])
+        hom[i + 1] = hom[i + 1].add(h) if i + 1 in hom else h
+        for k in (i, i + 1):
+            fwd[k] = pi[k].compose(fwd[k])
+            bwd[k] = bwd[k].compose(io[k])
         cur = nxt
 
-    return cur, ChainIso(fwd, bwd, h_src=hom if hom.comps else None, h_tgt=None)
+    h_src = Homotopy(x, x, hom)     # drops the zero components, as ChainMap does
+    return cur, ChainIso(ChainMap(x, cur, fwd, check=False), ChainMap(cur, x, bwd, check=False),
+                         h_src=h_src if h_src.comps else None, h_tgt=None)
 
 
 def _find_pivot(x: Complex):

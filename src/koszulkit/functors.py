@@ -171,6 +171,8 @@ class HomogeneousFunctor:
                                     self.on_object(m.target), pieces)
 
     def on_complex(self, x: Complex) -> Complex:
+        if x.pres is not self.source:
+            raise FunctorError(f"complex over {x.pres.name!r}, functor from {self.source.name!r}")
         terms = {i: self.on_object(t) for i, t in x.terms.items()}
         diffs = {i: self.on_morphism(d) for i, d in x.diffs.items()}
         return Complex(self.target, terms, diffs)

@@ -381,8 +381,9 @@ def spans(*parts):
     """Position ranges of the parts of the concatenation of ``parts``."""
     out, pos = [], 0
     for part in parts:
-        out.append(range(pos, pos + len(part)))
-        pos += len(part)
+        n = len(part.summands)
+        out.append(range(pos, pos + n))
+        pos += n
     return out
 
 
@@ -411,7 +412,7 @@ class AddMorphism:
 
     @staticmethod
     def identity(pres, x: AddObject) -> "AddMorphism":
-        return AddMorphism.inclusion(pres, x, x, range(len(x.summands)))
+        return _Identity(pres, x, x, range(len(x.summands)))
 
     @staticmethod
     def single(pres, source: AddObject, target: AddObject, i, j, coords) -> "AddMorphism":
@@ -465,21 +466,15 @@ class AddMorphism:
     @staticmethod
     def inclusion(pres, sub: AddObject, whole: AddObject, positions) -> "AddMorphism":
         """Unit map sending summand j of ``sub`` to summand positions[j] of ``whole``."""
-        n = len(sub.summands)
-        grid = [[None] * n for _ in whole.summands]
-        for j, (r, s) in enumerate(zip(positions, sub.summands)):
-            grid[r][j] = pres.unit[s]
-        return AddMorphism(pres, sub, whole, tuple(map(tuple, grid)))
+        return _unit_map(pres, sub, whole, positions)
 
     @staticmethod
     def projection(pres, whole: AddObject, quot: AddObject, positions) -> "AddMorphism":
         """Unit map reading summand i of ``quot`` off summand positions[i] of ``whole``."""
-        unit = pres.unit
-        n = len(whole.summands)
-        grid = [[None] * n for _ in quot.summands]
-        for line, c, s in zip(grid, positions, quot.summands):
-            line[c] = unit[s]
-        return AddMorphism(pres, whole, quot, tuple(map(tuple, grid)))
+        dest = [None] * len(whole.summands)
+        for i, c in enumerate(positions):
+            dest[c] = i
+        return _unit_map(pres, whole, quot, dest)
 
     def restrict_blocks(self, rows, cols) -> "AddMorphism":
         """The sub-grid on the listed target rows and source columns."""
@@ -581,11 +576,35 @@ class AddMorphism:
     def compose(self, other: "AddMorphism") -> "AddMorphism":
         """self o other (apply ``other`` first).
 
-        Calls :meth:`OrlovPresentation.compose_coords` once per pair of
-        nonzero blocks, and reduces a block only where two terms were summed.
+        A unit map factor (:meth:`identity`, :meth:`inclusion`,
+        :meth:`projection`) is composed by the unit law, reading no
+        structure constant: an identity gives back the other factor, an
+        inclusion or a projection selects or places blocks of the other
+        factor, and two unit maps compose to a unit map.
+        Between general maps, calls :meth:`OrlovPresentation.compose_coords`
+        once per pair of nonzero blocks, and reduces a block only where two
+        terms were summed.
         """
         if other.target != self.source:
             raise CompositionError("compose: object mismatch")
+        if isinstance(other, _Unit):
+            if type(other) is _Identity:
+                return self
+            dest = other.dest
+            if isinstance(self, _Unit):
+                return _unit_map(self.pres, other.source, self.target,
+                                 [None if k is None else self.dest[k] for k in dest])
+            # column j of self o other is column dest[j] of self
+            blocks = tuple([tuple([None if k is None else grow[k] for k in dest])
+                            for grow in self.blocks])
+            return AddMorphism(self.pres, other.source, self.target, blocks)
+        if isinstance(self, _Unit):
+            if type(self) is _Identity:
+                return other
+            # row i of self o other is row orig[i] of other
+            zero_row = (None,) * len(other.source.summands)
+            blocks = tuple([zero_row if k is None else other.blocks[k] for k in self.orig])
+            return AddMorphism(self.pres, other.source, self.target, blocks)
         pres = self.pres
         p = pres.characteristic
         kernel = pres.compose_coords    # looked up on the class, once per call
@@ -636,6 +655,45 @@ class AddMorphism:
     def from_vector(pres, source: AddObject, target: AddObject, vec) -> "AddMorphism":
         blocks = _cut_blocks(vec, block_starts(pres, source, target), source, target)
         return AddMorphism(pres, source, target, blocks)
+
+
+class _Unit(AddMorphism):
+    """A unit map: block (dest[j], j) is the identity of source summand j
+    wherever dest[j] is not None, and every other block is zero; orig[i] is
+    the column of the one nonzero block of row i, or None.
+    :meth:`AddMorphism.compose` re-indexes the other factor along them."""
+
+    __slots__ = ("dest", "orig")
+
+    def __init__(self, pres, source: AddObject, target: AddObject, dest):
+        n = len(source.summands)
+        unit = pres.unit
+        self.dest = tuple(dest)
+        orig = [None] * len(target.summands)
+        grid = [(None,) * n] * len(orig)
+        for j, (r, s) in enumerate(zip(self.dest, source.summands)):
+            if r is not None:
+                orig[r] = j
+                line = [None] * n
+                line[j] = unit[s]
+                grid[r] = tuple(line)
+        self.orig = tuple(orig)
+        AddMorphism.__init__(self, pres, source, target, tuple(grid))
+
+
+class _Identity(_Unit):
+    """The identity of an object: the unit map with dest[j] = j."""
+
+    __slots__ = ()
+
+
+def _unit_map(pres, source: AddObject, target: AddObject, dest) -> _Unit:
+    """The unit map along ``dest``, an :class:`_Identity` when dest[j] = j
+    for every summand of source and target alike."""
+    dest = tuple(dest)
+    n = len(dest)
+    ident = n == len(target.summands) and dest == tuple(range(n))
+    return (_Identity if ident else _Unit)(pres, source, target, dest)
 
 
 def block_starts(pres, x: AddObject, y: AddObject, start=0) -> list:

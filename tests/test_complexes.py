@@ -1,14 +1,17 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from koszulkit.complexes import (
+    ChainIso,
     ChainMap,
     Complex,
     ComplexError,
     FillError,
     HomClass,
     HomSpace,
+    Homotopy,
     Triangle,
     coker_idempotent,
     complete_square,
@@ -21,12 +24,22 @@ from koszulkit.complexes import (
     solve_mod_homotopy,
     supports_meet,
     unique_fill,
+    _find_pivot,
 )
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check, q_ses_triangle
 from koszulkit.linalg import Matrix
 from koszulkit.filtered import FilteredHomSpace
-from koszulkit.orlov import AddMorphism, Coords, OrlovPresentation, hom_basis, hom_dim_add, obj
+from koszulkit.orlov import (
+    AddMorphism,
+    Coords,
+    OrlovPresentation,
+    hom_basis,
+    hom_dim_add,
+    identity_label,
+    obj,
+    unit_index,
+)
 from koszulkit.randgen import (
     conjugate_complex,
     rand_add_morphism,
@@ -332,6 +345,205 @@ def test_minimal_model_krull_schmidt_randomized(a3):
         assert sorted(m1.terms) == sorted(m2.terms)
         for i in m1.terms:
             assert m1.term(i).same_up_to_permutation(m2.term(i))
+
+
+def minimal_model_reference(x: Complex):
+    """Strip invertible differential blocks; returns (X_min, iso X ~ X_min).
+
+    The iso satisfies fwd o bwd = id exactly on the minimal side and
+    id - bwd o fwd = delta(h) with the accumulated homotopy on the source.
+    The reference for :func:`minimal_model`: each step builds its projection
+    and inclusion in every degree and composes whole chain maps.
+    """
+    pres = x.pres
+    fld = pres.field
+    cur = x
+    fwd = ChainMap.identity(x)
+    bwd = ChainMap.identity(x)
+    hom = Homotopy.zero(x, x)
+
+    while True:
+        pivot = _find_pivot(cur)
+        if pivot is None:
+            break
+        i, r, c = pivot
+        d = cur.d(i)
+        src, tgt = cur.term(i), cur.term(i + 1)
+        phi = d.blocks[r][c][unit_index(pres, src[c])]
+        phi_inv = fld.inv(phi)
+        cols_keep = [j for j in range(len(src)) if j != c]
+        rows_keep = [j for j in range(len(tgt)) if j != r]
+        beta = d.restrict_blocks([r], cols_keep)        # A' -> B
+        gamma = d.restrict_blocks(rows_keep, [c])       # A -> B'
+        delta_blk = d.restrict_blocks(rows_keep, cols_keep)
+        corr = gamma.compose(beta).scale(fld.neg(phi_inv))
+        new_d_i = delta_blk.add(corr)
+
+        new_terms = dict(cur.terms)
+        new_terms[i] = src.select(cols_keep)
+        new_terms[i + 1] = tgt.select(rows_keep)
+        new_diffs = dict(cur.diffs)
+        if new_d_i.is_zero():
+            new_diffs.pop(i, None)
+        else:
+            new_diffs[i] = new_d_i
+        if i - 1 in cur.diffs:
+            nd = cur.d(i - 1).restrict_blocks(cols_keep, range(len(cur.term(i - 1))))
+            if nd.is_zero():
+                new_diffs.pop(i - 1, None)
+            else:
+                new_diffs[i - 1] = nd
+        if i + 1 in cur.diffs:
+            nd = cur.d(i + 1).restrict_blocks(range(len(cur.term(i + 2))), rows_keep)
+            if nd.is_zero():
+                new_diffs.pop(i + 1, None)
+            else:
+                new_diffs[i + 1] = nd
+        nxt = Complex(pres, new_terms, new_diffs, check=False)
+
+        # projection pi: cur -> nxt and inclusion io: nxt -> cur
+        src2, tgt2 = nxt.term(i), nxt.term(i + 1)
+        pi_comps = {k: AddMorphism.identity(pres, t) for k, t in nxt.terms.items()}
+        pi_comps[i] = AddMorphism.projection(pres, src, src2, cols_keep)
+        pi_comps[i + 1] = AddMorphism.assemble(pres, tgt, tgt2, [
+            (range(len(tgt2)), rows_keep, AddMorphism.identity(pres, tgt2)),
+            (range(len(tgt2)), [r], gamma.scale(fld.neg(phi_inv)))])    # -gamma phi^-1 : B -> B'
+        io_comps = {k: AddMorphism.identity(pres, t) for k, t in nxt.terms.items()}
+        io_comps[i] = AddMorphism.assemble(pres, src2, src, [
+            (cols_keep, range(len(src2)), AddMorphism.identity(pres, src2)),
+            ([c], range(len(src2)), beta.scale(fld.neg(phi_inv)))])     # -phi^-1 beta : A' -> A
+        io_comps[i + 1] = AddMorphism.inclusion(pres, tgt2, tgt, rows_keep)
+        pi = ChainMap(cur, nxt, pi_comps, check=False)
+        io = ChainMap(nxt, cur, io_comps, check=False)
+
+        hstep = Homotopy(cur, cur, {
+            i + 1: AddMorphism.single(pres, tgt, src, c, r,
+                                      pres.coords(identity_label(src[c]), phi_inv))
+        })
+        hom = hom.add(hstep.conjugate(fwd, bwd))
+        fwd = pi.compose(fwd)
+        bwd = bwd.compose(io)
+        cur = nxt
+
+    return cur, ChainIso(fwd, bwd, h_src=hom if hom.comps else None, h_tgt=None)
+
+
+def typed_comps(family):
+    """The components of a chain map or homotopy, each block with the type
+    of every entry, so that 2 and Fraction(2) differ."""
+    if family is None:
+        return None
+    return {i: (m.source, m.target, tuple(
+        tuple(None if b is None else tuple((type(v), v) for v in b) for b in row)
+        for row in m.blocks)) for i, m in family.comps.items()}
+
+
+def model_inputs(pres, rng, trials):
+    """Seeded complexes with cancellable blocks: random complexes, their
+    conjugates, and sums with the cone of an identity."""
+    for _ in range(trials):
+        x = rand_complex(pres, rng)
+        yield x
+        yield conjugate_complex(x, rng)[0]
+        z, *_ = cone(ChainMap.identity(rand_complex(pres, rng, amplitude=2)))
+        yield direct_sum(x, z)[0]
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
+def test_minimal_model_matches_the_whole_chain_map_construction(name):
+    pres = presentation(name)
+    rng = rng_for(2001, "minimal model", name)
+    steps = 0
+    for x in model_inputs(pres, rng, 8):
+        m, iso = minimal_model(x)
+        m_ref, iso_ref = minimal_model_reference(x)
+        assert m == m_ref
+        for got, want in ((iso.fwd, iso_ref.fwd), (iso.bwd, iso_ref.bwd)):
+            assert (got.source, got.target) == (want.source, want.target)
+            assert typed_comps(got) == typed_comps(want)
+        assert typed_comps(iso.h_src) == typed_comps(iso_ref.h_src) and iso.h_tgt is None
+        if iso.h_src is not None:
+            assert (iso.h_src.source, iso.h_src.target) == (x, x)
+        steps += sum(len(x.term(i)) - len(m.term(i)) for i in x.terms)
+        assert iso.verify()
+    assert steps > 0
+
+
+def chain_map_pairs(pres, rng, trials):
+    """Seeded pairs of parallel chain maps: equal ones built apart (over Q
+    some with integral Fraction entries), and ones that differ."""
+    for _ in range(trials):
+        x, y = rand_complex(pres, rng), rand_complex(pres, rng)
+        a, b = rand_chain_map(x, y, rng), rand_chain_map(x, y, rng)
+        half = pres.field.of(Fraction(1, 2))
+        yield a, b
+        yield a, a.scale(half).scale(2)           # over Q, Fraction(k, 1) entries
+        yield a, a.add(b).sub(b)
+        yield a, a.add(b.scale(pres.characteristic or 3))
+        yield a, ChainMap.zero(x, y)
+        yield a.scale(2), a.add(a)
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
+def test_equal_components_are_exactly_a_zero_difference(name):
+    """HomClass equality and ChainIso.verify compare components before they
+    subtract; that is exact because zero components are dropped and every
+    block is None or a nonzero reduced tuple."""
+    pres = presentation(name)
+    rng = rng_for(2002, "on the nose", name)
+    seen, fractions = Counter(), 0
+    for a, b in chain_map_pairs(pres, rng, 10):
+        equal = a.comps == b.comps
+        assert equal == a.sub(b).is_zero() == b.sub(a).is_zero()
+        assert equal == (a == b)
+        if equal:
+            assert HomClass(a) == HomClass(b)
+        seen[equal] += 1
+        fractions += any(type(v) is Fraction and v.denominator == 1
+                         for m in b.comps.values() for row in m.blocks
+                         for blk in row if blk for v in blk)
+    assert seen[True] > 0 and seen[False] > 0
+    assert (fractions > 0) == (pres.characteristic == 0)
+
+
+def test_hom_class_equality_compares_representatives_first(a3, monkeypatch):
+    rng = rng_for(2003, "hom class")
+    subtracted = []
+    sub = ChainMap.sub
+
+    def counting(self, other):
+        subtracted.append(self)
+        return sub(self, other)
+
+    monkeypatch.setattr(ChainMap, "sub", counting)
+    homotopic = 0
+    for _ in range(10):
+        x = rand_complex(a3, rng)
+        x = direct_sum(x, cone(ChainMap.identity(x))[0])[0]
+        f = rand_chain_map(x, x, rng)
+        assert HomClass(f) == HomClass(f.add(ChainMap.zero(x, x)))
+        assert subtracted == []
+        # classes whose representatives differ by a null-homotopic map
+        m, iso = minimal_model(x)
+        if iso.h_src is not None:
+            assert HomClass(ChainMap.identity(x)) == HomClass(iso.bwd.compose(iso.fwd))
+            assert subtracted
+            subtracted.clear()
+            homotopic += 1
+    assert homotopic > 0
+
+
+def test_chain_iso_verify_compares_the_round_trip_with_the_identity(a3):
+    rng = rng_for(2004, "iso verify")
+    for _ in range(10):
+        x = rand_complex(a3, rng)
+        x2, fwd, bwd = conjugate_complex(x, rng)
+        assert ChainIso.exact(fwd, bwd).verify()
+        assert ChainIso.exact(ChainMap.identity(x), ChainMap.identity(x)).verify()
+        if x.terms:
+            # twice the identity: each side of the round trip is 4, not 1
+            assert not ChainIso.exact(fwd.scale(2), bwd.scale(2)).verify()
+            assert not ChainIso.exact(fwd, ChainMap.zero(x2, x)).verify()
 
 
 def test_solve_mod_homotopy_inverts_minimal_model_iso(a3):

@@ -554,12 +554,52 @@ def test_probe_refuses_what_the_reference_refuses(a2, a3):
     unnatural = NatTrans(ident, scaling_functor(a2, 2), {
         s: AddMorphism.identity(a2, obj(s)) for s in a2.ids}, check=False)
     assert unnatural.validate() == ["naturality fails on alpha"]
-    cases = [(theta, Complex.single(a3, obj("c"), 0), KeyError),
+    cases = [(theta, Complex.single(a3, obj("c"), 0), FunctorError),
              (unnatural, cone_alpha(a2), ComplexError)]
     for th, x, error in cases:
         for probe in (ref.nat_trans_uniqueness_probe, nat_trans_uniqueness_probe):
             with pytest.raises(error):
                 probe(th, x, orders=3, seed=1)
+
+
+def foreign_complexes(a3, seed, summands):
+    """Seeded complexes over FIX_A3 with a term, whose summands lie in
+    ``summands``, drawn until three have been found."""
+    rng = rng_for(seed, "foreign", *summands)
+    degrees = {a3.degree[s] for s in summands}
+    found = []
+    while len(found) < 3:
+        x = rand_complex(a3, rng, degrees_of=lambda i: degrees)
+        if not x.is_zero:
+            found.append(x)
+    return found
+
+
+@pytest.mark.parametrize("summands", [("a", "b", "c"), ("a", "b")])
+def test_a_complex_over_another_presentation_is_refused(a2, a3, summands):
+    """theta lives over FIX_A2, the complexes over FIX_A3.  A complex with a
+    c summand used to raise a bare KeyError, and one holding only a and b
+    used to be extended over FIX_A2 and reported ok."""
+    ident = HomogeneousFunctor.identity(a2)
+    theta = NatTrans(ident, ident, {s: AddMorphism.identity(a2, obj(s)).scale(3)
+                                    for s in a2.ids})
+    xs = foreign_complexes(a3, 20, summands)
+    if "c" in summands:
+        assert any("c" in t.summands for x in xs for t in x.terms.values())
+    for x in xs:
+        with pytest.raises(FunctorError, match="complex over 'FIX_A3'"):
+            extend_nat_trans(theta, x)
+        with pytest.raises(FunctorError, match="complex over 'FIX_A3'"):
+            nat_trans_uniqueness_probe(theta, x, orders=3, seed=1)
+        with pytest.raises(FunctorError):
+            ident.on_complex(x)
+    # the same terms over FIX_A2 itself are accepted
+    if "c" not in summands:
+        for x in xs:
+            y = Complex(a2, x.terms, {i: AddMorphism(a2, d.source, d.target, d.blocks)
+                                      for i, d in x.diffs.items()})
+            assert extend_nat_trans(theta, y).rep.comps
+            assert nat_trans_uniqueness_probe(theta, y, orders=3)["ok"]
 
 
 def test_functor_json_round_trip(a2):

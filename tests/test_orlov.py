@@ -593,21 +593,28 @@ def sparse_morphism(pres, x, y, rng):
 STRUCTURE_NAMES = [*FIXTURE_NAMES, *PATH_NAMES, *WIDE_BLOCK_NAMES]
 
 
+def embedding(pres, rng, sub):
+    """An object ``whole`` holding ``sub`` at random ``positions`` among up
+    to three other summands: (whole, positions)."""
+    rest = rand_object(pres, rng, 3)
+    slots = list(range(len(sub) + len(rest)))
+    rng.shuffle(slots)
+    positions = slots[:len(sub)]
+    summands = list(rest) + list(sub)
+    for p, s in zip(positions, sub):
+        summands[p] = s
+    for p, s in zip(sorted(slots[len(sub):]), rest):
+        summands[p] = s
+    return AddObject(tuple(summands)), positions
+
+
 @pytest.mark.parametrize("name", STRUCTURE_NAMES)
 def test_unit_maps_match_the_assembled_identity(name):
     pres = presentation(name)
     rng = random.Random(f"unit maps {name}")
     for _ in range(25):
-        sub, rest = rand_object(pres, rng, 4), rand_object(pres, rng, 3)
-        slots = list(range(len(sub) + len(rest)))
-        rng.shuffle(slots)
-        positions = slots[:len(sub)]
-        summands = list(rest) + list(sub)
-        for p, s in zip(positions, sub):
-            summands[p] = s
-        for p, s in zip(sorted(slots[len(sub):]), rest):
-            summands[p] = s
-        whole = AddObject(tuple(summands))
+        sub = rand_object(pres, rng, 4)
+        whole, positions = embedding(pres, rng, sub)
         assert AddMorphism.identity(pres, sub) == identity_reference(pres, sub)
         assert AddMorphism.identity(pres, whole) == identity_reference(pres, whole)
         inc = AddMorphism.inclusion(pres, sub, whole, positions)
@@ -840,3 +847,119 @@ def test_compose_calls_the_class_kernel_once_per_pair_of_nonzero_blocks(monkeypa
                  if g.blocks[i][k] is not None and f.blocks[k][j] is not None]
         assert sorted(calls) == sorted(pairs)
         assert gf == dense_compose(g, f, kernel.__get__(pres))
+
+
+# ------------------------------------------------------ unit map factors
+# compose re-indexes the other factor along a unit map (an identity, an
+# inclusion or a projection) and calls no kernel; the reference is the dense
+# product with the table loop, which reads the unit blocks themselves.
+
+
+def unit_maps(pres, rng):
+    """Identities, inclusions and projections along a chain sub -> whole ->
+    big of random embeddings; sub repeats its first summand, so two of its
+    columns can trade places."""
+    s = rng.choice(pres.ids)
+    sub = AddObject((s, s) + rand_object(pres, rng, 2).summands)
+    whole, pos = embedding(pres, rng, sub)
+    big, pos2 = embedding(pres, rng, whole)
+    units = [AddMorphism.identity(pres, o) for o in (sub, whole, big)]
+    for a, b, p in ((sub, whole, pos), (whole, big, pos2)):
+        units += [AddMorphism.inclusion(pres, a, b, p), AddMorphism.projection(pres, b, a, p)]
+    return units
+
+
+def swapped(pres, u):
+    """The inclusion or projection u re-built along positions whose first
+    two entries trade places, but carrying u's own blocks: a re-indexing
+    along the wrong positions, which its blocks do not show.  None for a
+    map between objects of one length (an identity or a permutation)."""
+    if len(u.source) < len(u.target):
+        positions = list(u.dest)
+        positions[:2] = positions[1::-1]
+        bad = AddMorphism.inclusion(pres, u.source, u.target, positions)
+    elif len(u.source) > len(u.target):
+        positions = list(u.orig)
+        positions[:2] = positions[1::-1]
+        bad = AddMorphism.projection(pres, u.source, u.target, positions)
+    else:
+        return None
+    bad.blocks = u.blocks
+    return bad
+
+
+def unit_products(pres, rng, units):
+    """(g, f) pairs with a unit map factor: unit o general, general o unit
+    and unit o unit, over every composable pair of ``units``."""
+    pairs = []
+    for u in units:
+        x, z = rand_object(pres, rng, 3), rand_object(pres, rng, 3)
+        pairs.append((u, block_morphism(pres, x, u.source, rng)))
+        pairs.append((block_morphism(pres, u.target, z, rng), u))
+        pairs += [(u, v) for v in units if v.target == u.source]
+    return pairs
+
+
+def reference_product(g, f):
+    pres = g.pres
+    return dense_compose(g, f, lambda *a: compose_coords_reference(pres, *a))
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_unit_map_factors_compose_by_reindexing(monkeypatch, name):
+    pres = presentation(name)
+    rng = random.Random(f"unit factors {name}")
+    kernel, calls = OrlovPresentation.compose_coords, []
+
+    def counting(self, *args):
+        calls.append(args[:3])
+        return kernel(self, *args)
+
+    monkeypatch.setattr(OrlovPresentation, "compose_coords", counting)
+    kinds = set()
+    for _ in range(6):
+        units = unit_maps(pres, rng)
+        for g, f in unit_products(pres, rng, units):
+            reference = reference_product(g, f)
+            calls.clear()
+            gf = g.compose(f)
+            assert calls == []
+            assert typed_blocks(gf) == typed_blocks(reference)
+            assert (gf.source, gf.target) == (f.source, g.target)
+            kind = isinstance(g, orlov._Unit), isinstance(f, orlov._Unit)
+            kinds.add(kind)
+            if kind == (True, True):
+                # a composite of unit maps is one, known as the identity
+                # exactly when it is one
+                assert isinstance(gf, orlov._Unit)
+                ident = gf.source == gf.target and gf == AddMorphism.identity(pres, gf.source)
+                assert isinstance(gf, orlov._Identity) == ident
+        for u in units:
+            ident = u.source == u.target and u == AddMorphism.identity(pres, u.source)
+            assert isinstance(u, orlov._Identity) == ident
+        # a projection after its inclusion is the identity
+        for inc, proj in (units[3:5], units[5:7]):
+            assert type(proj.compose(inc)) is orlov._Identity
+    assert kinds == {(True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_a_reindexing_along_swapped_positions_is_caught(name):
+    pres = presentation(name)
+    rng = random.Random(f"unit factors {name}")
+    caught = compared = 0
+    for _ in range(6):
+        for u in unit_maps(pres, rng):
+            bad = swapped(pres, u)
+            if bad is None:
+                continue
+            assert bad == u             # the same blocks, the wrong positions
+            x, z = rand_object(pres, rng, 3), rand_object(pres, rng, 3)
+            f = block_morphism(pres, x, u.source, rng)
+            g = block_morphism(pres, u.target, z, rng)
+            for (a, b), (a_bad, b_bad) in (((u, f), (bad, f)), ((g, u), (g, bad))):
+                reference = typed_blocks(reference_product(a, b))
+                assert typed_blocks(a.compose(b)) == reference
+                compared += 1
+                caught += typed_blocks(a_bad.compose(b_bad)) != reference
+    assert 0 < caught <= compared
