@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import KoszulkitError, Matrix
+from .linalg import Echelon, KoszulkitError, Matrix
 from .orlov import (
     AddMorphism,
     AddObject,
@@ -309,6 +309,23 @@ class HomSpace:
 
     ``dimension`` is dim(chain maps) - dim(null-homotopic chain maps);
     ``basis`` carries chain-map representatives of a basis of the quotient.
+
+    Two eliminations build it.  The first is of the chain condition D1,
+    whose echelon form R has free columns F; its kernel, the chain maps, has
+    the basis K = ``kernel_basis`` of R, and K is the identity on F.  So a
+    chain map v is fixed by v[F], since the entry at the pivot column p_r
+    of R is -sum_j R[r][j] v[j], and v = K v[F].  Every column of the
+    null-homotopy matrix delta is a chain map, so [delta | K] = K [delta_F |
+    I] with K injective: the second elimination is of [delta_F | I], one row
+    per chain map coordinate (``nullity`` rows, not ``total``), and it has
+    the pivots [delta | K] would have.  Pivots before delta's width count
+    its rank; those past it pick ``basis``.
+
+    A vector v of map coordinates reduces (:meth:`_mod_homotopy`) to the
+    reduction of v[F] with the null-homotopy part dropped, followed by its
+    chain defect, the pivot rows of R applied to v, which is 0 exactly when
+    v is a chain map.  The reduction is linear and onto, of length ``total``
+    - ``_delta_rank``, and its kernel is im delta.
     """
 
     def __init__(self, x: Complex, y: Complex, k: int = 0):
@@ -317,6 +334,7 @@ class HomSpace:
         self.k = k
         self.ys = ys = y.shift(k)
         pres = x.pres
+        fld = pres.field
 
         # chain maps X^i -> Y[k]^i, homotopies X^i -> Y[k]^{i-1} and
         # chain-condition rows X^i -> Y[k]^{i+1}
@@ -326,39 +344,39 @@ class HomSpace:
         chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
         self.total, self.h_total = self.maps.total, self.homotopies.total
         if self.total:
-            self._chain_kernel = self.maps.matrix(chain_rows, [
+            self._chains = self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
-                (-1, -1, "right", lambda i: x.d(i - 1))]).kernel_basis()
+                (-1, -1, "right", lambda i: x.d(i - 1))]).rref()[0]
             delta = self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
                 (-1, 1, "right", lambda i: x.d(i - 1))])
         else:                   # no chain-map unknowns: the space is 0
-            self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
-            delta = Matrix.zeros(pres.field, 0, self.h_total)
-
-        # the rref of a column prefix is the prefix of the rref: pivots below
-        # delta.cols count its rank, those past it pick a basis of the quotient
-        self._echelon, pivots, _ = delta.hstack(self._chain_kernel).rref()
-        self.nullity = self._chain_kernel.cols
+            self._chains = Echelon(fld, 0, 0, [], (), [], [], [])
+            delta = Matrix.zeros(fld, 0, self.h_total)
+        self._free = free = self._chains.free_columns()
+        self.nullity = n = len(free)
+        rows = []
+        for r, j in enumerate(free):
+            unit = [fld.zero] * n
+            unit[r] = fld.one
+            rows.append(delta.data[j] + unit)
+        self._echelon, pivots, _ = Matrix(fld, n, delta.cols + n, rows).rref()
         self._delta_rank = sum(p < delta.cols for p in pivots)
-        self.dimension = self.nullity - self._delta_rank
-        self.basis = [self._vector_to_map(self._chain_kernel.col(p - delta.cols))
-                      for p in pivots if p >= delta.cols]
+        self.dimension = n - self._delta_rank
+        self.basis = [self._cycle_at(p - delta.cols) for p in pivots if p >= delta.cols]
 
     # ---------------------------------------------------------- chain maps
 
     def cycles(self) -> list:
         """Basis of the space of chain maps x -> y[k], before the quotient."""
-        return [self._vector_to_map(self._chain_kernel.col(j)) for j in range(self.nullity)]
+        return [self._cycle_at(j) for j in range(self.nullity)]
 
     def cycle(self, coeffs) -> ChainMap:
         """The chain map with coordinates ``coeffs`` in :meth:`cycles`."""
-        fld = self.x.pres.field
-        vec = [fld.zero] * self.total
-        for j, c in enumerate(coeffs):
-            if c:
-                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, self._chain_kernel.col(j))]
-        return self._vector_to_map(vec)
+        return self._vector_to_map(self._chains.lift(coeffs))
+
+    def _cycle_at(self, j) -> ChainMap:
+        return self._vector_to_map(self._chains.kernel_vector(j))
 
     def rank_mod_homotopy(self, maps) -> int:
         """Dimension of the span of the classes of the chain maps ``maps``."""
@@ -378,14 +396,17 @@ class HomSpace:
         return Homotopy(self.x, self.ys, self.homotopies.from_vector(vec))
 
     def _mod_homotopy(self, vec) -> list:
-        """``vec`` reduced against the echelon form of [delta | chain_kernel]
-        with the null-homotopy part dropped: its coordinates in ``basis``,
-        then entries that are all 0 exactly when ``vec`` is a chain map."""
-        return self._echelon.reduce(vec)[self._delta_rank:]
+        """``vec`` reduced modulo null-homotopies: its coordinates in
+        ``basis`` when it is a chain map, then its chain defect."""
+        y = self._echelon.reduce([vec[j] for j in self._free])
+        return y[self._delta_rank:] + self._chains.defect(vec)
 
     def null_homotopy(self, f: ChainMap):
         """A homotopy h with f = delta(h), or None."""
-        y = self._echelon.reduce(self.map_to_vector(f))
+        vec = self.map_to_vector(f)
+        if any(self._chains.defect(vec)):
+            return None
+        y = self._echelon.reduce([vec[j] for j in self._free])
         if any(y[self._delta_rank:]):
             return None
         h = [self.x.pres.field.zero] * self.h_total
@@ -424,8 +445,8 @@ def solve_mod_homotopy(spaces, columns, rhs):
     every space, or None.
 
     ``columns`` and ``rhs`` are vectors in the stacked coordinates of
-    ``spaces``.  Each block is reduced against its space's stored echelon
-    form of [delta | chain kernel], which sends im delta to 0, so the system
+    ``spaces``.  Each block is reduced by its space's
+    :meth:`HomSpace._mod_homotopy`, which sends im delta to 0, so the system
     is the stack of the reduced blocks and eliminates no delta again.  Free
     unknowns are set to 0, so the answer is deterministic: when the classes
     of ``columns`` are independent, c is unique, and otherwise a column whose
@@ -575,13 +596,14 @@ class ChainIso:
 
     @staticmethod
     def _side_ok(first: ChainMap, then: ChainMap, h: Homotopy | None) -> bool:
-        """id - then o first = delta(h); without h, then o first = id
-        compared component by component."""
+        """id - then o first = delta(h); without h, each component of
+        then o first is the identity of its term."""
         back = then.compose(first)
-        ident = ChainMap.identity(first.source)
         if h is None:
-            return back.comps == ident.comps
-        return ident.sub(back) == h.boundary()
+            terms = first.source.terms
+            return back.comps.keys() == terms.keys() and all(
+                m.target == terms[i] and m.is_identity() for i, m in back.comps.items())
+        return ChainMap.identity(first.source).sub(back) == h.boundary()
 
 
 @dataclass

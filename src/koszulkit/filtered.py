@@ -232,6 +232,10 @@ def alpha(x: FilteredObject) -> FilteredMorphism:
 
 
 class FilteredHomSpace:
+    """Hom(x, y) of filtered objects: the families f_i: X_i -> Y_i with
+    f_{i-1} e_i = e_i f_i, the kernel of one elimination, in the kernel
+    coordinates of its echelon form (:class:`~koszulkit.linalg.Echelon`)."""
+
     def __init__(self, x: FilteredObject, y: FilteredObject):
         self.x = x
         self.y = y
@@ -240,19 +244,22 @@ class FilteredHomSpace:
         self.maps = Coords(pres, {i: (x.term(i), y.term(i)) for i in range(lo, hi + 1)})
         # f_{i-1} e_i = e_i f_i in Hom(X_i, Y_{i-1})
         rows = Coords(pres, {i: (x.term(i), y.term(i - 1)) for i in range(lo + 1, hi + 1)})
-        self._kernel = self.maps.matrix(rows, [
+        self._echelon = self.maps.matrix(rows, [
             (1, 1, "right", lambda i: x.incl_map(i + 1)),
-            (0, -1, "left", y.incl_map)]).kernel_basis()
-        self.dimension = self._kernel.cols
-        self.basis = [FilteredMorphism(x, y, self.maps.from_vector(self._kernel.col(j)),
+            (0, -1, "left", y.incl_map)]).rref()[0]
+        self._free = self._echelon.free_columns()
+        self.dimension = len(self._free)
+        self.basis = [FilteredMorphism(x, y, self.maps.from_vector(self._echelon.kernel_vector(j)),
                                        check=False) for j in range(self.dimension)]
 
     def coordinates(self, f: FilteredMorphism):
+        """Coordinates of f in ``basis``, or None if f is not in the space:
+        its entries at the free columns, since the basis is the identity
+        there."""
         vec = self.maps.to_vector(f.component)
-        if not self.dimension:
-            return [] if all(not v for v in vec) else None
-        cols = [self._kernel.col(j) for j in range(self.dimension)]
-        return Matrix.from_columns(self.x.pres.field, len(vec), cols).solve(vec)
+        if any(self._echelon.defect(vec)):
+            return None
+        return [vec[j] for j in self._free]
 
 
 def filt_hom_space(x: FilteredObject, y: FilteredObject) -> FilteredHomSpace:

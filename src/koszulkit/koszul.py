@@ -367,8 +367,7 @@ class DetectedInjective:
     length: int
 
 
-def injective_detect(pres: OrlovPresentation, window=DEFAULT_WINDOW,
-                     length_bound=6) -> dict:
+def injective_detect(pres: OrlovPresentation, length_bound=6) -> dict:
     """Injective envelopes of the heart simples by universal extensions.
 
     Iteratively extends each simple by the full first-extension space of
@@ -449,7 +448,7 @@ def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW,
         raise KoszulError("input presentation fails validation")
     if not koszulescence_surrogate(pres, window).get("ok"):
         raise KoszulError("degree-one-generation surrogate failed; dual not computed")
-    report = injective_detect(pres, window, length_bound)
+    report = injective_detect(pres, length_bound)
     if not report["complete"]:
         raise KoszulError(f"injective search incomplete for {report['incomplete_seeds']}")
     objects = {}

@@ -292,7 +292,7 @@ class Matrix:
         f = self.field
         nrows, ncols = self.rows, self.cols
         if not nrows or not ncols:
-            return Echelon(f, nrows, ncols, [[] for _ in range(nrows)], (), [], list(range(nrows))), (), 0
+            return Echelon(f, nrows, ncols, [[] for _ in range(nrows)], (), [], list(range(nrows)), []), (), 0
         p = f.char
         subtract = _subtract_mod if p else _subtract
         rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
@@ -341,10 +341,12 @@ class Matrix:
             if elim:
                 ops.append((order[n], None, elim))
         zero, one = f.zero, f.one
+        # each pivot row now holds only its entries at free columns
+        entries = [rows[i] for i in order]
         data = []
-        for i, c in zip(order, pivots):
+        for c, row in zip(pivots, entries):
             out = [zero] * ncols
-            for j, x in rows[i].items():
+            for j, x in row.items():
                 out[j] = x
             out[c] = one
             data.append(out)
@@ -352,7 +354,8 @@ class Matrix:
             data += [[zero] * ncols for _ in range(nrows - len(order))]
             taken = set(order)
             order += [i for i in range(nrows) if i not in taken]
-        return Echelon(f, nrows, ncols, data, tuple(pivots), ops, order), tuple(pivots), len(pivots)
+        return (Echelon(f, nrows, ncols, data, tuple(pivots), ops, order, entries),
+                tuple(pivots), len(pivots))
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -391,15 +394,23 @@ class Matrix:
 class Echelon(Matrix):
     """The reduced row echelon form R = E·A of a matrix A, as returned by
     :meth:`Matrix.rref`.  It keeps E as the row operations that produced R,
-    so :meth:`reduce` applies E to a vector in time linear in their number."""
+    so :meth:`reduce` applies E to a vector in time linear in their number.
 
-    __slots__ = ("pivots", "_ops", "_order")
+    It also keeps the pivot rows of R sparse, for the kernel coordinates of
+    A: a vector v lies in ker A exactly when its :meth:`defect` is 0, and
+    then v is the :meth:`lift` of its entries at the :meth:`free_columns`,
+    since the entry at the pivot column p_r of row r is -sum_j R[r][j] v[j].
+    """
 
-    def __init__(self, field: Field, rows: int, cols: int, data, pivots, ops, order):
+    __slots__ = ("pivots", "_ops", "_order", "_entries", "_free")
+
+    def __init__(self, field: Field, rows: int, cols: int, data, pivots, ops, order, entries):
         self.field, self.rows, self.cols, self.data = field, rows, cols, data
         self.pivots = pivots
         self._ops = ops
         self._order = order
+        self._entries = entries     # per pivot row, {free column: nonzero entry}
+        self._free = None
 
     def reduce(self, b) -> list:
         """E·b for a list b of scalars.  Its first ``rank`` entries are the
@@ -419,18 +430,61 @@ class Echelon(Matrix):
                 y[k] = (y[k] - a * v) % p if p else y[k] - a * v
         return [y[i] for i in self._order]
 
+    def free_columns(self) -> list:
+        """The non-pivot columns of A, in order."""
+        if self._free is None:
+            taken = set(self.pivots)
+            self._free = [c for c in range(self.cols) if c not in taken]
+        return self._free
+
+    def defect(self, v) -> list:
+        """R·v on the pivot rows, for a list v of ``cols`` scalars: all 0
+        exactly when A v = 0."""
+        p = self.field.char
+        out = []
+        for c, row in zip(self.pivots, self._entries):
+            s = v[c]
+            for j, x in row.items():
+                w = v[j]
+                if w:
+                    s += x * w
+            out.append(s % p if p else s)
+        return out
+
+    def lift(self, c) -> list:
+        """The vector v in ker A whose entries at the free columns are the
+        list ``c``; that is K·c for K = :meth:`kernel_basis`."""
+        p = self.field.char
+        v = [self.field.zero] * self.cols
+        for j, x in zip(self.free_columns(), c):
+            v[j] = x
+        for pc, row in zip(self.pivots, self._entries):
+            s = 0
+            for j, x in row.items():
+                w = v[j]
+                if w:
+                    s += x * w
+            if s:
+                v[pc] = -s % p if p else -s
+        return v
+
+    def kernel_vector(self, k) -> list:
+        """Column k of :meth:`kernel_basis`: the :meth:`lift` of the k-th
+        unit vector, 1 at the k-th free column."""
+        f = self.field
+        fc = self.free_columns()[k]
+        v = [f.zero] * self.cols
+        v[fc] = f.one
+        for pc, row in zip(self.pivots, self._entries):
+            x = row.get(fc)
+            if x:
+                v[pc] = f.neg(x)
+        return v
+
     def kernel_basis(self) -> Matrix:
         """Columns forming a basis of the right kernel of A, which is that of R."""
-        f = self.field
-        free = [c for c in range(self.cols) if c not in self.pivots]
-        basis = Matrix.zeros(f, self.cols, len(free))
-        for k, fc in enumerate(free):
-            basis.data[fc][k] = f.one
-            for r, pc in enumerate(self.pivots):
-                v = self.data[r][fc]
-                if v:
-                    basis.data[pc][k] = f.neg(v)
-        return basis
+        return Matrix.from_columns(self.field, self.cols, [
+            self.kernel_vector(k) for k in range(len(self.free_columns()))])
 
     def solution(self, b) -> list | None:
         """One exact solution x of A x = b for a list b of scalars, or None

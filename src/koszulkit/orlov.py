@@ -534,6 +534,19 @@ class AddMorphism:
         return (self.source == other.source and self.target == other.target
                 and self.blocks == other.blocks)
 
+    def is_identity(self) -> bool:
+        """Whether this is the identity of its source: the unit of each
+        summand on the diagonal and zero blocks elsewhere."""
+        if isinstance(self, _Identity):
+            return True
+        if self.source != self.target:
+            return False
+        unit = self.pres.unit
+        for i, (s, row) in enumerate(zip(self.source.summands, self.blocks)):
+            if row[i] != unit[s] or row.count(None) != len(row) - 1:
+                return False
+        return True
+
     def __repr__(self):
         return f"AddMorphism({'+'.join(self.source) or '0'} -> {'+'.join(self.target) or '0'})"
 

@@ -1,0 +1,114 @@
+"""The Hom space as the engine built it before it worked in the chain
+kernel's coordinates, the reference for ``complexes.HomSpace``.
+
+This ``HomSpace`` eliminates the chain condition, keeps a dense basis K of
+its kernel, and then eliminates [delta | K] over all ``total`` map
+coordinates.  ``complexes.HomSpace`` eliminates [delta_F | I] instead, with
+``nullity`` rows; [delta | K] = K [delta_F | I] and K is injective, so both
+give the same pivots.  Their reductions modulo null-homotopies differ by an
+invertible map, so every query answers alike.  The class is kept verbatim.
+``rank_mod_homotopy`` here and the engine's ``solve_mod_homotopy`` read
+only ``total``, ``_delta_rank`` and ``_mod_homotopy``, so they run on these
+spaces with this reduction.
+"""
+
+from __future__ import annotations
+
+from koszulkit.complexes import ChainMap, ComplexError, Homotopy, _reduced_matrix
+from koszulkit.linalg import Matrix
+from koszulkit.orlov import Coords
+
+
+class HomSpace:
+    """Hom_{K^b}(X, Y[k]) presented by explicit linear algebra.
+
+    ``dimension`` is dim(chain maps) - dim(null-homotopic chain maps);
+    ``basis`` carries chain-map representatives of a basis of the quotient.
+    """
+
+    def __init__(self, x: Complex, y: Complex, k: int = 0):
+        self.x = x
+        self.y = y
+        self.k = k
+        self.ys = ys = y.shift(k)
+        pres = x.pres
+
+        # chain maps X^i -> Y[k]^i, homotopies X^i -> Y[k]^{i-1} and
+        # chain-condition rows X^i -> Y[k]^{i+1}
+        xt, yt = x.terms.items(), ys.terms
+        self.maps = Coords(pres, {i: (t, yt[i]) for i, t in xt if i in yt})
+        self.homotopies = Coords(pres, {i: (t, yt[i - 1]) for i, t in xt if i - 1 in yt})
+        chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
+        self.total, self.h_total = self.maps.total, self.homotopies.total
+        if self.total:
+            self._chain_kernel = self.maps.matrix(chain_rows, [
+                (0, 1, "left", ys.d),
+                (-1, -1, "right", lambda i: x.d(i - 1))]).kernel_basis()
+            delta = self.homotopies.matrix(self.maps, [
+                (0, 1, "left", lambda i: ys.d(i - 1)),
+                (-1, 1, "right", lambda i: x.d(i - 1))])
+        else:                   # no chain-map unknowns: the space is 0
+            self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
+            delta = Matrix.zeros(pres.field, 0, self.h_total)
+
+        # the rref of a column prefix is the prefix of the rref: pivots below
+        # delta.cols count its rank, those past it pick a basis of the quotient
+        self._echelon, pivots, _ = delta.hstack(self._chain_kernel).rref()
+        self.nullity = self._chain_kernel.cols
+        self._delta_rank = sum(p < delta.cols for p in pivots)
+        self.dimension = self.nullity - self._delta_rank
+        self.basis = [self._vector_to_map(self._chain_kernel.col(p - delta.cols))
+                      for p in pivots if p >= delta.cols]
+
+    # ---------------------------------------------------------- chain maps
+
+    def cycles(self) -> list:
+        """Basis of the space of chain maps x -> y[k], before the quotient."""
+        return [self._vector_to_map(self._chain_kernel.col(j)) for j in range(self.nullity)]
+
+    def cycle(self, coeffs) -> ChainMap:
+        """The chain map with coordinates ``coeffs`` in :meth:`cycles`."""
+        fld = self.x.pres.field
+        vec = [fld.zero] * self.total
+        for j, c in enumerate(coeffs):
+            if c:
+                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, self._chain_kernel.col(j))]
+        return self._vector_to_map(vec)
+
+    def rank_mod_homotopy(self, maps) -> int:
+        """Dimension of the span of the classes of the chain maps ``maps``."""
+        return _reduced_matrix([self], [self.map_to_vector(f) for f in maps]).rank()
+
+    # ------------------------------------------------------------ plumbing
+
+    def _vector_to_map(self, vec) -> ChainMap:
+        return ChainMap(self.x, self.ys, self.maps.from_vector(vec), check=False)
+
+    def map_to_vector(self, f: ChainMap):
+        if any(i not in self.maps.slices and not m.is_zero() for i, m in f.comps.items()):
+            raise ComplexError("map has a component outside the hom window")
+        return self.maps.to_vector(f.comps.get)
+
+    def _vector_to_homotopy(self, vec) -> Homotopy:
+        return Homotopy(self.x, self.ys, self.homotopies.from_vector(vec))
+
+    def _mod_homotopy(self, vec) -> list:
+        """``vec`` reduced against the echelon form of [delta | chain_kernel]
+        with the null-homotopy part dropped: its coordinates in ``basis``,
+        then entries that are all 0 exactly when ``vec`` is a chain map."""
+        return self._echelon.reduce(vec)[self._delta_rank:]
+
+    def null_homotopy(self, f: ChainMap):
+        """A homotopy h with f = delta(h), or None."""
+        y = self._echelon.reduce(self.map_to_vector(f))
+        if any(y[self._delta_rank:]):
+            return None
+        h = [self.x.pres.field.zero] * self.h_total
+        for r, p in enumerate(self._echelon.pivots[:self._delta_rank]):
+            h[p] = y[r]
+        return self._vector_to_homotopy(h)
+
+    def express(self, f: ChainMap):
+        """Coordinates of the class of f in ``basis``, or None if outside."""
+        y = self._mod_homotopy(self.map_to_vector(f))
+        return None if any(y[self.dimension:]) else y[:self.dimension]

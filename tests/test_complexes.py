@@ -53,6 +53,7 @@ from koszulkit.tstructure import simple_ext_cells
 from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
 from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, path_category, presentation
+import homspace_reference
 import probe_reference
 from probe_reference import top_extraction
 
@@ -484,6 +485,44 @@ def chain_map_pairs(pres, rng, trials):
         yield a.scale(2), a.add(a)
 
 
+def side_ok_reference(first, then, h):
+    """``ChainIso._side_ok`` comparing with ``ChainMap.identity``, as it did
+    before it checked each component of the round trip alone."""
+    back = then.compose(first)
+    ident = ChainMap.identity(first.source)
+    if h is None:
+        return back.comps == ident.comps
+    return ident.sub(back) == h.boundary()
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
+def test_chain_iso_sides_match_the_identity_reference(name, monkeypatch):
+    """Without a homotopy witness a side of ``ChainIso.verify`` checks that
+    each component of the round trip is the identity of its term, builds no
+    identity chain map, and decides as the comparison with it did."""
+    pres = presentation(name)
+    rng = rng_for(2105, "iso sides", name)
+    cases = []
+    for _ in range(8):
+        x = rand_complex(pres, rng)
+        x2, fwd, bwd = conjugate_complex(x, rng)
+        _, iso = minimal_model(x)
+        cases += [(fwd, bwd), (bwd, fwd), (fwd.scale(2), bwd), (fwd, ChainMap.zero(x2, x)),
+                  (iso.fwd, iso.bwd), (iso.bwd, iso.fwd),
+                  (ChainMap.identity(x), rand_chain_map(x, x, rng))]
+        if len(x.terms) > 1:        # the identity in every degree but one
+            i = min(x.terms)
+            cases.append((fwd, ChainMap(x2, x, {j: c for j, c in bwd.comps.items() if j != i},
+                                        check=False)))
+    expected = [side_ok_reference(first, then, None) for first, then in cases]
+    built = []
+    identity = ChainMap.identity
+    monkeypatch.setattr(ChainMap, "identity", lambda x: built.append(x) or identity(x))
+    assert [ChainIso._side_ok(first, then, None) for first, then in cases] == expected
+    assert built == []
+    assert True in expected and False in expected
+
+
 @pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
 def test_equal_components_are_exactly_a_zero_difference(name):
     """HomClass equality and ChainIso.verify compare components before they
@@ -743,6 +782,128 @@ def test_hom_space_queries_run_no_joint_elimination(monkeypatch):
         assert shapes == [(sp.total - sp._delta_rank, len(cycles + others))]
         queried += sp.dimension > 0
     assert queried
+
+
+REFERENCE_NAMES = [*FIXTURE_NAMES, *PATH_NAMES, *QUIVER_NAMES]
+
+
+def reference_draws(pres, rng, trials):
+    """Seeded (x, y, k) with chain-map unknowns, two thirds of them with
+    chain-condition rows too; a third with both complexes conjugated and a
+    third with one.  Yields the Hom space and the [delta | K] reference."""
+    t = 0
+    while t < trials:
+        x, y = rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3)
+        k = rng.randint(-1, 1)
+        if not supports_meet(x, y, k) or (t % 3 < 2 and not supports_meet(x, y, k + 1)):
+            continue
+        if t % 3 < 2:
+            x = conjugate_complex(x, rng)[0]
+        if t % 3 == 0:
+            y = conjugate_complex(y, rng)[0]
+        t += 1
+        yield HomSpace(x, y, k), homspace_reference.HomSpace(x, y, k)
+
+
+def probe_maps(sp, rng):
+    """Chain maps, boundaries, their sums, and arbitrary vectors (mostly not
+    chain maps) in the map coordinates of ``sp``."""
+    fld = sp.x.pres.field
+
+    def draw(n):
+        return [fld.of(rng.randint(-2, 2)) for _ in range(n)]
+
+    cycles = [sp.cycle(draw(sp.nullity)) for _ in range(2)]
+    boundaries = [sp._vector_to_homotopy(draw(sp.h_total)).boundary() for _ in range(2)]
+    vectors = [sp._vector_to_map(draw(sp.total)) for _ in range(2)]
+    return cycles + boundaries + [cycles[0].add(boundaries[0])] + vectors
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_hom_space_matches_the_delta_kernel_reference(name):
+    """Eliminating [delta_F | I] in the chain kernel's coordinates answers
+    every query as eliminating [delta | K] over all map coordinates did:
+    the same basis and cycles on the nose, and the same coordinates,
+    homotopies, ranks and solves on chain maps, boundaries and vectors that
+    are not chain maps."""
+    pres = presentation(name)
+    rng = rng_for(2101, "delta-kernel reference", name)
+    seen = Counter()
+    for sp, ref in reference_draws(pres, rng, 9):
+        assert (sp.total, sp.h_total, sp.nullity, sp._delta_rank, sp.dimension) == \
+            (ref.total, ref.h_total, ref.nullity, ref._delta_rank, ref.dimension)
+        assert sp.basis == ref.basis
+        assert sp.cycles() == ref.cycles()
+        coeffs = [pres.field.of(rng.randint(-2, 2)) for _ in range(sp.nullity)]
+        assert sp.cycle(coeffs) == ref.cycle(coeffs)
+        maps = probe_maps(sp, rng)
+        for f in maps:
+            coords = sp.express(f)
+            assert coords == ref.express(f)
+            h, h_ref = sp.null_homotopy(f), ref.null_homotopy(f)
+            assert (h is None) == (h_ref is None)
+            if h is not None:
+                assert h.comps == h_ref.comps and h.boundary() == f
+            seen["express", coords is None] += 1
+            seen["null_homotopy", h is None] += 1
+        for part in (maps[:2], maps[2:5], maps[5:], maps):
+            assert sp.rank_mod_homotopy(part) == ref.rank_mod_homotopy(part)
+        cols = [sp.map_to_vector(f) for f in maps[:2] + maps[5:6]]
+        for f in maps:
+            rhs = sp.map_to_vector(f)
+            assert solve_mod_homotopy([sp], cols, rhs) == solve_mod_homotopy([ref], cols, rhs)
+    assert seen["express", True] and seen["null_homotopy", True] and seen["null_homotopy", False]
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A6/F0", "A5-killed/F10007", *WIDE_BLOCK_NAMES])
+def test_stacked_solves_match_the_delta_kernel_reference(name):
+    """Two-space solves modulo null-homotopy over the engine's spaces and
+    over the reference's agree, on solvable and random right-hand sides."""
+    pres = presentation(name)
+    fld = pres.field
+    rng = rng_for(2102, "stacked reference", name)
+    draws = list(reference_draws(pres, rng, 8))
+    outcomes = Counter()
+    for (sp1, ref1), (sp2, ref2) in zip(draws[::2], draws[1::2]):
+        blocks = [probe_maps(sp, rng) for sp in (sp1, sp2)]
+        stacked = [sp1.map_to_vector(a) + sp2.map_to_vector(b) for a, b in zip(*blocks)]
+        cols = stacked[:2] + stacked[5:6]
+        solvable = [fld.add(a, fld.mul(fld.of(2), b)) for a, b in zip(stacked[2], stacked[0])]
+        for rhs in stacked + [solvable]:
+            sol = solve_mod_homotopy([sp1, sp2], cols, rhs)
+            assert sol == solve_mod_homotopy([ref1, ref2], cols, rhs)
+            outcomes[sol is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", *WIDE_BLOCK_NAMES])
+def test_hom_space_quotient_elimination_has_nullity_rows(name, monkeypatch):
+    """A Hom space eliminates the chain condition, then [delta_F | I]: one
+    row per chain-map coordinate, not one per map coordinate."""
+    pres = presentation(name)
+    rng = rng_for(2103, "quotient rows", name)
+    shapes = []
+    rref = Matrix.rref
+
+    def recording(self):
+        shapes.append((self.rows, self.cols))
+        return rref(self)
+
+    smaller = 0
+    for _ in range(25):
+        x, y = rand_complex(pres, rng, amplitude=4), rand_complex(pres, rng, amplitude=4)
+        k = rng.randint(-1, 1)
+        monkeypatch.setattr(Matrix, "rref", recording)
+        shapes.clear()
+        sp = HomSpace(x, y, k)
+        monkeypatch.undo()
+        if sp.total:
+            assert [cols for _, cols in shapes[:1]] == [sp.total]
+            assert shapes[1:] == [(sp.nullity, sp.h_total + sp.nullity)]
+        else:
+            assert shapes == [(0, sp.h_total)]
+        smaller += sp.nullity < sp.total
+    assert smaller
 
 
 # ------------------------------------------------- homogeneous cokernels

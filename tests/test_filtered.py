@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from koszulkit.filtered import (
@@ -15,8 +17,10 @@ from koszulkit.filtered import (
     split_decompose,
 )
 from koszulkit.fixtures import load_fixture
+from koszulkit.linalg import Matrix
 from koszulkit.orlov import AddMorphism, ZERO_OBJECT, obj
 from koszulkit.randgen import rand_add_morphism, rand_filtered, rng_for
+from presentations import WIDE_BLOCK_NAMES, presentation
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +160,42 @@ def test_filt_hom_report_randomized_dimensions(a3):
             continue
         rep = filt_hom_report(x, y)
         assert rep["ok"], rep
+
+
+def solved_coordinates(sp, f):
+    """``FilteredHomSpace.coordinates`` as a solve against the basis, which
+    it was before it read the kernel coordinates."""
+    vec = sp.maps.to_vector(f.component)
+    if not sp.dimension:
+        return [] if all(not v for v in vec) else None
+    cols = [sp.maps.to_vector(b.component) for b in sp.basis]
+    return Matrix.from_columns(sp.x.pres.field, len(vec), cols).solve(vec)
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5-killed/F10007", *WIDE_BLOCK_NAMES])
+def test_filtered_coordinates_are_the_kernel_coordinates(name, monkeypatch):
+    """Combinations of the basis and arbitrary families get the coordinates
+    the solve gave, None off the space, and no elimination."""
+    pres = presentation(name)
+    fld = pres.field
+    rng = rng_for(2106, "filtered coordinates", name)
+    outcomes = Counter()
+    for _ in range(12):
+        x, y = rand_filtered(pres, rng), rand_filtered(pres, rng)
+        sp = filt_hom_space(x, y)
+        coeffs = [fld.of(rng.randint(-2, 2)) for _ in sp.basis]
+        member = FilteredMorphism.zero(x, y)
+        for c, b in zip(coeffs, sp.basis):
+            member = member.add(b.scale(c))
+        family = FilteredMorphism(x, y, sp.maps.from_vector(
+            [fld.of(rng.randint(-2, 2)) for _ in range(sp.maps.total)]), check=False)
+        expected = [solved_coordinates(sp, f) for f in (member, family)]
+        assert expected[0] == coeffs
+        monkeypatch.setattr(Matrix, "rref", None)
+        assert [sp.coordinates(f) for f in (member, family)] == expected
+        monkeypatch.undo()
+        outcomes[expected[1] is None] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_j_full_faithful(a2):

@@ -483,7 +483,7 @@ def test_q_ses_rejects_non_exact_pair(a2):
 # ------------------------------------------------------------- injectives
 
 def test_injective_detect_pt(pt):
-    rep = injective_detect(pt, WINDOW)
+    rep = injective_detect(pt)
     assert rep["complete"] and rep["found_count"] == 1
     inj = rep["injectives"][0]
     assert inj.degree == 0
@@ -491,7 +491,7 @@ def test_injective_detect_pt(pt):
 
 
 def test_injective_detect_a2(a2):
-    rep = injective_detect(a2, WINDOW)
+    rep = injective_detect(a2)
     assert rep["complete"]
     by_socle = {inj.socle: inj for inj in rep["injectives"]}
     assert by_socle["a"].heart.normal_form == cone_alpha(a2)
@@ -506,7 +506,7 @@ def test_injective_detect_a2(a2):
 
 
 def test_injective_detect_a3(a3):
-    rep = injective_detect(a3, WINDOW)
+    rep = injective_detect(a3)
     assert rep["complete"] and rep["found_count"] == 3
     by_socle = {inj.socle: inj for inj in rep["injectives"]}
     # radical-square-zero shape: envelopes have length at most 2
@@ -520,7 +520,7 @@ def test_injective_detect_a3(a3):
 
 
 def test_injective_detect_reports_exhausted_bound(a2):
-    rep = injective_detect(a2, WINDOW, length_bound=1)
+    rep = injective_detect(a2, length_bound=1)
     assert not rep["complete"]
     assert rep["incomplete_seeds"] == ["a"]
 
@@ -529,10 +529,10 @@ def test_injective_detect_reports_exhausted_bound(a2):
 def test_injective_detect_refuses_a_length_bound_below_one(pt, a3, bound):
     for pres in (pt, a3):
         with pytest.raises(KoszulError, match=f"^length bound must be at least 1, got {bound}$"):
-            injective_detect(pres, WINDOW, length_bound=bound)
+            injective_detect(pres, length_bound=bound)
         with pytest.raises(KoszulError, match="^length bound must be at least 1"):
             koszul_dual(pres, WINDOW, length_bound=bound)
-    assert injective_detect(pt, WINDOW, length_bound=1)["complete"]
+    assert injective_detect(pt, length_bound=1)["complete"]
 
 
 # ------------------------------------------------------------- koszul dual
@@ -650,7 +650,7 @@ def test_koszul_dual_runs_no_koszulity_check(a3, monkeypatch):
 
     monkeypatch.setattr(K, "koszulity_check", lambda *a, **k: {"ok": False})
     assert validate_presentation(koszul_dual(a3, WINDOW).presentation).ok
-    assert injective_detect(a3, WINDOW)["complete"]
+    assert injective_detect(a3)["complete"]
 
 
 @pytest.mark.parametrize("name, builds", [("FIX_A3", 7), ("A5/F0", 13), ("A5/F10007", 13)])

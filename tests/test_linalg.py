@@ -210,6 +210,35 @@ def test_sparse_kernel_matches_oracles(field):
                 assert check_kernel([row + [field.neg(bv)] for row, bv in zip(m.data, b)], [x + [field.one]], field)
 
 
+@pytest.mark.parametrize("field", [QQ, Field(10007)], ids=["Q", "F10007"])
+def test_kernel_coordinates_match_the_kernel_basis(field):
+    """A vector is in ker A exactly when its defect is 0, and then it is the
+    lift of its entries at the free columns, where the kernel basis is the
+    identity."""
+    rng = random.Random(field.char + 37)
+    inside = outside = 0
+    for m in kernel_shapes(field, rng):
+        r = m.rref()[0]
+        free = r.free_columns()
+        k = m.kernel_basis()
+        assert free == [c for c in range(m.cols) if c not in r.pivots]
+        assert [k.col(j) for j in range(k.cols)] == [r.kernel_vector(j) for j in range(len(free))]
+        assert [k.data[c] for c in free] == Matrix.identity(field, len(free)).data
+        for _ in range(3):
+            c = [field.of(rng.choice([0, 0, rng.randint(-3, 3)])) for _ in free]
+            v = r.lift(c)
+            assert v == k.mul(Matrix.column(field, c)).col(0)
+            assert [v[j] for j in free] == c and not any(r.defect(v))
+            w = [field.of(rng.choice([0, rng.randint(-3, 3)])) for _ in range(m.cols)]
+            in_kernel = not m.cols or m.mul(Matrix.column(field, w)).is_zero()
+            assert (not any(r.defect(w))) == in_kernel
+            if in_kernel:
+                assert r.lift([w[j] for j in free]) == w
+            inside += in_kernel
+            outside += not in_kernel
+    assert inside and outside
+
+
 def mixed_matrix(rows, cols, rng):
     """A Q matrix whose entries are ints, integral Fractions and proper
     Fractions, stored as drawn (not through ``Field.of``)."""

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -622,6 +623,32 @@ def test_unit_maps_match_the_assembled_identity(name):
         assert inc == inclusion_reference(pres, sub, whole, positions)
         assert proj == projection_reference(pres, whole, sub, positions)
         assert proj.compose(inc) == AddMorphism.identity(pres, sub)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_is_identity_is_equality_with_the_identity(name):
+    """``is_identity`` holds exactly when the morphism equals the assembled
+    identity of its source: on identities built either way, on unit maps
+    that swap equal summands, and on perturbed, scaled and random maps."""
+    pres = presentation(name)
+    rng = random.Random(f"is identity {name}")
+    seen = Counter()
+    for _ in range(25):
+        x = rand_object(pres, rng, 4)
+        perm = list(range(len(x)))
+        for s in set(x):
+            slots = [j for j, t in enumerate(x) if t == s]
+            for j, k in zip(slots, rng.sample(slots, len(slots))):
+                perm[j] = k
+        ident = AddMorphism.identity(pres, x)
+        y = rand_object(pres, rng, 4)
+        for m in (ident, identity_reference(pres, x), AddMorphism.inclusion(pres, x, x, perm),
+                  ident.add(sparse_morphism(pres, x, x, rng)), ident.scale(2),
+                  sparse_morphism(pres, x, x, rng), rand_add_morphism(pres, x, y, rng)):
+            want = m == identity_reference(pres, m.source)
+            assert m.is_identity() == want
+            seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize("name", STRUCTURE_NAMES)
