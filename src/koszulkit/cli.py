@@ -376,7 +376,7 @@ def cmd_infext(args, window, seed):
     return payload, digest, rep["squares_ok"]
 
 
-def cmd_filtered_demo(args, window, seed):
+def filtered_demo(pres, window, seed):
     """Run the filtered-category axiom suite on generated objects."""
     from .filtered import (
         FilteredMorphism,
@@ -389,7 +389,6 @@ def cmd_filtered_demo(args, window, seed):
     )
     from .randgen import rand_filtered, rand_filtered_complex, rng_for
 
-    pres, digest = load_presentation(args.presentation)
     rng = rng_for(seed, "filtered-demo", pres.name)
 
     splits = hom_reports = triangles = alpha_checks = shift_checks = 0
@@ -421,11 +420,13 @@ def cmd_filtered_demo(args, window, seed):
         triangles += 1
         if tri.verify():
             failures.append({"trial": trial, "check": "triangle"})
-    payload = {"splits": splits, "hom_reports": hom_reports,
-               "triangles": triangles, "alpha_checks": alpha_checks,
-               "shift_checks": shift_checks, "failures": failures,
-               "ok": not failures}
-    return payload, digest, payload["ok"]
+    return {"splits": splits, "hom_reports": hom_reports,
+            "triangles": triangles, "alpha_checks": alpha_checks,
+            "shift_checks": shift_checks, "failures": failures,
+            "ok": not failures}
+
+
+cmd_filtered_demo = gated(filtered_demo)
 
 
 def cmd_selftest(args, window, seed):

@@ -950,67 +950,7 @@ def _find_pivot(x: Complex):
     return None
 
 
-# ------------------------------------------------- homogeneous cokernels
-
-
-@dataclass
-class HomogeneousCokernel:
-    quotient: AddObject
-    q: AddMorphism            # B -> Q
-    u: AddMorphism            # Q_perp + Q -> B, iso
-    u_inv: AddMorphism
-    perp: AddObject
-
-
-def homogeneous_cokernel(f: AddMorphism) -> HomogeneousCokernel:
-    """Universal same-degree quotient q: B -> Q with q o f = 0.
-
-    Requires the target homogeneous; built from the kernels of the pairing
-    Hom(B, S) -> Hom(A, S) for each indecomposable S of that degree.
-    """
-    pres = f.pres
-    fld = pres.field
-    b = f.target
-    degs = set(b.degrees(pres))
-    if len(degs) > 1:
-        raise ComplexError("homogeneous_cokernel: target is not homogeneous")
-    if not b.summands:
-        return HomogeneousCokernel(ZERO_OBJECT, AddMorphism.zero(pres, b, ZERO_OBJECT),
-                                   AddMorphism.zero(pres, ZERO_OBJECT, b),
-                                   AddMorphism.zero(pres, b, ZERO_OBJECT), ZERO_OBJECT)
-
-    order = sorted(set(b.summands))
-    # q_rows[r] (perp_rows[r]) is the block row of a map B -> S: row r of q (of the complement)
-    q_rows, perp_rows = [], []
-    q_ids, perp_ids = [], []
-    for s in order:
-        cs = AddObject((s,))
-        bs = Coords(pres, {0: (b, cs)})
-        dim_bs = bs.total
-        if dim_bs == 0:
-            continue
-        pairing = bs.matrix(Coords(pres, {0: (f.source, cs)}), [(0, 1, "right", lambda i: f)])
-        ker = pairing.kernel_basis()
-        kvecs = [ker.col(j) for j in range(ker.cols)]
-        # complete the kernel rows to a basis of Hom(B, S)
-        full = Matrix.from_columns(fld, dim_bs, kvecs).hstack(Matrix.identity(fld, dim_bs))
-        _, pivots, _ = full.rref()
-        extra = [p - len(kvecs) for p in pivots if p >= len(kvecs)]
-        for v in kvecs:
-            q_rows.append(bs.from_vector(v)[0].blocks[0])
-            q_ids.append(s)
-        for e in extra:
-            unit = [fld.one if r == e else fld.zero for r in range(dim_bs)]
-            perp_rows.append(bs.from_vector(unit)[0].blocks[0])
-            perp_ids.append(s)
-
-    quotient = AddObject(tuple(q_ids))
-    perp = AddObject(tuple(perp_ids))
-    q = AddMorphism(pres, b, quotient, tuple(q_rows))
-    stacked = AddMorphism(pres, b, perp.concat(quotient), tuple(perp_rows + q_rows))
-    u_inv = stacked                                     # B -> Q_perp + Q
-    u = _invert_iso(u_inv)
-    return HomogeneousCokernel(quotient, q, u, u_inv, perp)
+# ------------------------------------------------------ inverting isos
 
 
 def _invert_iso(m: AddMorphism) -> AddMorphism:
@@ -1044,14 +984,6 @@ def _match_permutation(src: AddObject, tgt: AddObject):
     return perm
 
 
-def coker_idempotent(f: AddMorphism) -> AddMorphism:
-    """Idempotent theta on the homogeneous target with g theta = g iff g f = 0."""
-    hc = homogeneous_cokernel(f)
-    inc_q = AddMorphism.inclusion(f.pres, hc.quotient, hc.perp.concat(hc.quotient),
-                                  spans(hc.perp, hc.quotient)[1])
-    return hc.u.compose(inc_q).compose(hc.q)
-
-
 # -------------------------------------------------------- square completion
 
 
@@ -1082,43 +1014,3 @@ def complete_square(f: ChainMap, i2: ChainMap, p: ChainMap, q: ChainMap, h: Homo
             (yt, xs, h.component(k + 1)),       # X^{k+1} -> Y'^{k}
             (yt, ys, q.component(k))])
     return ChainMap(zf, zi, comps), h
-
-
-# --------------------------------------------------------------- unique fill
-
-
-@dataclass
-class FillReport:
-    q: HomClass | None
-    homogeneous_dimension: int
-    unique: bool
-
-
-def unique_fill(t1: Triangle, t2: Triangle, p: HomClass, r: HomClass) -> FillReport:
-    """Solve for q: X -> X' completing a morphism of extraction triangles.
-
-    Returns the fill together with the dimension of the space of homogeneous
-    fills modulo null-homotopy; the hypotheses of the uniqueness lemma hold
-    exactly when that dimension is 0.
-    """
-    x, x2 = t1.Y, t2.Y
-    f1 = t1.f.rep if isinstance(t1.f, HomClass) else t1.f
-    g2 = t2.g.rep if isinstance(t2.g, HomClass) else t2.g
-    sp_q = HomSpace(x, x2, 0)
-    sp_pf = HomSpace(t1.X, x2, 0)      # P -> X'
-    sp_gy = HomSpace(x, t2.Z, 0)       # X -> Y'
-    spaces = [sp_pf, sp_gy]
-    # unknowns: the coordinates of q in sp_q.cycles(); both squares commute
-    # up to homotopy exactly when their reduced blocks agree
-    echelon = _reduced_matrix(spaces, [
-        sp_pf.map_to_vector(qc.compose(f1)) + sp_gy.map_to_vector(g2.compose(qc))
-        for qc in sp_q.cycles()]).rref()[0]
-    rhs = sp_pf.map_to_vector(t2.f.compose(p.rep)) + sp_gy.map_to_vector(r.rep.compose(t1.g))
-
-    # homogeneous fills, modulo null-homotopies
-    kern = echelon.kernel_basis()
-    hdim = sp_q.rank_mod_homotopy([sp_q.cycle(kern.col(j)) for j in range(kern.cols)])
-
-    sol = echelon.solution(_mod_homotopies(spaces, rhs))
-    q = None if sol is None else HomClass(sp_q.cycle(sol))
-    return FillReport(q, hdim, hdim == 0)

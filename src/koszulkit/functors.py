@@ -15,7 +15,6 @@ from __future__ import annotations
 from .complexes import (
     ChainMap,
     Complex,
-    ComplexError,
     HomClass,
     _invert_iso,
 )
@@ -187,10 +186,6 @@ class HomogeneousFunctor:
                         {i: self.on_morphism(m) for i, m in f.comps.items()})
 
 
-def apply_to_complex(functor: HomogeneousFunctor, x: Complex) -> Complex:
-    return functor.on_complex(x)
-
-
 # -------------------------------------------------------------- nat trans
 
 
@@ -231,17 +226,6 @@ class NatTrans:
         cols = self.F._slices(x)
         return AddMorphism.assemble(self.F.target, self.F.on_object(x), self.G.on_object(x), [
             (rows[k], cols[k], self.components[s]) for k, s in enumerate(x)])
-
-    def is_iso(self) -> bool:
-        for iid in self.F.source.ids:
-            comp = self.components[iid]
-            if sorted(comp.source.summands) != sorted(comp.target.summands):
-                return False
-            try:
-                _invert_iso(comp)
-            except ComplexError:
-                return False
-        return True
 
     def inverse(self) -> "NatTrans":
         return NatTrans(self.G, self.F,

@@ -386,7 +386,9 @@ def injective_detect(pres: OrlovPresentation, length_bound=6) -> dict:
     for seed in pres.ids:
         current = simples[seed].normal_form
         complete = False
-        for _ in range(64):
+        # each pass adds len(ext_reps) >= 1 summands to a nonzero complex, so
+        # the length exceeds length_bound within length_bound passes
+        while True:
             ext_reps = []
             for m_id in pres.ids:
                 simple = simples[m_id].normal_form

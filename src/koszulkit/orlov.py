@@ -360,15 +360,6 @@ class AddObject:
     def select(self, positions) -> "AddObject":
         return AddObject(tuple(self.summands[p] for p in positions))
 
-    def multiset(self):
-        out = {}
-        for s in self.summands:
-            out[s] = out.get(s, 0) + 1
-        return out
-
-    def same_up_to_permutation(self, other: "AddObject") -> bool:
-        return sorted(self.summands) == sorted(other.summands)
-
 
 ZERO_OBJECT = AddObject(())
 

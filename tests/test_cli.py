@@ -396,7 +396,8 @@ def test_entry_point_refuses_bad_input(tmp_path):
     assert "usage:" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["mixed-check", "koszul-check", "surrogate", "roundtrip"])
+@pytest.mark.parametrize("command", ["mixed-check", "koszul-check", "surrogate", "roundtrip",
+                                     "filtered-demo"])
 def test_report_commands_gate_on_validation(command):
     # FIX_BAD has Hom(a, b) != 0 with deg a < deg b
     code, report = run_json(command, "FIX_BAD")

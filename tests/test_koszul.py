@@ -14,6 +14,7 @@ from koszulkit.complexes import (
     minimal_model,
     supports_meet,
 )
+from koszulkit import koszul
 from koszulkit.fixtures import FIXTURE_NAMES, VALID_FIXTURES, fixture_text, load_fixture
 from koszulkit.koszul import (
     KoszulError,
@@ -523,6 +524,31 @@ def test_injective_detect_reports_exhausted_bound(a2):
     rep = injective_detect(a2, length_bound=1)
     assert not rep["complete"]
     assert rep["incomplete_seeds"] == ["a"]
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5/F0", "A6/F0", "A7/F0"])
+def test_injective_detect_stops_within_length_bound_passes(name, monkeypatch):
+    """Each pass adds at least one summand, so a seed takes at most
+    length_bound universal extensions and needs no fixed pass cap."""
+    pres = presentation(name)
+    runs = []          # universal extensions per seed, in order
+    last = [None]      # the complex the previous extension returned
+    original = koszul._universal_extension
+
+    def counting(pres_, j_cx, ext_reps):
+        if j_cx is last[0]:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+        last[0] = original(pres_, j_cx, ext_reps)
+        return last[0]
+
+    monkeypatch.setattr(koszul, "_universal_extension", counting)
+    for bound in range(1, 9):
+        runs.clear()
+        injective_detect(pres, length_bound=bound)
+        assert runs and len(runs) <= len(pres.ids) and max(runs) <= bound, (bound, runs)
+    assert injective_detect(pres, length_bound=8) == injective_detect(pres, length_bound=64)
 
 
 @pytest.mark.parametrize("bound", [0, -1, -6])

@@ -294,7 +294,7 @@ def test_cone_through_simple_excision(a2):
     qmin, _ = minimal_model(res.quotient)
     assert sorted(zmin.terms) == sorted(qmin.terms)
     for i in zmin.terms:
-        assert zmin.term(i).same_up_to_permutation(qmin.term(i))
+        assert sorted(zmin.term(i).summands) == sorted(qmin.term(i).summands)
     # triangle's first map is the given class
     assert HomClass(res.triangle.f.compose(ChainMap.identity(s.normal_form))) == HomClass(f)
 
