@@ -329,7 +329,7 @@ def cmd_dual(args, window, seed):
     from .koszul import koszul_dual
 
     pres, digest = load_presentation(args.presentation)
-    dual = koszul_dual(pres, window, length_bound=args.length_bound)
+    dual = koszul_dual(pres, window)
     payload = {
         "presentation": dual.presentation.to_data(),
         "provenance": dual.provenance,
@@ -342,7 +342,7 @@ def cmd_double_dual(args, window, seed):
     from .koszul import double_dual_check
 
     pres, digest = load_presentation(args.presentation)
-    rep = double_dual_check(pres, window, length_bound=args.length_bound)
+    rep = double_dual_check(pres, window)
     return rep, digest, rep["ok"]
 
 
@@ -351,6 +351,9 @@ def cmd_infext(args, window, seed):
     from .infext import complete_inf_square, inf_compose, inf_invert, inf_les_check, iota_triangle
 
     pres, digest = load_presentation(args.presentation)
+    vr = validate_presentation(pres)
+    if not vr.ok:
+        return {"gate": vr.to_data(), "ok": False}, digest, False
     sub = args.infext_command
     arity = {"compose": 2, "invert": 1, "square": 4, "les": 2}[sub]
     if len(args.files) < arity:
@@ -530,11 +533,9 @@ def build_parser():
     add("mixed-check", cmd_mixed_check, (("presentation",), {}))
     add("koszul-check", cmd_koszul_check, (("presentation",), {}))
     add("surrogate", cmd_surrogate, (("presentation",), {}))
-    add("dual", cmd_dual, (("presentation",), {}),
-        (("--length-bound",), {"type": int, "default": 6, "dest": "length_bound"}))
+    add("dual", cmd_dual, (("presentation",), {}))
     add("roundtrip", cmd_roundtrip, (("presentation",), {}))
-    add("double-dual", cmd_double_dual, (("presentation",), {}),
-        (("--length-bound",), {"type": int, "default": 6, "dest": "length_bound"}))
+    add("double-dual", cmd_double_dual, (("presentation",), {}))
     add("infext", cmd_infext, (("infext_command",),
                                {"choices": ["compose", "invert", "square", "les"]}),
         (("presentation",), {}), (("files",), {"nargs": "*"}))

@@ -367,44 +367,50 @@ class DetectedInjective:
     length: int
 
 
-def injective_detect(pres: OrlovPresentation, length_bound=6) -> dict:
+def injective_detect(pres: OrlovPresentation) -> dict:
     """Injective envelopes of the heart simples by universal extensions.
 
-    Iteratively extends each simple by the full first-extension space of
-    every simple until all such spaces vanish or the length bound is hit;
-    in the latter case the result is reported incomplete rather than fatal.
-    The search relies on the weight-diagonal vanishing, which holds on
-    every validated presentation (see :func:`koszulity_check`); it is not
-    windowed.  Every injective hull has length at least 1, so
-    ``length_bound`` must be at least 1.
+    From X_0 = S_s, pass k extends X_{k-1} by the sum L_k of one simple
+    S_m per basis class of Ext^1(S_m, X_{k-1}), over every m; the hull is
+    found when a pass finds no class.  The search is not windowed.  With
+    top the largest degree of ``pres``, a seed s gets at most top - deg s
+    extensions and then one last query, and on a validated presentation
+    that query finds no class:
+
+    - The triangle X_{k-1} -> X_k -> L_k gives the exact sequence
+      Hom(S_m, L_k) -> Ext^1(S_m, X_{k-1}) -> Ext^1(S_m, X_k) ->
+      Ext^1(S_m, L_k), whose first map is onto because X_k realizes every
+      class.  So Ext^1(S_m, X_k) embeds in Ext^1(S_m, L_k).
+    - Ext^1(S_m, S_t) is Hom(m, t) if deg m = deg t + 1 and 0 otherwise,
+      by the identity in the module docstring.
+    - So, with L_0 = X_0, L_k lies in degree deg s + k.  After top - deg s
+      extensions it lies in degree top, and a class in the last query
+      would need a simple of degree top + 1.
+
+    A seed whose last query still finds a class would be a fault; it is
+    reported in ``incomplete_seeds``.
     """
-    if length_bound < 1:
-        raise KoszulError(f"length bound must be at least 1, got {length_bound}")
     simples = {iid: simple_object(pres, iid) for iid in pres.ids}
+    top = max(pres.degree.values(), default=0)
     found = []
     incomplete = []
     for seed in pres.ids:
         current = simples[seed].normal_form
-        complete = False
-        # each pass adds len(ext_reps) >= 1 summands to a nonzero complex, so
-        # the length exceeds length_bound within length_bound passes
+        passes_left = top - pres.degree[seed]
         while True:
             ext_reps = []
             for m_id in pres.ids:
                 simple = simples[m_id].normal_form
                 if supports_meet(simple, current, 1):
                     ext_reps.extend((m_id, rep) for rep in hom_space(simple, current, 1).basis)
-            if not ext_reps:
-                complete = True
+            if not ext_reps or not passes_left:
                 break
             current = _universal_extension(pres, current, ext_reps)
-            length = sum(len(t) for t in current.terms.values())
-            if length > length_bound:
-                break
+            passes_left -= 1
         length = sum(len(t) for t in current.terms.values())
         entry = DetectedInjective(seed, heart_object(current), -pres.degree[seed], length)
         found.append(entry)
-        if not complete:
+        if ext_reps:
             incomplete.append(seed)
     return {
         "injectives": found,
@@ -438,19 +444,20 @@ def _universal_extension(pres, j_cx: Complex, ext_reps) -> Complex:
     return Complex(pres, terms, diffs)
 
 
-def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW,
-                length_bound=6) -> DualPresentation:
+def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> DualPresentation:
     """The generator category of detected injectives, as a presentation.
 
     Gated on validation and on the degree-one-generation surrogate, the
     check that can fail; :func:`koszulity_check` passes on every validated
-    presentation, so it is no gate.
+    presentation, so it is no gate.  The injective search needs no bound
+    (see :func:`injective_detect`); an incomplete one is a fault, and is
+    raised.
     """
     if not validate_presentation(pres).ok:
         raise KoszulError("input presentation fails validation")
     if not koszulescence_surrogate(pres, window).get("ok"):
         raise KoszulError("degree-one-generation surrogate failed; dual not computed")
-    report = injective_detect(pres, length_bound)
+    report = injective_detect(pres)
     if not report["complete"]:
         raise KoszulError(f"injective search incomplete for {report['incomplete_seeds']}")
     objects = {}
@@ -468,14 +475,14 @@ def ext1_matrix(pres: OrlovPresentation) -> dict:
     return {(s, t): d for s, t, _ in simple_ext_cells(pres, (1, 1)) if (d := pres.hom_dim(s, t))}
 
 
-def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW,
-                      length_bound=6) -> dict:
+def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> dict:
     """Match the first-extension matrix of the dual heart against the
     original through the provenance bijection of simples, in either
     direction; the direction found is reported, not asserted as canonical.
     When neither direction matches, the report fails with no matching.
+    It refuses what :func:`koszul_dual` refuses.
     """
-    dual = koszul_dual(pres, window, length_bound)
+    dual = koszul_dual(pres, window)
     m1 = ext1_matrix(pres)
     m2 = ext1_matrix(dual.presentation)
     prov = dual.provenance

@@ -200,11 +200,13 @@ def test_arity_and_heart_input_exit_two(tmp_path, argv, needle):
 @pytest.mark.parametrize("fixture", ["FIX_PT", "FIX_A3"])
 @pytest.mark.parametrize("bound", [0, -1])
 def test_length_bound_below_one_exits_two(command, fixture, bound):
-    # every injective hull has length at least 1; FIX_PT used to pass and
-    # FIX_A3 to report an incomplete search
-    code, report = run_json(command, fixture, "--length-bound", str(bound))
-    assert code == 2
-    assert report["error"] == f"length bound must be at least 1, got {bound}"
+    # the injective search takes its budget from the degrees and has no
+    # option to bound it, so every --length-bound, the old default 6 too,
+    # is a usage error
+    for value in (bound, 6):
+        proc = run_main(command, fixture, "--length-bound", str(value))
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
 
 
 # End(a) = <1@a, n> with n o n = 0, and the complex a --(1 + n)--> a
@@ -324,6 +326,31 @@ def test_infext_compose_and_invert_commands(tmp_path):
     assert code == 0 and not report["payload"]["infinitesimal"]
     code, report = run_json("infext", "invert", "FIX_A2", str(mapfile))
     assert code == 0 and report["payload"]["invertible"]
+
+
+ONE_A = {"terms": {"0": ["a"]}, "diff": {}}
+ALPHA_MAP = {"f0": {"source": {"terms": {"0": ["b"]}, "diff": {}}, "target": ONE_A,
+                    "components": {"0": [{"row": 0, "col": 0, "label": "alpha", "coeff": "1"}]}}}
+ID_MAP = {"f0": {"source": ONE_A, "target": ONE_A,
+                 "components": {"0": [{"row": 0, "col": 0, "label": "1@a", "coeff": "1"}]}}}
+
+
+@pytest.mark.parametrize("sub,docs,a2_payload", [
+    ("compose", [ID_MAP, ID_MAP], {"f0_zero": False, "finf_zero": True, "infinitesimal": False}),
+    ("invert", [ID_MAP], {"invertible": True}),
+    ("les", [ALPHA_MAP, ONE_A], {"failures": [], "nodes": 42, "ok": True, "window": [-3, 3]}),
+])
+def test_infext_gates_on_validation(tmp_path, sub, docs, a2_payload):
+    # FIX_BAD shares FIX_A2's ids and alpha, so every file decodes over it
+    files = []
+    for k, doc in enumerate(docs):
+        files.append(tmp_path / f"{k}.json")
+        files[-1].write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_json("infext", sub, "FIX_BAD", *map(str, files))
+    assert code == 1
+    assert report["payload"] == {"gate": run_json("validate", "FIX_BAD")[1]["payload"], "ok": False}
+    code, report = run_json("infext", sub, "FIX_A2", *map(str, files))
+    assert code == 0 and report["payload"] == a2_payload
 
 
 def test_filtered_demo_command():

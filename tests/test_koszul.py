@@ -520,45 +520,102 @@ def test_injective_detect_a3(a3):
                              inj.heart.normal_form, 1).dimension == 0
 
 
-def test_injective_detect_reports_exhausted_bound(a2):
-    rep = injective_detect(a2, length_bound=1)
+def test_injective_detect_on_the_empty_presentation():
+    # no degree to take the largest of, and no seed to search from
+    empty = OrlovPresentation.from_data({"characteristic": 0, "indecomposables": [], "hom": []})
+    assert injective_detect(empty)["complete"]
+    assert koszul_dual(empty, WINDOW).presentation.ids == ()
+
+
+def test_injective_detect_reports_exhausted_bound(a2, monkeypatch):
+    # an extension step that realizes no class leaves the class of b over
+    # seed a for its last query; seed b has nothing to extend it
+    monkeypatch.setattr(koszul, "_universal_extension", lambda pres, j_cx, ext_reps: j_cx)
+    rep = injective_detect(a2)
     assert not rep["complete"]
     assert rep["incomplete_seeds"] == ["a"]
+    with pytest.raises(KoszulError, match=r"^injective search incomplete for \['a'\]$"):
+        koszul_dual(a2, WINDOW)
 
 
-@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5/F0", "A6/F0", "A7/F0"])
-def test_injective_detect_stops_within_length_bound_passes(name, monkeypatch):
-    """Each pass adds at least one summand, so a seed takes at most
-    length_bound universal extensions and needs no fixed pass cap."""
-    pres = presentation(name)
-    runs = []          # universal extensions per seed, in order
+# layered quivers with one to two vertices in each degree 0..top
+LAYERED_DRAWS = [(seed, (0, 10007)[seed % 2], top) for top in (3, 4, 5) for seed in range(40)]
+LAYERED_IDS = [f"quiver{seed}/F{p}/top{top}" for seed, p, top in LAYERED_DRAWS]
+
+
+def ext1_walks_into(pres):
+    """The number of walks into each vertex of the Ext^1 quiver, the empty
+    walk included; that quiver has hom_dim(m, t) arrows m -> t when
+    deg m = deg t + 1."""
+    walks = {}
+    for t in sorted(pres.ids, key=pres.degree.get, reverse=True):
+        walks[t] = 1 + sum(pres.hom_dim(m, t) * walks[m] for m in pres.ids
+                           if pres.degree[m] == pres.degree[t] + 1)
+    return walks
+
+
+def check_pass_budget(pres, monkeypatch):
+    """Pass k over seed s adds simples of degree deg s + k only, a seed takes
+    at most top - deg s passes, the search completes, and each hull is no
+    longer than the walks into its socle."""
+    runs = []          # (seed, the degrees each of its extensions adds)
     last = [None]      # the complex the previous extension returned
     original = koszul._universal_extension
 
-    def counting(pres_, j_cx, ext_reps):
-        if j_cx is last[0]:
-            runs[-1] += 1
-        else:
-            runs.append(1)
+    def spy(pres_, j_cx, ext_reps):
+        if j_cx is not last[0]:            # the first extension of a seed's simple
+            (term,) = j_cx.terms.values()
+            (seed,) = term.summands
+            runs.append((seed, []))
+        runs[-1][1].append({pres.degree[m] for m, _ in ext_reps})
         last[0] = original(pres_, j_cx, ext_reps)
         return last[0]
 
-    monkeypatch.setattr(koszul, "_universal_extension", counting)
-    for bound in range(1, 9):
-        runs.clear()
-        injective_detect(pres, length_bound=bound)
-        assert runs and len(runs) <= len(pres.ids) and max(runs) <= bound, (bound, runs)
-    assert injective_detect(pres, length_bound=8) == injective_detect(pres, length_bound=64)
+    monkeypatch.setattr(koszul, "_universal_extension", spy)
+    rep = injective_detect(pres)
+    assert rep["complete"]
+    top = max(pres.degree.values())
+    added = dict(runs)
+    assert len(added) == len(runs)
+    for seed, degrees in added.items():
+        deg = pres.degree[seed]
+        assert degrees == [{deg + k} for k in range(1, len(degrees) + 1)], (seed, degrees)
+        assert len(degrees) <= top - deg, (seed, degrees)
+    walks = ext1_walks_into(pres)
+    assert {inj.socle for inj in rep["injectives"] if inj.length > 1} == set(added)
+    for inj in rep["injectives"]:
+        assert inj.length <= walks[inj.socle], (inj.socle, inj.length)
 
 
-@pytest.mark.parametrize("bound", [0, -1, -6])
-def test_injective_detect_refuses_a_length_bound_below_one(pt, a3, bound):
-    for pres in (pt, a3):
-        with pytest.raises(KoszulError, match=f"^length bound must be at least 1, got {bound}$"):
-            injective_detect(pres, length_bound=bound)
-        with pytest.raises(KoszulError, match="^length bound must be at least 1"):
-            koszul_dual(pres, WINDOW, length_bound=bound)
-    assert injective_detect(pt, length_bound=1)["complete"]
+@pytest.mark.parametrize("name", [*VALID_FIXTURES, "FIX_ZC", *PATH_NAMES, *QUIVER_NAMES])
+def test_injective_pass_budget_is_exact_on_named_presentations(name, monkeypatch):
+    check_pass_budget(presentation(name), monkeypatch)
+
+
+@pytest.mark.parametrize("seed,p,top", LAYERED_DRAWS, ids=LAYERED_IDS)
+def test_injective_pass_budget_is_exact_on_layered_quivers(seed, p, top, monkeypatch):
+    pres = layered_quiver(seed, p, top)
+    assert validate_presentation(pres).ok
+    check_pass_budget(pres, monkeypatch)
+
+
+@pytest.mark.parametrize("seed,p,top", LAYERED_DRAWS, ids=LAYERED_IDS)
+def test_koszul_dual_completes_on_layered_quivers(seed, p, top):
+    # every draw passes the surrogate, the gate before the injective search
+    pres = layered_quiver(seed, p, top)
+    assert validate_presentation(koszul_dual(pres, WINDOW).presentation).ok
+    assert double_dual_check(pres, WINDOW)["ok"]
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+@pytest.mark.parametrize("seed", [9, 11, 17, 19, 21, 33])
+def test_dual_of_hulls_longer_than_six(seed, p):
+    # a hull of length 7 to 10: a search stopped at length 6 reported these
+    # seeds incomplete
+    pres = layered_quiver(seed, p)
+    assert max(inj.length for inj in injective_detect(pres)["injectives"]) > 6
+    assert validate_presentation(koszul_dual(pres, WINDOW).presentation).ok
+    assert double_dual_check(pres, WINDOW)["ok"]
 
 
 # ------------------------------------------------------------- koszul dual
@@ -634,14 +691,14 @@ def test_dual_of_the_dual_is_the_presentation(name):
     window = full_window(pres)
     if "killed" in name:
         with pytest.raises(KoszulError, match="surrogate failed"):
-            koszul_dual(pres, window, length_bound=30)
+            koszul_dual(pres, window)
         return
-    dual = koszul_dual(pres, window, length_bound=30)
-    ddual = koszul_dual(dual.presentation, window, length_bound=30)
+    dual = koszul_dual(pres, window)
+    ddual = koszul_dual(dual.presentation, window)
     psi = double_dual_iso(pres, dual, ddual)
     assert sum(len(v) for v in psi.values()) == sum(
         pres.hom_dim(s, t) for s in pres.ids for t in pres.ids)
-    rep = double_dual_check(pres, window, length_bound=30)
+    rep = double_dual_check(pres, window)
     assert rep["ok"] and rep["matching_source"] == "provenance"
 
 
@@ -660,8 +717,8 @@ def test_double_dual_check_reports_an_unmatched_provenance(a3, monkeypatch):
 
     real = K.koszul_dual
 
-    def swapped(pres, window, length_bound):
-        dual = real(pres, window, length_bound)
+    def swapped(pres, window):
+        dual = real(pres, window)
         dual.provenance = {**dual.provenance, "J_a": "b", "J_b": "a"}
         return dual
 
