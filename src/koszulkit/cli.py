@@ -8,6 +8,11 @@ produced and a check in it failed (or the golden file differs); 2 the input
 or a precondition of the command was refused (a ``KoszulkitError``); 3 any
 other exception, an internal error, which is a bug.
 
+One table, ``COMMANDS``, holds each command's handler, whether it is gated
+on validation, and its arguments; ``main`` loads and hashes the
+presentation once and runs the gate where the table says.  ``dual`` and
+``double-dual`` are not gated: ``koszul_dual`` validates and exits 2.
+
 Start-up: the module imports only what every command uses (``linalg``,
 ``orlov`` and ``fixtures``), and each command imports the engine layers it
 runs at the top of its handler, so a process loads no layer it does not run:
@@ -32,7 +37,7 @@ import os
 import sys
 
 from . import __version__
-from .fixtures import FIXTURE_NAMES, fixture_path, load_fixture
+from .fixtures import FIXTURE_NAMES, VALID_FIXTURES, fixture_path, load_fixture
 from .linalg import KoszulkitError
 from .orlov import (
     AddMorphism,
@@ -195,51 +200,48 @@ def parse_window(text):
 
 
 # ----------------------------------------------------------------- commands
+#
+# A handler takes the loaded presentation (None for ``selftest``), the parsed
+# arguments, the window and the seed, and returns (payload, ok).
 
 
-def cmd_validate(args, window, seed):
-    pres, digest = load_presentation(args.presentation)
+def cmd_validate(pres, args, window, seed):
     report = validate_presentation(pres)
-    return report.to_data(), digest, report.ok
+    return report.to_data(), report.ok
 
 
-def cmd_hom(args, window, seed):
+def cmd_hom(pres, args, window, seed):
     from .complexes import Complex, hom_space
 
-    pres, digest = load_presentation(args.presentation)
     src = Complex.single(pres, decode_object(pres, [args.source]), 0)
     tgt = Complex.single(pres, decode_object(pres, [args.target]), 0)
-    sp = hom_space(src, tgt, args.shift)
-    return {"dim": sp.dimension}, digest, True
+    return {"dim": hom_space(src, tgt, args.shift).dimension}, True
 
 
-def cmd_cone(args, window, seed):
+def cmd_cone(pres, args, window, seed):
     from .complexes import cone
 
-    pres, digest = load_presentation(args.presentation)
     f = decode_chain_map(pres, load_json(args.map))
     z, _, _ = cone(f)
     payload = {"cone": encode_complex(z), "support": sorted(map(list, z.support())),
                "ascii": ascii_complex(z)}
-    return payload, digest, True
+    return payload, True
 
 
-def cmd_minimize(args, window, seed):
+def cmd_minimize(pres, args, window, seed):
     from .complexes import minimal_model
 
-    pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
     m, iso = minimal_model(x)
     payload = {"minimal": encode_complex(m),
                "support": sorted(map(list, m.support())),
                "iso_verified": iso.verify(), "ascii": ascii_complex(m)}
-    return payload, digest, payload["iso_verified"]
+    return payload, payload["iso_verified"]
 
 
-def cmd_truncate(args, window, seed):
+def cmd_truncate(pres, args, window, seed):
     from .tstructure import aisle_membership, truncate
 
-    pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
     tr = truncate(x)
     issues = tr.triangle.verify()
@@ -253,22 +255,20 @@ def cmd_truncate(args, window, seed):
     }
     ok = payload["triangle_certified"] and payload["lower_in_lower_aisle"] \
         and payload["upper_shift_in_upper_aisle"]
-    return payload, digest, ok
+    return payload, ok
 
 
-def cmd_heart(args, window, seed):
-    pres, digest = load_presentation(args.presentation)
+def cmd_heart(pres, args, window, seed):
     payload = {"simples": [
         {"id": iid, "weight": pres.degree[iid],
          "placed_in_degree": -pres.degree[iid]}
         for iid in pres.ids]}
-    return payload, digest, True
+    return payload, True
 
 
-def cmd_weights(args, window, seed):
+def cmd_weights(pres, args, window, seed):
     from .tstructure import composition_factors, heart_object, weight_filtration
 
-    pres, digest = load_presentation(args.presentation)
     x = decode_complex(pres, load_json(args.complex))
     h = heart_object(x)
     wf = weight_filtration(h)
@@ -278,84 +278,65 @@ def cmd_weights(args, window, seed):
         "composition_factors": dict(sorted(composition_factors(h).items())),
         "normal_form": encode_complex(h.normal_form),
     }
-    return payload, digest, True
+    return payload, True
 
 
-def gated(check, ok="ok"):
-    """The command printing the report ``check(pres, window, seed)``, which
-    passes when its key ``ok`` is true, gated on validation: an invalid
-    presentation gives ``{"gate": <validation report>, "ok": false}``."""
-    def command(args, window, seed):
-        pres, digest = load_presentation(args.presentation)
-        vr = validate_presentation(pres)
-        if not vr.ok:
-            return {"gate": vr.to_data(), "ok": False}, digest, False
-        report = check(pres, window, seed)
-        return report, digest, report[ok]
-    return command
-
-
-def mixed_check(pres, window, seed):
+def cmd_mixed_check(pres, args, window, seed):
     from .tstructure import mixed_vanishing_report
 
-    return mixed_vanishing_report(pres, window)
+    report = mixed_vanishing_report(pres, window)
+    return report, report["vanishing_ok"]
 
 
-def koszul_check(pres, window, seed):
+def cmd_koszul_check(pres, args, window, seed):
     from .koszul import koszulity_check
 
-    return koszulity_check(pres, window, seed=seed)
+    report = koszulity_check(pres, window, seed=seed)
+    return report, report["ok"]
 
 
-def surrogate(pres, window, seed):
+def cmd_surrogate(pres, args, window, seed):
     from .koszul import koszulescence_surrogate
 
-    return koszulescence_surrogate(pres, window)
+    report = koszulescence_surrogate(pres, window)
+    return report, report["ok"]
 
 
-def roundtrip(pres, window, seed):
-    from .koszul import roundtrip_check
-
-    return roundtrip_check(pres, window)
-
-
-cmd_mixed_check = gated(mixed_check, ok="vanishing_ok")
-cmd_koszul_check = gated(koszul_check)
-cmd_surrogate = gated(surrogate)
-cmd_roundtrip = gated(roundtrip)
-
-
-def cmd_dual(args, window, seed):
+def cmd_dual(pres, args, window, seed):
     from .koszul import koszul_dual
 
-    pres, digest = load_presentation(args.presentation)
-    dual = koszul_dual(pres, window)
+    dual = koszul_dual(pres)
     payload = {
         "presentation": dual.presentation.to_data(),
         "provenance": dual.provenance,
         "normal_forms": {nid: encode_complex(cx) for nid, cx in dual.objects.items()},
     }
-    return payload, digest, True
+    return payload, True
 
 
-def cmd_double_dual(args, window, seed):
+def cmd_roundtrip(pres, args, window, seed):
+    from .koszul import roundtrip_check
+
+    report = roundtrip_check(pres)
+    return report, report["ok"]
+
+
+def cmd_double_dual(pres, args, window, seed):
     from .koszul import double_dual_check
 
-    pres, digest = load_presentation(args.presentation)
-    rep = double_dual_check(pres, window)
-    return rep, digest, rep["ok"]
+    report = double_dual_check(pres)
+    return report, report["ok"]
 
 
-def cmd_infext(args, window, seed):
+INFEXT_ARITY = {"compose": 2, "invert": 1, "square": 4, "les": 2}
+
+
+def cmd_infext(pres, args, window, seed):
     from .complexes import Triangle
     from .infext import complete_inf_square, inf_compose, inf_invert, inf_les_check, iota_triangle
 
-    pres, digest = load_presentation(args.presentation)
-    vr = validate_presentation(pres)
-    if not vr.ok:
-        return {"gate": vr.to_data(), "ok": False}, digest, False
     sub = args.infext_command
-    arity = {"compose": 2, "invert": 1, "square": 4, "les": 2}[sub]
+    arity = INFEXT_ARITY[sub]
     if len(args.files) < arity:
         raise InputError(f"infext {sub} needs {arity} files, got {len(args.files)}")
     data = [load_json(path) for path in args.files[:arity]]
@@ -364,22 +345,22 @@ def cmd_infext(args, window, seed):
         tri = iota_triangle(Triangle.from_cone(f.f0.rep))
         rep = inf_les_check(decode_complex(pres, data[1]), tri,
                             window=(max(window[0], -3), min(window[1], 3)))
-        return rep, digest, rep["ok"]
+        return rep, rep["ok"]
     maps = [decode_inf_morphism(pres, d) for d in data]
     if sub == "compose":
         h = inf_compose(*maps)
         payload = {"f0_zero": h.f0.is_zero(), "finf_zero": h.finf.is_zero(),
                    "infinitesimal": h.is_infinitesimal}
-        return payload, digest, True
+        return payload, True
     if sub == "invert":
-        return {"invertible": inf_invert(maps[0]) is not None}, digest, True
+        return {"invertible": inf_invert(maps[0]) is not None}, True
     f, i2, p, q = maps
     rep = complete_inf_square(p, q, f, i2)
     payload = {"squares_ok": rep["squares_ok"], "r_invertible": rep["r_invertible"]}
-    return payload, digest, rep["squares_ok"]
+    return payload, rep["squares_ok"]
 
 
-def filtered_demo(pres, window, seed):
+def cmd_filtered_demo(pres, args, window, seed):
     """Run the filtered-category axiom suite on generated objects."""
     from .filtered import (
         FilteredMorphism,
@@ -423,48 +404,39 @@ def filtered_demo(pres, window, seed):
         triangles += 1
         if tri.verify():
             failures.append({"trial": trial, "check": "triangle"})
-    return {"splits": splits, "hom_reports": hom_reports,
-            "triangles": triangles, "alpha_checks": alpha_checks,
-            "shift_checks": shift_checks, "failures": failures,
-            "ok": not failures}
+    report = {"splits": splits, "hom_reports": hom_reports,
+              "triangles": triangles, "alpha_checks": alpha_checks,
+              "shift_checks": shift_checks, "failures": failures,
+              "ok": not failures}
+    return report, report["ok"]
 
 
-cmd_filtered_demo = gated(filtered_demo)
-
-
-def cmd_selftest(args, window, seed):
+def cmd_selftest(pres, args, window, seed):
     from .filtered import FilteredMorphism, split_decompose
     from .infext import adjunction_data
-    from .koszul import double_dual_check, koszulescence_surrogate, koszulity_check, roundtrip_check
     from .randgen import rand_complex, rand_filtered, rng_for
-    from .tstructure import aisle_membership, mixed_vanishing_report, truncate
+    from .tstructure import aisle_membership, truncate
 
     checks = []
 
-    def record(name, ok, **extra):
-        checks.append({"name": name, "ok": bool(ok), **extra})
+    def record(name, ok):
+        checks.append({"name": name, "ok": bool(ok)})
 
-    for name in ("FIX_PT", "FIX_A2", "FIX_A3"):
-        pres = load_fixture(name)
-        record(f"validate:{name}", validate_presentation(pres).ok)
-    bad_report = validate_presentation(load_fixture("FIX_BAD"))
-    witness_ok = any(f.kind == "hom_degree_violation" and f.witness == ("a", "b")
-                     for f in bad_report.findings)
-    record("validate:FIX_BAD fails with witness (a,b)", (not bad_report.ok) and witness_ok)
+    def run(command, pres):
+        return COMMANDS[command][0](pres, args, window, seed)
 
-    for name in ("FIX_PT", "FIX_A2", "FIX_A3"):
-        pres = load_fixture(name)
-        rep = mixed_vanishing_report(pres, window)
-        record(f"mixed-check:{name}", rep["vanishing_ok"])
-        rep = koszulity_check(pres, window, seed=seed)
-        record(f"koszul-check:{name}", rep["ok"])
-        rep = koszulescence_surrogate(pres, window)
-        record(f"surrogate:{name}", rep["ok"])
-        rep = roundtrip_check(pres, window)
-        record(f"roundtrip:{name}", rep["ok"])
-        rep = double_dual_check(pres, window)
-        record(f"double-dual:{name}", rep["ok"])
-    zc = koszulescence_surrogate(load_fixture("FIX_ZC"), window)
+    fixtures = {name: load_fixture(name) for name in VALID_FIXTURES}
+    for name, pres in fixtures.items():
+        record(f"validate:{name}", run("validate", pres)[1])
+    bad, bad_ok = run("validate", load_fixture("FIX_BAD"))
+    witness_ok = any(f["kind"] == "hom_degree_violation" and f["witness"] == ["a", "b"]
+                     for f in bad["findings"])
+    record("validate:FIX_BAD fails with witness (a,b)", (not bad_ok) and witness_ok)
+
+    for name, pres in fixtures.items():
+        for command in ("mixed-check", "koszul-check", "surrogate", "roundtrip", "double-dual"):
+            record(f"{command}:{name}", run(command, pres)[1])
+    zc = run("surrogate", load_fixture("FIX_ZC"))[0]
     record("surrogate:FIX_ZC fails with Ext^2 witness",
            (not zc["ok"]) and zc["failures"][0]["source"] == "c"
            and zc["failures"][0]["target"] == "a" and zc["failures"][0]["shift"] == 2)
@@ -496,7 +468,34 @@ def cmd_selftest(args, window, seed):
     record("filtered:split", filt_ok)
 
     ok = all(c["ok"] for c in checks)
-    return {"checks": checks, "ok": ok}, "-", ok
+    return {"checks": checks, "ok": ok}, ok
+
+
+# name: (handler, gated on validation, the arguments after the presentation).
+# A gated command on a presentation that fails validation reports
+# {"gate": <validation report>, "ok": false} and exits 1.  ``infext`` takes
+# its subcommand before the presentation, and ``selftest`` no presentation.
+COMPLEX = (("complex",), {})
+COMMANDS = {
+    "validate": (cmd_validate, False),
+    "hom": (cmd_hom, False, (("--from",), {"dest": "source", "required": True}),
+            (("--to",), {"dest": "target", "required": True}),
+            (("--shift",), {"type": int, "default": 0})),
+    "cone": (cmd_cone, False, (("map",), {})),
+    "minimize": (cmd_minimize, False, COMPLEX),
+    "truncate": (cmd_truncate, True, COMPLEX),
+    "heart": (cmd_heart, True),
+    "weights": (cmd_weights, True, COMPLEX),
+    "mixed-check": (cmd_mixed_check, True),
+    "koszul-check": (cmd_koszul_check, True),
+    "surrogate": (cmd_surrogate, True),
+    "dual": (cmd_dual, False),
+    "roundtrip": (cmd_roundtrip, True),
+    "double-dual": (cmd_double_dual, False),
+    "infext": (cmd_infext, True, (("files",), {"nargs": "*"})),
+    "filtered-demo": (cmd_filtered_demo, True),
+    "selftest": (cmd_selftest, False),
+}
 
 
 # --------------------------------------------------------------------- main
@@ -514,33 +513,14 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="koszulkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *specs):
+    for name, (_, _, *specs) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=func)
-        for spec in specs:
-            p.add_argument(*spec[0], **spec[1])
-
-    add("validate", cmd_validate, (("presentation",), {}))
-    add("hom", cmd_hom, (("presentation",), {}),
-        (("--from",), {"dest": "source", "required": True}),
-        (("--to",), {"dest": "target", "required": True}),
-        (("--shift",), {"type": int, "default": 0}))
-    add("cone", cmd_cone, (("presentation",), {}), (("map",), {}))
-    add("minimize", cmd_minimize, (("presentation",), {}), (("complex",), {}))
-    add("truncate", cmd_truncate, (("presentation",), {}), (("complex",), {}))
-    add("heart", cmd_heart, (("presentation",), {}))
-    add("weights", cmd_weights, (("presentation",), {}), (("complex",), {}))
-    add("mixed-check", cmd_mixed_check, (("presentation",), {}))
-    add("koszul-check", cmd_koszul_check, (("presentation",), {}))
-    add("surrogate", cmd_surrogate, (("presentation",), {}))
-    add("dual", cmd_dual, (("presentation",), {}))
-    add("roundtrip", cmd_roundtrip, (("presentation",), {}))
-    add("double-dual", cmd_double_dual, (("presentation",), {}))
-    add("infext", cmd_infext, (("infext_command",),
-                               {"choices": ["compose", "invert", "square", "les"]}),
-        (("presentation",), {}), (("files",), {"nargs": "*"}))
-    add("filtered-demo", cmd_filtered_demo, (("presentation",), {}))
-    add("selftest", cmd_selftest)
+        if name == "infext":
+            p.add_argument("infext_command", choices=list(INFEXT_ARITY))
+        if name != "selftest":
+            p.add_argument("presentation")
+        for names, kw in specs:
+            p.add_argument(*names, **kw)
     return parser
 
 
@@ -583,7 +563,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         window = parse_window(args.window)
-        payload, digest, ok = args.func(args, window, args.seed)
+        handler, gated, *_ = COMMANDS[args.command]
+        pres, digest = load_presentation(args.presentation) if "presentation" in args \
+            else (None, "-")
+        if gated and not (gate := validate_presentation(pres)).ok:
+            payload, ok = {"gate": gate.to_data(), "ok": False}, False
+        else:
+            payload, ok = handler(pres, args, window, args.seed)
         report = {
             "command": args.command,
             "engine_version": __version__,

@@ -21,15 +21,17 @@ of Beilinson-Ginzburg-Soergel), so no failure list of
 :func:`koszulity_check` can be nonempty, and :func:`koszul_dual` and
 :func:`injective_detect` run no Koszulity gate.
 
-Everything is windowed: Ext tables cover a finite shift range, and the
+The checks are windowed: Ext tables cover a finite shift range, and the
 Koszulescence surrogate only certifies the computable necessary condition
 that the windowed Yoneda algebra is generated in degree one.  Reports
-never claim more than the window shows.
+never claim more than the window shows.  The dual is not windowed: its
+surrogate gate reads every cell Ext^i with i >= 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .complexes import (
     ChainIso,
@@ -287,6 +289,7 @@ def roundtrip_check(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> dict:
     through the change of basis sending each class to its degree-0 block,
     the structure constants of ``pres``: the report is empty by
     construction.  ``tests/oracle_duality.py`` builds the objects in K^b.
+    ``window`` is not read; ``tests/test_acceptance.py`` passes it.
     """
     return {"ok": True, "mismatches": []}
 
@@ -447,15 +450,17 @@ def _universal_extension(pres, j_cx: Complex, ext_reps) -> Complex:
 def koszul_dual(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> DualPresentation:
     """The generator category of detected injectives, as a presentation.
 
-    Gated on validation and on the degree-one-generation surrogate, the
-    check that can fail; :func:`koszulity_check` passes on every validated
-    presentation, so it is no gate.  The injective search needs no bound
-    (see :func:`injective_detect`); an incomplete one is a fault, and is
-    raised.
+    Gated on validation and on the degree-one-generation surrogate over
+    every cell Ext^i with i >= 2, the check that can fail; a narrower
+    window would let a presentation through on the cells it leaves out.
+    :func:`koszulity_check` passes on every validated presentation, so it
+    is no gate.  The injective search needs no bound (see
+    :func:`injective_detect`); an incomplete one is a fault, and is raised.
+    ``window`` is not read; ``tests/test_acceptance.py`` passes it.
     """
     if not validate_presentation(pres).ok:
         raise KoszulError("input presentation fails validation")
-    if not koszulescence_surrogate(pres, window).get("ok"):
+    if not koszulescence_surrogate(pres, (2, inf)).get("ok"):
         raise KoszulError("degree-one-generation surrogate failed; dual not computed")
     report = injective_detect(pres)
     if not report["complete"]:
@@ -480,9 +485,10 @@ def double_dual_check(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> dict:
     original through the provenance bijection of simples, in either
     direction; the direction found is reported, not asserted as canonical.
     When neither direction matches, the report fails with no matching.
-    It refuses what :func:`koszul_dual` refuses.
+    It refuses what :func:`koszul_dual` refuses.  ``window`` is not read;
+    ``tests/test_acceptance.py`` passes it.
     """
-    dual = koszul_dual(pres, window)
+    dual = koszul_dual(pres)
     m1 = ext1_matrix(pres)
     m2 = ext1_matrix(dual.presentation)
     prov = dual.provenance

@@ -131,8 +131,6 @@ class HeartObject:
     """An object of the heart in antidiagonal minimal normal form."""
 
     normal_form: Complex
-    origin: Complex | None = None
-    origin_iso: ChainIso | None = None
 
     @property
     def pres(self):
@@ -153,13 +151,13 @@ class HeartObject:
 
 
 def heart_object(x: Complex) -> HeartObject:
-    m, iso = minimal_model(x)
+    m, _ = minimal_model(x)
     bad = [p for p in m.support() if not on_antidiagonal(p)]
     if bad:
         raise HeartAssertionError(
             "complex is not in the heart: minimal model is not antidiagonal; "
             f"offending points {sorted(bad)}")
-    return HeartObject(m, origin=x, origin_iso=iso)
+    return HeartObject(m)
 
 
 def simple_object(pres, indec_id: str) -> HeartObject:

@@ -222,13 +222,21 @@ ONE_PLUS_N = {"terms": {"-1": ["a"], "0": ["a"]},
 
 @pytest.mark.parametrize("command", ["minimize", "truncate"])
 def test_non_scalar_end_exits_two(tmp_path, command):
+    # minimize refuses the non-scalar End itself (exit 2); truncate is gated
+    # on validation, which reports it as a finding (exit 1)
     pres = tmp_path / "p.json"
     pres.write_text(json.dumps(END_N_DATA), encoding="utf-8")
     cx = tmp_path / "cx.json"
     cx.write_text(json.dumps(ONE_PLUS_N), encoding="utf-8")
     code, report = run_json(command, str(pres), str(cx))
-    assert code == 2
-    assert "End(a) has dimension 2" in report["error"]
+    if command == "minimize":
+        assert code == 2
+        assert "End(a) has dimension 2" in report["error"]
+    else:
+        assert code == 1
+        assert report["payload"] == {"gate": {"ok": False, "findings": [
+            {"kind": "end_not_scalar", "witness": ["a"],
+             "detail": "End(a) has dimension 2, expected 1"}]}, "ok": False}
 
 
 def test_zero_denominator_in_complex_exits_two(tmp_path):
@@ -368,6 +376,15 @@ def test_dual_command_roundtrip_double_dual():
     assert ids == ["J_a", "J_b"]
 
 
+@pytest.mark.parametrize("command", ["dual", "double-dual"])
+@pytest.mark.parametrize("window", ["-1..1", "1..1"])
+def test_dual_gate_ignores_the_window(command, window):
+    # FIX_ZC's failing cell Ext^2(c, a) lies outside both windows
+    code, report = run_json(command, "FIX_ZC", "--window", window)
+    assert code == 2
+    assert report == {"error": "degree-one-generation surrogate failed; dual not computed"}
+
+
 def test_golden_regen_compare_and_drift(tmp_path):
     golden = tmp_path / "g.json"
     code, report = run_json("hom", "FIX_A2", "--from", "b", "--to", "a",
@@ -424,10 +441,14 @@ def test_entry_point_refuses_bad_input(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["mixed-check", "koszul-check", "surrogate", "roundtrip",
-                                     "filtered-demo"])
-def test_report_commands_gate_on_validation(command):
-    # FIX_BAD has Hom(a, b) != 0 with deg a < deg b
-    code, report = run_json(command, "FIX_BAD")
+                                     "filtered-demo", "truncate", "heart", "weights"])
+def test_report_commands_gate_on_validation(tmp_path, command):
+    # FIX_BAD has Hom(a, b) != 0 with deg a < deg b; the complex a in degree
+    # 0 is a heart object, so without the gate truncate and weights pass on it
+    cx = tmp_path / "a.json"
+    cx.write_text(json.dumps({"terms": {"0": ["a"]}}), encoding="utf-8")
+    argv = [command, "FIX_BAD"] + ([str(cx)] if command in ("truncate", "weights") else [])
+    code, report = run_json(*argv)
     assert code == 1
     assert report["payload"] == {"gate": run_json("validate", "FIX_BAD")[1]["payload"], "ok": False}
 

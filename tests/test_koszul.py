@@ -39,7 +39,7 @@ from koszulkit.tstructure import (
 from koszulkit.randgen import rand_heart_complex, rng_for
 from oracle_duality import double_dual_iso, orl_of_kos, roundtrip_mismatches
 from oracle_ext import kb_ext_spaces, kb_yoneda
-from presentations import PATH_NAMES, QUIVER_NAMES, layered_quiver, presentation
+from presentations import PATH_NAMES, QUIVER_NAMES, layered_quiver, path_category, presentation
 
 
 @pytest.fixture(scope="module")
@@ -684,9 +684,9 @@ def full_window(pres):
 @pytest.mark.parametrize("name", [*VALID_FIXTURES, *PATH_NAMES, *QUIVER_NAMES])
 def test_dual_of_the_dual_is_the_presentation(name):
     """Dualizing twice gives the presentation back, structure constants
-    included (BGS 1996, 2.10).  The window covers every degree, so the
-    surrogate sees the failing Ext^{n-1} cell of every killed A_n, A_7-A_9
-    included, and refuses it."""
+    included (BGS 1996, 2.10).  The surrogate gate reads every cell, so it
+    sees the failing Ext^{n-1} cell of every killed A_n, A_7-A_9 included,
+    and refuses it."""
     pres = presentation(name)
     window = full_window(pres)
     if "killed" in name:
@@ -700,6 +700,34 @@ def test_dual_of_the_dual_is_the_presentation(name):
         pres.hom_dim(s, t) for s in pres.ids for t in pres.ids)
     rep = double_dual_check(pres, window)
     assert rep["ok"] and rep["matching_source"] == "provenance"
+
+
+DUAL_CHECKS = [koszul_dual, double_dual_check]
+
+
+@pytest.mark.parametrize("window", [(-1, 1), (1, 1), (-8, 8)], ids=str)
+@pytest.mark.parametrize("check", DUAL_CHECKS, ids=lambda f: f.__name__)
+def test_dual_gate_reads_every_cell_whatever_the_window(zc, check, window):
+    # FIX_ZC fails degree-one generation at Ext^2(c, a), which the first two
+    # windows leave out
+    with pytest.raises(KoszulError, match="surrogate failed"):
+        check(zc, window)
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("check", DUAL_CHECKS, ids=lambda f: f.__name__)
+def test_dual_gate_reads_cells_beyond_the_default_window(check, n, p):
+    # killed A_n fails only at Ext^{n-1}(v_{n-1}, v_0), a shift of 9 or 10,
+    # outside the default window (-8, 8)
+    with pytest.raises(KoszulError, match="surrogate failed"):
+        check(path_category(n, p, killed=True))
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+@pytest.mark.parametrize("n", [10, 11])
+def test_full_path_categories_beyond_the_default_window_have_a_dual(n, p):
+    assert double_dual_check(path_category(n, p))["ok"]
 
 
 def test_double_dual_iso_refuses_a_different_presentation(a3, zc):
@@ -717,8 +745,8 @@ def test_double_dual_check_reports_an_unmatched_provenance(a3, monkeypatch):
 
     real = K.koszul_dual
 
-    def swapped(pres, window):
-        dual = real(pres, window)
+    def swapped(pres):
+        dual = real(pres)
         dual.provenance = {**dual.provenance, "J_a": "b", "J_b": "a"}
         return dual
 
