@@ -321,11 +321,11 @@ class HomSpace:
     the pivots [delta | K] would have.  Pivots before delta's width count
     its rank; those past it pick ``basis``.
 
-    A vector v of map coordinates reduces (:meth:`_mod_homotopy`) to the
-    reduction of v[F] with the null-homotopy part dropped, followed by its
-    chain defect, the pivot rows of R applied to v, which is 0 exactly when
-    v is a chain map.  The reduction is linear and onto, of length ``total``
-    - ``_delta_rank``, and its kernel is im delta.
+    A chain map v, whose chain defect (the pivot rows of R applied to v) is
+    0, has class coordinates (:meth:`express`) the reduction of v[F] with
+    the null-homotopy part dropped.  These are the one coordinate system of
+    the quotient: linear, onto, with kernel im delta, and each element of
+    ``basis`` reduces to a unit vector.
     """
 
     def __init__(self, x: Complex, y: Complex, k: int = 0):
@@ -367,20 +367,13 @@ class HomSpace:
 
     # ---------------------------------------------------------- chain maps
 
-    def cycles(self) -> list:
-        """Basis of the space of chain maps x -> y[k], before the quotient."""
-        return [self._cycle_at(j) for j in range(self.nullity)]
-
     def cycle(self, coeffs) -> ChainMap:
-        """The chain map with coordinates ``coeffs`` in :meth:`cycles`."""
+        """The chain map with coordinates ``coeffs`` in the chain kernel's
+        basis K, the one that is the identity on the free columns."""
         return self._vector_to_map(self._chains.lift(coeffs))
 
     def _cycle_at(self, j) -> ChainMap:
         return self._vector_to_map(self._chains.kernel_vector(j))
-
-    def rank_mod_homotopy(self, maps) -> int:
-        """Dimension of the span of the classes of the chain maps ``maps``."""
-        return _reduced_matrix([self], [self.map_to_vector(f) for f in maps]).rank()
 
     # ------------------------------------------------------------ plumbing
 
@@ -394,12 +387,6 @@ class HomSpace:
 
     def _vector_to_homotopy(self, vec) -> Homotopy:
         return Homotopy(self.x, self.ys, self.homotopies.from_vector(vec))
-
-    def _mod_homotopy(self, vec) -> list:
-        """``vec`` reduced modulo null-homotopies: its coordinates in
-        ``basis`` when it is a chain map, then its chain defect."""
-        y = self._echelon.reduce([vec[j] for j in self._free])
-        return y[self._delta_rank:] + self._chains.defect(vec)
 
     def null_homotopy(self, f: ChainMap):
         """A homotopy h with f = delta(h), or None."""
@@ -415,44 +402,12 @@ class HomSpace:
         return self._vector_to_homotopy(h)
 
     def express(self, f: ChainMap):
-        """Coordinates of the class of f in ``basis``, or None if outside."""
-        y = self._mod_homotopy(self.map_to_vector(f))
-        return None if any(y[self.dimension:]) else y[:self.dimension]
-
-
-def _mod_homotopies(spaces, vec) -> list:
-    """``vec``, in the stacked coordinates of ``spaces``, reduced block by
-    block by :meth:`HomSpace._mod_homotopy`.  The reduction is linear, and a
-    block reduces to 0 exactly when it is a null-homotopic chain map."""
-    out, start = [], 0
-    for sp in spaces:
-        out += sp._mod_homotopy(vec[start:start + sp.total])
-        start += sp.total
-    return out
-
-
-def _reduced_matrix(spaces, columns) -> Matrix:
-    """The matrix whose j-th column is ``columns[j]`` reduced by
-    :func:`_mod_homotopies`: one row per entry past the null-homotopy rank
-    of each space, and no homotopy unknowns."""
-    rows = sum(sp.total - sp._delta_rank for sp in spaces)
-    return Matrix.from_columns(spaces[0].x.pres.field, rows,
-                               [_mod_homotopies(spaces, c) for c in columns])
-
-
-def solve_mod_homotopy(spaces, columns, rhs):
-    """Coefficients c with sum c_j columns[j] = rhs modulo null-homotopies in
-    every space, or None.
-
-    ``columns`` and ``rhs`` are vectors in the stacked coordinates of
-    ``spaces``.  Each block is reduced by its space's
-    :meth:`HomSpace._mod_homotopy`, which sends im delta to 0, so the system
-    is the stack of the reduced blocks and eliminates no delta again.  Free
-    unknowns are set to 0, so the answer is deterministic: when the classes
-    of ``columns`` are independent, c is unique, and otherwise a column whose
-    class lies in the span of the earlier ones gets 0.
-    """
-    return _reduced_matrix(spaces, columns).solve(_mod_homotopies(spaces, rhs))
+        """Coordinates of the class of f in ``basis``, or None if f is not a
+        chain map."""
+        vec = self.map_to_vector(f)
+        if any(self._chains.defect(vec)):
+            return None
+        return self._echelon.reduce([vec[j] for j in self._free])[self._delta_rank:]
 
 
 def supports_meet(x: Complex, y: Complex, k: int = 0) -> bool:
@@ -528,15 +483,26 @@ class HomClass:
         return HomClass(self.rep.shift(n))
 
     def inverse(self):
-        """Two-sided inverse in K^b, or None: one solve for g: y -> x with
-        f o g = 1 in Hom(y, y) and g o f = 1 in Hom(x, x)."""
-        x, y = self.source, self.target
+        """Two-sided inverse in K^b, or None.
+
+        One solve in quotient-basis coordinates: g = sum c_b b over the
+        ``basis`` of Hom(y, x) with f o g = 1 in Hom(y, y) and g o f = 1 in
+        Hom(x, x), each side read by ``express``.  Composition respects
+        homotopy, so an inverse exists exactly when this system, of dim
+        Hom_K(y, x) unknowns, has a solution.
+        """
+        x, y, f = self.source, self.target, self.rep
         sp_back, sp_yy, sp_xx = HomSpace(y, x, 0), HomSpace(y, y, 0), HomSpace(x, x, 0)
-        cols = [sp_yy.map_to_vector(self.rep.compose(g)) + sp_xx.map_to_vector(g.compose(self.rep))
-                for g in sp_back.cycles()]
-        rhs = sp_yy.map_to_vector(ChainMap.identity(y)) + sp_xx.map_to_vector(ChainMap.identity(x))
-        coeffs = solve_mod_homotopy([sp_yy, sp_xx], cols, rhs)
-        return None if coeffs is None else HomClass(sp_back.cycle(coeffs))
+        cols = [sp_yy.express(f.compose(b)) + sp_xx.express(b.compose(f)) for b in sp_back.basis]
+        rhs = sp_yy.express(ChainMap.identity(y)) + sp_xx.express(ChainMap.identity(x))
+        coeffs = Matrix.from_columns(x.pres.field, len(rhs), cols).solve(rhs)
+        if coeffs is None:
+            return None
+        g = ChainMap.zero(y, x)
+        for c, b in zip(coeffs, sp_back.basis):
+            if c:
+                g = g.add(b.scale(c))
+        return HomClass(g)
 
 
 # ------------------------------------------------------------------- cones

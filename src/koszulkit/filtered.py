@@ -289,7 +289,7 @@ def filt_hom_report(x: FilteredObject, y: FilteredObject) -> dict:
         if coords is None:
             raise FilteredError("composition escaped the hom space")
         cols.append(coords)
-    rank_a = Matrix.from_columns(fld, sp_b.dimension, cols).rank() if cols else 0
+    rank_a = Matrix.from_columns(fld, sp_b.dimension, cols).rank()
 
     sy = s_shift(y)
     sp_c = filt_hom_space(sy, x)
@@ -301,7 +301,7 @@ def filt_hom_report(x: FilteredObject, y: FilteredObject) -> dict:
         if coords is None:
             raise FilteredError("composition escaped the hom space")
         cols2.append(coords)
-    rank_c = Matrix.from_columns(fld, sp_b.dimension, cols2).rank() if cols2 else 0
+    rank_c = Matrix.from_columns(fld, sp_b.dimension, cols2).rank()
 
     ok = (forward == 0
           and sp_a.dimension == sp_b.dimension == sp_c.dimension

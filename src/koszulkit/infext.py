@@ -273,8 +273,11 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
 
     Every node dimension is dim Hom(-, -) + dim Hom(-, -[-1]); the
     composite of consecutive maps must vanish and ranks must add up to the
-    node dimension at every interior node of the window.
+    node dimension at every interior node of the window.  An empty window
+    has no node to check and is refused.
     """
+    if window[0] > window[1]:
+        raise InfExtError(f"empty window {list(window)}: no node to check")
     issues = tri.verify()
     if issues:
         raise InfExtError(f"triangle is not certified distinguished: {issues}")
@@ -303,7 +306,7 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
         for idx in range(1, len(nodes) - 1):
             incoming, outgoing = mats[idx - 1], mats[idx]
             dim = nodes[idx][1]
-            if incoming.cols and outgoing.cols and not outgoing.mul(incoming).is_zero():
+            if not outgoing.mul(incoming).is_zero():
                 local.append({"node": idx, "reason": "composite nonzero"})
                 continue
             if incoming.rank() + outgoing.rank() != dim:

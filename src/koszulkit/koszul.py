@@ -41,7 +41,6 @@ from .complexes import (
     Triangle,
     direct_sum,
     hom_space,
-    solve_mod_homotopy,
     supports_meet,
     _invert_iso,
 )
@@ -191,7 +190,7 @@ def koszulescence_surrogate(pres: OrlovPresentation, window=DEFAULT_WINDOW) -> d
             tensor = table.yoneda(s, t, u, i - 1, 1)
             for row in tensor:
                 vectors.extend(row)
-        spanned = Matrix.from_columns(fld, dim, vectors).rank() if vectors else 0
+        spanned = Matrix.from_columns(fld, dim, vectors).rank()
         if spanned < dim:
             failures.append({"source": s, "target": u, "shift": i,
                              "dim": dim, "spanned": spanned})
@@ -219,6 +218,13 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
     whose supports do not meet (:func:`supports_meet`) has no chain-map
     unknowns, so its Hom is 0 with no space built, and so is every
     composite landing in it.
+
+    A composite is read off as ``sp.express(g o f)``, never None for a chain
+    map: a cell between distinct objects has its space's ``basis`` as basis,
+    and each element reduces to a unit vector, so no elimination is needed.
+    A composite lands in End(src) only when Hom(src, mid) and Hom(mid, src)
+    are both nonzero, which the degree axiom refuses, so a dual that passes
+    validation reads no End cell.
     """
     ids = list(objects)
     indecs = [{"id": nid, "degree": objects[nid][1]} for nid in ids]
@@ -257,12 +263,9 @@ def _presentation_from_heart_objects(pres, objects, name) -> DualPresentation:
                 if not reps[(mid, tgt)] or mid in (src, tgt) or (src, tgt) not in spaces:
                     continue     # unit laws are implicit; a composite in a 0 cell is 0
                 sp = spaces[(src, tgt)]
-                cols = [sp.map_to_vector(r) for r in reps[(src, tgt)]]
                 for gi, g in enumerate(reps[(mid, tgt)]):
                     for fi, f in enumerate(reps[(src, mid)]):
-                        coords = solve_mod_homotopy([sp], cols, sp.map_to_vector(g.compose(f)))
-                        if coords is None:
-                            raise KoszulError("composite escapes the computed hom basis")
+                        coords = sp.express(g.compose(f))
                         result = [
                             {"label": label_of[(src, tgt, k)], "coeff": pres.field.format(c)}
                             for k, c in enumerate(coords) if c

@@ -221,24 +221,6 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch("mixing matrices over different fields")
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("add: shape mismatch")
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(self.field.neg(self.field.one)))
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.of(c)
-        return Matrix(f, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data])
-
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.cols != other.rows:
@@ -258,12 +240,6 @@ class Matrix:
                     if b:
                         orow[j] = f.add(orow[j], f.mul(a, b))
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_field(other)

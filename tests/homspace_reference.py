@@ -6,15 +6,13 @@ its kernel, and then eliminates [delta | K] over all ``total`` map
 coordinates.  ``complexes.HomSpace`` eliminates [delta_F | I] instead, with
 ``nullity`` rows; [delta | K] = K [delta_F | I] and K is injective, so both
 give the same pivots.  Their reductions modulo null-homotopies differ by an
-invertible map, so every query answers alike.  The class is kept verbatim.
-``rank_mod_homotopy`` here and the engine's ``solve_mod_homotopy`` read
-only ``total``, ``_delta_rank`` and ``_mod_homotopy``, so they run on these
-spaces with this reduction.
+invertible map, so every query answers alike.  The class is kept verbatim,
+but for the queries the engine no longer has.
 """
 
 from __future__ import annotations
 
-from koszulkit.complexes import ChainMap, ComplexError, Homotopy, _reduced_matrix
+from koszulkit.complexes import ChainMap, ComplexError, Homotopy
 from koszulkit.linalg import Matrix
 from koszulkit.orlov import Coords
 
@@ -62,22 +60,15 @@ class HomSpace:
 
     # ---------------------------------------------------------- chain maps
 
-    def cycles(self) -> list:
-        """Basis of the space of chain maps x -> y[k], before the quotient."""
-        return [self._vector_to_map(self._chain_kernel.col(j)) for j in range(self.nullity)]
-
     def cycle(self, coeffs) -> ChainMap:
-        """The chain map with coordinates ``coeffs`` in :meth:`cycles`."""
+        """The chain map with coordinates ``coeffs`` in the chain kernel's
+        basis, the columns of ``_chain_kernel``."""
         fld = self.x.pres.field
         vec = [fld.zero] * self.total
         for j, c in enumerate(coeffs):
             if c:
                 vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, self._chain_kernel.col(j))]
         return self._vector_to_map(vec)
-
-    def rank_mod_homotopy(self, maps) -> int:
-        """Dimension of the span of the classes of the chain maps ``maps``."""
-        return _reduced_matrix([self], [self.map_to_vector(f) for f in maps]).rank()
 
     # ------------------------------------------------------------ plumbing
 

@@ -564,6 +564,17 @@ def test_surrogate_checks_only_cells_inside_its_window(argv, cells, code):
     assert report["payload"]["cells_checked"] == cells
 
 
+@pytest.mark.parametrize("window", ["5..6", "-9..-5"])
+def test_infext_les_refuses_a_window_outside_its_range(tmp_path, window):
+    # les clamps the window to -3..3, which leaves these two empty
+    files = []
+    for name, doc in (("ID", ID_A), ("CX", FUZZ_INPUTS["CX"])):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_json("infext", "les", "FIX_A2", *map(str, files), "--window", window)
+    assert code == 2 and "empty window" in report["error"]
+
+
 # ----------------------------------------------------------- fresh processes
 
 # each subcommand once, in a process that has loaded nothing, with the exit

@@ -19,7 +19,6 @@ from koszulkit.complexes import (
     hom_space,
     is_null_homotopic,
     minimal_model,
-    solve_mod_homotopy,
     supports_meet,
     _find_pivot,
 )
@@ -240,7 +239,7 @@ def test_map_to_vector_round_trip_and_window(a3):
                 {-1: AddMorphism.from_blocks(a3, obj("c"), obj("b", "a"), [[(1,)], [None]])})
     sp = hom_space(x, x, 0)
     assert list(sp.maps.slices) == [-1, 0]
-    for f in sp.cycles():
+    for f in chain_map_basis(sp):
         vec = sp.map_to_vector(f)
         assert ChainMap(x, x, sp.maps.from_vector(vec)) == f
     # the identity of a + a[-1] has a component in degree 1, outside Hom(a, a)
@@ -582,23 +581,15 @@ def test_chain_iso_verify_compares_the_round_trip_with_the_identity(a3):
             assert not ChainIso.exact(fwd, ChainMap.zero(x2, x)).verify()
 
 
-def test_solve_mod_homotopy_inverts_minimal_model_iso(a3):
+def test_inverse_inverts_minimal_model_iso(a3):
     rng = rng_for(17, "joint")
     for _ in range(6):
         x = rand_complex(a3, rng)
         m, iso = minimal_model(x)
-        sp_back, sp_mm, sp_xx = hom_space(m, x), hom_space(m, m), hom_space(x, x)
-        rhs = sp_mm.map_to_vector(ChainMap.identity(m)) + sp_xx.map_to_vector(ChainMap.identity(x))
-
-        def columns(f):
-            return [sp_mm.map_to_vector(f.compose(g)) + sp_xx.map_to_vector(g.compose(f))
-                    for g in sp_back.cycles()]
-
-        g = sp_back.cycle(solve_mod_homotopy([sp_mm, sp_xx], columns(iso.fwd), rhs))
-        assert g == HomClass(iso.fwd).inverse().rep
-        assert HomClass(g) == HomClass(iso.bwd)
+        assert HomClass(iso.fwd).inverse() == HomClass(iso.bwd)
+        assert HomClass(iso.bwd).inverse() == HomClass(iso.fwd)
         if not m.is_zero:
-            assert solve_mod_homotopy([sp_mm, sp_xx], columns(ChainMap.zero(x, m)), rhs) is None
+            assert HomClass(ChainMap.zero(x, m)).inverse() is None
 
 
 def test_hom_space_homotopy_invariance_randomized(a2, a3):
@@ -646,6 +637,13 @@ def _joint_system(spaces, columns) -> Matrix:
     return Matrix(fld, len(data), len(columns) + h_total, data)
 
 
+def chain_map_basis(sp):
+    """The chain kernel's basis K: ``cycle`` of each unit vector."""
+    fld = sp.x.pres.field
+    return [sp.cycle([fld.one if i == j else fld.zero for i in range(sp.nullity)])
+            for j in range(sp.nullity)]
+
+
 def hom_space_sweep(name, trials):
     """Seeded (space, chain maps, other maps) triples; the other maps are
     null-homotopic, or arbitrary vectors that are mostly not chain maps."""
@@ -655,20 +653,19 @@ def hom_space_sweep(name, trials):
     for _ in range(trials):
         x, y = rand_complex(pres, rng, amplitude=4), rand_complex(pres, rng, amplitude=4)
         sp = hom_space(x, y, rng.randint(-1, 1))
-        cycles = [rand_chain_map(x, y, rng, sp.k) for _ in range(2)]
+        chain_maps = [rand_chain_map(x, y, rng, sp.k) for _ in range(2)]
         boundaries = [sp._vector_to_homotopy([fld.of(rng.randint(-2, 2)) for _ in range(sp.h_total)])
                       .boundary() for _ in range(2)]
         vectors = [sp._vector_to_map([fld.of(rng.randint(-2, 2)) for _ in range(sp.total)])
                    for _ in range(2)]
-        yield sp, cycles, boundaries + vectors
+        yield sp, chain_maps, boundaries + vectors
 
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007"])
 def test_hom_space_queries_match_the_joint_system(name):
     nones = {"express": 0, "null_homotopy": 0}
-    for sp, cycles, others in hom_space_sweep(name, 40):
-        fld = sp.x.pres.field
-        for f in cycles + others:
+    for sp, chain_maps, others in hom_space_sweep(name, 40):
+        for f in chain_maps + others:
             v = sp.map_to_vector(f)
             joint = _joint_system([sp], [sp.map_to_vector(b) for b in sp.basis]).solve(v)
             coords = sp.express(f)
@@ -681,80 +678,36 @@ def test_hom_space_queries_match_the_joint_system(name):
                 assert sp.homotopies.to_vector(h.comps.get) == h_joint
                 assert h.boundary() == f
             nones["null_homotopy"] += h is None
-        for maps in (cycles, others, cycles + others):
-            cols = [sp.map_to_vector(f) for f in maps]
-            assert sp.rank_mod_homotopy(maps) == \
-                _joint_system([sp], cols).rank() - delta_matrix(sp).rank()
-        # independent classes: the reduced solve agrees with the joint one
-        reps = [b.scale(fld.of(2)) for b in reversed(sp.basis)]
-        cols = [sp.map_to_vector(r) for r in reps]
-        for f in cycles + others:
-            joint = _joint_system([sp], cols).solve(sp.map_to_vector(f))
-            assert solve_mod_homotopy([sp], cols, sp.map_to_vector(f)) == \
-                (None if joint is None else joint[:len(cols)])
     assert nones["express"] and nones["null_homotopy"]
 
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007"])
 def test_multi_space_solve_matches_the_joint_system(name):
-    """Two-space systems: the minimal-model iso inversions, and stacked
-    chain maps or arbitrary vectors against solvable and random right-hand
-    sides.  The stacked reduced solve fails exactly when the reference does,
-    and otherwise leaves a null-homotopic residual in each space."""
+    """``HomClass.inverse`` solves over Hom(y, y) and Hom(x, x) at once, in
+    quotient-basis coordinates.  On minimal-model isos, zero maps and random
+    chain maps x -> m it finds no inverse exactly when the joint reference
+    over every chain map m -> x has no solution, and otherwise both
+    composites differ from the identity by a null-homotopy."""
     pres = load_fixture(name) if name.startswith("FIX") else path_category(5, 10007, killed=True)
-    fld = pres.field
     rng = rng_for(31, "multi-space", name)
     outcomes = Counter()
-
-    def check(spaces, columns, rhs):
-        sol = solve_mod_homotopy(spaces, columns, rhs)
-        assert (sol is None) == (_joint_system(spaces, columns).solve(rhs) is None)
-        outcomes[sol is None] += 1
-        if sol is None:
-            return
-        residual = [fld.neg(b) for b in rhs]
-        for c, col in zip(sol, columns):
-            residual = [fld.add(a, fld.mul(c, b)) for a, b in zip(residual, col)]
-        start = 0
-        for sp in spaces:
-            f = sp._vector_to_map(residual[start:start + sp.total])
-            h = sp.null_homotopy(f)
-            assert h is not None and h.boundary() == f
-            start += sp.total
-
     for _ in range(6):
         x = rand_complex(pres, rng)
         m, iso = minimal_model(x)
         sp_back, sp_mm, sp_xx = hom_space(m, x), hom_space(m, m), hom_space(x, x)
         rhs = sp_mm.map_to_vector(ChainMap.identity(m)) + sp_xx.map_to_vector(ChainMap.identity(x))
         for f in (iso.fwd, ChainMap.zero(x, m), rand_chain_map(x, m, rng)):
-            check([sp_mm, sp_xx], [sp_mm.map_to_vector(f.compose(g)) + sp_xx.map_to_vector(g.compose(f))
-                                   for g in sp_back.cycles()], rhs)
-    for _ in range(30):
-        spaces = [hom_space(rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3),
-                            rng.randint(-1, 1)) for _ in range(2)]
-
-        def stacked(kind):
-            blocks = []
-            for sp in spaces:
-                if kind == "cycle":
-                    f = rand_chain_map(sp.x, sp.y, rng, sp.k)
-                elif kind == "boundary":
-                    f = sp._vector_to_homotopy([fld.of(rng.randint(-2, 2)) for _ in range(sp.h_total)]) \
-                        .boundary()
-                else:
-                    f = sp._vector_to_map([fld.of(rng.randint(-2, 2)) for _ in range(sp.total)])
-                blocks += sp.map_to_vector(f)
-            return blocks
-
-        for kind in ("cycle", "vector"):
-            columns = [stacked(kind) for _ in range(rng.randint(1, 3))]
-            coeffs = [fld.of(rng.randint(-2, 2)) for _ in columns]
-            solvable = stacked("boundary")
-            for c, col in zip(coeffs, columns):
-                solvable = [fld.add(a, fld.mul(c, b)) for a, b in zip(solvable, col)]
-            check(spaces, columns, solvable)
-            check(spaces, columns, stacked(kind))
+            columns = [sp_mm.map_to_vector(f.compose(g)) + sp_xx.map_to_vector(g.compose(f))
+                       for g in chain_map_basis(sp_back)]
+            g = HomClass(f).inverse()
+            assert (g is None) == (_joint_system([sp_mm, sp_xx], columns).solve(rhs) is None)
+            outcomes[g is None] += 1
+            if g is None:
+                continue
+            for sp, composite in ((sp_mm, f.compose(g.rep)), (sp_xx, g.rep.compose(f))):
+                residual = composite.sub(ChainMap.identity(sp.x))
+                h = sp.null_homotopy(residual)
+                assert h is not None and h.boundary() == residual
     assert outcomes[True] and outcomes[False]
 
 
@@ -768,15 +721,12 @@ def test_hom_space_queries_run_no_joint_elimination(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", counting)
     queried = 0
-    for sp, cycles, others in hom_space_sweep("FIX_A3", 25):
+    for sp, chain_maps, others in hom_space_sweep("FIX_A3", 25):
         shapes.clear()
-        for f in cycles + others:
+        for f in chain_maps + others:
             sp.express(f)
             sp.null_homotopy(f)
         assert shapes == []
-        # a rank needs one elimination, of the maps' reduced coordinates only
-        sp.rank_mod_homotopy(cycles + others)
-        assert shapes == [(sp.total - sp._delta_rank, len(cycles + others))]
         queried += sp.dimension > 0
     assert queried
 
@@ -810,19 +760,19 @@ def probe_maps(sp, rng):
     def draw(n):
         return [fld.of(rng.randint(-2, 2)) for _ in range(n)]
 
-    cycles = [sp.cycle(draw(sp.nullity)) for _ in range(2)]
+    chain_maps = [sp.cycle(draw(sp.nullity)) for _ in range(2)]
     boundaries = [sp._vector_to_homotopy(draw(sp.h_total)).boundary() for _ in range(2)]
     vectors = [sp._vector_to_map(draw(sp.total)) for _ in range(2)]
-    return cycles + boundaries + [cycles[0].add(boundaries[0])] + vectors
+    return chain_maps + boundaries + [chain_maps[0].add(boundaries[0])] + vectors
 
 
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
 def test_hom_space_matches_the_delta_kernel_reference(name):
     """Eliminating [delta_F | I] in the chain kernel's coordinates answers
     every query as eliminating [delta | K] over all map coordinates did:
-    the same basis and cycles on the nose, and the same coordinates,
-    homotopies, ranks and solves on chain maps, boundaries and vectors that
-    are not chain maps."""
+    the same basis and chain-map basis on the nose, and the same coordinates
+    and homotopies on chain maps, boundaries and vectors that are not chain
+    maps."""
     pres = presentation(name)
     rng = rng_for(2101, "delta-kernel reference", name)
     seen = Counter()
@@ -830,7 +780,7 @@ def test_hom_space_matches_the_delta_kernel_reference(name):
         assert (sp.total, sp.h_total, sp.nullity, sp._delta_rank, sp.dimension) == \
             (ref.total, ref.h_total, ref.nullity, ref._delta_rank, ref.dimension)
         assert sp.basis == ref.basis
-        assert sp.cycles() == ref.cycles()
+        assert chain_map_basis(sp) == chain_map_basis(ref)
         coeffs = [pres.field.of(rng.randint(-2, 2)) for _ in range(sp.nullity)]
         assert sp.cycle(coeffs) == ref.cycle(coeffs)
         maps = probe_maps(sp, rng)
@@ -843,34 +793,7 @@ def test_hom_space_matches_the_delta_kernel_reference(name):
                 assert h.comps == h_ref.comps and h.boundary() == f
             seen["express", coords is None] += 1
             seen["null_homotopy", h is None] += 1
-        for part in (maps[:2], maps[2:5], maps[5:], maps):
-            assert sp.rank_mod_homotopy(part) == ref.rank_mod_homotopy(part)
-        cols = [sp.map_to_vector(f) for f in maps[:2] + maps[5:6]]
-        for f in maps:
-            rhs = sp.map_to_vector(f)
-            assert solve_mod_homotopy([sp], cols, rhs) == solve_mod_homotopy([ref], cols, rhs)
     assert seen["express", True] and seen["null_homotopy", True] and seen["null_homotopy", False]
-
-
-@pytest.mark.parametrize("name", ["FIX_A3", "A6/F0", "A5-killed/F10007", *WIDE_BLOCK_NAMES])
-def test_stacked_solves_match_the_delta_kernel_reference(name):
-    """Two-space solves modulo null-homotopy over the engine's spaces and
-    over the reference's agree, on solvable and random right-hand sides."""
-    pres = presentation(name)
-    fld = pres.field
-    rng = rng_for(2102, "stacked reference", name)
-    draws = list(reference_draws(pres, rng, 8))
-    outcomes = Counter()
-    for (sp1, ref1), (sp2, ref2) in zip(draws[::2], draws[1::2]):
-        blocks = [probe_maps(sp, rng) for sp in (sp1, sp2)]
-        stacked = [sp1.map_to_vector(a) + sp2.map_to_vector(b) for a, b in zip(*blocks)]
-        cols = stacked[:2] + stacked[5:6]
-        solvable = [fld.add(a, fld.mul(fld.of(2), b)) for a, b in zip(stacked[2], stacked[0])]
-        for rhs in stacked + [solvable]:
-            sol = solve_mod_homotopy([sp1, sp2], cols, rhs)
-            assert sol == solve_mod_homotopy([ref1, ref2], cols, rhs)
-            outcomes[sol is None] += 1
-    assert outcomes[True] and outcomes[False]
 
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", *WIDE_BLOCK_NAMES])

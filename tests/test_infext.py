@@ -276,6 +276,15 @@ def test_les_with_zero_test_object(a2):
     assert rep["ok"]
 
 
+
+@pytest.mark.parametrize("window", [(1, 0), (3, -3)], ids=["1..0", "3..-3"])
+def test_les_refuses_an_empty_window(a2, window):
+    # an empty window has no node, so it would pass while checking nothing
+    tri = iota_triangle(Triangle.from_cone(alpha_map(a2)))
+    with pytest.raises(InfExtError, match="empty window"):
+        inf_les_check(Complex.single(a2, obj("a"), 0), tri, window=window)
+
+
 # --------------------------------------------------------- square completion
 
 def test_complete_inf_square_identity(a2):

@@ -29,6 +29,7 @@ from koszulkit.koszul import (
     q_ses_triangle,
     roundtrip_check,
 )
+from koszulkit.linalg import Matrix
 from koszulkit.orlov import AddMorphism, OrlovPresentation, obj, validate_presentation
 from koszulkit.tstructure import (
     heart_object,
@@ -616,6 +617,23 @@ def test_dual_of_hulls_longer_than_six(seed, p):
     assert max(inj.length for inj in injective_detect(pres)["injectives"]) > 6
     assert validate_presentation(koszul_dual(pres, WINDOW).presentation).ok
     assert double_dual_check(pres, WINDOW)["ok"]
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+def test_dual_reads_composites_off_without_a_solve(p, monkeypatch):
+    # each composite's coordinates are its express in the target cell's
+    # space; the stacked solve made one elimination per composite
+    solves = []
+    solve = Matrix.solve
+
+    def counting(self, b):
+        solves.append((self.rows, self.cols))
+        return solve(self, b)
+
+    monkeypatch.setattr(Matrix, "solve", counting)
+    dual = koszul_dual(layered_quiver(3, p))
+    assert len(dual.presentation.to_data()["compose"]) == 5
+    assert solves == []
 
 
 # ------------------------------------------------------------- koszul dual
