@@ -289,10 +289,6 @@ class Homotopy:
             comps[i] = self.component(i).add(other.component(i))
         return Homotopy(self.source, self.target, comps)
 
-    def scale(self, c) -> "Homotopy":
-        return Homotopy(self.source, self.target,
-                        {i: m.scale(c) for i, m in self.comps.items()})
-
     def conjugate(self, pre: ChainMap, post: ChainMap) -> "Homotopy":
         """post o h o pre as a homotopy pre.source -> post.target."""
         comps = {}
@@ -615,9 +611,6 @@ class Triangle:
 
     def __repr__(self):
         return f"Triangle({self.X!r} -> {self.Y!r} -> {self.Z!r})"
-
-    def maps(self):
-        return self.f, self.g, self.h
 
     # ------------------------------------------------------------ builders
 

@@ -214,11 +214,6 @@ def s_shift_morphism(f: FilteredMorphism, n: int = 1) -> FilteredMorphism:
                             {i + n: m for i, m in f.comps.items()}, check=False)
 
 
-def j_embed(pres, a: AddObject) -> FilteredObject:
-    """Constant at and below index 0, zero above."""
-    return FilteredObject(pres, 0, 0, {0: a}, {}, {}, check=False)
-
-
 def alpha(x: FilteredObject) -> FilteredMorphism:
     """The canonical morphism X -> s(X) with components e_i."""
     sx = s_shift(x)
@@ -444,10 +439,6 @@ class FilteredComplex:
         if k in self.diffs:
             return self.diffs[k]
         return FilteredMorphism.zero(self.term(k), self.term(k + 1))
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
 
 @dataclass

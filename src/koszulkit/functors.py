@@ -22,10 +22,7 @@ from .linalg import KoszulkitError
 from .orlov import (
     AddMorphism,
     AddObject,
-    InputError,
     OrlovPresentation,
-    decode_object,
-    fields,
     identity_label,
     spans,
 )
@@ -67,35 +64,6 @@ class HomogeneousFunctor:
             hom_map[lab] = AddMorphism.single(pres, AddObject((s,)), AddObject((t,)), 0, 0,
                                               pres.coords(lab))
         return HomogeneousFunctor(pres, pres, obj_map, hom_map)
-
-    @classmethod
-    def from_data(cls, source: OrlovPresentation, target: OrlovPresentation,
-                  data: dict) -> "HomogeneousFunctor":
-        """Load {"on_objects": {id: [ids]}, "on_hom": {label: [entries]}}.
-
-        Each on_hom entry is {"label", "coeff"} with optional "row"/"col"
-        block coordinates (defaulting to 0) inside the image objects.
-        """
-        try:
-            on_objects, on_hom = fields(data, "functor data", on_objects=dict,
-                                        on_hom=({str: list}, {}))
-            images = fields(on_objects, "on_objects", **{iid: [str] for iid in source.ids})
-            obj_map = {iid: decode_object(target, ids) for iid, ids in zip(source.ids, images)}
-            hom_map = {}
-            for lab, entries in on_hom.items():
-                if lab not in source.label_pair:
-                    raise FunctorError(f"unknown source label {lab!r}")
-                s, t = source.label_pair[lab]
-                hom_map[lab] = AddMorphism.from_entries(target, obj_map[s], obj_map[t], entries)
-        except InputError as exc:
-            raise FunctorError(f"functor data: {exc}") from exc
-        return cls(source, target, obj_map, hom_map)
-
-    def to_data(self) -> dict:
-        on_objects = {iid: list(self.obj_map[iid].summands) for iid in self.source.ids}
-        on_hom = {lab: m.to_entries() for lab, m in sorted(self.hom_map.items())
-                  if not lab.startswith("1@")}
-        return {"on_objects": on_objects, "on_hom": on_hom}
 
     def validate(self):
         problems = []

@@ -64,10 +64,6 @@ class InfMorphism:
         return InfMorphism(HomClass.zero(finf.source, target), finf)
 
     @staticmethod
-    def zero(x: Complex, y: Complex) -> "InfMorphism":
-        return InfMorphism(HomClass.zero(x, y), HomClass.zero(x, y.shift(-1)))
-
-    @staticmethod
     def identity(x: Complex) -> "InfMorphism":
         return InfMorphism.iota(HomClass.identity(x))
 
@@ -93,15 +89,6 @@ class InfMorphism:
 
     def __repr__(self):
         return f"InfMorphism({self.source!r} -> {self.target!r})"
-
-    def add(self, other: "InfMorphism") -> "InfMorphism":
-        return InfMorphism(self.f0.add(other.f0), self.finf.add(other.finf))
-
-    def sub(self, other: "InfMorphism") -> "InfMorphism":
-        return InfMorphism(self.f0.sub(other.f0), self.finf.sub(other.finf))
-
-    def scale(self, c) -> "InfMorphism":
-        return InfMorphism(self.f0.scale(c), self.finf.scale(c))
 
     def shift(self, n: int) -> "InfMorphism":
         return InfMorphism(self.f0.shift(n), self.finf.shift(n))

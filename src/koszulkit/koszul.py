@@ -88,18 +88,6 @@ class ExtTable:
     def dim(self, s, t, i) -> int:
         return self.pres.hom_dim(s, t) if (s, t, i) in self.cells else 0
 
-    def basis(self, s, t, i):
-        """One chain map S_s -> S_t[i] per label of Hom(s, t), in label order."""
-        if (s, t, i) not in self.cells:
-            return []
-        pres = self.pres
-        x = simple_object(pres, s).normal_form
-        y = simple_object(pres, t).normal_form.shift(i)
-        (slot, src), = x.terms.items()
-        return [ChainMap(x, y, {slot: AddMorphism.single(pres, src, y.term(slot), 0, 0,
-                                                         pres.coords(lab))}, check=False)
-                for lab in pres.hom_labels(s, t)]
-
     def yoneda(self, s, t, u, i, j):
         """Coordinate tensor of Ext^j(t,u) x Ext^i(s,t) -> Ext^{i+j}(s,u): the
         structure constants of Hom(t, u) x Hom(s, t) -> Hom(s, u)."""

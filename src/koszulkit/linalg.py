@@ -187,16 +187,6 @@ class Matrix:
         return m
 
     @staticmethod
-    def from_rows(field: Field, rows) -> "Matrix":
-        data = [[field.of(x) for x in row] for row in rows]
-        ncols = len(data[0]) if data else 0
-        return Matrix(field, len(data), ncols, data)
-
-    @staticmethod
-    def column(field: Field, entries) -> "Matrix":
-        return Matrix(field, len(entries), 1, [[field.of(x)] for x in entries])
-
-    @staticmethod
     def from_columns(field: Field, rows: int, columns) -> "Matrix":
         """Matrix whose j-th column is ``columns[j]``, a list of ``rows`` scalars."""
         return Matrix(field, rows, len(columns), [[col[r] for col in columns] for r in range(rows)])

@@ -646,20 +646,6 @@ class AddMorphism:
             blocks.append(tuple(row))
         return AddMorphism(pres, other.source, self.target, tuple(blocks))
 
-    # ------------------------------------------------------- flat vectors
-
-    def to_vector(self):
-        """Flatten to the coordinate order of :func:`hom_basis`."""
-        starts = block_starts(self.pres, self.source, self.target)
-        vec = [self.pres.field.zero] * starts[-1]
-        _put_blocks(vec, starts, self.blocks)
-        return vec
-
-    @staticmethod
-    def from_vector(pres, source: AddObject, target: AddObject, vec) -> "AddMorphism":
-        blocks = _cut_blocks(vec, block_starts(pres, source, target), source, target)
-        return AddMorphism(pres, source, target, blocks)
-
 
 class _Unit(AddMorphism):
     """A unit map: block (dest[j], j) is the identity of source summand j
@@ -728,13 +714,10 @@ def _cut_blocks(vec, starts, x: AddObject, y: AddObject):
     return tuple(tuple(cut[i * n:i * n + n]) for i in range(len(y)))
 
 
-def hom_dim_add(pres, x: AddObject, y: AddObject) -> int:
-    return block_starts(pres, x, y)[-1]
-
-
 def hom_basis(pres, x: AddObject, y: AddObject):
     """Elementary single-block basis of Hom_add(x, y), with its dimension:
-    element k has the unit vector at k as its :meth:`AddMorphism.to_vector`."""
+    element k has its one nonzero coordinate at position k of the layout
+    :func:`block_starts`."""
     fld, starts = pres.field, block_starts(pres, x, y)
     dim = starts[-1]
     units = ([fld.one if r == k else fld.zero for r in range(dim)] for k in range(dim))

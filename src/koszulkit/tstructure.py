@@ -62,14 +62,6 @@ class AisleReport:
     in_lower: bool
     in_upper: bool
 
-    @property
-    def in_heart(self):
-        return self.in_lower and self.in_upper
-
-    def to_data(self):
-        return {"in_lower": self.in_lower, "in_upper": self.in_upper,
-                "in_heart": self.in_heart}
-
 
 def aisle_membership(x: Complex) -> AisleReport:
     m, _ = minimal_model(x)
@@ -135,10 +127,6 @@ class HeartObject:
     @property
     def pres(self):
         return self.normal_form.pres
-
-    @property
-    def is_zero(self):
-        return self.normal_form.is_zero
 
     def weights(self):
         return sorted({-i for i in self.normal_form.terms})

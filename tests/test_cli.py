@@ -41,11 +41,16 @@ def run_json(*argv, run=run_main):
 
 
 def test_selftest_passes():
-    code, report = run_json("selftest", "--window", "-5..5", run=run_cli)
-    assert code == 0
-    assert report["payload"]["ok"]
-    assert report["engine_version"]
-    assert report["window"] == [-5, 5]
+    # -1..1 and 100..101 leave out FIX_ZC's Ext^2 cell; its planted failure
+    # is found all the same
+    for window in ("-5..5", "-1..1", "100..101"):
+        code, report = run_json("selftest", "--window", window, run=run_cli)
+        assert code == 0, window
+        assert report["payload"]["ok"]
+        assert report["engine_version"]
+        assert report["window"] == [int(end) for end in window.split("..")]
+        checks = {c["name"]: c["ok"] for c in report["payload"]["checks"]}
+        assert checks["surrogate:FIX_ZC fails with Ext^2 witness"] is True
 
 
 def test_validate_fix_bad_exits_one_with_witness():

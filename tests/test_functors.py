@@ -600,42 +600,6 @@ def test_a_complex_over_another_presentation_is_refused(a2, a3, summands):
             assert nat_trans_uniqueness_probe(theta, y, orders=3)["ok"]
 
 
-def test_functor_json_round_trip(a2):
-    f = scaling_functor(a2, 2)
-    data = f.to_data()
-    assert data["on_hom"]["alpha"] == [
-        {"row": 0, "col": 0, "label": "alpha", "coeff": "2"}]
-    g = HomogeneousFunctor.from_data(a2, a2, data)
-    assert g.obj_map == f.obj_map
-    assert all(g.hom_map[lab] == f.hom_map[lab] for lab in f.hom_map)
-    # multi-summand images survive the round trip through row/col entries
-    obj_map = {"a": obj("a", "a"), "b": obj("b", "b")}
-    hom_map = {"alpha": AddMorphism.from_blocks(
-        a2, obj("b", "b"), obj("a", "a"), [[(1,), None], [None, (1,)]])}
-    doubled = HomogeneousFunctor(a2, a2, obj_map, hom_map)
-    again = HomogeneousFunctor.from_data(a2, a2, doubled.to_data())
-    assert again.hom_map["alpha"] == doubled.hom_map["alpha"]
-
-
-def test_functor_data_rejects_block_out_of_range(a2):
-    data = scaling_functor(a2, 2).to_data()
-    data["on_hom"]["alpha"][0]["row"] = 3
-    with pytest.raises(FunctorError, match="out of range"):
-        HomogeneousFunctor.from_data(a2, a2, data)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda data: data["on_objects"].pop("b"),
-    lambda data: data["on_hom"]["alpha"].append([]),
-    lambda data: data["on_objects"].update(b="b"),
-], ids=["missing-id", "entry-list", "image-str"])
-def test_functor_data_refuses_malformed_input(a2, edit):
-    data = scaling_functor(a2, 2).to_data()
-    edit(data)
-    with pytest.raises(FunctorError):
-        HomogeneousFunctor.from_data(a2, a2, data)
-
-
 def test_probe_randomized_a3(a3):
     f = HomogeneousFunctor.identity(a3)
     theta = NatTrans(f, f, {iid: AddMorphism.identity(a3, obj(iid)).scale(3)

@@ -219,7 +219,8 @@ def test_rho_map_matches_the_canonical_maps(name):
     nonzero = 0
     for _ in range(12):
         x, y = (rand_complex(pres, rng, amplitude=3) for _ in "xy")
-        for m in (rand_inf(x, y, rng), InfMorphism.identity(x), InfMorphism.zero(x, y),
+        for m in (rand_inf(x, y, rng), InfMorphism.identity(x),
+                  InfMorphism.iota(HomClass.zero(x, y)),
                   InfMorphism.upsilon(HomClass(rand_chain_map(x, y.shift(-1), rng)))):
             got = rho_map(m).rep
             assert got == rho_map_reference(m).rep
@@ -306,7 +307,7 @@ def test_complete_inf_square_infinitesimal_verticals(a2):
         qprime = HomClass(rand_chain_map(y, y.shift(-1), rng))
         if not qprime.compose(HomClass(alpha_map(a2))).is_zero():
             continue
-        p = InfMorphism.zero(x, x)
+        p = InfMorphism.iota(HomClass.zero(x, x))
         q = InfMorphism.upsilon(qprime)
         if inf_compose(q, f) != inf_compose(f, p):
             continue
@@ -337,7 +338,7 @@ def test_complete_inf_square_rejects_non_commuting(a2):
     f = InfMorphism.iota(HomClass(alpha_map(a2)))
     x, y = f.source, f.target
     with pytest.raises(InfExtError):
-        complete_inf_square(InfMorphism.identity(x), InfMorphism.zero(y, y), f, f)
+        complete_inf_square(InfMorphism.identity(x), InfMorphism.iota(HomClass.zero(y, y)), f, f)
 
 
 # --------------------------------------------------------- induced functors

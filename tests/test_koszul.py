@@ -80,6 +80,20 @@ def nonzero_cells(table):
             if (d := table.dim(*cell))}
 
 
+def ext_basis(table, s, t, i):
+    """One chain map S_s -> S_t[i] per label of Hom(s, t), in label order:
+    the basis in which ``table.yoneda`` gives its coordinates."""
+    if (s, t, i) not in table.cells:
+        return []
+    pres = table.pres
+    x = simple_object(pres, s).normal_form
+    y = simple_object(pres, t).normal_form.shift(i)
+    (slot, src), = x.terms.items()
+    return [ChainMap(x, y, {slot: AddMorphism.single(pres, src, y.term(slot), 0, 0,
+                                                     pres.coords(lab))}, check=False)
+            for lab in pres.hom_labels(s, t)]
+
+
 # -------------------------------------------------------------- ext tables
 
 def test_ext_table_pt(pt):
@@ -107,9 +121,9 @@ def test_ext_table_a3_with_yoneda(a3):
 def test_yoneda_associativity_on_stored_triples(a3):
     t = ext_table(a3, WINDOW)
     # (id_a o alpha) o beta = id_a o (alpha o beta) at the class level
-    x = t.basis("c", "b", 1)[0]
-    y = t.basis("b", "a", 1)[0]
-    z = t.basis("a", "a", 0)[0]
+    x = ext_basis(t, "c", "b", 1)[0]
+    y = ext_basis(t, "b", "a", 1)[0]
+    z = ext_basis(t, "a", "a", 0)[0]
     left = z.shift(2).compose(y.shift(1).compose(x))
     right = (z.shift(1).compose(y)).shift(1).compose(x)
     assert HomClass(left) == HomClass(right)
@@ -158,15 +172,16 @@ def test_ext_table_skips_cells_without_chain_maps(a3):
 
 @pytest.mark.parametrize("name", [*FIXTURE_NAMES, *PATH_NAMES, *QUIVER_NAMES])
 def test_ext_table_matches_the_kb_oracle(name):
-    """Every dim, basis and Yoneda tensor of the table read off the
-    presentation equals the one built in K^b, at every shift in the window."""
+    """Every dim and Yoneda tensor of the table read off the presentation
+    equals the one built in K^b, at every shift in the window, and the K^b
+    basis is the one that the tensors' coordinates refer to."""
     pres = presentation(name)
     window = (-8, 8)
     table = ext_table(pres, window)
     spaces = kb_ext_spaces(pres, window)
     for (s, t, i), sp in spaces.items():
         assert table.dim(s, t, i) == sp.dimension, (s, t, i)
-        assert table.basis(s, t, i) == sp.basis, (s, t, i)
+        assert ext_basis(table, s, t, i) == sp.basis, (s, t, i)
     shifts = range(window[0], window[1] + 1)
     nonzero = 0
     for s, t, u in product(pres.ids, repeat=3):
@@ -202,10 +217,10 @@ def test_ext_reads_build_no_hom_space(name, monkeypatch):
     def every_read():
         for s, t, u in product(pres.ids, repeat=3):
             for i, j in product(shifts, repeat=2):
-                table.dim(s, t, i), table.basis(s, t, i), table.yoneda(s, t, u, i, j)
+                table.dim(s, t, i), table.yoneda(s, t, u, i, j)
 
     for what, call in [("ext_table", lambda: ext_table(pres, WINDOW)),
-                       ("dim/basis/yoneda", every_read),
+                       ("dim/yoneda", every_read),
                        ("koszulescence_surrogate", lambda: koszulescence_surrogate(pres, WINDOW)),
                        ("mixed_vanishing_report", lambda: mixed_vanishing_report(pres, WINDOW)),
                        ("ext1_matrix", lambda: ext1_matrix(pres)),

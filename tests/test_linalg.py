@@ -15,13 +15,23 @@ F2 = Field(2)
 F5 = Field(5)
 
 
+def from_rows(field: Field, rows) -> Matrix:
+    data = [[field.of(x) for x in row] for row in rows]
+    ncols = len(data[0]) if data else 0
+    return Matrix(field, len(data), ncols, data)
+
+
+def column(field: Field, entries) -> Matrix:
+    return Matrix(field, len(entries), 1, [[field.of(x)] for x in entries])
+
+
 def rand_matrix(field, rows, cols, rng, span=6):
     if field.char == 0:
         entries = [[Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(cols)]
                    for _ in range(rows)]
     else:
         entries = [[rng.randrange(field.char) for _ in range(cols)] for _ in range(rows)]
-    return Matrix.from_rows(field, entries)
+    return from_rows(field, entries)
 
 
 # ---------------------------------------------------------------- scalars
@@ -90,14 +100,14 @@ def test_rref_identity_is_fixed():
 
 
 def test_rref_proportional_rows():
-    m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
+    m = from_rows(QQ, [[1, 2], [2, 4]])
     r, pivots, rank = m.rref()
     assert rank == 1
     assert r.data == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]]
 
 
 def test_rref_f2_rank_matches_determinant_oracle():
-    m = Matrix.from_rows(F2, [[1, 1], [1, 2]])
+    m = from_rows(F2, [[1, 1], [1, 2]])
     # over F_2 the second row is [1, 0]; det = 1 by cofactor expansion
     det = cofactor_det(m.data, F2)
     assert det == 1
@@ -156,7 +166,7 @@ def sparse_matrix(field, rows, cols, density, rng):
         if field.char:
             return rng.randrange(1, field.char)
         return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
-    return Matrix.from_rows(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+    return from_rows(field, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
 def is_rref(r, pivots, rank):
@@ -201,7 +211,7 @@ def test_sparse_kernel_matches_oracles(field):
         for _ in range(3):
             if rng.random() < 0.5:     # b in the column space of A
                 x0 = [field.of(rng.randint(-3, 3)) for _ in range(m.cols)]
-                b = m.mul(Matrix.column(field, x0)).col(0)
+                b = m.mul(column(field, x0)).col(0)
             else:
                 b = [field.of(rng.randint(-3, 3)) for _ in range(m.rows)]
             solvable = oracle_rank([row + [bv] for row, bv in zip(m.data, b)], field) == rank
@@ -228,10 +238,10 @@ def test_kernel_coordinates_match_the_kernel_basis(field):
         for _ in range(3):
             c = [field.of(rng.choice([0, 0, rng.randint(-3, 3)])) for _ in free]
             v = r.lift(c)
-            assert v == k.mul(Matrix.column(field, c)).col(0)
+            assert v == k.mul(column(field, c)).col(0)
             assert [v[j] for j in free] == c and not any(r.defect(v))
             w = [field.of(rng.choice([0, rng.randint(-3, 3)])) for _ in range(m.cols)]
-            in_kernel = not m.cols or m.mul(Matrix.column(field, w)).is_zero()
+            in_kernel = not m.cols or m.mul(column(field, w)).is_zero()
             assert (not any(r.defect(w))) == in_kernel
             if in_kernel:
                 assert r.lift([w[j] for j in free]) == w
@@ -290,7 +300,7 @@ def incidence_matrix(nodes, arcs, rng):
     for a in range(arcs):
         tail, head = rng.sample(range(nodes), 2)
         data[tail][a], data[head][a] = 1, -1
-    return Matrix.from_rows(QQ, data)
+    return from_rows(QQ, data)
 
 
 def test_unimodular_elimination_stays_in_ints():
@@ -320,7 +330,7 @@ def test_kernel_of_zero_matrix():
 
 
 def test_kernel_of_single_relation():
-    k = Matrix.from_rows(QQ, [[1, 1]]).kernel_basis()
+    k = from_rows(QQ, [[1, 1]]).kernel_basis()
     assert k.cols == 1
     v = k.col(0)
     assert v[0] == -v[1] != 0
@@ -354,13 +364,13 @@ def test_solve_identity_returns_rhs():
 
 
 def test_solve_underdetermined_consistent():
-    a = Matrix.from_rows(QQ, [[1, 1]])
+    a = from_rows(QQ, [[1, 1]])
     x = a.solve([3])
     assert x is not None and x[0] + x[1] == 3
 
 
 def test_solve_inconsistent_returns_none():
-    a = Matrix.from_rows(QQ, [[1], [1]])
+    a = from_rows(QQ, [[1], [1]])
     assert a.solve([0, 1]) is None
 
 
@@ -370,11 +380,11 @@ def test_solvability_iff_augmented_rank_matches():
         for _ in range(40):
             a = rand_matrix(field, rng.randint(1, 5), rng.randint(1, 5), rng)
             b = [field.of(rng.randint(-4, 4)) for _ in range(a.rows)]
-            aug = a.hstack(Matrix.column(field, b))
+            aug = a.hstack(column(field, b))
             x = a.solve(b)
             if aug.rank() == a.rank():
                 assert x is not None
-                res = a.mul(Matrix.column(field, x))
+                res = a.mul(column(field, x))
                 assert res.col(0) == b
             else:
                 assert x is None

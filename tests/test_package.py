@@ -71,21 +71,31 @@ ENGINE_FILES = sorted((ROOT / "src" / "koszulkit").glob("*.py")) + sorted(
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# Names that no engine or benchmark code uses.  Each stays for a reason;
+# Why engine code that no command runs stays.  A name kept by both guards
+# below carries the same reason in each.
+ACCEPTANCE = "tests/test_acceptance.py imports or reaches it"
+PUBLIC = "it is in koszulkit.__all__"
+ORACLES = "tests/oracle_linalg.py or tests/oracle_hom.py calls it, and the oracles stay unchanged"
+INDUCED = ("the ROADMAP's functor-claim item owns it: infext's induced-functor checks, "
+           "or what only they reach")
+README_TRIANGLES = "the README lists it as a capability: rotation and shift of triangles"
+README_T_COHOMOLOGY = "the README lists it as a capability: t-cohomology, or what only it reaches"
+README_WEIGHTS = "the README lists it as a capability: weight filtrations"
+README_HEART = ("the README lists it as a capability: the finite-length heart, whose excision "
+                "of a simple is cone_through_simple, or what only that reaches")
+
+# Names that no engine or benchmark code uses, with the reason each stays;
 # a name that loses its last caller must be deleted or listed here.
-UNCALLED_ENGINE_NAMES = frozenset({
-    # paper capabilities the README lists: the filtered category's embedding;
-    # infext's rho functoriality, genuineness and induced functors; the
-    # read-off Q of heart objects; the heart's simples, t-cohomology and weights
-    "j_embed",
-    "rho_functoriality_check", "genuineness_report", "induced_functor",
-    "induced_adjunction_check",
-    "q_functor", "q_ses_triangle",
-    "heart_simples", "t_cohomology", "weight_subobjects", "is_pure",
-    "is_semisimple_normal_form", "cone_through_simple",
-    # primitives the tests build on
-    "div", "from_rows", "column", "hom_dim_add", "rand_chain_map",
-})
+UNCALLED_ENGINE_NAMES = {
+    **dict.fromkeys(("rho_functoriality_check", "genuineness_report", "induced_functor",
+                     "induced_adjunction_check"), INDUCED),
+    **dict.fromkeys(("q_functor", "q_ses_triangle", "heart_simples", "is_pure",
+                     "is_semisimple_normal_form", "rand_chain_map"), ACCEPTANCE),
+    "t_cohomology": README_T_COHOMOLOGY,
+    "weight_subobjects": README_WEIGHTS,
+    "cone_through_simple": README_HEART,
+    "div": ORACLES,
+}
 
 
 def references(node):
@@ -110,11 +120,10 @@ def test_every_engine_name_has_an_engine_caller():
     benchmark is called when its name appears in that code outside its own
     definition; tests do not count as callers.
 
-    The guard counts names, not owners, so a method is missed when another
-    definition or a variable shares its name: ``Matrix.add``, ``sub`` and
-    ``scale`` went uncaught because ``Field``, ``AddMorphism`` and
-    ``ChainMap`` define those names, and ``Matrix.transpose`` because
-    ``double_dual_check`` has a loop variable ``transpose``."""
+    This guard counts names, not owners, so it misses a method when another
+    definition or a variable shares its name (``Matrix.scale`` beside
+    ``AddMorphism.scale``).  The traced guard below sees owners and catches
+    those cases."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in ENGINE_FILES]
     mentions = Counter(name for tree in trees for name in references(tree))
     uncalled = set()
@@ -126,4 +135,127 @@ def test_every_engine_name_has_an_engine_caller():
                     continue
                 if mentions[defn.name] == Counter(references(defn))[defn.name]:
                     uncalled.add(defn.name)
-    assert uncalled == UNCALLED_ENGINE_NAMES
+    assert uncalled == set(UNCALLED_ENGINE_NAMES)
+
+
+# ------------------------------------------------------------ traced guard
+
+ENGINE_DIR = ROOT / "src" / "koszulkit"
+
+# Engine functions that no command and no benchmark pass runs, each with the
+# reason it stays.
+KEPT_UNREACHED = {
+    **dict.fromkeys(("complexes.ChainIso.exact", "complexes.HomSpace.cycle",
+                     "complexes._invert_iso", "complexes._match_permutation",
+                     "filtered.FilteredComplex.d", "functors.NatTrans.inverse",
+                     "koszul.q_functor", "koszul.q_ses_triangle", "linalg.Echelon.lift",
+                     "randgen.rand_chain_map", "tstructure.HeartObject.weights",
+                     "tstructure.heart_simples", "tstructure.is_pure",
+                     "tstructure.is_semisimple_normal_form"), ACCEPTANCE),
+    **dict.fromkeys(("complexes.shift", "complexes.support", "orlov.compose",
+                     "orlov.hom_basis"), PUBLIC),
+    **dict.fromkeys(("linalg.Field.div", "linalg.Field.sub"), ORACLES),
+    **dict.fromkeys(("infext.induced_functor", "infext.induced_adjunction_check",
+                     "infext.rho_functoriality_check", "infext.InducedFunctor.genuineness_report",
+                     "infext.InducedFunctor.on_complex", "infext.InducedFunctor.on_hom_class",
+                     "infext.InducedFunctor.on_inf", "infext.InfMorphism.pi",
+                     "functors.HomogeneousFunctor.on_chain_map"), INDUCED),
+    **dict.fromkeys(("complexes.Triangle.rotate", "complexes.Triangle.shift"), README_TRIANGLES),
+    **dict.fromkeys(("tstructure.t_cohomology", "tstructure.truncation_window",
+                     "tstructure.truncate_le", "tstructure.truncate_ge"), README_T_COHOMOLOGY),
+    "tstructure.weight_subobjects": README_WEIGHTS,
+    # compose_iso conjugates and adds the homotopies of the isos it composes
+    **dict.fromkeys(("tstructure.cone_through_simple", "tstructure.compose_iso",
+                     "complexes.Homotopy.add", "complexes.Homotopy.conjugate"), README_HEART),
+}
+
+
+def engine_functions():
+    """{(file, first line of its code): qualified name} of every function and
+    method defined in the engine, nested ones included and dunders left out.
+    The name is the module's followed by Python's ``__qualname__``."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not re.fullmatch(r"__\w+__", child.name):
+                    # a decorated function's code starts at its first decorator
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(ENGINE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, f"{path.stem}.")
+    return found
+
+
+def engine_traffic(tmp_path, monkeypatch):
+    """Every command once, the inputs that reach the report helpers, and one
+    benchmark pass of each workload."""
+    from test_cli import FILES, FRESH_COMMANDS, run_main
+
+    for name, doc in FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    def run(argv, code):
+        proc = run_main(*[str(tmp_path / f"{a}.json") if a in FILES else a for a in argv])
+        assert proc.returncode == code, (argv, proc.stdout, proc.stderr)
+
+    for argv, code in FRESH_COMMANDS:
+        run(argv, code)
+    run(["infext", "compose", "FIX_A2", "ID", "ID"], 0)
+    run(["infext", "invert", "FIX_A2", "ID"], 0)
+    run(["infext", "les", "FIX_A2", "ID", "CX"], 0)
+    run(["validate", "FIX_BAD"], 1)
+    run(["truncate", "FIX_BAD", "CX"], 1)
+    run(["heart", "FIX_A2", "--pretty"], 0)
+    golden = str(tmp_path / "golden.json")
+    run(["hom", "FIX_A2", "--from", "b", "--to", "a", "--golden", golden, "--regen-golden"], 0)
+    run(["hom", "FIX_A2", "--from", "b", "--to", "a", "--shift", "1", "--golden", golden], 1)
+
+    # koszul_cli reads the goldens below its root and writes its inputs there
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORK_DIR, WORKLOADS
+
+    (tmp_path / "tests").symlink_to(ROOT / "tests")
+    (tmp_path / WORK_DIR).mkdir()
+    monkeypatch.chdir(tmp_path)
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    for cls in WORKLOADS.values():
+        wl = cls(1, tmp_path, reference)
+        wl.setup()
+        for task in wl.tasks(0):
+            task.run()
+
+
+def test_every_engine_function_runs_on_engine_traffic(tmp_path, monkeypatch):
+    """Each engine function runs on the traffic the engine serves, or is
+    kept with its reason.  A call hook records the code objects that run;
+    it sees owners, so a method is caught even when another definition or a
+    variable shares its name."""
+    ran = set()
+
+    def hook(frame, event, arg):
+        ran.add(frame.f_code)
+
+    before = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        engine_traffic(tmp_path, monkeypatch)
+    finally:
+        sys.settrace(before)
+    ran = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in ran}
+    unreached = {name for key, name in engine_functions().items() if key not in ran}
+    assert sorted(unreached - set(KEPT_UNREACHED)) == [], "engine functions that never ran"
+    assert sorted(set(KEPT_UNREACHED) - unreached) == [], "kept functions that ran"
+
+
+def test_both_guards_keep_a_name_for_one_reason():
+    for name, reason in UNCALLED_ENGINE_NAMES.items():
+        kept = {KEPT_UNREACHED[q] for q in KEPT_UNREACHED if q.rpartition(".")[2] == name}
+        assert kept == {reason}, name
