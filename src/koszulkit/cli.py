@@ -25,7 +25,7 @@ runs at the top of its handler, so a process loads no layer it does not run:
 - ``koszul-check``: ``koszul`` and ``randgen`` (and ``complexes``, ``tstructure``)
 - ``infext``: ``infext`` (and ``complexes``)
 - ``filtered-demo``: ``filtered`` and ``randgen`` (and ``complexes``)
-- ``selftest``: all of these
+- ``selftest``: all of these, and ``functors``
 """
 
 from __future__ import annotations
@@ -337,11 +337,14 @@ def cmd_infext(pres, args, window, seed):
 
     sub = args.infext_command
     arity = INFEXT_ARITY[sub]
-    if len(args.files) < arity:
+    if len(args.files) != arity:
         raise InputError(f"infext {sub} needs {arity} files, got {len(args.files)}")
-    data = [load_json(path) for path in args.files[:arity]]
+    data = [load_json(path) for path in args.files]
     if sub == "les":
         f = decode_inf_morphism(pres, data[0])
+        if not f.is_genuine_data:
+            # the triangle is the cone of f0, which would drop f'
+            raise InputError("cone endpoints must be given by genuine data")
         tri = iota_triangle(Triangle.from_cone(f.f0.rep))
         rep = inf_les_check(decode_complex(pres, data[1]), tri,
                             window=(max(window[0], -3), min(window[1], 3)))
@@ -415,6 +418,7 @@ def cmd_selftest(pres, args, window, seed):
     from math import inf
 
     from .filtered import FilteredMorphism, split_decompose
+    from .functors import adjunction_check, diagonal_fold
     from .infext import adjunction_data
     from .koszul import koszulescence_surrogate
     from .randgen import rand_complex, rand_filtered, rng_for
@@ -471,6 +475,13 @@ def cmd_selftest(pres, args, window, seed):
         filt_ok = filt_ok and sp.phi.compose(sp.psi) == FilteredMorphism.identity(x) \
             and sp.above.is_ge(1) and sp.below.is_le(0)
     record("filtered:split", filt_ok)
+
+    # diagonal -| fold on FIX_A2 + FIX_A2, an adjoint pair between two presentations
+    union, diagonal, fold, unit, counit = diagonal_fold(a2)
+    xs = [rand_complex(a2, rng, amplitude=2) for _ in range(3)]
+    ys = [rand_complex(union, rng, amplitude=2) for _ in range(3)]
+    record("functors:diagonal-fold adjunction",
+           adjunction_check(diagonal, fold, unit, counit, xs, ys, (-1, 0, 1))["ok"])
 
     ok = all(c["ok"] for c in checks)
     return {"checks": checks, "ok": ok}, ok

@@ -1,4 +1,4 @@
-"""Homogeneous additive functors and extension of natural transformations.
+"""Homogeneous additive functors, natural transformations and adjunctions.
 
 A functor is presented by its values on indecomposables and on hom-basis
 elements; it extends termwise to complexes, literally commuting with the
@@ -7,7 +7,9 @@ the image slices).  A natural transformation between two such functors
 extends to every complex by block-diagonal components.  Rebuilding it
 through top-stratum extraction triangles gives it back exactly, so the
 uniqueness probe reports agreement without a rebuild; its docstring has
-the proof.
+the proof.  An adjoint pair with its unit and counit is checked exactly:
+the triangle identities on indecomposables, and the Hom bijection on
+sample complexes in K^b and the infinitesimal extension.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from .complexes import (
     Complex,
     HomClass,
     _invert_iso,
+    hom_space,
 )
-from .linalg import KoszulkitError
+from .linalg import KoszulkitError, Matrix
 from .orlov import (
     AddMorphism,
     AddObject,
     OrlovPresentation,
     identity_label,
+    obj,
     spans,
 )
 
@@ -58,12 +62,9 @@ class HomogeneousFunctor:
 
     @staticmethod
     def identity(pres: OrlovPresentation) -> "HomogeneousFunctor":
-        obj_map = {iid: AddObject((iid,)) for iid in pres.ids}
-        hom_map = {}
-        for lab, (s, t) in pres.label_pair.items():
-            hom_map[lab] = AddMorphism.single(pres, AddObject((s,)), AddObject((t,)), 0, 0,
-                                              pres.coords(lab))
-        return HomogeneousFunctor(pres, pres, obj_map, hom_map)
+        return HomogeneousFunctor(pres, pres, {iid: obj(iid) for iid in pres.ids}, {
+            lab: AddMorphism.single(pres, obj(s), obj(t), 0, 0, pres.coords(lab))
+            for lab, (s, t) in pres.label_pair.items()})
 
     def validate(self):
         problems = []
@@ -211,6 +212,95 @@ def extend_nat_trans(theta: NatTrans, x: Complex) -> HomClass:
     fx, gx = _both(theta, x)
     comps = {i: theta.on_object(t) for i, t in x.terms.items()}
     return HomClass(ChainMap(fx, gx, comps))
+
+
+# ----------------------------------------------------------- adjunctions
+
+
+def composite(g: HomogeneousFunctor, f: HomogeneousFunctor) -> HomogeneousFunctor:
+    """G o F on indecomposables and basis morphisms."""
+    return HomogeneousFunctor(
+        f.source, g.target, {s: g.on_object(f.obj_map[s]) for s in f.source.ids},
+        {lab: g.on_morphism(f.hom_map[lab]) for lab in f.source.label_pair}, check=False)
+
+
+def adjunction_check(F, G, unit: NatTrans, counit: NatTrans, xs, ys, shifts) -> dict:
+    """Check that ``unit``: Id_P -> GF and ``counit``: FG -> Id_Q make the
+    homogeneous F: P -> Q left adjoint to G: Q -> P.
+
+    The triangle identities counit_{Fs} o F(unit_s) = id and G(counit_t) o
+    unit_{Gt} = id are checked exactly on every indecomposable s of P and t
+    of Q.  For X in ``xs``, Y in ``ys`` and k = j and j - 1 for each j in
+    ``shifts`` (the two levels of Hom in the infinitesimal extension),
+    f -> G(f) o unit_X must be a bijection Hom_K(FX, Y[k]) -> Hom_K(X, GY[k]):
+    its matrix in ``express`` coordinates has rank both dimensions.  The
+    triangle identities imply the bijection, so that part failing alone is
+    an engine fault.  Raises FunctorError when unit and counit do not go
+    between the identities and the composites.
+    """
+    P, Q = F.source, F.target
+    if G.source is not Q or G.target is not P:
+        raise FunctorError("G does not go back from F's target to F's source")
+    for name, got, want in (("unit source", unit.F, HomogeneousFunctor.identity(P)),
+                            ("unit target", unit.G, composite(G, F)),
+                            ("counit source", counit.F, composite(F, G)),
+                            ("counit target", counit.G, HomogeneousFunctor.identity(Q))):
+        if got.source is not want.source or got.target is not want.target or any(
+                got.obj_map[s] != want.obj_map[s] for s in want.source.ids) or any(
+                got.hom_map[lab] != want.hom_map[lab] for lab in want.source.label_pair):
+            raise FunctorError(f"the {name} is not the functor an adjunction of F and G needs")
+    failures = [{"check": "counit o F(unit)", "at": s} for s in P.ids if not counit.on_object(
+        F.obj_map[s]).compose(F.on_morphism(unit.components[s])).is_identity()]
+    failures += [{"check": "G(counit) o unit", "at": t} for t in Q.ids if not G.on_morphism(
+        counit.components[t]).compose(unit.on_object(G.obj_map[t])).is_identity()]
+    levels = sorted({k for j in shifts for k in (j - 1, j)})
+    for i, x in enumerate(xs):
+        fx, eta = F.on_complex(x), extend_nat_trans(unit, x).rep      # X -> GFX
+        for j, y in enumerate(ys):
+            gy = G.on_complex(y)
+            for k in levels:
+                left, right = hom_space(fx, y, k), hom_space(x, gy, k)
+                rank = Matrix.from_columns(P.field, right.dimension, [
+                    right.express(G.on_chain_map(b, eta.target, right.ys).compose(eta))
+                    for b in left.basis]).rank()
+                if not left.dimension == right.dimension == rank:
+                    failures.append({"check": "hom bijection", "x": i, "y": j, "shift": k,
+                                     "dims": [left.dimension, right.dimension], "rank": rank})
+    return {"indecomposables": len(P.ids) + len(Q.ids),
+            "hom_pairs": len(xs) * len(ys) * len(levels), "failures": failures, "ok": not failures}
+
+
+def diagonal_fold(pres: OrlovPresentation):
+    """(Q, diagonal, fold, unit, counit) for Q = P + P, whose copy i of a
+    name of P is that name followed by ``:i``, and diagonal -| fold: the
+    diagonal P -> Q sends s to s:0 + s:1 and h to diag(h:0, h:1), the fold
+    sends s:i to s and h:i to h, the unit at s is the diagonal s -> s + s
+    and the counit at s:i the projection of s:0 + s:1 onto s:i."""
+    def cp(name, i):
+        return f"{name}:{i}"
+
+    data = pres.to_data()
+    union = OrlovPresentation(pres.characteristic, [
+        {**e, "id": cp(e["id"], i)} for i in (0, 1) for e in data["indecomposables"]], [
+        {"src": cp(h["src"], i), "tgt": cp(h["tgt"], i), "basis": [cp(b, i) for b in h["basis"]]}
+        for i in (0, 1) for h in data["hom"]], [
+        {"left": cp(c["left"], i), "right": cp(c["right"], i),
+         "result": [{**r, "label": cp(r["label"], i)} for r in c["result"]]}
+        for i in (0, 1) for c in data["compose"]], name=f"{pres.name}+{pres.name}")
+    both = {s: obj(cp(s, 0), cp(s, 1)) for s in pres.ids}
+    diagonal = HomogeneousFunctor(pres, union, both, {lab: AddMorphism.from_blocks(
+        union, both[s], both[t], [[pres.coords(lab), None], [None, pres.coords(lab)]])
+        for lab, (s, t) in pres.label_pair.items()})
+    ident = HomogeneousFunctor.identity(pres)
+    fold = HomogeneousFunctor(union, pres, {cp(s, i): obj(s) for s in pres.ids for i in (0, 1)},
+                              {cp(lab, i): m for lab, m in ident.hom_map.items() for i in (0, 1)})
+    unit = NatTrans(ident, composite(fold, diagonal), {
+        s: AddMorphism.from_blocks(pres, obj(s), obj(s, s), [[pres.unit[s]]] * 2)
+        for s in pres.ids})
+    counit = NatTrans(composite(diagonal, fold), HomogeneousFunctor.identity(union), {
+        cp(s, i): AddMorphism.from_blocks(union, both[s], obj(cp(s, i)), [
+            [pres.unit[s] if k == i else None for k in (0, 1)]]) for s in pres.ids for i in (0, 1)})
+    return union, diagonal, fold, unit, counit
 
 
 # ----------------------------------------------------- uniqueness probe

@@ -7,7 +7,11 @@ homotopy classes X -> Y and X -> Y[-1] with the twisted composition
 when its genuine part is, with the explicit inverse
 (f0^-1, -f0^-1[-1] f' f0^-1).  Distinguished triangles are witnessed by
 isomorphisms onto the image of a certified triangle of the underlying
-homotopy category.
+homotopy category.  ``adjunction_data`` gives the units and counits of
+rho[1] -| iota -| rho with their triangle identities.  A homogeneous
+functor acts on a pair by (F f0, F f'), so an adjunction of functors
+carries over level by level: ``functors.adjunction_check`` checks the Hom
+bijection at shift k and k - 1, the two levels of Hom in this category.
 """
 
 from __future__ import annotations
@@ -66,10 +70,6 @@ class InfMorphism:
     @staticmethod
     def identity(x: Complex) -> "InfMorphism":
         return InfMorphism.iota(HomClass.identity(x))
-
-    def pi(self) -> HomClass:
-        """The projection onto the genuine part."""
-        return self.f0
 
     @property
     def is_infinitesimal(self) -> bool:
@@ -144,17 +144,6 @@ def rho_map(f: InfMorphism) -> HomClass:
     return HomClass(ChainMap(rx, ry, comps, check=False))
 
 
-def rho_functoriality_check(pairs) -> dict:
-    """rho_map(g o f) = rho_map(g) o rho_map(f) over supplied pairs."""
-    failures = 0
-    for g, f in pairs:
-        lhs = rho_map(inf_compose(g, f))
-        rhs = rho_map(g).compose(rho_map(f))
-        if lhs != rhs:
-            failures += 1
-    return {"pairs": len(pairs), "failures": failures, "ok": failures == 0}
-
-
 # ------------------------------------------------------------ adjunctions
 
 
@@ -217,42 +206,28 @@ class InfTriangle:
         for name, iso in (("X", self.iso_x), ("Y", self.iso_y), ("Z", self.iso_z)):
             if inf_invert(iso) is None:
                 issues.append(f"witness iso at {name} is not invertible")
-        squares = (
-            (inf_compose(self.iso_y, self.m1),
-             inf_compose(InfMorphism.iota(HomClass(self.base.f)), self.iso_x), "f"),
-            (inf_compose(self.iso_z, self.m2),
-             inf_compose(InfMorphism.iota(HomClass(self.base.g)), self.iso_y), "g"),
-            (inf_compose(self.iso_x.shift(1), self.m3),
-             inf_compose(InfMorphism.iota(HomClass(self.base.h)), self.iso_z), "h"),
-        )
-        for lhs, rhs, name in squares:
-            if lhs != rhs:
+        # iso_tgt o m = iota(f) o iso_src for each map m and its base map f
+        for name, m, f, iso_src, iso_tgt in (
+                ("f", self.m1, self.base.f, self.iso_x, self.iso_y),
+                ("g", self.m2, self.base.g, self.iso_y, self.iso_z),
+                ("h", self.m3, self.base.h, self.iso_z, self.iso_x.shift(1))):
+            if inf_compose(iso_tgt, m) != inf_compose(InfMorphism.iota(HomClass(f)), iso_src):
                 issues.append(f"witness square {name} does not commute")
         return issues
 
 
 def iota_triangle(base: Triangle) -> InfTriangle:
-    return InfTriangle(
-        base.X, base.Y, base.Z,
-        InfMorphism.iota(HomClass(base.f)),
-        InfMorphism.iota(HomClass(base.g)),
-        InfMorphism.iota(HomClass(base.h)),
-        base,
-        InfMorphism.identity(base.X),
-        InfMorphism.identity(base.Y),
-        InfMorphism.identity(base.Z),
-    )
+    return InfTriangle(base.X, base.Y, base.Z,
+                       *(InfMorphism.iota(HomClass(m)) for m in (base.f, base.g, base.h)), base,
+                       *(InfMorphism.identity(x) for x in (base.X, base.Y, base.Z)))
 
 
 # ---------------------------------------------------- long exact sequences
 
 
 def _inf_express(sp0: HomSpace, sp1: HomSpace, m: InfMorphism):
-    c0 = sp0.express(m.f0.rep)
-    c1 = sp1.express(m.finf.rep)
-    if c0 is None or c1 is None:
-        return None
-    return list(c0) + list(c1)
+    c0, c1 = sp0.express(m.f0.rep), sp1.express(m.finf.rep)
+    return None if c0 is None or c1 is None else list(c0) + list(c1)
 
 
 def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
@@ -277,17 +252,11 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
         for idx in range(len(nodes) - 1):
             (sp0, sp1), _ = nodes[idx]
             (tgt0, tgt1), tdim = nodes[idx + 1]
-            cols = []
-            for b in sp0.basis:
-                vec = _inf_express(tgt0, tgt1, apply[idx](InfMorphism.iota(HomClass(b))))
-                if vec is None:
-                    raise InfExtError("image escapes the target basis")
-                cols.append(vec)
-            for b in sp1.basis:
-                vec = _inf_express(tgt0, tgt1, apply[idx](InfMorphism.upsilon(HomClass(b))))
-                if vec is None:
-                    raise InfExtError("image escapes the target basis")
-                cols.append(vec)
+            elements = [InfMorphism.iota(HomClass(b)) for b in sp0.basis] + [
+                InfMorphism.upsilon(HomClass(b)) for b in sp1.basis]
+            cols = [_inf_express(tgt0, tgt1, apply[idx](el)) for el in elements]
+            if None in cols:
+                raise InfExtError("image escapes the target basis")
             mats.append(Matrix.from_columns(fld, tdim, cols))
         local = []
         for idx in range(1, len(nodes) - 1):
@@ -303,8 +272,7 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
         return local
 
     # covariant: ... -> Hom(A, X[k]) -> Hom(A, Y[k]) -> Hom(A, Z[k]) -> ...
-    nodes = []
-    apply = []
+    nodes, apply = [], []
     for k in range(window[0], window[1] + 1):
         for w, mor in ((tri.X, tri.m1), (tri.Y, tri.m2), (tri.Z, tri.m3)):
             sp0 = hom_space(a, w, k)            # genuine part
@@ -315,8 +283,7 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
     failures.extend(run_sequence(nodes, apply))
 
     # contravariant: Hom(X[k+1], A) -> Hom(Z[k], A) -> Hom(Y[k], A) -> Hom(X[k], A)
-    cnodes = []
-    capply = []
+    cnodes, capply = [], []
     for k in range(window[1], window[0] - 1, -1):
         for w, pre in ((tri.Z, tri.m2.shift(k)), (tri.Y, tri.m1.shift(k)),
                        (tri.X, tri.m3.shift(k - 1))):
@@ -382,75 +349,3 @@ def complete_inf_square(p: InfMorphism, q: InfMorphism,
         invertible = inf_invert(r) is not None
     return {"r": r, "triangle_f": tri_f, "triangle_i": tri_i,
             "squares_ok": True, "r_invertible": invertible}
-
-
-# ------------------------------------------------------- induced functors
-
-
-class InducedFunctor:
-    """Termwise functor on the extension, with its induced plain functor.
-
-    Wraps a homogeneous functor F; on the extension it acts by the pair
-    (F f0, F f'), optionally post-composed with the inclusion of the
-    homotopy category.  The induced functor on the homotopy category is
-    the termwise extension itself, and genuineness holds by construction;
-    the report re-verifies it on supplied samples.
-    """
-
-    def __init__(self, base):
-        self.base = base
-
-    def on_complex(self, x: Complex) -> Complex:
-        return self.base.on_complex(x)
-
-    def on_hom_class(self, f: HomClass) -> HomClass:
-        return HomClass(self.base.on_chain_map(f.rep))
-
-    def on_inf(self, m: InfMorphism) -> InfMorphism:
-        return InfMorphism(self.on_hom_class(m.f0), self.on_hom_class(m.finf))
-
-    def genuineness_report(self, samples) -> dict:
-        """iota o induced = extension o iota, and the projection and rho
-        intertwiners, checked exactly on sample InfMorphisms."""
-        iota_ok = all(
-            self.on_inf(InfMorphism.iota(m.f0)) == InfMorphism.iota(self.on_hom_class(m.f0))
-            for m in samples)
-        pi_ok = all(
-            self.on_inf(m).pi() == self.on_hom_class(m.pi()) for m in samples)
-        rho_ok = all(
-            rho_map(self.on_inf(m)) == self.on_hom_class(rho_map(m)) for m in samples)
-        return {"iota_intertwines": iota_ok, "projection_intertwines": pi_ok,
-                "rho_intertwines": rho_ok, "ok": iota_ok and pi_ok and rho_ok}
-
-
-def induced_functor(base) -> InducedFunctor:
-    return InducedFunctor(base)
-
-
-def induced_adjunction_check(pres, samples_x, samples_y) -> dict:
-    """Unit/counit transport for the fixture adjoint pairs.
-
-    The identity/identity pair and the shift pair ([1], [-1]) are adjoint
-    with identity unit and counit; the induced functors inherit the
-    adjunction, verified by dimension bookkeeping on both levels and the
-    triangle identities (trivially identities here, but computed).
-    """
-    failures = []
-    for x in samples_x:
-        for y in samples_y:
-            lhs0 = hom_space(x.shift(1), y, 0).dimension
-            rhs0 = hom_space(x, y.shift(-1), 0).dimension
-            if lhs0 != rhs0:
-                failures.append({"pair": "shift", "level": "plain"})
-            lhs1 = lhs0 + hom_space(x.shift(1), y, -1).dimension
-            rhs1 = rhs0 + hom_space(x, y.shift(-1), -1).dimension
-            if lhs1 != rhs1:
-                failures.append({"pair": "shift", "level": "extension"})
-    for x in samples_x:
-        ident = InfMorphism.identity(x)
-        if inf_compose(ident, ident) != ident:
-            failures.append({"pair": "identity", "level": "triangle identity"})
-        sh = ident.shift(1).shift(-1)
-        if sh != ident:
-            failures.append({"pair": "shift", "level": "triangle identity"})
-    return {"failures": failures, "ok": not failures}

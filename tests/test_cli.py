@@ -51,6 +51,7 @@ def test_selftest_passes():
         assert report["window"] == [int(end) for end in window.split("..")]
         checks = {c["name"]: c["ok"] for c in report["payload"]["checks"]}
         assert checks["surrogate:FIX_ZC fails with Ext^2 witness"] is True
+        assert checks["functors:diagonal-fold adjunction"] is True
 
 
 def test_validate_fix_bad_exits_one_with_witness():
@@ -181,22 +182,35 @@ def test_malformed_complex_exits_two(tmp_path, command, data):
     assert report["error"]
 
 
+# FILE is the identity of a in degree 0; B0, b in degree 0, lies off the
+# antidiagonal at (0, 1); NOT_GENUINE is (0, alpha): b(0) -> a(-1), whose
+# cone is the cone of 0 and would drop alpha
+ONE_A0 = {"terms": {"0": ["a"]}}
+EXIT_TWO_INPUTS = {
+    "FILE": {"f0": {"source": ONE_A0, "target": ONE_A0,
+                    "components": {"0": [{"label": "1@a", "coeff": "1"}]}}},
+    "B0": {"terms": {"0": ["b"]}},
+    "A0": ONE_A0,
+    "NOT_GENUINE": {"f0": {"source": {"terms": {"0": ["b"]}}, "target": {"terms": {"-1": ["a"]}}},
+                    "finf": MAP_A2},
+}
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["infext", "compose", "FIX_A2", "FILE"], "needs 2 files"),
     (["infext", "invert", "FIX_A2"], "needs 1 files"),
     (["infext", "square", "FIX_A2", "FILE", "FILE", "FILE"], "needs 4 files"),
     (["infext", "les", "FIX_A2"], "needs 2 files"),
-    (["weights", "FIX_A2", "FILE"], "offending points [(0, 1)]"),
-], ids=["compose", "invert", "square", "les", "weights-off-heart"])
+    (["weights", "FIX_A2", "B0"], "offending points [(0, 1)]"),
+    (["infext", "invert", "FIX_A2", "FILE", "FILE", "FILE"], "needs 1 files, got 3"),
+    (["infext", "les", "FIX_A2", "NOT_GENUINE", "A0"], "given by genuine data"),
+], ids=["compose", "invert", "square", "les", "weights-off-heart", "invert-extra-files",
+        "les-not-genuine"])
 def test_arity_and_heart_input_exit_two(tmp_path, argv, needle):
-    # FILE is an identity map of a in degree 0, and b placed in degree 0 for
-    # weights, which lies off the antidiagonal at (0, 1)
-    path = tmp_path / "in.json"
-    one = {"terms": {"0": ["a"]}}
-    path.write_text(json.dumps({"terms": {"0": ["b"]}} if argv[0] == "weights" else
-                               {"f0": {"source": one, "target": one, "components": {
-                                   "0": [{"label": "1@a", "coeff": "1"}]}}}), encoding="utf-8")
-    code, report = run_json(*[str(path) if a == "FILE" else a for a in argv])
+    for name, doc in EXIT_TWO_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_json(*[str(tmp_path / f"{a}.json") if a in EXIT_TWO_INPUTS else a
+                              for a in argv])
     assert code == 2
     assert needle in report["error"]
 

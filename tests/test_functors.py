@@ -16,16 +16,19 @@ from koszulkit.complexes import (
     minimal_model,
 )
 from koszulkit.fixtures import load_fixture
+from koszulkit.fixtures import FIXTURE_NAMES
 from koszulkit.functors import (
     FunctorError,
     HomogeneousFunctor,
     NatTrans,
+    adjunction_check,
+    diagonal_fold,
     extend_nat_trans,
     nat_trans_uniqueness_probe,
 )
 from koszulkit.orlov import AddMorphism, obj
 from koszulkit.randgen import rand_chain_map, rand_complex, rng_for
-from presentations import QUIVER_NAMES, presentation
+from presentations import PATH_NAMES, QUIVER_NAMES, presentation
 import probe_reference as ref
 
 
@@ -609,3 +612,118 @@ def test_probe_randomized_a3(a3):
         x = rand_complex(a3, rng, amplitude=3)
         rep = nat_trans_uniqueness_probe(theta, x, orders=20, seed=7)
         assert rep["ok"], rep
+
+
+# ------------------------------------------------------------- adjunctions
+
+ADJOINT_NAMES = [*(n for n in FIXTURE_NAMES if n != "FIX_BAD"), *PATH_NAMES, *QUIVER_NAMES]
+SHIFTS = (-1, 0, 1)
+
+
+def fold_diagonal(pres, union, diagonal, fold, unit, counit):
+    """fold -| diagonal from what :func:`diagonal_fold` returns: the unit at
+    s:i is the inclusion of s:i into s:0 + s:1, the counit at s the sum
+    s + s -> s."""
+    copies = counit.F.obj_map              # s:i -> s:0 + s:1
+    unit2 = NatTrans(HomogeneousFunctor.identity(union), counit.F, {
+        t: AddMorphism.from_blocks(union, obj(t), both, [
+            [union.unit[t] if c == t else None] for c in both])
+        for t, both in copies.items()})
+    counit2 = NatTrans(unit.G, HomogeneousFunctor.identity(pres), {
+        s: AddMorphism.from_blocks(pres, obj(s, s), obj(s), [[pres.unit[s], pres.unit[s]]])
+        for s in pres.ids})
+    return fold, diagonal, unit2, counit2
+
+
+def adjoint_samples(name):
+    """P, P + P, its two adjoint pairs and seeded complexes on each side; the
+    last complex on each side is the image of the first on the other, so
+    some Hom space is not 0."""
+    pres = presentation(name)
+    union, *pair = diagonal_fold(pres)
+    diagonal, fold, unit, counit = pair
+    rng = rng_for(71, "adjunction", name)
+    xs = [rand_complex(pres, rng, amplitude=2) for _ in range(2)]
+    ys = [rand_complex(union, rng, amplitude=2) for _ in range(2)]
+    xs.append(fold.on_complex(ys[0]))
+    ys.append(diagonal.on_complex(xs[0]))
+    return pres, union, pair, fold_diagonal(pres, union, *pair), xs, ys
+
+
+@pytest.mark.parametrize("name", ADJOINT_NAMES)
+def test_diagonal_and_fold_are_adjoint_both_ways(name):
+    pres, union, left, right, xs, ys = adjoint_samples(name)
+    for (F, G, unit, counit), sources, targets in ((left, xs, ys), (right, ys, xs)):
+        rep = adjunction_check(F, G, unit, counit, sources, targets, SHIFTS)
+        assert rep["ok"], rep["failures"]
+        assert rep["indecomposables"] == 3 * len(pres.ids)
+        assert rep["hom_pairs"] == len(sources) * len(targets) * 4
+
+
+NEGATIVE_NAMES = ["FIX_A2", "FIX_A3", "A5/F10007", "quiver3/F10007", "quiver0/F0"]
+
+
+@pytest.mark.parametrize("name", NEGATIVE_NAMES)
+def test_a_unit_or_counit_that_is_natural_but_wrong_fails_the_triangle_identities(name):
+    pres, union, (diagonal, fold, unit, counit), _, xs, ys = adjoint_samples(name)
+    doubled = NatTrans(unit.F, unit.G, {s: c.scale(2) for s, c in unit.components.items()})
+    zero = NatTrans(counit.F, counit.G, {
+        t: AddMorphism.zero(union, counit.F.obj_map[t], obj(t)) for t in union.ids})
+    for eta, eps in ((doubled, counit), (unit, zero)):
+        rep = adjunction_check(diagonal, fold, eta, eps, xs, ys, SHIFTS)
+        assert not rep["ok"]
+        assert {(f["check"], f["at"]) for f in rep["failures"] if "at" in f} == {
+            *(("counit o F(unit)", s) for s in pres.ids),
+            *(("G(counit) o unit", t) for t in union.ids)}
+
+
+def test_a_unit_scaled_at_one_object_is_not_natural(a2):
+    _, _, _, unit, _ = diagonal_fold(a2)
+    with pytest.raises(FunctorError, match="naturality fails on alpha"):
+        NatTrans(unit.F, unit.G, {**unit.components, "a": unit.components["a"].scale(2)})
+
+
+@pytest.mark.parametrize("name", NEGATIVE_NAMES)
+def test_a_zero_unit_on_complexes_fails_the_hom_bijection(monkeypatch, name):
+    """The triangle identities read the components; the bijection reads the
+    unit's extension to X, which a zero class here makes the zero map."""
+    _, _, (diagonal, fold, unit, counit), _, xs, ys = adjoint_samples(name)
+    monkeypatch.setattr(functors, "extend_nat_trans",
+                        lambda theta, x: HomClass.zero(x, theta.G.on_complex(x)))
+    rep = adjunction_check(diagonal, fold, unit, counit, xs, ys, SHIFTS)
+    assert rep["failures"] and all(
+        f["check"] == "hom bijection" and f["rank"] == 0 and f["dims"][0] == f["dims"][1] > 0
+        for f in rep["failures"])
+
+
+@pytest.mark.parametrize("which", ["unit source", "unit target", "counit source",
+                                   "counit target"])
+def test_unit_and_counit_must_go_between_the_identity_and_the_composite(a2, which):
+    union, diagonal, fold, unit, counit = diagonal_fold(a2)
+    wrong = {"unit source": NatTrans(unit.G, unit.G, {
+                 s: AddMorphism.identity(a2, unit.G.obj_map[s]) for s in a2.ids}),
+             "unit target": NatTrans(unit.F, unit.F, {
+                 s: AddMorphism.identity(a2, obj(s)) for s in a2.ids}),
+             "counit source": NatTrans(counit.G, counit.G, {
+                 t: AddMorphism.identity(union, obj(t)) for t in union.ids}),
+             "counit target": NatTrans(counit.F, counit.F, {
+                 t: AddMorphism.identity(union, counit.F.obj_map[t]) for t in union.ids})}
+    eta, eps = (wrong[which], counit) if which.startswith("unit") else (unit, wrong[which])
+    with pytest.raises(FunctorError, match=f"^the {which} is not"):
+        adjunction_check(diagonal, fold, eta, eps, [], [], SHIFTS)
+    with pytest.raises(FunctorError, match="does not go back"):
+        adjunction_check(diagonal, diagonal, unit, counit, [], [], SHIFTS)
+
+
+def test_the_check_hands_on_chain_map_the_images_it_holds(monkeypatch):
+    on_chain_map, given = HomogeneousFunctor.on_chain_map, []
+
+    def checking(self, f, source=None, target=None):
+        assert (source, target) == (self.on_complex(f.source), self.on_complex(f.target))
+        given.append(f)
+        return on_chain_map(self, f, source, target)
+
+    monkeypatch.setattr(HomogeneousFunctor, "on_chain_map", checking)
+    _, _, (diagonal, fold, unit, counit), _, xs, ys = adjoint_samples("FIX_A2")
+    assert adjunction_check(diagonal, fold, unit, counit, xs, ys, SHIFTS)["ok"]
+    assert given

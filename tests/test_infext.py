@@ -16,14 +16,11 @@ from koszulkit.infext import (
     InfMorphism,
     adjunction_data,
     complete_inf_square,
-    induced_adjunction_check,
-    induced_functor,
     inf_compose,
     inf_invert,
     inf_les_check,
     iota_triangle,
     rho,
-    rho_functoriality_check,
     rho_map,
 )
 from koszulkit.orlov import AddMorphism, obj
@@ -122,14 +119,6 @@ def test_compose_associativity_randomized(a2):
         assert lhs.f0.rep == rhs.f0.rep and lhs.finf.rep == rhs.finf.rep
 
 
-def test_pi_iota_identity(a2):
-    rng = rng_for(5, "pi")
-    x = rand_complex(a2, rng)
-    y = rand_complex(a2, rng)
-    f = HomClass(rand_chain_map(x, y, rng))
-    assert InfMorphism.iota(f).pi() == f
-
-
 def test_upsilon_naturality(a2):
     rng = rng_for(6, "ups")
     for _ in range(10):
@@ -193,12 +182,10 @@ def test_rho_of_zero_complex(a2):
 def test_rho_functoriality_randomized(a2):
     rng = rng_for(9, "rho")
     pool = [rand_complex(a2, rng, amplitude=2) for _ in range(6)]
-    pairs = []
     for _ in range(200):
         x, y, z = (rng.choice(pool) for _ in range(3))
-        pairs.append((rand_inf(y, z, rng), rand_inf(x, y, rng)))
-    rep = rho_functoriality_check(pairs)
-    assert rep["ok"], rep
+        g, f = rand_inf(y, z, rng), rand_inf(x, y, rng)
+        assert rho_map(inf_compose(g, f)) == rho_map(g).compose(rho_map(f))
 
 
 def rho_map_reference(f: InfMorphism) -> HomClass:
@@ -253,6 +240,14 @@ def test_adjunction_identities_on_cone(a2):
 def test_iota_triangle_verifies(a2):
     tri = iota_triangle(Triangle.from_cone(alpha_map(a2)))
     assert tri.verify() == []
+
+
+@pytest.mark.parametrize("m,name", [("m1", "f"), ("m2", "g"), ("m3", "h")])
+def test_a_doubled_map_fails_its_witness_square(a2, m, name):
+    tri = iota_triangle(Triangle.from_cone(alpha_map(a2)))
+    doubled = getattr(tri, m)
+    setattr(tri, m, InfMorphism(doubled.f0.scale(2), doubled.finf))
+    assert tri.verify() == [f"witness square {name} does not commute"]
 
 
 def test_les_on_split_triangle(a2):
@@ -341,37 +336,7 @@ def test_complete_inf_square_rejects_non_commuting(a2):
         complete_inf_square(InfMorphism.identity(x), InfMorphism.iota(HomClass.zero(y, y)), f, f)
 
 
-# --------------------------------------------------------- induced functors
-
-def test_induced_identity_functor(a2):
-    ind = induced_functor(HomogeneousFunctor.identity(a2))
-    rng = rng_for(12, "ind")
-    x = rand_complex(a2, rng, amplitude=3)
-    assert ind.on_complex(x) == x
-    samples = []
-    for _ in range(8):
-        u = rand_complex(a2, rng, amplitude=2)
-        v = rand_complex(a2, rng, amplitude=2)
-        samples.append(rand_inf(u, v, rng))
-    rep = ind.genuineness_report(samples)
-    assert rep["ok"], rep
-
-
-def test_induced_scaling_functor_genuine(a2):
-    base = HomogeneousFunctor.identity(a2)
-    hom_map = dict(base.hom_map)
-    hom_map["alpha"] = hom_map["alpha"].scale(3)
-    functor = HomogeneousFunctor(a2, a2, base.obj_map, hom_map)
-    ind = induced_functor(functor)
-    rng = rng_for(13, "ind2")
-    samples = []
-    for _ in range(6):
-        u = rand_complex(a2, rng, amplitude=2)
-        v = rand_complex(a2, rng, amplitude=2)
-        samples.append(rand_inf(u, v, rng))
-    rep = ind.genuineness_report(samples)
-    assert rep["ok"], rep
-
+# ---------------------------------------------------------------- functors
 
 def test_zero_functor_everything_zero(a2):
     from koszulkit.orlov import AddObject
@@ -380,15 +345,6 @@ def test_zero_functor_everything_zero(a2):
     hom_map = {lab: AddMorphism.zero(a2, AddObject(()), AddObject(()))
                for lab in a2.label_pair}
     functor = HomogeneousFunctor(a2, a2, obj_map, hom_map)
-    ind = induced_functor(functor)
     rng = rng_for(14, "zero")
     x = rand_complex(a2, rng)
-    assert ind.on_complex(x).is_zero
-
-
-def test_induced_adjunction_check(a2):
-    rng = rng_for(15, "adj")
-    xs = [rand_complex(a2, rng, amplitude=2) for _ in range(4)]
-    ys = [rand_complex(a2, rng, amplitude=2) for _ in range(4)]
-    rep = induced_adjunction_check(a2, xs, ys)
-    assert rep["ok"], rep
+    assert functor.on_complex(x).is_zero

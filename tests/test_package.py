@@ -76,8 +76,6 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 ACCEPTANCE = "tests/test_acceptance.py imports or reaches it"
 PUBLIC = "it is in koszulkit.__all__"
 ORACLES = "tests/oracle_linalg.py or tests/oracle_hom.py calls it, and the oracles stay unchanged"
-INDUCED = ("the ROADMAP's functor-claim item owns it: infext's induced-functor checks, "
-           "or what only they reach")
 README_TRIANGLES = "the README lists it as a capability: rotation and shift of triangles"
 README_T_COHOMOLOGY = "the README lists it as a capability: t-cohomology, or what only it reaches"
 README_WEIGHTS = "the README lists it as a capability: weight filtrations"
@@ -87,8 +85,6 @@ README_HEART = ("the README lists it as a capability: the finite-length heart, w
 # Names that no engine or benchmark code uses, with the reason each stays;
 # a name that loses its last caller must be deleted or listed here.
 UNCALLED_ENGINE_NAMES = {
-    **dict.fromkeys(("rho_functoriality_check", "genuineness_report", "induced_functor",
-                     "induced_adjunction_check"), INDUCED),
     **dict.fromkeys(("q_functor", "q_ses_triangle", "heart_simples", "is_pure",
                      "is_semisimple_normal_form", "rand_chain_map"), ACCEPTANCE),
     "t_cohomology": README_T_COHOMOLOGY,
@@ -155,11 +151,6 @@ KEPT_UNREACHED = {
     **dict.fromkeys(("complexes.shift", "complexes.support", "orlov.compose",
                      "orlov.hom_basis"), PUBLIC),
     **dict.fromkeys(("linalg.Field.div", "linalg.Field.sub"), ORACLES),
-    **dict.fromkeys(("infext.induced_functor", "infext.induced_adjunction_check",
-                     "infext.rho_functoriality_check", "infext.InducedFunctor.genuineness_report",
-                     "infext.InducedFunctor.on_complex", "infext.InducedFunctor.on_hom_class",
-                     "infext.InducedFunctor.on_inf", "infext.InfMorphism.pi",
-                     "functors.HomogeneousFunctor.on_chain_map"), INDUCED),
     **dict.fromkeys(("complexes.Triangle.rotate", "complexes.Triangle.shift"), README_TRIANGLES),
     **dict.fromkeys(("tstructure.t_cohomology", "tstructure.truncation_window",
                      "tstructure.truncate_le", "tstructure.truncate_ge"), README_T_COHOMOLOGY),
