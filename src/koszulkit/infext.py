@@ -178,8 +178,6 @@ def adjunction_data(x: Complex) -> dict:
 
     return {
         "eta": eta, "eps": eps, "eta2": eta2, "eps2": eps2,
-        "first_unit_counit": check1 and check2,
-        "second_unit_counit": check3 and check4,
         "checks": [check1, check2, check3, check4],
         "ok": check1 and check2 and check3 and check4,
     }
@@ -310,6 +308,9 @@ def complete_inf_square(p: InfMorphism, q: InfMorphism,
     f: X -> Y and i2: X' -> Y' must be stored genuine (cones exist for
     them); p, q are arbitrary. Works the two underlying squares of the
     pair decomposition with a shared cone, reassembling r = (r0, r').
+    Raises InfExtError when f or i2 is not genuine or the square does not
+    commute; ``squares_ok`` says whether r makes both remaining squares of
+    the triangle morphism commute.
     """
     if not f.is_genuine_data or not i2.is_genuine_data:
         raise InfExtError("cone endpoints must be given by genuine data")
@@ -342,10 +343,8 @@ def complete_inf_square(p: InfMorphism, q: InfMorphism,
     tri_i = iota_triangle(Triangle.from_cone(i0))
     sq_g = inf_compose(r, tri_f.m2) == inf_compose(tri_i.m2, q)
     sq_h = inf_compose(p.shift(1), tri_f.m3) == inf_compose(tri_i.m3, r)
-    if not (sq_g and sq_h):
-        raise InfExtError("completed map fails the triangle-morphism squares")
     invertible = None
     if inf_invert(p) is not None and inf_invert(q) is not None:
         invertible = inf_invert(r) is not None
     return {"r": r, "triangle_f": tri_f, "triangle_i": tri_i,
-            "squares_ok": True, "r_invertible": invertible}
+            "squares_ok": sq_g and sq_h, "r_invertible": invertible}

@@ -8,13 +8,17 @@ leave an integral ``Fraction``: an integral ``Fraction`` compares and hashes
 equal to its ``int``, and :meth:`Field.format` writes both alike, so equality
 of scalars means equality of values.  Matrices are stored dense, as row-major
 lists; the constraint matrices of Hom spaces are mostly zeros, so the one
-elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Everything
-is immutable after construction and all operations return fresh objects.
+elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Over Q it
+holds each row as integer numerators over one common denominator and does
+no ``Fraction`` arithmetic until it writes its result, whose scalars are
+all canonical: no integral ``Fraction`` is left in it.  Everything is
+immutable after construction and all operations return fresh objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class KoszulkitError(Exception):
@@ -48,6 +52,14 @@ def _is_prime(n: int) -> bool:
 def _rational(x: Fraction):
     """x as an int when it is integral, else x itself."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _q(n: int, d: int):
+    """The rational n/d, for ints n and d != 0, as an int when it is integral."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 class Field:
@@ -132,22 +144,91 @@ class Field:
 QQ = Field(0)
 
 
-def _subtract(row, a, src, p):
-    """row -= a * src over Q, on dicts of nonzero entries."""
+# Rows of Matrix.rref: a dict {column: nonzero int} and an int denominator
+# d > 0, the row's value being the dict divided by d.  Over Q the row is kept
+# primitive, gcd(d, numerators) = 1; over F_p the ints are residues and d = 1.
+# The field enters the elimination only through the helpers below, a Q and an
+# F_p version each of load, pivot and subtract.
+
+def _load_q(row):
+    """A list of Q scalars as a sparse row (numerators, d)."""
+    row = {j: x for j, x in enumerate(row) if x}
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        return row, 1
+    # d is the lcm of the reduced denominators, so the row comes out primitive
+    d = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
+
+
+def _load_mod(row):
+    """_load_q over F_p."""
+    return {j: x for j, x in enumerate(row) if x}, 1
+
+
+def _pivot_q(row, d, c, p):
+    """Over Q: drop the row's entry m/d at column c and divide the rest by
+    it, so the row becomes row/m.  Returns the op's scale d/m (None when it
+    is 1) and the new denominator."""
+    m = row.pop(c)
+    if m == d:
+        return None, d
+    s = _q(d, m)
+    g = gcd(m, *row.values())
+    if m < 0:
+        g = -g
+    if g != 1:
+        m //= g
+        for j, x in row.items():
+            row[j] = x // g
+    return s, m
+
+
+def _pivot_mod(row, d, c, p):
+    """_pivot_q over F_p."""
+    m = row.pop(c)
+    if m == 1:
+        return None, 1
+    s = pow(m, -1, p)
+    for j, x in row.items():
+        row[j] = x * s % p
+    return s, 1
+
+
+def _subtract_q(row, d, a, src, e, p):
+    """Over Q: row/d -= (a/d)·src/e, on numerators, where a is the row's
+    numerator that the caller popped at the pivot column and src/e the
+    pivot row: the row becomes (row·e - a·src)/(d·e), made primitive.
+    Returns the new denominator and the op's multiplier a/d."""
+    if e != 1:
+        for j, x in row.items():
+            row[j] = x * e
     for j, x in src:
         v = row.get(j)
         if v is None:
-            row[j] = -(a * x)
+            row[j] = -a * x
         else:
             v -= a * x
             if v:
                 row[j] = v
             else:
                 del row[j]
+    if d != 1:
+        a = _q(a, d)
+    d *= e
+    if d != 1:
+        g = gcd(d, *row.values())
+        if g != 1:
+            d //= g
+            for j, x in row.items():
+                row[j] = x // g
+    return d, a
 
 
-def _subtract_mod(row, a, src, p):
-    """row -= a * src over F_p, on dicts of nonzero entries."""
+def _subtract_mod(row, d, a, src, e, p):
+    """_subtract_q over F_p."""
     for j, x in src:
         v = row.get(j)
         if v is None:
@@ -158,6 +239,7 @@ def _subtract_mod(row, a, src, p):
                 row[j] = v
             else:
                 del row[j]
+    return 1, a
 
 
 class Matrix:
@@ -254,16 +336,30 @@ class Matrix:
         entries, then back substitution.  In each column the pivot row is the
         candidate with the fewest nonzeros, after Markowitz (1957), to limit
         fill-in; the RREF is unique, so R and the pivots do not depend on it.
+
+        Over Q a row is held as int numerators over one positive int
+        denominator and divided by their gcd after each row operation, so it
+        stays primitive (integer-preserving elimination, as in Bareiss
+        1968): subtracting (a/d)·n'/e from n/d gives (e·n - a·n')/(d·e)
+        without a ``Fraction``.  Each op's scalars are formed once per row
+        operation, and R's entries once at the end, all canonical.  F_p runs
+        through the same loop with denominator 1.
         """
         f = self.field
         nrows, ncols = self.rows, self.cols
         if not nrows or not ncols:
             return Echelon(f, nrows, ncols, [[] for _ in range(nrows)], (), [], list(range(nrows)), []), (), 0
         p = f.char
-        subtract = _subtract_mod if p else _subtract
-        rows = [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        if p:
+            load, pivot, subtract = _load_mod, _pivot_mod, _subtract_mod
+        else:
+            load, pivot, subtract = _load_q, _pivot_q, _subtract_q
+        rows, dens = [], []
         waiting = {}        # leading column -> rows still without a pivot
-        for i, row in enumerate(rows):
+        for i, data in enumerate(self.data):
+            row, d = load(data)
+            rows.append(row)
+            dens.append(d)
             if row:
                 waiting.setdefault(min(row), []).append(i)
         # A pivot row is kept without its pivot entry, which is 1.  Each op
@@ -275,20 +371,14 @@ class Matrix:
             cands = waiting.pop(c)
             i = cands[0] if len(cands) == 1 else min(cands, key=lambda k: len(rows[k]))
             prow = rows[i]
-            s = prow.pop(c)
-            if s == 1:
-                s = None
-            else:
-                s = f.inv(s)
-                for j, x in prow.items():
-                    prow[j] = x * s % p if p else x * s
+            s, e = pivot(prow, dens[i], c, p)
+            dens[i] = e
             src = prow.items()
             elim = []
             for k in cands:
                 if k != i:
                     row = rows[k]
-                    a = row.pop(c)
-                    subtract(row, a, src, p)
+                    dens[k], a = subtract(row, dens[k], row.pop(c), src, e, p)
                     elim.append((k, a))
                     if row:
                         waiting.setdefault(min(row), []).append(k)
@@ -296,19 +386,19 @@ class Matrix:
             order.append(i)
             pivots.append(c)
         for n in range(len(order) - 1, 0, -1):
-            c, src = pivots[n], rows[order[n]].items()
+            c, src, e = pivots[n], rows[order[n]].items(), dens[order[n]]
             elim = []
             for k in order[:n]:
                 row = rows[k]
                 if c in row:
-                    a = row.pop(c)
-                    subtract(row, a, src, p)
+                    dens[k], a = subtract(row, dens[k], row.pop(c), src, e, p)
                     elim.append((k, a))
             if elim:
                 ops.append((order[n], None, elim))
         zero, one = f.zero, f.one
         # each pivot row now holds only its entries at free columns
-        entries = [rows[i] for i in order]
+        entries = [rows[i] if dens[i] == 1 else {j: _q(x, dens[i]) for j, x in rows[i].items()}
+                   for i in order]
         data = []
         for c, row in zip(pivots, entries):
             out = [zero] * ncols

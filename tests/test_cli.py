@@ -193,6 +193,7 @@ EXIT_TWO_INPUTS = {
     "A0": ONE_A0,
     "NOT_GENUINE": {"f0": {"source": {"terms": {"0": ["b"]}}, "target": {"terms": {"-1": ["a"]}}},
                     "finf": MAP_A2},
+    "ZERO_A0": {"f0": {"source": ONE_A0, "target": ONE_A0, "components": {}}},
 }
 
 
@@ -204,8 +205,10 @@ EXIT_TWO_INPUTS = {
     (["weights", "FIX_A2", "B0"], "offending points [(0, 1)]"),
     (["infext", "invert", "FIX_A2", "FILE", "FILE", "FILE"], "needs 1 files, got 3"),
     (["infext", "les", "FIX_A2", "NOT_GENUINE", "A0"], "given by genuine data"),
+    (["infext", "square", "FIX_A2", "NOT_GENUINE", "FILE", "FILE", "FILE"], "given by genuine data"),
+    (["infext", "square", "FIX_A2", "FILE", "FILE", "FILE", "ZERO_A0"], "does not commute"),
 ], ids=["compose", "invert", "square", "les", "weights-off-heart", "invert-extra-files",
-        "les-not-genuine"])
+        "les-not-genuine", "square-not-genuine", "square-not-commuting"])
 def test_arity_and_heart_input_exit_two(tmp_path, argv, needle):
     for name, doc in EXIT_TWO_INPUTS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -378,6 +381,31 @@ def test_infext_gates_on_validation(tmp_path, sub, docs, a2_payload):
     assert report["payload"] == {"gate": run_json("validate", "FIX_BAD")[1]["payload"], "ok": False}
     code, report = run_json("infext", sub, "FIX_A2", *map(str, files))
     assert code == 0 and report["payload"] == a2_payload
+
+
+def test_infext_square_exits_one_on_a_wrong_completion(tmp_path, monkeypatch):
+    from koszulkit import infext
+
+    id_b = {"f0": {"source": {"terms": {"0": ["b"]}, "diff": {}}, "target": {"terms": {"0": ["b"]}, "diff": {}},
+                   "components": {"0": [{"row": 0, "col": 0, "label": "1@b", "coeff": "1"}]}}}
+    files = []
+    for name, doc in (("f", ALPHA_MAP), ("i2", ALPHA_MAP), ("p", id_b), ("q", ID_MAP)):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_json("infext", "square", "FIX_A2", *map(str, files))
+    assert code == 0 and report["payload"] == {"squares_ok": True, "r_invertible": True}
+
+    # the cone of alpha is not contractible, so twice the completion, still
+    # invertible, fails its squares
+    complete_square = infext.complete_square
+
+    def doubled(*args):
+        r, h = complete_square(*args)
+        return r.scale(2), h
+
+    monkeypatch.setattr(infext, "complete_square", doubled)
+    code, report = run_json("infext", "square", "FIX_A2", *map(str, files))
+    assert code == 1 and report["payload"] == {"squares_ok": False, "r_invertible": True}
 
 
 def test_filtered_demo_command():

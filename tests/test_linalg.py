@@ -322,6 +322,47 @@ def test_unimodular_elimination_stays_in_ints():
     assert pivots_seen >= 60
 
 
+def wide_denominator_matrix(rows, cols, rng):
+    """A sparse Q matrix with numerators up to 10^6 over denominators 1..30,
+    some entries integral Fractions, stored as drawn."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.45:
+            return 0
+        if kind < 0.55:
+            return Fraction(rng.randint(-10**6, 10**6) * 6, 6)
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 30))
+    return Matrix(QQ, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def is_canonical(x):
+    """A Q scalar is an int exactly when its value is integral."""
+    return type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+def test_wide_denominators_give_e_a_equal_r_in_canonical_scalars():
+    rng = random.Random(47)
+    denominators = set()
+    for _ in range(80):
+        m = wide_denominator_matrix(rng.randint(1, 8), rng.randint(1, 9), rng)
+        denominators.update(x.denominator for row in m.data for x in row)
+        r, pivots, rank = m.rref()
+        assert is_rref(r, pivots, rank)
+        # E·A = R: the row operations take each column of A to that of R
+        for j in range(m.cols):
+            assert r.reduce(m.col(j)) == r.col(j)
+        scalars = [x for row in r.data for x in row]
+        scalars += [x for row in r._entries for x in row.values()]
+        for _, s, elim in r._ops:
+            scalars += [a for _, a in elim] + ([s] if s is not None else [])
+        assert all(map(is_canonical, scalars))
+        assert rank == oracle_rank(m.data, QQ)
+        k = m.kernel_basis()
+        assert k.cols == m.cols - rank
+        assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], QQ)
+    assert len(denominators) >= 25
+
+
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_of_zero_matrix():
