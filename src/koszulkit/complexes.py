@@ -15,8 +15,10 @@ Sign conventions (the underlying theory never fixes them):
 
 Distinguished triangles carry explicit certificates: every constructor
 stores data whose verification consists of exact identities only (chain
-conditions, cone comparisons with explicit homotopy inverses, transports
-along witnessed homotopy equivalences).
+conditions, the canonical cone triangle, transports along witnessed
+homotopy equivalences).  A termwise-split triangle is the cone triangle of
+its inclusion transported to the quotient, so it has no certificate of its
+own; a transport reads a None iso as the identity.
 """
 
 from __future__ import annotations
@@ -542,11 +544,6 @@ class ChainIso:
     def exact(fwd: ChainMap, bwd: ChainMap) -> "ChainIso":
         return ChainIso(fwd, bwd)
 
-    @staticmethod
-    def identity(x: Complex) -> "ChainIso":
-        i = ChainMap.identity(x)
-        return ChainIso(i, i)
-
     def inverse(self) -> "ChainIso":
         return ChainIso(self.bwd, self.fwd, self.h_tgt, self.h_src)
 
@@ -574,12 +571,6 @@ class _ConeWitness:
 
 
 @dataclass
-class _SplitWitness:
-    sel_sub: dict     # degree -> positions of the subcomplex summands in M
-    sel_quot: dict    # degree -> the complementary positions
-
-
-@dataclass
 class _RotateWitness:
     base: "Triangle"
 
@@ -593,12 +584,10 @@ class _ShiftWitness:
 @dataclass
 class _TransportWitness:
     base: "Triangle"
-    iso_x: ChainIso
-    iso_y: ChainIso
-    iso_z: ChainIso
-    sq_f: Homotopy | None
-    sq_g: Homotopy | None
-    sq_h: Homotopy | None
+    iso_x: ChainIso | None      # None is the identity
+    iso_y: ChainIso | None
+    iso_z: ChainIso | None
+    squares: tuple              # homotopy witness of the f, g and h squares, or None
 
 
 class Triangle:
@@ -621,6 +610,20 @@ class Triangle:
 
     @staticmethod
     def from_termwise_split(m: Complex, sel_sub: dict, sel_quot: dict) -> "Triangle":
+        """A -> M -> B -> A[1] for the subcomplex A of M on the positions
+        ``sel_sub`` and the quotient B on ``sel_quot``: the cone triangle of
+        the inclusion incl: A -> M, transported along (phi, psi, H) from
+        C = cone(incl), C^k = A^{k+1} + M^k, to B.
+
+        Write d_M on the B-part of M as j d_B + incl t, with j the inclusion
+        of B and t = d_M restricted B -> A; d_M^2 = 0 gives d_A t + t d_B = 0.
+        phi: C -> B kills A[1] and projects M onto B; psi: B -> C is (e, j)
+        with e = -t; H: C^k -> C^{k-1} puts the A-part of M^k into the
+        A[1]-slot.  Then phi and psi are chain maps, phi psi = id exactly, and
+        id - psi phi = delta(H): both send (a', a + b) to (a' + t b, a).  The
+        transported maps are phi o inc_M = the projection onto B and
+        proj_{A[1]} o psi = e, the canonical split triangle on the nose.
+        """
         pres = m.pres
         sub_terms, quot_terms = {}, {}
         for i in m.terms:
@@ -640,21 +643,32 @@ class Triangle:
             quot_diffs[i] = d.restrict_blocks(q1, q0)
             t = d.restrict_blocks(s1, q0)
             if not t.is_zero():
-                conn[i] = t
+                conn[i] = t.scale(-1)
         a_cx = Complex(pres, sub_terms, sub_diffs, check=False)
         b_cx = Complex(pres, quot_terms, quot_diffs, check=False)
-        incl = ChainMap(a_cx, m, {
+        base = Triangle.from_cone(ChainMap(a_cx, m, {
             i: AddMorphism.inclusion(pres, a_cx.term(i), m.term(i), sel_sub.get(i, ()))
-            for i in a_cx.terms}, check=False)
-        proj = ChainMap(m, b_cx, {
-            i: AddMorphism.projection(pres, m.term(i), b_cx.term(i), sel_quot.get(i, ()))
-            for i in b_cx.terms}, check=False)
-        a1 = a_cx.shift(1)
-        e = ChainMap(b_cx, a1, {
-            i: AddMorphism(pres, b_cx.term(i), a1.term(i), conn[i].scale(-1).blocks)
-            for i in conn}, check=False)
-        return Triangle(a_cx, m, b_cx, incl, proj, e,
-                        _SplitWitness(dict(sel_sub), dict(sel_quot)))
+            for i in a_cx.terms}, check=False))
+        c_cx = base.Z
+        # C^k lists the len(A^{k+1}) summands of A[1]^k before those of M^k
+        na = {k: len(a_cx.term(k + 1)) for k in c_cx.terms}
+
+        def in_c(sel, k):
+            return [na[k] + p for p in sel.get(k, ())]
+
+        phi, psi = {}, {}
+        for k, bk in b_cx.terms.items():
+            phi[k] = AddMorphism.projection(pres, c_cx.term(k), bk, in_c(sel_quot, k))
+            pieces = [(in_c(sel_quot, k), range(len(bk)), AddMorphism.identity(pres, bk))]
+            if k in conn:
+                pieces.append((range(na[k]), range(len(bk)), conn[k]))
+            psi[k] = AddMorphism.assemble(pres, bk, c_cx.term(k), pieces)
+        hh = {k: AddMorphism.inclusion(pres, ak, c_cx.term(k - 1), range(len(ak))).compose(
+                  AddMorphism.projection(pres, c_cx.term(k), ak, in_c(sel_sub, k)))
+              for k, ak in a_cx.terms.items()}
+        iso_z = ChainIso(ChainMap(c_cx, b_cx, phi, check=False),
+                         ChainMap(b_cx, c_cx, psi, check=False), h_src=Homotopy(c_cx, c_cx, hh))
+        return Triangle.transport(base, None, None, iso_z)
 
     def rotate(self) -> "Triangle":
         return Triangle(self.Y, self.Z, self.X.shift(1),
@@ -669,19 +683,17 @@ class Triangle:
     @staticmethod
     def transport(base: "Triangle", iso_x: ChainIso | None,
                   iso_y: ChainIso | None, iso_z: ChainIso | None) -> "Triangle":
-        iso_x = iso_x or ChainIso.identity(base.X)
-        iso_y = iso_y or ChainIso.identity(base.Y)
-        iso_z = iso_z or ChainIso.identity(base.Z)
-        f2 = iso_y.fwd.compose(base.f).compose(iso_x.bwd)
-        g2 = iso_z.fwd.compose(base.g).compose(iso_y.bwd)
-        h2 = iso_x.fwd.shift(1).compose(base.h).compose(iso_z.bwd)
+        """The triangle X' -> Y' -> Z' -> X'[1] isomorphic to ``base`` along
+        isos X -> X', Y -> Y' and Z -> Z'.  A None iso is the identity: it is
+        not built, verified or composed with."""
+        isos = (iso_x, iso_y, iso_z)
+        tails = _tails(base, *isos)
+        f2, g2, h2 = (t if iso is None else t.compose(iso.bwd) for t, iso in zip(tails, isos))
         # witnesses: f2 o fwd_x - fwd_y o f = -fwd_y f delta(h_src_x) etc.
-        sq_f = _square_witness(iso_y.fwd.compose(base.f), iso_x)
-        sq_g = _square_witness(iso_z.fwd.compose(base.g), iso_y)
-        sq_h = _square_witness(iso_x.fwd.shift(1).compose(base.h), iso_z)
-        return Triangle(iso_x.fwd.target, iso_y.fwd.target, iso_z.fwd.target,
-                        f2, g2, h2,
-                        _TransportWitness(base, iso_x, iso_y, iso_z, sq_f, sq_g, sq_h))
+        squares = tuple(_square_witness(t, iso) for t, iso in zip(tails, isos))
+        x, y, z = (c if iso is None else iso.fwd.target
+                   for c, iso in zip((base.X, base.Y, base.Z), isos))
+        return Triangle(x, y, z, f2, g2, h2, _TransportWitness(base, *isos, squares))
 
     # ---------------------------------------------------------- verification
 
@@ -695,8 +707,6 @@ class Triangle:
             z, inc, proj = cone(self.f)
             if self.Z != z or self.g != inc or self.h != proj:
                 issues.append("cone witness: triangle is not the canonical cone triangle")
-        elif isinstance(w, _SplitWitness):
-            issues.extend(self._verify_split(w))
         elif isinstance(w, _RotateWitness):
             issues.extend(w.base.verify())
             expect = w.base.rotate()
@@ -710,16 +720,14 @@ class Triangle:
                 issues.append("shift witness: maps do not match the shifted base")
         elif isinstance(w, _TransportWitness):
             issues.extend(w.base.verify())
-            for name, iso in (("X", w.iso_x), ("Y", w.iso_y), ("Z", w.iso_z)):
-                if not iso.verify():
+            isos = (w.iso_x, w.iso_y, w.iso_z)
+            for name, iso in zip("XYZ", isos):
+                if iso is not None and not iso.verify():
                     issues.append(f"transport witness: iso at {name} fails")
-            checks = (
-                (self.f.compose(w.iso_x.fwd), w.iso_y.fwd.compose(w.base.f), w.sq_f),
-                (self.g.compose(w.iso_y.fwd), w.iso_z.fwd.compose(w.base.g), w.sq_g),
-                (self.h.compose(w.iso_z.fwd), w.iso_x.fwd.shift(1).compose(w.base.h), w.sq_h),
-            )
-            for idx, (lhs, rhs, hom) in enumerate(checks):
-                diff = lhs.sub(rhs)
+            # square k: m_k o fwd - tail_k = delta(squares[k]), fwd at the source of m_k
+            for idx, (m, iso, tail, hom) in enumerate(zip(
+                    (self.f, self.g, self.h), isos, _tails(w.base, *isos), w.squares)):
+                diff = (m if iso is None else m.compose(iso.fwd)).sub(tail)
                 if hom is None:
                     if not diff.is_zero():
                         issues.append(f"transport witness: square {idx} not exact")
@@ -729,84 +737,22 @@ class Triangle:
             issues.append("unknown witness")
         return issues
 
-    def _verify_split(self, w: _SplitWitness) -> list:
-        issues = []
-        m = self.Y
-        pres = m.pres
-        # the stored maps must be the canonical selection maps
-        for i in self.X.terms:
-            if self.f.component(i) != AddMorphism.inclusion(
-                    pres, self.X.term(i), m.term(i), w.sel_sub.get(i, ())):
-                issues.append(f"split witness: inclusion differs at {i}")
-        for i in self.Z.terms:
-            if self.g.component(i) != AddMorphism.projection(
-                    pres, m.term(i), self.Z.term(i), w.sel_quot.get(i, ())):
-                issues.append(f"split witness: projection differs at {i}")
-        for i, d in m.diffs.items():
-            if not d.restrict_blocks(w.sel_quot.get(i + 1, ()), w.sel_sub.get(i, ())).is_zero():
-                issues.append(f"split witness: subcomplex not preserved at {i}")
-            expected = d.restrict_blocks(w.sel_sub.get(i + 1, ()), w.sel_quot.get(i, ())).scale(-1)
-            got = self.h.component(i)
-            if got.blocks != expected.blocks:
-                issues.append(f"split witness: connecting map differs at {i}")
-        if issues:
-            return issues
 
-        # explicit comparison with cone(f): C^k = A^{k+1} + M^k
-        a_cx, b_cx = self.X, self.Z
-        c_cx, inc_m, proj_a1 = cone(self.f)
-        na = {k: len(a_cx.term(k + 1)) for k in c_cx.terms}
-
-        def in_c(sel, k):
-            """Positions in C^k of the M^k summands at ``sel``."""
-            return [na[k] + p for p in sel.get(k, ())]
-
-        # phi: C -> B kills A[1] and projects M onto the quotient part
-        phi_comps = {k: AddMorphism.projection(pres, c_cx.term(k), b_cx.term(k),
-                                               in_c(w.sel_quot, k))
-                     for k in c_cx.terms}
-        # psi: B -> C is (e, inclusion)
-        psi_comps = {}
-        for k, bk in b_cx.terms.items():
-            psi_comps[k] = AddMorphism.assemble(pres, bk, c_cx.term(k), [
-                (range(na[k]), range(len(bk)), self.h.component(k)),
-                (in_c(w.sel_quot, k), range(len(bk)), AddMorphism.identity(pres, bk))])
-        # h3: C^k -> A[1]^{k-1} = A^k picks the A-part of M; H puts it into
-        # the A[1]-slot of C^{k-1}
-        a1 = a_cx.shift(1)
-        hh_comps, h3_comps = {}, {}
-        for k in c_cx.terms:
-            if k - 1 not in a1.terms:
-                continue
-            h3_comps[k] = AddMorphism.projection(pres, c_cx.term(k), a1.term(k - 1),
-                                                 in_c(w.sel_sub, k))
-            hh_comps[k] = AddMorphism.assemble(pres, c_cx.term(k), c_cx.term(k - 1), [
-                (range(len(a1.term(k - 1))), range(len(c_cx.term(k))), h3_comps[k])])
-
-        phi = ChainMap(c_cx, b_cx, phi_comps, check=False)
-        psi = ChainMap(b_cx, c_cx, psi_comps, check=False)
-        if not phi.verify():
-            issues.append("split witness: phi is not a chain map")
-        if not psi.verify():
-            issues.append("split witness: psi is not a chain map")
-        if not phi.compose(psi).sub(ChainMap.identity(b_cx)).is_zero():
-            issues.append("split witness: phi o psi != id")
-        hh = Homotopy(c_cx, c_cx, hh_comps)
-        if ChainMap.identity(c_cx).sub(psi.compose(phi)) != hh.boundary():
-            issues.append("split witness: psi o phi homotopy fails")
-        if not phi.compose(inc_m).sub(self.g).is_zero():
-            issues.append("split witness: phi o inc != projection")
-        h3 = Homotopy(c_cx, a1, h3_comps)
-        if proj_a1.sub(self.h.compose(phi)) != h3.boundary():
-            issues.append("split witness: third-map comparison homotopy fails")
-        return issues
+def _tails(base: Triangle, iso_x, iso_y, iso_z):
+    """fwd_y o f, fwd_z o g and fwd_x[1] o h of ``base``; a None iso is the
+    identity and is composed with nothing."""
+    return (base.f if iso_y is None else iso_y.fwd.compose(base.f),
+            base.g if iso_z is None else iso_z.fwd.compose(base.g),
+            base.h if iso_x is None else iso_x.fwd.shift(1).compose(base.h))
 
 
-def _square_witness(tail: ChainMap, iso: ChainIso):
-    """Homotopy witness for (tail o bwd) o fwd - tail, from the iso witness."""
-    if iso.h_src is None:
+def _square_witness(tail: ChainMap, iso: ChainIso | None):
+    """Homotopy witness for (tail o bwd) o fwd - tail = -tail o delta(h_src):
+    it is delta(-tail o h_src), since tail is a chain map; None when the
+    square commutes on the nose."""
+    if iso is None or iso.h_src is None:
         return None
-    return iso.h_src.conjugate(ChainMap.identity(iso.fwd.source), tail).scale(-1)
+    return iso.h_src.conjugate(ChainMap.identity(iso.fwd.source), tail.scale(-1))
 
 
 # ------------------------------------------------------------ minimal model

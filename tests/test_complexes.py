@@ -44,7 +44,13 @@ from koszulkit.randgen import (
     rand_heart_complex,
     rng_for,
 )
-from koszulkit.tstructure import simple_ext_cells
+from koszulkit.tstructure import (
+    HeartObject,
+    heart_object,
+    simple_ext_cells,
+    truncate,
+    weight_subobjects,
+)
 from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
 from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, path_category, presentation
@@ -213,6 +219,128 @@ def test_cone_triangle_verifies(a2):
     assert tri.verify() == []
     assert tri.rotate().verify() == []
     assert tri.shift(3).verify() == []
+
+
+@pytest.mark.parametrize("at", ["X", "Y", "Z"])
+def test_transport_along_a_minimal_model_iso_verifies(a3, at):
+    """The iso x -> minimal model carries its homotopy on x, so each square
+    it closes has the witness -tail o h_src."""
+    rng = rng_for(1, "x")
+    witnessed = 0
+    for _ in range(12):
+        x = rand_complex(a3, rng)
+        base = Triangle.from_cone(ChainMap.identity(x))
+        iso = minimal_model({"X": base.X, "Y": base.Y, "Z": base.Z}[at])[1]
+        witnessed += iso.h_src is not None
+        isos = [iso if name == at else None for name in "XYZ"]
+        assert Triangle.transport(base, *isos).verify() == []
+    assert witnessed
+
+
+SPLIT_NAMES = ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES]
+
+
+def straddling_arrow(pres, rng):
+    """s -> t by a basis element, t in degree -deg t and s one below, for
+    summands at least two degrees apart: s is outside the lower aisle and t
+    in it, so the arrow is the connecting map of its truncation."""
+    s, t = rng.choice([(s, t) for s in pres.ids for t in pres.ids
+                       if pres.degree[s] - pres.degree[t] >= 2 and pres.hom_dim(s, t)])
+    i = -pres.degree[t] - 1
+    arrow = rng.choice(hom_basis(pres, obj(s), obj(t))[0])
+    return Complex(pres, {i: obj(s), i + 1: obj(t)}, {i: arrow})
+
+
+def truncation_splits(pres, rng, trials, monkeypatch):
+    """(m, sel_sub, sel_quot, split triangle, truncation) for the split
+    triangles that ``truncate`` builds on re-presented sums of a seeded
+    complex and a straddling arrow, so every connecting map is nonzero."""
+    real = Triangle.from_termwise_split
+    calls = []
+
+    def spy(m, sel_sub, sel_quot):
+        calls.append((m, sel_sub, sel_quot, real(m, sel_sub, sel_quot)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(Triangle, "from_termwise_split", staticmethod(spy))
+    out = []
+    for _ in range(trials):
+        x, *_ = direct_sum(rand_complex(pres, rng), straddling_arrow(pres, rng))
+        tr = truncate(conjugate_complex(x, rng)[0])
+        out.append((*calls[-1], tr.triangle))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("name", SPLIT_NAMES)
+def test_split_triangle_maps_are_the_selection_maps(name, monkeypatch):
+    """f, g and h of a split triangle are the inclusion, the projection and
+    minus the off-diagonal block of d_M, each built here directly."""
+    pres = presentation(name)
+    for m, sub, quot, tri, _ in truncation_splits(pres, rng_for(29, "split", name), 15,
+                                                   monkeypatch):
+        a_cx, b_cx = tri.X, tri.Z
+        assert tri.Y == m
+        assert tri.f == ChainMap(a_cx, m, {i: AddMorphism.inclusion(pres, t, m.term(i), sub[i])
+                                            for i, t in a_cx.terms.items()})
+        assert tri.g == ChainMap(m, b_cx, {i: AddMorphism.projection(pres, m.term(i), t, quot[i])
+                                            for i, t in b_cx.terms.items()})
+        assert tri.h == ChainMap(b_cx, a_cx.shift(1), {
+            i: d.restrict_blocks(sub.get(i + 1, ()), quot[i]).scale(-1)
+            for i, d in m.diffs.items() if i in b_cx.terms and i + 1 in a_cx.terms})
+        assert not tri.h.is_zero()
+        assert tri.verify() == []
+
+
+def ses_triangles(pres, rng, trials):
+    """q_ses_triangle of weight-filtration sequences 0 -> E_{<=k} -> E ->
+    E/E_{<=k} -> 0, with E a random re-presentation of a heart object."""
+    out = []
+    while len(out) < trials:
+        nf = heart_object(rand_heart_complex(pres, rng)).normal_form
+        _, fwd, bwd = conjugate_complex(nf, rng)
+        # the last weight's subobject is E itself
+        for _, (sub, inc) in sorted(weight_subobjects(HeartObject(nf)).items())[:-1]:
+            quot = Complex(pres, {i: t for i, t in nf.terms.items() if i not in sub.terms},
+                           {i: d for i, d in nf.diffs.items() if i + 1 not in sub.terms})
+            proj = ChainMap(nf, quot, {i: AddMorphism.identity(pres, t)
+                                       for i, t in quot.terms.items()})
+            out.append(q_ses_triangle(fwd.compose(inc), proj.compose(bwd)))
+    return out
+
+
+def doubled(tri, name):
+    maps = {"f": tri.f, "g": tri.g, "h": tri.h}
+    maps[name] = maps[name].scale(2)
+    return Triangle(tri.X, tri.Y, tri.Z, maps["f"], maps["g"], maps["h"], tri.witness)
+
+
+@pytest.mark.parametrize("name", ["A5/F10007", "A6/F0", "A7/F10007"])
+def test_a_doubled_split_map_or_cone_comparison_fails_verify(name, monkeypatch):
+    """Split, truncation and Q-functor triangles each verify, and each stops
+    verifying when a nonzero f, g or h is doubled, or when the stored
+    comparison psi: B -> cone(incl) of its split triangle is doubled."""
+    pres = presentation(name)
+    rng = rng_for(29, "planted", name)
+    cases = []
+    for _, _, _, split, trunc in truncation_splits(pres, rng, 12, monkeypatch):
+        cases += [(split, split), (trunc, trunc.witness.base)]
+    cases += [(tri, tri.witness.base) for tri in ses_triangles(pres, rng, 12)]
+    planted = Counter()
+    for tri, split in cases:
+        assert tri.verify() == []
+        for m in "fgh":
+            if not getattr(tri, m).is_zero():
+                planted[m] += 1
+                assert doubled(tri, m).verify() != [], m
+        w = split.witness
+        iso = w.iso_z
+        if not split.Z.is_zero:
+            planted["psi"] += 1
+            w.iso_z = ChainIso(iso.fwd, iso.bwd.scale(2), iso.h_src, iso.h_tgt)
+            assert "transport witness: iso at Z fails" in tri.verify()
+            w.iso_z = iso
+    assert min(planted[k] for k in ("f", "g", "h", "psi")) > 0, planted
 
 
 # --------------------------------------------------------------- hom spaces

@@ -155,9 +155,9 @@ KEPT_UNREACHED = {
     **dict.fromkeys(("tstructure.t_cohomology", "tstructure.truncation_window",
                      "tstructure.truncate_le", "tstructure.truncate_ge"), README_T_COHOMOLOGY),
     "tstructure.weight_subobjects": README_WEIGHTS,
-    # compose_iso conjugates and adds the homotopies of the isos it composes
+    # compose_iso adds the homotopies of the isos it composes
     **dict.fromkeys(("tstructure.cone_through_simple", "tstructure.compose_iso",
-                     "complexes.Homotopy.add", "complexes.Homotopy.conjugate"), README_HEART),
+                     "complexes.Homotopy.add"), README_HEART),
 }
 
 
