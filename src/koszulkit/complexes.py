@@ -285,12 +285,6 @@ class Homotopy:
             comps[i] = m
         return ChainMap(self.source, self.target, comps, check=False)
 
-    def add(self, other: "Homotopy") -> "Homotopy":
-        comps = {}
-        for i in set(self.comps) | set(other.comps):
-            comps[i] = self.component(i).add(other.component(i))
-        return Homotopy(self.source, self.target, comps)
-
     def conjugate(self, pre: ChainMap, post: ChainMap) -> "Homotopy":
         """post o h o pre as a homotopy pre.source -> post.target."""
         comps = {}
@@ -539,10 +533,6 @@ class ChainIso:
     bwd: ChainMap
     h_src: Homotopy | None = None
     h_tgt: Homotopy | None = None
-
-    @staticmethod
-    def exact(fwd: ChainMap, bwd: ChainMap) -> "ChainIso":
-        return ChainIso(fwd, bwd)
 
     def inverse(self) -> "ChainIso":
         return ChainIso(self.bwd, self.fwd, self.h_tgt, self.h_src)

@@ -347,7 +347,7 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
     base = Triangle.from_termwise_split(e_split, sel_sub, sel_quot)
     w_map = ChainMap(e_split, e_cx, w_comps, check=False)
     w_map_inv = ChainMap(e_cx, e_split, w_inv, check=False)
-    return Triangle.transport(base, None, ChainIso.exact(w_map, w_map_inv), None)
+    return Triangle.transport(base, None, ChainIso(w_map, w_map_inv), None)
 
 
 # ----------------------------------------------------------- injectives

@@ -228,7 +228,7 @@ class SimpleConeResult:
     triangle: Triangle
 
 
-def cone_through_simple(f: HomClass, check_upper=True) -> SimpleConeResult:
+def cone_through_simple(f: HomClass) -> SimpleConeResult:
     """Excise a simple mapping nonzero into an upper-aisle object.
 
     f must be a nonzero class S[deg S] -> X with X in the upper aisle; the
@@ -248,7 +248,7 @@ def cone_through_simple(f: HomClass, check_upper=True) -> SimpleConeResult:
         raise TStructureError("source is not placed in degree -deg S")
 
     mx, iso = minimal_model(f.target)
-    if check_upper and not all(in_upper(q) for q in mx.support()):
+    if not all(in_upper(q) for q in mx.support()):
         raise TStructureError("target is not in the upper aisle")
     fr = iso.fwd.compose(f.rep)
     if fr.is_zero() or is_null_homotopic(fr) is not None:
@@ -300,28 +300,9 @@ def cone_through_simple(f: HomClass, check_upper=True) -> SimpleConeResult:
                 for i in conj.terms}
     base = Triangle.from_termwise_split(conj, sel_sub, sel_quot)
 
-    mid_iso = compose_iso(iso.inverse(), conj_iso.inverse())   # conj -> mx -> X
-    tri = Triangle.transport(base, None, mid_iso, None)
-    return SimpleConeResult(base.Z, tri)
-
-
-def compose_iso(second: ChainIso, first: ChainIso) -> ChainIso:
-    """second o first as a witnessed homotopy equivalence."""
-    fwd = second.fwd.compose(first.fwd)
-    bwd = first.bwd.compose(second.bwd)
-    h_src = first.h_src
-    if second.h_src is not None:
-        extra = second.h_src.conjugate(first.fwd, first.bwd)
-        h_src = extra if h_src is None else h_src.add(extra)
-    h_tgt = second.h_tgt
-    if first.h_tgt is not None:
-        extra = first.h_tgt.conjugate(second.bwd, second.fwd)
-        h_tgt = extra if h_tgt is None else h_tgt.add(extra)
-    if h_src is not None and not h_src.comps:
-        h_src = None
-    if h_tgt is not None and not h_tgt.comps:
-        h_tgt = None
-    return ChainIso(fwd, bwd, h_src, h_tgt)
+    # conj -> mx -> X, one transport per iso
+    mid = Triangle.transport(base, None, conj_iso.inverse(), None)
+    return SimpleConeResult(base.Z, Triangle.transport(mid, None, iso.inverse(), None))
 
 
 # -------------------------------------------------------- vanishing report

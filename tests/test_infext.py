@@ -1,10 +1,14 @@
+from collections import Counter
+
 import pytest
 
 from koszulkit.complexes import (
     ChainMap,
     Complex,
     HomClass,
+    HomSpace,
     Triangle,
+    complete_square,
     cone,
     direct_sum,
     hom_space,
@@ -23,8 +27,9 @@ from koszulkit.infext import (
     rho,
     rho_map,
 )
-from koszulkit.orlov import AddMorphism, obj
+from koszulkit.orlov import AddMorphism, obj, spans
 from koszulkit.randgen import rand_chain_map, rand_complex, rng_for
+from koszulkit.tstructure import truncate
 from presentations import PATH_NAMES, WIDE_BLOCK_NAMES, presentation
 
 
@@ -247,7 +252,30 @@ def test_a_doubled_map_fails_its_witness_square(a2, m, name):
     tri = iota_triangle(Triangle.from_cone(alpha_map(a2)))
     doubled = getattr(tri, m)
     setattr(tri, m, InfMorphism(doubled.f0.scale(2), doubled.finf))
-    assert tri.verify() == [f"witness square {name} does not commute"]
+    assert tri.verify() == [f"map {name} is not the image of its base map"]
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3"])
+def test_iota_triangle_verify_builds_no_hom_space(name, monkeypatch):
+    """An infinitesimal triangle is the iota image of a certified triangle:
+    its check is the base certificate and three equalities of stored
+    representatives, none of which eliminates."""
+    pres = load_fixture(name)
+    rng = rng_for(30, "iota", name)
+    init, builds = HomSpace.__init__, Counter()
+
+    def counting(self, *args):
+        builds["spaces"] += 1
+        init(self, *args)
+
+    for _ in range(6):
+        x, y = rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3)
+        for base in (Triangle.from_cone(rand_chain_map(x, y, rng)), truncate(x).triangle):
+            tri = iota_triangle(base)
+            with monkeypatch.context() as m:
+                m.setattr(HomSpace, "__init__", counting)
+                assert tri.verify() == []
+    assert builds["spaces"] == 0
 
 
 def test_les_on_split_triangle(a2):
@@ -327,6 +355,63 @@ def test_complete_inf_square_random_invertible(a2):
         assert rep["r_invertible"]
         done += 1
     assert done > 0
+
+
+def complete_inf_square_reference(p, q, f, i2):
+    """r = (r0, r') with r' completed into cone(i0[-1]) and carried to
+    cone(i0)[-1] by the sign map sigma, -1 on the X'-part and 1 on the
+    Y'-part."""
+    f0, i0 = f.f0.rep, i2.f0.rep
+    r0, _ = complete_square(f0, i0, p.f0.rep, q.f0.rep)
+    i0m = i0.shift(-1)
+    rprime, _ = complete_square(f0, i0m, p.finf.rep, q.finf.rep)
+    pres = f0.source.pres
+    zim, _, _ = cone(i0m)
+    zi_m1 = cone(i0)[0].shift(-1)
+    sign = {}
+    for k in zim.terms:
+        a, b = i0m.source.term(k + 1), i0m.target.term(k)
+        apos, bpos = spans(a, b)
+        sign[k] = AddMorphism.assemble(pres, zim.term(k), zi_m1.term(k), [
+            (apos, apos, AddMorphism.identity(pres, a).scale(-1)),
+            (bpos, bpos, AddMorphism.identity(pres, b))])
+    sigma = ChainMap(zim, zi_m1, sign)
+    return InfMorphism(HomClass(r0), HomClass(sigma.compose(rprime)))
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5/F10007", "A6/F0"])
+def test_complete_inf_square_matches_the_sign_map_reference(name):
+    """On squares q f = i2 p whose verticals have nonzero infinitesimal
+    parts, r' is the reference's sigma o r' on the nose.  p = t f and
+    q = i2 t for t: X -> X[1] with t' an endomorphism of X, and the draws
+    with p' or q' zero are skipped; a random boundary added to q' makes the second square
+    commute only up to a homotopy."""
+    pres = load_fixture(name) if name in FIXTURE_NAMES else presentation(name)
+    fld, rng = pres.field, rng_for(30, "infsq", name)
+
+    def endo(z):
+        scalar = ChainMap.identity(z).scale(fld.of(rng.randint(1, 3)))
+        return scalar.add(rand_chain_map(z, z, rng))
+
+    seen = Counter()
+    for _ in range(16):
+        x = rand_complex(pres, rng, amplitude=4)
+        f = InfMorphism.iota(HomClass(endo(x)))
+        i2 = InfMorphism.iota(HomClass(endo(x.shift(1))))
+        t = InfMorphism(HomClass(rand_chain_map(x, x.shift(1), rng)), HomClass(endo(x)))
+        p, q = inf_compose(t, f), inf_compose(i2, t)
+        sp = hom_space(x, x, 0)
+        bump = sp._vector_to_homotopy([fld.of(rng.randint(-2, 2)) for _ in range(sp.h_total)])
+        q = InfMorphism(q.f0, HomClass(q.finf.rep.add(bump.boundary())))
+        if p.finf.is_zero() or q.finf.is_zero():
+            continue
+        rep = complete_inf_square(p, q, f, i2)
+        ref = complete_inf_square_reference(p, q, f, i2)
+        assert rep["r"].f0.rep == ref.f0.rep and rep["r"].finf.rep == ref.finf.rep
+        assert rep["squares_ok"]
+        seen["squares"] += 1
+        seen["homotopy"] += not bump.boundary().compose(f.f0.rep).is_zero()
+    assert seen["squares"] >= 10 and seen["homotopy"] > 0, seen
 
 
 def test_complete_inf_square_rejects_non_commuting(a2):

@@ -80,7 +80,7 @@ README_TRIANGLES = "the README lists it as a capability: rotation and shift of t
 README_T_COHOMOLOGY = "the README lists it as a capability: t-cohomology, or what only it reaches"
 README_WEIGHTS = "the README lists it as a capability: weight filtrations"
 README_HEART = ("the README lists it as a capability: the finite-length heart, whose excision "
-                "of a simple is cone_through_simple, or what only that reaches")
+                "of a simple is cone_through_simple")
 
 # Names that no engine or benchmark code uses, with the reason each stays;
 # a name that loses its last caller must be deleted or listed here.
@@ -141,8 +141,8 @@ ENGINE_DIR = ROOT / "src" / "koszulkit"
 # Engine functions that no command and no benchmark pass runs, each with the
 # reason it stays.
 KEPT_UNREACHED = {
-    **dict.fromkeys(("complexes.ChainIso.exact", "complexes.HomSpace.cycle",
-                     "complexes._invert_iso", "complexes._match_permutation",
+    **dict.fromkeys(("complexes.HomSpace.cycle", "complexes._invert_iso",
+                     "complexes._match_permutation",
                      "filtered.FilteredComplex.d", "functors.NatTrans.inverse",
                      "koszul.q_functor", "koszul.q_ses_triangle", "linalg.Echelon.lift",
                      "randgen.rand_chain_map", "tstructure.HeartObject.weights",
@@ -155,9 +155,7 @@ KEPT_UNREACHED = {
     **dict.fromkeys(("tstructure.t_cohomology", "tstructure.truncation_window",
                      "tstructure.truncate_le", "tstructure.truncate_ge"), README_T_COHOMOLOGY),
     "tstructure.weight_subobjects": README_WEIGHTS,
-    # compose_iso adds the homotopies of the isos it composes
-    **dict.fromkeys(("tstructure.cone_through_simple", "tstructure.compose_iso",
-                     "complexes.Homotopy.add"), README_HEART),
+    "tstructure.cone_through_simple": README_HEART,
 }
 
 

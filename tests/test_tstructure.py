@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from koszulkit.complexes import (
+    ChainIso,
     ChainMap,
     Complex,
     HomClass,
@@ -10,9 +13,10 @@ from koszulkit.complexes import (
     minimal_model,
 )
 from koszulkit.fixtures import load_fixture
-from koszulkit.orlov import AddMorphism, obj
+from koszulkit.orlov import AddMorphism, hom_basis, obj
 from koszulkit.randgen import (
     conjugate_complex,
+    rand_chain_map,
     rand_complex,
     rand_heart_complex,
     rng_for,
@@ -35,6 +39,8 @@ from koszulkit.tstructure import (
     weight_filtration,
     weight_subobjects,
 )
+from presentations import presentation
+from test_complexes import doubled, straddling_arrow
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +112,22 @@ def test_truncate_mixed_object(a2):
 
 
 def test_truncate_randomized_with_orthogonality(a3):
+    """Three draws in four are summed with a straddling arrow, whose
+    truncation has a nonzero connecting map, so most triangles check one."""
     rng = rng_for(77, "trunc")
     pieces = []
-    for _ in range(40):
+    connecting = 0
+    for k in range(40):
         x = rand_complex(a3, rng)
+        if k % 4:
+            x, *_ = direct_sum(x, straddling_arrow(a3, rng))
         tr = truncate(x)
         assert tr.triangle.verify() == []
         assert aisle_membership(tr.lower).in_lower
         assert aisle_membership(tr.upper.shift(1)).in_upper
+        connecting += not tr.triangle.h.is_zero()
         pieces.append((tr.lower, tr.upper))
+    assert connecting > len(pieces) // 2
     for k in range(0, len(pieces) - 1, 2):
         a_part = pieces[k][0]
         b_part = pieces[k + 1][1]
@@ -355,3 +368,61 @@ def test_lower_upper_orthogonality_randomized(a2):
         ty = truncate(y)
         # lower part against an object whose shift lies in the upper aisle
         assert hom_space(tx.lower, ty.upper, 0).dimension == 0
+
+
+def excisions(pres, rng, trials):
+    """cone_through_simple of f: S_s -> X, X in the upper aisle, re-presented.
+
+    X sums an upper truncation, an arrow t -> s ending in S_s's slot (deg t
+    > deg s, so it is upper) and a contractible cone.  f includes S_s as
+    the arrow's end plus a random map into the truncation; the arrow makes
+    the connecting map nonzero, and the cone gives the minimal model's iso
+    work to do."""
+    pairs = [(s, t) for s in pres.ids for t in pres.ids
+             if pres.degree[t] > pres.degree[s] and pres.hom_dim(t, s)]
+    out = []
+    for _ in range(trials):
+        s, t = rng.choice(pairs)
+        i = -pres.degree[s]
+        simple = simple_object(pres, s).normal_form
+        arrow = Complex(pres, {i - 1: obj(t), i: obj(s)},
+                        {i - 1: rng.choice(hom_basis(pres, obj(t), obj(s))[0])})
+        upper = truncate(rand_complex(pres, rng)).upper.shift(1)
+        junk, *_ = cone(ChainMap.identity(rand_complex(pres, rng, amplitude=2)))
+        x, i_upper, i_arrow, *_ = direct_sum(upper, arrow)
+        y, i_x, *_ = direct_sum(x, junk)
+        _, fwd, _ = conjugate_complex(y, rng)
+        end = ChainMap(simple, arrow, {i: AddMorphism.identity(pres, obj(s))})
+        f = i_arrow.compose(end).add(i_upper.compose(rand_chain_map(simple, upper, rng)))
+        f = fwd.compose(i_x).compose(f)
+        out.append((f, cone_through_simple(HomClass(f))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0"])
+def test_a_doubled_map_or_iso_of_an_excision_fails_verify(name):
+    """The excision triangle is a split triangle transported along conj ->
+    min, then min -> X.  It verifies, its f is the given class, and doubling
+    a nonzero f, g or h, or the bwd of either Y-iso or of the split's
+    Z-iso, makes verify() fail."""
+    pres = load_fixture(name) if name.startswith("FIX") else presentation(name)
+    planted = Counter()
+    for f, res in excisions(pres, rng_for(30, "excise", name), 12):
+        tri = res.triangle
+        assert tri.verify() == []
+        assert HomClass(tri.f) == HomClass(f)
+        for m in "fgh":
+            if not getattr(tri, m).is_zero():
+                planted[m] += 1
+                assert doubled(tri, m).verify() != [], m
+        outer = tri.witness
+        inner = outer.base.witness
+        for w, at in ((outer, "y"), (inner, "y"), (inner.base.witness, "z")):
+            iso = getattr(w, f"iso_{at}")
+            if iso.bwd.is_zero():
+                continue
+            planted[at] += 1
+            setattr(w, f"iso_{at}", ChainIso(iso.fwd, iso.bwd.scale(2), iso.h_src, iso.h_tgt))
+            assert f"transport witness: iso at {at.upper()} fails" in tri.verify()
+            setattr(w, f"iso_{at}", iso)
+    assert min(planted[k] for k in "fghyz") > 0, planted
