@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Echelon, KoszulkitError, Matrix
+from .linalg import Echelon, KoszulkitError, Matrix, RowMatrix
 from .orlov import (
     AddMorphism,
     AddObject,
@@ -311,7 +311,9 @@ class HomSpace:
     I] with K injective: the second elimination is of [delta_F | I], one row
     per chain map coordinate (``nullity`` rows, not ``total``), and it has
     the pivots [delta | K] would have.  Pivots before delta's width count
-    its rank; those past it pick ``basis``.
+    its rank; those past it pick ``basis``.  Only the rows F of delta are
+    built, already in the elimination's row form (``Coords.matrix``), and
+    each gets its unit entry of I there.
 
     A chain map v, whose chain defect (the pivot rows of R applied to v) is
     0, has class coordinates (:meth:`express`) the reduction of v[F] with
@@ -335,27 +337,25 @@ class HomSpace:
         self.homotopies = Coords(pres, {i: (t, yt[i - 1]) for i, t in xt if i - 1 in yt})
         chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
         self.total, self.h_total = self.maps.total, self.homotopies.total
+        h, free, delta_f = self.h_total, [], []
         if self.total:
             self._chains = self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
                 (-1, -1, "right", lambda i: x.d(i - 1))]).rref()[0]
-            delta = self.homotopies.matrix(self.maps, [
+            free = self._chains.free_columns()
+            delta_f = self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
-                (-1, 1, "right", lambda i: x.d(i - 1))])
+                (-1, 1, "right", lambda i: x.d(i - 1))], free).krows
         else:                   # no chain-map unknowns: the space is 0
             self._chains = Echelon(fld, 0, 0, [], (), [], [], [])
-            delta = Matrix.zeros(fld, 0, self.h_total)
-        self._free = free = self._chains.free_columns()
+        self._free = free
         self.nullity = n = len(free)
-        rows = []
-        for r, j in enumerate(free):
-            unit = [fld.zero] * n
-            unit[r] = fld.one
-            rows.append(delta.data[j] + unit)
-        self._echelon, pivots, _ = Matrix(fld, n, delta.cols + n, rows).rref()
-        self._delta_rank = sum(p < delta.cols for p in pivots)
+        for r, (row, d) in enumerate(delta_f):
+            row[h + r] = d      # the unit entry of I, in the row's denominator
+        self._echelon, pivots, _ = RowMatrix(fld, n, h + n, delta_f).rref()
+        self._delta_rank = sum(p < h for p in pivots)
         self.dimension = n - self._delta_rank
-        self.basis = [self._cycle_at(p - delta.cols) for p in pivots if p >= delta.cols]
+        self.basis = [self._cycle_at(p - h) for p in pivots if p >= h]
 
     # ---------------------------------------------------------- chain maps
 

@@ -441,27 +441,55 @@ class FilteredComplex:
         return FilteredMorphism.zero(self.term(k), self.term(k + 1))
 
 
+def _summand_maps(s: FilteredSplit) -> list:
+    """iota_A, pi_A, iota_B, pi_B: the inclusions of A and B into the sum A + B
+    that ``s.phi`` starts from, each followed by the projection back."""
+    tot, maps = s.phi.source, []
+    for part, pick in ((s.above, 0), (s.below, 1)):
+        pos = {i: spans(s.above.term(i), s.below.term(i))[pick] for i in range(tot.lo, tot.hi + 1)}
+        maps.append(FilteredMorphism(part, tot, {i: AddMorphism.inclusion(
+            tot.pres, part.term(i), tot.term(i), q) for i, q in pos.items()}, check=False))
+        maps.append(FilteredMorphism(tot, part, {i: AddMorphism.projection(
+            tot.pres, tot.term(i), part.term(i), q) for i, q in pos.items()}, check=False))
+    return maps
+
+
 @dataclass
 class FilteredTriangle:
+    """The termwise-split triangle above -> total -> below -> above[1], with
+    the split (phi_k, psi_k) of each total^k as above^k + below^k."""
     above: FilteredComplex
     total: FilteredComplex
     below: FilteredComplex
     incl: dict            # k -> FilteredMorphism above^k -> total^k (via phi)
     proj: dict
     delta: dict           # k -> FilteredMorphism below^k -> above^{k+1}
-    conjugated: FilteredComplex
+    splits: dict          # k -> FilteredSplit of total^k
 
     def verify(self) -> list:
+        """phi_k and psi_k are inverse, psi_k incl_k is iota_A and proj_k phi_k
+        is pi_B (the split is termwise); incl and proj commute with the
+        differentials; and delta_k = -pi_A psi_{k+1} d_k phi_k iota_B."""
         issues = []
-        for k, d in self.conjugated.diffs.items():
-            for i in range(d.lo, d.hi + 1):
-                comp = d.component(i)
-                na = len(self.above.term(k).term(i))
-                nb_rows = len(self.above.term(k + 1).term(i))
-                for rr in range(nb_rows, len(comp.target)):
-                    for cc in range(na):
-                        if comp.blocks[rr][cc] is not None:
-                            issues.append(f"lower-left block nonzero at k={k}, i={i}")
+        maps = {k: _summand_maps(s) for k, s in self.splits.items()}
+        for k, s in self.splits.items():
+            iota_a, _, iota_b, pi_b = maps[k]
+            if s.psi.compose(s.phi) != FilteredMorphism.identity(s.phi.source) or \
+                    s.phi.compose(s.psi) != FilteredMorphism.identity(s.phi.target):
+                issues.append(f"split at k={k} is not an isomorphism")
+            if s.psi.compose(self.incl[k]) != iota_a or self.proj[k].compose(s.phi) != pi_b:
+                issues.append(f"incl or proj at k={k} is not the split's")
+            if k + 1 not in self.splits:
+                continue
+            d = self.total.d(k)
+            if self.incl[k + 1].compose(self.above.d(k)) != d.compose(self.incl[k]):
+                issues.append(f"incl does not commute with the differentials at k={k}")
+            if self.below.d(k).compose(self.proj[k]) != self.proj[k + 1].compose(d):
+                issues.append(f"proj does not commute with the differentials at k={k}")
+            want = maps[k + 1][1].compose(self.splits[k + 1].psi).compose(d).compose(
+                s.phi).compose(iota_b).scale(-1)
+            if want != self.delta.get(k, FilteredMorphism.zero(want.source, want.target)):
+                issues.append(f"connecting map at k={k} is not -pi_A psi d phi iota_B")
         return issues
 
 
@@ -474,17 +502,10 @@ def filt_triangle(fx: FilteredComplex) -> FilteredTriangle:
     """
     pres = fx.pres
     splits = {k: split_decompose(t) for k, t in fx.terms.items()}
-    conj_terms = {k: filtered_direct_sum(s.above, s.below) for k, s in splits.items()}
-    conj_diffs = {}
-    a_terms, b_terms = {}, {}
     a_diffs, b_diffs = {}, {}
     delta = {}
-    for k, s in splits.items():
-        a_terms[k] = s.above
-        b_terms[k] = s.below
     for k, dmat in fx.diffs.items():
         conj = splits[k + 1].psi.compose(dmat).compose(splits[k].phi)
-        conj_diffs[k] = conj
         a_comp, b_comp, t_comp = {}, {}, {}
         for i in range(conj.lo, conj.hi + 1):
             comp = conj.component(i)
@@ -500,21 +521,9 @@ def filt_triangle(fx: FilteredComplex) -> FilteredTriangle:
         tmor = FilteredMorphism(splits[k].below, splits[k + 1].above, t_comp, check=False)
         if not tmor.is_zero():
             delta[k] = tmor.scale(-1)
-    above = FilteredComplex(pres, a_terms, a_diffs)
-    below = FilteredComplex(pres, b_terms, b_diffs)
-    conjugated = FilteredComplex(pres, conj_terms, conj_diffs, check=False)
-    incl = {}
-    proj = {}
-    for k, s in splits.items():
-        comps_i = {}
-        comps_p = {}
-        for i in range(s.phi.lo, s.phi.hi + 1):
-            a_t, b_t = s.above.term(i), s.below.term(i)
-            tot = conj_terms[k].term(i)
-            a_pos, b_pos = spans(a_t, b_t)
-            comps_i[i] = AddMorphism.inclusion(pres, a_t, tot, a_pos)
-            comps_p[i] = AddMorphism.projection(pres, tot, b_t, b_pos)
-        incl[k] = s.phi.compose(FilteredMorphism(s.above, conj_terms[k], comps_i, check=False))
-        proj[k] = FilteredMorphism(conj_terms[k], s.below, comps_p, check=False).compose(s.psi)
-    return FilteredTriangle(above, fx, below, incl, proj, delta, conjugated)
-
+    above = FilteredComplex(pres, {k: s.above for k, s in splits.items()}, a_diffs)
+    below = FilteredComplex(pres, {k: s.below for k, s in splits.items()}, b_diffs)
+    maps = {k: _summand_maps(s) for k, s in splits.items()}
+    incl = {k: s.phi.compose(maps[k][0]) for k, s in splits.items()}
+    proj = {k: maps[k][3].compose(s.psi) for k, s in splits.items()}
+    return FilteredTriangle(above, fx, below, incl, proj, delta, splits)

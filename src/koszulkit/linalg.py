@@ -11,8 +11,9 @@ lists; the constraint matrices of Hom spaces are mostly zeros, so the one
 elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Over Q it
 holds each row as integer numerators over one common denominator and does
 no ``Fraction`` arithmetic until it writes its result, whose scalars are
-all canonical: no integral ``Fraction`` is left in it.  Everything is
-immutable after construction and all operations return fresh objects.
+all canonical: no integral ``Fraction`` is left in it.  A :class:`RowMatrix`
+arrives in that row form.  Everything is immutable after construction and
+all operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ def _load_q(row):
 def _load_mod(row):
     """_load_q over F_p."""
     return {j: x for j, x in enumerate(row) if x}, 1
+
+
+def _copy_loaded(row):
+    """A row that arrived loaded, copied, since the elimination changes it."""
+    return dict(row[0]), row[1]
 
 
 def _pivot_q(row, d, c, p):
@@ -343,7 +349,8 @@ class Matrix:
         1968): subtracting (a/d)·n'/e from n/d gives (e·n - a·n')/(d·e)
         without a ``Fraction``.  Each op's scalars are formed once per row
         operation, and R's entries once at the end, all canonical.  F_p runs
-        through the same loop with denominator 1.
+        through the same loop with denominator 1.  Dense rows are loaded
+        into that form first; a :class:`RowMatrix` arrives in it.
         """
         f = self.field
         nrows, ncols = self.rows, self.cols
@@ -354,9 +361,12 @@ class Matrix:
             load, pivot, subtract = _load_mod, _pivot_mod, _subtract_mod
         else:
             load, pivot, subtract = _load_q, _pivot_q, _subtract_q
+        source = self.data
+        if source is None:      # a RowMatrix: its rows arrive loaded
+            load, source = _copy_loaded, self.krows
         rows, dens = [], []
         waiting = {}        # leading column -> rows still without a pivot
-        for i, data in enumerate(self.data):
+        for i, data in enumerate(source):
             row, d = load(data)
             rows.append(row)
             dens.append(d)
@@ -445,6 +455,21 @@ class Matrix:
         if len(bent) != self.rows:
             raise DimensionMismatch("solve: length of b != rows")
         return self.rref()[0].solution(bent)
+
+
+class RowMatrix(Matrix):
+    """A matrix for elimination only, built in the row form of ``rref``:
+    ``krows`` holds one (numerators, d) pair per row, what :func:`_load_q` or
+    :func:`_load_mod` would make of its dense row, and ``data`` is None."""
+
+    __slots__ = ("krows",)
+
+    def __init__(self, field: Field, rows: int, cols: int, krows):
+        self.field, self.rows, self.cols, self.data, self.krows = field, rows, cols, None, krows
+
+    def __eq__(self, other):    # the primitive row form of a matrix is unique
+        return isinstance(other, RowMatrix) and (self.field, self.rows, self.cols, self.krows) == \
+            (other.field, other.rows, other.cols, other.krows)
 
 
 class Echelon(Matrix):

@@ -12,9 +12,10 @@ reduction (:func:`split_idempotent`).
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from reprlib import repr as brief
 
-from .linalg import Field, KoszulkitError, LinalgError, Matrix
+from .linalg import Field, KoszulkitError, LinalgError, Matrix, RowMatrix
 
 
 class PresentationError(KoszulkitError):
@@ -193,7 +194,9 @@ class OrlovPresentation:
                 if key in self.comp and self.comp[key] != {lab: self.field.one}:
                     raise InputError(f"compose entry {key} contradicts the unit law")
                 self.comp[key] = {lab: self.field.one}
+        self.comp_den = lcm(*(c.denominator for res in self.comp.values() for c in res.values()))
         self._tables = {}
+        self._int_tables = {}
 
     # -------------------------------------------------------------- lookups
 
@@ -241,6 +244,18 @@ class OrlovPresentation:
         Hom(src, tgt), as ``(g index, f index, ((result index, c), ...))``
         over basis positions; compiled from ``comp`` on first use."""
         return (self._tables.get((src, mid, tgt)) or self._kernel(src, mid, tgt))[1]
+
+    def int_table(self, src, mid, tgt) -> tuple:
+        """:meth:`table` with each constant c as the int c * ``comp_den``, the lcm
+        of their denominators (1 over F_p); cleared once per triple if not 1."""
+        tab = (self._tables.get((src, mid, tgt)) or self._kernel(src, mid, tgt))[1]
+        if self.comp_den == 1:
+            return tab
+        cleared = self._int_tables.get((src, mid, tgt))
+        if cleared is None:
+            cleared = self._int_tables[(src, mid, tgt)] = tuple((gi, fi, tuple(
+                (ri, self.comp_den // c.denominator * c.numerator) for ri, c in res)) for gi, fi, res in tab)
+        return cleared
 
     def compose_coords(self, src, mid, tgt, gcoords, fcoords):
         """Coordinates of (g o f) given coordinates in the two hom bases, or
@@ -771,7 +786,7 @@ class Coords:
         return {i: AddMorphism(self.pres, x, y, _cut_blocks(vec, self.starts[i], x, y))
                 for i, (x, y) in self.objs.items()}
 
-    def matrix(self, rows: "Coords", terms) -> Matrix:
+    def matrix(self, rows: "Coords", terms, keep=None) -> RowMatrix:
         """Matrix of a linear map from these coordinates to ``rows``.
 
         Each ``(step, sign, side, fixed)`` of ``terms`` sends the morphism b
@@ -779,52 +794,63 @@ class Coords:
         ``sign * b o fixed(i)`` (side ``"right"``) at row degree i + step, and
         calls ``fixed`` only when that row degree has a slice.  The steps of
         ``terms`` are distinct.  Entries are summed block by block from the
-        structure-constant tables (:meth:`OrlovPresentation.table`).
+        structure-constant tables.  ``keep`` lists the rows to build, in
+        order; by default all of them.
+
+        The rows come out in the form :meth:`Matrix.rref` works on, and no
+        ``Fraction`` is summed: the ``fixed(i)`` are cleared once by the lcm
+        L of their denominators and the tables by ``comp_den``, so a row is
+        ints over L * comp_den, made primitive at the end (residues over F_p).
         """
         pres = self.pres
         p = pres.characteristic
-        data = [[pres.field.zero] * self.total for _ in range(rows.total)]
-
-        def put(r0, col, v, res):
-            for ri, c in res:
-                row = data[r0 + ri]
-                x, vc = row[col], v * c
-                row[col] = (x + vc) % p if p else (x + vc if x else vc)
-
-        for i, (x, y) in self.objs.items():
-            cols, n = self.starts[i], len(x)
-            for step, sign, side, fixed in terms:
-                offs = rows.starts.get(i + step)
-                if offs is None:
-                    continue
-                d = fixed(i).blocks
-                xr, yr = rows.objs[i + step]
-                nr = len(xr)
-                if side == "left":      # block (a, j) of d o b is d[a][t] o b[t][j]
-                    for a, ta in enumerate(yr):
-                        for t, ti in enumerate(y):
-                            g = d[a][t]
-                            if g is not None:
-                                if sign < 0:
-                                    g = [-v for v in g]
-                                for j, sj in enumerate(x):
-                                    c0, r0 = cols[t * n + j], offs[a * nr + j]
-                                    for gi, fi, res in pres.table(sj, ti, ta):
-                                        if g[gi]:
-                                            put(r0, c0 + fi, g[gi], res)
-                else:                   # block (t, k) of b o d is b[t][j] o d[j][k]
-                    for j, sj in enumerate(x):
-                        for k, sk in enumerate(xr):
-                            f = d[j][k]
-                            if f is not None:
-                                if sign < 0:
-                                    f = [-v for v in f]
-                                for t, ti in enumerate(y):
-                                    c0, r0 = cols[t * n + j], offs[t * nr + k]
-                                    for gi, fi, res in pres.table(sk, sj, ti):
-                                        if f[fi]:
-                                            put(r0, c0 + gi, f[fi], res)
-        return Matrix(pres.field, rows.total, self.total, data)
+        int_table = pres.int_table
+        data = {r: {} for r in (range(rows.total) if keep is None else keep)}
+        work = [(i, step, sign, side, fixed(i).blocks)
+                for i in self.objs for step, sign, side, fixed in terms if i + step in rows.starts]
+        den = 1 if p else lcm(*(v.denominator for *_, blocks in work
+                                for grid in blocks for g in grid if g is not None for v in g))
+        for i, step, sign, side, d in work:
+            x, y = self.objs[i]
+            cols, n, offs, s = self.starts[i], len(x), rows.starts[i + step], sign * den
+            xr, yr = rows.objs[i + step]
+            nr = len(xr)
+            d = [[g and [s // v.denominator * v.numerator for v in g] for g in grid] for grid in d]
+            if side == "left":      # block (a, j) of d o b is d[a][t] o b[t][j]
+                for a, ta in enumerate(yr):
+                    for t, ti in enumerate(y):
+                        g = d[a][t]
+                        if g is not None:
+                            for j, sj in enumerate(x):
+                                c0, r0 = cols[t * n + j], offs[a * nr + j]
+                                for gi, fi, res in int_table(sj, ti, ta):
+                                    v = g[gi]
+                                    if v:
+                                        for ri, c in res:
+                                            row = data.get(r0 + ri)
+                                            if row is not None:
+                                                row[c0 + fi] = row.get(c0 + fi, 0) + v * c
+            else:                   # block (t, k) of b o d is b[t][j] o d[j][k]
+                for j, sj in enumerate(x):
+                    for k, sk in enumerate(xr):
+                        f = d[j][k]
+                        if f is not None:
+                            for t, ti in enumerate(y):
+                                c0, r0 = cols[t * n + j], offs[t * nr + k]
+                                for gi, fi, res in int_table(sk, sj, ti):
+                                    v = f[fi]
+                                    if v:
+                                        for ri, c in res:
+                                            row = data.get(r0 + ri)
+                                            if row is not None:
+                                                row[c0 + gi] = row.get(c0 + gi, 0) + v * c
+        den *= pres.comp_den
+        out = []
+        for row in data.values():
+            row = {j: v % p for j, v in row.items() if v % p} if p else {j: v for j, v in row.items() if v}
+            g = gcd(den, *row.values()) if den != 1 else 1
+            out.append(({j: v // g for j, v in row.items()} if g != 1 else row, den // g))
+        return RowMatrix(pres.field, len(out), self.total, out)
 
 
 # ----------------------------------------------------------------- validate

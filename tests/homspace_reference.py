@@ -7,14 +7,30 @@ coordinates.  ``complexes.HomSpace`` eliminates [delta_F | I] instead, with
 ``nullity`` rows; [delta | K] = K [delta_F | I] and K is injective, so both
 give the same pivots.  Their reductions modulo null-homotopies differ by an
 invertible map, so every query answers alike.  The class is kept verbatim,
-but for the queries the engine no longer has.
+but for the queries the engine no longer has, and for :func:`dense`, since
+``Coords.matrix`` now builds its rows in the elimination's row form.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from koszulkit.complexes import ChainMap, ComplexError, Homotopy
 from koszulkit.linalg import Matrix
 from koszulkit.orlov import Coords
+
+
+def dense(m) -> Matrix:
+    """The dense :class:`Matrix` of a ``RowMatrix``, as ``Coords.matrix``
+    once returned it: row r is its numerators over its denominator d."""
+    fld = m.field
+    data = []
+    for row, d in m.krows:
+        out = [fld.zero] * m.cols
+        for j, x in row.items():
+            out[j] = fld.of(Fraction(x, d))
+        data.append(out)
+    return Matrix(fld, m.rows, m.cols, data)
 
 
 class HomSpace:
@@ -42,9 +58,9 @@ class HomSpace:
             self._chain_kernel = self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
                 (-1, -1, "right", lambda i: x.d(i - 1))]).kernel_basis()
-            delta = self.homotopies.matrix(self.maps, [
+            delta = dense(self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
-                (-1, 1, "right", lambda i: x.d(i - 1))])
+                (-1, 1, "right", lambda i: x.d(i - 1))]))
         else:                   # no chain-map unknowns: the space is 0
             self._chain_kernel = Matrix.zeros(pres.field, 0, 0)
             delta = Matrix.zeros(pres.field, 0, self.h_total)

@@ -24,7 +24,7 @@ from koszulkit.complexes import (
 )
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check, q_ses_triangle
-from koszulkit.linalg import Matrix
+from koszulkit.linalg import Matrix, RowMatrix, _load_mod, _load_q
 from koszulkit.filtered import FilteredHomSpace
 from koszulkit.orlov import (
     AddMorphism,
@@ -55,6 +55,7 @@ from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
 from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, path_category, presentation
 import homspace_reference
+from homspace_reference import dense
 import probe_reference
 from probe_reference import top_extraction
 from test_orlov import to_vector
@@ -743,12 +744,13 @@ def test_hom_space_homotopy_invariance_randomized(a2, a3):
 
 
 def delta_matrix(sp) -> Matrix:
-    """The null-homotopy matrix of ``sp``, h -> d o h + h o d, rebuilt as
-    :class:`HomSpace` builds it: the space keeps only its echelon form."""
+    """The null-homotopy matrix of ``sp``, h -> d o h + h o d, dense and with
+    every row: :class:`HomSpace` builds only its rows at the chain kernel's
+    free columns, and keeps only the echelon form of [delta_F | I]."""
     x, ys = sp.x, sp.ys
-    return sp.homotopies.matrix(sp.maps, [
+    return dense(sp.homotopies.matrix(sp.maps, [
         (0, 1, "left", lambda i: ys.d(i - 1)),
-        (-1, 1, "right", lambda i: x.d(i - 1))])
+        (-1, 1, "right", lambda i: x.d(i - 1))]))
 
 
 def _joint_system(spaces, columns) -> Matrix:
@@ -868,10 +870,10 @@ def test_hom_space_queries_run_no_joint_elimination(monkeypatch):
 REFERENCE_NAMES = [*FIXTURE_NAMES, *PATH_NAMES, *QUIVER_NAMES]
 
 
-def reference_draws(pres, rng, trials):
+def seeded_draws(pres, rng, trials):
     """Seeded (x, y, k) with chain-map unknowns, two thirds of them with
     chain-condition rows too; a third with both complexes conjugated and a
-    third with one.  Yields the Hom space and the [delta | K] reference."""
+    third with one."""
     t = 0
     while t < trials:
         x, y = rand_complex(pres, rng, amplitude=3), rand_complex(pres, rng, amplitude=3)
@@ -883,6 +885,12 @@ def reference_draws(pres, rng, trials):
         if t % 3 == 0:
             y = conjugate_complex(y, rng)[0]
         t += 1
+        yield x, y, k
+
+
+def reference_draws(pres, rng, trials):
+    """The Hom space of each of :func:`seeded_draws` and the [delta | K] reference."""
+    for x, y, k in seeded_draws(pres, rng, trials):
         yield HomSpace(x, y, k), homspace_reference.HomSpace(x, y, k)
 
 
@@ -928,6 +936,61 @@ def test_hom_space_matches_the_delta_kernel_reference(name):
             seen["express", coords is None] += 1
             seen["null_homotopy", h is None] += 1
     assert seen["express", True] and seen["null_homotopy", True] and seen["null_homotopy", False]
+
+
+def echelon_fields(e):
+    return e.rows, e.cols, e.pivots, e.data, e._ops, e._order, e._entries
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_constraint_rows_are_the_loaded_per_basis_rows(name, monkeypatch):
+    """``Coords.matrix`` builds each row of D1 and of delta_F in rref's row
+    form: the numerators and d that ``_load_q`` / ``_load_mod`` make of the
+    dense per-basis row, with fractional differentials and, on quiver0/2/6
+    over Q, fractional structure constants.  delta has ``nullity`` rows, and
+    both eliminations equal those of the dense per-basis matrices field by
+    field."""
+    pres = presentation(name)
+    fld = pres.field
+    load = _load_mod if fld.char else _load_q
+    rng = rng_for(3101, "row form", name)
+    built = []
+    matrix = Coords.matrix
+
+    def recording(self, rows, terms, keep=None):
+        m = matrix(self, rows, terms, keep)
+        built.append([(dict(row), d) for row, d in m.krows])
+        return m
+
+    monkeypatch.setattr(Coords, "matrix", recording)
+    dens = Counter()
+    for x, y, k in seeded_draws(pres, rng, 9):
+        built.clear()
+        sp = HomSpace(x, y, k)
+        if not sp.total:
+            assert built == []
+            continue
+        chain_rows, delta_rows = built
+        ys = sp.ys
+        chain = per_basis_matrix(sp.maps, Coords(pres, {i: (t, ys.terms[i + 1]) for i, t in x.terms.items()
+                                                       if i + 1 in ys.terms}), [
+            (0, 1, lambda i, b: ys.d(i).compose(b)),
+            (-1, -1, lambda i, b: b.compose(x.d(i - 1)))])
+        delta = per_basis_matrix(sp.homotopies, sp.maps, [
+            (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
+            (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
+        assert chain_rows == [load(row) for row in chain.data]
+        assert len(delta_rows) == sp.nullity
+        assert delta_rows == [load(delta.data[j]) for j in sp._free]
+        assert echelon_fields(RowMatrix(fld, chain.rows, chain.cols, chain_rows).rref()[0]) == \
+            echelon_fields(sp._chains) == echelon_fields(chain.rref()[0])
+        n, h = sp.nullity, sp.h_total
+        quotient = Matrix(fld, n, h + n, [delta.data[j] + [int(r == c) for c in range(n)]
+                                          for r, j in enumerate(sp._free)])
+        assert echelon_fields(sp._echelon) == echelon_fields(quotient.rref()[0])
+        dens.update(d != 1 for _, d in chain_rows + delta_rows)
+    # over F_p every d is 1; over Q the conjugated differentials give d > 1
+    assert bool(dens[True]) == (fld.char == 0)
 
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", *WIDE_BLOCK_NAMES])
@@ -1246,9 +1309,11 @@ def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch)
     built = []
     matrix = Coords.matrix
 
-    def recording(self, rows, terms):
-        built.append((self, rows, matrix(self, rows, terms)))
-        return built[-1][2]
+    def recording(self, rows, terms, keep=None):
+        m = matrix(self, rows, terms, keep)
+        # dense now: HomSpace writes the unit entries of [delta_F | I] into delta_F's rows
+        built.append((self, rows, keep, dense(m)))
+        return m
 
     monkeypatch.setattr(Coords, "matrix", recording)
     compared = 0
@@ -1261,19 +1326,23 @@ def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch)
         if not sp.total:
             assert built == []
             continue
-        (maps, chain_rows, chain), (homotopies, delta_rows, delta) = built
-        assert chain == per_basis_matrix(maps, chain_rows, [
+        (maps, chain_rows, all_rows, chain), (homotopies, delta_rows, kept, delta) = built
+        assert all_rows is None and chain == per_basis_matrix(maps, chain_rows, [
             (0, 1, lambda i, b: ys.d(i).compose(b)),
             (-1, -1, lambda i, b: b.compose(x.d(i - 1)))])
-        assert delta == delta_matrix(sp) == per_basis_matrix(homotopies, delta_rows, [
+        # delta is built only on its rows at the chain kernel's free columns
+        full = per_basis_matrix(homotopies, delta_rows, [
             (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
             (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
+        assert full == delta_matrix(sp)
+        assert kept == sp._free and delta == Matrix(
+            full.field, len(kept), full.cols, [full.data[j] for j in kept])
         compared += bool(chain.rows and chain.cols) + bool(delta.rows and delta.cols)
     for _ in range(20):
         fx, fy = rand_filtered(pres, rng), rand_filtered(pres, rng)
         built.clear()
         FilteredHomSpace(fx, fy)
-        (maps, rows, kernel), = built
+        (maps, rows, _, kernel), = built
         assert kernel == per_basis_matrix(maps, rows, [
             (1, 1, lambda i, b: b.compose(fx.incl_map(i + 1))),
             (0, -1, lambda i, b: fy.incl_map(i).compose(b))])
@@ -1295,6 +1364,9 @@ def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch
         built.append(matrix(self, rows, terms))
         return built[-1]
 
+    def dense_built():
+        return [dense(m) for m in built]
+
     def one(x, y):
         return Coords(pres, {0: (x, y)})
 
@@ -1306,7 +1378,7 @@ def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch
         t = c.terms
         degs = [i for i in sorted(t) if i - 1 in c.diffs and i + 1 in t
                 and hom_basis(pres, t[i], t[i + 1])[1]]
-        assert built == [per_basis_matrix(one(t[i], t[i + 1]), one(t[i - 1], t[i + 1]), [
+        assert dense_built() == [per_basis_matrix(one(t[i], t[i + 1]), one(t[i - 1], t[i + 1]), [
             (0, 1, lambda _, b, d=c.diffs[i - 1]: b.compose(d))]) for i in degs]
         compared += len(degs)
 
@@ -1316,7 +1388,7 @@ def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch
         incl, proj = fwd.compose(ia), pb.compose(bwd)
         built.clear()
         q_ses_triangle(incl, proj)
-        assert built == [per_basis_matrix(one(quot.term(k), e.term(k)), one(quot.term(k), quot.term(k)), [
+        assert dense_built() == [per_basis_matrix(one(quot.term(k), e.term(k)), one(quot.term(k), quot.term(k)), [
             (0, 1, lambda _, b, p=proj.component(k): p.compose(b))]) for k in e.terms]
         compared += len(e.terms)
     assert compared >= 60

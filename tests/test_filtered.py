@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,8 @@ from koszulkit.filtered import (
 from koszulkit.fixtures import load_fixture
 from koszulkit.linalg import Matrix
 from koszulkit.orlov import AddMorphism, AddObject, ZERO_OBJECT, hom_basis, obj
-from koszulkit.randgen import rand_add_morphism, rand_filtered, rng_for
-from presentations import WIDE_BLOCK_NAMES, presentation
+from koszulkit.randgen import rand_add_morphism, rand_filtered, rand_filtered_complex, rng_for
+from presentations import PATH_NAMES, WIDE_BLOCK_NAMES, presentation
 
 
 def j_embed(pres, a: AddObject) -> FilteredObject:
@@ -291,3 +292,61 @@ def test_filt_triangle_heart_window_terms(a2):
     for k in tri.below.terms:
         t = tri.below.term(k)
         assert t.is_ge(0) and t.is_le(0)
+
+
+# ------------------------------------------------- the triangle certificate
+
+def filtered_triangles(name, draws, seed=30):
+    pres = presentation(name)
+    rng = rng_for(seed, "filt", name)
+    return [filt_triangle(rand_filtered_complex(pres, rng)) for _ in range(draws)]
+
+
+def doubled_maps_caught(tri, field) -> int:
+    """Double each nonzero map of ``tri.<field>`` in place, one at a time,
+    require ``verify`` to report it, and restore it; returns how many.  The
+    differentials of ``above`` and ``below`` count as fields too."""
+    maps = getattr(tri, field).diffs if field in ("above", "below") else getattr(tri, field)
+    doubled = 0
+    for k, m in list(maps.items()):
+        if not m.is_zero():
+            maps[k] = m.scale(2)
+            assert tri.verify(), (field, k)
+            maps[k] = m
+            doubled += 1
+    return doubled
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3"])
+@pytest.mark.parametrize("field", ["incl", "proj", "delta", "above", "below"])
+def test_a_doubled_map_fails_the_filtered_triangle_certificate(name, field):
+    """The honest triangles verify, and a doubled incl_k, proj_k or delta_k
+    fails, as does a doubled differential of either end.  Per name, 17 incl,
+    49-50 proj, 6-9 delta, 2-3 above and 13-16 below maps are nonzero."""
+    doubled = 0
+    for tri in filtered_triangles(name, 30):
+        assert tri.verify() == []
+        doubled += doubled_maps_caught(tri, field)
+        assert tri.verify() == []
+    assert doubled >= 2
+
+
+def test_a_split_that_is_not_inverse_fails_the_filtered_triangle_certificate():
+    caught = 0
+    for tri in filtered_triangles("FIX_A3", 10):
+        for k, s in list(tri.splits.items()):
+            if not s.psi.is_zero():
+                tri.splits[k] = replace(s, psi=s.psi.scale(2))
+                assert f"split at k={k} is not an isomorphism" in tri.verify()
+                tri.splits[k] = s
+                caught += 1
+    assert caught
+
+
+@pytest.mark.parametrize("name", PATH_NAMES)
+def test_filtered_triangles_verify_on_path_categories(name):
+    doubled = 0
+    for tri in filtered_triangles(name, 6, seed=31):
+        assert tri.verify() == []
+        doubled += sum(doubled_maps_caught(tri, field) for field in ("incl", "proj", "delta", "above", "below"))
+    assert doubled

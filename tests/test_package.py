@@ -143,7 +143,7 @@ ENGINE_DIR = ROOT / "src" / "koszulkit"
 KEPT_UNREACHED = {
     **dict.fromkeys(("complexes.HomSpace.cycle", "complexes._invert_iso",
                      "complexes._match_permutation",
-                     "filtered.FilteredComplex.d", "functors.NatTrans.inverse",
+                     "functors.NatTrans.inverse",
                      "koszul.q_functor", "koszul.q_ses_triangle", "linalg.Echelon.lift",
                      "randgen.rand_chain_map", "tstructure.HeartObject.weights",
                      "tstructure.heart_simples", "tstructure.is_pure",
