@@ -341,18 +341,19 @@ class HomSpace:
         if self.total:
             self._chains = self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
-                (-1, -1, "right", lambda i: x.d(i - 1))]).rref()[0]
+                (-1, -1, "right", lambda i: x.d(i - 1))]).rref()
             free = self._chains.free_columns()
             delta_f = self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
                 (-1, 1, "right", lambda i: x.d(i - 1))], free).krows
         else:                   # no chain-map unknowns: the space is 0
-            self._chains = Echelon(fld, 0, 0, [], (), [], [], [])
+            self._chains = Echelon(fld, 0, 0, (), [], [], [])
         self._free = free
         self.nullity = n = len(free)
         for r, (row, d) in enumerate(delta_f):
             row[h + r] = d      # the unit entry of I, in the row's denominator
-        self._echelon, pivots, _ = RowMatrix(fld, n, h + n, delta_f).rref()
+        self._echelon = RowMatrix(fld, n, h + n, delta_f).rref()
+        pivots = self._echelon.pivots
         self._delta_rank = sum(p < h for p in pivots)
         self.dimension = n - self._delta_rank
         self.basis = [self._cycle_at(p - h) for p in pivots if p >= h]

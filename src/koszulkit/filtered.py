@@ -241,7 +241,7 @@ class FilteredHomSpace:
         rows = Coords(pres, {i: (x.term(i), y.term(i - 1)) for i in range(lo + 1, hi + 1)})
         self._echelon = self.maps.matrix(rows, [
             (1, 1, "right", lambda i: x.incl_map(i + 1)),
-            (0, -1, "left", y.incl_map)]).rref()[0]
+            (0, -1, "left", y.incl_map)]).rref()
         self._free = self._echelon.free_columns()
         self.dimension = len(self._free)
         self.basis = [FilteredMorphism(x, y, self.maps.from_vector(self._echelon.kernel_vector(j)),
@@ -276,27 +276,22 @@ def filt_hom_report(x: FilteredObject, y: FilteredObject) -> dict:
     sm1x = s_shift(x, -1)
     sp_a = filt_hom_space(y, sm1x)
     sp_b = filt_hom_space(y, x)
-    al = alpha(sm1x)          # s^-1 x -> x
-    cols = []
-    for b in sp_a.basis:
-        img = al.compose(b)
-        coords = sp_b.coordinates(img)
-        if coords is None:
-            raise FilteredError("composition escaped the hom space")
-        cols.append(coords)
-    rank_a = Matrix.from_columns(fld, sp_b.dimension, cols).rank()
 
-    sy = s_shift(y)
-    sp_c = filt_hom_space(sy, x)
+    def induced_rank(space, apply):
+        """Rank of the map space -> sp_b that ``apply`` induces on bases."""
+        cols = []
+        for b in space.basis:
+            coords = sp_b.coordinates(apply(b))
+            if coords is None:
+                raise FilteredError("composition escaped the hom space")
+            cols.append(coords)
+        return Matrix.from_columns(fld, sp_b.dimension, cols).rank()
+
+    al = alpha(sm1x)          # s^-1 x -> x
+    rank_a = induced_rank(sp_a, al.compose)
+    sp_c = filt_hom_space(s_shift(y), x)
     ay = alpha(y)             # y -> s y
-    cols2 = []
-    for b in sp_c.basis:
-        img = b.compose(ay)
-        coords = sp_b.coordinates(img)
-        if coords is None:
-            raise FilteredError("composition escaped the hom space")
-        cols2.append(coords)
-    rank_c = Matrix.from_columns(fld, sp_b.dimension, cols2).rank()
+    rank_c = induced_rank(sp_c, lambda b: b.compose(ay))
 
     ok = (forward == 0
           and sp_a.dimension == sp_b.dimension == sp_c.dimension

@@ -249,17 +249,16 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
             if None in cols:
                 raise InfExtError("image escapes the target basis")
             mats.append(Matrix.from_columns(fld, tdim, cols))
+        ranks = [m.rank() for m in mats]
         local = []
         for idx in range(1, len(nodes) - 1):
-            incoming, outgoing = mats[idx - 1], mats[idx]
             dim = nodes[idx][1]
-            if not outgoing.mul(incoming).is_zero():
+            if not mats[idx].mul(mats[idx - 1]).is_zero():
                 local.append({"node": idx, "reason": "composite nonzero"})
                 continue
-            if incoming.rank() + outgoing.rank() != dim:
+            if ranks[idx - 1] + ranks[idx] != dim:
                 local.append({"node": idx, "reason": "rank defect",
-                              "in_rank": incoming.rank(), "out_rank": outgoing.rank(),
-                              "dim": dim})
+                              "in_rank": ranks[idx - 1], "out_rank": ranks[idx], "dim": dim})
         return local
 
     # covariant: ... -> Hom(A, X[k]) -> Hom(A, Y[k]) -> Hom(A, Z[k]) -> ...

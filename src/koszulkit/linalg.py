@@ -12,8 +12,9 @@ elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Over Q it
 holds each row as integer numerators over one common denominator and does
 no ``Fraction`` arithmetic until it writes its result, whose scalars are
 all canonical: no integral ``Fraction`` is left in it.  A :class:`RowMatrix`
-arrives in that row form.  Everything is immutable after construction and
-all operations return fresh objects.
+arrives in that row form.  The result is one sparse factorization, an
+:class:`Echelon`.  Everything is immutable after construction and all
+operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -328,15 +329,11 @@ class Matrix:
             [ra + rb for ra, rb in zip(self.data, other.data)],
         )
 
-    def col(self, j: int):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def rref(self):
-        """Reduced row echelon form; returns (R, pivot columns, rank).
-
-        R is an :class:`Echelon`: it also keeps the row operations that
-        produced it, so a right-hand side reduces against it without a
-        second elimination.
+    def rref(self) -> "Echelon":
+        """The reduced row echelon form R of the matrix, as an :class:`Echelon`:
+        its pivot columns, its pivot rows kept sparse, and the row operations
+        that produced it, so a right-hand side reduces against it without a
+        second elimination.  The rank is the number of pivots.
 
         Sparse Gauss elimination on rows held as dicts of their nonzero
         entries, then back substitution.  In each column the pivot row is the
@@ -354,8 +351,6 @@ class Matrix:
         """
         f = self.field
         nrows, ncols = self.rows, self.cols
-        if not nrows or not ncols:
-            return Echelon(f, nrows, ncols, [[] for _ in range(nrows)], (), [], list(range(nrows)), []), (), 0
         p = f.char
         if p:
             load, pivot, subtract = _load_mod, _pivot_mod, _subtract_mod
@@ -405,56 +400,39 @@ class Matrix:
                     elim.append((k, a))
             if elim:
                 ops.append((order[n], None, elim))
-        zero, one = f.zero, f.one
         # each pivot row now holds only its entries at free columns
         entries = [rows[i] if dens[i] == 1 else {j: _q(x, dens[i]) for j, x in rows[i].items()}
                    for i in order]
-        data = []
-        for c, row in zip(pivots, entries):
-            out = [zero] * ncols
-            for j, x in row.items():
-                out[j] = x
-            out[c] = one
-            data.append(out)
         if len(order) < nrows:
-            data += [[zero] * ncols for _ in range(nrows - len(order))]
             taken = set(order)
             order += [i for i in range(nrows) if i not in taken]
-        return (Echelon(f, nrows, ncols, data, tuple(pivots), ops, order, entries),
-                tuple(pivots), len(pivots))
+        return Echelon(f, nrows, ncols, tuple(pivots), ops, order, entries)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        return len(self.rref().pivots)
 
     def inverse(self):
-        """The inverse of a square matrix, or None if it is singular."""
+        """The inverse of a square matrix, or None if it is singular: when
+        rref([A | I]) = [I | A^-1], row r of A^-1 is pivot row r at n..2n-1."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse: matrix is not square")
         n = self.rows
-        R, pivots, _ = self.hstack(Matrix.identity(self.field, n)).rref()
-        if pivots[:n] != tuple(range(n)):
+        e = self.hstack(Matrix.identity(self.field, n)).rref()
+        if e.pivots[:n] != tuple(range(n)):
             return None
-        return Matrix(self.field, n, n, [row[n:] for row in R.data])
-
-    def kernel_basis(self) -> "Matrix":
-        """Matrix whose columns form a basis of the right kernel."""
-        return self.rref()[0].kernel_basis()
+        inv = Matrix.zeros(self.field, n, n)
+        for out, row in zip(inv.data, e._entries):
+            for j, x in row.items():
+                out[j - n] = x
+        return inv
 
     def solve(self, b):
-        """One exact solution x of self @ x = b, or None if inconsistent.
-
-        b may be a flat list or a column Matrix; free variables are set to 0.
-        """
-        f = self.field
-        if isinstance(b, Matrix):
-            if b.cols != 1:
-                raise DimensionMismatch("solve: b must be a column")
-            bent = [row[0] for row in b.data]
-        else:
-            bent = [f.of(x) for x in b]
+        """One exact solution x of self @ x = b for a list b of scalars, or
+        None if there is none; free variables are set to 0."""
+        bent = [self.field.of(x) for x in b]
         if len(bent) != self.rows:
             raise DimensionMismatch("solve: length of b != rows")
-        return self.rref()[0].solution(bent)
+        return self.rref().solution(bent)
 
 
 class RowMatrix(Matrix):
@@ -472,21 +450,22 @@ class RowMatrix(Matrix):
             (other.field, other.rows, other.cols, other.krows)
 
 
-class Echelon(Matrix):
+class Echelon:
     """The reduced row echelon form R = E·A of a matrix A, as returned by
-    :meth:`Matrix.rref`.  It keeps E as the row operations that produced R,
-    so :meth:`reduce` applies E to a vector in time linear in their number.
+    :meth:`Matrix.rref`, kept sparse: E as the row operations that produced
+    R, so :meth:`reduce` applies E to a vector in time linear in their
+    number, and R as its ``pivots`` and its pivot rows ``_entries``.
 
-    It also keeps the pivot rows of R sparse, for the kernel coordinates of
-    A: a vector v lies in ker A exactly when its :meth:`defect` is 0, and
-    then v is the :meth:`lift` of its entries at the :meth:`free_columns`,
-    since the entry at the pivot column p_r of row r is -sum_j R[r][j] v[j].
+    The pivot rows give the kernel coordinates of A: a vector v lies in
+    ker A exactly when its :meth:`defect` is 0, and then v is the
+    :meth:`lift` of its entries at the :meth:`free_columns`, since the entry
+    at the pivot column p_r of row r is -sum_j R[r][j] v[j].
     """
 
-    __slots__ = ("pivots", "_ops", "_order", "_entries", "_free")
+    __slots__ = ("field", "rows", "cols", "pivots", "_ops", "_order", "_entries", "_free")
 
-    def __init__(self, field: Field, rows: int, cols: int, data, pivots, ops, order, entries):
-        self.field, self.rows, self.cols, self.data = field, rows, cols, data
+    def __init__(self, field: Field, rows: int, cols: int, pivots, ops, order, entries):
+        self.field, self.rows, self.cols = field, rows, cols
         self.pivots = pivots
         self._ops = ops
         self._order = order

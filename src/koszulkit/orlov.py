@@ -1075,20 +1075,21 @@ def split_idempotent(e: AddMorphism):
     ident = AddMorphism.identity(pres, x)
 
     # diagonalize the isotypic part classwise: P^-1 d P = [[1,0],[0,0]]
-    conj = {}
+    frames, conj = {}, {}
     keep = []
     for s, pos in isotypic_classes(x).items():
         mat = scalar_matrix(e, s, pos)
         # image basis: pivot columns of e; kernel basis completes it
-        echelon, pivots, rank = mat.rref()
-        img = [[row[j] for j in pivots] for row in mat.data]
-        ker = echelon.kernel_basis()
-        conj[s] = Matrix(fld, len(pos), rank, img).hstack(ker).inverse()
+        echelon = mat.rref()
+        rank = len(echelon.pivots)
+        img = [[row[j] for j in echelon.pivots] for row in mat.data]
+        frames[s] = Matrix(fld, len(pos), rank, img).hstack(echelon.kernel_basis())
+        conj[s] = frames[s].inverse()
         if conj[s] is None:
             raise CompositionError("idempotent diagonal did not diagonalize")
         keep.extend(pos[:rank])
     u = scalar_grid(pres, x, conj)
-    uinv = invert_endomorphism(u)
+    uinv = scalar_grid(pres, x, frames)     # grids multiply as their matrices do
     e1 = u.compose(e).compose(uinv)
 
     keep = sorted(keep)

@@ -38,13 +38,12 @@ def rand_add_morphism(pres, x, y, rng):
 
 def rand_kernel_element(mat: Matrix, rng, field):
     """Random small combination of a kernel basis of ``mat``."""
-    ker = mat.kernel_basis()
+    echelon = mat.rref()
     vec = [field.zero] * mat.cols
-    for j in range(ker.cols):
+    for j in range(len(echelon.free_columns())):
         c = rand_scalar(field, rng)
         if c:
-            col = ker.col(j)
-            vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, col)]
+            vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, echelon.kernel_vector(j))]
     return vec
 
 

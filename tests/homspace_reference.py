@@ -7,8 +7,10 @@ coordinates.  ``complexes.HomSpace`` eliminates [delta_F | I] instead, with
 ``nullity`` rows; [delta | K] = K [delta_F | I] and K is injective, so both
 give the same pivots.  Their reductions modulo null-homotopies differ by an
 invertible map, so every query answers alike.  The class is kept verbatim,
-but for the queries the engine no longer has, and for :func:`dense`, since
-``Coords.matrix`` now builds its rows in the elimination's row form.
+but for the queries the engine no longer has, for :func:`dense`, since
+``Coords.matrix`` now builds its rows in the elimination's row form, and
+for :func:`col` and the kernel read off ``rref``, since ``Matrix`` no longer
+has ``col`` or ``kernel_basis``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from fractions import Fraction
 from koszulkit.complexes import ChainMap, ComplexError, Homotopy
 from koszulkit.linalg import Matrix
 from koszulkit.orlov import Coords
+
+
+def col(m: Matrix, j: int) -> list:
+    """Column j of a dense matrix."""
+    return [row[j] for row in m.data]
 
 
 def dense(m) -> Matrix:
@@ -57,7 +64,7 @@ class HomSpace:
         if self.total:
             self._chain_kernel = self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
-                (-1, -1, "right", lambda i: x.d(i - 1))]).kernel_basis()
+                (-1, -1, "right", lambda i: x.d(i - 1))]).rref().kernel_basis()
             delta = dense(self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
                 (-1, 1, "right", lambda i: x.d(i - 1))]))
@@ -67,11 +74,12 @@ class HomSpace:
 
         # the rref of a column prefix is the prefix of the rref: pivots below
         # delta.cols count its rank, those past it pick a basis of the quotient
-        self._echelon, pivots, _ = delta.hstack(self._chain_kernel).rref()
+        self._echelon = delta.hstack(self._chain_kernel).rref()
+        pivots = self._echelon.pivots
         self.nullity = self._chain_kernel.cols
         self._delta_rank = sum(p < delta.cols for p in pivots)
         self.dimension = self.nullity - self._delta_rank
-        self.basis = [self._vector_to_map(self._chain_kernel.col(p - delta.cols))
+        self.basis = [self._vector_to_map(col(self._chain_kernel, p - delta.cols))
                       for p in pivots if p >= delta.cols]
 
     # ---------------------------------------------------------- chain maps
@@ -83,7 +91,7 @@ class HomSpace:
         vec = [fld.zero] * self.total
         for j, c in enumerate(coeffs):
             if c:
-                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, self._chain_kernel.col(j))]
+                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, col(self._chain_kernel, j))]
         return self._vector_to_map(vec)
 
     # ------------------------------------------------------------ plumbing

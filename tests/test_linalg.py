@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import koszulkit
-from koszulkit.linalg import Field, LinalgError, Matrix, QQ
+from koszulkit.linalg import Echelon, Field, LinalgError, Matrix, QQ
 
 from oracle_linalg import cofactor_det, check_kernel, oracle_rank
 
@@ -23,6 +23,31 @@ def from_rows(field: Field, rows) -> Matrix:
 
 def column(field: Field, entries) -> Matrix:
     return Matrix(field, len(entries), 1, [[field.of(x)] for x in entries])
+
+
+def col(m: Matrix, j: int) -> list:
+    """Column j of a dense matrix."""
+    return [row[j] for row in m.data]
+
+
+def columns(m: Matrix) -> list:
+    return [col(m, j) for j in range(m.cols)]
+
+
+def dense_r(e: Echelon) -> Matrix:
+    """The dense reduced row echelon form R that an :class:`Echelon` keeps
+    sparse: its pivot rows, each 1 at its pivot column and its entries at
+    the free columns, then rows - rank zero rows."""
+    f = e.field
+    data = []
+    for c, row in zip(e.pivots, e._entries):
+        out = [f.zero] * e.cols
+        for j, x in row.items():
+            out[j] = x
+        out[c] = f.one
+        data.append(out)
+    data += [[f.zero] * e.cols for _ in range(e.rows - len(data))]
+    return Matrix(f, e.rows, e.cols, data)
 
 
 def rand_matrix(field, rows, cols, rng, span=6):
@@ -93,17 +118,24 @@ def test_integral_rationals_are_ints():
 
 # ---------------------------------------------------------------- rref
 
+def test_rref_returns_one_sparse_factorization():
+    e = from_rows(QQ, [[1, 2, 3], [2, 4, 7]]).rref()
+    assert type(e) is Echelon and not isinstance(e, Matrix) and not hasattr(e, "data")
+    assert e.pivots == (0, 2) and e._entries == [{1: 2}, {}]
+    assert e.free_columns() == [1] and e.kernel_vector(0) == [-2, 1, 0]
+
+
 def test_rref_identity_is_fixed():
     m = Matrix.identity(QQ, 3)
-    r, pivots, rank = m.rref()
-    assert r == m and pivots == (0, 1, 2) and rank == 3
+    e = m.rref()
+    assert dense_r(e) == m and e.pivots == (0, 1, 2) and len(e.pivots) == 3
 
 
 def test_rref_proportional_rows():
     m = from_rows(QQ, [[1, 2], [2, 4]])
-    r, pivots, rank = m.rref()
-    assert rank == 1
-    assert r.data == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]]
+    e = m.rref()
+    assert len(e.pivots) == 1
+    assert dense_r(e).data == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]]
 
 
 def test_rref_f2_rank_matches_determinant_oracle():
@@ -143,9 +175,8 @@ def test_rref_is_idempotent_randomized():
     for field in (QQ, F5):
         for _ in range(20):
             m = rand_matrix(field, rng.randint(0, 5), rng.randint(0, 5), rng)
-            r, _, _ = m.rref()
-            r2, _, _ = r.rref()
-            assert r == r2
+            r = dense_r(m.rref())
+            assert dense_r(r.rref()) == r
 
 
 def test_rank_equals_transpose_rank_randomized():
@@ -197,21 +228,22 @@ def kernel_shapes(field, rng):
 def test_sparse_kernel_matches_oracles(field):
     rng = random.Random(field.char + 31)
     for m in kernel_shapes(field, rng):
-        r, pivots, rank = m.rref()
-        assert (r.rows, r.cols) == (m.rows, m.cols)
-        assert is_rref(r, pivots, rank)
+        e = m.rref()
+        r, rank = dense_r(e), len(e.pivots)
+        assert (e.rows, e.cols) == (m.rows, m.cols)
+        assert is_rref(r, e.pivots, rank)
         assert rank == oracle_rank(m.data, field)
         # the rows of R lie in the row space of A
         assert oracle_rank(m.data + r.data, field) == rank
         with pytest.raises(LinalgError):
-            r.reduce([field.zero] * (m.rows + 1))
-        k = m.kernel_basis()
+            e.reduce([field.zero] * (m.rows + 1))
+        k = e.kernel_basis()
         assert k.cols == m.cols - rank
-        assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], field)
+        assert check_kernel(m.data, columns(k), field)
         for _ in range(3):
             if rng.random() < 0.5:     # b in the column space of A
                 x0 = [field.of(rng.randint(-3, 3)) for _ in range(m.cols)]
-                b = m.mul(column(field, x0)).col(0)
+                b = col(m.mul(column(field, x0)), 0)
             else:
                 b = [field.of(rng.randint(-3, 3)) for _ in range(m.rows)]
             solvable = oracle_rank([row + [bv] for row, bv in zip(m.data, b)], field) == rank
@@ -229,16 +261,16 @@ def test_kernel_coordinates_match_the_kernel_basis(field):
     rng = random.Random(field.char + 37)
     inside = outside = 0
     for m in kernel_shapes(field, rng):
-        r = m.rref()[0]
+        r = m.rref()
         free = r.free_columns()
-        k = m.kernel_basis()
+        k = r.kernel_basis()
         assert free == [c for c in range(m.cols) if c not in r.pivots]
-        assert [k.col(j) for j in range(k.cols)] == [r.kernel_vector(j) for j in range(len(free))]
+        assert columns(k) == [r.kernel_vector(j) for j in range(len(free))]
         assert [k.data[c] for c in free] == Matrix.identity(field, len(free)).data
         for _ in range(3):
             c = [field.of(rng.choice([0, 0, rng.randint(-3, 3)])) for _ in free]
             v = r.lift(c)
-            assert v == k.mul(column(field, c)).col(0)
+            assert v == col(k.mul(column(field, c)), 0)
             assert [v[j] for j in free] == c and not any(r.defect(v))
             w = [field.of(rng.choice([0, rng.randint(-3, 3)])) for _ in range(m.cols)]
             in_kernel = not m.cols or m.mul(column(field, w)).is_zero()
@@ -271,15 +303,16 @@ def test_mixed_int_and_fraction_entries_match_the_oracles():
     for _ in range(60):
         m = mixed_matrix(rng.randint(1, 7), rng.randint(1, 8), rng)
         as_fractions = Matrix(QQ, m.rows, m.cols, [[Fraction(x) for x in row] for row in m.data])
-        r, pivots, rank = m.rref()
-        assert (r, pivots, rank) == as_fractions.rref()
-        assert is_rref(r, pivots, rank)
+        e, e_fractions = m.rref(), as_fractions.rref()
+        r, rank = dense_r(e), len(e.pivots)
+        assert (r, e.pivots) == (dense_r(e_fractions), e_fractions.pivots)
+        assert is_rref(r, e.pivots, rank)
         assert rank == oracle_rank(m.data, QQ)
         assert oracle_rank(m.data + r.data, QQ) == rank
-        k = m.kernel_basis()
-        assert k == as_fractions.kernel_basis()
+        k = e.kernel_basis()
+        assert k == e_fractions.kernel_basis()
         assert k.cols == m.cols - rank
-        assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], QQ)
+        assert check_kernel(m.data, columns(k), QQ)
         for _ in range(3):
             b = [rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
                  for _ in range(m.rows)]
@@ -309,15 +342,15 @@ def test_unimodular_elimination_stays_in_ints():
     for _ in range(30):
         m = incidence_matrix(rng.randint(2, 7), rng.randint(1, 9), rng)
         m = m.hstack(Matrix.identity(QQ, m.rows))
-        r, pivots, _ = m.rref()
-        pivots_seen += len(pivots)
-        assert all(type(x) is int for row in r.data for x in row)
-        for _, s, elim in r._ops:
+        e = m.rref()
+        pivots_seen += len(e.pivots)
+        assert all(type(x) is int for row in dense_r(e).data for x in row)
+        for _, s, elim in e._ops:
             assert s is None or type(s) is int
             assert all(type(a) is int for _, a in elim)
-        y = r.reduce([rng.randint(-3, 3) for _ in range(m.rows)])
+        y = e.reduce([rng.randint(-3, 3) for _ in range(m.rows)])
         assert all(type(v) is int for v in y)
-        k = m.kernel_basis()
+        k = e.kernel_basis()
         assert all(type(x) is int for row in k.data for x in row)
     assert pivots_seen >= 60
 
@@ -346,46 +379,47 @@ def test_wide_denominators_give_e_a_equal_r_in_canonical_scalars():
     for _ in range(80):
         m = wide_denominator_matrix(rng.randint(1, 8), rng.randint(1, 9), rng)
         denominators.update(x.denominator for row in m.data for x in row)
-        r, pivots, rank = m.rref()
-        assert is_rref(r, pivots, rank)
+        e = m.rref()
+        r, rank = dense_r(e), len(e.pivots)
+        assert is_rref(r, e.pivots, rank)
         # E·A = R: the row operations take each column of A to that of R
         for j in range(m.cols):
-            assert r.reduce(m.col(j)) == r.col(j)
+            assert e.reduce(col(m, j)) == col(r, j)
         scalars = [x for row in r.data for x in row]
-        scalars += [x for row in r._entries for x in row.values()]
-        for _, s, elim in r._ops:
+        scalars += [x for row in e._entries for x in row.values()]
+        for _, s, elim in e._ops:
             scalars += [a for _, a in elim] + ([s] if s is not None else [])
         assert all(map(is_canonical, scalars))
         assert rank == oracle_rank(m.data, QQ)
-        k = m.kernel_basis()
+        k = e.kernel_basis()
         assert k.cols == m.cols - rank
-        assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], QQ)
+        assert check_kernel(m.data, columns(k), QQ)
     assert len(denominators) >= 25
 
 
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_of_zero_matrix():
-    k = Matrix.zeros(QQ, 2, 2).kernel_basis()
+    k = Matrix.zeros(QQ, 2, 2).rref().kernel_basis()
     assert k.cols == 2 and k.rank() == 2
 
 
 def test_kernel_of_single_relation():
-    k = from_rows(QQ, [[1, 1]]).kernel_basis()
+    k = from_rows(QQ, [[1, 1]]).rref().kernel_basis()
     assert k.cols == 1
-    v = k.col(0)
+    v = col(k, 0)
     assert v[0] == -v[1] != 0
 
 
 def test_kernel_random_5x7_against_dual_oracle():
     rng = random.Random(5)
     m = rand_matrix(QQ, 5, 7, rng)
-    k = m.kernel_basis()
+    k = m.rref().kernel_basis()
     # independent oracle: re-derive the rank with a second elimination
     # routine, and check M @ k == 0 column by column
     r_oracle = oracle_rank(m.data, QQ)
     assert k.cols == 7 - r_oracle
-    assert check_kernel(m.data, [k.col(j) for j in range(k.cols)], QQ)
+    assert check_kernel(m.data, columns(k), QQ)
     assert k.rank() == k.cols
 
 
@@ -394,7 +428,7 @@ def test_rank_nullity_every_instance():
     for field in (QQ, F5):
         for _ in range(30):
             m = rand_matrix(field, rng.randint(0, 6), rng.randint(0, 6), rng)
-            assert m.cols == m.rank() + m.kernel_basis().cols
+            assert m.cols == m.rank() + m.rref().kernel_basis().cols
 
 
 # ---------------------------------------------------------------- solve
@@ -426,7 +460,7 @@ def test_solvability_iff_augmented_rank_matches():
             if aug.rank() == a.rank():
                 assert x is not None
                 res = a.mul(column(field, x))
-                assert res.col(0) == b
+                assert col(res, 0) == b
             else:
                 assert x is None
 
