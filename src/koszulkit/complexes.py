@@ -32,7 +32,6 @@ from .orlov import (
     Coords,
     ZERO_OBJECT,
     identity_label,
-    invert_endomorphism,
     spans,
     unit_index,
 )
@@ -844,40 +843,6 @@ def _find_pivot(x: Complex):
                 if d.source[c] == d.target[r] and blk[unit_index(pres, d.source[c])]:
                     return (i, r, c)
     return None
-
-
-# ------------------------------------------------------ inverting isos
-
-
-def _invert_iso(m: AddMorphism) -> AddMorphism:
-    """Inverse of an iso between same-length homogeneous objects by rows."""
-    pres = m.pres
-    if sorted(m.source.summands) != sorted(m.target.summands):
-        raise ComplexError("cannot invert: summand multisets differ")
-    # m = e o p where p permutes source into target order; pinv undoes p
-    pinv = AddMorphism.projection(pres, m.target, m.source, _match_permutation(m.source, m.target))
-    endo = m.compose(pinv)
-    endo_inv = invert_endomorphism(endo)
-    if endo_inv is None:
-        raise ComplexError("morphism is not invertible")
-    out = pinv.compose(endo_inv)
-    if m.compose(out) != AddMorphism.identity(pres, m.target) or \
-            out.compose(m) != AddMorphism.identity(pres, m.source):
-        raise ComplexError("inverse verification failed")
-    return out
-
-
-def _match_permutation(src: AddObject, tgt: AddObject):
-    """perm[j]: the position in tgt of source summand j."""
-    used = [False] * len(tgt)
-    perm = []
-    for s in src:
-        for i, t in enumerate(tgt):
-            if not used[i] and s == t:
-                used[i] = True
-                perm.append(i)
-                break
-    return perm
 
 
 # -------------------------------------------------------- square completion

@@ -18,7 +18,6 @@ from .complexes import (
     ChainMap,
     Complex,
     HomClass,
-    _invert_iso,
     hom_space,
 )
 from .linalg import KoszulkitError, Matrix
@@ -27,6 +26,7 @@ from .orlov import (
     AddObject,
     OrlovPresentation,
     identity_label,
+    invert,
     obj,
     spans,
 )
@@ -197,8 +197,10 @@ class NatTrans:
             (rows[k], cols[k], self.components[s]) for k, s in enumerate(x)])
 
     def inverse(self) -> "NatTrans":
-        return NatTrans(self.G, self.F,
-                        {iid: _invert_iso(c) for iid, c in self.components.items()})
+        inverses = {iid: invert(c) for iid, c in self.components.items()}
+        if None in inverses.values():
+            raise FunctorError("natural transformation is not an isomorphism")
+        return NatTrans(self.G, self.F, inverses)
 
 
 def _both(theta: NatTrans, x: Complex):

@@ -42,10 +42,9 @@ from .complexes import (
     direct_sum,
     hom_space,
     supports_meet,
-    _invert_iso,
 )
 from .linalg import KoszulkitError, Matrix
-from .orlov import AddMorphism, Coords, OrlovPresentation, spans, validate_presentation
+from .orlov import AddMorphism, Coords, OrlovPresentation, invert, spans, validate_presentation
 from .tstructure import (
     HeartObject,
     heart_object,
@@ -335,7 +334,9 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
         w_comps[k] = AddMorphism.assemble(pres, ak.concat(bk), ek, [
             (every, apos, incl.component(k)), (every, bpos, section)])
 
-    w_inv = {k: _invert_iso(w) for k, w in w_comps.items()}
+    w_inv = {k: invert(w) for k, w in w_comps.items()}
+    if None in w_inv.values():
+        raise KoszulError("inclusion and section do not split the middle term")
     terms = {k: a_cx.term(k).concat(b_cx.term(k)) for k in e_cx.terms}
     diffs = {}
     for i, dmat in e_cx.diffs.items():

@@ -7,7 +7,9 @@ morphisms are block grids of coordinate vectors.  The degree axioms checked
 by :func:`validate_presentation` force every nonzero morphism between
 non-isomorphic indecomposables to lower the degree strictly, so the
 radical is nilpotent and idempotents split by an explicit triangular
-reduction (:func:`split_idempotent`).
+reduction (:func:`split_idempotent`).  An isomorphism is inverted by one
+solve over the coordinates of the Hom space back (:func:`invert`), which
+refuses a summand whose End is not the scalars.
 """
 
 from __future__ import annotations
@@ -964,19 +966,6 @@ def validate_presentation(source) -> ValidationReport:
 # --------------------------------------------------------------- idempotents
 
 
-def isotypic_part(m: AddMorphism) -> AddMorphism:
-    """Keep only blocks between equal indecomposables (scalar blocks)."""
-    blocks = tuple(
-        tuple(b if m.source[j] == m.target[i] else None for j, b in enumerate(row))
-        for i, row in enumerate(m.blocks)
-    )
-    return AddMorphism(m.pres, m.source, m.target, blocks)
-
-
-def radical_part(m: AddMorphism) -> AddMorphism:
-    return m.sub(isotypic_part(m))
-
-
 def isotypic_classes(x: AddObject) -> dict:
     """Positions of each indecomposable among the summands of x."""
     out = {}
@@ -1023,37 +1012,24 @@ def scalar_grid(pres, x: AddObject, mats) -> AddMorphism:
     return AddMorphism(pres, x, x, tuple(map(tuple, grid)))
 
 
-def invert_endomorphism(m: AddMorphism):
-    """Inverse of an endomorphism of an additive-closure object, or None.
+def invert(m: AddMorphism):
+    """Two-sided inverse of m: x -> y, or None.
 
-    Splits m = D + N with D the isotypic diagonal and N in the radical;
-    m is invertible iff every isotypic block of D is, and then the inverse
-    is the terminating geometric series D^-1 sum (-N D^-1)^k.
+    One solve in the coordinates of Hom(y, x): g with m o g = 1_y, kept
+    only when g o m = 1_x as well, which makes it the inverse.  Like the
+    other helpers of this section, it refuses a summand whose End is not
+    the scalars (:func:`unit_index`).
     """
-    if m.source != m.target:
-        raise CompositionError("invert: not an endomorphism")
-    pres, x = m.pres, m.source
-    # invert the isotypic diagonal classwise (blocks are scalars on the unit)
-    inverses = {}
-    for s, pos in isotypic_classes(x).items():
-        inverses[s] = scalar_matrix(m, s, pos).inverse()
-        if inverses[s] is None:
-            return None
-    dinv = scalar_grid(pres, x, inverses)
-    n = radical_part(m)
-    # (D + N)^-1 = D^-1 (1 + N D^-1)^-1; N D^-1 is nilpotent
-    z = n.compose(dinv).scale(-1)
-    acc = AddMorphism.identity(pres, x)
-    power = AddMorphism.identity(pres, x)
-    for _ in range(len(x) + 1):
-        power = power.compose(z)
-        if power.is_zero():
-            break
-        acc = acc.add(power)
-    else:
-        if not power.is_zero():
-            raise CompositionError("radical series failed to terminate")
-    return dinv.compose(acc)
+    pres, x, y = m.pres, m.source, m.target
+    for s in dict.fromkeys((*x, *y)):
+        unit_index(pres, s)
+    back, ends = Coords(pres, {0: (y, x)}), Coords(pres, {0: (y, y)})
+    sol = back.matrix(ends, [(0, 1, "left", lambda i: m)]).solve(
+        ends.to_vector({0: AddMorphism.identity(pres, y)}.get))
+    if sol is None:
+        return None
+    g = back.from_vector(sol).get(0) or AddMorphism.zero(pres, y, x)
+    return g if g.compose(m).is_identity() else None
 
 
 def split_idempotent(e: AddMorphism):
@@ -1064,7 +1040,9 @@ def split_idempotent(e: AddMorphism):
     isotypic diagonal of e is an exact idempotent of a product of matrix
     algebras, gets diagonalized there, and the remaining radical part is
     removed by conjugating with the invertible element
-    g = E e' + (1-E)(1-e'), which is unipotent modulo the radical.
+    g = E e' + (1-E)(1-e'), which is unipotent modulo the radical and is
+    inverted by the one solve of :func:`invert`.  Like it, this refuses a
+    summand whose End is not the scalars.
     """
     if e.source != e.target:
         raise CompositionError("split_idempotent: not an endomorphism")
@@ -1098,7 +1076,7 @@ def split_idempotent(e: AddMorphism):
     std = AddMorphism.assemble(pres, x, x, [(keep, keep, AddMorphism.identity(pres, z))])
 
     g = std.compose(e1).add(ident.sub(std).compose(ident.sub(e1)))
-    ginv = invert_endomorphism(g)
+    ginv = invert(g)
     if ginv is None:
         raise CompositionError("correction element not invertible")
     v = g.compose(u)

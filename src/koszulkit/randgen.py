@@ -12,7 +12,7 @@ import random
 
 from .complexes import ChainMap, Complex, HomSpace
 from .linalg import Matrix
-from .orlov import AddMorphism, AddObject, Coords, invert_endomorphism
+from .orlov import AddMorphism, AddObject, Coords, invert
 
 
 def rand_scalar(field, rng, small=True):
@@ -36,15 +36,10 @@ def rand_add_morphism(pres, x, y, rng):
     return coords.from_vector(vec).get(0) or AddMorphism.zero(pres, x, y)
 
 
-def rand_kernel_element(mat: Matrix, rng, field):
+def rand_kernel_element(mat: Matrix, rng):
     """Random small combination of a kernel basis of ``mat``."""
     echelon = mat.rref()
-    vec = [field.zero] * mat.cols
-    for j in range(len(echelon.free_columns())):
-        c = rand_scalar(field, rng)
-        if c:
-            vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, echelon.kernel_vector(j))]
-    return vec
+    return echelon.lift([rand_scalar(mat.field, rng) for _ in echelon.free_columns()])
 
 
 def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degrees_of=None):
@@ -78,7 +73,7 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
             # rows: coordinates of (candidate o prev) in Hom(term(i-1), y)
             pm = prev[1]
             mat = coords.matrix(Coords(pres, {0: (pm.source, y)}), [(0, 1, "right", lambda i: pm)])
-            vec = rand_kernel_element(mat, rng, fld)
+            vec = rand_kernel_element(mat, rng)
         m = coords.from_vector(vec)[0]
         if m.is_zero():
             prev = None
@@ -120,14 +115,14 @@ def rand_chain_map(x: Complex, y: Complex, rng, shift=0):
 
 
 def rand_automorphism(pres, x: AddObject, rng):
-    """Random invertible endomorphism: invertible isotypic part + radical."""
-    fld = pres.field
+    """Random invertible endomorphism of x with its inverse, drawn until
+    :func:`invert` finds one."""
     while True:
         m = rand_add_morphism(pres, x, x, rng)
         # force the diagonal towards invertibility
         bump = AddMorphism.identity(pres, x).scale(rng.choice([1, 1, 2, -1]))
         m = m.add(bump)
-        inv = invert_endomorphism(m)
+        inv = invert(m)
         if inv is not None:
             return m, inv
 

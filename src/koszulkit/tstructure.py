@@ -30,7 +30,7 @@ from .complexes import (
     minimal_model,
 )
 from .linalg import KoszulkitError
-from .orlov import AddMorphism, AddObject, invert_endomorphism, unit_index
+from .orlov import AddMorphism, AddObject, invert, unit_index
 
 
 class TStructureError(KoszulkitError):
@@ -274,7 +274,7 @@ def cone_through_simple(f: HomClass) -> SimpleConeResult:
     n = range(len(tgt))
     p_mat = AddMorphism.assemble(pres, tgt, tgt, [
         (n, n, AddMorphism.identity(pres, tgt)), (lam, [pivot], comp.restrict_blocks(lam, [0]))])
-    u = invert_endomorphism(p_mat)
+    u = invert(p_mat)
     uinv = p_mat
 
     terms = dict(mx.terms)

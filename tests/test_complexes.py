@@ -1355,7 +1355,8 @@ def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch)
 def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch):
     """The matrices of composition with one fixed morphism, built by
     ``Coords.matrix`` in ``rand_complex`` (b o d^{i-1}) and ``q_ses_triangle``
-    (p_k o b), equal the per-basis construction entry for entry."""
+    (p_k o b for the sections, then w_k o b for the inverses of the isos
+    w_k: A^k + B^k -> E^k), equal the per-basis construction entry for entry."""
     pres = presentation(name)
     rng = rng_for(37, "composition-matrices", name)
     built = []
@@ -1388,8 +1389,10 @@ def test_composition_matrices_match_the_per_basis_construction(name, monkeypatch
         e, fwd, bwd = conjugate_complex(e, rng)
         incl, proj = fwd.compose(ia), pb.compose(bwd)
         built.clear()
-        q_ses_triangle(incl, proj)
+        w = q_ses_triangle(incl, proj).witness.iso_y.fwd
         assert dense_built() == [per_basis_matrix(one(quot.term(k), e.term(k)), one(quot.term(k), quot.term(k)), [
-            (0, 1, lambda _, b, p=proj.component(k): p.compose(b))]) for k in e.terms]
-        compared += len(e.terms)
+            (0, 1, lambda _, b, p=proj.component(k): p.compose(b))]) for k in e.terms] + [
+            per_basis_matrix(one(e.term(k), w.source.term(k)), one(e.term(k), e.term(k)), [
+                (0, 1, lambda _, b, wk=w.component(k): wk.compose(b))]) for k in e.terms]
+        compared += 2 * len(e.terms)
     assert compared >= 60

@@ -174,6 +174,8 @@ def test_extend_zero_nat_trans(a2):
                             for iid in a2.ids})
     x = cone_alpha(a2)
     assert extend_nat_trans(theta, x).is_zero()
+    with pytest.raises(FunctorError, match="not an isomorphism"):
+        theta.inverse()
 
 
 def test_nat_trans_rejects_non_natural(a2):

@@ -495,6 +495,10 @@ def test_q_ses_rejects_non_exact_pair(a2):
     # the zero map admits no section, so the pair is not a split ses
     with pytest.raises(KoszulError):
         q_ses_triangle(incl, ChainMap.zero(e, b_nf))
+    # a zero inclusion and a section of proj do not make the middle term a sum
+    proj = ChainMap(e, b_nf, {-1: AddMorphism.identity(a2, obj("b"))})
+    with pytest.raises(KoszulError, match="do not split the middle term"):
+        q_ses_triangle(ChainMap.zero(a_nf, e), proj)
 
 
 # ------------------------------------------------------------- injectives

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from koszulkit import orlov
+from koszulkit.complexes import ComplexError
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.linalg import Matrix
 from koszulkit.orlov import (
@@ -22,9 +23,8 @@ from koszulkit.orlov import (
     compose,
     hom_basis,
     identity_label,
-    invert_endomorphism,
+    invert,
     isotypic_classes,
-    isotypic_part,
     obj,
     scalar_grid,
     scalar_matrix,
@@ -32,7 +32,8 @@ from koszulkit.orlov import (
     split_idempotent,
     validate_presentation,
 )
-from koszulkit.randgen import rand_add_morphism, rand_object
+from koszulkit.randgen import rand_add_morphism, rand_object, rng_for
+import inverse_reference
 from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, presentation
 
 
@@ -228,14 +229,14 @@ def test_scalar_grid_refuses_non_scalar_end():
     one = pres.field.one
     x = obj("a")
     one_plus_n = AddMorphism(pres, x, x, (((one, one),),))
-    for call in (lambda: invert_endomorphism(one_plus_n),
+    for call in (lambda: invert(one_plus_n),
                  lambda: split_idempotent(AddMorphism.identity(pres, x)),
                  lambda: scalar_matrix(one_plus_n, "a", [0])):
         with pytest.raises(MalformedPresentation, match=r"End\(a\) has dimension 2"):
             call()
     # a class whose End is the scalars is unaffected
     y = obj("b")
-    assert invert_endomorphism(AddMorphism.identity(pres, y)) == AddMorphism.identity(pres, y)
+    assert invert(AddMorphism.identity(pres, y)) == AddMorphism.identity(pres, y)
 
 
 # -------------------------------------------------------------- composition
@@ -377,6 +378,12 @@ def test_coords_round_trip_on_wide_blocks(name):
 
 
 def test_scalar_grid_of_scalar_matrices_is_isotypic_part(a3):
+    def isotypic_part(m):
+        """The blocks of m between equal indecomposables (scalar blocks)."""
+        return AddMorphism(m.pres, m.source, m.target, tuple(
+            tuple(b if m.source[j] == m.target[i] else None for j, b in enumerate(row))
+            for i, row in enumerate(m.blocks)))
+
     rng = random.Random(4)
     x = obj("b", "a", "b", "c", "a", "b")
     for _ in range(5):
@@ -426,9 +433,9 @@ def test_split_conjugated_rank_one_projector(a2):
     x = obj("a", "a")
     for _ in range(20):
         u = rand_morphism(a2, x, x, rng)
-        while invert_endomorphism(u) is None:
+        while invert(u) is None:
             u = rand_morphism(a2, x, x, rng)
-        uinv = invert_endomorphism(u)
+        uinv = invert(u)
         e0 = AddMorphism.single(a2, x, x, 0, 0, (1,))  # projector onto first copy
         e = compose(compose(u, e0), uinv)
         z, p, i = split_idempotent(e)
@@ -455,7 +462,7 @@ def test_split_idempotent_eliminates_each_class_matrix_once(a2, monkeypatch):
     x = obj("a", "a", "b")
     u = AddMorphism.identity(a2, x).add(AddMorphism.single(a2, x, x, 0, 1, (1,)))
     e0 = AddMorphism.assemble(a2, x, x, [((0, 2), (0, 2), AddMorphism.identity(a2, obj("a", "b")))])
-    e = compose(compose(u, e0), invert_endomorphism(u))
+    e = compose(compose(u, e0), invert(u))
     scalar.clear()
     calls.clear()
     z, p, i = split_idempotent(e)
@@ -477,9 +484,9 @@ def test_krull_schmidt_multiplicities_from_orthogonal_family(a3):
     rng = random.Random(33)
     x = obj("a", "a", "b")
     u = rand_morphism(a3, x, x, rng)
-    while invert_endomorphism(u) is None:
+    while invert(u) is None:
         u = rand_morphism(a3, x, x, rng)
-    uinv = invert_endomorphism(u)
+    uinv = invert(u)
     pieces = []
     for k in range(3):
         ek = AddMorphism.single(a3, x, x, k, k,
@@ -488,6 +495,50 @@ def test_krull_schmidt_multiplicities_from_orthogonal_family(a3):
         z, _, _ = split_idempotent(e)
         pieces.extend(z.summands)
     assert sorted(pieces) == ["a", "a", "b"]
+
+
+@pytest.mark.parametrize("name", [*QUIVER_NAMES, "FIX_A3", "A6/F0", "A6/F10007", "A5-killed/F10007"])
+def test_invert_matches_the_reference_inverses(name):
+    """``invert`` agrees with the radical series on endomorphisms and with
+    the permutation matcher on maps between objects with the same summands,
+    None and value alike; it is None when the summand multisets differ."""
+    pres = presentation(name)
+    rng = rng_for(41, "invert", name)
+    counts = Counter()
+    for _ in range(140):
+        x = rand_object(pres, rng, max_summands=4)
+        bump = rng.choice([1, 1, 2, -1])
+        m = rand_add_morphism(pres, x, x, rng).add(AddMorphism.identity(pres, x).scale(bump))
+        g = invert(m)
+        assert g == inverse_reference.invert_endomorphism(m)
+        counts["endomorphism" if g is not None else "singular"] += 1
+
+        perm = list(range(len(x)))
+        rng.shuffle(perm)
+        y = x.select(perm)
+        iso = rand_add_morphism(pres, x, y, rng).add(
+            AddMorphism.projection(pres, x, y, perm).scale(bump))
+        g = invert(iso)
+        try:
+            assert g == inverse_reference.invert_iso(iso)
+        except ComplexError as exc:
+            assert g is None and str(exc) == "morphism is not invertible"
+        if g is not None:
+            assert iso.compose(g) == AddMorphism.identity(pres, y)
+            assert g.compose(iso) == AddMorphism.identity(pres, x)
+            counts["permuted"] += perm != sorted(perm)
+        else:
+            counts["singular"] += 1
+
+        other = [s for s in pres.ids if x and s != x[0]]
+        z = AddObject((rng.choice(other), *x[1:])) if other else x.concat(obj(pres.ids[0]))
+        m = rand_add_morphism(pres, x, z, rng)
+        assert invert(m) is None
+        with pytest.raises(ComplexError, match="summand multisets differ"):
+            inverse_reference.invert_iso(m)
+    assert counts["endomorphism"] >= 100 and counts["permuted"] >= 30, counts
+    # over Q the draws include singular maps, so None is compared as well
+    assert counts["singular"] >= 30 or pres.characteristic, counts
 
 
 def test_mixed_characteristic_is_a_hard_error():

@@ -141,10 +141,8 @@ ENGINE_DIR = ROOT / "src" / "koszulkit"
 # Engine functions that no command and no benchmark pass runs, each with the
 # reason it stays.
 KEPT_UNREACHED = {
-    **dict.fromkeys(("complexes.HomSpace.cycle", "complexes._invert_iso",
-                     "complexes._match_permutation",
-                     "functors.NatTrans.inverse",
-                     "koszul.q_functor", "koszul.q_ses_triangle", "linalg.Echelon.lift",
+    **dict.fromkeys(("complexes.HomSpace.cycle", "functors.NatTrans.inverse",
+                     "koszul.q_functor", "koszul.q_ses_triangle",
                      "randgen.rand_chain_map", "tstructure.HeartObject.weights",
                      "tstructure.heart_simples", "tstructure.is_pure",
                      "tstructure.is_semisimple_normal_form"), ACCEPTANCE),
