@@ -10,11 +10,11 @@ of scalars means equality of values.  Matrices are stored dense, as row-major
 lists; the constraint matrices of Hom spaces are mostly zeros, so the one
 elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Over Q it
 holds each row as integer numerators over one common denominator and does
-no ``Fraction`` arithmetic until it writes its result, whose scalars are
-all canonical: no integral ``Fraction`` is left in it.  A :class:`RowMatrix`
-arrives in that row form.  The result is one sparse factorization, an
-:class:`Echelon`.  Everything is immutable after construction and all
-operations return fresh objects.
+no ``Fraction`` arithmetic until a reader asks for its result, whose
+scalars are then all canonical: no integral ``Fraction`` is left in it.  A
+:class:`RowMatrix` arrives in that row form.  The result is one sparse
+factorization, an :class:`Echelon`.  Every value is immutable after
+construction and all operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -177,12 +177,12 @@ def _copy_loaded(row):
 
 def _pivot_q(row, d, c, p):
     """Over Q: drop the row's entry m/d at column c and divide the rest by
-    it, so the row becomes row/m.  Returns the op's scale d/m (None when it
-    is 1) and the new denominator."""
+    it, so the row becomes row/m.  Returns the op's scale d/m as the pair
+    (d, m) (None when it is 1) and the new denominator."""
     m = row.pop(c)
     if m == d:
         return None, d
-    s = _q(d, m)
+    s = d, m
     g = gcd(m, *row.values())
     if m < 0:
         g = -g
@@ -208,7 +208,7 @@ def _subtract_q(row, d, a, src, e, p):
     """Over Q: row/d -= (a/d)·src/e, on numerators, where a is the row's
     numerator that the caller popped at the pivot column and src/e the
     pivot row: the row becomes (row·e - a·src)/(d·e), made primitive.
-    Returns the new denominator and the op's multiplier a/d."""
+    Returns the new denominator and the op's multiplier a/d as the pair (a, d)."""
     if e != 1:
         for j, x in row.items():
             row[j] = x * e
@@ -222,8 +222,7 @@ def _subtract_q(row, d, a, src, e, p):
                 row[j] = v
             else:
                 del row[j]
-    if d != 1:
-        a = _q(a, d)
+    a = a, d
     d *= e
     if d != 1:
         g = gcd(d, *row.values())
@@ -344,10 +343,10 @@ class Matrix:
         denominator and divided by their gcd after each row operation, so it
         stays primitive (integer-preserving elimination, as in Bareiss
         1968): subtracting (a/d)·n'/e from n/d gives (e·n - a·n')/(d·e)
-        without a ``Fraction``.  Each op's scalars are formed once per row
-        operation, and R's entries once at the end, all canonical.  F_p runs
-        through the same loop with denominator 1.  Dense rows are loaded
-        into that form first; a :class:`RowMatrix` arrives in it.
+        without a ``Fraction``; each op's scale and multiplier stay the int
+        pairs they come from, and R's rows numerators over d, until the
+        :class:`Echelon` is read.  F_p runs the same loop with denominator
+        1.  Dense rows are loaded first; a :class:`RowMatrix` arrives loaded.
         """
         f = self.field
         nrows, ncols = self.rows, self.cols
@@ -401,12 +400,13 @@ class Matrix:
             if elim:
                 ops.append((order[n], None, elim))
         # each pivot row now holds only its entries at free columns
-        entries = [rows[i] if dens[i] == 1 else {j: _q(x, dens[i]) for j, x in rows[i].items()}
-                   for i in order]
+        entries = [(rows[i], dens[i]) for i in order] if not p else [rows[i] for i in order]
         if len(order) < nrows:
             taken = set(order)
             order += [i for i in range(nrows) if i not in taken]
-        return Echelon(f, nrows, ncols, tuple(pivots), ops, order, entries)
+        e = Echelon(f, nrows, ncols, tuple(pivots), ops, order, entries)
+        e._raw_ops = e._raw_entries = not p     # Q: int pairs, converted on first read
+        return e
 
     def rank(self) -> int:
         return len(self.rref().pivots)
@@ -456,21 +456,39 @@ class Echelon:
     R, so :meth:`reduce` applies E to a vector in time linear in their
     number, and R as its ``pivots`` and its pivot rows ``_entries``.
 
+    Over Q, ``rref`` hands both lists over in ints (each op scalar n/d as
+    (n, d), each pivot row as numerators over d); ``_ops`` and ``_entries``
+    convert to canonical scalars once, on first read, and drop the ints.
+
     The pivot rows give the kernel coordinates of A: a vector v lies in
     ker A exactly when its :meth:`defect` is 0, and then v is the
     :meth:`lift` of its entries at the :meth:`free_columns`, since the entry
     at the pivot column p_r of row r is -sum_j R[r][j] v[j].
     """
 
-    __slots__ = ("field", "rows", "cols", "pivots", "_ops", "_order", "_entries", "_free")
+    __slots__ = ("field", "rows", "cols", "pivots", "_order", "_free",
+                 "_log", "_rrows", "_raw_ops", "_raw_entries")
 
     def __init__(self, field: Field, rows: int, cols: int, pivots, ops, order, entries):
-        self.field, self.rows, self.cols = field, rows, cols
-        self.pivots = pivots
-        self._ops = ops
-        self._order = order
-        self._entries = entries     # per pivot row, {free column: nonzero entry}
-        self._free = None
+        self.field, self.rows, self.cols, self.pivots = field, rows, cols, pivots
+        self._log, self._order, self._rrows = ops, order, entries
+        self._free, self._raw_ops, self._raw_entries = None, False, False
+
+    @property
+    def _ops(self) -> list:
+        """The row operations (i, s, [(k, a), ...]) in canonical scalars."""
+        if self._raw_ops:
+            self._log = [(i, s and _q(*s), [(k, _q(*a)) for k, a in elim]) for i, s, elim in self._log]
+            self._raw_ops = False
+        return self._log
+
+    @property
+    def _entries(self) -> list:
+        """Per pivot row of R, {free column: nonzero entry} in canonical scalars."""
+        if self._raw_entries:
+            self._rrows = [r if d == 1 else {j: _q(x, d) for j, x in r.items()} for r, d in self._rrows]
+            self._raw_entries = False
+        return self._rrows
 
     def reduce(self, b) -> list:
         """E·b for a list b of scalars.  Its first ``rank`` entries are the

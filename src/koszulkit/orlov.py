@@ -800,36 +800,43 @@ class Coords:
         order; by default all of them.
 
         The rows come out in the form :meth:`Matrix.rref` works on, and no
-        ``Fraction`` is summed: the ``fixed(i)`` are cleared once by the lcm
-        L of their denominators and the tables by ``comp_den``, so a row is
-        ints over L * comp_den, made primitive at the end (residues over F_p).
+        ``Fraction`` is summed: a block of ``fixed(i)`` in use is cleared by
+        the lcm L of their denominators (when not all ints with L * sign = 1),
+        the tables by ``comp_den``, so a row is ints over L * comp_den, made
+        primitive at the end (residues over F_p).  Empty blocks are skipped.
         """
         pres = self.pres
         p = pres.characteristic
         int_table = pres.int_table
-        data = {r: {} for r in (range(rows.total) if keep is None else keep)}
+        keep = range(rows.total) if keep is None else keep
+        data = [None] * rows.total
+        for r in keep:
+            data[r] = {}
         work = [(i, step, sign, side, fixed(i).blocks)
                 for i in self.objs for step, sign, side, fixed in terms if i + step in rows.starts]
-        den = 1 if p else lcm(*(v.denominator for *_, blocks in work
-                                for grid in blocks for g in grid if g is not None for v in g))
+        fracs = () if p else [v.denominator for *_, blocks in work for grid in blocks
+                              for g in grid if g is not None for v in g if type(v) is not int]
+        den = lcm(*fracs)
         for i, step, sign, side, d in work:
             x, y = self.objs[i]
             cols, n, offs, s = self.starts[i], len(x), rows.starts[i + step], sign * den
             xr, yr = rows.objs[i + step]
-            nr = len(xr)
-            d = [[g and [s // v.denominator * v.numerator for v in g] for g in grid] for grid in d]
+            nr, clear = len(xr), s != 1 or fracs
             if side == "left":      # block (a, j) of d o b is d[a][t] o b[t][j]
                 for a, ta in enumerate(yr):
                     for t, ti in enumerate(y):
                         g = d[a][t]
                         if g is not None:
+                            g = [s // v.denominator * v.numerator for v in g] if clear else g
                             for j, sj in enumerate(x):
                                 c0, r0 = cols[t * n + j], offs[a * nr + j]
+                                if c0 == cols[t * n + j + 1] or r0 == offs[a * nr + j + 1]:
+                                    continue    # Hom(sj, ti) or Hom(sj, ta) is 0
                                 for gi, fi, res in int_table(sj, ti, ta):
                                     v = g[gi]
                                     if v:
                                         for ri, c in res:
-                                            row = data.get(r0 + ri)
+                                            row = data[r0 + ri]
                                             if row is not None:
                                                 row[c0 + fi] = row.get(c0 + fi, 0) + v * c
             else:                   # block (t, k) of b o d is b[t][j] o d[j][k]
@@ -837,19 +844,24 @@ class Coords:
                     for k, sk in enumerate(xr):
                         f = d[j][k]
                         if f is not None:
+                            f = [s // v.denominator * v.numerator for v in f] if clear else f
                             for t, ti in enumerate(y):
                                 c0, r0 = cols[t * n + j], offs[t * nr + k]
+                                if c0 == cols[t * n + j + 1] or r0 == offs[t * nr + k + 1]:
+                                    continue    # Hom(sj, ti) or Hom(sk, ti) is 0
                                 for gi, fi, res in int_table(sk, sj, ti):
                                     v = f[fi]
                                     if v:
                                         for ri, c in res:
-                                            row = data.get(r0 + ri)
+                                            row = data[r0 + ri]
                                             if row is not None:
                                                 row[c0 + gi] = row.get(c0 + gi, 0) + v * c
         den *= pres.comp_den
         out = []
-        for row in data.values():
-            row = {j: v % p for j, v in row.items() if v % p} if p else {j: v for j, v in row.items() if v}
+        for r in keep:
+            row = {j: v % p for j, v in data[r].items()} if p else data[r]
+            if not all(row.values()):
+                row = {j: v for j, v in row.items() if v}
             g = gcd(den, *row.values()) if den != 1 else 1
             out.append(({j: v // g for j, v in row.items()} if g != 1 else row, den // g))
         return RowMatrix(pres.field, len(out), self.total, out)

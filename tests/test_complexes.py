@@ -1282,6 +1282,75 @@ def test_one_layout_walk_per_coords_degree(monkeypatch):
     assert calls and not calls - once
 
 
+def hom_q_draws(seed):
+    """(x, y, k) as the hom_q benchmark draws them: conjugated
+    ``rand_complex`` pairs on A_10 over Q, k in -1..1, with chain-map
+    unknowns."""
+    pres = path_category(10, 0)
+    rng = rng_for(seed, "hom_q-style")
+    while True:
+        x, y = (conjugate_complex(rand_complex(pres, rng, amplitude=4, max_summands=4), rng)[0]
+                for _ in "xy")
+        k = rng.randint(-1, 1)
+        if supports_meet(x, y, k):
+            yield x, y, k
+
+
+def test_hom_space_converts_only_the_scalars_it_reads():
+    """Over Q an :class:`Echelon` keeps its scalars as ints until a list is
+    read.  Building a Hom space reads neither the chain echelon's row
+    operations nor the quotient echelon's pivot rows, and ``basis`` and
+    ``express`` read only the chain echelon's pivot rows (``defect``,
+    ``kernel_vector``) and the quotient's operations (``reduce``), so the
+    other two lists stay int pairs throughout."""
+    seen = Counter()
+    for x, y, k in hom_q_draws(34):
+        sp = hom_space(x, y, k)
+        if not sp.total:        # no elimination: the space is 0
+            continue
+        if seen["spaces"] == 40:
+            break
+        seen["spaces"] += 1
+        chains, quotient = sp._chains, sp._echelon
+        assert chains._raw_ops and quotient._raw_entries and quotient._raw_ops
+        assert chains._raw_entries == (not sp.basis)
+        ops = [s for _, s, _ in chains._log if s is not None] + \
+            [a for _, _, elim in chains._log for _, a in elim]
+        assert all(type(v) is tuple and len(v) == 2 and all(type(n) is int for n in v) for v in ops)
+        assert all(type(d) is int for _, d in quotient._rrows)
+        total = ChainMap.zero(x, sp.ys)
+        for b in sp.basis:
+            total = total.add(b)
+        assert sp.express(total) == [1] * sp.dimension
+        assert chains._raw_ops and quotient._raw_entries
+        assert not chains._raw_entries and not quotient._raw_ops
+        seen["ops"] += bool(ops)
+        seen["rows"] += bool(quotient._rrows)
+        seen["basis"] += bool(sp.basis)
+    assert min(seen.values()) >= 10
+
+
+def test_constraint_matrices_read_no_table_of_a_zero_hom_space(monkeypatch):
+    """``Coords.matrix`` skips a pair of summands whose column or row block
+    is empty before it reads their table, so every structure-constant table
+    it reads is of a triple whose three Hom spaces are nonzero."""
+    calls = []
+    int_table = OrlovPresentation.int_table
+
+    def recording(self, src, mid, tgt):
+        calls.append((self.hom_dim(src, mid), self.hom_dim(mid, tgt), self.hom_dim(src, tgt)))
+        return int_table(self, src, mid, tgt)
+
+    monkeypatch.setattr(OrlovPresentation, "int_table", recording)
+    for name in ("FIX_A3", "A5-killed/F10007", *WIDE_BLOCK_NAMES):
+        pres = presentation(name)
+        for x, y, k in seeded_draws(pres, rng_for(37, "table reads", name), 15):
+            hom_space(x, y, k)
+    for (x, y, k), _ in zip(hom_q_draws(37), range(15)):
+        hom_space(x, y, k)
+    assert len(calls) >= 500 and all(map(all, calls))
+
+
 # ------------------------------------------------------ constraint matrices
 
 def per_basis_matrix(cols, rows, terms):

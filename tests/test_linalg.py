@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import koszulkit
-from koszulkit.linalg import Echelon, Field, LinalgError, Matrix, QQ
+from koszulkit.linalg import Echelon, Field, LinalgError, Matrix, QQ, RowMatrix, _load_q
 
+from echelon_reference import eager_rref
 from oracle_linalg import cofactor_det, check_kernel, oracle_rank
 
 F2 = Field(2)
@@ -395,6 +397,107 @@ def test_wide_denominators_give_e_a_equal_r_in_canonical_scalars():
         assert k.cols == m.cols - rank
         assert check_kernel(m.data, columns(k), QQ)
     assert len(denominators) >= 25
+
+
+def typed(value):
+    """``value`` with the type of each scalar beside it, so that an int and
+    an integral ``Fraction`` of the same value compare unequal."""
+    if isinstance(value, dict):
+        return [(j, typed(x)) for j, x in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [typed(x) for x in value]
+    return type(value), value
+
+
+def negative_pivot_matrix(rows, cols, rng):
+    """A Q matrix whose rows each lead with a negative int or ``Fraction``,
+    so that most pivots the elimination divides by are negative."""
+    data = []
+    for _ in range(rows):
+        lead = rng.randint(0, cols - 1)
+        data.append([0] * lead + [-rng.choice([rng.randint(1, 5), Fraction(rng.randint(1, 7), rng.randint(2, 5))])]
+                    + [rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-5, 5), 3)])
+                       for _ in range(cols - lead - 1)])
+    return Matrix(QQ, rows, cols, data)
+
+
+def lazy_cases(rng):
+    """Seeded matrices for the lazy conversion: empty and zero matrices,
+    mixed int/``Fraction`` entries, negative pivots and wide denominators
+    over Q, each dense and as a ``RowMatrix`` too, and a few over F_5."""
+    dense = [Matrix(QQ, 0, 0, []), Matrix(QQ, 0, 3, []), Matrix(QQ, 3, 0, [[], [], []]),
+             Matrix.zeros(QQ, 1, 1), Matrix.zeros(QQ, 3, 4)]
+    for _ in range(25):
+        r, c = rng.randint(1, 7), rng.randint(1, 8)
+        dense += [mixed_matrix(r, c, rng), negative_pivot_matrix(r, c, rng), wide_denominator_matrix(r, c, rng)]
+    for m in dense:
+        yield m
+        yield RowMatrix(QQ, m.rows, m.cols, [_load_q(row) for row in m.data])
+    for _ in range(5):
+        yield rand_matrix(F5, rng.randint(1, 5), rng.randint(1, 6), rng)
+
+
+def assert_equals_eager(m, e):
+    """The lists of the :class:`Echelon` ``e`` of ``m`` are those of the eager
+    reference elimination, value for value and type for type."""
+    pivots, ops, order, entries = eager_rref(m)
+    assert (e.rows, e.cols, e.pivots, e._order) == (m.rows, m.cols, pivots, order)
+    assert typed(e._ops) == typed(ops)
+    assert typed(e._entries) == typed(entries)
+
+
+@pytest.mark.parametrize("first", ["_entries", "_ops"])
+def test_lazy_echelon_lists_equal_the_eager_conversion(first):
+    """``rref`` keeps its Q scalars as ints; ``_ops`` and ``_entries`` turn
+    them into the canonical scalars that converting at once gave, whichever
+    is read first, and a second read returns the same list."""
+    seen = Counter()
+    for m in lazy_cases(random.Random(53)):
+        e = m.rref()
+        second = "_ops" if first == "_entries" else "_entries"
+        lists = {first: getattr(e, first), second: getattr(e, second)}
+        assert_equals_eager(m, e)
+        assert e._ops is lists["_ops"] and e._entries is lists["_entries"]
+        scalars = [s for _, s, _ in e._ops if s is not None]
+        seen["negative scale"] += any(s < 0 for s in scalars)
+        seen["Fraction op"] += any(type(a) is Fraction for _, _, elim in e._ops for _, a in elim)
+        seen["Fraction entry"] += any(type(x) is Fraction for row in e._entries for x in row.values())
+        seen["empty"] += not (m.rows and m.cols)
+        seen["zero"] += bool(m.rows and m.cols) and not e.pivots
+    assert min(seen.values()) >= 4 and len(seen) == 5
+
+
+def test_lazy_echelon_lists_after_rank_solve_and_inverse(monkeypatch):
+    """The eliminations that ``rank``, ``solve`` and ``inverse`` run read
+    one list, or none, before the test reads both: each still equals the
+    eager reference, and the answers are those of an :class:`Echelon`
+    built directly from the reference lists."""
+    made = []
+    rref = Matrix.rref
+
+    def recording(self):
+        made.append((self, rref(self)))
+        return made[-1][1]
+
+    monkeypatch.setattr(Matrix, "rref", recording)
+    rng = random.Random(59)
+    inverted = 0
+    for m in lazy_cases(rng):
+        fld = m.field
+        b = [fld.of(rng.randint(-3, 3)) for _ in range(m.rows)]
+        made.clear()
+        rank, x = m.rank(), m.solve(b)
+        inv = m.inverse() if m.rows == m.cols and m.data is not None else None
+        for a, e in made:
+            assert_equals_eager(a, e)
+        pivots, ops, order, entries = eager_rref(m)
+        ref = Echelon(fld, m.rows, m.cols, pivots, ops, order, entries)
+        assert rank == len(pivots)
+        assert typed(x) == typed(ref.solution(b))
+        if inv is not None:
+            assert m.mul(inv) == Matrix.identity(fld, m.rows)
+            inverted += 1
+    assert inverted >= 5
 
 
 # ---------------------------------------------------------------- kernel
