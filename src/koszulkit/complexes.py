@@ -314,11 +314,14 @@ class HomSpace:
     built, already in the elimination's row form (``Coords.matrix``), and
     each gets its unit entry of I there.
 
-    A chain map v, whose chain defect (the pivot rows of R applied to v) is
-    0, has class coordinates (:meth:`express`) the reduction of v[F] with
-    the null-homotopy part dropped.  These are the one coordinate system of
-    the quotient: linear, onto, with kernel im delta, and each element of
-    ``basis`` reduces to a unit vector.
+    [delta_F | I] has full row rank, so its echelon form is [E delta_F | E]
+    with E invertible: E is read off the I block, and E b is the
+    ``defect`` of (0, b), zero on delta's columns.  A chain map v, whose
+    chain defect (the pivot rows of R applied to v) is 0, has class
+    coordinates (:meth:`express`) E v[F] with the null-homotopy part, its
+    first ``_delta_rank`` entries, dropped.  These are the one coordinate
+    system of the quotient: linear, onto, with kernel im delta, and each
+    element of ``basis`` has a unit vector as its coordinates.
     """
 
     def __init__(self, x: Complex, y: Complex, k: int = 0):
@@ -346,7 +349,7 @@ class HomSpace:
                 (0, 1, "left", lambda i: ys.d(i - 1)),
                 (-1, 1, "right", lambda i: x.d(i - 1))], free).krows
         else:                   # no chain-map unknowns: the space is 0
-            self._chains = Echelon(fld, 0, 0, (), [], [], [])
+            self._chains = Echelon(fld, 0, 0, (), [])
         self._free = free
         self.nullity = n = len(free)
         for r, (row, d) in enumerate(delta_f):
@@ -385,7 +388,7 @@ class HomSpace:
         vec = self.map_to_vector(f)
         if any(self._chains.defect(vec)):
             return None
-        y = self._echelon.reduce([vec[j] for j in self._free])
+        y = self._echelon.defect([0] * self.h_total + [vec[j] for j in self._free])
         if any(y[self._delta_rank:]):
             return None
         h = [self.x.pres.field.zero] * self.h_total
@@ -399,7 +402,7 @@ class HomSpace:
         vec = self.map_to_vector(f)
         if any(self._chains.defect(vec)):
             return None
-        return self._echelon.reduce([vec[j] for j in self._free])[self._delta_rank:]
+        return self._echelon.defect([0] * self.h_total + [vec[j] for j in self._free])[self._delta_rank:]
 
 
 def supports_meet(x: Complex, y: Complex, k: int = 0) -> bool:

@@ -12,9 +12,12 @@ elimination kernel, :meth:`Matrix.rref`, works on sparse rows.  Over Q it
 holds each row as integer numerators over one common denominator and does
 no ``Fraction`` arithmetic until a reader asks for its result, whose
 scalars are then all canonical: no integral ``Fraction`` is left in it.  A
-:class:`RowMatrix` arrives in that row form.  The result is one sparse
-factorization, an :class:`Echelon`.  Every value is immutable after
-construction and all operations return fresh objects.
+:class:`RowMatrix` arrives in that row form.  The result is the sparse
+reduced echelon form, an :class:`Echelon`, with no record of the row
+operations: :meth:`Matrix.solve` and :meth:`Matrix.inverse` eliminate the
+matrix with b or I appended and read the answer off those columns.  Every
+value is immutable after construction and all operations return fresh
+objects.
 """
 
 from __future__ import annotations
@@ -177,12 +180,10 @@ def _copy_loaded(row):
 
 def _pivot_q(row, d, c, p):
     """Over Q: drop the row's entry m/d at column c and divide the rest by
-    it, so the row becomes row/m.  Returns the op's scale d/m as the pair
-    (d, m) (None when it is 1) and the new denominator."""
+    it, so the row becomes row/m.  Returns the new denominator."""
     m = row.pop(c)
     if m == d:
-        return None, d
-    s = d, m
+        return d
     g = gcd(m, *row.values())
     if m < 0:
         g = -g
@@ -190,25 +191,24 @@ def _pivot_q(row, d, c, p):
         m //= g
         for j, x in row.items():
             row[j] = x // g
-    return s, m
+    return m
 
 
 def _pivot_mod(row, d, c, p):
     """_pivot_q over F_p."""
     m = row.pop(c)
-    if m == 1:
-        return None, 1
-    s = pow(m, -1, p)
-    for j, x in row.items():
-        row[j] = x * s % p
-    return s, 1
+    if m != 1:
+        s = pow(m, -1, p)
+        for j, x in row.items():
+            row[j] = x * s % p
+    return 1
 
 
 def _subtract_q(row, d, a, src, e, p):
     """Over Q: row/d -= (a/d)·src/e, on numerators, where a is the row's
     numerator that the caller popped at the pivot column and src/e the
     pivot row: the row becomes (row·e - a·src)/(d·e), made primitive.
-    Returns the new denominator and the op's multiplier a/d as the pair (a, d)."""
+    Returns the new denominator."""
     if e != 1:
         for j, x in row.items():
             row[j] = x * e
@@ -222,7 +222,6 @@ def _subtract_q(row, d, a, src, e, p):
                 row[j] = v
             else:
                 del row[j]
-    a = a, d
     d *= e
     if d != 1:
         g = gcd(d, *row.values())
@@ -230,7 +229,7 @@ def _subtract_q(row, d, a, src, e, p):
             d //= g
             for j, x in row.items():
                 row[j] = x // g
-    return d, a
+    return d
 
 
 def _subtract_mod(row, d, a, src, e, p):
@@ -245,7 +244,26 @@ def _subtract_mod(row, d, a, src, e, p):
                 row[j] = v
             else:
                 del row[j]
-    return 1, a
+    return 1
+
+
+def _append(row, d, x, c):
+    """The loaded row (row, d) with the canonical scalar x at column c: an
+    int x enters as x·d; a ``Fraction`` u/v scales the row by v, and the
+    row is made primitive again.  A nonzero x gives a new dict."""
+    if not x:
+        return row, d
+    if type(x) is int:
+        return {**row, c: x * d}, d
+    v = x.denominator
+    row = {j: n * v for j, n in row.items()}
+    row[c] = x.numerator * d
+    d *= v
+    g = gcd(d, *row.values())
+    if g != 1:
+        d //= g
+        row = {j: n // g for j, n in row.items()}
+    return row, d
 
 
 class Matrix:
@@ -330,9 +348,10 @@ class Matrix:
 
     def rref(self) -> "Echelon":
         """The reduced row echelon form R of the matrix, as an :class:`Echelon`:
-        its pivot columns, its pivot rows kept sparse, and the row operations
-        that produced it, so a right-hand side reduces against it without a
-        second elimination.  The rank is the number of pivots.
+        its pivot columns and its pivot rows, kept sparse.  The rank is the
+        number of pivots.  No record of the row operations is kept: a caller
+        that needs them, E with R = E·A, eliminates [A | I] or [A | b] and
+        reads E or E·b off the appended columns.
 
         Sparse Gauss elimination on rows held as dicts of their nonzero
         entries, then back substitution.  In each column the pivot row is the
@@ -343,13 +362,11 @@ class Matrix:
         denominator and divided by their gcd after each row operation, so it
         stays primitive (integer-preserving elimination, as in Bareiss
         1968): subtracting (a/d)·n'/e from n/d gives (e·n - a·n')/(d·e)
-        without a ``Fraction``; each op's scale and multiplier stay the int
-        pairs they come from, and R's rows numerators over d, until the
+        without a ``Fraction``; R's rows stay numerators over d until the
         :class:`Echelon` is read.  F_p runs the same loop with denominator
         1.  Dense rows are loaded first; a :class:`RowMatrix` arrives loaded.
         """
         f = self.field
-        nrows, ncols = self.rows, self.cols
         p = f.char
         if p:
             load, pivot, subtract = _load_mod, _pivot_mod, _subtract_mod
@@ -366,46 +383,34 @@ class Matrix:
             dens.append(d)
             if row:
                 waiting.setdefault(min(row), []).append(i)
-        # A pivot row is kept without its pivot entry, which is 1.  Each op
-        # (i, s, [(k, a), ...]) scales row i by s (None: by 1), then
-        # subtracts a times row i from row k for each (k, a).
-        ops, order, pivots = [], [], []
+        # A pivot row is kept without its pivot entry, which is 1; order[r]
+        # is the row that took the r-th pivot.
+        order, pivots = [], []
         while waiting:
             c = min(waiting)
             cands = waiting.pop(c)
             i = cands[0] if len(cands) == 1 else min(cands, key=lambda k: len(rows[k]))
             prow = rows[i]
-            s, e = pivot(prow, dens[i], c, p)
-            dens[i] = e
+            e = dens[i] = pivot(prow, dens[i], c, p)
             src = prow.items()
-            elim = []
             for k in cands:
                 if k != i:
                     row = rows[k]
-                    dens[k], a = subtract(row, dens[k], row.pop(c), src, e, p)
-                    elim.append((k, a))
+                    dens[k] = subtract(row, dens[k], row.pop(c), src, e, p)
                     if row:
                         waiting.setdefault(min(row), []).append(k)
-            ops.append((i, s, elim))
             order.append(i)
             pivots.append(c)
         for n in range(len(order) - 1, 0, -1):
             c, src, e = pivots[n], rows[order[n]].items(), dens[order[n]]
-            elim = []
             for k in order[:n]:
                 row = rows[k]
                 if c in row:
-                    dens[k], a = subtract(row, dens[k], row.pop(c), src, e, p)
-                    elim.append((k, a))
-            if elim:
-                ops.append((order[n], None, elim))
+                    dens[k] = subtract(row, dens[k], row.pop(c), src, e, p)
         # each pivot row now holds only its entries at free columns
         entries = [(rows[i], dens[i]) for i in order] if not p else [rows[i] for i in order]
-        if len(order) < nrows:
-            taken = set(order)
-            order += [i for i in range(nrows) if i not in taken]
-        e = Echelon(f, nrows, ncols, tuple(pivots), ops, order, entries)
-        e._raw_ops = e._raw_entries = not p     # Q: int pairs, converted on first read
+        e = Echelon(f, self.rows, self.cols, tuple(pivots), entries)
+        e._raw_entries = not p      # Q: int pairs, converted on first read
         return e
 
     def rank(self) -> int:
@@ -428,11 +433,28 @@ class Matrix:
 
     def solve(self, b):
         """One exact solution x of self @ x = b for a list b of scalars, or
-        None if there is none; free variables are set to 0."""
-        bent = [self.field.of(x) for x in b]
+        None if there is none; free variables are set to 0.
+
+        One elimination of [A | b]: b lies in the column space of A exactly
+        when its column, ``cols``, is not a pivot, and then x[p_r] is pivot
+        row r's entry in that column.  A :class:`RowMatrix` gets b's entries
+        appended in its row form."""
+        f, n = self.field, self.cols
+        bent = [f.of(x) for x in b]
         if len(bent) != self.rows:
             raise DimensionMismatch("solve: length of b != rows")
-        return self.rref().solution(bent)
+        if self.data is None:
+            aug = RowMatrix(f, self.rows, n + 1,
+                            [_append(row, d, x, n) for (row, d), x in zip(self.krows, bent)])
+        else:
+            aug = Matrix(f, self.rows, n + 1, [row + [x] for row, x in zip(self.data, bent)])
+        e = aug.rref()
+        if e.pivots and e.pivots[-1] == n:
+            return None
+        x = [f.zero] * n
+        for pc, row in zip(e.pivots, e._entries):
+            x[pc] = row.get(n, f.zero)
+        return x
 
 
 class RowMatrix(Matrix):
@@ -451,14 +473,13 @@ class RowMatrix(Matrix):
 
 
 class Echelon:
-    """The reduced row echelon form R = E·A of a matrix A, as returned by
-    :meth:`Matrix.rref`, kept sparse: E as the row operations that produced
-    R, so :meth:`reduce` applies E to a vector in time linear in their
-    number, and R as its ``pivots`` and its pivot rows ``_entries``.
+    """The reduced row echelon form R of a matrix A, as returned by
+    :meth:`Matrix.rref`, kept sparse: its ``pivots`` and its pivot rows
+    ``_entries``.
 
-    Over Q, ``rref`` hands both lists over in ints (each op scalar n/d as
-    (n, d), each pivot row as numerators over d); ``_ops`` and ``_entries``
-    convert to canonical scalars once, on first read, and drop the ints.
+    Over Q, ``rref`` hands the pivot rows over in ints, each as numerators
+    over d; ``_entries`` converts them to canonical scalars once, on first
+    read, and drops the ints.
 
     The pivot rows give the kernel coordinates of A: a vector v lies in
     ker A exactly when its :meth:`defect` is 0, and then v is the
@@ -466,21 +487,11 @@ class Echelon:
     at the pivot column p_r of row r is -sum_j R[r][j] v[j].
     """
 
-    __slots__ = ("field", "rows", "cols", "pivots", "_order", "_free",
-                 "_log", "_rrows", "_raw_ops", "_raw_entries")
+    __slots__ = ("field", "rows", "cols", "pivots", "_free", "_rrows", "_raw_entries")
 
-    def __init__(self, field: Field, rows: int, cols: int, pivots, ops, order, entries):
+    def __init__(self, field: Field, rows: int, cols: int, pivots, entries):
         self.field, self.rows, self.cols, self.pivots = field, rows, cols, pivots
-        self._log, self._order, self._rrows = ops, order, entries
-        self._free, self._raw_ops, self._raw_entries = None, False, False
-
-    @property
-    def _ops(self) -> list:
-        """The row operations (i, s, [(k, a), ...]) in canonical scalars."""
-        if self._raw_ops:
-            self._log = [(i, s and _q(*s), [(k, _q(*a)) for k, a in elim]) for i, s, elim in self._log]
-            self._raw_ops = False
-        return self._log
+        self._rrows, self._free, self._raw_entries = entries, None, False
 
     @property
     def _entries(self) -> list:
@@ -489,24 +500,6 @@ class Echelon:
             self._rrows = [r if d == 1 else {j: _q(x, d) for j, x in r.items()} for r, d in self._rrows]
             self._raw_entries = False
         return self._rrows
-
-    def reduce(self, b) -> list:
-        """E·b for a list b of scalars.  Its first ``rank`` entries are the
-        coefficients that write b in the pivot columns of A; b lies in the
-        column space of A exactly when the remaining entries are 0."""
-        if len(b) != self.rows:
-            raise DimensionMismatch("reduce: length of b != rows")
-        p = self.field.char
-        y = list(b)
-        for i, s, elim in self._ops:
-            v = y[i]
-            if not v:
-                continue
-            if s is not None:
-                v = y[i] = v * s % p if p else v * s
-            for k, a in elim:
-                y[k] = (y[k] - a * v) % p if p else y[k] - a * v
-        return [y[i] for i in self._order]
 
     def free_columns(self) -> list:
         """The non-pivot columns of A, in order."""
@@ -563,15 +556,3 @@ class Echelon:
         """Columns forming a basis of the right kernel of A, which is that of R."""
         return Matrix.from_columns(self.field, self.cols, [
             self.kernel_vector(k) for k in range(len(self.free_columns()))])
-
-    def solution(self, b) -> list | None:
-        """One exact solution x of A x = b for a list b of scalars, or None
-        if there is none; free variables are set to 0."""
-        y = self.reduce(b)
-        rank = len(self.pivots)
-        if any(y[rank:]):
-            return None
-        x = [self.field.zero] * self.cols
-        for r, pc in enumerate(self.pivots):
-            x[pc] = y[r]
-        return x

@@ -4,18 +4,32 @@ once, the reference for the lazy lists of ``linalg.Echelon``.
 :func:`eager_rref` is ``Matrix.rref`` with its Q helpers ``_pivot_q`` and
 ``_subtract_q`` as they were then: each op's scale and multiplier became a
 canonical scalar (``_q``) when the row operation was made, and R's pivot
-rows when the elimination ended.  ``Matrix.rref`` now keeps both as ints,
-and ``Echelon._ops`` / ``Echelon._entries`` convert them on first read;
-both must give these lists, value for value and type for type.  The loop is
-kept verbatim, but it returns the four lists (pivots, ops, order, entries)
-instead of an ``Echelon``; the helpers that did not change are imported.
+rows when the elimination ended.  ``Matrix.rref`` now keeps R's rows as
+ints, which ``Echelon._entries`` converts on first read, and records no
+row operations; its pivots and ``_entries`` must be these, value for value
+and type for type.  The loop is kept verbatim, but it returns the four
+lists (pivots, ops, order, entries) instead of an ``Echelon``; the helpers
+that did not change are imported, and the F_p helpers ``_pivot_mod`` and
+``_subtract_mod``, which now return no op scalar, are kept as it called
+them.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from koszulkit.linalg import _copy_loaded, _load_mod, _load_q, _pivot_mod, _q, _subtract_mod
+from koszulkit.linalg import _copy_loaded, _load_mod, _load_q, _q
+
+
+def _pivot_mod(row, d, c, p):
+    """_pivot_q over F_p."""
+    m = row.pop(c)
+    if m == 1:
+        return None, 1
+    s = pow(m, -1, p)
+    for j, x in row.items():
+        row[j] = x * s % p
+    return s, 1
 
 
 def _pivot_q(row, d, c, p):
@@ -64,6 +78,21 @@ def _subtract_q(row, d, a, src, e, p):
             for j, x in row.items():
                 row[j] = x // g
     return d, a
+
+
+def _subtract_mod(row, d, a, src, e, p):
+    """_subtract_q over F_p."""
+    for j, x in src:
+        v = row.get(j)
+        if v is None:
+            row[j] = -a * x % p
+        else:
+            v = (v - a * x) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    return 1, a
 
 
 def eager_rref(self) -> tuple:

@@ -10,7 +10,10 @@ invertible map, so every query answers alike.  The class is kept verbatim,
 but for the queries the engine no longer has, for :func:`dense`, since
 ``Coords.matrix`` now builds its rows in the elimination's row form, and
 for :func:`col` and the kernel read off ``rref``, since ``Matrix`` no longer
-has ``col`` or ``kernel_basis``.
+has ``col`` or ``kernel_basis``, and for :meth:`HomSpace._mod_homotopy` and
+:meth:`HomSpace.null_homotopy`, which read their coordinates off
+``Matrix.solve`` of [delta | K], since an ``Echelon`` no longer records the
+row operations that ``Echelon.reduce`` applied.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class HomSpace:
 
         # the rref of a column prefix is the prefix of the rref: pivots below
         # delta.cols count its rank, those past it pick a basis of the quotient
-        self._echelon = delta.hstack(self._chain_kernel).rref()
+        self._system = delta.hstack(self._chain_kernel)
+        self._echelon = self._system.rref()
         pivots = self._echelon.pivots
         self.nullity = self._chain_kernel.cols
         self._delta_rank = sum(p < delta.cols for p in pivots)
@@ -107,23 +111,20 @@ class HomSpace:
     def _vector_to_homotopy(self, vec) -> Homotopy:
         return Homotopy(self.x, self.ys, self.homotopies.from_vector(vec))
 
-    def _mod_homotopy(self, vec) -> list:
-        """``vec`` reduced against the echelon form of [delta | chain_kernel]
-        with the null-homotopy part dropped: its coordinates in ``basis``,
-        then entries that are all 0 exactly when ``vec`` is a chain map."""
-        return self._echelon.reduce(vec)[self._delta_rank:]
+    def _mod_homotopy(self, vec):
+        """The coordinates in ``basis`` of ``vec`` modulo null-homotopies:
+        the entries at the pivots past delta of a solution x of [delta |
+        chain_kernel] x = vec, or None when ``vec`` is not a chain map."""
+        x = self._system.solve(vec)
+        return None if x is None else [x[p] for p in self._echelon.pivots if p >= self.h_total]
 
     def null_homotopy(self, f: ChainMap):
         """A homotopy h with f = delta(h), or None."""
-        y = self._echelon.reduce(self.map_to_vector(f))
-        if any(y[self._delta_rank:]):
+        x = self._system.solve(self.map_to_vector(f))
+        if x is None or any(x[self.h_total:]):
             return None
-        h = [self.x.pres.field.zero] * self.h_total
-        for r, p in enumerate(self._echelon.pivots[:self._delta_rank]):
-            h[p] = y[r]
-        return self._vector_to_homotopy(h)
+        return self._vector_to_homotopy(x[:self.h_total])
 
     def express(self, f: ChainMap):
         """Coordinates of the class of f in ``basis``, or None if outside."""
-        y = self._mod_homotopy(self.map_to_vector(f))
-        return None if any(y[self.dimension:]) else y[:self.dimension]
+        return self._mod_homotopy(self.map_to_vector(f))

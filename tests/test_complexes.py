@@ -940,7 +940,7 @@ def test_hom_space_matches_the_delta_kernel_reference(name):
 
 def echelon_fields(e):
     """An echelon's whole value; R is fixed by its pivots and sparse rows."""
-    return e.rows, e.cols, e.pivots, e._ops, e._order, e._entries
+    return e.rows, e.cols, e.pivots, e._entries
 
 
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
@@ -1297,12 +1297,11 @@ def hom_q_draws(seed):
 
 
 def test_hom_space_converts_only_the_scalars_it_reads():
-    """Over Q an :class:`Echelon` keeps its scalars as ints until a list is
-    read.  Building a Hom space reads neither the chain echelon's row
-    operations nor the quotient echelon's pivot rows, and ``basis`` and
-    ``express`` read only the chain echelon's pivot rows (``defect``,
-    ``kernel_vector``) and the quotient's operations (``reduce``), so the
-    other two lists stay int pairs throughout."""
+    """Over Q an :class:`Echelon` keeps its pivot rows as ints until they
+    are read.  Building a Hom space reads none of the quotient echelon's
+    rows; ``basis`` reads the chain echelon's (``kernel_vector``), and
+    ``express`` reads both (``defect``), so each list is converted exactly
+    when a query needs it."""
     seen = Counter()
     for x, y, k in hom_q_draws(34):
         sp = hom_space(x, y, k)
@@ -1312,19 +1311,14 @@ def test_hom_space_converts_only_the_scalars_it_reads():
             break
         seen["spaces"] += 1
         chains, quotient = sp._chains, sp._echelon
-        assert chains._raw_ops and quotient._raw_entries and quotient._raw_ops
+        assert quotient._raw_entries
         assert chains._raw_entries == (not sp.basis)
-        ops = [s for _, s, _ in chains._log if s is not None] + \
-            [a for _, _, elim in chains._log for _, a in elim]
-        assert all(type(v) is tuple and len(v) == 2 and all(type(n) is int for n in v) for v in ops)
         assert all(type(d) is int for _, d in quotient._rrows)
         total = ChainMap.zero(x, sp.ys)
         for b in sp.basis:
             total = total.add(b)
         assert sp.express(total) == [1] * sp.dimension
-        assert chains._raw_ops and quotient._raw_entries
-        assert not chains._raw_entries and not quotient._raw_ops
-        seen["ops"] += bool(ops)
+        assert not chains._raw_entries and not quotient._raw_entries
         seen["rows"] += bool(quotient._rrows)
         seen["basis"] += bool(sp.basis)
     assert min(seen.values()) >= 10

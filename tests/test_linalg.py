@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import koszulkit
-from koszulkit.linalg import Echelon, Field, LinalgError, Matrix, QQ, RowMatrix, _load_q
+from koszulkit.linalg import Echelon, Field, LinalgError, Matrix, QQ, RowMatrix, _append, _load_q
 
 from echelon_reference import eager_rref
 from oracle_linalg import cofactor_det, check_kernel, oracle_rank
@@ -238,7 +238,7 @@ def test_sparse_kernel_matches_oracles(field):
         # the rows of R lie in the row space of A
         assert oracle_rank(m.data + r.data, field) == rank
         with pytest.raises(LinalgError):
-            e.reduce([field.zero] * (m.rows + 1))
+            m.solve([field.zero] * (m.rows + 1))
         k = e.kernel_basis()
         assert k.cols == m.cols - rank
         assert check_kernel(m.data, columns(k), field)
@@ -347,11 +347,9 @@ def test_unimodular_elimination_stays_in_ints():
         e = m.rref()
         pivots_seen += len(e.pivots)
         assert all(type(x) is int for row in dense_r(e).data for x in row)
-        for _, s, elim in e._ops:
-            assert s is None or type(s) is int
-            assert all(type(a) is int for _, a in elim)
-        y = e.reduce([rng.randint(-3, 3) for _ in range(m.rows)])
-        assert all(type(v) is int for v in y)
+        # [incidence | I] has full row rank: every b has a solution, in ints
+        x = m.solve([rng.randint(-3, 3) for _ in range(m.rows)])
+        assert x is not None and all(type(v) is int for v in x)
         k = e.kernel_basis()
         assert all(type(x) is int for row in k.data for x in row)
     assert pivots_seen >= 60
@@ -384,13 +382,10 @@ def test_wide_denominators_give_e_a_equal_r_in_canonical_scalars():
         e = m.rref()
         r, rank = dense_r(e), len(e.pivots)
         assert is_rref(r, e.pivots, rank)
-        # E·A = R: the row operations take each column of A to that of R
-        for j in range(m.cols):
-            assert e.reduce(col(m, j)) == col(r, j)
+        # R = E·A: the rows of R lie in the row space of A
+        assert oracle_rank(m.data + r.data, QQ) == rank
         scalars = [x for row in r.data for x in row]
         scalars += [x for row in e._entries for x in row.values()]
-        for _, s, elim in e._ops:
-            scalars += [a for _, a in elim] + ([s] if s is not None else [])
         assert all(map(is_canonical, scalars))
         assert rank == oracle_rank(m.data, QQ)
         k = e.kernel_basis()
@@ -437,41 +432,45 @@ def lazy_cases(rng):
         yield rand_matrix(F5, rng.randint(1, 5), rng.randint(1, 6), rng)
 
 
+def dense_rows(m) -> list:
+    """The rows of a dense matrix, or the dense rows a ``RowMatrix`` holds
+    in row form."""
+    if m.data is not None:
+        return m.data
+    return [[m.field.of(Fraction(row.get(j, 0), d)) for j in range(m.cols)] for row, d in m.krows]
+
+
 def assert_equals_eager(m, e):
-    """The lists of the :class:`Echelon` ``e`` of ``m`` are those of the eager
-    reference elimination, value for value and type for type."""
-    pivots, ops, order, entries = eager_rref(m)
-    assert (e.rows, e.cols, e.pivots, e._order) == (m.rows, m.cols, pivots, order)
-    assert typed(e._ops) == typed(ops)
+    """The pivots and pivot rows of the :class:`Echelon` ``e`` of ``m`` are
+    those of the eager reference elimination, value for value and type for
+    type."""
+    pivots, _, _, entries = eager_rref(m)
+    assert (e.rows, e.cols, e.pivots) == (m.rows, m.cols, pivots)
     assert typed(e._entries) == typed(entries)
 
 
-@pytest.mark.parametrize("first", ["_entries", "_ops"])
+@pytest.mark.parametrize("first", ["_entries"])
 def test_lazy_echelon_lists_equal_the_eager_conversion(first):
-    """``rref`` keeps its Q scalars as ints; ``_ops`` and ``_entries`` turn
-    them into the canonical scalars that converting at once gave, whichever
-    is read first, and a second read returns the same list."""
+    """``rref`` keeps its Q pivot rows as ints; ``_entries`` turns them into
+    the canonical scalars that converting at once gave, and a second read
+    returns the same list."""
     seen = Counter()
     for m in lazy_cases(random.Random(53)):
         e = m.rref()
-        second = "_ops" if first == "_entries" else "_entries"
-        lists = {first: getattr(e, first), second: getattr(e, second)}
+        entries = getattr(e, first)
         assert_equals_eager(m, e)
-        assert e._ops is lists["_ops"] and e._entries is lists["_entries"]
-        scalars = [s for _, s, _ in e._ops if s is not None]
-        seen["negative scale"] += any(s < 0 for s in scalars)
-        seen["Fraction op"] += any(type(a) is Fraction for _, _, elim in e._ops for _, a in elim)
+        assert e._entries is entries
         seen["Fraction entry"] += any(type(x) is Fraction for row in e._entries for x in row.values())
+        seen["negative entry"] += any(x < 0 for row in e._entries for x in row.values())
         seen["empty"] += not (m.rows and m.cols)
         seen["zero"] += bool(m.rows and m.cols) and not e.pivots
-    assert min(seen.values()) >= 4 and len(seen) == 5
+    assert min(seen.values()) >= 4 and len(seen) == 4
 
 
 def test_lazy_echelon_lists_after_rank_solve_and_inverse(monkeypatch):
     """The eliminations that ``rank``, ``solve`` and ``inverse`` run read
-    one list, or none, before the test reads both: each still equals the
-    eager reference, and the answers are those of an :class:`Echelon`
-    built directly from the reference lists."""
+    their pivot rows, or not, before the test reads them: each still equals
+    the eager reference, and the answers agree with the oracles."""
     made = []
     rref = Matrix.rref
 
@@ -481,7 +480,7 @@ def test_lazy_echelon_lists_after_rank_solve_and_inverse(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", recording)
     rng = random.Random(59)
-    inverted = 0
+    inverted = solved = 0
     for m in lazy_cases(rng):
         fld = m.field
         b = [fld.of(rng.randint(-3, 3)) for _ in range(m.rows)]
@@ -490,14 +489,16 @@ def test_lazy_echelon_lists_after_rank_solve_and_inverse(monkeypatch):
         inv = m.inverse() if m.rows == m.cols and m.data is not None else None
         for a, e in made:
             assert_equals_eager(a, e)
-        pivots, ops, order, entries = eager_rref(m)
-        ref = Echelon(fld, m.rows, m.cols, pivots, ops, order, entries)
-        assert rank == len(pivots)
-        assert typed(x) == typed(ref.solution(b))
+        data = dense_rows(m)
+        assert rank == oracle_rank(data, fld)
+        assert (x is not None) == (oracle_rank([row + [v] for row, v in zip(data, b)], fld) == rank)
+        if x is not None:       # [A | -b] kills [x | 1]
+            assert check_kernel([row + [fld.neg(v)] for row, v in zip(data, b)], [x + [fld.one]], fld)
+            solved += 1
         if inv is not None:
             assert m.mul(inv) == Matrix.identity(fld, m.rows)
             inverted += 1
-    assert inverted >= 5
+    assert inverted >= 5 and solved >= 20
 
 
 # ---------------------------------------------------------------- kernel
@@ -566,6 +567,37 @@ def test_solvability_iff_augmented_rank_matches():
                 assert col(res, 0) == b
             else:
                 assert x is None
+    # over Q, a RowMatrix beside each dense matrix, and right-hand sides
+    # that hold proper and integral Fractions as drawn: b enters each row in
+    # the row form that loading the dense augmented row gives, the answers
+    # agree with the oracles, and every entry is canonical
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(100):
+        a = rand_matrix(QQ, rng.randint(1, 6), rng.randint(1, 6), rng)
+        rows = RowMatrix(QQ, a.rows, a.cols, [_load_q(row) for row in a.data])
+        rank = oracle_rank(a.data, QQ)
+        for _ in range(4):
+            if rng.random() < 0.5:      # b in the column space of A
+                x0 = [rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(2, 4))])
+                      for _ in range(a.cols)]
+                b = col(a.mul(column(QQ, x0)), 0)
+            else:
+                b = [rng.choice([0, rng.randint(-3, 3), Fraction(3 * rng.randint(-3, 3), 3),
+                                 Fraction(rng.randint(-9, 9), rng.randint(2, 5))]) for _ in range(a.rows)]
+            solvable = oracle_rank([row + [v] for row, v in zip(a.data, b)], QQ) == rank
+            seen["integral Fraction in b"] += any(type(v) is Fraction and v.denominator == 1 for v in b)
+            assert [_append(row, d, QQ.of(v), a.cols) for (row, d), v in zip(rows.krows, b)] == \
+                [_load_q(row + [v]) for row, v in zip(a.data, b)]
+            for m in (a, rows):
+                x = m.solve(b)
+                assert (x is not None) == solvable
+                if x is not None:       # [A | -b] kills [x | 1]
+                    assert check_kernel([row + [-v] for row, v in zip(a.data, b)], [x + [1]], QQ)
+                    assert all(map(is_canonical, x)), x
+                    seen["Fraction in x"] += any(type(v) is Fraction for v in x)
+                seen["solvable", solvable] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4
 
 
 # ---------------------------------------------------------------- source
