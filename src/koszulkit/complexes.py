@@ -303,7 +303,7 @@ class HomSpace:
 
     Two eliminations build it.  The first is of the chain condition D1,
     whose echelon form R has free columns F; its kernel, the chain maps, has
-    the basis K = ``kernel_basis`` of R, and K is the identity on F.  So a
+    the basis K of ``kernel_vector`` columns of R, the identity on F.  So a
     chain map v is fixed by v[F], since the entry at the pivot column p_r
     of R is -sum_j R[r][j] v[j], and v = K v[F].  Every column of the
     null-homotopy matrix delta is a chain map, so [delta | K] = K [delta_F |

@@ -14,10 +14,9 @@ no ``Fraction`` arithmetic until a reader asks for its result, whose
 scalars are then all canonical: no integral ``Fraction`` is left in it.  A
 :class:`RowMatrix` arrives in that row form.  The result is the sparse
 reduced echelon form, an :class:`Echelon`, with no record of the row
-operations: :meth:`Matrix.solve` and :meth:`Matrix.inverse` eliminate the
-matrix with b or I appended and read the answer off those columns.  Every
-value is immutable after construction and all operations return fresh
-objects.
+operations: :meth:`Matrix.solve` eliminates the matrix with b appended and
+reads the answer off that column.  Every value is immutable after
+construction and all operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -285,14 +284,6 @@ class Matrix:
         return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        m = Matrix.zeros(field, n, n)
-        one = field.one
-        for i in range(n):
-            m.data[i][i] = one
-        return m
-
-    @staticmethod
     def from_columns(field: Field, rows: int, columns) -> "Matrix":
         """Matrix whose j-th column is ``columns[j]``, a list of ``rows`` scalars."""
         return Matrix(field, rows, len(columns), [[col[r] for col in columns] for r in range(rows)])
@@ -336,15 +327,6 @@ class Matrix:
                     if b:
                         orow[j] = f.add(orow[j], f.mul(a, b))
         return out
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack: row mismatch")
-        return Matrix(
-            self.field, self.rows, self.cols + other.cols,
-            [ra + rb for ra, rb in zip(self.data, other.data)],
-        )
 
     def rref(self) -> "Echelon":
         """The reduced row echelon form R of the matrix, as an :class:`Echelon`:
@@ -415,21 +397,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref().pivots)
-
-    def inverse(self):
-        """The inverse of a square matrix, or None if it is singular: when
-        rref([A | I]) = [I | A^-1], row r of A^-1 is pivot row r at n..2n-1."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("inverse: matrix is not square")
-        n = self.rows
-        e = self.hstack(Matrix.identity(self.field, n)).rref()
-        if e.pivots[:n] != tuple(range(n)):
-            return None
-        inv = Matrix.zeros(self.field, n, n)
-        for out, row in zip(inv.data, e._entries):
-            for j, x in row.items():
-                out[j - n] = x
-        return inv
 
     def solve(self, b):
         """One exact solution x of self @ x = b for a list b of scalars, or
@@ -524,7 +491,8 @@ class Echelon:
 
     def lift(self, c) -> list:
         """The vector v in ker A whose entries at the free columns are the
-        list ``c``; that is K·c for K = :meth:`kernel_basis`."""
+        list ``c``; that is K·c for the kernel basis K whose column k is
+        :meth:`kernel_vector` k."""
         p = self.field.char
         v = [self.field.zero] * self.cols
         for j, x in zip(self.free_columns(), c):
@@ -540,8 +508,8 @@ class Echelon:
         return v
 
     def kernel_vector(self, k) -> list:
-        """Column k of :meth:`kernel_basis`: the :meth:`lift` of the k-th
-        unit vector, 1 at the k-th free column."""
+        """The k-th vector of the kernel basis that is the identity on the
+        free columns: the :meth:`lift` of the k-th unit vector."""
         f = self.field
         fc = self.free_columns()[k]
         v = [f.zero] * self.cols
@@ -551,8 +519,3 @@ class Echelon:
             if x:
                 v[pc] = f.neg(x)
         return v
-
-    def kernel_basis(self) -> Matrix:
-        """Columns forming a basis of the right kernel of A, which is that of R."""
-        return Matrix.from_columns(self.field, self.cols, [
-            self.kernel_vector(k) for k in range(len(self.free_columns()))])

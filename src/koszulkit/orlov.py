@@ -6,10 +6,11 @@ Objects of the additive closure are ordered lists of indecomposables;
 morphisms are block grids of coordinate vectors.  The degree axioms checked
 by :func:`validate_presentation` force every nonzero morphism between
 non-isomorphic indecomposables to lower the degree strictly, so the
-radical is nilpotent and idempotents split by an explicit triangular
-reduction (:func:`split_idempotent`).  An isomorphism is inverted by one
-solve over the coordinates of the Hom space back (:func:`invert`), which
-refuses a summand whose End is not the scalars.
+radical is nilpotent.  An isomorphism is inverted by one solve over the
+coordinates of the Hom space back (:func:`invert`), and an idempotent is
+split by one solve for a left inverse of its image's inclusion
+(:func:`split_idempotent`); both refuse a summand whose End is not the
+scalars.
 """
 
 from __future__ import annotations
@@ -1009,28 +1010,12 @@ def scalar_matrix(m: AddMorphism, s, pos) -> Matrix:
         [fld.zero if m.blocks[i][j] is None else m.blocks[i][j][u] for j in pos] for i in pos])
 
 
-def scalar_grid(pres, x: AddObject, mats) -> AddMorphism:
-    """Endomorphism of x with ``mats[s]`` times the unit between the
-    summands of each class s (see :func:`isotypic_classes`), zero elsewhere."""
-    classes = isotypic_classes(x)
-    grid = [[None] * len(x) for _ in x]
-    for s, mat in mats.items():
-        unit_index(pres, s)     # refuses an End(s) that is not the scalars
-        unit = identity_label(s)
-        for i, row in zip(classes[s], mat.data):
-            for j, c in zip(classes[s], row):
-                if c:
-                    grid[i][j] = pres.coords(unit, c)
-    return AddMorphism(pres, x, x, tuple(map(tuple, grid)))
-
-
 def invert(m: AddMorphism):
     """Two-sided inverse of m: x -> y, or None.
 
     One solve in the coordinates of Hom(y, x): g with m o g = 1_y, kept
-    only when g o m = 1_x as well, which makes it the inverse.  Like the
-    other helpers of this section, it refuses a summand whose End is not
-    the scalars (:func:`unit_index`).
+    only when g o m = 1_x as well, which makes it the inverse.  It refuses
+    a summand whose End is not the scalars (:func:`unit_index`).
     """
     pres, x, y = m.pres, m.source, m.target
     for s in dict.fromkeys((*x, *y)):
@@ -1045,58 +1030,46 @@ def invert(m: AddMorphism):
 
 
 def split_idempotent(e: AddMorphism):
-    """Split e = i o p with p o i = id, for an exact idempotent e.
+    """Split e = i o p with p o i = 1_z, for an exact idempotent e of x.
 
-    Returns (z, p, i): the image object as a sub-multiset of summands and
-    the projection/inclusion pair.  Follows the triangular reduction: the
-    isotypic diagonal of e is an exact idempotent of a product of matrix
-    algebras, gets diagonalized there, and the remaining radical part is
-    removed by conjugating with the invertible element
-    g = E e' + (1-E)(1-e'), which is unipotent modulo the radical and is
-    inverted by the one solve of :func:`invert`.  Like it, this refuses a
-    summand whose End is not the scalars.
+    Returns (z, p, i): the image object, which keeps the first r_s
+    positions of each isotypic class s of x for r_s the rank of e's scalar
+    block there (:func:`scalar_matrix`), and the projection/inclusion pair.
+    i is e on the pivot columns of those blocks, and p = g o e for the g
+    with g o i = 1_z that one solve over the coordinates of Hom(x, z)
+    finds, as in :func:`invert`.  Why this splits e:
+
+    - i's scalar blocks have independent columns, so i is a split mono
+      modulo the radical, hence a split mono, and g exists;
+    - i is e composed with the inclusion of those columns, so e o i = i
+      and p o i = g o e o i = g o i = 1_z;
+    - e' = i o p is then idempotent with e o e' = e' = e' o e, so e - e'
+      is an idempotent orthogonal to e';
+    - image(e') = z, and image(e) has r_s copies of each s too, so by
+      Krull-Schmidt the image of e - e' is 0, and e' = e.
+
+    Like :func:`invert`, this refuses a summand whose End is not the scalars.
     """
     if e.source != e.target:
         raise CompositionError("split_idempotent: not an endomorphism")
     if e.compose(e) != e:
         raise CompositionError("split_idempotent: morphism is not idempotent")
     pres, x = e.pres, e.source
-    fld = pres.field
-    ident = AddMorphism.identity(pres, x)
-
-    # diagonalize the isotypic part classwise: P^-1 d P = [[1,0],[0,0]]
-    frames, conj = {}, {}
-    keep = []
+    # kept position -> the column of e that i carries there: the t-th kept
+    # position of a class gets its t-th pivot column, which holds the same summand
+    carried = {}
     for s, pos in isotypic_classes(x).items():
-        mat = scalar_matrix(e, s, pos)
-        # image basis: pivot columns of e; kernel basis completes it
-        echelon = mat.rref()
-        rank = len(echelon.pivots)
-        img = [[row[j] for j in echelon.pivots] for row in mat.data]
-        frames[s] = Matrix(fld, len(pos), rank, img).hstack(echelon.kernel_basis())
-        conj[s] = frames[s].inverse()
-        if conj[s] is None:
-            raise CompositionError("idempotent diagonal did not diagonalize")
-        keep.extend(pos[:rank])
-    u = scalar_grid(pres, x, conj)
-    uinv = scalar_grid(pres, x, frames)     # grids multiply as their matrices do
-    e1 = u.compose(e).compose(uinv)
-
-    keep = sorted(keep)
+        carried.update(zip(pos, (pos[c] for c in scalar_matrix(e, s, pos).rref().pivots)))
+    keep = sorted(carried)
     z = x.select(keep)
-    # standard projector onto the kept positions
-    std = AddMorphism.assemble(pres, x, x, [(keep, keep, AddMorphism.identity(pres, z))])
-
-    g = std.compose(e1).add(ident.sub(std).compose(ident.sub(e1)))
-    ginv = invert(g)
-    if ginv is None:
-        raise CompositionError("correction element not invertible")
-    v = g.compose(u)
-    vinv = uinv.compose(ginv)
-
-    p = v.restrict_blocks(keep, range(len(x)))
-    i_m = vinv.restrict_blocks(range(len(x)), keep)
-
+    i_m = e.restrict_blocks(range(len(x)), [carried[k] for k in keep])
+    back, ends = Coords(pres, {0: (x, z)}), Coords(pres, {0: (z, z)})
+    sol = back.matrix(ends, [(0, 1, "right", lambda i: i_m)]).solve(
+        ends.to_vector({0: AddMorphism.identity(pres, z)}.get))
+    if sol is None:
+        raise CompositionError("split_idempotent: the image has no retraction")
+    g = back.from_vector(sol).get(0) or AddMorphism.zero(pres, x, z)
+    p = g.compose(e)
     if i_m.compose(p) != e or p.compose(i_m) != AddMorphism.identity(pres, z):
         raise CompositionError("idempotent splitting failed verification")
     return z, p, i_m

@@ -13,7 +13,9 @@ for :func:`col` and the kernel read off ``rref``, since ``Matrix`` no longer
 has ``col`` or ``kernel_basis``, and for :meth:`HomSpace._mod_homotopy` and
 :meth:`HomSpace.null_homotopy`, which read their coordinates off
 ``Matrix.solve`` of [delta | K], since an ``Echelon`` no longer records the
-row operations that ``Echelon.reduce`` applied.
+row operations that ``Echelon.reduce`` applied, and for the kernel basis
+and [delta | K], which come from :mod:`dense_helpers`, since ``Echelon`` no
+longer has ``kernel_basis`` nor ``Matrix`` ``hstack``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from fractions import Fraction
 from koszulkit.complexes import ChainMap, ComplexError, Homotopy
 from koszulkit.linalg import Matrix
 from koszulkit.orlov import Coords
+
+from dense_helpers import hstack, kernel_basis
 
 
 def col(m: Matrix, j: int) -> list:
@@ -65,9 +69,9 @@ class HomSpace:
         chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
         self.total, self.h_total = self.maps.total, self.homotopies.total
         if self.total:
-            self._chain_kernel = self.maps.matrix(chain_rows, [
+            self._chain_kernel = kernel_basis(self.maps.matrix(chain_rows, [
                 (0, 1, "left", ys.d),
-                (-1, -1, "right", lambda i: x.d(i - 1))]).rref().kernel_basis()
+                (-1, -1, "right", lambda i: x.d(i - 1))]).rref())
             delta = dense(self.homotopies.matrix(self.maps, [
                 (0, 1, "left", lambda i: ys.d(i - 1)),
                 (-1, 1, "right", lambda i: x.d(i - 1))]))
@@ -77,7 +81,7 @@ class HomSpace:
 
         # the rref of a column prefix is the prefix of the rref: pivots below
         # delta.cols count its rank, those past it pick a basis of the quotient
-        self._system = delta.hstack(self._chain_kernel)
+        self._system = hstack(delta, self._chain_kernel)
         self._echelon = self._system.rref()
         pivots = self._echelon.pivots
         self.nullity = self._chain_kernel.cols

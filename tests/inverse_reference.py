@@ -9,7 +9,10 @@ into the order of the target and then calls it.  ``orlov.invert`` solves
 m o g = 1 in the coordinates of the Hom space back instead.  An inverse is
 unique, so both answer alike.  The functions are kept verbatim, but
 ``invert_iso`` and ``match_permutation`` lost the leading underscore of
-their names.
+their names, and the classwise inverse is :func:`dense_helpers.inverse`,
+since ``Matrix`` no longer has ``inverse``.  :func:`scalar_grid`, which
+builds D^-1 from those inverses, is the engine's helper of the same name,
+moved here when ``orlov.split_idempotent`` stopped using it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,28 @@ from koszulkit.orlov import (
     AddMorphism,
     AddObject,
     CompositionError,
+    identity_label,
     isotypic_classes,
-    scalar_grid,
     scalar_matrix,
+    unit_index,
 )
+
+from dense_helpers import inverse
+
+
+def scalar_grid(pres, x: AddObject, mats) -> AddMorphism:
+    """Endomorphism of x with ``mats[s]`` times the unit between the
+    summands of each class s (see :func:`isotypic_classes`), zero elsewhere."""
+    classes = isotypic_classes(x)
+    grid = [[None] * len(x) for _ in x]
+    for s, mat in mats.items():
+        unit_index(pres, s)     # refuses an End(s) that is not the scalars
+        unit = identity_label(s)
+        for i, row in zip(classes[s], mat.data):
+            for j, c in zip(classes[s], row):
+                if c:
+                    grid[i][j] = pres.coords(unit, c)
+    return AddMorphism(pres, x, x, tuple(map(tuple, grid)))
 
 
 def isotypic_part(m: AddMorphism) -> AddMorphism:
@@ -51,7 +72,7 @@ def invert_endomorphism(m: AddMorphism):
     # invert the isotypic diagonal classwise (blocks are scalars on the unit)
     inverses = {}
     for s, pos in isotypic_classes(x).items():
-        inverses[s] = scalar_matrix(m, s, pos).inverse()
+        inverses[s] = inverse(scalar_matrix(m, s, pos))
         if inverses[s] is None:
             return None
     dinv = scalar_grid(pres, x, inverses)

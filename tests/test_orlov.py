@@ -26,15 +26,21 @@ from koszulkit.orlov import (
     invert,
     isotypic_classes,
     obj,
-    scalar_grid,
     scalar_matrix,
     spans,
     split_idempotent,
     validate_presentation,
 )
-from koszulkit.randgen import rand_add_morphism, rand_object, rng_for
+from koszulkit.randgen import rand_add_morphism, rand_automorphism, rand_object, rng_for
 import inverse_reference
+from dense_helpers import identity
+from inverse_reference import scalar_grid
+from oracle_linalg import oracle_rank
 from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, presentation
+
+# presentations over both fields with scalar End spaces, among them quivers
+# with fractional structure constants
+INVERT_NAMES = [*QUIVER_NAMES, "FIX_A3", "A6/F0", "A6/F10007", "A5-killed/F10007"]
 
 
 def to_vector(m):
@@ -428,26 +434,51 @@ def test_split_zero_idempotent(a2):
     assert z == ZERO_OBJECT
 
 
-def test_split_conjugated_rank_one_projector(a2):
-    rng = random.Random(21)
-    x = obj("a", "a")
-    for _ in range(20):
-        u = rand_morphism(a2, x, x, rng)
-        while invert(u) is None:
-            u = rand_morphism(a2, x, x, rng)
-        uinv = invert(u)
-        e0 = AddMorphism.single(a2, x, x, 0, 0, (1,))  # projector onto first copy
+@pytest.mark.parametrize("name", INVERT_NAMES)
+def test_split_conjugated_standard_projectors(name):
+    """A standard projector of any rank, conjugated by a random automorphism,
+    splits through the first r_s positions of each class s, r_s the oracle
+    rank of its scalar block, with i o p = e and p o i = 1_z."""
+    pres = presentation(name)
+    rng = rng_for(77, "split", name)
+    counts = Counter()
+    for _ in range(150):
+        x = rand_object(pres, rng, max_summands=5)
+        kept = sorted(rng.sample(range(len(x)), rng.randint(0, len(x))))
+        e0 = AddMorphism.assemble(pres, x, x, [(kept, kept, AddMorphism.identity(pres, x.select(kept)))])
+        u, uinv = rand_automorphism(pres, x, rng)
         e = compose(compose(u, e0), uinv)
         z, p, i = split_idempotent(e)
-        assert z == obj("a")
+        first = []
+        for s, pos in isotypic_classes(x).items():
+            rank = oracle_rank(scalar_matrix(e, s, pos).data, pres.field)
+            assert rank == sum(x[k] == s for k in kept)
+            first += pos[:rank]
+            counts["class of rank 2 or more"] += rank >= 2
+        assert z == x.select(sorted(first))
         assert compose(i, p) == e
-        assert compose(p, i) == AddMorphism.identity(a2, z)
+        assert compose(p, i) == AddMorphism.identity(pres, z)
+        counts["off-class blocks"] += any(b is not None and x[r] != x[c]
+                                          for r, row in enumerate(e.blocks) for c, b in enumerate(row))
+    assert counts["off-class blocks"] >= 10 and counts["class of rank 2 or more"] >= 10, counts
+
+
+def test_split_idempotent_carries_later_pivot_columns(a2):
+    """When the image of a class sits at its later copies, i carries those
+    columns of e to the first positions of z."""
+    x = obj("a", "b", "a")
+    e = AddMorphism.assemble(a2, x, x, [((2, 1), (2, 1), AddMorphism.identity(a2, obj("a", "b")))])
+    z, p, i = split_idempotent(e)
+    assert z == obj("a", "b")
+    assert i == AddMorphism.inclusion(a2, z, x, [2, 1])
+    assert compose(i, p) == e and compose(p, i) == AddMorphism.identity(a2, z)
 
 
 def test_split_idempotent_eliminates_each_class_matrix_once(a2, monkeypatch):
-    # the image (pivot columns) and the kernel come from one echelon form
-    scalar, calls = [], []
-    build, rref = orlov.scalar_matrix, Matrix.rref
+    # the image (the pivot columns) of each class comes from one echelon
+    # form, and the retraction from one solve, with no inverse
+    scalar, calls, solves = [], [], []
+    build, rref, solve = orlov.scalar_matrix, Matrix.rref, Matrix.solve
 
     def recording(m, s, pos):
         scalar.append(build(m, s, pos))
@@ -457,18 +488,47 @@ def test_split_idempotent_eliminates_each_class_matrix_once(a2, monkeypatch):
         calls.append(self)
         return rref(self)
 
+    def counting_solves(self, b):
+        solves.append(self)
+        return solve(self, b)
+
+    def forbidden(m):
+        raise AssertionError("split_idempotent called invert")
+
     monkeypatch.setattr(orlov, "scalar_matrix", recording)
     monkeypatch.setattr(Matrix, "rref", counting)
+    monkeypatch.setattr(Matrix, "solve", counting_solves)
+    monkeypatch.setattr(orlov, "invert", forbidden)
     x = obj("a", "a", "b")
     u = AddMorphism.identity(a2, x).add(AddMorphism.single(a2, x, x, 0, 1, (1,)))
     e0 = AddMorphism.assemble(a2, x, x, [((0, 2), (0, 2), AddMorphism.identity(a2, obj("a", "b")))])
     e = compose(compose(u, e0), invert(u))
-    scalar.clear()
-    calls.clear()
+    for log in (scalar, calls, solves):
+        log.clear()
     z, p, i = split_idempotent(e)
     assert z == obj("a", "b")
     eliminated = [sum(c is m for c in calls) for m in scalar]
     assert max(eliminated) == 1 and eliminated.count(1) == len(isotypic_classes(x))
+    # the solve eliminates [A | b] once, and nothing else is eliminated
+    assert len(solves) == 1 and len(calls) == len(isotypic_classes(x)) + 1
+
+
+@pytest.mark.parametrize("fault,match", [("none", "no retraction"), ("doubled", "failed verification")])
+def test_split_idempotent_refuses_a_bad_retraction(a2, monkeypatch, fault, match):
+    """A solve that finds no retraction, or one that returns a wrong one,
+    makes ``split_idempotent`` raise instead of returning a bad splitting."""
+    solve = Matrix.solve
+
+    def planted(self, b):
+        x = solve(self, b)
+        return None if fault == "none" else [self.field.add(v, v) for v in x]
+
+    x = obj("a", "a", "b")
+    e = AddMorphism.assemble(a2, x, x, [((0, 2), (0, 2), AddMorphism.identity(a2, obj("a", "b")))])
+    assert split_idempotent(e)[0] == obj("a", "b")
+    monkeypatch.setattr(Matrix, "solve", planted)
+    with pytest.raises(CompositionError, match=match):
+        split_idempotent(e)
 
 
 def test_split_rejects_non_idempotent(a2):
@@ -497,7 +557,7 @@ def test_krull_schmidt_multiplicities_from_orthogonal_family(a3):
     assert sorted(pieces) == ["a", "a", "b"]
 
 
-@pytest.mark.parametrize("name", [*QUIVER_NAMES, "FIX_A3", "A6/F0", "A6/F10007", "A5-killed/F10007"])
+@pytest.mark.parametrize("name", INVERT_NAMES)
 def test_invert_matches_the_reference_inverses(name):
     """``invert`` agrees with the radical series on endomorphisms and with
     the permutation matcher on maps between objects with the same summands,
@@ -543,15 +603,15 @@ def test_invert_matches_the_reference_inverses(name):
 
 def test_mixed_characteristic_is_a_hard_error():
     from koszulkit.fixtures import fixture_text
-    from koszulkit.linalg import FieldMismatch, Matrix
+    from koszulkit.linalg import FieldMismatch
 
     p0 = load_fixture("FIX_A2")
     data = json.loads(fixture_text("FIX_A2"))
     data["characteristic"] = 5
     p5 = OrlovPresentation.from_data(data)
     assert p0.field != p5.field
-    m0 = Matrix.identity(p0.field, 2)
-    m5 = Matrix.identity(p5.field, 2)
+    m0 = identity(p0.field, 2)
+    m5 = identity(p5.field, 2)
     with pytest.raises(FieldMismatch):
         m0.mul(m5)
 
