@@ -376,7 +376,8 @@ def cmd_filtered_demo(pres, args, window, seed):
     )
     from .randgen import rand_filtered, rand_filtered_complex, rng_for
 
-    rng = rng_for(seed, "filtered-demo", pres.name)
+    # a file seeds its draws from its content, so every path to the same bytes draws alike
+    rng = rng_for(seed, "filtered-demo", pres.name if pres.name in FIXTURE_NAMES else args.fixture_sha256)
 
     splits = hom_reports = triangles = alpha_checks = shift_checks = 0
     failures = []
@@ -580,7 +581,7 @@ def main(argv=None) -> int:
     try:
         window = parse_window(args.window)
         handler, gated, *_ = COMMANDS[args.command]
-        pres, digest = load_presentation(args.presentation) if "presentation" in args \
+        pres, args.fixture_sha256 = load_presentation(args.presentation) if "presentation" in args \
             else (None, "-")
         if gated and not (gate := validate_presentation(pres)).ok:
             payload, ok = {"gate": gate.to_data(), "ok": False}, False
@@ -589,7 +590,7 @@ def main(argv=None) -> int:
         report = {
             "command": args.command,
             "engine_version": __version__,
-            "fixture_sha256": digest,
+            "fixture_sha256": args.fixture_sha256,
             "window": list(window),
             "seed": args.seed,
             "payload": payload,

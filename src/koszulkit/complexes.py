@@ -29,6 +29,7 @@ from .linalg import Echelon, KoszulkitError, Matrix, RowMatrix
 from .orlov import (
     AddMorphism,
     AddObject,
+    CompositionError,
     Coords,
     ZERO_OBJECT,
     identity_label,
@@ -215,9 +216,14 @@ class ChainMap:
         return ChainMap(other.source, self.target, comps, check=False)
 
     def add(self, other: "ChainMap") -> "ChainMap":
-        comps = {}
-        for i in set(self.comps) | set(other.comps):
-            comps[i] = self.component(i).add(other.component(i))
+        """Component-wise sum; at a degree only one map has, its component as is."""
+        for a, b in ((self, other), (other, self)):
+            for i in a.comps.keys() - b.comps.keys():
+                if (a.comps[i].source, a.comps[i].target) != (b.source.term(i), b.target.term(i)):
+                    raise CompositionError("add: object mismatch")
+        comps = dict(self.comps)
+        for i, m in other.comps.items():
+            comps[i] = comps[i].add(m) if i in comps else m
         return ChainMap(self.source, self.target, comps, check=False)
 
     def sub(self, other: "ChainMap") -> "ChainMap":

@@ -15,6 +15,8 @@ scalars.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import compress, count
 from math import gcd, lcm
 from reprlib import repr as brief
 
@@ -724,22 +726,13 @@ def _put_blocks(vec, starts, blocks):
             vec[s:s + len(b)] = b
 
 
-def _cut_blocks(vec, starts, x: AddObject, y: AddObject):
-    """The block grid of a morphism x -> y that ``vec`` holds at ``starts``."""
-    cut = [tuple(vec[a:b]) for a, b in zip(starts, starts[1:])]
-    cut = [c if any(c) else None for c in cut]
-    n = len(x)
-    return tuple(tuple(cut[i * n:i * n + n]) for i in range(len(y)))
-
-
 def hom_basis(pres, x: AddObject, y: AddObject):
     """Elementary single-block basis of Hom_add(x, y), with its dimension:
     element k has its one nonzero coordinate at position k of the layout
     :func:`block_starts`."""
-    fld, starts = pres.field, block_starts(pres, x, y)
-    dim = starts[-1]
-    units = ([fld.one if r == k else fld.zero for r in range(dim)] for k in range(dim))
-    return [AddMorphism(pres, x, y, _cut_blocks(u, starts, x, y)) for u in units], dim
+    coords, fld = Coords(pres, {0: (x, y)}), pres.field
+    units = ([fld.one if r == k else fld.zero for r in range(coords.total)] for k in range(coords.total))
+    return [coords.from_vector(u)[0] for u in units], coords.total
 
 
 def compose(g: AddMorphism, f: AddMorphism) -> AddMorphism:
@@ -785,9 +778,19 @@ class Coords:
         return vec
 
     def from_vector(self, vec) -> dict:
-        """The family with coordinates ``vec``, one morphism per slice."""
-        return {i: AddMorphism(self.pres, x, y, _cut_blocks(vec, self.starts[i], x, y))
-                for i, (x, y) in self.objs.items()}
+        """The family with coordinates ``vec``, one morphism per slice.  Only the blocks
+        holding a nonzero coordinate are cut; a slice with none is :meth:`AddMorphism.zero`."""
+        nonzero, out, k, end = list(compress(count(), vec)), {}, 0, 0
+        for i, (x, y) in self.objs.items():
+            starts, first, cut = self.starts[i], k, [None] * (len(x) * len(y))
+            k = bisect_left(nonzero, starts[-1], k)
+            for p in nonzero[first:k]:
+                if p >= end:            # p opens a block: bisect for it, cut it, skip to its end
+                    b = bisect_right(starts, p)
+                    cut[b - 1] = tuple(vec[starts[b - 1]:(end := starts[b])])
+            out[i] = AddMorphism.zero(self.pres, x, y) if k == first else AddMorphism(
+                self.pres, x, y, tuple(zip(*[iter(cut)] * len(x))))    # rows of len(x) blocks
+        return out
 
     def matrix(self, rows: "Coords", terms, keep=None) -> RowMatrix:
         """Matrix of a linear map from these coordinates to ``rows``.

@@ -28,6 +28,7 @@ from koszulkit.linalg import Matrix, RowMatrix, _load_mod, _load_q
 from koszulkit.filtered import FilteredHomSpace
 from koszulkit.orlov import (
     AddMorphism,
+    CompositionError,
     Coords,
     OrlovPresentation,
     hom_basis,
@@ -58,7 +59,7 @@ import homspace_reference
 from homspace_reference import dense
 import probe_reference
 from probe_reference import top_extraction
-from test_orlov import to_vector
+from test_orlov import cut_blocks, to_vector
 
 
 @pytest.fixture(scope="module")
@@ -560,14 +561,19 @@ def minimal_model_reference(x: Complex):
     return cur, ChainIso(fwd, bwd, h_src=hom if hom.comps else None, h_tgt=None)
 
 
+def typed(m):
+    """A morphism's endpoints and blocks with the type of every entry, so
+    that 2 and Fraction(2) differ."""
+    return m.source, m.target, tuple(
+        tuple(None if b is None else tuple((type(v), v) for v in b) for b in row)
+        for row in m.blocks)
+
+
 def typed_comps(family):
-    """The components of a chain map or homotopy, each block with the type
-    of every entry, so that 2 and Fraction(2) differ."""
+    """The components of a chain map or homotopy, each :func:`typed`."""
     if family is None:
         return None
-    return {i: (m.source, m.target, tuple(
-        tuple(None if b is None else tuple((type(v), v) for v in b) for b in row)
-        for row in m.blocks)) for i, m in family.comps.items()}
+    return {i: typed(m) for i, m in family.comps.items()}
 
 
 def model_inputs(pres, rng, trials):
@@ -936,6 +942,112 @@ def test_hom_space_matches_the_delta_kernel_reference(name):
             seen["express", coords is None] += 1
             seen["null_homotopy", h is None] += 1
     assert seen["express", True] and seen["null_homotopy", True] and seen["null_homotopy", False]
+
+
+class SliceCounter(list):
+    """A coordinate vector that counts the slices read from it."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return list.__getitem__(self, key)
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_from_vector_matches_the_full_cut(name):
+    """``Coords.from_vector`` cuts only the blocks that hold a nonzero
+    coordinate, and gives what cutting every block gave, entry type for
+    entry type: on the map and homotopy coordinates of seeded Hom spaces,
+    for all-zero, one-entry, sparse and dense vectors.  It reads one slice
+    per nonzero block, so a one-entry vector reads exactly one."""
+    pres = presentation(name)
+    fld = pres.field
+    rng = rng_for(3701, "from_vector", name)
+    # over Q, ints mixed with Fractions, integral ones among them
+    values = [1, 5000, fld.char - 1] if fld.char else [1, -2, Fraction(3), Fraction(-1, 2)]
+    seen = Counter()
+    for x, y, k in seeded_draws(pres, rng, 6):
+        sp = HomSpace(x, y, k)
+        for coords in (sp.maps, sp.homotopies):
+            n = coords.total
+            one = [fld.zero] * n
+            if n:
+                one[rng.randrange(n)] = rng.choice(values)
+            sparse = [rng.choice(values) if rng.random() < 0.15 else fld.zero for _ in range(n)]
+            dense = [rng.choice(values) for _ in range(n)]
+            for kind, vec in (("zero", [fld.zero] * n), ("one", one), ("sparse", sparse),
+                              ("dense", dense)):
+                counted = SliceCounter(vec)
+                got = coords.from_vector(counted)
+                want = {i: AddMorphism(pres, s, t, cut_blocks(vec, coords.starts[i], s, t))
+                        for i, (s, t) in coords.objs.items()}
+                assert list(got) == list(coords.objs)
+                assert {i: typed(m) for i, m in got.items()} == \
+                    {i: typed(m) for i, m in want.items()}
+                assert all(type(m.blocks) is tuple and type(row) is tuple
+                           and all(b is None or type(b) is tuple for b in row)
+                           for m in got.values() for row in m.blocks)
+                cut = [b for m in want.values() for row in m.blocks for b in row if b]
+                assert counted.slices == len(cut)
+                if kind == "one" and n:
+                    assert counted.slices == 1
+                seen[kind] += n > 0
+                seen["wide"] += any(len(b) > 1 for b in cut)
+                seen["zero slice"] += kind != "zero" and any(m.is_zero() for m in got.values())
+    assert seen["zero"] and seen["one"] and seen["sparse"] and seen["dense"]
+    assert seen["zero slice"]
+    assert seen["wide"] or name not in WIDE_BLOCK_NAMES
+
+
+def add_reference(f, g):
+    """``ChainMap.add`` summing every degree either map has, with an
+    explicit zero for the map that lacks it."""
+    comps = {i: f.component(i).add(g.component(i)) for i in f.comps.keys() | g.comps.keys()}
+    return ChainMap(f.source, f.target, comps, check=False)
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_chain_map_add_matches_the_explicit_zero_reference(name):
+    """Adding only where both maps have a component gives the sum with
+    explicit zeros, entry type for entry type: on parallel pairs, pairs with
+    disjoint support, identities and cancelling pairs."""
+    pres = presentation(name)
+    rng = rng_for(3702, "chain map add", name)
+    pairs = list(chain_map_pairs(pres, rng, 2))
+    for _ in range(4):
+        x = rand_complex(pres, rng)
+        f = rand_chain_map(x, x, rng)
+        even, odd = (ChainMap(x, x, {i: m for i, m in f.comps.items() if i % 2 == r}, check=False)
+                     for r in (0, 1))
+        pairs += [(even, odd), (ChainMap.identity(x), f), (f, f.scale(-1)),
+                  (f, ChainMap.identity(x).scale(-1))]
+    seen = Counter()
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f)):
+            got, want = a.add(b), add_reference(a, b)
+            assert (got.source, got.target) == (want.source, want.target)
+            assert typed_comps(got) == typed_comps(want)
+        seen["one-sided"] += bool(f.comps.keys() ^ g.comps.keys())
+        seen["cancelled"] += len(f.add(g).comps) < len(f.comps.keys() | g.comps.keys())
+    assert seen["one-sided"] and seen["cancelled"]
+
+
+def test_chain_map_add_checks_the_endpoints_of_one_sided_degrees(a2):
+    """Planted mismatch: at a degree only one map has, its component must run
+    between the other map's terms, whichever side it is on."""
+    a, b = single(a2, "a"), single(a2, "b")
+    ident = ChainMap.identity(a)                  # a -> a at degree 0
+    for other in (ChainMap.zero(b, b), ChainMap.zero(a, b), ChainMap.zero(b, a)):
+        for f, g in ((ident, other), (other, ident)):
+            with pytest.raises(CompositionError, match="add: object mismatch"):
+                f.add(g)
+            with pytest.raises(CompositionError, match="add: object mismatch"):
+                add_reference(f, g)
+    # terms that differ only where neither map has a component are not read
+    ab = Complex(a2, {0: obj("a"), 1: obj("b")}, {})
+    assert ident.add(ChainMap.zero(ab, ab)) == ident
 
 
 def echelon_fields(e):

@@ -17,7 +17,6 @@ from koszulkit.orlov import (
     MalformedPresentation,
     OrlovPresentation,
     ZERO_OBJECT,
-    _cut_blocks,
     _put_blocks,
     block_starts,
     compose,
@@ -51,8 +50,17 @@ def to_vector(m):
     return vec
 
 
+def cut_blocks(vec, starts, x: AddObject, y: AddObject):
+    """The block grid of a morphism x -> y that ``vec`` holds at ``starts``,
+    cutting every block: the reference for :meth:`Coords.from_vector`."""
+    cut = [tuple(vec[a:b]) for a, b in zip(starts, starts[1:])]
+    cut = [c if any(c) else None for c in cut]
+    n = len(x)
+    return tuple(tuple(cut[i * n:i * n + n]) for i in range(len(y)))
+
+
 def from_vector(pres, source: AddObject, target: AddObject, vec) -> AddMorphism:
-    blocks = _cut_blocks(vec, block_starts(pres, source, target), source, target)
+    blocks = cut_blocks(vec, block_starts(pres, source, target), source, target)
     return AddMorphism(pres, source, target, blocks)
 
 
