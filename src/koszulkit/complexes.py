@@ -762,95 +762,77 @@ def minimal_model(x: Complex):
 
     The iso satisfies fwd o bwd = id exactly on the minimal side and
     id - bwd o fwd = delta(h) with the accumulated homotopy on the source.
-    A step that cancels a block of d^i changes the complex in degrees i and
-    i + 1 alone; its projection and inclusion are identities in every other
-    degree, and its homotopy lives in degree i + 1, so ``fwd``, ``bwd`` and
-    the homotopy are updated in those degrees only.
+
+    One sweep up the degrees: at degree i the first unit block of d^i in
+    row-major order is cancelled, until d^i has none.  These are the blocks,
+    in the same order, that a rescan from the lowest degree picks, since a
+    cancellation at i replaces d^i by its Schur complement and only deletes
+    rows of d^(i-1) and columns of d^(i+1): it makes no unit block in another
+    degree, so the lowest degree with one never goes down.  A step's
+    projection and inclusion are identities outside degrees i and i + 1, and
+    its homotopy lives in degree i + 1, so ``fwd``, ``bwd`` and the homotopy
+    are updated in those degrees only.
     """
     pres = x.pres
     fld = pres.field
-    cur = x
-    # fwd: x -> cur and bwd: cur -> x, one component per degree of x, and
-    # the components x^k -> x^(k-1) of the homotopy
+    terms, diffs = dict(x.terms), dict(x.diffs)
+    # fwd: x -> X_min and bwd: X_min -> x, one component per degree of x,
+    # and the components x^k -> x^(k-1) of the homotopy
     fwd = {k: AddMorphism.identity(pres, t) for k, t in x.terms.items()}
     bwd = dict(fwd)
     hom = {}
 
-    while True:
-        pivot = _find_pivot(cur)
-        if pivot is None:
-            break
-        i, r, c = pivot
-        d = cur.d(i)
-        src, tgt = cur.term(i), cur.term(i + 1)
-        phi = d.blocks[r][c][unit_index(pres, src[c])]
-        phi_inv = fld.inv(phi)
-        cols_keep = [j for j in range(len(src)) if j != c]
-        rows_keep = [j for j in range(len(tgt)) if j != r]
-        beta = d.restrict_blocks([r], cols_keep)        # A' -> B
-        gamma = d.restrict_blocks(rows_keep, [c])       # A -> B'
-        delta_blk = d.restrict_blocks(rows_keep, cols_keep)
-        corr = gamma.compose(beta).scale(fld.neg(phi_inv))
-        new_d_i = delta_blk.add(corr)
-
-        new_terms = dict(cur.terms)
-        new_terms[i] = src.select(cols_keep)
-        new_terms[i + 1] = tgt.select(rows_keep)
-        new_diffs = dict(cur.diffs)
-        if new_d_i.is_zero():
-            new_diffs.pop(i, None)
-        else:
-            new_diffs[i] = new_d_i
-        if i - 1 in cur.diffs:
-            nd = cur.d(i - 1).restrict_blocks(cols_keep, range(len(cur.term(i - 1))))
-            if nd.is_zero():
-                new_diffs.pop(i - 1, None)
-            else:
-                new_diffs[i - 1] = nd
-        if i + 1 in cur.diffs:
-            nd = cur.d(i + 1).restrict_blocks(range(len(cur.term(i + 2))), rows_keep)
-            if nd.is_zero():
-                new_diffs.pop(i + 1, None)
-            else:
-                new_diffs[i + 1] = nd
-        nxt = Complex(pres, new_terms, new_diffs, check=False)
-
-        # projection pi: cur -> nxt and inclusion io: nxt -> cur in degrees
-        # i and i + 1; both are identities in every other degree
-        src2, tgt2 = nxt.term(i), nxt.term(i + 1)
-        pi = {i: AddMorphism.projection(pres, src, src2, cols_keep),
-              i + 1: AddMorphism.assemble(pres, tgt, tgt2, [
-                  (range(len(tgt2)), rows_keep, AddMorphism.identity(pres, tgt2)),
-                  (range(len(tgt2)), [r], gamma.scale(fld.neg(phi_inv)))])}  # -gamma phi^-1 : B -> B'
-        io = {i: AddMorphism.assemble(pres, src2, src, [
-                  (cols_keep, range(len(src2)), AddMorphism.identity(pres, src2)),
-                  ([c], range(len(src2)), beta.scale(fld.neg(phi_inv)))]),    # -phi^-1 beta : A' -> A
-              i + 1: AddMorphism.inclusion(pres, tgt2, tgt, rows_keep)}
-
-        # the step's homotopy phi^-1 : B -> A in degree i + 1, conjugated to x
-        h = AddMorphism.single(pres, tgt, src, c, r, pres.coords(identity_label(src[c]), phi_inv))
-        h = bwd[i].compose(h).compose(fwd[i + 1])
-        hom[i + 1] = hom[i + 1].add(h) if i + 1 in hom else h
-        for k in (i, i + 1):
-            fwd[k] = pi[k].compose(fwd[k])
-            bwd[k] = bwd[k].compose(io[k])
-        cur = nxt
-
-    h_src = Homotopy(x, x, hom)     # drops the zero components, as ChainMap does
-    return cur, ChainIso(ChainMap(x, cur, fwd, check=False), ChainMap(cur, x, bwd, check=False),
-                         h_src=h_src if h_src.comps else None, h_tgt=None)
-
-
-def _find_pivot(x: Complex):
-    pres = x.pres
     for i in sorted(x.diffs):
-        d = x.diffs[i]
-        for r, row in enumerate(d.blocks):
-            for c, blk in enumerate(row):
-                if blk is None:
-                    continue
-                if d.source[c] == d.target[r] and blk[unit_index(pres, d.source[c])]:
-                    return (i, r, c)
+        while (pivot := _unit_block(pres, diffs[i])) is not None:
+            r, c, phi = pivot
+            d, src, tgt = diffs[i], terms[i], terms[i + 1]
+            phi_inv = fld.inv(phi)
+            cols_keep = [j for j in range(len(src)) if j != c]
+            rows_keep = [j for j in range(len(tgt)) if j != r]
+            beta = d.restrict_blocks([r], cols_keep)        # A' -> B
+            gamma = d.restrict_blocks(rows_keep, [c])       # A -> B'
+            corr = gamma.compose(beta).scale(fld.neg(phi_inv))
+            diffs[i] = d.restrict_blocks(rows_keep, cols_keep).add(corr)
+            terms[i] = src2 = src.select(cols_keep)
+            terms[i + 1] = tgt2 = tgt.select(rows_keep)
+            if i - 1 in diffs:
+                diffs[i - 1] = diffs[i - 1].restrict_blocks(cols_keep, range(len(terms[i - 1])))
+            if i + 1 in diffs:
+                diffs[i + 1] = diffs[i + 1].restrict_blocks(range(len(terms[i + 2])), rows_keep)
+
+            # projection pi and inclusion io in degrees i and i + 1; both are
+            # identities in every other degree
+            pi = {i: AddMorphism.projection(pres, src, src2, cols_keep),
+                  i + 1: AddMorphism.assemble(pres, tgt, tgt2, [
+                      (range(len(tgt2)), rows_keep, AddMorphism.identity(pres, tgt2)),
+                      (range(len(tgt2)), [r], gamma.scale(fld.neg(phi_inv)))])}  # -gamma phi^-1 : B -> B'
+            io = {i: AddMorphism.assemble(pres, src2, src, [
+                      (cols_keep, range(len(src2)), AddMorphism.identity(pres, src2)),
+                      ([c], range(len(src2)), beta.scale(fld.neg(phi_inv)))]),    # -phi^-1 beta : A' -> A
+                  i + 1: AddMorphism.inclusion(pres, tgt2, tgt, rows_keep)}
+
+            # the step's homotopy phi^-1 : B -> A in degree i + 1, conjugated to x
+            h = AddMorphism.single(pres, tgt, src, c, r, pres.coords(identity_label(src[c]), phi_inv))
+            h = bwd[i].compose(h).compose(fwd[i + 1])
+            hom[i + 1] = hom[i + 1].add(h) if i + 1 in hom else h
+            for k in (i, i + 1):
+                fwd[k] = pi[k].compose(fwd[k])
+                bwd[k] = bwd[k].compose(io[k])
+
+    m = Complex(pres, terms, diffs, check=False)    # drops the zero terms and differentials
+    h_src = Homotopy(x, x, hom)     # drops the zero components, as ChainMap does
+    return m, ChainIso(ChainMap(x, m, fwd, check=False), ChainMap(m, x, bwd, check=False),
+                       h_src=h_src if h_src.comps else None, h_tgt=None)
+
+
+def _unit_block(pres, d: AddMorphism):
+    """(row, column, scalar) of the first unit block of ``d`` in row-major
+    order, a block between copies of one indecomposable with a nonzero
+    identity coordinate; None when ``d`` has none."""
+    for r, row in enumerate(d.blocks):
+        for c, blk in enumerate(row):
+            if blk is not None and d.source[c] == d.target[r] and (phi := blk[unit_index(pres, d.source[c])]):
+                return r, c, phi
     return None
 
 

@@ -711,10 +711,10 @@ def block_starts(pres, x: AddObject, y: AddObject, start=0) -> list:
     ``start``: block (target i, source j) begins at ``starts[i * len(x) + j]``
     and ends where the next begins; the last entry is ``start`` plus the
     dimension."""
-    starts = [start]
+    starts, pairs = [start], pres.pairs
     for ti in y:
         for sj in x:
-            start += pres.hom_dim(sj, ti)
+            start += len(pairs.get((sj, ti), ()))
             starts.append(start)
     return starts
 

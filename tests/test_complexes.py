@@ -20,7 +20,6 @@ from koszulkit.complexes import (
     is_null_homotopic,
     minimal_model,
     supports_meet,
-    _find_pivot,
 )
 from koszulkit.fixtures import FIXTURE_NAMES, load_fixture
 from koszulkit.koszul import koszulity_check, q_ses_triangle
@@ -54,7 +53,14 @@ from koszulkit.tstructure import (
 )
 from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
-from presentations import PATH_NAMES, QUIVER_NAMES, WIDE_BLOCK_NAMES, path_category, presentation
+from presentations import (
+    PATH_NAMES,
+    QUIVER_NAMES,
+    WIDE_BLOCK_NAMES,
+    layered_quiver,
+    path_category,
+    presentation,
+)
 import homspace_reference
 from homspace_reference import dense
 import probe_reference
@@ -480,6 +486,21 @@ def homotopy_add(h: Homotopy, k: Homotopy) -> Homotopy:
                                          for i in set(h.comps) | set(k.comps)})
 
 
+# the reference's own pivot search: the first unit block, from the lowest
+# degree up, rescanning the whole complex at every step
+def _find_pivot(x: Complex):
+    pres = x.pres
+    for i in sorted(x.diffs):
+        d = x.diffs[i]
+        for r, row in enumerate(d.blocks):
+            for c, blk in enumerate(row):
+                if blk is None:
+                    continue
+                if d.source[c] == d.target[r] and blk[unit_index(pres, d.source[c])]:
+                    return (i, r, c)
+    return None
+
+
 def minimal_model_reference(x: Complex):
     """Strip invertible differential blocks; returns (X_min, iso X ~ X_min).
 
@@ -576,25 +597,85 @@ def typed_comps(family):
     return {i: typed(m) for i, m in family.comps.items()}
 
 
-def model_inputs(pres, rng, trials):
+def model_inputs(pres, rng, trials, amplitude=4):
     """Seeded complexes with cancellable blocks: random complexes, their
     conjugates, and sums with the cone of an identity."""
     for _ in range(trials):
-        x = rand_complex(pres, rng)
+        x = rand_complex(pres, rng, amplitude=amplitude)
         yield x
         yield conjugate_complex(x, rng)[0]
         z, *_ = cone(ChainMap.identity(rand_complex(pres, rng, amplitude=2)))
         yield direct_sum(x, z)[0]
 
 
-@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
-def test_minimal_model_matches_the_whole_chain_map_construction(name):
+def twisted_cone(pres, rng, degree):
+    """s + s in degrees ``degree`` and ``degree`` + 1 for a random s, with
+    the differential [[a, b], [c, 0]] for random nonzero scalars a, b, c:
+    the cone of an automorphism.  Its (1, 1) block is no unit block, and
+    cancelling the (0, 0) block makes it one, -c a^-1 b."""
+    s = rng.choice(pres.ids)
+    t = obj(s, s)
+    a, b, c = (pres.coords(identity_label(s), pres.field.of(rng.choice((-3, -2, -1, 1, 2, 3))))
+               for _ in "abc")
+    return Complex(pres, {degree: t, degree + 1: t},
+                   {degree: AddMorphism.from_blocks(pres, t, t, ((a, b), (c, None)))})
+
+
+def sweep_inputs(pres, rng, trials, amplitude):
+    """Seeded random complexes plus a :func:`twisted_cone` in each of two
+    adjacent degrees, one of them a degree of the random complex: a sweep
+    cancels in two degrees and meets a unit block that an earlier
+    correction in the same degree made."""
+    for _ in range(trials):
+        x = rand_complex(pres, rng, amplitude=amplitude)
+        k = rng.choice(sorted(x.terms) or [0])
+        for t in (twisted_cone(pres, rng, k - 1), twisted_cone(pres, rng, k)):
+            x = direct_sum(x, t)[0]
+        yield x
+
+
+def recorded_pivots(monkeypatch):
+    """The list that :func:`_find_pivot`'s pivots (i, r, c) are appended to,
+    in the order it returns them, from now on."""
+    found, find = [], _find_pivot
+
+    def record(x):
+        pivot = find(x)
+        if pivot is not None:
+            found.append(pivot)
+        return pivot
+
+    monkeypatch.setitem(globals(), "_find_pivot", record)
+    return found
+
+
+def made_by_a_correction(x, pivots):
+    """How many of the pivots (i, r, c) taken on the way from ``x`` to its
+    minimal model sit on a block of d^i that is no unit block in ``x``: one
+    that an earlier cancellation in degree i made, since a cancellation
+    changes no block of another degree's differential."""
+    pres = x.pres
+    place = {k: list(range(len(t))) for k, t in x.terms.items()}    # positions in x
+    made = 0
+    for i, r, c in pivots:
+        r0, c0 = place[i + 1].pop(r), place[i].pop(c)
+        blk = x.d(i).blocks[r0][c0]
+        made += blk is None or not blk[unit_index(pres, x.term(i)[c0])]
+    return made
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", *WIDE_BLOCK_NAMES,
+                                  "A12/F0", "A12/F10007"])
+def test_minimal_model_matches_the_whole_chain_map_construction(name, monkeypatch):
     pres = presentation(name)
     rng = rng_for(2001, "minimal model", name)
-    steps = 0
-    for x in model_inputs(pres, rng, 8):
+    amplitude = 8 if name.startswith("A12/") else 4
+    steps = multi_degree = made = 0
+    for x in [*model_inputs(pres, rng, 8, amplitude), *sweep_inputs(pres, rng, 8, amplitude)]:
         m, iso = minimal_model(x)
+        pivots = recorded_pivots(monkeypatch)
         m_ref, iso_ref = minimal_model_reference(x)
+        monkeypatch.undo()
         assert m == m_ref
         for got, want in ((iso.fwd, iso_ref.fwd), (iso.bwd, iso_ref.bwd)):
             assert (got.source, got.target) == (want.source, want.target)
@@ -603,8 +684,36 @@ def test_minimal_model_matches_the_whole_chain_map_construction(name):
         if iso.h_src is not None:
             assert (iso.h_src.source, iso.h_src.target) == (x, x)
         steps += sum(len(x.term(i)) - len(m.term(i)) for i in x.terms)
+        multi_degree += len({i for i, _, _ in pivots}) >= 2
+        made += made_by_a_correction(x, pivots)
         assert iso.verify()
     assert steps > 0
+    # draws whose sweep moves on to a later degree, and cancellations that
+    # only a rescan of d^i after an earlier correction finds
+    assert multi_degree >= 10
+    assert made >= 10
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "A6/F0", "A12/F0", "A12/F10007",
+                                  *(f"quiver{s}/top5" for s in range(6))])
+def test_the_reference_pivots_never_go_down_a_degree(name, monkeypatch):
+    """The rescan from the lowest degree finds its pivots in degrees that
+    never go down, so a sweep up the degrees meets them in the same order."""
+    if name.endswith("/top5"):
+        pres = layered_quiver(int(name.removeprefix("quiver").removesuffix("/top5")), 0, top=5)
+    else:
+        pres = presentation(name)
+    rng = rng_for(2002, "pivot degrees", name)
+    amplitude = 8 if name.startswith("A12/") else 4
+    multi_degree = 0
+    for x in [*model_inputs(pres, rng, 8, amplitude), *sweep_inputs(pres, rng, 8, amplitude)]:
+        pivots = recorded_pivots(monkeypatch)
+        minimal_model_reference(x)
+        monkeypatch.undo()
+        degrees = [i for i, _, _ in pivots]
+        assert degrees == sorted(degrees)
+        multi_degree += len(set(degrees)) >= 2
+    assert multi_degree >= 10
 
 
 def chain_map_pairs(pres, rng, trials):
@@ -1369,7 +1478,8 @@ def test_triangle_rotation_long_exactness(a2):
 def test_one_layout_walk_per_coords_degree(monkeypatch):
     """A Hom build, its basis and an ``express`` walk each (source, target)
     pair of the three ``Coords`` (chain maps, homotopies, chain-condition
-    rows) once: at most one ``hom_dim`` call per block of each degree."""
+    rows) once: at most one read of a Hom basis's length per block of each
+    degree."""
     pres = path_category(10, 0)
     rng = rng_for(41, "layout-walks")
     while True:
@@ -1383,9 +1493,13 @@ def test_one_layout_walk_per_coords_degree(monkeypatch):
                for i, t in x.terms.items() if i + step in ys.terms]
     once = Counter((s, t) for a, b in degrees for t in b for s in a)
     calls = Counter()
-    hom_dim = OrlovPresentation.hom_dim
-    monkeypatch.setattr(OrlovPresentation, "hom_dim",
-                        lambda self, s, t: calls.update([(s, t)]) or hom_dim(self, s, t))
+
+    class CountedPairs(dict):
+        def get(self, key, default=None):
+            calls.update([key])
+            return super().get(key, default)
+
+    monkeypatch.setattr(pres, "pairs", CountedPairs(pres.pairs))
     sp = hom_space(x, y, k)
     total = ChainMap.zero(x, ys)
     for b in sp.basis:
