@@ -141,21 +141,14 @@ def _stack(a: Complex, b: Complex):
     return terms, apos, bpos
 
 
-def _sum_complex(x: Complex, y: Complex):
-    """x + y with, per degree, the positions of x's and y's summands."""
+def direct_sum(x: Complex, y: Complex):
+    """x + y with the four canonical chain maps (ix, iy, px, py)."""
     pres = x.pres
     terms, xp, yp = _stack(x, y)
     diffs = {i: AddMorphism.assemble(pres, terms[i], terms[i + 1], [
         (xp[i + 1], xp[i], x.d(i)), (yp[i + 1], yp[i], y.d(i))])
         for i in sorted(terms) if i + 1 in terms}
-    return Complex(pres, terms, diffs, check=False), xp, yp
-
-
-def direct_sum(x: Complex, y: Complex):
-    """x + y with the four canonical chain maps (ix, iy, px, py)."""
-    pres = x.pres
-    z, xp, yp = _sum_complex(x, y)
-    terms = z.terms
+    z = Complex(pres, terms, diffs, check=False)
     ix = {i: AddMorphism.inclusion(pres, x.term(i), terms[i], xp[i]) for i in x.terms}
     iy = {i: AddMorphism.inclusion(pres, y.term(i), terms[i], yp[i]) for i in y.terms}
     px = {i: AddMorphism.projection(pres, terms[i], x.term(i), xp[i]) for i in x.terms}

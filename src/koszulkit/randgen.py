@@ -15,16 +15,15 @@ from .linalg import Matrix
 from .orlov import AddMorphism, AddObject, Coords, invert
 
 
-def rand_scalar(field, rng, small=True):
+def rand_scalar(field, rng):
     if field.char == 0:
-        return field.of(rng.randint(-3, 3) if small else rng.randint(-9, 9))
+        return field.of(rng.randint(-3, 3))
     return field.of(rng.randrange(field.char))
 
 
-def rand_object(pres, rng, max_summands=3, allow_empty=True, degrees=None):
+def rand_object(pres, rng, max_summands=3, degrees=None):
     pool = [i for i in pres.ids if degrees is None or pres.degree[i] in degrees]
-    lo = 0 if allow_empty else 1
-    n = rng.randint(lo, max_summands)
+    n = rng.randint(0, max_summands)
     if not pool:
         return AddObject(())
     return AddObject(tuple(rng.choice(pool) for _ in range(n)))
@@ -55,31 +54,23 @@ def rand_complex(pres, rng, amplitude=4, max_summands=3, base_degree=None, degre
         if not t.is_zero:
             terms[i] = t
     diffs = {}
-    prev = None   # d^{i-1} as AddMorphism, already chosen
     for i in sorted(terms):
-        if i - 1 != (prev[0] if prev else None):
-            prev = None
         if i + 1 not in terms:
-            prev = None
             continue
         y = terms[i + 1]
         coords = Coords(pres, {0: (terms[i], y)})
         if not coords.total:
-            prev = None
             continue
+        prev = diffs.get(i - 1)   # d^{i-1}, already chosen, if nonzero
         if prev is None:
             vec = [rand_scalar(fld, rng) for _ in range(coords.total)]
         else:
             # rows: coordinates of (candidate o prev) in Hom(term(i-1), y)
-            pm = prev[1]
-            mat = coords.matrix(Coords(pres, {0: (pm.source, y)}), [(0, 1, "right", lambda i: pm)])
+            mat = coords.matrix(Coords(pres, {0: (prev.source, y)}), [(0, 1, "right", lambda i: prev)])
             vec = rand_kernel_element(mat, rng)
         m = coords.from_vector(vec)[0]
-        if m.is_zero():
-            prev = None
-        else:
+        if not m.is_zero():
             diffs[i] = m
-            prev = (i, m)
     return Complex(pres, terms, diffs)
 
 

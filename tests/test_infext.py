@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from koszulkit import complexes
 from koszulkit.complexes import (
     ChainMap,
     Complex,
@@ -31,6 +32,7 @@ from koszulkit.orlov import AddMorphism, obj, spans
 from koszulkit.randgen import rand_chain_map, rand_complex, rng_for
 from koszulkit.tstructure import truncate
 from presentations import PATH_NAMES, WIDE_BLOCK_NAMES, presentation
+from test_complexes import typed_comps
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +176,14 @@ def test_infinitesimal_never_invertible(a2):
 
 # --------------------------------------------------------------------- rho
 
+def rho_image(f: InfMorphism) -> HomClass:
+    """rho_map with rho of f's source and target built here."""
+    return rho_map(f, rho(f.source), rho(f.target))
+
+
 def test_rho_of_identity(a2):
     x = Complex.single(a2, obj("a"), 0)
-    assert rho_map(InfMorphism.identity(x)) == HomClass.identity(rho(x)[0])
+    assert rho_image(InfMorphism.identity(x)) == HomClass.identity(rho(x)[0])
 
 
 def test_rho_of_zero_complex(a2):
@@ -190,22 +197,35 @@ def test_rho_functoriality_randomized(a2):
     for _ in range(200):
         x, y, z = (rng.choice(pool) for _ in range(3))
         g, f = rand_inf(y, z, rng), rand_inf(x, y, rng)
-        assert rho_map(inf_compose(g, f)) == rho_map(g).compose(rho_map(f))
+        assert rho_image(inf_compose(g, f)) == rho_image(g).compose(rho_image(f))
 
 
 def rho_map_reference(f: InfMorphism) -> HomClass:
-    """rho_map through rho's canonical maps: i1 f0 p1 + i2 f' p1 + i2 f0[-1] p2."""
-    rx, ix1, ix2, px1, px2 = rho(f.source)
-    ry, iy1, iy2, py1, py2 = rho(f.target)
-    m = iy1.compose(f.f0.rep).compose(px1)
-    m = m.add(iy2.compose(f.finf.rep).compose(px1))
-    m = m.add(iy2.compose(f.f0.rep.shift(-1)).compose(px2))
-    return HomClass(m)
+    """The matrix [[f0, 0], [f', f0[-1]]] : rho(X) -> rho(Y), assembled
+    block by block in each degree i from f0^i, f'^i and f0^{i-1}, on the
+    layout X^i + X^{i-1} of rho(X)^i; rho is used for its complexes only."""
+    x, y = f.source, f.target
+    rx, ry = rho(x)[0], rho(y)[0]
+    f0, finf = f.f0.rep.comps, f.finf.rep.comps
+    comps = {}
+    for i, t in rx.terms.items():
+        if i in ry.terms:
+            x1, x2 = spans(x.term(i), x.term(i - 1))
+            y1, y2 = spans(y.term(i), y.term(i - 1))
+            pieces = [(rows, cols, m) for rows, cols, m in (
+                (y1, x1, f0.get(i)), (y2, x1, finf.get(i)), (y2, x2, f0.get(i - 1)))
+                if m is not None]
+            if pieces:
+                comps[i] = AddMorphism.assemble(x.pres, t, ry.terms[i], pieces)
+    return HomClass(ChainMap(rx, ry, comps, check=False))
 
 
 @pytest.mark.parametrize("name", [*(n for n in FIXTURE_NAMES if n != "FIX_BAD"),
                                   *PATH_NAMES, *WIDE_BLOCK_NAMES])
 def test_rho_map_matches_the_canonical_maps(name):
+    """rho_map, the composite through rho's canonical maps, re-indexes the
+    blocks of f0 and f': the same values, of the same types, as the block
+    assembly of the reference."""
     pres = presentation(name)
     rng = rng_for(43, "rho-map", name)
     nonzero = 0
@@ -214,8 +234,8 @@ def test_rho_map_matches_the_canonical_maps(name):
         for m in (rand_inf(x, y, rng), InfMorphism.identity(x),
                   InfMorphism.iota(HomClass.zero(x, y)),
                   InfMorphism.upsilon(HomClass(rand_chain_map(x, y.shift(-1), rng)))):
-            got = rho_map(m).rep
-            assert got == rho_map_reference(m).rep
+            got = rho_image(m).rep
+            assert typed_comps(got) == typed_comps(rho_map_reference(m).rep)
             assert got.source == rho(m.source)[0] and got.target == rho(m.target)[0]
             nonzero += not got.is_zero()
     assert nonzero >= 6
@@ -238,6 +258,26 @@ def test_adjunction_identities_on_cone(a2):
     z, _, _ = cone(alpha_map(a2))
     rep = adjunction_data(z)
     assert rep["ok"], rep["checks"]
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "A5/F10007", "A6/F0"])
+def test_adjunction_data_lays_out_three_sums(name, monkeypatch):
+    """rho(X), rho(rho X) and rho(rho X [1]) are laid out once each, and
+    both rho_map calls compose through them: three stacked sums per call."""
+    pres = presentation(name)
+    rng = rng_for(44, "adjunction-sums", name)
+    stack, calls = complexes._stack, Counter()
+
+    def counting(a, b):
+        calls["stack"] += 1
+        return stack(a, b)
+
+    monkeypatch.setattr(complexes, "_stack", counting)
+    for _ in range(6):
+        x = rand_complex(pres, rng, amplitude=3)
+        calls.clear()
+        assert adjunction_data(x)["ok"]
+        assert calls["stack"] == 3
 
 
 # ----------------------------------------------------------------- triangles

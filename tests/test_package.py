@@ -246,3 +246,17 @@ def test_both_guards_keep_a_name_for_one_reason():
     for name, reason in UNCALLED_ENGINE_NAMES.items():
         kept = {KEPT_UNREACHED[q] for q in KEPT_UNREACHED if q.rpartition(".")[2] == name}
         assert kept == {reason}, name
+
+
+def test_no_engine_module_imports_a_private_name_of_another():
+    """A name with a leading underscore, dunders aside, is its module's
+    own: an engine module never imports one from another engine module."""
+    imported = []
+    for path in sorted(ENGINE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "koszulkit"):
+                imported.extend(f"{path.stem} imports {node.module}.{alias.name}"
+                                for alias in node.names if alias.name.startswith("_")
+                                and not re.fullmatch(r"__\w+__", alias.name))
+    assert imported == []
