@@ -7,7 +7,8 @@ exact linear systems, so Hom groups, homotopy classes and minimal models
 are all computed, never approximated.
 
 Sign conventions (the underlying theory never fixes them):
-  * shift:  X[n]^i = X^{i+n},  d_{X[n]} = (-1)^n d_X
+  * shift:  X[n]^i = X^{i+n},  d_{X[n]} = (-1)^n d_X; X[n] is built once
+    per complex and n, and X[0] is X itself
   * cone:   cone(f)^i = X^{i+1} + Y^i with differential [[-d_X, 0], [f, d_Y]]
   * a termwise-split inclusion A >-> M with quotient B yields the
     distinguished triangle A -> M -> B -> A[1] whose connecting map is
@@ -54,14 +55,19 @@ class FillError(KoszulkitError):
 
 
 class Complex:
-    """Bounded complex; ``terms[i]`` nonzero objects, ``diffs[i]`` nonzero d^i."""
+    """Bounded complex; ``terms[i]`` nonzero objects, ``diffs[i]`` nonzero d^i.
 
-    __slots__ = ("pres", "terms", "diffs")
+    A complex is immutable after ``__init__``, so a shift can be shared:
+    ``_shifts`` is None until the first nonzero shift, then maps each n
+    built so far to X[n]."""
+
+    __slots__ = ("pres", "terms", "diffs", "_shifts")
 
     def __init__(self, pres, terms, diffs, check=True):
         self.pres = pres
         self.terms = {i: t for i, t in terms.items() if not t.is_zero}
         self.diffs = {}
+        self._shifts = None
         for i, d in diffs.items():
             if d is None or d.is_zero():
                 continue
@@ -101,6 +107,8 @@ class Complex:
         return sorted(self.terms)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Complex) and self.pres is other.pres
                 and self.terms == other.terms and self.diffs == other.diffs)
 
@@ -111,10 +119,17 @@ class Complex:
         return f"Complex({', '.join(parts)})"
 
     def shift(self, n: int) -> "Complex":
+        if n == 0:
+            return self
+        if self._shifts is None:
+            self._shifts = {}
+        elif n in self._shifts:
+            return self._shifts[n]
         terms = {i - n: t for i, t in self.terms.items()}
         sign = self.pres.field.one if n % 2 == 0 else self.pres.field.neg(self.pres.field.one)
         diffs = {i - n: d.scale(sign) for i, d in self.diffs.items()}
-        return Complex(self.pres, terms, diffs, check=False)
+        x = self._shifts[n] = Complex(self.pres, terms, diffs, check=False)
+        return x
 
     def support(self) -> frozenset:
         pts = set()

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+import gc
 
 import pytest
 
@@ -1157,6 +1158,113 @@ def test_chain_map_add_checks_the_endpoints_of_one_sided_degrees(a2):
     # terms that differ only where neither map has a component are not read
     ab = Complex(a2, {0: obj("a"), 1: obj("b")}, {})
     assert ident.add(ChainMap.zero(ab, ab)) == ident
+
+
+def shift_reference(x: Complex, n: int) -> Complex:
+    """X[n] copied and re-scaled on every call, X[0] included."""
+    terms = {i - n: t for i, t in x.terms.items()}
+    sign = x.pres.field.one if n % 2 == 0 else x.pres.field.neg(x.pres.field.one)
+    diffs = {i - n: d.scale(sign) for i, d in x.diffs.items()}
+    return Complex(x.pres, terms, diffs, check=False)
+
+
+def typed_complex(x: Complex):
+    """A complex's terms in order, then its differentials, each :func:`typed`."""
+    return list(x.terms.items()), [(i, typed(d)) for i, d in x.diffs.items()]
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_shift_matches_the_copying_reference(name):
+    """Each kept shift, and each shift of a kept shift, is the complex the
+    copying reference builds, term for term and entry type for entry type,
+    on the complexes of :func:`seeded_draws`, conjugated and not."""
+    pres = presentation(name)
+    rng = rng_for(4001, "shift reference", name)
+    with_diffs = 0
+    for x in (c for x, y, _ in seeded_draws(pres, rng, 4) for c in (x, y)):
+        for n in range(-3, 4):
+            got, want = x.shift(n), shift_reference(x, n)
+            assert got.pres is want.pres
+            assert typed_complex(got) == typed_complex(want)
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                got = x.shift(a).shift(b)
+                assert typed_complex(got) == typed_complex(shift_reference(shift_reference(x, a), b))
+        with_diffs += bool(x.diffs)
+    assert with_diffs >= 2
+
+
+def draw_with_diffs(pres, rng, at_least):
+    """A random complex with at least ``at_least`` nonzero differentials."""
+    while True:
+        x = rand_complex(pres, rng, amplitude=4)
+        if len(x.diffs) >= at_least:
+            return x
+
+
+def test_each_shift_is_built_once(monkeypatch):
+    """X[0] is X, X[n] is kept on X, and a kept odd shift scales no
+    differential again."""
+    pres = presentation("A6/F0")
+    rng = rng_for(4002, "shift sharing")
+    x = draw_with_diffs(pres, rng, 2)
+    assert x.shift(0) is x
+    scaled = []
+    real_scale = AddMorphism.scale
+
+    def counting(self, c):
+        scaled.append(c)
+        return real_scale(self, c)
+
+    monkeypatch.setattr(AddMorphism, "scale", counting)
+    first = x.shift(1)
+    assert len(scaled) == len(x.diffs)
+    assert x.shift(1) is first and len(scaled) == len(x.diffs)
+    for n in (-3, -2, -1, 2, 3):
+        assert x.shift(n) is x.shift(n)
+
+
+def test_hom_spaces_into_one_complex_share_its_shift(monkeypatch):
+    """Six Hom(x_i, y[1]) build y[1] once."""
+    pres = presentation("A6/F10007")
+    rng = rng_for(4003, "shared hom shift")
+    y = draw_with_diffs(pres, rng, 1)
+    xs = [rand_complex(pres, rng, amplitude=3) for _ in range(6)]
+    built = []
+    real_init = Complex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "__init__", counting)
+    spaces = [HomSpace(x, y, 1) for x in xs]
+    assert len(built) == 1 and all(sp.ys is built[0] for sp in spaces)
+    assert typed_complex(built[0]) == typed_complex(shift_reference(y, 1))
+
+
+def test_kept_shifts_make_no_reference_cycle():
+    """Dropping a complex and its shifts frees them by reference counting:
+    with the collector off and every unreachable object saved, a collection
+    finds no complex among them."""
+    pres = presentation("A6/F0")
+    x = draw_with_diffs(pres, rng_for(4004, "shift cycle"), 2)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        shifts = [x.shift(n) for n in (-2, -1, 1, 2)]
+        chained = x.shift(1).shift(1).shift(-3)
+        del x, shifts, chained
+        gc.collect()
+        kept = [o for o in gc.garbage if isinstance(o, Complex)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert kept == []
 
 
 def echelon_fields(e):
