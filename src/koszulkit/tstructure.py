@@ -3,11 +3,13 @@
 The two aisles are cut out by support: the lower aisle consists of objects
 whose minimal representative is supported on {(i, j) : i <= -j}, the upper
 aisle on {(i, j) : i >= -j}.  Truncation is constructive: in a minimal
-complex no differential block can cross from the lower region into the
-complement (such a block would join summands with non-increasing degrees,
-hence be an isomorphism between equal indecomposables, contradicting
-minimality), so the termwise degree split is a subcomplex inclusion and
-yields the truncation triangle directly as a termwise-split triangle.
+complex no differential block crosses a cut i + j <= n from below (a block
+(i, s) -> (i + 1, t) that does has deg t >= deg s, where Hom(s, t) = 0
+unless s = t, so it is a unit block, which minimality excludes), so for
+every n the points i + j <= n span a subcomplex tau_{<= n} M of the minimal
+model M.  These filter M: the cut n = 0 yields the truncation triangle as a
+termwise-split triangle, and the strip of M on i + j = n, shifted by n, is
+the t-cohomology object H^n.
 
 The heart is a split finite-length abelian category; its simple objects
 are the indecomposables placed in homological degree minus their degree,
@@ -76,43 +78,19 @@ class Truncation:
     triangle: Triangle    # lower -> X -> upper -> lower[1]
 
 
+def _split_at(m: Complex, n: int):
+    """The positions of each term of m at the points i + j <= n, and the rest."""
+    deg = m.pres.degree
+    return ({i: tuple(p for p, s in enumerate(t) if i + deg[s] <= n) for i, t in m.terms.items()},
+            {i: tuple(p for p, s in enumerate(t) if i + deg[s] > n) for i, t in m.terms.items()})
+
+
 def truncate(x: Complex) -> Truncation:
     """Split off the lower-aisle part of the minimal model of x."""
     m, iso = minimal_model(x)
-    pres = x.pres
-    sel_sub, sel_quot = {}, {}
-    for i, t in m.terms.items():
-        sub, quot = [], []
-        for p, s in enumerate(t):
-            (sub if pres.degree[s] <= -i else quot).append(p)
-        sel_sub[i] = tuple(sub)
-        sel_quot[i] = tuple(quot)
-    base = Triangle.from_termwise_split(m, sel_sub, sel_quot)
+    base = Triangle.from_termwise_split(m, *_split_at(m, 0))
     tri = Triangle.transport(base, None, iso.inverse(), None)
     return Truncation(base.X, base.Z, tri)
-
-
-def truncate_le(x: Complex, n: int) -> Complex:
-    """tau_{<= n}: conjugate the basic truncation with the shift."""
-    return truncate(x.shift(n)).lower.shift(-n)
-
-
-def truncate_ge(x: Complex, n: int) -> Complex:
-    """tau_{>= n}."""
-    return truncate(x.shift(n - 1)).upper.shift(-(n - 1))
-
-
-def truncation_window(x: Complex):
-    """Exact bounds (lo, hi): t-cohomology can only live in degrees [lo, hi].
-
-    Equivalently tau_{<= n} x = x for n >= hi and tau_{>= n} x = x for
-    n <= lo; both read off the minimal support as extremes of i + j.
-    """
-    m_min, _ = minimal_model(x)
-    supp = m_min.support()
-    if not supp:
-        return (0, 0)
-    return (min(i + j for i, j in supp), max(i + j for i, j in supp))
 
 
 # ------------------------------------------------------------ heart objects
@@ -170,14 +148,18 @@ def simple_ext_cells(pres, window=(-inf, inf)) -> list:
             if lo <= (i := pres.degree[s] - pres.degree[t]) <= hi]
 
 
-def t_cohomology(x: Complex, n: int) -> HeartObject:
-    """H^n = (tau_{>= n} tau_{<= n} x)[n], in heart normal form."""
-    lo, hi = truncation_window(x)
-    if x.is_zero or n < lo or n > hi:
-        return HeartObject(Complex.zero(x.pres))
-    y = truncate_le(x, n)
-    z = truncate_ge(y, n)
-    return heart_object(z.shift(n))
+def t_cohomology(x: Complex):
+    """({n: H^n(x)} for every nonzero H^n, steps), from one minimal model M:
+    cutting from the top, the step at n is the termwise-split triangle
+    tau_{<= n-1} M -> tau_{<= n} M -> strip_n, and H^n is strip_n shifted by n."""
+    m, _ = minimal_model(x)
+    objects, steps = {}, []
+    for n in sorted({i + j for i, j in m.support()}, reverse=True):
+        step = Triangle.from_termwise_split(m, *_split_at(m, n - 1))
+        objects[n] = HeartObject(step.Z.shift(n))
+        steps.append(step)
+        m = step.X
+    return objects, steps
 
 
 def weight_filtration(m: HeartObject) -> dict:

@@ -285,6 +285,78 @@ def test_truncate_command(tmp_path):
     assert payload["lower_in_lower_aisle"] and payload["upper_shift_in_upper_aisle"]
 
 
+# a and c in degree 0, b in degree 1 over FIX_A3 (degrees 0, 2, 1): the
+# points i + deg s are 0, 2 and 2, so H^0 = a and H^2 = c + b[-1], shifted
+A_C_B = {"terms": {"0": ["a", "c"], "1": ["b"]}}
+
+
+def test_truncate_reports_t_cohomology_and_certified_steps(tmp_path):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(A_C_B), encoding="utf-8")
+    code, report = run_json("truncate", "FIX_A3", str(cx))
+    assert code == 0
+    payload = report["payload"]
+    assert payload["t_cohomology"] == {"0": {"terms": {"0": ["a"]}, "diff": {}},
+                                       "2": {"terms": {"-2": ["c"], "-1": ["b"]}, "diff": {}}}
+    assert payload["steps_certified"] == 2 and payload["step_issues"] == []
+    assert payload["k0_ok"] is True
+
+
+def test_truncate_exits_one_on_a_strip_with_a_summand_dropped(tmp_path, monkeypatch):
+    """The K_0 check reads x's own terms, so a t-cohomology object that lost
+    a summand fails it, while every step still verifies."""
+    from koszulkit import tstructure
+    from koszulkit.complexes import Complex
+
+    real = tstructure.t_cohomology
+
+    def dropped(x):
+        objects, steps = real(x)
+        nf = objects[2].normal_form
+        assert not nf.diffs
+        terms = {**nf.terms, -2: nf.terms[-2].select(())}
+        return {**objects, 2: tstructure.HeartObject(Complex(nf.pres, terms, {}))}, steps
+
+    monkeypatch.setattr(tstructure, "t_cohomology", dropped)
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(A_C_B), encoding="utf-8")
+    code, report = run_json("truncate", "FIX_A3", str(cx))
+    assert code == 1
+    payload = report["payload"]
+    assert payload["k0_ok"] is False
+    assert payload["t_cohomology"]["2"] == {"terms": {"-1": ["b"]}, "diff": {}}
+    assert payload["steps_certified"] == 2 and payload["triangle_certified"]
+
+
+def test_truncate_exits_one_when_a_block_crosses_a_cut(tmp_path, monkeypatch):
+    """b in degrees 0 and 1 sits at the points 1 and 2.  A stand-in minimal
+    model joins them by the identity of b, a unit block across the cut at 2,
+    so that step cannot split: it raises, and the report says so, exit 1."""
+    from koszulkit import tstructure
+    from koszulkit.complexes import ChainIso, ChainMap, Complex
+    from koszulkit.orlov import AddMorphism
+
+    real = tstructure.minimal_model
+
+    def crossing(x):
+        m, iso = real(x)
+        if x.terms.keys() != {0, 1}:
+            return m, iso
+        planted = Complex(m.pres, m.terms, {0: AddMorphism.identity(m.pres, m.term(0))})
+        ident = ChainMap.identity(planted)
+        return planted, ChainIso(ident, ident)
+
+    monkeypatch.setattr(tstructure, "minimal_model", crossing)
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({"terms": {"0": ["b"], "1": ["b"]}}), encoding="utf-8")
+    code, report = run_json("truncate", "FIX_A3", str(cx))
+    assert code == 1
+    payload = report["payload"]
+    assert payload["step_issues"] == ["differential maps the subcomplex outside itself at 0"]
+    assert payload["steps_certified"] == 0
+    assert payload["triangle_certified"] and payload["k0_ok"]
+
+
 def test_weights_command(tmp_path):
     cx = tmp_path / "cx.json"
     cx.write_text(json.dumps({

@@ -77,7 +77,6 @@ ACCEPTANCE = "tests/test_acceptance.py imports or reaches it"
 PUBLIC = "it is in koszulkit.__all__"
 ORACLES = "tests/oracle_linalg.py or tests/oracle_hom.py calls it, and the oracles stay unchanged"
 README_TRIANGLES = "the README lists it as a capability: rotation and shift of triangles"
-README_T_COHOMOLOGY = "the README lists it as a capability: t-cohomology, or what only it reaches"
 README_WEIGHTS = "the README lists it as a capability: weight filtrations"
 README_HEART = ("the README lists it as a capability: the finite-length heart, whose excision "
                 "of a simple is cone_through_simple")
@@ -87,7 +86,6 @@ README_HEART = ("the README lists it as a capability: the finite-length heart, w
 UNCALLED_ENGINE_NAMES = {
     **dict.fromkeys(("q_functor", "q_ses_triangle", "heart_simples", "is_pure",
                      "is_semisimple_normal_form", "rand_chain_map"), ACCEPTANCE),
-    "t_cohomology": README_T_COHOMOLOGY,
     "weight_subobjects": README_WEIGHTS,
     "cone_through_simple": README_HEART,
     "div": ORACLES,
@@ -150,8 +148,6 @@ KEPT_UNREACHED = {
                      "orlov.hom_basis"), PUBLIC),
     **dict.fromkeys(("linalg.Field.div", "linalg.Field.sub"), ORACLES),
     **dict.fromkeys(("complexes.Triangle.rotate", "complexes.Triangle.shift"), README_TRIANGLES),
-    **dict.fromkeys(("tstructure.t_cohomology", "tstructure.truncation_window",
-                     "tstructure.truncate_le", "tstructure.truncate_ge"), README_T_COHOMOLOGY),
     "tstructure.weight_subobjects": README_WEIGHTS,
     "tstructure.cone_through_simple": README_HEART,
 }

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -23,6 +23,7 @@ from koszulkit.randgen import (
 )
 from koszulkit.tstructure import (
     HeartAssertionError,
+    HeartObject,
     TStructureError,
     aisle_membership,
     composition_factors,
@@ -35,11 +36,11 @@ from koszulkit.tstructure import (
     simple_object,
     t_cohomology,
     truncate,
-    truncation_window,
     weight_filtration,
     weight_subobjects,
 )
 from presentations import presentation
+from tcohomology_reference import t_cohomology_at, truncation_window
 from test_complexes import doubled, straddling_arrow
 
 
@@ -134,32 +135,40 @@ def test_truncate_randomized_with_orthogonality(a3):
         assert hom_space(a_part, b_part, 0).dimension == 0
 
 
+def cohomology(x):
+    """{n: H^n(x)} from ``t_cohomology``, with the zero heart object at every
+    other n."""
+    objects, _ = t_cohomology(x)
+    return defaultdict(lambda: HeartObject(Complex.zero(x.pres)), objects)
+
+
 def test_truncation_window_bounds(a3):
     rng = rng_for(5, "bounds")
     for _ in range(10):
         x = rand_complex(a3, rng, amplitude=3)
         lo, hi = truncation_window(x)
+        h = cohomology(x)
         for n in (lo - 1, hi + 1):
-            assert t_cohomology(x, n).normal_form.is_zero
+            assert h[n].normal_form.is_zero
         if not x.is_zero:
-            assert not t_cohomology(x, lo).normal_form.is_zero
-            assert not t_cohomology(x, hi).normal_form.is_zero
+            assert not h[lo].normal_form.is_zero
+            assert not h[hi].normal_form.is_zero
 
 
 # ----------------------------------------------------------- t-cohomology
 
 def test_t_cohomology_of_heart_object(a2):
     e = cone_alpha(a2)
-    h0 = t_cohomology(e, 0)
-    assert h0.normal_form == e
-    assert t_cohomology(e, 1).normal_form.is_zero and t_cohomology(e, -1).normal_form.is_zero
+    h = cohomology(e)
+    assert h[0].normal_form == e
+    assert h[1].normal_form.is_zero and h[-1].normal_form.is_zero
 
 
 def test_t_cohomology_of_shifted_point(a2):
     x = Complex.single(a2, obj("b"), 0)
-    h1 = t_cohomology(x, 1)
-    assert h1.normal_form == Complex.single(a2, obj("b"), -1)
-    assert t_cohomology(x, 0).normal_form.is_zero
+    h = cohomology(x)
+    assert h[1].normal_form == Complex.single(a2, obj("b"), -1)
+    assert h[0].normal_form.is_zero
 
 
 def test_t_cohomology_shift_compatibility(a3):
@@ -167,7 +176,52 @@ def test_t_cohomology_shift_compatibility(a3):
     for _ in range(10):
         x = rand_complex(a3, rng, amplitude=3)
         n = rng.randint(-2, 2)
-        assert t_cohomology(x.shift(1), n) == t_cohomology(x, n + 1)
+        assert cohomology(x.shift(1))[n] == cohomology(x)[n + 1]
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5/F10007", "A6/F0", "quiver0/F0",
+                                  "quiver2/F10007"])
+def test_t_cohomology_matches_the_per_n_route(name):
+    """Every H^n of a re-presented draw, one window wider on each side, is
+    literally the per-n route's: the same nonzero n and equal normal forms."""
+    pres = presentation(name)
+    rng = rng_for(2026, "tcoh", name)
+    compared = 0
+    for _ in range(12):
+        x, _, _ = conjugate_complex(rand_complex(pres, rng, amplitude=4), rng)
+        h = cohomology(x)
+        lo, hi = truncation_window(x)
+        assert set(h) <= set(range(lo, hi + 1))
+        assert all(not obj_n.normal_form.is_zero for obj_n in h.values())
+        for n in range(lo - 1, hi + 2):
+            assert h[n] == t_cohomology_at(x, n), n
+            compared += not h[n].normal_form.is_zero
+    assert compared > 12
+
+
+@pytest.mark.parametrize("name", ["FIX_A3", "A5/F10007", "quiver2/F10007"])
+def test_t_cohomology_steps_filter_the_minimal_model(name):
+    """The steps cut the minimal model from the top, each verifies, each
+    one's first object is the next one's middle, the last one's is 0, and
+    each third object is H^n shifted back by n."""
+    pres = presentation(name)
+    rng = rng_for(31, "tsteps", name)
+    for _ in range(8):
+        x, _, _ = conjugate_complex(rand_complex(pres, rng, amplitude=4), rng)
+        objects, steps = t_cohomology(x)
+        m, _ = minimal_model(x)
+        assert len(steps) == len(objects)
+        if not steps:
+            assert m.is_zero
+            continue
+        assert steps[0].Y == m
+        assert steps[-1].X.is_zero
+        for step, after in zip(steps, steps[1:]):
+            assert step.X == after.Y
+        for n, step in zip(sorted(objects, reverse=True), steps):
+            assert step.verify() == []
+            assert step.Z == objects[n].normal_form.shift(-n)
+            assert {i + j for i, j in step.Z.support()} == {n}
 
 
 # ----------------------------------------------------------------- heart
@@ -350,10 +404,11 @@ def test_truncation_exactness_alternating_sums(a3):
         f = rand_chain_map(x, y, rng)
         z, _, _ = cone(f)
         totals = {s: 0 for s in a3.ids}
+        hx, hy, hz = cohomology(x), cohomology(y), cohomology(z)
         for n in range(-8, 9):
-            for mult, sign in ((composition_factors(t_cohomology(x, n)), 1),
-                               (composition_factors(t_cohomology(y, n)), -1),
-                               (composition_factors(t_cohomology(z, n)), 1)):
+            for mult, sign in ((composition_factors(hx[n]), 1),
+                               (composition_factors(hy[n]), -1),
+                               (composition_factors(hz[n]), 1)):
                 for s, m in mult.items():
                     totals[s] += sign * ((-1) ** n) * m
         assert all(v == 0 for v in totals.values()), totals
