@@ -243,15 +243,16 @@ def truncate_report(x) -> tuple:
     """(payload, ok) of ``truncate``, which ``selftest`` reads too.  The K_0
     check: sum_n (-1)^n mult_s(H^n) = sum_i (-1)^(i + deg s) #(s in x^i) for
     every s, read off x's own terms.  A step that raises fails its check, as
-    the input was a valid complex."""
+    the input was a valid complex.  x is minimized once: the rest reads the
+    minimal model ``truncate`` split and its two parts, all minimal."""
     from .complexes import TriangleError
-    from .tstructure import aisle_membership, composition_factors, t_cohomology, truncate
+    from .tstructure import composition_factors, in_lower, in_upper, t_cohomology, truncate
 
     tr = truncate(x)
     issues = tr.triangle.verify()
     step_issues = []
     try:
-        objects, steps = t_cohomology(x)
+        objects, steps = t_cohomology(tr.model)
     except TriangleError as exc:
         objects, steps, step_issues = {}, [], [str(exc)]
     verdicts = {n: step.verify() for n, step in zip(objects, steps)}
@@ -264,8 +265,8 @@ def truncate_report(x) -> tuple:
     payload = {
         "lower": encode_complex(tr.lower),
         "upper": encode_complex(tr.upper),
-        "lower_in_lower_aisle": aisle_membership(tr.lower).in_lower,
-        "upper_shift_in_upper_aisle": aisle_membership(tr.upper.shift(1)).in_upper,
+        "lower_in_lower_aisle": all(map(in_lower, tr.lower.support())),
+        "upper_shift_in_upper_aisle": all(map(in_upper, tr.upper.shift(1).support())),
         "triangle_certified": not issues,
         "issues": issues,
         "t_cohomology": {str(n): encode_complex(h.normal_form) for n, h in objects.items()},

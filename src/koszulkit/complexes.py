@@ -572,6 +572,26 @@ class ChainIso:
         return ChainMap.identity(first.source).sub(back) == h.boundary()
 
 
+def conjugate(x: Complex, autos):
+    """(x', iso: x -> x'): x carried along the inverse pairs (u_i, u_i^-1)
+    of ``autos[i]``, u_i leaving x^i, with d'^i = (u_{i+1} o d^i) o u_i^-1.
+    A degree without a pair keeps its term and gets identities; iso.fwd is
+    u and iso.bwd u^-1, inverse on the nose."""
+    pres = x.pres
+    terms = {i: autos[i][0].target if i in autos else t for i, t in x.terms.items()}
+    diffs = {}
+    for i, d in x.diffs.items():
+        if i + 1 in autos:
+            d = autos[i + 1][0].compose(d)
+        if i in autos:
+            d = d.compose(autos[i][1])
+        diffs[i] = d
+    x2 = Complex(pres, terms, diffs)
+    same = {i: AddMorphism.identity(pres, t) for i, t in x.terms.items() if i not in autos}
+    return x2, ChainIso(ChainMap(x, x2, {**{i: u for i, (u, _) in autos.items()}, **same}, check=False),
+                        ChainMap(x2, x, {**{i: v for i, (_, v) in autos.items()}, **same}, check=False))
+
+
 @dataclass
 class _ConeWitness:
     pass

@@ -260,11 +260,13 @@ def inf_les_check(a: Complex, tri: InfTriangle, window=(-3, 3)) -> dict:
         return local
 
     # covariant: ... -> Hom(A, X[k]) -> Hom(A, Y[k]) -> Hom(A, Z[k]) -> ...
-    nodes, apply = [], []
+    # the infinitesimal part at k is the genuine part of the node at k - 1
+    nodes, apply, below = [], [], {}
     for k in range(window[0], window[1] + 1):
-        for w, mor in ((tri.X, tri.m1), (tri.Y, tri.m2), (tri.Z, tri.m3)):
-            sp0 = hom_space(a, w, k)            # genuine part
-            sp1 = hom_space(a, w, k - 1)        # infinitesimal part
+        for j, (w, mor) in enumerate(((tri.X, tri.m1), (tri.Y, tri.m2), (tri.Z, tri.m3))):
+            sp0 = hom_space(a, w, k)
+            sp1 = below[j] if k > window[0] else hom_space(a, w, k - 1)
+            below[j] = sp0
             nodes.append(((sp0, sp1), sp0.dimension + sp1.dimension))
             shifted = mor.shift(k)
             apply.append(lambda el, m=shifted: inf_compose(m, el))

@@ -34,17 +34,16 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .complexes import (
-    ChainIso,
     ChainMap,
     Complex,
     HomClass,
     Triangle,
-    direct_sum,
+    conjugate,
     hom_space,
     supports_meet,
 )
 from .linalg import KoszulkitError, Matrix
-from .orlov import AddMorphism, Coords, OrlovPresentation, invert, spans, validate_presentation
+from .orlov import AddMorphism, OrlovPresentation, invert, spans, unit_solve, validate_presentation
 from .tstructure import (
     HeartObject,
     heart_object,
@@ -307,9 +306,10 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
     """Image of a short exact sequence of heart objects: a split triangle.
 
     Takes chain maps A -> E -> B between antidiagonal normal forms with
-    proj o incl = 0; finds degreewise sections, conjugates E into literal
-    direct-sum form and returns the termwise-split triangle carrying the
-    original inclusion and projection.
+    proj o incl = 0; finds degreewise sections (``orlov.unit_solve``),
+    conjugates E into literal direct-sum form (``complexes.conjugate``) and
+    returns the termwise-split triangle carrying the original inclusion and
+    projection.
     """
     a_cx, e_cx, b_cx = incl.source, incl.target, proj.target
     if proj.source != e_cx:
@@ -322,13 +322,9 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
         ak, bk, ek = a_cx.term(k), b_cx.term(k), e_cx.term(k)
         if sorted(ak.summands + bk.summands) != sorted(ek.summands):
             raise KoszulError(f"terms at degree {k} are not extension-compatible")
-        pk = proj.component(k)
-        sections, ends = Coords(pres, {0: (bk, ek)}), Coords(pres, {0: (bk, bk)})
-        sol = sections.matrix(ends, [(0, 1, "left", lambda i: pk)]).solve(
-            ends.to_vector({0: AddMorphism.identity(pres, bk)}.get))
-        if sol is None:
+        section = unit_solve(proj.component(k), "left")
+        if section is None:
             raise KoszulError(f"projection admits no section at degree {k}")
-        section = sections.from_vector(sol).get(0) or AddMorphism.zero(pres, bk, ek)
         every = range(len(ek))
         apos, bpos = spans(ak, bk)
         w_comps[k] = AddMorphism.assemble(pres, ak.concat(bk), ek, [
@@ -337,18 +333,12 @@ def q_ses_triangle(incl: ChainMap, proj: ChainMap) -> Triangle:
     w_inv = {k: invert(w) for k, w in w_comps.items()}
     if None in w_inv.values():
         raise KoszulError("inclusion and section do not split the middle term")
-    terms = {k: a_cx.term(k).concat(b_cx.term(k)) for k in e_cx.terms}
-    diffs = {}
-    for i, dmat in e_cx.diffs.items():
-        diffs[i] = w_inv[i + 1].compose(dmat).compose(w_comps[i])
-    e_split = Complex(pres, terms, diffs)
+    e_split, iso = conjugate(e_cx, {k: (w_inv[k], w) for k, w in w_comps.items()})
     sel_sub = {k: tuple(range(len(a_cx.term(k)))) for k in e_split.terms}
     sel_quot = {k: tuple(range(len(a_cx.term(k)), len(e_split.term(k))))
                 for k in e_split.terms}
     base = Triangle.from_termwise_split(e_split, sel_sub, sel_quot)
-    w_map = ChainMap(e_split, e_cx, w_comps, check=False)
-    w_map_inv = ChainMap(e_cx, e_split, w_inv, check=False)
-    return Triangle.transport(base, None, ChainIso(w_map, w_map_inv), None)
+    return Triangle.transport(base, None, iso.inverse(), None)
 
 
 # ----------------------------------------------------------- injectives
@@ -418,16 +408,18 @@ def injective_detect(pres: OrlovPresentation) -> dict:
 
 def _universal_extension(pres, j_cx: Complex, ext_reps) -> Complex:
     """Extension of the sum of sources by j realizing every listed class."""
-    u_cx = Complex.zero(pres)
+    u_terms = {}
     for _, rep in ext_reps:
-        u_cx, *_ = direct_sum(u_cx, rep.source)
+        for k, t in rep.source.terms.items():
+            u_terms[k] = u_terms[k].concat(t) if k in u_terms else t
+    # the sources are single simples, so the sum has no differential
+    u_cx = Complex(pres, u_terms, {}, check=False)
     terms = {k: u_cx.term(k).concat(j_cx.term(k)) for k in set(u_cx.terms) | set(j_cx.terms)}
     diffs = {}
     for k in sorted(terms):
         if k + 1 not in terms:
             continue
         jrows = spans(u_cx.term(k + 1), j_cx.term(k + 1))[1]
-        # the sources are single simples, so the u-part has no differential
         pieces = [(jrows, spans(u_cx.term(k), j_cx.term(k))[1], j_cx.d(k))]
         offset = 0
         for _, rep in ext_reps:

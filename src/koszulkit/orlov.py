@@ -6,11 +6,11 @@ Objects of the additive closure are ordered lists of indecomposables;
 morphisms are block grids of coordinate vectors.  The degree axioms checked
 by :func:`validate_presentation` force every nonzero morphism between
 non-isomorphic indecomposables to lower the degree strictly, so the
-radical is nilpotent.  An isomorphism is inverted by one solve over the
-coordinates of the Hom space back (:func:`invert`), and an idempotent is
-split by one solve for a left inverse of its image's inclusion
-(:func:`split_idempotent`); both refuse a summand whose End is not the
-scalars.
+radical is nilpotent.  One solve over the coordinates of the Hom space
+back finds a one-sided unit (:func:`unit_solve`).  It inverts an isomorphism
+(:func:`invert`) and splits an idempotent by a left inverse of its image's
+inclusion (:func:`split_idempotent`); both refuse a summand whose End is
+not the scalars.
 """
 
 from __future__ import annotations
@@ -1013,23 +1013,27 @@ def scalar_matrix(m: AddMorphism, s, pos) -> Matrix:
         [fld.zero if m.blocks[i][j] is None else m.blocks[i][j][u] for j in pos] for i in pos])
 
 
-def invert(m: AddMorphism):
-    """Two-sided inverse of m: x -> y, or None.
-
-    One solve in the coordinates of Hom(y, x): g with m o g = 1_y, kept
-    only when g o m = 1_x as well, which makes it the inverse.  It refuses
-    a summand whose End is not the scalars (:func:`unit_index`).
-    """
+def unit_solve(m: AddMorphism, side):
+    """g: y -> x with m o g = 1_y (``side`` "left") or g o m = 1_x ("right")
+    for m: x -> y, or None: one solve in the coordinates of Hom(y, x)."""
     pres, x, y = m.pres, m.source, m.target
-    for s in dict.fromkeys((*x, *y)):
-        unit_index(pres, s)
-    back, ends = Coords(pres, {0: (y, x)}), Coords(pres, {0: (y, y)})
-    sol = back.matrix(ends, [(0, 1, "left", lambda i: m)]).solve(
-        ends.to_vector({0: AddMorphism.identity(pres, y)}.get))
+    unit = y if side == "left" else x
+    back, ends = Coords(pres, {0: (y, x)}), Coords(pres, {0: (unit, unit)})
+    sol = back.matrix(ends, [(0, 1, side, lambda i: m)]).solve(
+        ends.to_vector({0: AddMorphism.identity(pres, unit)}.get))
     if sol is None:
         return None
-    g = back.from_vector(sol).get(0) or AddMorphism.zero(pres, y, x)
-    return g if g.compose(m).is_identity() else None
+    return back.from_vector(sol).get(0) or AddMorphism.zero(pres, y, x)
+
+
+def invert(m: AddMorphism):
+    """Two-sided inverse of m: x -> y, or None: the g with m o g = 1_y of
+    :func:`unit_solve`, kept only when g o m = 1_x as well.  It refuses a
+    summand whose End is not the scalars (:func:`unit_index`)."""
+    for s in dict.fromkeys((*m.source, *m.target)):
+        unit_index(m.pres, s)
+    g = unit_solve(m, "left")
+    return g if g is not None and g.compose(m).is_identity() else None
 
 
 def split_idempotent(e: AddMorphism):
@@ -1039,8 +1043,7 @@ def split_idempotent(e: AddMorphism):
     positions of each isotypic class s of x for r_s the rank of e's scalar
     block there (:func:`scalar_matrix`), and the projection/inclusion pair.
     i is e on the pivot columns of those blocks, and p = g o e for the g
-    with g o i = 1_z that one solve over the coordinates of Hom(x, z)
-    finds, as in :func:`invert`.  Why this splits e:
+    with g o i = 1_z that :func:`unit_solve` finds.  Why this splits e:
 
     - i's scalar blocks have independent columns, so i is a split mono
       modulo the radical, hence a split mono, and g exists;
@@ -1066,12 +1069,9 @@ def split_idempotent(e: AddMorphism):
     keep = sorted(carried)
     z = x.select(keep)
     i_m = e.restrict_blocks(range(len(x)), [carried[k] for k in keep])
-    back, ends = Coords(pres, {0: (x, z)}), Coords(pres, {0: (z, z)})
-    sol = back.matrix(ends, [(0, 1, "right", lambda i: i_m)]).solve(
-        ends.to_vector({0: AddMorphism.identity(pres, z)}.get))
-    if sol is None:
+    g = unit_solve(i_m, "right")
+    if g is None:
         raise CompositionError("split_idempotent: the image has no retraction")
-    g = back.from_vector(sol).get(0) or AddMorphism.zero(pres, x, z)
     p = g.compose(e)
     if i_m.compose(p) != e or p.compose(i_m) != AddMorphism.identity(pres, z):
         raise CompositionError("idempotent splitting failed verification")

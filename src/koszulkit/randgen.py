@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .complexes import ChainMap, Complex, HomSpace
+from .complexes import Complex, HomSpace, conjugate
 from .linalg import Matrix
 from .orlov import AddMorphism, AddObject, Coords, invert
 
@@ -119,22 +119,13 @@ def rand_automorphism(pres, x: AddObject, rng):
 
 
 def conjugate_complex(x: Complex, rng):
-    """An isomorphic copy of x through random termwise automorphisms.
+    """An isomorphic copy of x through random termwise automorphisms
+    (``complexes.conjugate``), drawn in the order of x's terms.
 
     Returns (x2, fwd: x -> x2, bwd: x2 -> x), both exact chain isos.
     """
-    pres = x.pres
-    autos = {i: rand_automorphism(pres, t, rng) for i, t in x.terms.items()}
-    terms = dict(x.terms)
-    diffs = {}
-    for i, d in x.diffs.items():
-        u1, _ = autos[i + 1]
-        _, v0 = autos[i]
-        diffs[i] = u1.compose(d).compose(v0)
-    x2 = Complex(pres, terms, diffs)
-    fwd = ChainMap(x, x2, {i: autos[i][0] for i in x.terms}, check=False)
-    bwd = ChainMap(x2, x, {i: autos[i][1] for i in x.terms}, check=False)
-    return x2, fwd, bwd
+    x2, iso = conjugate(x, {i: rand_automorphism(x.pres, t, rng) for i, t in x.terms.items()})
+    return x2, iso.fwd, iso.bwd
 
 
 def rand_filtered(pres, rng, depth=3, max_extra=2):

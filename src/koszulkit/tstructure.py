@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from math import inf
 
 from .complexes import (
-    ChainIso,
     ChainMap,
     Complex,
     HomClass,
     Triangle,
+    conjugate,
     is_null_homotopic,
     minimal_model,
 )
@@ -76,6 +76,7 @@ class Truncation:
     lower: Complex        # in the lower aisle
     upper: Complex        # upper[1] lies in the upper aisle
     triangle: Triangle    # lower -> X -> upper -> lower[1]
+    model: Complex        # the minimal model of X that lower and upper split
 
 
 def _split_at(m: Complex, n: int):
@@ -86,11 +87,12 @@ def _split_at(m: Complex, n: int):
 
 
 def truncate(x: Complex) -> Truncation:
-    """Split off the lower-aisle part of the minimal model of x."""
+    """Split off the lower-aisle part of the minimal model M of x, which the
+    result keeps; lower and upper are selections of M, so minimal too."""
     m, iso = minimal_model(x)
     base = Triangle.from_termwise_split(m, *_split_at(m, 0))
     tri = Triangle.transport(base, None, iso.inverse(), None)
-    return Truncation(base.X, base.Z, tri)
+    return Truncation(base.X, base.Z, tri, m)
 
 
 # ------------------------------------------------------------ heart objects
@@ -214,8 +216,9 @@ def cone_through_simple(f: HomClass) -> SimpleConeResult:
     """Excise a simple mapping nonzero into an upper-aisle object.
 
     f must be a nonzero class S[deg S] -> X with X in the upper aisle; the
-    recipe identifies the image of the generator as a direct summand of
-    the degree -deg S term, removes it, and reroutes the differentials.
+    recipe conjugates the minimal model of X by an automorphism of its
+    degree -deg S term (``complexes.conjugate``) that makes the image of
+    the generator a direct summand, and splits it off.
     """
     src = f.source
     pres = src.pres
@@ -256,26 +259,7 @@ def cone_through_simple(f: HomClass) -> SimpleConeResult:
     n = range(len(tgt))
     p_mat = AddMorphism.assemble(pres, tgt, tgt, [
         (n, n, AddMorphism.identity(pres, tgt)), (lam, [pivot], comp.restrict_blocks(lam, [0]))])
-    u = invert(p_mat)
-    uinv = p_mat
-
-    terms = dict(mx.terms)
-    diffs = {}
-    for i, d in mx.diffs.items():
-        if i == slot:
-            diffs[i] = d.compose(uinv)
-        elif i + 1 == slot:
-            diffs[i] = u.compose(d)
-        else:
-            diffs[i] = d
-    conj = Complex(pres, terms, diffs)
-    conj_iso = ChainIso(
-        ChainMap(mx, conj, {slot: u, **{i: AddMorphism.identity(pres, t)
-                                        for i, t in mx.terms.items() if i != slot}},
-                 check=False),
-        ChainMap(conj, mx, {slot: uinv, **{i: AddMorphism.identity(pres, t)
-                                           for i, t in mx.terms.items() if i != slot}},
-                 check=False))
+    conj, conj_iso = conjugate(mx, {slot: (invert(p_mat), p_mat)})
 
     sel_sub = {i: ((pivot,) if i == slot else ()) for i in conj.terms}
     sel_quot = {i: tuple(q for q in range(len(conj.term(i))) if i != slot or q != pivot)

@@ -302,6 +302,29 @@ def test_truncate_reports_t_cohomology_and_certified_steps(tmp_path):
     assert payload["k0_ok"] is True
 
 
+@pytest.mark.parametrize("doc", [A_C_B, {"terms": {"0": ["b"], "1": ["b"]}, "diff": {
+    "0": [{"row": 0, "col": 0, "label": "1@b", "coeff": "1"}]}}], ids=["a-c-b", "contractible"])
+def test_truncate_minimizes_its_input_once(doc, monkeypatch):
+    """``truncate_report`` runs ``minimal_model`` on x once, and once more on
+    the model ``truncate`` split, which cancels nothing there; the aisle
+    flags are read off supports, with no minimal model."""
+    from koszulkit import tstructure
+    from koszulkit.fixtures import load_fixture
+
+    calls, real = [], tstructure.minimal_model
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(tstructure, "minimal_model", counting)
+    x = cli.decode_complex(load_fixture("FIX_A3"), doc)
+    _, ok = cli.truncate_report(x)
+    assert ok
+    assert len(calls) == 2 and calls[0] is x
+    assert real(calls[1])[0] == calls[1]
+
+
 def test_truncate_exits_one_on_a_strip_with_a_summand_dropped(tmp_path, monkeypatch):
     """The K_0 check reads x's own terms, so a t-cohomology object that lost
     a summand fails it, while every step still verifies."""
@@ -331,7 +354,9 @@ def test_truncate_exits_one_on_a_strip_with_a_summand_dropped(tmp_path, monkeypa
 def test_truncate_exits_one_when_a_block_crosses_a_cut(tmp_path, monkeypatch):
     """b in degrees 0 and 1 sits at the points 1 and 2.  A stand-in minimal
     model joins them by the identity of b, a unit block across the cut at 2,
-    so that step cannot split: it raises, and the report says so, exit 1."""
+    so that step cannot split: it raises, and the report says so, exit 1.
+    The t-cohomology minimizes the model ``truncate`` split, so the stand-in
+    gives its planted model back as its own model."""
     from koszulkit import tstructure
     from koszulkit.complexes import ChainIso, ChainMap, Complex
     from koszulkit.orlov import AddMorphism
@@ -342,7 +367,7 @@ def test_truncate_exits_one_when_a_block_crosses_a_cut(tmp_path, monkeypatch):
         m, iso = real(x)
         if x.terms.keys() != {0, 1}:
             return m, iso
-        planted = Complex(m.pres, m.terms, {0: AddMorphism.identity(m.pres, m.term(0))})
+        planted = x if x.diffs else Complex(m.pres, m.terms, {0: AddMorphism.identity(m.pres, m.term(0))})
         ident = ChainMap.identity(planted)
         return planted, ChainIso(ident, ident)
 
@@ -435,6 +460,30 @@ ALPHA_MAP = {"f0": {"source": {"terms": {"0": ["b"]}, "diff": {}}, "target": ONE
                     "components": {"0": [{"row": 0, "col": 0, "label": "alpha", "coeff": "1"}]}}}
 ID_MAP = {"f0": {"source": ONE_A, "target": ONE_A,
                  "components": {"0": [{"row": 0, "col": 0, "label": "1@a", "coeff": "1"}]}}}
+
+
+def test_infext_les_builds_each_covariant_hom_space_once(tmp_path, monkeypatch):
+    """On the alpha map and a in degree 0, the window -3..3 has 21 covariant
+    nodes, each of two Hom spaces, and 21 contravariant ones.  A covariant
+    node's infinitesimal part is the genuine part of the node before it, so
+    the covariant spaces are 7 + 1 per vertex of the triangle, 24, and
+    with the 42 contravariant ones that is 66 builds."""
+    from koszulkit.complexes import HomSpace
+
+    builds, init = [], HomSpace.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    files = []
+    for k, doc in enumerate((ALPHA_MAP, ONE_A)):
+        files.append(tmp_path / f"{k}.json")
+        files[-1].write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(HomSpace, "__init__", counting)
+    code, report = run_json("infext", "les", "FIX_A2", *map(str, files))
+    assert code == 0 and report["payload"]["ok"] and report["payload"]["nodes"] == 42
+    assert len(builds) == 66
 
 
 @pytest.mark.parametrize("sub,docs,a2_payload", [

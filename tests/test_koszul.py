@@ -10,6 +10,7 @@ from koszulkit.complexes import (
     HomClass,
     HomSpace,
     cone,
+    direct_sum,
     hom_space,
     minimal_model,
     supports_meet,
@@ -30,7 +31,7 @@ from koszulkit.koszul import (
     roundtrip_check,
 )
 from koszulkit.linalg import Matrix
-from koszulkit.orlov import AddMorphism, OrlovPresentation, obj, validate_presentation
+from koszulkit.orlov import AddMorphism, OrlovPresentation, obj, spans, validate_presentation
 from koszulkit.tstructure import (
     heart_object,
     mixed_vanishing_report,
@@ -556,6 +557,60 @@ def test_injective_detect_reports_exhausted_bound(a2, monkeypatch):
     assert rep["incomplete_seeds"] == ["a"]
     with pytest.raises(KoszulError, match=r"^injective search incomplete for \['a'\]$"):
         koszul_dual(a2, WINDOW)
+
+
+def universal_extension_by_direct_sums(pres, j_cx, ext_reps):
+    """The universal extension with the sum of the sources folded through
+    ``direct_sum``, which lays out a complex and four chain maps per class."""
+    u_cx = Complex.zero(pres)
+    for _, rep in ext_reps:
+        u_cx, *_ = direct_sum(u_cx, rep.source)
+    terms = {k: u_cx.term(k).concat(j_cx.term(k)) for k in set(u_cx.terms) | set(j_cx.terms)}
+    diffs = {}
+    for k in sorted(terms):
+        if k + 1 not in terms:
+            continue
+        jrows = spans(u_cx.term(k + 1), j_cx.term(k + 1))[1]
+        pieces = [(jrows, spans(u_cx.term(k), j_cx.term(k))[1], j_cx.d(k))]
+        offset = 0
+        for _, rep in ext_reps:
+            width = len(rep.source.term(k))
+            pieces.append((jrows, range(offset, offset + width), rep.component(k)))
+            offset += width
+        diffs[k] = AddMorphism.assemble(pres, terms[k], terms[k + 1], pieces)
+    return Complex(pres, terms, diffs)
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A6/F0", "A5-killed/F10007", "quiver0/F0",
+                                  "quiver3/F10007"])
+def test_universal_extension_lays_out_the_sum_without_direct_sums(name, monkeypatch):
+    """Each extension of the injective search is the one the folded sum
+    gave, term order and entry types included, and no ``direct_sum`` runs."""
+    from koszulkit import complexes
+    from test_complexes import typed_complex
+
+    pres = presentation(name)
+    sums, original, real_sum = [], koszul._universal_extension, complexes.direct_sum
+    compared = [0]
+
+    def counting_sum(x, y):
+        sums.append((x, y))
+        return real_sum(x, y)
+
+    def compared_extension(pres_, j_cx, ext_reps):
+        got = original(pres_, j_cx, ext_reps)
+        want = universal_extension_by_direct_sums(pres_, j_cx, ext_reps)
+        assert typed_complex(got) == typed_complex(want)
+        compared[0] += 1
+        return got
+
+    monkeypatch.setattr(complexes, "direct_sum", counting_sum)
+    monkeypatch.setattr(koszul, "direct_sum", counting_sum, raising=False)
+    injective_detect(pres)
+    assert sums == []
+    monkeypatch.setattr(koszul, "_universal_extension", compared_extension)
+    injective_detect(pres)
+    assert compared[0]
 
 
 # layered quivers with one to two vertices in each degree 0..top

@@ -80,12 +80,13 @@ README_TRIANGLES = "the README lists it as a capability: rotation and shift of t
 README_WEIGHTS = "the README lists it as a capability: weight filtrations"
 README_HEART = ("the README lists it as a capability: the finite-length heart, whose excision "
                 "of a simple is cone_through_simple")
+ZERO_COMPLEX = "randgen.rand_heart_complex returns it when no weight is left, and tests build it"
 
 # Names that no engine or benchmark code uses, with the reason each stays;
 # a name that loses its last caller must be deleted or listed here.
 UNCALLED_ENGINE_NAMES = {
     **dict.fromkeys(("q_functor", "q_ses_triangle", "heart_simples", "is_pure",
-                     "is_semisimple_normal_form", "rand_chain_map"), ACCEPTANCE),
+                     "is_semisimple_normal_form", "rand_chain_map", "aisle_membership"), ACCEPTANCE),
     "weight_subobjects": README_WEIGHTS,
     "cone_through_simple": README_HEART,
     "div": ORACLES,
@@ -142,7 +143,7 @@ KEPT_UNREACHED = {
     **dict.fromkeys(("complexes.HomSpace.cycle", "functors.NatTrans.inverse",
                      "koszul.q_functor", "koszul.q_ses_triangle",
                      "randgen.rand_chain_map", "tstructure.HeartObject.weights",
-                     "tstructure.heart_simples", "tstructure.is_pure",
+                     "tstructure.aisle_membership", "tstructure.heart_simples", "tstructure.is_pure",
                      "tstructure.is_semisimple_normal_form"), ACCEPTANCE),
     **dict.fromkeys(("complexes.shift", "complexes.support", "orlov.compose",
                      "orlov.hom_basis"), PUBLIC),
@@ -150,6 +151,7 @@ KEPT_UNREACHED = {
     **dict.fromkeys(("complexes.Triangle.rotate", "complexes.Triangle.shift"), README_TRIANGLES),
     "tstructure.weight_subobjects": README_WEIGHTS,
     "tstructure.cone_through_simple": README_HEART,
+    "complexes.Complex.zero": ZERO_COMPLEX,
 }
 
 
