@@ -239,24 +239,34 @@ def cmd_minimize(pres, args, window, seed):
     return payload, payload["iso_verified"]
 
 
+def certified_filtration(m, level) -> tuple:
+    """(strips, steps certified, step issues) of ``tstructure.filtration(m,
+    level)``.  A step that raises is an issue like one that fails to verify:
+    the input was valid, so either fails the report's check."""
+    from .complexes import TriangleError
+    from .tstructure import filtration
+
+    try:
+        strips, steps = filtration(m, level)
+    except TriangleError as exc:
+        return {}, 0, [str(exc)]
+    verdicts = {n: step.verify() for n, step in zip(strips, steps)}
+    issues = [f"step {n}: {issue}" for n, found in verdicts.items() for issue in found]
+    return strips, sum(not found for found in verdicts.values()), issues
+
+
 def truncate_report(x) -> tuple:
     """(payload, ok) of ``truncate``, which ``selftest`` reads too.  The K_0
     check: sum_n (-1)^n mult_s(H^n) = sum_i (-1)^(i + deg s) #(s in x^i) for
-    every s, read off x's own terms.  A step that raises fails its check, as
-    the input was a valid complex.  x is minimized once: the rest reads the
-    minimal model ``truncate`` split and its two parts, all minimal."""
-    from .complexes import TriangleError
-    from .tstructure import composition_factors, in_lower, in_upper, t_cohomology, truncate
+    every s, read off x's own terms.  x is minimized once: the t-cohomology
+    filters the minimal model ``truncate`` split, and the aisle flags read
+    its two parts, all minimal."""
+    from .tstructure import HeartObject, composition_factors, diagonal, in_lower, in_upper, truncate
 
     tr = truncate(x)
     issues = tr.triangle.verify()
-    step_issues = []
-    try:
-        objects, steps = t_cohomology(tr.model)
-    except TriangleError as exc:
-        objects, steps, step_issues = {}, [], [str(exc)]
-    verdicts = {n: step.verify() for n, step in zip(objects, steps)}
-    step_issues += [f"step {n}: {issue}" for n, found in verdicts.items() for issue in found]
+    strips, certified, step_issues = certified_filtration(tr.model, diagonal(x.pres))
+    objects = {n: HeartObject(z.shift(n)) for n, z in strips.items()}
     k0 = {s: -sum((-1) ** (i + x.pres.degree[s]) * t.summands.count(s) for i, t in x.terms.items())
           for s in x.pres.ids}
     for n, h in objects.items():
@@ -270,7 +280,7 @@ def truncate_report(x) -> tuple:
         "triangle_certified": not issues,
         "issues": issues,
         "t_cohomology": {str(n): encode_complex(h.normal_form) for n, h in objects.items()},
-        "steps_certified": sum(not found for found in verdicts.values()),
+        "steps_certified": certified,
         "step_issues": step_issues,
         "k0_ok": not any(k0.values()),
     }
@@ -292,18 +302,29 @@ def cmd_heart(pres, args, window, seed):
 
 
 def cmd_weights(pres, args, window, seed):
-    from .tstructure import composition_factors, heart_object, weight_filtration
+    """The weight filtration, certified step by step, with pure and
+    semisimple graded pieces."""
+    from .tstructure import (
+        HeartObject,
+        composition_factors,
+        heart_object,
+        is_pure,
+        is_semisimple_normal_form,
+        weight,
+    )
 
-    x = decode_complex(pres, load_json(args.complex))
-    h = heart_object(x)
-    wf = weight_filtration(h)
+    h = heart_object(decode_complex(pres, load_json(args.complex)))
+    strips, certified, step_issues = certified_filtration(h.normal_form, weight)
     payload = {
-        "weights": {str(k): list(piece.normal_form.term(-k).summands)
-                    for k, piece in sorted(wf.items())},
+        "weights": {str(k): list(z.term(-k).summands) for k, z in sorted(strips.items())},
         "composition_factors": dict(sorted(composition_factors(h).items())),
         "normal_form": encode_complex(h.normal_form),
+        "steps_certified": certified,
+        "step_issues": step_issues,
+        "pure_semisimple": all(is_pure(gr) and is_semisimple_normal_form(gr)
+                               for gr in map(HeartObject, strips.values())),
     }
-    return payload, True
+    return payload, not step_issues and payload["pure_semisimple"]
 
 
 def cmd_mixed_check(pres, args, window, seed):

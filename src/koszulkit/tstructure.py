@@ -7,14 +7,15 @@ complex no differential block crosses a cut i + j <= n from below (a block
 (i, s) -> (i + 1, t) that does has deg t >= deg s, where Hom(s, t) = 0
 unless s = t, so it is a unit block, which minimality excludes), so for
 every n the points i + j <= n span a subcomplex tau_{<= n} M of the minimal
-model M.  These filter M: the cut n = 0 yields the truncation triangle as a
-termwise-split triangle, and the strip of M on i + j = n, shifted by n, is
-the t-cohomology object H^n.
+model M.  These filter M (``filtration`` by the level i + deg s): the cut
+n = 0 yields the truncation triangle as a termwise-split triangle, and the
+strip of M on i + j = n, shifted by n, is the t-cohomology object H^n.
 
 The heart is a split finite-length abelian category; its simple objects
-are the indecomposables placed in homological degree minus their degree,
-and the weight filtration of a heart object is read off its antidiagonal
-normal form term by term.
+are the indecomposables placed in homological degree minus their degree.
+The weight filtration of a heart object is the same ``filtration`` of its
+antidiagonal normal form, by the weight -i: d raises i, so it lowers the
+weight, and the weights <= k span a subcomplex W_{<= k}.
 """
 
 from __future__ import annotations
@@ -22,17 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .complexes import (
-    ChainMap,
-    Complex,
-    HomClass,
-    Triangle,
-    conjugate,
-    is_null_homotopic,
-    minimal_model,
-)
+from .complexes import Complex, Triangle, minimal_model
 from .linalg import KoszulkitError
-from .orlov import AddMorphism, AddObject, invert, unit_index
+from .orlov import AddObject
 
 
 class TStructureError(KoszulkitError):
@@ -79,20 +72,45 @@ class Truncation:
     model: Complex        # the minimal model of X that lower and upper split
 
 
-def _split_at(m: Complex, n: int):
-    """The positions of each term of m at the points i + j <= n, and the rest."""
-    deg = m.pres.degree
-    return ({i: tuple(p for p, s in enumerate(t) if i + deg[s] <= n) for i, t in m.terms.items()},
-            {i: tuple(p for p, s in enumerate(t) if i + deg[s] > n) for i, t in m.terms.items()})
+def diagonal(pres):
+    """The level i + deg s of a summand s in degree i, at which the t-structure cuts."""
+    deg = pres.degree
+    return lambda i, s: i + deg[s]
+
+
+def weight(i, s) -> int:
+    """The weight -i of a summand s in degree i of a heart normal form."""
+    return -i
+
+
+def _split_at(m: Complex, level, n: int):
+    """The positions of each term of m at levels <= n, and the rest."""
+    return ({i: tuple(p for p, s in enumerate(t) if level(i, s) <= n) for i, t in m.terms.items()},
+            {i: tuple(p for p, s in enumerate(t) if level(i, s) > n) for i, t in m.terms.items()})
 
 
 def truncate(x: Complex) -> Truncation:
     """Split off the lower-aisle part of the minimal model M of x, which the
     result keeps; lower and upper are selections of M, so minimal too."""
     m, iso = minimal_model(x)
-    base = Triangle.from_termwise_split(m, *_split_at(m, 0))
+    base = Triangle.from_termwise_split(m, *_split_at(m, diagonal(m.pres), 0))
     tri = Triangle.transport(base, None, iso.inverse(), None)
     return Truncation(base.X, base.Z, tri, m)
+
+
+def filtration(m: Complex, level):
+    """({n: strip_n}, steps): m filtered by ``level(i, s)``, the level of the
+    summand s in degree i, cut from the top.  The step at n is the
+    termwise-split triangle F_{<= n-1} -> F_{<= n} -> strip_n, where F_{<= n}
+    is m on the levels <= n and strip_n is m on level n; it raises
+    ``TriangleError`` when a block of d leaves F_{<= n-1}."""
+    strips, steps = {}, []
+    for n in sorted({level(i, s) for i, t in m.terms.items() for s in t}, reverse=True):
+        step = Triangle.from_termwise_split(m, *_split_at(m, level, n - 1))
+        strips[n] = step.Z
+        steps.append(step)
+        m = step.X
+    return strips, steps
 
 
 # ------------------------------------------------------------ heart objects
@@ -103,10 +121,6 @@ class HeartObject:
     """An object of the heart in antidiagonal minimal normal form."""
 
     normal_form: Complex
-
-    @property
-    def pres(self):
-        return self.normal_form.pres
 
     def weights(self):
         return sorted({-i for i in self.normal_form.terms})
@@ -151,39 +165,17 @@ def simple_ext_cells(pres, window=(-inf, inf)) -> list:
 
 
 def t_cohomology(x: Complex):
-    """({n: H^n(x)} for every nonzero H^n, steps), from one minimal model M:
-    cutting from the top, the step at n is the termwise-split triangle
-    tau_{<= n-1} M -> tau_{<= n} M -> strip_n, and H^n is strip_n shifted by n."""
+    """({n: H^n(x)} for every nonzero H^n, steps): the filtration of the
+    minimal model M of x by i + deg s, whose strip_n shifted by n is H^n."""
     m, _ = minimal_model(x)
-    objects, steps = {}, []
-    for n in sorted({i + j for i, j in m.support()}, reverse=True):
-        step = Triangle.from_termwise_split(m, *_split_at(m, n - 1))
-        objects[n] = HeartObject(step.Z.shift(n))
-        steps.append(step)
-        m = step.X
-    return objects, steps
+    strips, steps = filtration(m, diagonal(m.pres))
+    return {n: HeartObject(z.shift(n)) for n, z in strips.items()}, steps
 
 
 def weight_filtration(m: HeartObject) -> dict:
-    """Graded pieces k -> semisimple HeartObject, read off the normal form."""
-    out = {}
-    for i, t in m.normal_form.terms.items():
-        out[-i] = HeartObject(Complex.single(m.pres, t, i))
-    return out
-
-
-def weight_subobjects(m: HeartObject) -> dict:
-    """The filtration itself: k -> (subcomplex with weights <= k, inclusion)."""
-    nf = m.normal_form
-    out = {}
-    for k in m.weights():
-        terms = {i: t for i, t in nf.terms.items() if -i <= k}
-        diffs = {i: d for i, d in nf.diffs.items() if i in terms and i + 1 in terms}
-        sub = Complex(nf.pres, terms, diffs, check=False)
-        inc = ChainMap(sub, nf, {i: AddMorphism.identity(nf.pres, t)
-                                 for i, t in sub.terms.items()}, check=False)
-        out[k] = (sub, inc)
-    return out
+    """Graded pieces k -> semisimple HeartObject: the strips of the
+    normal form's filtration by weight."""
+    return {k: HeartObject(z) for k, z in filtration(m.normal_form, weight)[0].items()}
 
 
 def composition_factors(m: HeartObject) -> dict:
@@ -201,74 +193,6 @@ def is_pure(m: HeartObject) -> bool:
 
 def is_semisimple_normal_form(m: HeartObject) -> bool:
     return not m.normal_form.diffs
-
-
-# ------------------------------------------------- cone through a simple
-
-
-@dataclass
-class SimpleConeResult:
-    quotient: Complex
-    triangle: Triangle
-
-
-def cone_through_simple(f: HomClass) -> SimpleConeResult:
-    """Excise a simple mapping nonzero into an upper-aisle object.
-
-    f must be a nonzero class S[deg S] -> X with X in the upper aisle; the
-    recipe conjugates the minimal model of X by an automorphism of its
-    degree -deg S term (``complexes.conjugate``) that makes the image of
-    the generator a direct summand, and splits it off.
-    """
-    src = f.source
-    pres = src.pres
-    if len(src.terms) != 1:
-        raise TStructureError("source is not a shifted indecomposable")
-    (slot, term), = src.terms.items()
-    if len(term) != 1:
-        raise TStructureError("source is not indecomposable")
-    s = term[0]
-    p = pres.degree[s]
-    if slot != -p:
-        raise TStructureError("source is not placed in degree -deg S")
-
-    mx, iso = minimal_model(f.target)
-    if not all(in_upper(q) for q in mx.support()):
-        raise TStructureError("target is not in the upper aisle")
-    fr = iso.fwd.compose(f.rep)
-    if fr.is_zero() or is_null_homotopic(fr) is not None:
-        raise TStructureError("morphism class is zero")
-
-    comp = fr.component(slot)
-    tgt = mx.term(slot)
-    unit = unit_index(pres, s)
-    lam = []
-    for pos, t in enumerate(tgt):
-        blk = comp.blocks[pos][0]
-        if blk is not None and t != s:
-            raise TStructureError("component hits a forbidden summand")
-        if blk is not None and blk[unit]:
-            lam.append(pos)
-    if not lam:
-        raise TStructureError("morphism class is zero on the isotypic part")
-    pivot = lam[-1]
-
-    # automorphism U of the slot term with U o component = pivot inclusion:
-    # U = P^{-1} where P is the identity with the pivot column replaced by
-    # the component vector (its blocks are scalars, as End(s) is)
-    n = range(len(tgt))
-    p_mat = AddMorphism.assemble(pres, tgt, tgt, [
-        (n, n, AddMorphism.identity(pres, tgt)), (lam, [pivot], comp.restrict_blocks(lam, [0]))])
-    conj, conj_iso = conjugate(mx, {slot: (invert(p_mat), p_mat)})
-
-    sel_sub = {i: ((pivot,) if i == slot else ()) for i in conj.terms}
-    sel_quot = {i: tuple(q for q in range(len(conj.term(i))) if i != slot or q != pivot)
-                for i in conj.terms}
-    base = Triangle.from_termwise_split(conj, sel_sub, sel_quot)
-
-    # conj -> mx -> X, one transport per iso
-    mid = Triangle.transport(base, None, conj_iso.inverse(), None)
-    return SimpleConeResult(base.Z, Triangle.transport(mid, None, iso.inverse(), None))
 
 
 # -------------------------------------------------------- vanishing report

@@ -6,15 +6,19 @@ Three functions carried a complex along termwise isomorphisms, each
 building the new terms, the differentials (u_{i+1} o d^i) o u_i^-1 and both
 chain maps itself: :func:`conjugate_complex` (random automorphisms of every
 term), :func:`q_ses_triangle` (the split isos A^k + B^k -> E^k, inverted)
-and :func:`cone_through_simple` (one automorphism of the slot term).
+and :func:`cone_through_simple` (one automorphism of the slot term).  The
+last, the excision of a simple from an upper-aisle object, has left the
+engine, as no command ran it; its tests run this copy.
 Three solved for a one-sided unit with their own ``Coords.matrix(...).solve``:
 :func:`invert` (m o g = 1), :func:`split_idempotent` (g o i = 1) and the
 sections of :func:`q_ses_triangle` (p o s = 1).  The functions are kept
 verbatim; each calls the other references where the engine called its
-own, so that the six are compared with the engine as a whole.
+own, so that each is compared with the engine as a whole.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from koszulkit.complexes import (
     ChainIso,
@@ -36,7 +40,13 @@ from koszulkit.orlov import (
     unit_index,
 )
 from koszulkit.randgen import rand_automorphism
-from koszulkit.tstructure import SimpleConeResult, TStructureError, in_upper
+from koszulkit.tstructure import TStructureError, in_upper
+
+
+@dataclass
+class SimpleConeResult:
+    quotient: Complex
+    triangle: Triangle
 
 
 def invert(m: AddMorphism):

@@ -305,9 +305,9 @@ def test_truncate_reports_t_cohomology_and_certified_steps(tmp_path):
 @pytest.mark.parametrize("doc", [A_C_B, {"terms": {"0": ["b"], "1": ["b"]}, "diff": {
     "0": [{"row": 0, "col": 0, "label": "1@b", "coeff": "1"}]}}], ids=["a-c-b", "contractible"])
 def test_truncate_minimizes_its_input_once(doc, monkeypatch):
-    """``truncate_report`` runs ``minimal_model`` on x once, and once more on
-    the model ``truncate`` split, which cancels nothing there; the aisle
-    flags are read off supports, with no minimal model."""
+    """``truncate_report`` runs ``minimal_model`` on x once: the t-cohomology
+    filters the model ``truncate`` split, and the aisle flags are read off
+    supports, with no minimal model."""
     from koszulkit import tstructure
     from koszulkit.fixtures import load_fixture
 
@@ -321,8 +321,7 @@ def test_truncate_minimizes_its_input_once(doc, monkeypatch):
     x = cli.decode_complex(load_fixture("FIX_A3"), doc)
     _, ok = cli.truncate_report(x)
     assert ok
-    assert len(calls) == 2 and calls[0] is x
-    assert real(calls[1])[0] == calls[1]
+    assert len(calls) == 1 and calls[0] is x
 
 
 def test_truncate_exits_one_on_a_strip_with_a_summand_dropped(tmp_path, monkeypatch):
@@ -331,16 +330,16 @@ def test_truncate_exits_one_on_a_strip_with_a_summand_dropped(tmp_path, monkeypa
     from koszulkit import tstructure
     from koszulkit.complexes import Complex
 
-    real = tstructure.t_cohomology
+    real = tstructure.filtration
 
-    def dropped(x):
-        objects, steps = real(x)
-        nf = objects[2].normal_form
-        assert not nf.diffs
-        terms = {**nf.terms, -2: nf.terms[-2].select(())}
-        return {**objects, 2: tstructure.HeartObject(Complex(nf.pres, terms, {}))}, steps
+    def dropped(m, level):
+        strips, steps = real(m, level)
+        z = strips[2]
+        assert not z.diffs
+        terms = {**z.terms, 0: z.terms[0].select(())}
+        return {**strips, 2: Complex(z.pres, terms, {})}, steps
 
-    monkeypatch.setattr(tstructure, "t_cohomology", dropped)
+    monkeypatch.setattr(tstructure, "filtration", dropped)
     cx = tmp_path / "cx.json"
     cx.write_text(json.dumps(A_C_B), encoding="utf-8")
     code, report = run_json("truncate", "FIX_A3", str(cx))
@@ -354,9 +353,7 @@ def test_truncate_exits_one_on_a_strip_with_a_summand_dropped(tmp_path, monkeypa
 def test_truncate_exits_one_when_a_block_crosses_a_cut(tmp_path, monkeypatch):
     """b in degrees 0 and 1 sits at the points 1 and 2.  A stand-in minimal
     model joins them by the identity of b, a unit block across the cut at 2,
-    so that step cannot split: it raises, and the report says so, exit 1.
-    The t-cohomology minimizes the model ``truncate`` split, so the stand-in
-    gives its planted model back as its own model."""
+    so that step cannot split: it raises, and the report says so, exit 1."""
     from koszulkit import tstructure
     from koszulkit.complexes import ChainIso, ChainMap, Complex
     from koszulkit.orlov import AddMorphism
@@ -367,7 +364,7 @@ def test_truncate_exits_one_when_a_block_crosses_a_cut(tmp_path, monkeypatch):
         m, iso = real(x)
         if x.terms.keys() != {0, 1}:
             return m, iso
-        planted = x if x.diffs else Complex(m.pres, m.terms, {0: AddMorphism.identity(m.pres, m.term(0))})
+        planted = Complex(m.pres, m.terms, {0: AddMorphism.identity(m.pres, m.term(0))})
         ident = ChainMap.identity(planted)
         return planted, ChainIso(ident, ident)
 
@@ -382,16 +379,74 @@ def test_truncate_exits_one_when_a_block_crosses_a_cut(tmp_path, monkeypatch):
     assert payload["triangle_certified"] and payload["k0_ok"]
 
 
+B_ALPHA_A = {"terms": {"-1": ["b"], "0": ["a"]},
+             "diff": {"-1": [{"row": 0, "col": 0, "label": "alpha", "coeff": "1"}]}}
+
+
 def test_weights_command(tmp_path):
     cx = tmp_path / "cx.json"
-    cx.write_text(json.dumps({
-        "terms": {"-1": ["b"], "0": ["a"]},
-        "diff": {"-1": [{"row": 0, "col": 0, "label": "alpha", "coeff": "1"}]},
-    }), encoding="utf-8")
+    cx.write_text(json.dumps(B_ALPHA_A), encoding="utf-8")
     code, report = run_json("weights", "FIX_A2", str(cx))
     assert code == 0
     assert report["payload"]["weights"] == {"0": ["a"], "1": ["b"]}
     assert report["payload"]["composition_factors"] == {"a": 1, "b": 1}
+    assert report["payload"]["steps_certified"] == 2 and report["payload"]["step_issues"] == []
+    assert report["payload"]["pure_semisimple"] is True
+
+
+def test_weights_of_the_zero_heart_object(tmp_path):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({"terms": {}}), encoding="utf-8")
+    code, report = run_json("weights", "FIX_A3", str(cx))
+    assert code == 0
+    payload = report["payload"]
+    assert (payload["weights"], payload["steps_certified"], payload["step_issues"]) == ({}, 0, [])
+    assert payload["pure_semisimple"] is True
+
+
+@pytest.mark.parametrize("level,certified,issues,pure", [
+    # weights 0 and 1 on one level: one strip, the whole extension, neither pure nor semisimple
+    (lambda i, s: min(-i, 0), 1, [], False),
+    # the level i puts b below a, and d leaves the lower part: the step raises
+    (lambda i, s: i, 0, ["differential maps the subcomplex outside itself at -1"], True),
+], ids=["two-weights-in-one-strip", "step-raises"])
+def test_weights_exits_one_on_a_planted_level(tmp_path, monkeypatch, level, certified, issues,
+                                              pure):
+    from koszulkit import tstructure
+
+    monkeypatch.setattr(tstructure, "weight", level)
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(B_ALPHA_A), encoding="utf-8")
+    code, report = run_json("weights", "FIX_A2", str(cx))
+    assert code == 1
+    payload = report["payload"]
+    assert (payload["steps_certified"], payload["step_issues"]) == (certified, issues)
+    assert payload["pure_semisimple"] is pure
+
+
+def test_weights_exits_one_on_a_step_with_a_doubled_projection_component(tmp_path, monkeypatch):
+    """The first step's projection W_{<= 1} -> gr_1 with its component
+    doubled no longer verifies; the second step still does."""
+    from koszulkit import tstructure
+    from koszulkit.complexes import ChainMap, Triangle
+
+    real = tstructure.filtration
+
+    def doubled_projection(m, level):
+        strips, steps = real(m, level)
+        s = steps[0]
+        (i, comp), = s.g.comps.items()
+        g = ChainMap(s.g.source, s.g.target, {i: comp.scale(2)})
+        return strips, [Triangle(s.X, s.Y, s.Z, s.f, g, s.h, s.witness), *steps[1:]]
+
+    monkeypatch.setattr(tstructure, "filtration", doubled_projection)
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(B_ALPHA_A), encoding="utf-8")
+    code, report = run_json("weights", "FIX_A2", str(cx))
+    assert code == 1
+    payload = report["payload"]
+    assert payload["steps_certified"] == 1 and payload["pure_semisimple"] is True
+    assert payload["step_issues"] == ["step 1: transport witness: square 1 not exact"]
 
 
 def test_cone_and_minimize_commands(tmp_path):

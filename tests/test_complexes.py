@@ -45,13 +45,7 @@ from koszulkit.randgen import (
     rand_heart_complex,
     rng_for,
 )
-from koszulkit.tstructure import (
-    HeartObject,
-    heart_object,
-    simple_ext_cells,
-    truncate,
-    weight_subobjects,
-)
+from koszulkit.tstructure import HeartObject, heart_object, simple_ext_cells, truncate
 from oracle_ext import kb_ext_spaces
 from oracle_hom import brute_force_hom_dim
 from presentations import (
@@ -67,6 +61,7 @@ from homspace_reference import dense
 import probe_reference
 from probe_reference import top_extraction
 from test_orlov import cut_blocks, to_vector
+from weights_reference import weight_subobjects
 
 
 @pytest.fixture(scope="module")

@@ -77,18 +77,15 @@ ACCEPTANCE = "tests/test_acceptance.py imports or reaches it"
 PUBLIC = "it is in koszulkit.__all__"
 ORACLES = "tests/oracle_linalg.py or tests/oracle_hom.py calls it, and the oracles stay unchanged"
 README_TRIANGLES = "the README lists it as a capability: rotation and shift of triangles"
-README_WEIGHTS = "the README lists it as a capability: weight filtrations"
-README_HEART = ("the README lists it as a capability: the finite-length heart, whose excision "
-                "of a simple is cone_through_simple")
+README_T_COHOMOLOGY = ("the README lists it as a capability: t-cohomology of any complex; "
+                       "truncate reads the same filtration off the model it already minimized")
 ZERO_COMPLEX = "randgen.rand_heart_complex returns it when no weight is left, and tests build it"
 
 # Names that no engine or benchmark code uses, with the reason each stays;
 # a name that loses its last caller must be deleted or listed here.
 UNCALLED_ENGINE_NAMES = {
-    **dict.fromkeys(("q_functor", "q_ses_triangle", "heart_simples", "is_pure",
-                     "is_semisimple_normal_form", "rand_chain_map", "aisle_membership"), ACCEPTANCE),
-    "weight_subobjects": README_WEIGHTS,
-    "cone_through_simple": README_HEART,
+    **dict.fromkeys(("q_functor", "q_ses_triangle", "heart_simples", "rand_chain_map",
+                     "aisle_membership"), ACCEPTANCE),
     "div": ORACLES,
 }
 
@@ -142,15 +139,13 @@ ENGINE_DIR = ROOT / "src" / "koszulkit"
 KEPT_UNREACHED = {
     **dict.fromkeys(("complexes.HomSpace.cycle", "functors.NatTrans.inverse",
                      "koszul.q_functor", "koszul.q_ses_triangle",
-                     "randgen.rand_chain_map", "tstructure.HeartObject.weights",
-                     "tstructure.aisle_membership", "tstructure.heart_simples", "tstructure.is_pure",
-                     "tstructure.is_semisimple_normal_form"), ACCEPTANCE),
+                     "randgen.rand_chain_map", "tstructure.aisle_membership",
+                     "tstructure.heart_simples", "tstructure.weight_filtration"), ACCEPTANCE),
     **dict.fromkeys(("complexes.shift", "complexes.support", "orlov.compose",
                      "orlov.hom_basis"), PUBLIC),
     **dict.fromkeys(("linalg.Field.div", "linalg.Field.sub"), ORACLES),
     **dict.fromkeys(("complexes.Triangle.rotate", "complexes.Triangle.shift"), README_TRIANGLES),
-    "tstructure.weight_subobjects": README_WEIGHTS,
-    "tstructure.cone_through_simple": README_HEART,
+    "tstructure.t_cohomology": README_T_COHOMOLOGY,
     "complexes.Complex.zero": ZERO_COMPLEX,
 }
 

@@ -27,7 +27,7 @@ from koszulkit.tstructure import (
     TStructureError,
     aisle_membership,
     composition_factors,
-    cone_through_simple,
+    filtration,
     heart_object,
     heart_simples,
     is_pure,
@@ -36,12 +36,14 @@ from koszulkit.tstructure import (
     simple_object,
     t_cohomology,
     truncate,
+    weight,
     weight_filtration,
-    weight_subobjects,
 )
+from conjugation_reference import cone_through_simple
 from presentations import presentation
 from tcohomology_reference import t_cohomology_at, truncation_window
 from test_complexes import doubled, straddling_arrow
+from weights_reference import weight_subobjects
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +312,55 @@ def test_pure_objects_have_zero_differential(a3):
         assert is_pure(h) and is_semisimple_normal_form(h)
 
 
+def multi_weight_heart_objects(pres, rng, trials):
+    """Heart objects of re-presented draws with two or more weights: each
+    draw leaves out a random weight or starts at a random one, so the
+    weights need not be consecutive, and is redrawn until it has two."""
+    degs = sorted(set(pres.degree.values()))
+    out = []
+    while len(out) < trials:
+        h = heart_object(conjugate_complex(rand_heart_complex(
+            pres, rng, missing_weights=rng.sample(degs, rng.randint(0, len(degs) - 2)),
+            min_weight=rng.choice([None, *degs[:-1]])), rng)[0])
+        if len(h.weights()) >= 2:
+            out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5/F10007"])
+def test_weight_filtration_steps_verify_and_match_the_subobjects(name):
+    """The filtration by weight cuts the normal form once per weight, from
+    the top.  Every step verifies; strip k is weight_filtration's piece and
+    the normal form's term at -k, alone in degree -k; each step's middle
+    object is W_{<= k} of the reference, whose inclusion the step
+    inclusions compose to; and the last step's first object is 0."""
+    pres = presentation(name)
+    steps_seen = gaps = 0
+    for h in multi_weight_heart_objects(pres, rng_for(43, "weight steps", name), 15):
+        nf = h.normal_form
+        strips, steps = filtration(nf, weight)
+        pieces, subs = weight_filtration(h), weight_subobjects(h)
+        assert sorted(strips, reverse=True) == list(strips) == sorted(h.weights(), reverse=True)
+        assert len(steps) == len(strips)
+        inc = ChainMap.identity(nf)
+        for (k, strip), step in zip(strips.items(), steps):
+            assert step.verify() == []
+            assert strip == step.Z == pieces[k].normal_form == Complex.single(pres, nf.term(-k), -k)
+            assert step.Y == subs[k][0] and inc == subs[k][1]
+            inc = inc.compose(step.f)
+        assert steps[-1].X.is_zero
+        steps_seen += len(steps)
+        gaps += max(strips) - min(strips) >= len(strips)
+    assert steps_seen >= 30 and (gaps or name == "FIX_A2"), (steps_seen, gaps)
+
+
+def test_filtration_of_the_zero_complex_has_no_step(a2):
+    assert filtration(Complex.zero(a2), weight) == ({}, [])
+    assert weight_filtration(heart_object(Complex.zero(a2))) == {}
+
+
 # --------------------------------------------------- cone through a simple
+# the excision of a simple left the engine; these tests run its reference
 
 def test_cone_through_simple_identity(a2):
     s = simple_object(a2, "b")
