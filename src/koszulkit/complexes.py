@@ -25,6 +25,7 @@ own; a transport reads a None iso as the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import weakref
 
 from .linalg import Echelon, KoszulkitError, Matrix, RowMatrix
 from .orlov import (
@@ -57,17 +58,24 @@ class FillError(KoszulkitError):
 class Complex:
     """Bounded complex; ``terms[i]`` nonzero objects, ``diffs[i]`` nonzero d^i.
 
-    A complex is immutable after ``__init__``, so a shift can be shared:
-    ``_shifts`` is None until the first nonzero shift, then maps each n
-    built so far to X[n]."""
+    A complex is immutable after ``__init__``, so what is built from it can
+    be shared.  ``_shifts`` is None until the first nonzero shift, then maps
+    each n built so far to X[n].  ``_homs`` is None until the first
+    :class:`HomSpace` out of X, then maps id(Y) to (a weak reference to Y,
+    the :class:`HomComplex` of (X, Y)), so every k of Hom(X, Y[k]) reads one
+    Hom complex.  The weak reference is checked on every read: an id reused
+    by a new complex after Y was freed finds a dead reference and gets a
+    fresh Hom complex.  A Hom complex holds layouts and matrices, no
+    complex, so nothing X keeps refers back to X or Y, and X and its Hom
+    complexes are freed by reference counting, Hom(X, X) included."""
 
-    __slots__ = ("pres", "terms", "diffs", "_shifts")
+    __slots__ = ("pres", "terms", "diffs", "_shifts", "_homs", "__weakref__")
 
     def __init__(self, pres, terms, diffs, check=True):
         self.pres = pres
         self.terms = {i: t for i, t in terms.items() if not t.is_zero}
         self.diffs = {}
-        self._shifts = None
+        self._shifts = self._homs = None
         for i, d in diffs.items():
             if d is None or d.is_zero():
                 continue
@@ -309,24 +317,70 @@ class Homotopy:
 # -------------------------------------------------------------- hom spaces
 
 
+class HomComplex:
+    """The Hom complex Hom^*(X, Y) of one pair, built on first use and kept.
+
+    Hom^n = + Hom(X^i, Y^{i+n}) has the layout ``layout(x, y, n)``, keyed
+    by i, and d^n: Hom^n -> Hom^{n+1} is f -> (-1)^n d_Y f - f d_X, the
+    chain condition of Hom(X, Y[n]), since Y[n] has the differential
+    (-1)^n d_Y.  ``d(x, y, n)`` is its whole matrix, in the row form of
+    ``Coords.matrix``.  Hom_K(X, Y[k]) is H^k of this complex, so every k
+    reads the same layouts and differentials: k -1..1 need the five layouts
+    Hom^-2..Hom^2 and the four d^-2..d^1.  It keeps no complex; the caller
+    passes the x and y it hangs off (see :class:`Complex`).
+    """
+
+    __slots__ = ("layouts", "diffs")
+
+    def __init__(self):
+        self.layouts, self.diffs = {}, {}
+
+    def layout(self, x: Complex, y: Complex, n: int) -> Coords:
+        if n not in self.layouts:
+            yt = y.terms
+            self.layouts[n] = Coords(x.pres, {i: (t, yt[i + n]) for i, t in x.terms.items()
+                                              if i + n in yt})
+        return self.layouts[n]
+
+    def d(self, x: Complex, y: Complex, n: int) -> RowMatrix:
+        if n not in self.diffs:
+            self.diffs[n] = self.layout(x, y, n).matrix(self.layout(x, y, n + 1), [
+                (0, -1 if n % 2 else 1, "left", lambda i: y.d(i + n)),
+                (-1, -1, "right", lambda i: x.d(i - 1))])
+        return self.diffs[n]
+
+
+def hom_complex(x: Complex, y: Complex) -> HomComplex:
+    """The Hom complex of (x, y) that x keeps, built empty on the first read."""
+    if x._homs is None:
+        x._homs = {}
+    kept = x._homs.get(id(y))
+    if kept is None or kept[0]() is not y:
+        kept = x._homs[id(y)] = (weakref.ref(y), HomComplex())
+    return kept[1]
+
+
 class HomSpace:
     """Hom_{K^b}(X, Y[k]) presented by explicit linear algebra.
 
     ``dimension`` is dim(chain maps) - dim(null-homotopic chain maps);
     ``basis`` carries chain-map representatives of a basis of the quotient.
 
-    Two eliminations build it.  The first is of the chain condition D1,
-    whose echelon form R has free columns F; its kernel, the chain maps, has
-    the basis K of ``kernel_vector`` columns of R, the identity on F.  So a
-    chain map v is fixed by v[F], since the entry at the pivot column p_r
-    of R is -sum_j R[r][j] v[j], and v = K v[F].  Every column of the
-    null-homotopy matrix delta is a chain map, so [delta | K] = K [delta_F |
-    I] with K injective: the second elimination is of [delta_F | I], one row
-    per chain map coordinate (``nullity`` rows, not ``total``), and it has
-    the pivots [delta | K] would have.  Pivots before delta's width count
-    its rank; those past it pick ``basis``.  Only the rows F of delta are
-    built, already in the elimination's row form (``Coords.matrix``), and
-    each gets its unit entry of I there.
+    Everything is read off the :class:`HomComplex` of (X, Y): the chain
+    maps have the layout ``maps`` of Hom^k, the homotopies ``homotopies``
+    of Hom^(k-1), and the chain condition D1 is d^k.  Two eliminations build
+    it.  The first is of D1, whose echelon form R has free columns F; its
+    kernel, the chain maps, has the basis K of ``kernel_vector`` columns of
+    R, the identity on F.  So a chain map v is fixed by v[F], since the
+    entry at the pivot column p_r of R is -sum_j R[r][j] v[j], and v = K
+    v[F].  Every column of the null-homotopy matrix delta, h -> d_{Y[k]} h +
+    h d_X, is a chain map, so [delta | K] = K [delta_F | I] with K
+    injective: the second elimination is of [delta_F | I], one row per chain
+    map coordinate (``nullity`` rows, not ``total``), and it has the pivots
+    [delta | K] would have.  Pivots before delta's width count its rank;
+    those past it pick ``basis``.  As d_{Y[k]} = -d_{Y[k-1]}, delta is
+    -d^(k-1) entry for entry, so delta_F is the rows F of d^(k-1), negated
+    (v -> p - v over F_p), and each row gets its unit entry of I there.
 
     [delta_F | I] has full row rank, so its echelon form is [E delta_F | E]
     with E invertible: E is read off the I block, and E b is the
@@ -342,26 +396,17 @@ class HomSpace:
         self.x = x
         self.y = y
         self.k = k
-        self.ys = ys = y.shift(k)
-        pres = x.pres
-        fld = pres.field
-
-        # chain maps X^i -> Y[k]^i, homotopies X^i -> Y[k]^{i-1} and
-        # chain-condition rows X^i -> Y[k]^{i+1}
-        xt, yt = x.terms.items(), ys.terms
-        self.maps = Coords(pres, {i: (t, yt[i]) for i, t in xt if i in yt})
-        self.homotopies = Coords(pres, {i: (t, yt[i - 1]) for i, t in xt if i - 1 in yt})
-        chain_rows = Coords(pres, {i: (t, yt[i + 1]) for i, t in xt if i + 1 in yt})
+        self.ys = y.shift(k)
+        fld = x.pres.field
+        hc = hom_complex(x, y)
+        self.maps, self.homotopies = hc.layout(x, y, k), hc.layout(x, y, k - 1)
         self.total, self.h_total = self.maps.total, self.homotopies.total
         h, free, delta_f = self.h_total, [], []
         if self.total:
-            self._chains = self.maps.matrix(chain_rows, [
-                (0, 1, "left", ys.d),
-                (-1, -1, "right", lambda i: x.d(i - 1))]).rref()
+            self._chains = hc.d(x, y, k).rref()
             free = self._chains.free_columns()
-            delta_f = self.homotopies.matrix(self.maps, [
-                (0, 1, "left", lambda i: ys.d(i - 1)),
-                (-1, 1, "right", lambda i: x.d(i - 1))], free).krows
+            previous, neg = hc.d(x, y, k - 1).krows, fld.neg
+            delta_f = [({j: neg(v) for j, v in previous[r][0].items()}, previous[r][1]) for r in free]
         else:                   # no chain-map unknowns: the space is 0
             self._chains = Echelon(fld, 0, 0, (), [])
         self._free = free

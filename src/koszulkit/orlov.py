@@ -792,7 +792,7 @@ class Coords:
                 self.pres, x, y, tuple(zip(*[iter(cut)] * len(x))))    # rows of len(x) blocks
         return out
 
-    def matrix(self, rows: "Coords", terms, keep=None) -> RowMatrix:
+    def matrix(self, rows: "Coords", terms) -> RowMatrix:
         """Matrix of a linear map from these coordinates to ``rows``.
 
         Each ``(step, sign, side, fixed)`` of ``terms`` sends the morphism b
@@ -800,8 +800,9 @@ class Coords:
         ``sign * b o fixed(i)`` (side ``"right"``) at row degree i + step, and
         calls ``fixed`` only when that row degree has a slice.  The steps of
         ``terms`` are distinct.  Entries are summed block by block from the
-        structure-constant tables.  ``keep`` lists the rows to build, in
-        order; by default all of them.
+        structure-constant tables.  Every row is built: a caller that needs
+        some rows reads them off the whole matrix, which costs the same walk
+        over the blocks.
 
         The rows come out in the form :meth:`Matrix.rref` works on, and no
         ``Fraction`` is summed: a block of ``fixed(i)`` in use is cleared by
@@ -812,10 +813,7 @@ class Coords:
         pres = self.pres
         p = pres.characteristic
         int_table = pres.int_table
-        keep = range(rows.total) if keep is None else keep
-        data = [None] * rows.total
-        for r in keep:
-            data[r] = {}
+        data = [{} for _ in range(rows.total)]
         work = [(i, step, sign, side, fixed(i).blocks)
                 for i in self.objs for step, sign, side, fixed in terms if i + step in rows.starts]
         fracs = () if p else [v.denominator for *_, blocks in work for grid in blocks
@@ -841,8 +839,7 @@ class Coords:
                                     if v:
                                         for ri, c in res:
                                             row = data[r0 + ri]
-                                            if row is not None:
-                                                row[c0 + fi] = row.get(c0 + fi, 0) + v * c
+                                            row[c0 + fi] = row.get(c0 + fi, 0) + v * c
             else:                   # block (t, k) of b o d is b[t][j] o d[j][k]
                 for j, sj in enumerate(x):
                     for k, sk in enumerate(xr):
@@ -858,12 +855,11 @@ class Coords:
                                     if v:
                                         for ri, c in res:
                                             row = data[r0 + ri]
-                                            if row is not None:
-                                                row[c0 + gi] = row.get(c0 + gi, 0) + v * c
+                                            row[c0 + gi] = row.get(c0 + gi, 0) + v * c
         den *= pres.comp_den
         out = []
-        for r in keep:
-            row = {j: v % p for j, v in data[r].items()} if p else data[r]
+        for row in data:
+            row = {j: v % p for j, v in row.items()} if p else row
             if not all(row.values()):
                 row = {j: v for j, v in row.items() if v}
             g = gcd(den, *row.values()) if den != 1 else 1

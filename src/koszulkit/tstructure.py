@@ -15,7 +15,9 @@ The heart is a split finite-length abelian category; its simple objects
 are the indecomposables placed in homological degree minus their degree.
 The weight filtration of a heart object is the same ``filtration`` of its
 antidiagonal normal form, by the weight -i: d raises i, so it lowers the
-weight, and the weights <= k span a subcomplex W_{<= k}.
+weight, and the weights <= k span a subcomplex W_{<= k}.  Its strip k is
+the term in degree -k alone, so ``weight_filtration`` reads the pieces off
+the terms; the ``weights`` command certifies the steps.
 """
 
 from __future__ import annotations
@@ -173,9 +175,12 @@ def t_cohomology(x: Complex):
 
 
 def weight_filtration(m: HeartObject) -> dict:
-    """Graded pieces k -> semisimple HeartObject: the strips of the
-    normal form's filtration by weight."""
-    return {k: HeartObject(z) for k, z in filtration(m.normal_form, weight)[0].items()}
+    """Graded pieces k -> semisimple HeartObject, highest weight first: the
+    strips of the normal form's filtration by weight, read off its terms.
+    The weight is -i, so strip k is the term in degree -k, alone in that
+    degree; no step triangle is built."""
+    nf = m.normal_form
+    return {-i: HeartObject(Complex.single(nf.pres, t, i)) for i, t in sorted(nf.terms.items())}
 
 
 def composition_factors(m: HeartObject) -> dict:

@@ -1267,13 +1267,181 @@ def echelon_fields(e):
     return e.rows, e.cols, e.pivots, e._entries
 
 
+def fresh(c: Complex) -> Complex:
+    """A new complex equal to c, so with no Hom complex kept yet."""
+    return Complex(c.pres, c.terms, c.diffs, check=False)
+
+
+def typed_echelon(e):
+    """:func:`echelon_fields` with the type of every entry."""
+    return e.rows, e.cols, list(e.pivots), [[(j, type(v), v) for j, v in row.items()]
+                                            for row in e._entries]
+
+
+def typed_answers(sp, maps):
+    """Everything a Hom space answers, entry type for entry type: its sizes,
+    both echelons, its basis, and ``express`` and ``null_homotopy`` of
+    ``maps``."""
+    return ((sp.total, sp.h_total, sp.nullity, sp._delta_rank, sp.dimension),
+            typed_echelon(sp._chains), typed_echelon(sp._echelon),
+            [typed_comps(b) for b in sp.basis],
+            [None if (c := sp.express(f)) is None else [(type(v), v) for v in c] for f in maps],
+            [typed_comps(sp.null_homotopy(f)) for f in maps])
+
+
+K_ORDERS = [(-1, 0, 1), (1, 0, -1), (0, 1, -1), (0, -1, 1), (1, -1, 0), (0, 0, 1, 1, -1, -1)]
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+def test_hom_complex_answers_every_order_as_a_cold_build(name):
+    """Hom(x, y[k]) for k in -1..1, built in several orders on one pair (so
+    reading layouts and differentials the Hom complex kept), answers as a
+    cold build of that k alone on fresh copies: sizes, both echelons,
+    basis, and ``express`` and ``null_homotopy`` of chain maps, boundaries
+    and other maps, entry type for entry type."""
+    pres = presentation(name)
+    rng = rng_for(4401, "hom complex orders", name)
+    seen = Counter()
+    for x, y, _ in seeded_draws(pres, rng, 4):
+        cold = {}
+        for k in (-1, 0, 1):
+            sp = HomSpace(fresh(x), fresh(y), k)
+            maps = probe_maps(sp, rng) if sp.total else []
+            cold[k] = maps, typed_answers(sp, maps)
+            seen["nonzero"] += sp.dimension > 0
+        for order in K_ORDERS:
+            xs, ys = fresh(x), fresh(y)
+            for k in order:
+                maps, want = cold[k]
+                assert typed_answers(HomSpace(xs, ys, k), maps) == want
+            assert len(xs._homs) == 1
+    assert seen["nonzero"]
+
+
+def test_hom_complex_of_a_freed_target_is_never_read():
+    """A Hom complex is found by id(y) and checked against a weak reference
+    to y.  Once y is freed, a new complex that gets its id finds the dead
+    reference and builds its own Hom complex: its answers are a cold
+    build's, on Hom(x, x) too."""
+    for name in ("A6/F0", "A5/F10007"):
+        pres = presentation(name)
+        rng = rng_for(4402, "freed target", name)
+        for x, drawn, k in seeded_draws(pres, rng, 4):
+            y, z = fresh(drawn), rand_complex(pres, rng, amplitude=3)   # the draw keeps drawn alive
+            for k2 in (k - 1, k, k + 1):
+                HomSpace(x, y, k2).express(ChainMap.zero(x, y.shift(k2)))
+            key = id(y)
+            del y
+            assert x._homs[key][0]() is None
+            made = []       # kept alive, so that each try takes a new block
+            while len(made) < 10_000 and (not made or id(made[-1]) != key):
+                made.append(fresh(z))
+            assert id(made[-1]) == key
+            for target in (made[-1], x):
+                for k2 in (k - 1, k, k + 1):
+                    cold = HomSpace(fresh(x), fresh(target), k2)
+                    maps = probe_maps(cold, rng) if cold.total else []
+                    got = HomSpace(x, target, k2)
+                    assert typed_answers(got, maps) == typed_answers(cold, maps)
+            assert x._homs[key][0]() is made[-1]
+
+
+def test_hom_complexes_make_no_reference_cycle():
+    """Hom(x, y[k]) and Hom(x, x[k]) leave x its Hom complexes and no
+    reference cycle: with the collector off and every unreachable object
+    saved, dropping the complexes and the spaces leaves no complex for a
+    collection to find."""
+    pres = presentation("A6/F0")
+    rng = rng_for(4403, "hom complex cycle")
+    x, y = draw_with_diffs(pres, rng, 2), draw_with_diffs(pres, rng, 2)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        spaces = [HomSpace(x, t, k) for t in (y, x) for k in (-1, 0, 1)]
+        for sp in spaces:
+            total = ChainMap.zero(x, sp.ys)
+            for b in sp.basis:
+                total = total.add(b)
+            assert sp.express(total) == [1] * sp.dimension
+        assert len(x._homs) == 2 and any(sp.dimension for sp in spaces)
+        del x, y, spaces, sp, total, b
+        gc.collect()
+        kept = [o for o in gc.garbage if isinstance(o, Complex)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert kept == []
+
+
+def test_hom_q_pair_builds_five_layouts_and_four_differentials(monkeypatch):
+    """One hom_q-style pair read at k = -1, 0, 1, as the benchmark reads it
+    (build, basis, ``express``), lays out Hom^-2..Hom^2 once each and
+    assembles d^-2..d^1 once each: 5 ``Coords`` and 4 ``Coords.matrix``
+    calls, where building each k on its own took 9 and 6."""
+    for x, y, _ in hom_q_draws(44):
+        if all(supports_meet(x, y, k) for k in (-1, 0, 1)):
+            break
+    counts = Counter()
+    init, matrix = Coords.__init__, Coords.matrix
+
+    def counting_init(self, *args):
+        counts["layouts"] += 1
+        init(self, *args)
+
+    def counting_matrix(self, *args):
+        counts["matrices"] += 1
+        return matrix(self, *args)
+
+    monkeypatch.setattr(Coords, "__init__", counting_init)
+    monkeypatch.setattr(Coords, "matrix", counting_matrix)
+    for k in (-1, 0, 1):
+        sp = hom_space(x, y, k)
+        total = ChainMap.zero(x, sp.ys)
+        for b in sp.basis:
+            total = total.add(b)
+        assert sp.total and sp.express(total) == [1] * sp.dimension
+    assert counts == {"layouts": 5, "matrices": 4}
+
+
+def record_quotient_rows(monkeypatch):
+    """(seen, delta_f): ``seen`` collects the row form of every
+    :class:`RowMatrix` eliminated, and ``delta_f()`` reads the rows of
+    delta_F off the last one, the quotient [delta_F | I] that a build
+    eliminates after its chain condition, with the I block cut off and
+    checked: row r has its d at column h_total + r and nothing else there."""
+    seen = []
+    rref = Matrix.rref
+
+    def recording(self):
+        if isinstance(self, RowMatrix):
+            seen.append((self.rows, self.cols, [(dict(row), d) for row, d in self.krows]))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", recording)
+
+    def delta_f():
+        n, cols, krows = seen[-1]
+        h = cols - n
+        for r, (row, d) in enumerate(krows):
+            assert row[h + r] == d and all(j < h or j == h + r for j in row)
+        return [({j: v for j, v in row.items() if j < h}, d) for row, d in krows]
+
+    return seen, delta_f
+
+
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
 def test_constraint_rows_are_the_loaded_per_basis_rows(name, monkeypatch):
-    """``Coords.matrix`` builds each row of D1 and of delta_F in rref's row
-    form: the numerators and d that ``_load_q`` / ``_load_mod`` make of the
-    dense per-basis row, with fractional differentials and, on quiver0/2/6
-    over Q, fractional structure constants.  delta has ``nullity`` rows, and
-    both eliminations equal those of the dense per-basis matrices field by
+    """``Coords.matrix`` builds each row of D1 in rref's row form: the
+    numerators and d that ``_load_q`` / ``_load_mod`` make of the dense
+    per-basis row, with fractional differentials and, on quiver0/2/6 over
+    Q, fractional structure constants.  A build on a fresh pair assembles
+    d^k (D1) and then d^(k-1) in full; delta_F, read off d^(k-1), is the
+    loaded per-basis delta at the rows F, ``nullity`` of them, and both
+    eliminations equal those of the dense per-basis matrices field by
     field."""
     pres = presentation(name)
     fld = pres.field
@@ -1282,20 +1450,24 @@ def test_constraint_rows_are_the_loaded_per_basis_rows(name, monkeypatch):
     built = []
     matrix = Coords.matrix
 
-    def recording(self, rows, terms, keep=None):
-        m = matrix(self, rows, terms, keep)
+    def recording(self, rows, terms):
+        m = matrix(self, rows, terms)
         built.append([(dict(row), d) for row, d in m.krows])
         return m
 
     monkeypatch.setattr(Coords, "matrix", recording)
+    eliminated, quotient_rows = record_quotient_rows(monkeypatch)
     dens = Counter()
     for x, y, k in seeded_draws(pres, rng, 9):
         built.clear()
+        eliminated.clear()
         sp = HomSpace(x, y, k)
         if not sp.total:
             assert built == []
             continue
-        chain_rows, delta_rows = built
+        chain_rows, previous = built
+        assert len(eliminated) == 2
+        delta_rows = quotient_rows()
         ys = sp.ys
         chain = per_basis_matrix(sp.maps, Coords(pres, {i: (t, ys.terms[i + 1]) for i, t in x.terms.items()
                                                        if i + 1 in ys.terms}), [
@@ -1305,6 +1477,7 @@ def test_constraint_rows_are_the_loaded_per_basis_rows(name, monkeypatch):
             (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
             (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
         assert chain_rows == [load(row) for row in chain.data]
+        assert len(previous) == sp.total
         assert len(delta_rows) == sp.nullity
         assert delta_rows == [load(delta.data[j]) for j in sp._free]
         assert echelon_fields(RowMatrix(fld, chain.rows, chain.cols, chain_rows).rref()) == \
@@ -1582,7 +1755,8 @@ def test_one_layout_walk_per_coords_degree(monkeypatch):
     """A Hom build, its basis and an ``express`` walk each (source, target)
     pair of the three ``Coords`` (chain maps, homotopies, chain-condition
     rows) once: at most one read of a Hom basis's length per block of each
-    degree."""
+    degree.  The counter is installed before the first build, on fresh
+    copies of the drawn pair, which have no Hom complex yet."""
     pres = path_category(10, 0)
     rng = rng_for(41, "layout-walks")
     while True:
@@ -1591,6 +1765,7 @@ def test_one_layout_walk_per_coords_degree(monkeypatch):
         k = rng.randint(-1, 1)
         if hom_space(x, y, k).dimension >= 2:
             break
+    x, y = fresh(x), fresh(y)
     ys = y.shift(k)
     degrees = [(t, ys.terms[i + step]) for step in (0, -1, 1)
                for i, t in x.terms.items() if i + step in ys.terms]
@@ -1697,45 +1872,54 @@ def per_basis_matrix(cols, rows, terms):
 
 @pytest.mark.parametrize("name", ["FIX_A3", "A5-killed/F10007", "A6/F0", *WIDE_BLOCK_NAMES])
 def test_constraint_matrices_match_the_per_basis_construction(name, monkeypatch):
+    """A build on a fresh pair assembles the chain condition d^k and then
+    d^(k-1), the chain condition of Hom(x, y[k-1]), each in full and each
+    equal to the per-basis construction.  delta is -d^(k-1) entry for
+    entry, and the quotient eliminates its rows F."""
     pres = presentation(name)
+    fld = pres.field
     rng = rng_for(31, "constraint-matrices", name)
     built = []
     matrix = Coords.matrix
 
-    def recording(self, rows, terms, keep=None):
-        m = matrix(self, rows, terms, keep)
-        # dense now: HomSpace writes the unit entries of [delta_F | I] into delta_F's rows
-        built.append((self, rows, keep, dense(m)))
+    def recording(self, rows, terms):
+        m = matrix(self, rows, terms)
+        built.append((self, rows, dense(m)))
         return m
 
     monkeypatch.setattr(Coords, "matrix", recording)
+    _, quotient_rows = record_quotient_rows(monkeypatch)
     compared = 0
     for _ in range(80):
         x, y = (conjugate_complex(rand_complex(pres, rng, amplitude=3), rng)[0] for _ in "xy")
         k = rng.randint(-1, 1)
         built.clear()
         sp = hom_space(x, y, k)
-        ys = sp.ys
+        ys, yp = sp.ys, y.shift(k - 1)
         if not sp.total:
             assert built == []
             continue
-        (maps, chain_rows, all_rows, chain), (homotopies, delta_rows, kept, delta) = built
-        assert all_rows is None and chain == per_basis_matrix(maps, chain_rows, [
+        (maps, chain_rows, chain), (homotopies, maps_again, previous) = built
+        assert (maps, maps_again, homotopies) == (sp.maps, sp.maps, sp.homotopies)
+        assert chain == per_basis_matrix(maps, chain_rows, [
             (0, 1, lambda i, b: ys.d(i).compose(b)),
             (-1, -1, lambda i, b: b.compose(x.d(i - 1)))])
-        # delta is built only on its rows at the chain kernel's free columns
-        full = per_basis_matrix(homotopies, delta_rows, [
+        assert previous == per_basis_matrix(homotopies, maps, [
+            (0, 1, lambda i, b: yp.d(i).compose(b)),
+            (-1, -1, lambda i, b: b.compose(x.d(i - 1)))])
+        full = per_basis_matrix(homotopies, maps, [
             (0, 1, lambda i, b: ys.d(i - 1).compose(b)),
             (-1, 1, lambda i, b: b.compose(x.d(i - 1)))])
         assert full == delta_matrix(sp)
-        assert kept == sp._free and delta == Matrix(
-            full.field, len(kept), full.cols, [full.data[j] for j in kept])
-        compared += bool(chain.rows and chain.cols) + bool(delta.rows and delta.cols)
+        assert full.data == [[fld.neg(v) for v in row] for row in previous.data]
+        assert dense(RowMatrix(fld, sp.nullity, full.cols, quotient_rows())) == Matrix(
+            fld, sp.nullity, full.cols, [full.data[j] for j in sp._free])
+        compared += bool(chain.rows and chain.cols) + bool(previous.rows and previous.cols)
     for _ in range(20):
         fx, fy = rand_filtered(pres, rng), rand_filtered(pres, rng)
         built.clear()
         FilteredHomSpace(fx, fy)
-        (maps, rows, _, kernel), = built
+        (maps, rows, kernel), = built
         assert kernel == per_basis_matrix(maps, rows, [
             (1, 1, lambda i, b: b.compose(fx.incl_map(i + 1))),
             (0, -1, lambda i, b: fy.incl_map(i).compose(b))])

@@ -7,6 +7,7 @@ from koszulkit.complexes import (
     ChainMap,
     Complex,
     HomClass,
+    Triangle,
     cone,
     direct_sum,
     hom_space,
@@ -352,6 +353,30 @@ def test_weight_filtration_steps_verify_and_match_the_subobjects(name):
         steps_seen += len(steps)
         gaps += max(strips) - min(strips) >= len(strips)
     assert steps_seen >= 30 and (gaps or name == "FIX_A2"), (steps_seen, gaps)
+
+
+@pytest.mark.parametrize("name", ["FIX_A2", "FIX_A3", "A5/F10007"])
+def test_weight_filtration_reads_the_pieces_off_the_terms(name, monkeypatch):
+    """weight_filtration builds no step triangle: a counting stand-in for
+    ``Triangle.from_termwise_split`` sees no call.  Its pieces equal the
+    strips of the certified filtration by weight, keys in the same
+    descending order, on 40 heart objects with two or more weights."""
+    pres = presentation(name)
+    calls = []
+    split = Triangle.from_termwise_split
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    for h in multi_weight_heart_objects(pres, rng_for(44, "weight pieces", name), 40):
+        monkeypatch.setattr(Triangle, "from_termwise_split", staticmethod(counting))
+        pieces = weight_filtration(h)
+        assert calls == []
+        monkeypatch.undo()
+        strips = filtration(h.normal_form, weight)[0]
+        assert list(pieces) == list(strips) == sorted(h.weights(), reverse=True)
+        assert pieces == {k: HeartObject(z) for k, z in strips.items()}
 
 
 def test_filtration_of_the_zero_complex_has_no_step(a2):
